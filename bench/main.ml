@@ -504,7 +504,7 @@ type cpu_work = {
 let x86_text_base = 0x0804_8000
 let x86_stack_base = 0x0810_0000
 
-let x86_runner ~perm ~icache program =
+let x86_runner ~perm ~icache ~hooks program =
   let mem = Mem.create () in
   let r = Isa_x86.Asm.assemble ~base:x86_text_base program in
   Mem.map mem ~base:x86_text_base ~size:Mem.page_size ~perm ~name:".text";
@@ -521,7 +521,9 @@ let x86_runner ~perm ~icache program =
     cpu.Isa_x86.Cpu.cf <- false;
     cpu.Isa_x86.Cpu.o_f <- false;
     cpu.Isa_x86.Cpu.steps <- 0;
-    match Isa_x86.Cpu.run ~fuel:10_000_000 ~traps:[] ~kernel cpu with
+    match
+      Isa_x86.Cpu.run ~fuel:10_000_000 ~traps:[] ~kernel ~hooks:(hooks cpu) cpu
+    with
     | Machine.Outcome.Halted -> ()
     | other ->
         failwith
@@ -532,7 +534,7 @@ let x86_runner ~perm ~icache program =
 let arm_text_base = 0x0001_0000
 let arm_stack_base = 0x0010_0000
 
-let arm_runner ~perm ~icache program =
+let arm_runner ~perm ~icache ~hooks program =
   let mem = Mem.create () in
   let r = Isa_arm.Asm.assemble ~base:arm_text_base program in
   Mem.map mem ~base:arm_text_base ~size:Mem.page_size ~perm ~name:".text";
@@ -553,7 +555,9 @@ let arm_runner ~perm ~icache program =
     cpu.Isa_arm.Cpu.c <- false;
     cpu.Isa_arm.Cpu.v <- false;
     cpu.Isa_arm.Cpu.steps <- 0;
-    match Isa_arm.Cpu.run ~fuel:10_000_000 ~traps:[] ~kernel cpu with
+    match
+      Isa_arm.Cpu.run ~fuel:10_000_000 ~traps:[] ~kernel ~hooks:(hooks cpu) cpu
+    with
     | Machine.Outcome.Halted -> ()
     | other ->
         failwith
@@ -740,6 +744,64 @@ let arm_selfmod iters =
     Word 0xE1A0_0000 (* mov r0, r0 — the bytes already at "patch" *);
   ]
 
+let no_hooks _ = []
+
+(* The hook sets of the per-hook overhead rows, each a per-run builder
+   (the trace and enforcement hooks carry per-run state).  The policy
+   set of forward-edge CFI is the text base; the workloads make no
+   indirect transfer, so it only pays for classifying each step. *)
+let hook_sets isa ~taint ~text_base =
+  let module H = Machine.Hook in
+  let profile = Telemetry.Profile.create () in
+  let trace = Telemetry.Trace.create ~capacity:4096 () in
+  let oracle = Sanitizer.Oracle.create () in
+  let prof _ = H.observe isa (Telemetry.Profile.record profile) in
+  let tr cpu = H.trace isa trace cpu in
+  let san _ =
+    Sanitizer.Oracle.begin_parse oracle;
+    taint oracle
+  in
+  let enf _ =
+    H.enforce isa ~shadow_stack:true ~forward_cfi:true
+      ~valid_target:(fun a -> a = text_base)
+      ~shadow0:[]
+  in
+  [
+    ("bare", no_hooks);
+    ("profile", fun c -> [ prof c ]);
+    ("trace", fun c -> [ tr c ]);
+    ("sanitizer", fun c -> [ san c ]);
+    ("shstk+fcfi", fun c -> [ enf c ]);
+    ("all", fun c -> [ prof c; tr c; san c; enf c ]);
+  ]
+
+(* One runner per hook set over the straight-line workload of each ISA:
+   name, retired steps per run, run. *)
+let hook_workloads ~iters =
+  let x86 =
+    List.map
+      (fun (set, hooks) ->
+        let run, cpu =
+          x86_runner ~perm:Mem.rx ~icache:true ~hooks (x86_straight iters)
+        in
+        run ();
+        ("cpu/hooks/straight-x86/" ^ set, cpu.Isa_x86.Cpu.steps, run))
+      (hook_sets Isa_x86.Cpu.isa ~taint:Isa_x86.Cpu.taint
+         ~text_base:x86_text_base)
+  in
+  let arm =
+    List.map
+      (fun (set, hooks) ->
+        let run, cpu =
+          arm_runner ~perm:Mem.rx ~icache:true ~hooks (arm_straight iters)
+        in
+        run ();
+        ("cpu/hooks/straight-arm/" ^ set, cpu.Isa_arm.Cpu.steps, run))
+      (hook_sets Isa_arm.Cpu.isa ~taint:Isa_arm.Cpu.taint
+         ~text_base:arm_text_base)
+  in
+  x86 @ arm
+
 let cpu_workloads ~iters =
   let mk name runner perm program =
     let run_c, cpu_c = runner ~perm ~icache:true program in
@@ -756,11 +818,11 @@ let cpu_workloads ~iters =
     { cw_name = name; cw_steps = steps; cw_cached = run_c; cw_uncached = run_u }
   in
   let x86 ~perm ~icache p =
-    let run, cpu = x86_runner ~perm ~icache p in
+    let run, cpu = x86_runner ~perm ~icache ~hooks:no_hooks p in
     (run, `X86 cpu)
   in
   let arm ~perm ~icache p =
-    let run, cpu = arm_runner ~perm ~icache p in
+    let run, cpu = arm_runner ~perm ~icache ~hooks:no_hooks p in
     (run, `Arm cpu)
   in
   [
@@ -780,6 +842,36 @@ let time_fn cfg name f =
   match Test.elements test with
   | [ elt ] -> measure_elt cfg elt
   | _ -> invalid_arg "time_fn: expected a single element"
+
+(* Where a measurement was taken, as JSON-quoted meta values: the CPU
+   model and core count, and the source tree as [git describe --always
+   --dirty] ("-dirty": uncommitted changes on top of that commit). *)
+let provenance () =
+  let machine =
+    match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+    | exception Sys_error _ -> "unknown"
+    | info ->
+        let lines = String.split_on_char '\n' info in
+        let has prefix = String.starts_with ~prefix in
+        let model =
+          match List.find_opt (has "model name") lines with
+          | Some l -> String.trim (List.nth (String.split_on_char ':' l) 1)
+          | None -> "unknown"
+        in
+        Printf.sprintf "%s x%d" model
+          (List.length (List.filter (has "processor") lines))
+  in
+  let commit =
+    let tmp = Filename.temp_file "bench" ".rev" in
+    let cmd = "git describe --always --dirty > " ^ Filename.quote tmp ^ " 2>/dev/null" in
+    let rev =
+      if Sys.command cmd = 0 then In_channel.with_open_text tmp In_channel.input_line
+      else None
+    in
+    Sys.remove tmp;
+    Option.value rev ~default:"unknown"
+  in
+  [ ("machine", Printf.sprintf "%S" machine); ("commit", Printf.sprintf "%S" commit) ]
 
 let run_cpu_json ~smoke ~out () =
   let iters = if smoke then 64 else 512 in
@@ -807,10 +899,33 @@ let run_cpu_json ~smoke ~out () =
         (w, c_ns, c_r2, c_rate, u_ns, u_r2, u_rate, speedup))
       (cpu_workloads ~iters)
   in
+  Format.printf "@.%-34s %8s %14s %10s %9s@." "hooked loop" "steps" "per run"
+    "Msteps/s" "vs bare";
+  Format.printf "%s@." (String.make 80 '-');
+  let bare = Hashtbl.create 2 in
+  let hook_rows =
+    List.map
+      (fun (name, steps, run) ->
+        let ns, r2 = time_fn cfg name run in
+        let base = Filename.dirname name in
+        if Filename.basename name = "bare" then Hashtbl.replace bare base ns;
+        let overhead = ns /. Hashtbl.find bare base in
+        let rate = float_of_int steps *. 1e9 /. ns in
+        Format.printf "%-34s %8d %14s %10.1f %8.2fx@." name steps
+          (pretty_nanos ns) (rate /. 1e6) overhead;
+        bench_row name "ns_per_run" ns
+          ~extra:
+            [
+              ("steps_per_run", float_of_int steps); ("steps_per_sec", rate);
+              ("overhead", overhead); ("r_square", r2);
+            ])
+      (hook_workloads ~iters)
+  in
   (* Flattened into the shared schema: each workload contributes a
-     /cached and /uncached timing row plus a /speedup ratio row. *)
+     /cached and /uncached timing row plus a /speedup ratio row; the
+     hooked-loop rows follow. *)
   write_bench_json ~suite:"cpu" ~smoke
-    ~meta:[ ("iters", string_of_int iters) ]
+    ~meta:(("iters", string_of_int iters) :: provenance ())
     ~out
     (List.concat_map
        (fun (w, c_ns, c_r2, c_rate, u_ns, u_r2, u_rate, speedup) ->
@@ -830,7 +945,8 @@ let run_cpu_json ~smoke ~out () =
                ];
            bench_row (w.cw_name ^ "/speedup") "ratio" speedup;
          ])
-       rows)
+       rows
+    @ hook_rows)
 
 (* ------------------------------------------------------------------ *)
 (* Sanitizer overhead benches: BENCH_sanitizer.json                    *)
@@ -840,67 +956,28 @@ let run_cpu_json ~smoke ~out () =
 (*   dune build @sanitizer-bench-smoke               (dune target)     *)
 (*                                                                     *)
 (* The taint sanitizer's overhead contract: each workload is timed     *)
-(* through the plain [run] loop and through [run_sanitized] against a  *)
-(* reused oracle ([begin_parse] per invocation, as the daemon does per *)
-(* datagram).  Straight-line and branchy loops bound the per-retired-  *)
-(* instruction cost on both ISAs; the parse-heavy rows measure the     *)
-(* end-to-end benign-response parse through connmand with and without  *)
-(* the oracle attached — the number a deployment would actually pay.   *)
+(* through the plain [run] loop and through [run] with the taint      *)
+(* hook against a reused oracle ([begin_parse] per invocation, as the  *)
+(* daemon does per datagram).  Straight-line and branchy loops bound   *)
+(* the per-retired-instruction cost on both ISAs; the parse-heavy rows *)
+(* measure the end-to-end benign-response parse through connmand with  *)
+(* and without the oracle attached — the number a deployment would     *)
+(* actually pay.                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let x86_sanitized_runner program =
-  let mem = Mem.create () in
-  let r = Isa_x86.Asm.assemble ~base:x86_text_base program in
-  Mem.map mem ~base:x86_text_base ~size:Mem.page_size ~perm:Mem.rx ~name:".text";
-  Mem.poke_bytes mem x86_text_base r.Isa_x86.Asm.code;
-  Mem.map mem ~base:x86_stack_base ~size:0x4000 ~perm:Mem.rw ~name:"stack";
-  let cpu = Isa_x86.Cpu.create ~icache:true mem in
+let sanitized_runner runner taint program =
   let oracle = Sanitizer.Oracle.create () in
-  let kernel _ _ = Machine.Outcome.Resume in
-  fun () ->
+  let hooks _ =
     Sanitizer.Oracle.begin_parse oracle;
-    Array.fill cpu.Isa_x86.Cpu.regs 0 8 0;
-    Isa_x86.Cpu.set cpu Isa_x86.Insn.ESP (x86_stack_base + 0x3000);
-    cpu.Isa_x86.Cpu.eip <- x86_text_base;
-    cpu.Isa_x86.Cpu.zf <- false;
-    cpu.Isa_x86.Cpu.sf <- false;
-    cpu.Isa_x86.Cpu.cf <- false;
-    cpu.Isa_x86.Cpu.o_f <- false;
-    cpu.Isa_x86.Cpu.steps <- 0;
-    match Isa_x86.Cpu.run_sanitized ~fuel:10_000_000 ~traps:[] ~kernel ~oracle cpu with
-    | Machine.Outcome.Halted -> ()
-    | other ->
-        failwith (Format.asprintf "sanitizer bench: %a" Machine.Outcome.pp other)
-
-let arm_sanitized_runner program =
-  let mem = Mem.create () in
-  let r = Isa_arm.Asm.assemble ~base:arm_text_base program in
-  Mem.map mem ~base:arm_text_base ~size:Mem.page_size ~perm:Mem.rx ~name:".text";
-  Mem.poke_bytes mem arm_text_base r.Isa_arm.Asm.code;
-  Mem.map mem ~base:arm_stack_base ~size:0x4000 ~perm:Mem.rw ~name:"stack";
-  let cpu = Isa_arm.Cpu.create ~icache:true mem in
-  let oracle = Sanitizer.Oracle.create () in
-  let kernel n _ =
-    if n = 0 then Machine.Outcome.Resume
-    else Machine.Outcome.Stop Machine.Outcome.Halted
+    [ taint oracle ]
   in
-  fun () ->
-    Sanitizer.Oracle.begin_parse oracle;
-    Array.fill cpu.Isa_arm.Cpu.regs 0 16 0;
-    Isa_arm.Cpu.set cpu Isa_arm.Insn.SP (arm_stack_base + 0x3000);
-    Isa_arm.Cpu.set_pc cpu arm_text_base;
-    cpu.Isa_arm.Cpu.n <- false;
-    cpu.Isa_arm.Cpu.z <- false;
-    cpu.Isa_arm.Cpu.c <- false;
-    cpu.Isa_arm.Cpu.v <- false;
-    cpu.Isa_arm.Cpu.steps <- 0;
-    match Isa_arm.Cpu.run_sanitized ~fuel:10_000_000 ~traps:[] ~kernel ~oracle cpu with
-    | Machine.Outcome.Halted -> ()
-    | other ->
-        failwith (Format.asprintf "sanitizer bench: %a" Machine.Outcome.pp other)
+  fst (runner ~perm:Mem.rx ~icache:true ~hooks program)
+
+let x86_sanitized_runner = sanitized_runner x86_runner Isa_x86.Cpu.taint
+let arm_sanitized_runner = sanitized_runner arm_runner Isa_arm.Cpu.taint
 
 (* One live daemon per variant; with the oracle attached every response
-   byte is tainted and the parse runs under [run_sanitized] (benign
+   byte is tainted and the parse runs with the taint hook (benign
    bytes, so zero reports — pure overhead). *)
 let sanitizer_parse_bench ~sanitize arch =
   let d = Dnsproxy.create (mk_config arch Profile.wx 9) in
@@ -910,16 +987,16 @@ let sanitizer_parse_bench ~sanitize arch =
 let sanitizer_workloads ~iters =
   [
     ( "sanitizer/straight-x86",
-      fst (x86_runner ~perm:Mem.rx ~icache:true (x86_straight iters)),
+      fst (x86_runner ~perm:Mem.rx ~icache:true ~hooks:no_hooks (x86_straight iters)),
       x86_sanitized_runner (x86_straight iters) );
     ( "sanitizer/branchy-x86",
-      fst (x86_runner ~perm:Mem.rx ~icache:true (x86_branchy iters)),
+      fst (x86_runner ~perm:Mem.rx ~icache:true ~hooks:no_hooks (x86_branchy iters)),
       x86_sanitized_runner (x86_branchy iters) );
     ( "sanitizer/straight-arm",
-      fst (arm_runner ~perm:Mem.rx ~icache:true (arm_straight iters)),
+      fst (arm_runner ~perm:Mem.rx ~icache:true ~hooks:no_hooks (arm_straight iters)),
       arm_sanitized_runner (arm_straight iters) );
     ( "sanitizer/branchy-arm",
-      fst (arm_runner ~perm:Mem.rx ~icache:true (arm_branchy iters)),
+      fst (arm_runner ~perm:Mem.rx ~icache:true ~hooks:no_hooks (arm_branchy iters)),
       arm_sanitized_runner (arm_branchy iters) );
     ( "sanitizer/parse-x86",
       sanitizer_parse_bench ~sanitize:false Loader.Arch.X86,
@@ -1119,7 +1196,7 @@ let print_parse_costs () =
           ("wx", Profile.wx);
           ("wx+aslr", Profile.wx_aslr);
           ("wx+canary", Profile.with_canary Profile.wx);
-          ("wx+aslr+cfi", Profile.with_cfi Profile.wx_aslr);
+          ("wx+aslr+shstk", Profile.with_shadow_stack Profile.wx_aslr);
           ("wx+seccomp", Profile.with_seccomp Profile.wx);
         ])
     Loader.Arch.all;

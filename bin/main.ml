@@ -34,7 +34,6 @@ let profile_conv =
   let feature p = function
     | "aslr" -> Some (Defense.Profile.with_entropy 12 p)
     | "canary" -> Some (Defense.Profile.with_canary p)
-    | "cfi" -> Some (Defense.Profile.with_cfi p)
     | "shstk" -> Some (Defense.Profile.with_shadow_stack p)
     | "fcfi" -> Some (Defense.Profile.with_forward_cfi p)
     | "mitigated" -> Some (Defense.Profile.with_mitigations p)
@@ -47,7 +46,7 @@ let profile_conv =
         (`Msg
           (Printf.sprintf
              "unknown profile: %s (expected none, wx, or wx+aslr, optionally \
-              extended with +canary, +cfi, +shstk, +fcfi, +mitigated, \
+              extended with +canary, +shstk, +fcfi, +mitigated, \
               +seccomp)"
              s))
     in

@@ -45,8 +45,8 @@ let () =
       ("wx+aslr", Profile.wx_aslr);
       ("wx+canary", Profile.with_canary Profile.wx);
       ("wx+aslr+canary", Profile.with_canary Profile.wx_aslr);
-      ("wx+aslr+cfi", Profile.with_cfi Profile.wx_aslr);
-      ("wx+aslr+canary+cfi", Profile.(with_cfi (with_canary wx_aslr)));
+      ("wx+aslr+shstk", Profile.with_shadow_stack Profile.wx_aslr);
+      ("wx+aslr+canary+shstk", Profile.(with_shadow_stack (with_canary wx_aslr)));
     ]
   in
   List.iter

@@ -34,7 +34,7 @@ let () =
   say "";
   run ~label:"vulnerable device, W⊕X + ASLR" ~profile:Defense.Profile.wx_aslr;
   run ~label:"same device with CFI (§IV mitigation)"
-    ~profile:Defense.Profile.(with_cfi wx_aslr);
+    ~profile:Defense.Profile.(with_shadow_stack wx_aslr);
   say "Patched firmware for comparison:";
   let config =
     {

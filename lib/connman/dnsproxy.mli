@@ -79,7 +79,7 @@ val handle_response : ?origin:string -> t -> string -> disposition
     buffer is tainted with a fresh provenance source labelled [origin]
     (default ["udp"]; {!Core.Device} passes the netsim source address),
     the overflow frame's return slot and redzone are registered from the
-    {!Frame} geometry, and the parse runs under [run_sanitized]. *)
+    {!Frame} geometry, and the parse runs with the ISA's taint hook. *)
 
 val peek_pending : t -> int -> Dns.Packet.question option
 (** Is this transaction id outstanding?  (Used by scenarios to attribute
@@ -120,7 +120,7 @@ val set_profiler : t -> Telemetry.Profile.t option -> unit
 
 val set_sanitizer : t -> Sanitizer.Oracle.t option -> unit
 (** Attach (or detach) the taint sanitizer.  Subsequent responses parse
-    under [run_sanitized] with per-datagram taint sources; outcomes and
+    with the ISA's taint hook and per-datagram taint sources; outcomes and
     dispositions are identical to an unsanitized daemon (the sanitizer
     is an observer), but the oracle accumulates reports.  The attached
     trace sink, if any, is shared with the oracle (["sanitizer"]

@@ -172,7 +172,7 @@ let e8_survey ?(seed = 1) () =
 let a1_cfi ?(seed = 1) () =
   List.map
     (fun (id, _, arch, profile, strategy, _) ->
-      let d = mk_device ~seed arch (Profile.with_cfi profile) in
+      let d = mk_device ~seed arch (Profile.with_shadow_stack profile) in
       let observed =
         match fire ~strategy d with
         | Error e -> "generation failed: " ^ e

@@ -232,7 +232,7 @@ val pp_fuzz : Format.formatter -> fuzz_report -> unit
     {!Connman.Dnsproxy.fork_diversified} with one {!Diversity.Pool}
     seed per device), plus the enforced embedded mitigations ("shstk",
     shadow return stack + forward-edge CFI via the interpreters'
-    [run_mitigated]), plus both ("div+shstk").  Reports survival
+    enforcement hook), plus both ("div+shstk").  Reports survival
     probability with Wilson confidence intervals per combination, and
     per-variant diversification stats (layout moves, padding,
     {!Defense.Equiv} rewrite counts, gadget count and gadget-address

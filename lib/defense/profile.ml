@@ -3,7 +3,6 @@ type t = {
   aslr : bool;
   aslr_entropy_bits : int;
   canary : bool;
-  cfi : bool;
   shadow_stack : bool;
   forward_cfi : bool;
   seccomp : bool;
@@ -15,7 +14,6 @@ let none =
     aslr = false;
     aslr_entropy_bits = 0;
     canary = false;
-    cfi = false;
     shadow_stack = false;
     forward_cfi = false;
     seccomp = false;
@@ -24,7 +22,6 @@ let none =
 let wx = { none with wxorx = true }
 let wx_aslr = { wx with aslr = true; aslr_entropy_bits = 12 }
 let with_canary t = { t with canary = true }
-let with_cfi t = { t with cfi = true }
 let with_shadow_stack t = { t with shadow_stack = true }
 let with_forward_cfi t = { t with forward_cfi = true }
 let with_mitigations t = { t with shadow_stack = true; forward_cfi = true }
@@ -37,7 +34,6 @@ let name t =
     (if t.wxorx then [ "wx" ] else [])
     @ (if t.aslr then [ "aslr" ] else [])
     @ (if t.canary then [ "canary" ] else [])
-    @ (if t.cfi then [ "cfi" ] else [])
     @ (if t.shadow_stack then [ "shstk" ] else [])
     @ (if t.forward_cfi then [ "fcfi" ] else [])
     @ if t.seccomp then [ "seccomp" ] else []

@@ -11,16 +11,14 @@ type t = {
   aslr : bool;  (** randomize libc and stack bases per boot *)
   aslr_entropy_bits : int;  (** pages of entropy when [aslr] is on *)
   canary : bool;  (** stack-protector cookie in vulnerable frames *)
-  cfi : bool;  (** shadow-stack return-edge CFI (CFI CaRE analogue) *)
   shadow_stack : bool;
-      (** enforced shadow return stack checked by the [run_mitigated]
-          interpreter entry point — the deeply-embedded mitigation of the
-          DAEDALUS/µRAI line of work, kept out of the plain hot loops *)
+      (** enforced shadow return stack — return-edge CFI, the CFI CaRE
+          analogue and the deeply-embedded mitigation of the DAEDALUS/µRAI
+          line of work *)
   forward_cfi : bool;
       (** forward-edge CFI: indirect calls and jumps may only target
           symbol-table entry points (coarse-grained label checking, the
-          embedded analogue of compiler CFI), also enforced by
-          [run_mitigated] *)
+          embedded analogue of compiler CFI) *)
   seccomp : bool;
       (** syscall filter: the daemon may not exec — a shell spawn becomes
           a policy kill (a modern IoT hardening measure, complementary to
@@ -37,7 +35,6 @@ val wx_aslr : t
 (** §III-C: W⊕X + ASLR (default 12 bits) — PLT/.bss-based ROP works. *)
 
 val with_canary : t -> t
-val with_cfi : t -> t
 
 val with_shadow_stack : t -> t
 (** Enforced shadow return stack ({!t.shadow_stack}). *)
@@ -52,8 +49,8 @@ val with_seccomp : t -> t
 val with_entropy : int -> t -> t
 
 val mitigated : t -> bool
-(** True when either embedded mitigation is on, i.e. the process must run
-    under the [run_mitigated] interpreter entry point. *)
+(** True when either embedded mitigation is on, i.e. every call of the
+    process runs the interpreters' enforcement hook. *)
 
 val name : t -> string
 (** Short label, e.g. ["none"], ["wx"], ["wx+aslr"], ["wx+aslr+canary"]. *)

@@ -19,8 +19,9 @@ module O = Machine.Outcome
    [get_name] frame, and its first report names both the detection rule
    that fired and the exact wire offset that reached the overflow — the
    [wire[off]@fuzz -> mem -> pc] provenance chain.  Two runs rather than
-   one because coverage (run_traced) and taint (run_sanitized) are
-   alternative interpreter loops; determinism makes the replay exact.
+   one taint-instrumented run because taint costs about twice as much per
+   step and only crashing inputs need it; determinism makes the replay
+   exact.
 
    Everything — mutation choices, corpus growth, stats — is a pure
    function of [config.seed].  The stats JSON contains no wall-clock

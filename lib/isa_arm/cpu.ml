@@ -2,6 +2,7 @@ open Insn
 module Mem = Memsim.Memory
 module Word = Memsim.Word
 module Outcome = Machine.Outcome
+module Hook = Machine.Hook
 
 (* [compiled] is the icache payload: the decoded instruction plus an
    execution thunk specialized at fill time for the instruction's (fixed)
@@ -15,8 +16,6 @@ type t = {
   mutable z : bool;
   mutable c : bool;
   mutable v : bool;
-  mutable shadow : int list;
-  mutable cfi : bool;
   mutable steps : int;
   mutable branched : bool;
   icache : compiled Memsim.Icache.t option;
@@ -29,7 +28,7 @@ and compiled = {
   run : t -> kernel -> Outcome.stop_reason option;
 }
 
-let create ?(cfi = false) ?(icache = true) mem =
+let create ?(icache = true) mem =
   {
     mem;
     regs = Array.make 16 0;
@@ -37,8 +36,6 @@ let create ?(cfi = false) ?(icache = true) mem =
     z = false;
     c = false;
     v = false;
-    shadow = [];
-    cfi;
     steps = 0;
     branched = false;
     icache =
@@ -105,18 +102,6 @@ let set_tst_flags t res =
   t.n <- Word.bit res 31;
   t.z <- res = 0
 
-(* Return-edge CFI (see cpu.mli).  [pop_shadow] both validates and pops. *)
-let check_return t target =
-  if not t.cfi then None
-  else
-    match t.shadow with
-    | expected :: rest when expected = Word.of_int target ->
-        t.shadow <- rest;
-        None
-    | expected :: _ ->
-        Some (Outcome.Cfi_violation { at = pc t; expected; got = target })
-    | [] -> Some (Outcome.Cfi_violation { at = pc t; expected = 0; got = target })
-
 (* Explicit control transfer: pc stays at the current instruction during
    execution so architectural PC reads yield start+8; [t.branched] marks
    that the fall-through pc update must be skipped.  Top-level (with the
@@ -126,25 +111,40 @@ let branch t target =
   t.branched <- true;
   set_pc t target
 
-(* Data-processing writeback: writing PC is an indirect jump
-   (`mov pc, lr` is a return and CFI-checked). *)
-let dp_write t op rd v =
+(* Data-processing writeback: writing PC is an indirect jump. *)
+let dp_write t rd v =
   match rd with
-  | PC -> (
-      let target = Word.of_int v land lnot 1 in
-      match op with
-      | Mov (_, Reg LR) -> (
-          match check_return t target with
-          | Some stop -> Some stop
-          | None ->
-              branch t target;
-              None)
-      | _ ->
-          branch t target;
-          None)
+  | PC ->
+      branch t (Word.of_int v land lnot 1);
+      None
   | _ ->
       set t rd v;
       None
+
+(* The value a data-processing op computes from the current registers;
+   shared by [exec] and the hooks that must see a pc write before it
+   happens. *)
+let dp_value t = function
+  | Mov (_, o) -> op2_value t o
+  | Mvn (_, o) -> Word.lognot (op2_value t o)
+  | Add (_, rn, o) -> Word.add (get t rn) (op2_value t o)
+  | Sub (_, rn, o) -> Word.sub (get t rn) (op2_value t o)
+  | Rsb (_, rn, o) -> Word.sub (op2_value t o) (get t rn)
+  | And (_, rn, o) -> get t rn land op2_value t o
+  | Orr (_, rn, o) -> get t rn lor op2_value t o
+  | Eor (_, rn, o) -> get t rn lxor op2_value t o
+  | Bic (_, rn, o) -> get t rn land Word.lognot (op2_value t o)
+  | Mul (_, rm, rs) -> Word.mul (get t rm) (get t rs)
+  | _ -> invalid_arg "Cpu.dp_value: not a data-processing op"
+
+(* The address a load or store accesses. *)
+let mem_addr t = function
+  | Ldr (_, rn, off) | Str (_, rn, off) | Ldrb (_, rn, off) | Strb (_, rn, off) ->
+      Word.add (get t rn) off
+  | Ldr_r (_, rn, rm) | Str_r (_, rn, rm) | Ldrb_r (_, rn, rm) | Strb_r (_, rn, rm)
+    ->
+      Word.add (get t rn) (get t rm)
+  | _ -> invalid_arg "Cpu.mem_addr: not a load or store"
 
 let exec t ~kernel start cond op =
         t.steps <- t.steps + 1;
@@ -158,46 +158,25 @@ let exec t ~kernel start cond op =
           let stop =
             try
               match op with
-            | Mov (rd, o) -> dp_write t op rd (op2_value t o)
-            | Mvn (rd, o) -> dp_write t op rd (Word.lognot (op2_value t o))
-            | Add (rd, rn, o) -> dp_write t op rd (Word.add (get t rn) (op2_value t o))
-            | Sub (rd, rn, o) -> dp_write t op rd (Word.sub (get t rn) (op2_value t o))
-            | Rsb (rd, rn, o) -> dp_write t op rd (Word.sub (op2_value t o) (get t rn))
-            | And (rd, rn, o) -> dp_write t op rd (get t rn land op2_value t o)
-            | Orr (rd, rn, o) -> dp_write t op rd (get t rn lor op2_value t o)
-            | Eor (rd, rn, o) -> dp_write t op rd (get t rn lxor op2_value t o)
-            | Bic (rd, rn, o) ->
-                dp_write t op rd (get t rn land Word.lognot (op2_value t o))
-            | Mul (rd, rm, rs) -> dp_write t op rd (Word.mul (get t rm) (get t rs))
+            | Mov (rd, _) | Mvn (rd, _) | Add (rd, _, _) | Sub (rd, _, _)
+            | Rsb (rd, _, _) | And (rd, _, _) | Orr (rd, _, _) | Eor (rd, _, _)
+            | Bic (rd, _, _) | Mul (rd, _, _) ->
+                dp_write t rd (dp_value t op)
             | Cmp (rn, o) ->
                 set_cmp_flags t (get t rn) (op2_value t o);
                 None
             | Tst (rn, o) ->
                 set_tst_flags t (get t rn land op2_value t o);
                 None
-            | Ldr (rd, rn, off) ->
-                let v = Mem.read_u32 t.mem (Word.add (get t rn) off) in
-                dp_write t op rd v
-            | Str (rd, rn, off) ->
-                Mem.write_u32 t.mem (Word.add (get t rn) off) (get t rd);
+            | Ldr (rd, _, _) | Ldr_r (rd, _, _) ->
+                dp_write t rd (Mem.read_u32 t.mem (mem_addr t op))
+            | Ldrb (rd, _, _) | Ldrb_r (rd, _, _) ->
+                dp_write t rd (Mem.read_u8 t.mem (mem_addr t op))
+            | Str (rd, _, _) | Str_r (rd, _, _) ->
+                Mem.write_u32 t.mem (mem_addr t op) (get t rd);
                 None
-            | Ldrb (rd, rn, off) ->
-                let v = Mem.read_u8 t.mem (Word.add (get t rn) off) in
-                dp_write t op rd v
-            | Strb (rd, rn, off) ->
-                Mem.write_u8 t.mem (Word.add (get t rn) off) (get t rd land 0xFF);
-                None
-            | Ldr_r (rd, rn, rm) ->
-                dp_write t op rd (Mem.read_u32 t.mem (Word.add (get t rn) (get t rm)))
-            | Str_r (rd, rn, rm) ->
-                Mem.write_u32 t.mem (Word.add (get t rn) (get t rm)) (get t rd);
-                None
-            | Ldrb_r (rd, rn, rm) ->
-                dp_write t op rd (Mem.read_u8 t.mem (Word.add (get t rn) (get t rm)))
-            | Strb_r (rd, rn, rm) ->
-                Mem.write_u8 t.mem
-                  (Word.add (get t rn) (get t rm))
-                  (get t rd land 0xFF);
+            | Strb (rd, _, _) | Strb_r (rd, _, _) ->
+                Mem.write_u8 t.mem (mem_addr t op) (get t rd land 0xFF);
                 None
             | Push regs ->
                 let n = List.length regs in
@@ -221,39 +200,22 @@ let exec t ~kernel start cond op =
                   regs values;
                 match !pc_target with
                 | None -> None
-                | Some target -> (
-                    let target = target land lnot 1 in
-                    match check_return t target with
-                    | Some stop -> Some stop
-                    | None ->
-                        branch t target;
-                        None))
+                | Some target ->
+                    branch t (target land lnot 1);
+                    None)
             | B d ->
                 branch t (Word.add (Word.add start 8) d);
                 None
             | Bl d ->
-                let ret = next in
-                set t LR ret;
-                if t.cfi then t.shadow <- ret :: t.shadow;
+                set t LR next;
                 branch t (Word.add (Word.add start 8) d);
                 None
-            | Bx r -> (
-                let target = get t r land lnot 1 in
-                if r = LR then
-                  match check_return t target with
-                  | Some stop -> Some stop
-                  | None ->
-                      branch t target;
-                      None
-                else begin
-                  branch t target;
-                  None
-                end)
+            | Bx r ->
+                branch t (get t r land lnot 1);
+                None
             | Blx_r r ->
                 let target = get t r land lnot 1 in
-                let ret = next in
-                set t LR ret;
-                if t.cfi then t.shadow <- ret :: t.shadow;
+                set t LR next;
                 branch t target;
                 None
             | Svc n -> (
@@ -423,7 +385,6 @@ let compile start { cond; op } =
       fun t _ ->
         t.steps <- t.steps + 1;
         Array.unsafe_set t.regs 14 next;
-        if t.cfi then t.shadow <- next :: t.shadow;
         set_pc t target;
         None
   | Svc n when cond = AL ->
@@ -471,10 +432,11 @@ let step t ~kernel =
         | exception Mem.Fault f -> Some (Outcome.Fault f)
         | { cond; op } -> exec t ~kernel start cond op)
 
+
 (* As on x86: dedicated loops with a direct compare for the zero/one-trap
    cases, a precomputed int hash set beyond that — never a per-step list
    scan. *)
-let run ?(fuel = 2_000_000) ~traps ~kernel t =
+let run_plain ~fuel ~traps ~kernel t =
   match traps with
   | [] ->
       let rec loop budget =
@@ -508,72 +470,106 @@ let run ?(fuel = 2_000_000) ~traps ~kernel t =
       in
       loop fuel
 
-(* Traced fetch-decode-execute — the ARM twin of the x86 [run_traced]:
-   same [step] core, telemetry on the side, untraced loops untouched.
-   Timestamps are the retired-instruction counter offset from the trace
-   clock at entry; basic-block entries are detected by comparing the
-   post-step pc against the fall-through address (every A32 instruction
+(* One fetch of the hooked loop, as on x86. *)
+let fetch t pc =
+  if pc land 3 <> 0 then
+    raise (Mem.Fault { Mem.addr = pc; kind = Mem.Perm_exec; context = "unaligned pc" })
+  else
+    match t.icache with
+    | Some c -> (Memsim.Icache.lookup c pc ~decode:compile_decode).Memsim.Icache.v
+    | None ->
+        let ({ cond; op } as insn) = Decode.decode t.mem pc in
+        { insn; run = (fun t kernel -> exec t ~kernel pc cond op) }
+
+(* The hooked loop — the ARM twin of the x86 one (every A32 instruction
    is 4 bytes). *)
-let run_traced ?(fuel = 2_000_000) ~traps ~kernel ?trace ?profile t =
-  let module Tr = Telemetry.Trace in
-  let base_ts = match trace with Some tr -> Tr.now tr | None -> 0 in
-  let emit name args =
-    match trace with
-    | None -> ()
-    | Some tr ->
-        Tr.emit tr ~ts:(base_ts + t.steps) ~cat:"cpu" ~track:"cpu-arm" name
-          ~args
-  in
-  emit "call" [ ("entry", Tr.I (pc t)) ];
-  let peek addr =
-    match Decode.decode t.mem addr with
-    | insn -> Some insn
-    | exception Decode.Error _ -> None
-    | exception Mem.Fault _ -> None
+let run_hooked ~fuel ~traps ~kernel hooks t =
+  let h = Hook.compose hooks in
+  let finish ending =
+    h.Hook.stop t ending;
+    Hook.outcome ending
   in
   let rec loop budget =
-    if budget <= 0 then Outcome.Fuel_exhausted
-    else if List.mem (pc t) traps then begin
-      emit "trap" [ ("pc", Tr.I (pc t)) ];
-      Outcome.Halted
-    end
-    else begin
-      let pc0 = pc t in
-      (match profile with
-      | None -> ()
-      | Some p -> Telemetry.Profile.record p pc0);
-      let peeked = match trace with None -> None | Some _ -> peek pc0 in
-      (match peeked with
-      | Some { op = Svc n; _ } ->
-          emit "syscall" [ ("vector", Tr.I n); ("r7", Tr.I (get t R7)) ]
-      | _ -> ());
-      match step t ~kernel with
-      | Some reason ->
-          emit "stop"
-            [ ("reason", Tr.S (Outcome.to_string reason)); ("pc", Tr.I (pc t)) ];
-          reason
-      | None ->
-          (match peeked with
-          | Some _ when pc t <> Word.add pc0 4 ->
-              emit "bb" [ ("pc", Tr.I (pc t)); ("from", Tr.I pc0) ]
-          | _ -> ());
-          loop (budget - 1)
-    end
+    if budget <= 0 then finish Hook.Out_of_fuel
+    else if Hook.at_trap traps (pc t) then finish Hook.Trapped
+    else
+      let start = pc t in
+      match fetch t start with
+      | exception Decode.Error { addr; word } ->
+          finish (Hook.Unfetchable (Outcome.Decode_error { addr; byte = word land 0xFF }))
+      | exception Mem.Fault f -> finish (Hook.Unfetchable (Outcome.Fault f))
+      | f -> (
+          match h.Hook.pre t start f.insn 4 with
+          | Hook.Veto reason -> finish (Hook.Stopped reason)
+          | verdict -> (
+              match f.run t kernel with
+              | Some reason -> finish (Hook.Stopped reason)
+              | None ->
+                  (match verdict with Hook.Commit c -> c () | _ -> ());
+                  loop (budget - 1)))
   in
-  let reason = loop fuel in
-  (match trace with
-  | Some tr -> Tr.set_now tr (base_ts + t.steps)
-  | None -> ());
-  reason
+  loop fuel
 
-(* Sanitized fetch-decode-execute — the ARM twin of the x86
-   [run_sanitized]: peek, run the oracle's pre-step rules against the
-   pre-state, step through the same [step] core as [run] (outcomes and
-   step counts bit-identical), then commit taint effects only if the
-   instruction retired.  All planner reads of guest memory are guarded
-   against faults; a condition-failed instruction plans nothing, exactly
-   as it executes nothing. *)
-let run_sanitized ?(fuel = 2_000_000) ~traps ~kernel ~oracle t =
+let run ?(fuel = 2_000_000) ~traps ~kernel ~hooks t =
+  match hooks with
+  | [] -> run_plain ~fuel ~traps ~kernel t
+  | hooks -> run_hooked ~fuel ~traps ~kernel hooks t
+
+(* Guest reads made while planning a hook's verdict: a fault here is the
+   instruction's own to raise when it executes, so it reads as 0. *)
+let try_read32 t a =
+  match Mem.read_u32 t.mem a with v -> v | exception Mem.Fault _ -> 0
+
+(* The stack slot [pop regs] loads pc from, if it does. *)
+let pc_slot t regs =
+  let rec idx i = function
+    | [] -> None
+    | PC :: _ -> Some (Word.add (get t SP) (4 * i))
+    | _ :: rest -> idx (i + 1) rest
+  in
+  idx 0 regs
+
+(* Returns are [bx lr], [mov pc, lr] and [pop {…, pc}]; every other pc
+   write is an indirect transfer. *)
+let isa =
+  {
+    Hook.track = "cpu-arm";
+    pc;
+    steps = (fun t -> t.steps);
+    transfer =
+      (fun t pc { cond; op } _ ->
+        if not (cond_holds t cond) then Hook.Other
+        else
+          match op with
+          | Bl _ -> Hook.Call (Word.add pc 4)
+          | Blx_r r ->
+              Hook.Indirect_call
+                { target = get t r land lnot 1; ret = Word.add pc 4 }
+          | Bx LR | Mov (PC, Reg LR) -> Hook.Return (get t LR land lnot 1)
+          | Bx r -> Hook.Indirect (get t r land lnot 1)
+          | Mov (PC, _) | Mvn (PC, _) | Add (PC, _, _) | Sub (PC, _, _)
+          | Rsb (PC, _, _) | And (PC, _, _) | Orr (PC, _, _) | Eor (PC, _, _)
+          | Bic (PC, _, _) | Mul (PC, _, _) ->
+              Hook.Indirect (Word.of_int (dp_value t op) land lnot 1)
+          | Ldr (PC, _, _) | Ldr_r (PC, _, _) ->
+              Hook.Indirect (try_read32 t (mem_addr t op) land lnot 1)
+          | Pop regs -> (
+              match pc_slot t regs with
+              | Some a -> Hook.Return (try_read32 t a land lnot 1)
+              | None -> Hook.Other)
+          | _ -> Hook.Other);
+    syscall =
+      (fun t -> function
+        | { op = Svc n; _ } ->
+            [ ("vector", Telemetry.Trace.I n); ("r7", Telemetry.Trace.I (get t R7)) ]
+        | _ -> []);
+  }
+
+(* The taint sanitizer as a hook — the ARM twin of the x86 one: the
+   oracle's pre-step rules against the pre-state, taint effects
+   committed only if the instruction retires.  A condition-failed
+   instruction plans nothing, exactly as it executes nothing. *)
+let taint oracle =
   let module O = Sanitizer.Oracle in
   let module Shadow = Memsim.Shadow in
   let rlab r = match r with PC -> 0 | _ -> O.reg_label oracle (reg_index r) in
@@ -581,327 +577,107 @@ let run_sanitized ?(fuel = 2_000_000) ~traps ~kernel ~oracle t =
   let mlab8 a = O.mem_label oracle a in
   let mlab32 a = O.mem_label32 oracle a in
   let lab_op2 = function Imm _ -> 0 | Reg r | Lsl (r, _) -> rlab r in
-  let try_read32 a =
-    match Mem.read_u32 t.mem a with v -> v | exception Mem.Fault _ -> 0
-  in
-  let cstring_label addr =
-    let rec go i =
-      if i >= 256 then 0
-      else
-        let a = Word.add addr i in
-        match Mem.read_u8 t.mem a with
-        | exception Mem.Fault _ -> 0
-        | 0 -> 0
-        | _ ->
-            let l = mlab8 a in
-            if l <> 0 then l else go (i + 1)
+  let nothing () = () in
+  let plan t pc0 op =
+    let stepno = t.steps in
+    (* The two commits, as on x86: a register's new label, a labelled
+       store. *)
+    let to_reg r l () = set_rlab r l in
+    let to_mem addr len value label () =
+      O.store oracle ~pc:pc0 ~step:stepno ~addr ~len ~value ~label
     in
-    go 0
+    let check_pc ~target ~slot ~label ~detail =
+      O.check_pc oracle ~pc:pc0 ~step:stepno ~target ~slot ~label ~detail
+    in
+    (* Data-processing result label; a write to pc with a tainted result
+       is the hijack. *)
+    let dp rd l =
+      if rd = PC then begin
+        check_pc
+          ~target:(Word.of_int (dp_value t op) land lnot 1)
+          ~slot:0 ~label:l ~detail:"tainted value written to pc";
+        nothing
+      end
+      else to_reg rd l
+    in
+    match op with
+    | Cmp _ | Tst _ | B _ -> nothing
+    | Mov (rd, o) | Mvn (rd, o) -> dp rd (lab_op2 o)
+    | Eor (rd, rn, Reg rm) when rn = rm ->
+        (* eor r, r, r clears the value — no attacker bytes survive. *)
+        dp rd 0
+    | Add (rd, rn, o) | Sub (rd, rn, o) | Rsb (rd, rn, o) | And (rd, rn, o)
+    | Orr (rd, rn, o) | Eor (rd, rn, o) | Bic (rd, rn, o) ->
+        dp rd (Shadow.join (rlab rn) (lab_op2 o))
+    | Mul (rd, rm, rs) -> dp rd (Shadow.join (rlab rm) (rlab rs))
+    | Ldr (rd, _, _) | Ldr_r (rd, _, _) ->
+        let a = mem_addr t op in
+        let l = mlab32 a in
+        if rd = PC then begin
+          check_pc
+            ~target:(try_read32 t a land lnot 1)
+            ~slot:a ~label:l ~detail:"pc loaded from tainted memory";
+          nothing
+        end
+        else to_reg rd l
+    | Ldrb (rd, _, _) | Ldrb_r (rd, _, _) -> to_reg rd (mlab8 (mem_addr t op))
+    | Str (rd, _, _) | Str_r (rd, _, _) ->
+        to_mem (mem_addr t op) 4 (get t rd) (rlab rd)
+    | Strb (rd, _, _) | Strb_r (rd, _, _) ->
+        to_mem (mem_addr t op) 1 (get t rd land 0xFF) (rlab rd)
+    | Push regs ->
+        let n = List.length regs in
+        let base = Word.sub (get t SP) (4 * n) in
+        let slots =
+          List.mapi (fun i r -> (Word.add base (4 * i), r, rlab r, get t r)) regs
+        in
+        fun () ->
+          List.iter
+            (fun (a, r, l, v) ->
+              to_mem a 4 v l ();
+              if r = LR then O.note_ret_slot oracle a)
+            slots
+    | Pop regs ->
+        let sp0 = get t SP in
+        let slots = List.mapi (fun i r -> (Word.add sp0 (4 * i), r)) regs in
+        List.iter
+          (fun (a, r) ->
+            if r = PC then
+              check_pc
+                ~target:(try_read32 t a land lnot 1)
+                ~slot:a ~label:(mlab32 a)
+                ~detail:"pop {…, pc} from attacker-controlled stack")
+          slots;
+        fun () ->
+          List.iter
+            (fun (a, r) ->
+              if r = PC then O.clear_ret_slot oracle a
+              else set_rlab r (mlab32 a))
+            slots
+    | Bl _ -> to_reg LR 0
+    | Bx r ->
+        check_pc
+          ~target:(get t r land lnot 1)
+          ~slot:0 ~label:(rlab r) ~detail:"bx through tainted register";
+        nothing
+    | Blx_r r ->
+        check_pc
+          ~target:(get t r land lnot 1)
+          ~slot:0 ~label:(rlab r) ~detail:"blx through tainted register";
+        to_reg LR 0
+    | Svc n ->
+        if n = 0 then
+          O.check_kernel_entry oracle t.mem ~pc:pc0 ~step:stepno
+            ~number:(get t R7) ~number_label:(rlab R7) ~path:(get t R0)
+            ~path_label:(rlab R0) ~argv_label:(rlab R1);
+        nothing
   in
-  let peek addr =
-    match Decode.decode t.mem addr with
-    | insn -> Some insn
-    | exception Decode.Error _ -> None
-    | exception Mem.Fault _ -> None
-  in
-  let nothing () = () in
-  let rec loop budget =
-    if budget <= 0 then Outcome.Fuel_exhausted
-    else if List.mem (pc t) traps then Outcome.Halted
-    else begin
-      let pc0 = pc t in
-      let stepno = t.steps in
-      let store ~addr ~len ~value ~label =
-        O.store oracle ~pc:pc0 ~step:stepno ~addr ~len ~value ~label
-      in
-      let check_pc ~target ~slot ~label ~detail =
-        O.check_pc oracle ~pc:pc0 ~step:stepno ~target ~slot ~label ~detail
-      in
-      let commit =
-        match peek pc0 with
-        | Some { cond; op } when cond_holds t cond -> (
-            (* Data-processing result label; a write to pc with a tainted
-               result is the hijack. *)
-            let dp rd v l =
-              if rd = PC then begin
-                check_pc ~target:(Word.of_int v land lnot 1) ~slot:0 ~label:l
-                  ~detail:"tainted value written to pc";
-                nothing
-              end
-              else fun () -> set_rlab rd l
-            in
-            match op with
-            | Cmp _ | Tst _ | B _ -> nothing
-            | Mov (rd, o) -> dp rd (op2_value t o) (lab_op2 o)
-            | Mvn (rd, o) ->
-                dp rd (Word.lognot (op2_value t o)) (lab_op2 o)
-            | Eor (rd, rn, Reg rm) when rn = rm ->
-                (* eor r, r, r clears the value — no attacker bytes
-                   survive. *)
-                dp rd 0 0
-            | Add (rd, rn, o) ->
-                dp rd
-                  (Word.add (get t rn) (op2_value t o))
-                  (Shadow.join (rlab rn) (lab_op2 o))
-            | Sub (rd, rn, o) ->
-                dp rd
-                  (Word.sub (get t rn) (op2_value t o))
-                  (Shadow.join (rlab rn) (lab_op2 o))
-            | Rsb (rd, rn, o) ->
-                dp rd
-                  (Word.sub (op2_value t o) (get t rn))
-                  (Shadow.join (rlab rn) (lab_op2 o))
-            | And (rd, rn, o) ->
-                dp rd
-                  (get t rn land op2_value t o)
-                  (Shadow.join (rlab rn) (lab_op2 o))
-            | Orr (rd, rn, o) ->
-                dp rd
-                  (get t rn lor op2_value t o)
-                  (Shadow.join (rlab rn) (lab_op2 o))
-            | Eor (rd, rn, o) ->
-                dp rd
-                  (get t rn lxor op2_value t o)
-                  (Shadow.join (rlab rn) (lab_op2 o))
-            | Bic (rd, rn, o) ->
-                dp rd
-                  (get t rn land Word.lognot (op2_value t o))
-                  (Shadow.join (rlab rn) (lab_op2 o))
-            | Mul (rd, rm, rs) ->
-                dp rd
-                  (Word.mul (get t rm) (get t rs))
-                  (Shadow.join (rlab rm) (rlab rs))
-            | Ldr (rd, rn, off) ->
-                let a = Word.add (get t rn) off in
-                let l = mlab32 a in
-                if rd = PC then begin
-                  check_pc
-                    ~target:(try_read32 a land lnot 1)
-                    ~slot:a ~label:l ~detail:"pc loaded from tainted memory";
-                  nothing
-                end
-                else fun () -> set_rlab rd l
-            | Ldr_r (rd, rn, rm) ->
-                let a = Word.add (get t rn) (get t rm) in
-                let l = mlab32 a in
-                if rd = PC then begin
-                  check_pc
-                    ~target:(try_read32 a land lnot 1)
-                    ~slot:a ~label:l ~detail:"pc loaded from tainted memory";
-                  nothing
-                end
-                else fun () -> set_rlab rd l
-            | Ldrb (rd, rn, off) ->
-                let a = Word.add (get t rn) off in
-                let l = mlab8 a in
-                fun () -> set_rlab rd l
-            | Ldrb_r (rd, rn, rm) ->
-                let a = Word.add (get t rn) (get t rm) in
-                let l = mlab8 a in
-                fun () -> set_rlab rd l
-            | Str (rd, rn, off) ->
-                let a = Word.add (get t rn) off in
-                let l = rlab rd and v = get t rd in
-                fun () -> store ~addr:a ~len:4 ~value:v ~label:l
-            | Str_r (rd, rn, rm) ->
-                let a = Word.add (get t rn) (get t rm) in
-                let l = rlab rd and v = get t rd in
-                fun () -> store ~addr:a ~len:4 ~value:v ~label:l
-            | Strb (rd, rn, off) ->
-                let a = Word.add (get t rn) off in
-                let l = rlab rd and v = get t rd land 0xFF in
-                fun () -> store ~addr:a ~len:1 ~value:v ~label:l
-            | Strb_r (rd, rn, rm) ->
-                let a = Word.add (get t rn) (get t rm) in
-                let l = rlab rd and v = get t rd land 0xFF in
-                fun () -> store ~addr:a ~len:1 ~value:v ~label:l
-            | Push regs ->
-                let n = List.length regs in
-                let base = Word.sub (get t SP) (4 * n) in
-                let slots =
-                  List.mapi
-                    (fun i r -> (Word.add base (4 * i), r, rlab r, get t r))
-                    regs
-                in
-                fun () ->
-                  List.iter
-                    (fun (a, r, l, v) ->
-                      store ~addr:a ~len:4 ~value:v ~label:l;
-                      if r = LR then O.note_ret_slot oracle a)
-                    slots
-            | Pop regs ->
-                let sp0 = get t SP in
-                let slots =
-                  List.mapi (fun i r -> (Word.add sp0 (4 * i), r)) regs
-                in
-                List.iter
-                  (fun (a, r) ->
-                    if r = PC then
-                      check_pc
-                        ~target:(try_read32 a land lnot 1)
-                        ~slot:a ~label:(mlab32 a)
-                        ~detail:"pop {…, pc} from attacker-controlled stack")
-                  slots;
-                fun () ->
-                  List.iter
-                    (fun (a, r) ->
-                      if r = PC then O.clear_ret_slot oracle a
-                      else set_rlab r (mlab32 a))
-                    slots
-            | Bl _ -> fun () -> set_rlab LR 0
-            | Bx r ->
-                check_pc
-                  ~target:(get t r land lnot 1)
-                  ~slot:0 ~label:(rlab r) ~detail:"bx through tainted register";
-                nothing
-            | Blx_r r ->
-                check_pc
-                  ~target:(get t r land lnot 1)
-                  ~slot:0 ~label:(rlab r)
-                  ~detail:"blx through tainted register";
-                fun () -> set_rlab LR 0
-            | Svc n ->
-                if n = 0 then begin
-                  let number = get t R7 in
-                  let lnum = rlab R7 in
-                  let exec =
-                    number = Machine.Sysno.execve
-                    || number = Machine.Sysno.exec_varargs
-                  in
-                  let path = get t R0 in
-                  let larg =
-                    if exec then
-                      Shadow.join (rlab R0)
-                        (Shadow.join (cstring_label path) (rlab R1))
-                    else 0
-                  in
-                  let label = Shadow.join lnum larg in
-                  if label <> 0 then
-                    O.check_syscall oracle ~pc:pc0 ~step:stepno ~number
-                      ~addr:(if exec then path else 0)
-                      ~label
-                      ~detail:
-                        (if lnum <> 0 then "tainted syscall number"
-                         else "exec path/args from attacker bytes")
-                end;
-                nothing)
-        | _ -> nothing
-      in
-      match step t ~kernel with
-      | Some reason -> reason
-      | None ->
-          commit ();
-          loop (budget - 1)
-    end
-  in
-  loop fuel
-
-(* Mitigated fetch-decode-execute — the ARM twin of the x86
-   [run_mitigated].  Enforces a software shadow return stack and
-   forward-edge CFI against the pre-state: [bl]/[blx] push the
-   fall-through onto a mirror; [bx lr], [pop {…, pc}] and [mov pc, lr]
-   must target its top; any other indirect pc write ([bx r], [blx r],
-   data-processing or load into pc) must land on an address
-   [valid_target] accepts.  A violating transfer stops with
-   [Cfi_violation] before it executes; otherwise the same [step] core as
-   [run] retires the instruction, so benign runs are bit-identical in
-   outcome, step count, and registers.  A condition-failed instruction
-   plans nothing, exactly as it executes nothing. *)
-let run_mitigated ?(fuel = 2_000_000) ~traps ~kernel ~shadow_stack ~forward_cfi
-    ~valid_target ?(shadow0 = []) t =
-  let mirror = ref shadow0 in
-  let try_read32 a =
-    match Mem.read_u32 t.mem a with v -> v | exception Mem.Fault _ -> 0
-  in
-  let peek addr =
-    match Decode.decode t.mem addr with
-    | insn -> Some insn
-    | exception Decode.Error _ -> None
-    | exception Mem.Fault _ -> None
-  in
-  let nothing () = () in
-  let rec loop budget =
-    if budget <= 0 then Outcome.Fuel_exhausted
-    else if List.mem (pc t) traps then Outcome.Halted
-    else begin
-      let pc0 = pc t in
-      let next = Word.add pc0 4 in
-      let forward target =
-        if forward_cfi && not (valid_target target) then
-          Error (Outcome.Cfi_violation { at = pc0; expected = 0; got = target })
-        else Ok nothing
-      in
-      let ret target =
-        if not shadow_stack then Ok nothing
+  {
+    Hook.pre =
+      (fun t pc { cond; op } _ ->
+        if not (cond_holds t cond) then Hook.Go
         else
-          match !mirror with
-          | expected :: rest when expected = target ->
-              Ok (fun () -> mirror := rest)
-          | expected :: _ ->
-              Error (Outcome.Cfi_violation { at = pc0; expected; got = target })
-          | [] ->
-              Error
-                (Outcome.Cfi_violation { at = pc0; expected = 0; got = target })
-      in
-      let push_ret () = if shadow_stack then mirror := next :: !mirror in
-      let plan =
-        match peek pc0 with
-        | Some { cond; op } when cond_holds t cond -> (
-            (* Data-processing result written to pc is an indirect
-               branch; anywhere else it is no transfer at all. *)
-            let dp rd v =
-              if rd = PC then forward (Word.of_int v land lnot 1)
-              else Ok nothing
-            in
-            match op with
-            | Bl _ -> Ok push_ret
-            | Blx_r r -> (
-                match forward (get t r land lnot 1) with
-                | Error stop -> Error stop
-                | Ok _ -> Ok push_ret)
-            | Bx r ->
-                if r = LR then ret (get t LR land lnot 1)
-                else forward (get t r land lnot 1)
-            | Mov (PC, Reg LR) -> ret (get t LR land lnot 1)
-            | Mov (rd, o) -> dp rd (op2_value t o)
-            | Mvn (rd, o) -> dp rd (Word.lognot (op2_value t o))
-            | Add (rd, rn, o) -> dp rd (Word.add (get t rn) (op2_value t o))
-            | Sub (rd, rn, o) -> dp rd (Word.sub (get t rn) (op2_value t o))
-            | Rsb (rd, rn, o) -> dp rd (Word.sub (op2_value t o) (get t rn))
-            | And (rd, rn, o) -> dp rd (get t rn land op2_value t o)
-            | Orr (rd, rn, o) -> dp rd (get t rn lor op2_value t o)
-            | Eor (rd, rn, o) -> dp rd (get t rn lxor op2_value t o)
-            | Bic (rd, rn, o) ->
-                dp rd (get t rn land Word.lognot (op2_value t o))
-            | Mul (rd, rm, rs) -> dp rd (Word.mul (get t rm) (get t rs))
-            | Ldr (rd, rn, off) ->
-                if rd = PC then
-                  forward (try_read32 (Word.add (get t rn) off) land lnot 1)
-                else Ok nothing
-            | Ldr_r (rd, rn, rm) ->
-                if rd = PC then
-                  forward
-                    (try_read32 (Word.add (get t rn) (get t rm)) land lnot 1)
-                else Ok nothing
-            | Pop regs when List.mem PC regs ->
-                let sp0 = get t SP in
-                let rec idx i = function
-                  | [] -> -1
-                  | PC :: _ -> i
-                  | _ :: rest -> idx (i + 1) rest
-                in
-                ret (try_read32 (Word.add sp0 (4 * idx 0 regs)) land lnot 1)
-            | _ -> Ok nothing)
-        | _ -> Ok nothing
-      in
-      match plan with
-      | Error stop -> stop
-      | Ok commit -> (
-          match step t ~kernel with
-          | Some reason -> reason
-          | None ->
-              commit ();
-              loop (budget - 1))
-    end
-  in
-  loop fuel
+          let commit = plan t pc op in
+          if commit == nothing then Hook.Go else Hook.Commit commit);
+    stop = (fun _ _ -> ());
+  }

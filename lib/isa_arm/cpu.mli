@@ -4,11 +4,8 @@
     depend on: arguments in r0–r3 (so classic ret2libc cannot set them from
     the stack), function return via [pop {…, pc}] or [bx lr], [blx rN]
     link semantics (lr = next instruction), and pc reading as
-    "current + 8".
-
-    As on x86, an optional shadow stack implements return-edge CFI: [bl]
-    and [blx] push the link value; [pop {…, pc}], [bx lr] and [mov pc, lr]
-    are validated against it. *)
+    "current + 8".  As on x86, the embedded mitigations run as a
+    {!Machine.Hook.enforce} hook. *)
 
 type t = {
   mem : Memsim.Memory.t;
@@ -17,8 +14,6 @@ type t = {
   mutable z : bool;
   mutable c : bool;
   mutable v : bool;
-  mutable shadow : int list;
-  mutable cfi : bool;
   mutable steps : int;
   mutable branched : bool;
       (** interpreter-internal: the executing instruction transferred
@@ -41,7 +36,7 @@ and compiled = private {
     interpreting [insn] — the cache only ever changes speed, never
     outcomes. *)
 
-val create : ?cfi:bool -> ?icache:bool -> Memsim.Memory.t -> t
+val create : ?icache:bool -> Memsim.Memory.t -> t
 (** [icache] (default [true]) enables the write-invalidated
     decoded-instruction cache; execution is bit-identical either way
     (self-modifying pages re-decode via {!Memsim.Memory.page_gen}). *)
@@ -50,7 +45,7 @@ val get : t -> Insn.reg -> int
 (** Reading [PC] yields the architectural value (current instruction + 8). *)
 
 val set : t -> Insn.reg -> int -> unit
-(** Writing [PC] branches (no CFI check — use within the interpreter only). *)
+(** Writing [PC] sets the next instruction address. *)
 
 val pc : t -> int
 (** Address of the instruction about to execute. *)
@@ -60,59 +55,26 @@ val set_pc : t -> int -> unit
 val push : t -> int -> unit
 val pop : t -> int
 
-val step : t -> kernel:kernel -> Machine.Outcome.stop_reason option
-
 val run :
-  ?fuel:int -> traps:int list -> kernel:kernel -> t -> Machine.Outcome.stop_reason
-
-val run_traced :
   ?fuel:int ->
   traps:int list ->
   kernel:kernel ->
-  ?trace:Telemetry.Trace.t ->
-  ?profile:Telemetry.Profile.t ->
+  hooks:(t, Insn.t) Machine.Hook.t list ->
   t ->
   Machine.Outcome.stop_reason
-(** Like {!run}, with telemetry on the side: ["cpu"]-category events
-    (call entry, basic-block entries, [svc] syscalls, traps, the stop
-    reason) into [trace], every retired pc into [profile].  Same
-    {!step} core as {!run}, so outcomes and step counts are identical
-    traced or not; the untraced loops carry no tracing branch. *)
+(** As on x86: the specialised plain loop with no [hooks], otherwise the
+    hooked loop of {!Machine.Hook} (one fetch per step). *)
 
-val run_sanitized :
-  ?fuel:int ->
-  traps:int list ->
-  kernel:kernel ->
-  oracle:Sanitizer.Oracle.t ->
-  t ->
-  Machine.Outcome.stop_reason
-(** Like {!run}, under the taint sanitizer — the ARM twin of the x86
-    [run_sanitized]: loads/stores/data-processing ops propagate labels
-    through [oracle], and the detections (redzone write, return-slot
-    overwrite, tainted pc via [pop {…, pc}]/[bx]/[blx]/pc-writing DP
-    ops, tainted [svc]) fire as instructions are about to retire.  Same
-    {!step} core as {!run}; the oracle never touches guest state, so
-    outcomes, step counts, and registers are bit-identical sanitized or
-    not. *)
+val isa : (t, Insn.t) Machine.Hook.isa
+(** The instruction classifier behind the shared hooks: [bl]/[blx] push
+    the fall-through; [bx lr], [mov pc, lr] and [pop {…, pc}] return; any
+    other pc write ([bx r], [blx r], data-processing or load into pc) is
+    indirect; a condition-failed instruction is no transfer.  [svc n]
+    traces with its vector and [r7]. *)
 
-val run_mitigated :
-  ?fuel:int ->
-  traps:int list ->
-  kernel:kernel ->
-  shadow_stack:bool ->
-  forward_cfi:bool ->
-  valid_target:(int -> bool) ->
-  ?shadow0:int list ->
-  t ->
-  Machine.Outcome.stop_reason
-(** Like {!run}, under the enforced embedded mitigations — the ARM twin
-    of the x86 [run_mitigated].  Shadow return stack: [bl]/[blx] push
-    the fall-through onto a mirror; [bx lr], [pop {…, pc}] and
-    [mov pc, lr] must target its top.  Forward-edge CFI: any other
-    indirect pc write ([bx r]/[blx r], data-processing or load into pc)
-    must land on an address [valid_target] accepts (the loader passes
-    the symbol table — coarse-grained label CFI).  A violating transfer
-    stops the run with [Cfi_violation] {e before} it executes; benign
-    runs are bit-identical to {!run} in outcome, step count, and
-    registers.  [shadow0] seeds the mirror with the caller's synthetic
-    return address(es). *)
+val taint : Sanitizer.Oracle.t -> (t, Insn.t) Machine.Hook.t
+(** The taint sanitizer — the ARM twin of the x86 hook: loads, stores
+    and data-processing ops propagate labels through the oracle, and the
+    detections (redzone write, return-slot overwrite, tainted pc via
+    [pop {…, pc}]/[bx]/[blx]/pc-writing ops, tainted [svc]) fire as
+    instructions are about to retire.  Never vetoes. *)

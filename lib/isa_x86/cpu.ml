@@ -2,8 +2,9 @@ open Insn
 module Mem = Memsim.Memory
 module Word = Memsim.Word
 module Outcome = Machine.Outcome
+module Hook = Machine.Hook
 
-(* [compiled] is the icache payload: the decoded instruction plus an
+(* [compiled] is the icache payload: the decoded instruction, its size, and an
    execution thunk specialized at fill time for the instruction's (fixed)
    address — successor eip and branch targets are captured constants,
    register operands are pre-resolved array indices.  See [compile]. *)
@@ -15,8 +16,6 @@ type t = {
   mutable sf : bool;
   mutable cf : bool;
   mutable o_f : bool;
-  mutable shadow : int list;
-  mutable cfi : bool;
   mutable steps : int;
   icache : compiled Memsim.Icache.t option;
 }
@@ -25,10 +24,11 @@ and kernel = int -> t -> Outcome.syscall_result
 
 and compiled = {
   insn : Insn.t;
+  size : int;
   run : t -> kernel -> Outcome.stop_reason option;
 }
 
-let create ?(cfi = false) ?(icache = true) mem =
+let create ?(icache = true) mem =
   {
     mem;
     regs = Array.make 8 0;
@@ -37,14 +37,12 @@ let create ?(cfi = false) ?(icache = true) mem =
     sf = false;
     cf = false;
     o_f = false;
-    shadow = [];
-    cfi;
     steps = 0;
     icache =
       (if icache then
          Some
            (Memsim.Icache.create
-              ~dummy:{ insn = Insn.Nop; run = (fun _ _ -> None) }
+              ~dummy:{ insn = Insn.Nop; size = 1; run = (fun _ _ -> None) }
               mem)
        else None);
   }
@@ -120,23 +118,8 @@ let cond_holds t = function
   | S -> t.sf
   | NS -> not t.sf
 
-(* Return-edge CFI: every call pushes the return address onto the shadow
-   stack; every ret must transfer to the address on top.  This is the
-   hardware-shadow-stack model of CFI CaRE (Nyman et al. 2017). *)
-let check_return t target =
-  if not t.cfi then None
-  else
-    match t.shadow with
-    | expected :: rest when expected = target ->
-        t.shadow <- rest;
-        None
-    | expected :: _ ->
-        Some (Outcome.Cfi_violation { at = t.eip; expected; got = target })
-    | [] -> Some (Outcome.Cfi_violation { at = t.eip; expected = 0; got = target })
-
 let do_call t target ret_addr =
   push t ret_addr;
-  if t.cfi then t.shadow <- ret_addr :: t.shadow;
   t.eip <- target
 
 (* Top-level (not a per-step closure): the ALU read-modify-write shape
@@ -280,21 +263,13 @@ let exec t ~kernel next insn =
         | Jcc (c, d) | Jcc_short (c, d) ->
             if cond_holds t c then t.eip <- Word.add next d;
             None
-        | Ret -> (
-            let target = pop t in
-            match check_return t target with
-            | Some stop -> Some stop
-            | None ->
-                t.eip <- target;
-                None)
-        | Ret_i n -> (
-            let target = pop t in
-            match check_return t target with
-            | Some stop -> Some stop
-            | None ->
-                set t ESP (Word.add (get t ESP) n);
-                t.eip <- target;
-                None)
+        | Ret ->
+            t.eip <- pop t;
+            None
+        | Ret_i n ->
+            t.eip <- pop t;
+            set t ESP (Word.add (get t ESP) n);
+            None
         | Leave -> (
             set t ESP (get t EBP);
             set t EBP (pop t);
@@ -490,7 +465,7 @@ let compile start size insn =
    the decode address.  Top-level so the hit path allocates nothing. *)
 let compile_decode mem addr =
   let insn, size = Decode.decode mem addr in
-  ({ insn; run = compile addr size insn }, size)
+  ({ insn; size; run = compile addr size insn }, size)
 
 (* Fetch-decode-execute, through the decoded-instruction cache when
    enabled; on a hit the NX check is carried by the cache's generation
@@ -515,7 +490,7 @@ let step t ~kernel =
 (* The per-step trap check must not scan a list: the common zero/one-trap
    cases get dedicated loops with a direct compare, anything larger a
    precomputed int hash set — never a per-step [List.mem]. *)
-let run ?(fuel = 2_000_000) ~traps ~kernel t =
+let run_plain ~fuel ~traps ~kernel t =
   match traps with
   | [] ->
       let rec loop budget =
@@ -549,369 +524,181 @@ let run ?(fuel = 2_000_000) ~traps ~kernel t =
       in
       loop fuel
 
-(* Traced fetch-decode-execute.  A separate entry point rather than a
-   flag threaded through [run]: the untraced loops above (and the
-   compiled thunks) stay untouched, which is the overhead contract —
-   tracing disabled costs zero on the hot path.  Event timestamps are
-   the retired-instruction counter offset from the trace clock at entry,
-   rendering one instruction as one µs; basic-block entries are detected
-   by comparing the post-step eip against the peeked instruction's
-   fall-through address.  Stepping itself goes through the same [step]
-   as [run], so outcomes and step counts are bit-identical traced or
-   not (the differential tests assert this across the exploit matrix). *)
-let run_traced ?(fuel = 2_000_000) ~traps ~kernel ?trace ?profile t =
-  let module Tr = Telemetry.Trace in
-  let base_ts = match trace with Some tr -> Tr.now tr | None -> 0 in
-  let emit name args =
-    match trace with
-    | None -> ()
-    | Some tr ->
-        Tr.emit tr ~ts:(base_ts + t.steps) ~cat:"cpu" ~track:"cpu-x86" name
-          ~args
-  in
-  emit "call" [ ("entry", Tr.I t.eip) ];
-  (* Peek decodes directly (not through the icache) so traced runs report
-     the same icache hit/miss counts per executed instruction as untraced
-     ones. *)
-  let peek pc =
-    match Decode.decode t.mem pc with
-    | insn, size -> Some (insn, size)
-    | exception Decode.Error _ -> None
-    | exception Mem.Fault _ -> None
+(* One fetch of the hooked loop: the icache entry, or — cache off — a
+   fresh decode run through the generic [exec]. *)
+let fetch t pc =
+  match t.icache with
+  | Some c -> (Memsim.Icache.lookup c pc ~decode:compile_decode).Memsim.Icache.v
+  | None ->
+      let insn, size = Decode.decode t.mem pc in
+      { insn; size; run = (fun t kernel -> exec t ~kernel (Word.add pc size) insn) }
+
+(* The hooked loop (see {!Machine.Hook}): one fetch per step, so icache
+   hit/miss counts equal a plain run's; the hooks see the decoded
+   instruction before it executes, and their commits apply only if it
+   retires. *)
+let run_hooked ~fuel ~traps ~kernel hooks t =
+  let h = Hook.compose hooks in
+  let finish ending =
+    h.Hook.stop t ending;
+    Hook.outcome ending
   in
   let rec loop budget =
-    if budget <= 0 then Outcome.Fuel_exhausted
-    else if List.mem t.eip traps then begin
-      emit "trap" [ ("pc", Tr.I t.eip) ];
-      Outcome.Halted
-    end
-    else begin
-      let pc0 = t.eip in
-      (match profile with
-      | None -> ()
-      | Some p -> Telemetry.Profile.record p pc0);
-      let peeked = match trace with None -> None | Some _ -> peek pc0 in
-      (match peeked with
-      | Some (Int n, _) ->
-          emit "syscall" [ ("vector", Tr.I n); ("eax", Tr.I (get t EAX)) ]
-      | _ -> ());
-      match step t ~kernel with
-      | Some reason ->
-          emit "stop"
-            [ ("reason", Tr.S (Outcome.to_string reason)); ("pc", Tr.I t.eip) ];
-          reason
-      | None ->
-          (match peeked with
-          | Some (_, size) when t.eip <> Word.add pc0 size ->
-              emit "bb" [ ("pc", Tr.I t.eip); ("from", Tr.I pc0) ]
-          | _ -> ());
-          loop (budget - 1)
-    end
+    if budget <= 0 then finish Hook.Out_of_fuel
+    else if Hook.at_trap traps t.eip then finish Hook.Trapped
+    else
+      let pc = t.eip in
+      match fetch t pc with
+      | exception Decode.Error { addr; byte } ->
+          finish (Hook.Unfetchable (Outcome.Decode_error { addr; byte }))
+      | exception Mem.Fault f -> finish (Hook.Unfetchable (Outcome.Fault f))
+      | f -> (
+          match h.Hook.pre t pc f.insn f.size with
+          | Hook.Veto reason -> finish (Hook.Stopped reason)
+          | verdict -> (
+              match f.run t kernel with
+              | Some reason -> finish (Hook.Stopped reason)
+              | None ->
+                  (match verdict with Hook.Commit c -> c () | _ -> ());
+                  loop (budget - 1)))
   in
-  let reason = loop fuel in
-  (match trace with
-  | Some tr -> Tr.set_now tr (base_ts + t.steps)
-  | None -> ());
-  reason
+  loop fuel
 
-(* Sanitized fetch-decode-execute.  Like [run_traced], a separate entry
-   point so the untraced hot loops stay untouched.  Each iteration peeks
-   the next instruction, runs the oracle's pre-step rules (tainted-pc on
-   indirect control transfers, tainted-syscall on [int]) against the
-   *pre*-state, steps through the same [step] as [run] — so outcomes,
-   step counts, and registers are bit-identical to a plain run — and then,
-   only if the instruction retired, commits its taint effects (shadow
-   bytes for stores, register labels for loads/ALU ops, return-slot
-   bookkeeping for call/ret).  The oracle never touches guest state, and
-   every guest read the planner itself performs is guarded against
-   faults, so planning cannot perturb execution. *)
-let run_sanitized ?(fuel = 2_000_000) ~traps ~kernel ~oracle t =
+let run ?(fuel = 2_000_000) ~traps ~kernel ~hooks t =
+  match hooks with
+  | [] -> run_plain ~fuel ~traps ~kernel t
+  | hooks -> run_hooked ~fuel ~traps ~kernel hooks t
+
+(* Guest reads made while planning a hook's verdict: a fault here is the
+   instruction's own to raise when it executes, so it reads as 0. *)
+let try_read32 t a =
+  match Mem.read_u32 t.mem a with v -> v | exception Mem.Fault _ -> 0
+
+let try_read_op t o = match read_op t o with v -> v | exception Mem.Fault _ -> 0
+
+let try_read_op8 t o =
+  match read_op8 t o with v -> v | exception Mem.Fault _ -> 0
+
+let isa =
+  {
+    Hook.track = "cpu-x86";
+    pc = (fun t -> t.eip);
+    steps = (fun t -> t.steps);
+    transfer =
+      (fun t pc insn size ->
+        match insn with
+        | Call_rel _ -> Hook.Call (Word.add pc size)
+        | Call_rm o ->
+            Hook.Indirect_call { target = try_read_op t o; ret = Word.add pc size }
+        | Jmp_rm o -> Hook.Indirect (try_read_op t o)
+        | Ret | Ret_i _ -> Hook.Return (try_read32 t (get t ESP))
+        | _ -> Hook.Other);
+    syscall =
+      (fun t -> function
+        | Int n ->
+            [ ("vector", Telemetry.Trace.I n); ("eax", Telemetry.Trace.I (get t EAX)) ]
+        | _ -> []);
+  }
+
+(* The taint sanitizer as a hook.  Each step runs the oracle's pre-step
+   rules (tainted pc on indirect control transfers, tainted syscall on
+   [int]) against the pre-state and plans the taint effects to commit if
+   the instruction retires: shadow bytes for stores, register labels for
+   loads and ALU ops, return-slot bookkeeping for call/ret.  The oracle
+   never touches guest state and never vetoes. *)
+let taint oracle =
   let module O = Sanitizer.Oracle in
   let module Shadow = Memsim.Shadow in
   let rlab r = O.reg_label oracle (reg_index r) in
   let set_rlab r l = O.set_reg_label oracle (reg_index r) l in
   let mlab8 a = O.mem_label oracle a in
   let mlab32 a = O.mem_label32 oracle a in
-  let lab_op = function Reg r -> rlab r | Mem m -> mlab32 (ea t m) in
-  let lab_op8 = function Reg r -> rlab r | Mem m -> mlab8 (ea t m) in
-  let try_read32 a =
-    match Mem.read_u32 t.mem a with v -> v | exception Mem.Fault _ -> 0
-  in
-  let try_read_op o =
-    match read_op t o with v -> v | exception Mem.Fault _ -> 0
-  in
-  let try_read_op8 o =
-    match read_op8 t o with v -> v | exception Mem.Fault _ -> 0
-  in
-  (* First tainted label along the NUL-terminated string at [addr] —
-     the byte provenance of an exec path argument. *)
-  let cstring_label addr =
-    let rec go i =
-      if i >= 256 then 0
-      else
-        let a = Word.add addr i in
-        match Mem.read_u8 t.mem a with
-        | exception Mem.Fault _ -> 0
-        | 0 -> 0
-        | _ ->
-            let l = mlab8 a in
-            if l <> 0 then l else go (i + 1)
+  let lab_op t = function Reg r -> rlab r | Mem m -> mlab32 (ea t m) in
+  let lab_op8 t = function Reg r -> rlab r | Mem m -> mlab8 (ea t m) in
+  let nothing () = () in
+  let plan t pc0 insn size =
+    let stepno = t.steps in
+    let sp0 = get t ESP in
+    (* The two commits: a register's new label, a labelled store. *)
+    let to_reg r l () = set_rlab r l in
+    let to_mem addr len value label () =
+      O.store oracle ~pc:pc0 ~step:stepno ~addr ~len ~value ~label
     in
-    go 0
+    let check_pc ~target ~slot ~label ~detail =
+      O.check_pc oracle ~pc:pc0 ~step:stepno ~target ~slot ~label ~detail
+    in
+    let slot_of = function Mem m -> ea t m | Reg _ -> 0 in
+    match insn with
+    | Nop | Cmp _ | Cmp_i _ | Test_rr _ | Jmp_rel _ | Jmp_short _ | Jcc _
+    | Jcc_short _ | Hlt | Inc_r _ | Dec_r _ | Shl_i _ | Shr_i _ | Neg (Reg _)
+    | Not (Reg _) | Add_i (Reg _, _) | Sub_i (Reg _, _) ->
+        nothing
+    | Push_r r -> to_mem (Word.sub sp0 4) 4 (get t r) (rlab r)
+    | Push_i i -> to_mem (Word.sub sp0 4) 4 (Word.of_int i) 0
+    | Push_i8 i -> to_mem (Word.sub sp0 4) 4 (Word.sign8 (i land 0xFF)) 0
+    | Push_m m ->
+        let a = ea t m in
+        to_mem (Word.sub sp0 4) 4 (try_read32 t a) (mlab32 a)
+    | Pop_r r -> to_reg r (mlab32 sp0)
+    | Mov_ri (r, _) | Mov_mi (Reg r, _) | Lea (r, { base = None; _ }) ->
+        to_reg r 0
+    | Mov (Reg d, s) -> to_reg d (lab_op t s)
+    | Mov (Mem m, s) -> to_mem (ea t m) 4 (try_read_op t s) (lab_op t s)
+    | Mov_mi (Mem m, i) -> to_mem (ea t m) 4 (Word.of_int i) 0
+    | Mov_b (Reg d, s) ->
+        (* Only the low byte is replaced: merge rather than overwrite the
+           register's label. *)
+        to_reg d (Shadow.join (lab_op8 t s) (rlab d))
+    | Mov_b (Mem m, s) -> to_mem (ea t m) 1 (try_read_op8 t s) (lab_op8 t s)
+    | Movzx_b (r, s) -> to_reg r (lab_op8 t s)
+    | Lea (r, { base = Some b; _ }) -> to_reg r (rlab b)
+    | Xor (Reg d, Reg s) when d = s ->
+        (* xor r, r is an idiomatic clear — the result carries no attacker
+           bytes whatever the operand held. *)
+        to_reg d 0
+    | Add (d, s) | Sub (d, s) | And (d, s) | Or (d, s) | Xor (d, s) -> (
+        let l = Shadow.join (lab_op t d) (lab_op t s) in
+        match d with Reg r -> to_reg r l | Mem m -> to_mem (ea t m) 4 0 l)
+    | Add_i (Mem m, _) | Sub_i (Mem m, _) | Neg (Mem m) | Not (Mem m) ->
+        let a = ea t m in
+        to_mem a 4 0 (mlab32 a)
+    | Imul (r, o) -> to_reg r (Shadow.join (rlab r) (lab_op t o))
+    | Call_rel _ | Call_rm _ ->
+        (match insn with
+        | Call_rm o ->
+            check_pc ~target:(try_read_op t o) ~slot:(slot_of o)
+              ~label:(lab_op t o) ~detail:"call through tainted pointer"
+        | _ -> ());
+        let slot = Word.sub sp0 4 in
+        let store = to_mem slot 4 (Word.add pc0 size) 0 in
+        fun () ->
+          store ();
+          O.note_ret_slot oracle slot
+    | Jmp_rm o ->
+        check_pc ~target:(try_read_op t o) ~slot:(slot_of o) ~label:(lab_op t o)
+          ~detail:"jmp through tainted pointer";
+        nothing
+    | Ret | Ret_i _ ->
+        check_pc ~target:(try_read32 t sp0) ~slot:sp0 ~label:(mlab32 sp0)
+          ~detail:"ret to attacker-controlled address";
+        fun () -> O.clear_ret_slot oracle sp0
+    | Leave ->
+        let ebp0 = get t EBP in
+        let lsp = rlab EBP and lbp = mlab32 ebp0 in
+        fun () ->
+          set_rlab ESP lsp;
+          set_rlab EBP lbp
+    | Int n ->
+        if n = 0x80 then
+          O.check_kernel_entry oracle t.mem ~pc:pc0 ~step:stepno
+            ~number:(get t EAX) ~number_label:(rlab EAX) ~path:(get t EBX)
+            ~path_label:(rlab EBX) ~argv_label:(rlab ECX);
+        nothing
   in
-  let peek pc =
-    match Decode.decode t.mem pc with
-    | insn, size -> Some (insn, size)
-    | exception Decode.Error _ -> None
-    | exception Mem.Fault _ -> None
-  in
-  let nothing () = () in
-  let rec loop budget =
-    if budget <= 0 then Outcome.Fuel_exhausted
-    else if List.mem t.eip traps then Outcome.Halted
-    else begin
-      let pc0 = t.eip in
-      let stepno = t.steps in
-      let sp0 = get t ESP in
-      let store ~addr ~len ~value ~label =
-        O.store oracle ~pc:pc0 ~step:stepno ~addr ~len ~value ~label
-      in
-      let check_pc ~target ~slot ~label ~detail =
-        O.check_pc oracle ~pc:pc0 ~step:stepno ~target ~slot ~label ~detail
-      in
-      let slot_of = function Mem m -> ea t m | Reg _ -> 0 in
-      (* Pre-step planning: run detections against the pre-state and build
-         the commit to apply if the instruction retires. *)
-      let commit =
-        match peek pc0 with
-        | None -> nothing
-        | Some (insn, size) -> (
-            let next = Word.add pc0 size in
-            match insn with
-            | Nop | Cmp _ | Cmp_i _ | Test_rr _ | Jmp_rel _ | Jmp_short _
-            | Jcc _ | Jcc_short _ | Hlt | Inc_r _ | Dec_r _ | Shl_i _
-            | Shr_i _ | Neg (Reg _) | Not (Reg _) ->
-                nothing
-            | Push_r r ->
-                let l = rlab r and v = get t r in
-                fun () -> store ~addr:(Word.sub sp0 4) ~len:4 ~value:v ~label:l
-            | Push_i i ->
-                fun () ->
-                  store ~addr:(Word.sub sp0 4) ~len:4 ~value:(Word.of_int i)
-                    ~label:0
-            | Push_i8 i ->
-                fun () ->
-                  store ~addr:(Word.sub sp0 4) ~len:4
-                    ~value:(Word.sign8 (i land 0xFF)) ~label:0
-            | Push_m m ->
-                let a = ea t m in
-                let l = mlab32 a and v = try_read32 a in
-                fun () -> store ~addr:(Word.sub sp0 4) ~len:4 ~value:v ~label:l
-            | Pop_r r ->
-                let l = mlab32 sp0 in
-                fun () -> set_rlab r l
-            | Mov_ri (r, _) -> fun () -> set_rlab r 0
-            | Mov (Reg d, s) ->
-                let l = lab_op s in
-                fun () -> set_rlab d l
-            | Mov (Mem m, s) ->
-                let a = ea t m in
-                let l = lab_op s and v = try_read_op s in
-                fun () -> store ~addr:a ~len:4 ~value:v ~label:l
-            | Mov_mi (Reg d, _) -> fun () -> set_rlab d 0
-            | Mov_mi (Mem m, i) ->
-                let a = ea t m in
-                fun () ->
-                  store ~addr:a ~len:4 ~value:(Word.of_int i) ~label:0
-            | Mov_b (Reg d, s) ->
-                (* Only the low byte is replaced: merge rather than
-                   overwrite the register's label. *)
-                let l = Shadow.join (lab_op8 s) (rlab d) in
-                fun () -> set_rlab d l
-            | Mov_b (Mem m, s) ->
-                let a = ea t m in
-                let l = lab_op8 s and v = try_read_op8 s in
-                fun () -> store ~addr:a ~len:1 ~value:v ~label:l
-            | Movzx_b (r, s) ->
-                let l = lab_op8 s in
-                fun () -> set_rlab r l
-            | Lea (r, { base = Some b; _ }) ->
-                let l = rlab b in
-                fun () -> set_rlab r l
-            | Lea (r, { base = None; _ }) -> fun () -> set_rlab r 0
-            | Xor (Reg d, Reg s) when d = s ->
-                (* xor r, r is an idiomatic clear — the result carries no
-                   attacker bytes whatever the operand held. *)
-                fun () -> set_rlab d 0
-            | Add (d, s) | Sub (d, s) | And (d, s) | Or (d, s) | Xor (d, s)
-              -> (
-                let l = Shadow.join (lab_op d) (lab_op s) in
-                match d with
-                | Reg r -> fun () -> set_rlab r l
-                | Mem m ->
-                    let a = ea t m in
-                    fun () -> store ~addr:a ~len:4 ~value:0 ~label:l)
-            | Add_i (Reg _, _) | Sub_i (Reg _, _) -> nothing
-            | Add_i (Mem m, _) | Sub_i (Mem m, _) ->
-                let a = ea t m in
-                let l = mlab32 a in
-                fun () -> store ~addr:a ~len:4 ~value:0 ~label:l
-            | Neg (Mem m) | Not (Mem m) ->
-                let a = ea t m in
-                let l = mlab32 a in
-                fun () -> store ~addr:a ~len:4 ~value:0 ~label:l
-            | Imul (r, o) ->
-                let l = Shadow.join (rlab r) (lab_op o) in
-                fun () -> set_rlab r l
-            | Call_rel _ ->
-                let slot = Word.sub sp0 4 in
-                fun () ->
-                  store ~addr:slot ~len:4 ~value:next ~label:0;
-                  O.note_ret_slot oracle slot
-            | Call_rm o ->
-                check_pc ~target:(try_read_op o) ~slot:(slot_of o)
-                  ~label:(lab_op o) ~detail:"call through tainted pointer";
-                let slot = Word.sub sp0 4 in
-                fun () ->
-                  store ~addr:slot ~len:4 ~value:next ~label:0;
-                  O.note_ret_slot oracle slot
-            | Jmp_rm o ->
-                check_pc ~target:(try_read_op o) ~slot:(slot_of o)
-                  ~label:(lab_op o) ~detail:"jmp through tainted pointer";
-                nothing
-            | Ret | Ret_i _ ->
-                check_pc ~target:(try_read32 sp0) ~slot:sp0 ~label:(mlab32 sp0)
-                  ~detail:"ret to attacker-controlled address";
-                fun () -> O.clear_ret_slot oracle sp0
-            | Leave ->
-                let ebp0 = get t EBP in
-                let lsp = rlab EBP and lbp = mlab32 ebp0 in
-                fun () ->
-                  set_rlab ESP lsp;
-                  set_rlab EBP lbp
-            | Int n ->
-                if n = 0x80 then begin
-                  let number = get t EAX in
-                  let lnum = rlab EAX in
-                  let exec =
-                    number = Machine.Sysno.execve
-                    || number = Machine.Sysno.exec_varargs
-                  in
-                  let path = get t EBX in
-                  let larg =
-                    if exec then
-                      Shadow.join (rlab EBX)
-                        (Shadow.join (cstring_label path) (rlab ECX))
-                    else 0
-                  in
-                  let label = Shadow.join lnum larg in
-                  if label <> 0 then
-                    O.check_syscall oracle ~pc:pc0 ~step:stepno ~number
-                      ~addr:(if exec then path else 0)
-                      ~label
-                      ~detail:
-                        (if lnum <> 0 then "tainted syscall number"
-                         else "exec path/args from attacker bytes")
-                end;
-                nothing)
-      in
-      match step t ~kernel with
-      | Some reason -> reason
-      | None ->
-          commit ();
-          loop (budget - 1)
-    end
-  in
-  loop fuel
-
-(* Mitigated fetch-decode-execute.  Like [run_sanitized], a separate
-   entry point so the untraced hot loops stay untouched — but where the
-   sanitizer is an observer, this loop *enforces*: a return whose target
-   disagrees with the software shadow stack, or an indirect call/jmp
-   whose target is not a known entry point, stops the run with
-   [Cfi_violation] before the bad transfer executes.  Each iteration
-   peeks the next instruction (direct decode, not through the icache, so
-   icache hit/miss counts match a plain run), runs the checks against
-   the pre-state, steps through the same [step] core as [run] — benign
-   runs are bit-identical in outcome, step count, and registers — and
-   commits the shadow-stack mirror only if the instruction retired.
-
-   [shadow0] seeds the mirror (the caller's synthetic return address);
-   [valid_target] answers whether an address is a legitimate indirect
-   branch target (the loader passes the symbol table — coarse-grained
-   label CFI, as an embedded toolchain would implement it). *)
-let run_mitigated ?(fuel = 2_000_000) ~traps ~kernel ~shadow_stack ~forward_cfi
-    ~valid_target ?(shadow0 = []) t =
-  let mirror = ref shadow0 in
-  let try_read32 a =
-    match Mem.read_u32 t.mem a with v -> v | exception Mem.Fault _ -> 0
-  in
-  let try_read_op o =
-    match read_op t o with v -> v | exception Mem.Fault _ -> 0
-  in
-  let peek pc =
-    match Decode.decode t.mem pc with
-    | insn, size -> Some (insn, size)
-    | exception Decode.Error _ -> None
-    | exception Mem.Fault _ -> None
-  in
-  let nothing () = () in
-  let rec loop budget =
-    if budget <= 0 then Outcome.Fuel_exhausted
-    else if List.mem t.eip traps then Outcome.Halted
-    else begin
-      let pc0 = t.eip in
-      let sp0 = get t ESP in
-      (* Pre-step enforcement: [Error stop] aborts before the transfer
-         executes; [Ok commit] applies the mirror update if the
-         instruction retires. *)
-      let plan =
-        match peek pc0 with
-        | None -> Ok nothing
-        | Some (insn, size) -> (
-            let next = Word.add pc0 size in
-            let forward target =
-              if forward_cfi && not (valid_target target) then
-                Error
-                  (Outcome.Cfi_violation { at = pc0; expected = 0; got = target })
-              else Ok ()
-            in
-            let ret target =
-              if not shadow_stack then Ok nothing
-              else
-                match !mirror with
-                | expected :: rest when expected = target ->
-                    Ok (fun () -> mirror := rest)
-                | expected :: _ ->
-                    Error (Outcome.Cfi_violation { at = pc0; expected; got = target })
-                | [] ->
-                    Error
-                      (Outcome.Cfi_violation { at = pc0; expected = 0; got = target })
-            in
-            let push_ret () =
-              if shadow_stack then mirror := next :: !mirror
-            in
-            match insn with
-            | Call_rel _ -> Ok push_ret
-            | Call_rm o -> (
-                match forward (try_read_op o) with
-                | Error stop -> Error stop
-                | Ok () -> Ok push_ret)
-            | Jmp_rm o -> (
-                match forward (try_read_op o) with
-                | Error stop -> Error stop
-                | Ok () -> Ok nothing)
-            | Ret | Ret_i _ -> ret (try_read32 sp0)
-            | _ -> Ok nothing)
-      in
-      match plan with
-      | Error stop -> stop
-      | Ok commit -> (
-          match step t ~kernel with
-          | Some reason -> reason
-          | None ->
-              commit ();
-              loop (budget - 1))
-    end
-  in
-  loop fuel
+  {
+    Hook.pre =
+      (fun t pc insn size ->
+        let commit = plan t pc insn size in
+        if commit == nothing then Hook.Go else Hook.Commit commit);
+    stop = (fun _ _ -> ());
+  }

@@ -4,10 +4,8 @@
     instruction fetch goes through page permissions (so W⊕X is a real NX
     check, not a flag), [call]/[ret] move real bytes through the simulated
     stack (so a smashed return address genuinely redirects control), and
-    arguments are passed on the stack (cdecl).
-
-    An optional shadow stack implements the return-edge half of CFI
-    (the CFI CaRE analogue of the paper's §IV). *)
+    arguments are passed on the stack (cdecl).  The embedded mitigations
+    of the paper's §IV run as a {!Machine.Hook.enforce} hook. *)
 
 type t = {
   mem : Memsim.Memory.t;
@@ -17,8 +15,6 @@ type t = {
   mutable sf : bool;
   mutable cf : bool;
   mutable o_f : bool;
-  mutable shadow : int list;  (** CFI shadow stack (empty when disabled) *)
-  mutable cfi : bool;
   mutable steps : int;  (** instructions retired, for benches *)
   icache : compiled Memsim.Icache.t option;
       (** decoded-instruction cache ([None] = decode every step) *)
@@ -31,6 +27,7 @@ and kernel = int -> t -> Machine.Outcome.syscall_result
 
 and compiled = private {
   insn : Insn.t;
+  size : int;  (** encoded length *)
   run : t -> kernel -> Machine.Outcome.stop_reason option;
 }
 (** Icache payload: the decoded instruction plus an execution thunk
@@ -38,7 +35,7 @@ and compiled = private {
     targets pre-resolved).  Behaviorally identical to interpreting
     [insn] — the cache only ever changes speed, never outcomes. *)
 
-val create : ?cfi:bool -> ?icache:bool -> Memsim.Memory.t -> t
+val create : ?icache:bool -> Memsim.Memory.t -> t
 (** [icache] (default [true]) enables the write-invalidated
     decoded-instruction cache; execution is bit-identical either way
     (self-modifying pages re-decode via {!Memsim.Memory.page_gen}). *)
@@ -52,69 +49,28 @@ val push : t -> int -> unit
 val pop : t -> int
 (** Load a 32-bit word and increment [esp] by 4. *)
 
-val step : t -> kernel:kernel -> Machine.Outcome.stop_reason option
-(** Execute one instruction.  [None] means keep running. *)
-
 val run :
-  ?fuel:int -> traps:int list -> kernel:kernel -> t -> Machine.Outcome.stop_reason
+  ?fuel:int ->
+  traps:int list ->
+  kernel:kernel ->
+  hooks:(t, Insn.t) Machine.Hook.t list ->
+  t ->
+  Machine.Outcome.stop_reason
 (** Run until a trap address is reached ([Halted]), a stop condition fires,
-    or [fuel] instructions (default 2_000_000) have retired. *)
+    or [fuel] instructions (default 2_000_000) have retired.  With no
+    [hooks] this is the specialised plain loop; otherwise the hooked loop
+    of {!Machine.Hook}, which fetches each instruction once (icache
+    hit/miss counts equal the plain run's). *)
 
-val run_traced :
-  ?fuel:int ->
-  traps:int list ->
-  kernel:kernel ->
-  ?trace:Telemetry.Trace.t ->
-  ?profile:Telemetry.Profile.t ->
-  t ->
-  Machine.Outcome.stop_reason
-(** Like {!run}, with telemetry: emits ["cpu"]-category events (call
-    entry, basic-block entries, syscalls, traps, the stop reason) into
-    [trace] and records every retired pc into [profile].  Timestamps are
-    the retired-instruction counter offset from the trace clock at entry
-    (one instruction per µs); the trace clock is advanced past the run on
-    return.  Stepping goes through the same {!step} core as {!run}, so
-    outcomes and step counts are identical traced or not.  This is a
-    separate entry point precisely so {!run}'s hot loops carry no
-    tracing branch. *)
+val isa : (t, Insn.t) Machine.Hook.isa
+(** The instruction classifier behind the shared hooks: [call] pushes
+    the fall-through, [call]/[jmp] through a register or memory operand
+    are indirect, [ret]/[ret n] return to the word at [esp]; [int n]
+    traces with its vector and [eax]. *)
 
-val run_sanitized :
-  ?fuel:int ->
-  traps:int list ->
-  kernel:kernel ->
-  oracle:Sanitizer.Oracle.t ->
-  t ->
-  Machine.Outcome.stop_reason
-(** Like {!run}, under the taint sanitizer: every load/store/ALU op
-    propagates labels through [oracle]'s shadow state, and the oracle's
-    detections (redzone write, return-slot overwrite, tainted pc,
-    tainted syscall) fire as instructions are about to retire.  Stepping
-    goes through the same {!step} core as {!run} and the oracle never
-    touches guest state, so outcomes, step counts, and registers are
-    bit-identical sanitized or not — whether or not reports fire (the
-    differential tests assert this unconditionally).  A separate entry
-    point, like {!run_traced}, so the untraced hot loops stay free of
-    sanitizer branches. *)
-
-val run_mitigated :
-  ?fuel:int ->
-  traps:int list ->
-  kernel:kernel ->
-  shadow_stack:bool ->
-  forward_cfi:bool ->
-  valid_target:(int -> bool) ->
-  ?shadow0:int list ->
-  t ->
-  Machine.Outcome.stop_reason
-(** Like {!run}, under the enforced embedded mitigations: a software
-    shadow return stack ([call] pushes onto a mirror, [ret]/[ret n] must
-    target its top) and forward-edge CFI ([call]/[jmp] through a
-    register or memory operand must land on an address [valid_target]
-    accepts — the loader passes the symbol table, i.e. coarse-grained
-    label CFI).  A violating transfer stops the run with
-    [Cfi_violation] {e before} it executes.  Stepping goes through the
-    same {!step} core as {!run}, so benign runs are bit-identical in
-    outcome, step count, and registers; like {!run_traced} and
-    {!run_sanitized} this is a separate entry point so the plain hot
-    loops carry no mitigation branch.  [shadow0] seeds the mirror with
-    the caller's synthetic return address(es). *)
+val taint : Sanitizer.Oracle.t -> (t, Insn.t) Machine.Hook.t
+(** The taint sanitizer: loads, stores and ALU ops propagate labels
+    through the oracle's shadow state, and its detections (redzone
+    write, return-slot overwrite, tainted pc, tainted syscall) fire as
+    instructions are about to retire.  Never vetoes and never touches
+    guest state. *)

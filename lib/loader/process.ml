@@ -221,127 +221,72 @@ let icache_stats = function
   | None -> (0, 0)
   | Some c -> (Memsim.Icache.hits c, Memsim.Icache.misses c)
 
-(* When [on_step] is given, drive the CPU one instruction at a time so the
-   observer sees every program-counter value (the debugger's single-step
-   mode); with [sanitizer], use the ISA's [run_sanitized] loop; with
-   [trace]/[profile], the [run_traced] side-channel loop; when the
-   profile carries the embedded mitigations, the [run_mitigated]
-   enforcement loop; otherwise the tight [run] loop.  Observer modes
-   (on_step/sanitizer/trace) take precedence over enforcement — they
-   exist to watch unmodified executions.  The register taint of a fresh
-   call is cleared here — arguments the caller passes are trusted; only
-   bytes the oracle was told to taint are not. *)
+(* The hooks of one call, in their fixed order: the observers
+   ([on_step], the profiler, the trace, the taint sanitizer), then the
+   enforced mitigations — so every observer sees the instruction
+   enforcement blocks, and none can skip it.  An empty list runs the
+   plain loop. *)
+let hooks t isa ~taint ?on_step ?sanitizer ?trace ?profile cpu =
+  let module H = Machine.Hook in
+  let p = t.profile in
+  let opt f = function Some x -> [ f x ] | None -> [] in
+  List.concat
+    [
+      opt (H.observe isa) on_step;
+      opt (fun prof -> H.observe isa (Telemetry.Profile.record prof)) profile;
+      opt (fun tr -> H.trace isa tr cpu) trace;
+      opt taint sanitizer;
+      (if Defense.Profile.mitigated p then
+         [
+           H.enforce isa ~shadow_stack:p.Defense.Profile.shadow_stack
+             ~forward_cfi:p.Defense.Profile.forward_cfi
+             ~valid_target:(valid_target t) ~shadow0:[ t.trap ];
+         ]
+       else []);
+    ]
+
 let call ?(fuel = 2_000_000) ?(icache = true) ?on_step ?sanitizer ?trace
     ?profile t ~entry ~args =
-  let cfi = t.profile.Defense.Profile.cfi in
   let no_exec = t.profile.Defense.Profile.seccomp in
-  let traced = trace <> None || profile <> None in
-  let mitigated = Defense.Profile.mitigated t.profile in
+  let sp = t.layout.Layout.stack_top - 0x100 in
+  let hooks isa ~taint cpu =
+    hooks t isa ~taint ?on_step ?sanitizer ?trace ?profile cpu
+  in
+  let result outcome ~steps ~ret ~regs icache =
+    let icache_hits, icache_misses = icache_stats icache in
+    { outcome; steps; ret; regs = Array.copy regs; icache_hits; icache_misses }
+  in
   match t.arch with
   | Arch.X86 ->
-      let cpu = Isa_x86.Cpu.create ~cfi ~icache t.mem in
-      let sp0 = t.layout.Layout.stack_top - 0x100 in
-      Isa_x86.Cpu.set cpu Isa_x86.Insn.ESP sp0;
-      List.iter (fun a -> Isa_x86.Cpu.push cpu a) (List.rev args);
-      Isa_x86.Cpu.push cpu t.trap;
-      if cfi then cpu.Isa_x86.Cpu.shadow <- [ t.trap ];
-      cpu.Isa_x86.Cpu.eip <- entry;
+      let module C = Isa_x86.Cpu in
+      let cpu = C.create ~icache t.mem in
+      C.set cpu Isa_x86.Insn.ESP sp;
+      List.iter (C.push cpu) (List.rev args);
+      C.push cpu t.trap;
+      cpu.C.eip <- entry;
       let outcome =
-        match on_step with
-        | None when sanitizer <> None ->
-            let oracle = Option.get sanitizer in
-            Isa_x86.Cpu.run_sanitized ~fuel ~traps:[ t.trap ]
-              ~kernel:(Kernel.x86_policy ~no_exec ())
-              ~oracle cpu
-        | None when traced ->
-            Isa_x86.Cpu.run_traced ~fuel ~traps:[ t.trap ]
-              ~kernel:(Kernel.x86_policy ~no_exec ())
-              ?trace ?profile cpu
-        | None when mitigated ->
-            Isa_x86.Cpu.run_mitigated ~fuel ~traps:[ t.trap ]
-              ~kernel:(Kernel.x86_policy ~no_exec ())
-              ~shadow_stack:t.profile.Defense.Profile.shadow_stack
-              ~forward_cfi:t.profile.Defense.Profile.forward_cfi
-              ~valid_target:(valid_target t) ~shadow0:[ t.trap ] cpu
-        | None -> Isa_x86.Cpu.run ~fuel ~traps:[ t.trap ]
-              ~kernel:(Kernel.x86_policy ~no_exec ())
-              cpu
-        | Some observe ->
-            let rec loop budget =
-              if budget <= 0 then Machine.Outcome.Fuel_exhausted
-              else if cpu.Isa_x86.Cpu.eip = t.trap then Machine.Outcome.Halted
-              else begin
-                observe cpu.Isa_x86.Cpu.eip;
-                match Isa_x86.Cpu.step cpu ~kernel:(Kernel.x86_policy ~no_exec ()) with
-                | Some reason -> reason
-                | None -> loop (budget - 1)
-              end
-            in
-            loop fuel
+        C.run ~fuel ~traps:[ t.trap ] ~kernel:(Kernel.x86_policy ~no_exec ())
+          ~hooks:(hooks C.isa ~taint:C.taint cpu)
+          cpu
       in
-      let icache_hits, icache_misses = icache_stats cpu.Isa_x86.Cpu.icache in
-      {
-        outcome;
-        steps = cpu.Isa_x86.Cpu.steps;
-        ret = Isa_x86.Cpu.get cpu Isa_x86.Insn.EAX;
-        regs = Array.copy cpu.Isa_x86.Cpu.regs;
-        icache_hits;
-        icache_misses;
-      }
+      result outcome ~steps:cpu.C.steps ~ret:(C.get cpu Isa_x86.Insn.EAX)
+        ~regs:cpu.C.regs cpu.C.icache
   | Arch.Arm ->
       if List.length args > 4 then
         invalid_arg "Process.call: at most 4 register arguments on ARM";
-      let cpu = Isa_arm.Cpu.create ~cfi ~icache t.mem in
-      Isa_arm.Cpu.set cpu Isa_arm.Insn.SP (t.layout.Layout.stack_top - 0x100);
-      List.iteri
-        (fun i a ->
-          Isa_arm.Cpu.set cpu (Isa_arm.Insn.reg_of_index i) a)
-        args;
-      Isa_arm.Cpu.set cpu Isa_arm.Insn.LR t.trap;
-      if cfi then cpu.Isa_arm.Cpu.shadow <- [ t.trap ];
-      Isa_arm.Cpu.set_pc cpu entry;
+      let module C = Isa_arm.Cpu in
+      let cpu = C.create ~icache t.mem in
+      C.set cpu Isa_arm.Insn.SP sp;
+      List.iteri (fun i a -> C.set cpu (Isa_arm.Insn.reg_of_index i) a) args;
+      C.set cpu Isa_arm.Insn.LR t.trap;
+      C.set_pc cpu entry;
       let outcome =
-        match on_step with
-        | None when sanitizer <> None ->
-            let oracle = Option.get sanitizer in
-            Isa_arm.Cpu.run_sanitized ~fuel ~traps:[ t.trap ]
-              ~kernel:(Kernel.arm_policy ~no_exec ())
-              ~oracle cpu
-        | None when traced ->
-            Isa_arm.Cpu.run_traced ~fuel ~traps:[ t.trap ]
-              ~kernel:(Kernel.arm_policy ~no_exec ())
-              ?trace ?profile cpu
-        | None when mitigated ->
-            Isa_arm.Cpu.run_mitigated ~fuel ~traps:[ t.trap ]
-              ~kernel:(Kernel.arm_policy ~no_exec ())
-              ~shadow_stack:t.profile.Defense.Profile.shadow_stack
-              ~forward_cfi:t.profile.Defense.Profile.forward_cfi
-              ~valid_target:(valid_target t) ~shadow0:[ t.trap ] cpu
-        | None -> Isa_arm.Cpu.run ~fuel ~traps:[ t.trap ]
-              ~kernel:(Kernel.arm_policy ~no_exec ())
-              cpu
-        | Some observe ->
-            let rec loop budget =
-              if budget <= 0 then Machine.Outcome.Fuel_exhausted
-              else if Isa_arm.Cpu.pc cpu = t.trap then Machine.Outcome.Halted
-              else begin
-                observe (Isa_arm.Cpu.pc cpu);
-                match Isa_arm.Cpu.step cpu ~kernel:(Kernel.arm_policy ~no_exec ()) with
-                | Some reason -> reason
-                | None -> loop (budget - 1)
-              end
-            in
-            loop fuel
+        C.run ~fuel ~traps:[ t.trap ] ~kernel:(Kernel.arm_policy ~no_exec ())
+          ~hooks:(hooks C.isa ~taint:C.taint cpu)
+          cpu
       in
-      let icache_hits, icache_misses = icache_stats cpu.Isa_arm.Cpu.icache in
-      {
-        outcome;
-        steps = cpu.Isa_arm.Cpu.steps;
-        ret = Isa_arm.Cpu.get cpu Isa_arm.Insn.R0;
-        regs = Array.copy cpu.Isa_arm.Cpu.regs;
-        icache_hits;
-        icache_misses;
-      }
+      result outcome ~steps:cpu.C.steps ~ret:(C.get cpu Isa_arm.Insn.R0)
+        ~regs:cpu.C.regs cpu.C.icache
 
 let call_named ?fuel ?icache ?on_step ?sanitizer ?trace ?profile t ~entry ~args
     =

@@ -100,22 +100,20 @@ val call :
   run_result
 (** Call a function following the architecture's convention (cdecl stack
     arguments on x86, r0–r3 on ARM; at most 4 args on ARM) on a fresh
-    stack at the top of the stack region.  The CPU is created with CFI
-    enforcement per the profile and, unless [icache:false], with the
-    decoded-instruction cache (bit-identical execution either way — the
-    differential tests step every exploit scenario both ways).  [on_step]
-    observes every program-counter value before the instruction executes
-    (single-step debugging).  [sanitizer] routes the call through the
-    ISA's [run_sanitized] (taint propagation + exploit detections against
-    the given oracle; outcomes, step counts and registers identical to a
-    plain call).  [trace]/[profile] route it through [run_traced] (events
-    + per-pc counts; same identity).  When the process profile carries
-    the embedded mitigations ({!Defense.Profile.mitigated}), the call
-    runs under the ISA's [run_mitigated] enforcement loop (shadow return
-    stack + forward-edge CFI against {!t.valid_targets}; benign runs
-    identical to a plain call).  Precedence: [on_step], then
-    [sanitizer], then [trace]/[profile], then mitigations — observer
-    modes watch unmodified executions. *)
+    stack at the top of the stack region, with the decoded-instruction
+    cache unless [icache:false] (bit-identical execution either way —
+    the differential tests step every exploit scenario both ways).
+
+    The optional arguments and the process profile become the hooks of
+    the ISA's [Cpu.run] (see {!Machine.Hook}), in a fixed order:
+    [on_step] (sees every pc before its instruction executes),
+    [profile] (per-pc counts), [trace] (["cpu"] events), [sanitizer]
+    (taint propagation and exploit detections), then — when the profile
+    carries the embedded mitigations ({!Defense.Profile.mitigated}) —
+    enforcement (shadow return stack and forward-edge CFI against
+    {!t.valid_targets}).  Observers never change a run: outcome, step
+    count and register file are the same with any set of them attached.
+    With no hook the call runs the plain loop. *)
 
 val call_named :
   ?fuel:int ->

@@ -199,6 +199,41 @@ let check_syscall t ~pc ~step ~number ~addr ~label ~detail =
     record t ~kind:Tainted_syscall ~step ~pc ~addr ~target:number ~label
       ~detail
 
+(* First tainted label along the NUL-terminated string at [addr] (at
+   most 256 bytes) — the byte provenance of an exec path. *)
+let cstring_label t mem addr =
+  let rec go i =
+    if i >= 256 then 0
+    else
+      let a = Memsim.Word.add addr i in
+      match Memsim.Memory.read_u8 mem a with
+      | exception Memsim.Memory.Fault _ -> 0
+      | 0 -> 0
+      | _ ->
+          let l = mem_label t a in
+          if l <> 0 then l else go (i + 1)
+  in
+  go 0
+
+let check_kernel_entry t mem ~pc ~step ~number ~number_label ~path
+    ~path_label ~argv_label =
+  let exec =
+    number = Machine.Sysno.execve || number = Machine.Sysno.exec_varargs
+  in
+  let label =
+    if not exec then number_label
+    else
+      Shadow.join number_label
+        (Shadow.join path_label
+           (Shadow.join (cstring_label t mem path) argv_label))
+  in
+  check_syscall t ~pc ~step ~number
+    ~addr:(if exec then path else 0)
+    ~label
+    ~detail:
+      (if number_label <> 0 then "tainted syscall number"
+       else "exec path/args from attacker bytes")
+
 let reports t = List.rev t.reports
 
 let first_report t =

@@ -1,11 +1,11 @@
 (** Shadow-memory exploit oracle: byte-granular taint state plus the
-    detection rules the sanitized interpreter loops fire against.
+    detection rules the interpreters' taint hooks fire against.
 
     The oracle owns everything the sanitizer knows that the CPU does not:
     the shadow map (one label per guest byte — {!Memsim.Shadow}),
     per-register taint for both ISAs, the provenance table of taint
     sources (one per attacker-controlled datagram), the return-address
-    slot map, and the stack redzones.  The [run_sanitized] loops in
+    slot map, and the stack redzones.  The [taint] hooks of
     [Isa_x86.Cpu] / [Isa_arm.Cpu] feed it three things — stores, indirect
     control transfers, and syscalls — and it decides whether each one is
     a finding.
@@ -143,9 +143,17 @@ val check_pc :
 val check_syscall :
   t -> pc:int -> step:int -> number:int -> addr:int ->
   label:Shadow.label -> detail:string -> unit
-(** About to enter the kernel; fires {!Tainted_syscall} when [label]
-    (precomputed by the loop from the number register, argument
-    registers, and exec path bytes) is non-zero. *)
+(** About to enter the kernel; fires {!Tainted_syscall} when [label] is
+    non-zero. *)
+
+val check_kernel_entry :
+  t -> Memsim.Memory.t -> pc:int -> step:int -> number:int ->
+  number_label:Shadow.label -> path:int -> path_label:Shadow.label ->
+  argv_label:Shadow.label -> unit
+(** The syscall rule as both interpreters apply it: {!check_syscall}
+    with the label of the number register, joined — for the exec family
+    — with the path and argv registers' labels and the first tainted
+    byte of the path string in [mem]. *)
 
 (** {1 Results} *)
 

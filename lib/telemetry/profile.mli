@@ -1,7 +1,7 @@
 (** Instruction-level profiler.
 
-    The traced interpreters call {!record} with the program counter of
-    every retired instruction; reporting buckets the raw pc counts by
+    The interpreters' profiling hook calls {!record} with the program
+    counter of every instruction a run tries to execute; reporting buckets the raw pc counts by
     nearest symbol using a caller-supplied [symbolize] function (in
     practice [Exploit.Debugger.symbolize], which renders
     ["name+0x12"] or a bare hex address).  The ["+0x..."] offset suffix
@@ -11,7 +11,8 @@
     Conservation invariant, asserted by the tests: the per-symbol counts
     of {!report} (and the folded lines of {!folded}) sum to {!total},
     which equals the number of instructions the CPU retired while the
-    profiler was attached. *)
+    profiler was attached — plus one when a run ends on a failed fetch
+    or an enforcement veto, whose pc is recorded but never retires. *)
 
 type t
 

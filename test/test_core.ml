@@ -136,7 +136,7 @@ let test_pineapple_patched_firmware_survives () =
             | None -> "nothing"))
 
 let test_pineapple_cfi_blocks () =
-  let config = arm_config Defense.Profile.(with_cfi wx_aslr) in
+  let config = arm_config Defense.Profile.(with_shadow_stack wx_aslr) in
   match Scenario.pineapple_attack ~config () with
   | Error e -> Alcotest.fail e
   | Ok r -> (

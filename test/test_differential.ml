@@ -91,7 +91,7 @@ let run_x86 insns =
   let cpu = Isa_x86.Cpu.create mem in
   Isa_x86.Cpu.set cpu Isa_x86.Insn.ESP 0x8F00;
   cpu.Isa_x86.Cpu.eip <- 0x1000;
-  match Isa_x86.Cpu.run ~fuel:10_000 ~traps:[] ~kernel:no_kernel cpu with
+  match Isa_x86.Cpu.run ~fuel:10_000 ~traps:[] ~kernel:no_kernel ~hooks:[] cpu with
   | O.Halted -> Some (List.map (Isa_x86.Cpu.get cpu) x86_regs)
   | _ -> None
 
@@ -187,7 +187,7 @@ let run_arm insns =
   Isa_arm.Cpu.set cpu Isa_arm.Insn.SP 0x8F00;
   Isa_arm.Cpu.set_pc cpu 0x1000;
   let kernel n _ = if n = 0xFF then O.Stop O.Halted else O.Resume in
-  match Isa_arm.Cpu.run ~fuel:10_000 ~traps:[] ~kernel cpu with
+  match Isa_arm.Cpu.run ~fuel:10_000 ~traps:[] ~kernel ~hooks:[] cpu with
   | O.Halted -> Some (List.map (Isa_arm.Cpu.get cpu) arm_regs)
   | _ -> None
 

@@ -241,7 +241,7 @@ let test_register_identity () =
 (* {1 Enforced mitigations: shadow stack + forward-edge CFI} *)
 
 (* Zero false positives: benign parses and even crashing (DoS) parses
-   behave bit-identically under [run_mitigated] — the checks only fire
+   behave bit-identically under the enforcement hook — the checks only fire
    on control-flow the static image never produces. *)
 let test_mitigations_benign () =
   List.iter

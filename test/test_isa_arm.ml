@@ -11,20 +11,20 @@ let no_kernel _n _cpu = O.Stop (O.Aborted "unexpected syscall")
 
 let text_base = 0x0001_0000
 
-let setup ?(cfi = false) ?extern program =
+let setup ?extern program =
   let mem = Mem.create () in
   let result = Asm.assemble ?extern ~base:text_base program in
   let size = max 0x1000 (String.length result.Asm.code) in
   Mem.map mem ~base:text_base ~size ~perm:Mem.rx ~name:"text";
   Mem.poke_bytes mem text_base result.Asm.code;
   Mem.map mem ~base:0x7EFF_0000 ~size:0x10000 ~perm:Mem.rw ~name:"stack";
-  let cpu = Cpu.create ~cfi mem in
+  let cpu = Cpu.create mem in
   Cpu.set cpu Insn.SP 0x7EFF_F000;
   Cpu.set_pc cpu text_base;
   (mem, cpu, result)
 
 let run ?fuel ?(kernel = no_kernel) ?(traps = []) cpu =
-  Cpu.run ?fuel ~traps ~kernel cpu
+  Cpu.run ?fuel ~traps ~kernel ~hooks:[] cpu
 
 (* A halt convention for tests: svc 0xFF stops with Halted. *)
 let halt_kernel n _cpu = if n = 0xFF then O.Stop O.Halted else O.Resume
@@ -534,16 +534,28 @@ let test_smashed_pop_pc_hijacks () =
   ignore (run_to_halt cpu);
   check_int "hijacked" 0x77 (Cpu.get cpu R4)
 
+(* The hooked loop with the shadow-stack hook alone. *)
+let run_shadow_stack cpu =
+  let hook =
+    Machine.Hook.enforce Cpu.isa ~shadow_stack:true ~forward_cfi:false
+      ~valid_target:(fun _ -> true) ~shadow0:[]
+  in
+  Cpu.run ~traps:[] ~kernel:halt_kernel ~hooks:[ hook ] cpu
+
+(* The veto lands before the smashed [pop {pc}] executes: [at] is the
+   pop's own address and it does not count as a retired step. *)
 let test_cfi_blocks_smashed_pop_pc () =
   let open Insn in
   let program =
     [
       Asm.Bl_sym "victim";
+      Asm.Label "after";
       halt;
       Asm.Label "victim";
       Asm.I (al (Push [ LR ]));
       Asm.Ldr_sym (R0, "win_ptr");
       Asm.I (al (Str (R0, SP, 0)));
+      Asm.Label "pop";
       Asm.I (al (Pop [ PC ]));
       Asm.Label "win_ptr";
       Asm.Word_sym "win";
@@ -551,9 +563,14 @@ let test_cfi_blocks_smashed_pop_pc () =
       halt;
     ]
   in
-  let _, cpu, _ = setup ~cfi:true program in
-  match run ~kernel:halt_kernel cpu with
-  | O.Cfi_violation _ -> ()
+  let _, cpu, r = setup program in
+  match run_shadow_stack cpu with
+  | O.Cfi_violation { at; expected; got } ->
+      check_int "at the pop" (Asm.symbol r "pop") at;
+      check_int "expected the bl's return" (Asm.symbol r "after") expected;
+      check_int "got the smashed target" (Asm.symbol r "win") got;
+      check_int "bl, push, ldr, str retired; the pop did not" 4 cpu.Cpu.steps;
+      check_int "pc left on the pop" (Asm.symbol r "pop") (Cpu.pc cpu)
   | other -> Alcotest.failf "expected CFI violation, got %s" (O.to_string other)
 
 let test_cfi_allows_benign_nesting () =
@@ -570,8 +587,8 @@ let test_cfi_allows_benign_nesting () =
       Asm.I (al (Bx LR));
     ]
   in
-  let _, cpu, _ = setup ~cfi:true program in
-  check_bool "benign ok" true (run ~kernel:halt_kernel cpu = O.Halted)
+  let _, cpu, _ = setup program in
+  check_bool "benign ok" true (run_shadow_stack cpu = O.Halted)
 
 let test_disassemble_sweep () =
   let open Insn in

@@ -12,7 +12,7 @@ let no_kernel _n _cpu = O.Stop (O.Aborted "unexpected syscall")
 
 (* Assemble a program at a base, map text rx + a stack, return (mem, cpu,
    result).  The program is expected to end by running into [trap]. *)
-let setup ?(cfi = false) ?extern program =
+let setup ?extern program =
   let mem = Mem.create () in
   let text_base = 0x0804_8000 in
   let result = Asm.assemble ?extern ~base:text_base program in
@@ -20,12 +20,21 @@ let setup ?(cfi = false) ?extern program =
   Mem.map mem ~base:text_base ~size ~perm:Mem.rx ~name:"text";
   Mem.poke_bytes mem text_base result.Asm.code;
   Mem.map mem ~base:0xBFFF_0000 ~size:0x10000 ~perm:Mem.rw ~name:"stack";
-  let cpu = Cpu.create ~cfi mem in
+  let cpu = Cpu.create mem in
   Cpu.set cpu Insn.ESP 0xBFFF_F000;
   cpu.Cpu.eip <- text_base;
   (mem, cpu, result)
 
-let run ?fuel ?(kernel = no_kernel) cpu = Cpu.run ?fuel ~traps:[] ~kernel cpu
+let run ?fuel ?(kernel = no_kernel) cpu =
+  Cpu.run ?fuel ~traps:[] ~kernel ~hooks:[] cpu
+
+(* The hooked loop with the shadow-stack hook alone. *)
+let run_shadow_stack cpu =
+  let hook =
+    Machine.Hook.enforce Cpu.isa ~shadow_stack:true ~forward_cfi:false
+      ~valid_target:(fun _ -> true) ~shadow0:[]
+  in
+  Cpu.run ~traps:[] ~kernel:no_kernel ~hooks:[ hook ] cpu
 
 (* --- encode/decode --- *)
 
@@ -663,23 +672,32 @@ let test_ret_into_overwritten_address () =
   ignore (run cpu);
   check_int "control-flow hijacked" 0x31337 (Cpu.get cpu EBX)
 
+(* The veto lands before the smashed [ret] executes: [at] is the ret's
+   own address and it does not count as a retired step. *)
 let test_cfi_blocks_smashed_return () =
   let open Insn in
   let program =
     [
       Asm.Call "victim";
+      Asm.Label "after";
       Asm.I Hlt;
       Asm.Label "victim";
       Asm.Mov_ri_sym (EAX, "win");
       Asm.I (Mov (Mem { base = Some ESP; disp = 0 }, Reg EAX));
+      Asm.Label "ret";
       Asm.I Ret;
       Asm.Label "win";
       Asm.I Hlt;
     ]
   in
-  let _, cpu, _ = setup ~cfi:true program in
-  match run cpu with
-  | O.Cfi_violation _ -> ()
+  let _, cpu, r = setup program in
+  match run_shadow_stack cpu with
+  | O.Cfi_violation { at; expected; got } ->
+      check_int "at the ret" (Asm.symbol r "ret") at;
+      check_int "expected the call's return" (Asm.symbol r "after") expected;
+      check_int "got the smashed target" (Asm.symbol r "win") got;
+      check_int "call, mov, mov retired; the ret did not" 3 cpu.Cpu.steps;
+      check_int "eip left on the ret" (Asm.symbol r "ret") cpu.Cpu.eip
   | other -> Alcotest.failf "expected CFI violation, got %s" (O.to_string other)
 
 let test_cfi_allows_benign_calls () =
@@ -696,8 +714,8 @@ let test_cfi_allows_benign_calls () =
       Asm.I Ret;
     ]
   in
-  let _, cpu, _ = setup ~cfi:true program in
-  let outcome = run cpu in
+  let _, cpu, _ = setup program in
+  let outcome = run_shadow_stack cpu in
   check_bool "benign nesting ok" true (outcome = O.Halted)
 
 let test_disassemble_sweep () =

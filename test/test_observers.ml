@@ -1,0 +1,213 @@
+(* Observer invariance: watching a run never changes it.  Every observer
+   set (none, trace, profiler, sanitizer, single-step, all four) is
+   attached to every scenario (DoS and a benign parse on both ISAs, the
+   six exploit cells E1–E6) under every defense profile (none, wx,
+   wx+aslr, and the scenario's base profile with +shstk, +fcfi,
+   +shstk+fcfi, +seccomp).  Each observed run must match the bare run:
+   outcome, retired steps and the whole register file at the
+   [Process.call] level, disposition and [last_steps] through the daemon
+   (which has no single-step attachment point, so there "all" is the
+   other three).  In particular an attached observer must not switch the
+   embedded mitigations off. *)
+
+module Dnsproxy = Connman.Dnsproxy
+module Process = Loader.Process
+module Profile = Defense.Profile
+module Autogen = Exploit.Autogen
+module Oracle = Sanitizer.Oracle
+module E = Core.Experiments
+module O = Machine.Outcome
+
+let check_int = Alcotest.(check int)
+let check_string = Alcotest.(check string)
+
+let lookup = Dns.Name.of_string "ipv4.connman.net"
+
+let config arch profile =
+  {
+    Dnsproxy.version = Connman.Version.v1_34;
+    arch;
+    profile;
+    boot_seed = 42;
+    diversity_seed = None;
+  }
+
+(* What a scenario sends: a wire built against the receiving device's
+   pending query.  Exploit cells plan their name on an analysis boot of
+   the same firmware, exactly as [Experiments.fire] does; [None] when the
+   planner cannot build the payload under this profile. *)
+type payload = Benign | Dos | Exploit of string
+
+let payload cfg = function
+  | `Benign -> Some Benign
+  | `Dos -> Some Dos
+  | `Exploit strategy -> (
+      let analysis =
+        Dnsproxy.process
+          (Dnsproxy.create
+             { cfg with Dnsproxy.boot_seed = cfg.Dnsproxy.boot_seed + 5000 })
+      in
+      match
+        Autogen.generate ~analysis:(Exploit.Target.connman analysis) ~strategy ()
+      with
+      | Ok (_, raw_name) -> Some (Exploit raw_name)
+      | Error _ -> None)
+
+let wire d payload =
+  let query = Dnsproxy.make_query d lookup in
+  match payload with
+  | Benign ->
+      Dns.Packet.encode
+        (Dns.Packet.response ~query
+           [ Dns.Packet.a_record lookup ~ttl:300 ~ipv4:0x5DB8_D822 ])
+  | Dos ->
+      Dns.Craft.hostile_response ~query
+        ~raw_name:(Dns.Craft.dos_name ~size:8192)
+        ()
+  | Exploit raw_name -> Autogen.response_for ~query ~raw_name
+
+type observers = {
+  name : string;
+  trace : bool;
+  profile : bool;
+  sanitizer : bool;
+  on_step : bool;
+}
+
+let observer_sets =
+  let none =
+    { name = "none"; trace = false; profile = false; sanitizer = false; on_step = false }
+  in
+  [
+    none;
+    { none with name = "trace"; trace = true };
+    { none with name = "profile"; profile = true };
+    { none with name = "sanitizer"; sanitizer = true };
+    { none with name = "on_step"; on_step = true };
+    {
+      name = "all";
+      trace = true;
+      profile = true;
+      sanitizer = true;
+      on_step = true;
+    };
+  ]
+
+(* --- Process.call level: outcome, steps, register file --- *)
+
+(* One parse on a fresh restore of the booted image, with the observers
+   attached the way the daemon attaches them (the oracle taints every
+   wire byte and guards the overflow frame).  When both pc observers
+   are attached they must see the same pcs. *)
+let call d snap wire obs =
+  let arch = (Dnsproxy.config d).Dnsproxy.arch in
+  let proc = Dnsproxy.process d in
+  Process.restore proc snap;
+  let buf = proc.Process.layout.Loader.Layout.heap_base in
+  let len = String.length wire in
+  Memsim.Memory.write_bytes proc.Process.mem buf wire;
+  let sanitizer =
+    if not obs.sanitizer then None
+    else begin
+      let oracle = Oracle.create () in
+      Oracle.begin_parse oracle;
+      let src = Oracle.new_source oracle ~origin:"udp" ~length:len in
+      Oracle.taint oracle ~src buf ~len;
+      Oracle.protect_frame oracle
+        ~buffer:(Connman.Frame.buffer_addr proc)
+        (Connman.Frame.geometry arch);
+      Some oracle
+    end
+  in
+  let trace = if obs.trace then Some (Telemetry.Trace.create ()) else None in
+  let profile = if obs.profile then Some (Telemetry.Profile.create ()) else None in
+  let stepped = ref 0 in
+  let on_step = if obs.on_step then Some (fun _ -> incr stepped) else None in
+  let r =
+    Process.call_named proc ~fuel:400_000 ?on_step ?sanitizer ?trace ?profile
+      ~entry:"parse_response" ~args:[ buf; len ]
+  in
+  (match profile with
+  | Some p when obs.on_step ->
+      check_int (obs.name ^ ": on_step and profiler saw the same pcs")
+        !stepped (Telemetry.Profile.total p)
+  | _ -> ());
+  r
+
+let same_run what (bare : Process.run_result) (seen : Process.run_result) =
+  check_string (what ^ " outcome") (O.to_string bare.Process.outcome)
+    (O.to_string seen.Process.outcome);
+  check_int (what ^ " steps") bare.Process.steps seen.Process.steps;
+  Alcotest.(check (array int))
+    (what ^ " register file") bare.Process.regs seen.Process.regs
+
+(* --- daemon level: disposition and last_steps --- *)
+
+let deliver cfg payload obs =
+  let d = Dnsproxy.create cfg in
+  if obs.trace then Dnsproxy.set_trace d (Some (Telemetry.Trace.create ()));
+  if obs.profile then Dnsproxy.set_profiler d (Some (Telemetry.Profile.create ()));
+  if obs.sanitizer then Dnsproxy.set_sanitizer d (Some (Oracle.create ()));
+  let disposition = Dnsproxy.handle_response d (wire d payload) in
+  (E.disposition_word disposition, Dnsproxy.last_steps d)
+
+let profiles base =
+  [
+    ("none", Profile.none);
+    ("wx", Profile.wx);
+    ("wx+aslr", Profile.wx_aslr);
+    ("+shstk", Profile.with_shadow_stack base);
+    ("+fcfi", Profile.with_forward_cfi base);
+    ("+shstk+fcfi", Profile.with_mitigations base);
+    ("+seccomp", Profile.with_seccomp base);
+  ]
+
+let check_scenario arch base kind () =
+  List.iter
+    (fun (pname, profile) ->
+      let cfg = config arch profile in
+      match payload cfg kind with
+      | None -> ()
+      | Some payload ->
+          let d = Dnsproxy.create cfg in
+          let w = wire d payload in
+          let snap = Process.snapshot (Dnsproxy.process d) in
+          let bare = call d snap w (List.hd observer_sets) in
+          let bare_word, bare_steps = deliver cfg payload (List.hd observer_sets) in
+          check_int (pname ^ ": daemon and call agree on steps") bare.Process.steps
+            bare_steps;
+          List.iter
+            (fun obs ->
+              let what = Printf.sprintf "%s/%s" pname obs.name in
+              same_run what bare (call d snap w obs);
+              if obs.trace || obs.profile || obs.sanitizer then begin
+                let word, steps = deliver cfg payload obs in
+                check_string (what ^ " disposition") bare_word word;
+                check_int (what ^ " last_steps") bare_steps steps
+              end)
+            (List.tl observer_sets))
+    (profiles base)
+
+let scenarios =
+  List.concat_map
+    (fun arch ->
+      let a = Loader.Arch.name arch in
+      [
+        ("dos " ^ a, arch, Profile.wx, `Dos);
+        ("benign " ^ a, arch, Profile.wx, `Benign);
+      ])
+    Loader.Arch.all
+  @ List.map
+      (fun (id, _, arch, profile, strategy, _) ->
+        (id ^ " " ^ Loader.Arch.name arch, arch, profile, `Exploit strategy))
+      E.matrix_cells
+
+let () =
+  Alcotest.run "observers"
+    [
+      ( "invariance",
+        List.map
+          (fun (name, arch, base, kind) ->
+            Alcotest.test_case name `Quick (check_scenario arch base kind))
+          scenarios );
+    ]

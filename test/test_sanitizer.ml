@@ -1,7 +1,7 @@
 (* Sanitizer tests: shadow-label encoding, oracle detection rules
    (redzones, return slots, tainted pc/syscall, per-parse dedup), the
-   strict-observer contract (sanitized runs bit-identical to plain runs
-   over the whole exploit matrix), the detection matrix itself, its
+   register file of a sanitized call (the exploit matrix under every
+   observer is test_observers.ml's), the detection matrix itself, its
    deterministic JSON, zero false positives on benign traffic, and the
    wire-offset provenance round-trip on both ISAs. *)
 
@@ -137,49 +137,7 @@ let test_pc_and_syscall_rules () =
     && Oracle.severity Oracle.Tainted_pc
        < Oracle.severity Oracle.Tainted_syscall)
 
-(* --- strict observer: sanitized runs bit-identical to plain runs --- *)
-
-let fire_cell ~sanitized (id, _section, arch, profile, strategy, _desc) =
-  let d = Dnsproxy.create (mk_config arch profile 42) in
-  if sanitized then Dnsproxy.set_sanitizer d (Some (Oracle.create ()));
-  match E.fire ~strategy d with
-  | Error e -> Alcotest.fail (id ^ ": " ^ e)
-  | Ok (_, disp) -> (id, E.disposition_word disp, Dnsproxy.last_steps d)
-
-let test_differential_matrix () =
-  let plain = List.map (fire_cell ~sanitized:false) E.matrix_cells in
-  let sanitized = List.map (fire_cell ~sanitized:true) E.matrix_cells in
-  List.iter2
-    (fun (id, w0, s0) (_, w1, s1) ->
-      check_string (id ^ " disposition") w0 w1;
-      check_int (id ^ " retired instructions") s0 s1)
-    plain sanitized
-
-let dos_and_benign ~sanitized arch =
-  let d = Dnsproxy.create (mk_config arch Profile.wx 42) in
-  if sanitized then Dnsproxy.set_sanitizer d (Some (Oracle.create ()));
-  let q = Dnsproxy.make_query d lookup in
-  let dos_wire =
-    Dns.Craft.hostile_response ~query:q
-      ~raw_name:(Dns.Craft.dos_name ~size:8192) ()
-  in
-  let dos = E.disposition_word (Dnsproxy.handle_response d dos_wire) in
-  let d2 = Dnsproxy.create (mk_config arch Profile.wx 42) in
-  if sanitized then Dnsproxy.set_sanitizer d2 (Some (Oracle.create ()));
-  let benign = E.disposition_word (Dnsproxy.handle_response d2 (benign_wire d2)) in
-  (dos, Dnsproxy.last_steps d, benign, Dnsproxy.last_steps d2)
-
-let test_differential_dos_benign () =
-  List.iter
-    (fun arch ->
-      let d0, s0, b0, t0 = dos_and_benign ~sanitized:false arch in
-      let d1, s1, b1, t1 = dos_and_benign ~sanitized:true arch in
-      let a = Loader.Arch.name arch in
-      check_string (a ^ " dos disposition") d0 d1;
-      check_int (a ^ " dos steps") s0 s1;
-      check_string (a ^ " benign disposition") b0 b1;
-      check_int (a ^ " benign steps") t0 t1)
-    Loader.Arch.all
+(* --- strict observer: a sanitized call is bit-identical to a plain one --- *)
 
 (* Direct [Process.call]: outcome, step count, return value, and the
    whole register file must match with the oracle attached. *)
@@ -341,10 +299,6 @@ let () =
         ] );
       ( "observer",
         [
-          Alcotest.test_case "matrix outcomes unchanged when sanitized" `Slow
-            test_differential_matrix;
-          Alcotest.test_case "dos + benign unchanged when sanitized" `Quick
-            test_differential_dos_benign;
           Alcotest.test_case "register-file identical on a direct call" `Quick
             test_differential_registers;
         ] );

@@ -137,7 +137,7 @@ let test_defenses_hold () =
    | D.Blocked (O.Aborted _) -> ()
    | other -> Alcotest.failf "canary: %a" D.pp_disposition other);
   (let d =
-     daemon ~arch:Loader.Arch.Arm ~profile:Defense.Profile.(with_cfi wx) ()
+     daemon ~arch:Loader.Arch.Arm ~profile:Defense.Profile.(with_shadow_stack wx) ()
    in
    match fire d Autogen.Rop_wx with
    | D.Blocked (O.Cfi_violation _) -> ()
