@@ -489,7 +489,10 @@ let run_cache_json ~smoke ~out () =
 (* speedup the tentpole claims.  The self-modifying variants store     *)
 (* into their own text page every iteration, so with the cache on they *)
 (* measure the generation-check/re-decode invalidation path rather     *)
-(* than the hit path.                                                  *)
+(* than the hit path.  The steady state alone hides what a real parse  *)
+(* pays, so the suite also times one benign connmand parse per ISA     *)
+(* from every starting point a process has (cold boot, restored, fork, *)
+(* reimaged variant) against the uncached path.                        *)
 (* ------------------------------------------------------------------ *)
 
 module Mem = Memsim.Memory
@@ -510,7 +513,11 @@ let x86_runner ~perm ~icache ~hooks program =
   Mem.map mem ~base:x86_text_base ~size:Mem.page_size ~perm ~name:".text";
   Mem.poke_bytes mem x86_text_base r.Isa_x86.Asm.code;
   Mem.map mem ~base:x86_stack_base ~size:0x4000 ~perm:Mem.rw ~name:"stack";
-  let cpu = Isa_x86.Cpu.create ~icache mem in
+  let cpu =
+    Isa_x86.Cpu.create
+      ~icache:(if icache then Some (Isa_x86.Cpu.new_icache ()) else None)
+      mem
+  in
   let kernel _ _ = Machine.Outcome.Resume in
   let run () =
     Array.fill cpu.Isa_x86.Cpu.regs 0 8 0;
@@ -540,7 +547,11 @@ let arm_runner ~perm ~icache ~hooks program =
   Mem.map mem ~base:arm_text_base ~size:Mem.page_size ~perm ~name:".text";
   Mem.poke_bytes mem arm_text_base r.Isa_arm.Asm.code;
   Mem.map mem ~base:arm_stack_base ~size:0x4000 ~perm:Mem.rw ~name:"stack";
-  let cpu = Isa_arm.Cpu.create ~icache mem in
+  let cpu =
+    Isa_arm.Cpu.create
+      ~icache:(if icache then Some (Isa_arm.Cpu.new_icache ()) else None)
+      mem
+  in
   (* svc 0 is the resumable "syscall"; svc 1 halts the workload. *)
   let kernel n _ =
     if n = 0 then Machine.Outcome.Resume
@@ -843,6 +854,93 @@ let time_fn cfg name f =
   | [ elt ] -> measure_elt cfg elt
   | _ -> invalid_arg "time_fn: expected a single element"
 
+(* A benign parse from each starting point a process can run from, per
+   ISA: [cold] (a fresh boot: every instruction compiles), [warm] (the
+   same process after a restore: every instruction hits), [after-fork]
+   (a fork of a warmed template: the family's entries hit) and
+   [after-reimage] (a diversified variant forked from the template: its
+   text is its own, so it compiles from empty), against the [uncached]
+   reference.  Each comes as its setup (untimed) and the timed part:
+   the datagram write plus the call.  A starting point slower than
+   [uncached] is an end-to-end loss that no straight-line row shows. *)
+let parse_start_workloads arch =
+  let aname = Loader.Arch.name arch in
+  let profile = Profile.wx in
+  let spec ?diversity_seed () =
+    match arch with
+    | Loader.Arch.X86 ->
+        Connman.Program_x86.spec ~version:Connman.Version.v1_34 ~profile
+          ?diversity_seed ()
+    | Loader.Arch.Arm ->
+        Connman.Program_arm.spec ~version:Connman.Version.v1_34 ~profile
+          ?diversity_seed ()
+  in
+  let boot () = Loader.Process.boot (spec ()) ~profile ~seed:1 in
+  let input = List.hd (Fuzz.Engine.benign_seeds ()) in
+  let parse ~icache proc =
+    let buf = proc.Loader.Process.layout.Loader.Layout.heap_base in
+    Mem.write_bytes proc.Loader.Process.mem buf input;
+    Loader.Process.call proc ~icache ~fuel:400_000
+      ~entry:(Loader.Process.symbol proc "parse_response")
+      ~args:[ buf; String.length input ]
+  in
+  let template = boot () in
+  let snap = Loader.Process.snapshot template in
+  let steps =
+    match parse ~icache:true template with
+    | { Loader.Process.outcome = Machine.Outcome.Halted; steps; _ } -> steps
+    | r ->
+        failwith
+          ("cpu bench: benign parse failed: "
+          ^ Machine.Outcome.to_string r.Loader.Process.outcome)
+  in
+  let restored () =
+    Loader.Process.restore template snap;
+    template
+  in
+  let seed = ref 0 in
+  let rec variant () =
+    incr seed;
+    match
+      Loader.Process.reimage
+        (Loader.Process.fork template snap)
+        (spec ~diversity_seed:!seed ())
+    with
+    | Some p -> p
+    | None -> variant ()
+  in
+  ( steps,
+    List.map
+      (fun (start, icache, setup) ->
+        ( Printf.sprintf "cpu/parse-%s/%s" aname start,
+          setup,
+          fun p -> ignore (parse ~icache p) ))
+      [
+        ("cold", true, boot);
+        ("warm", true, restored);
+        ("after-fork", true, fun () -> Loader.Process.fork template snap);
+        ("after-reimage", true, variant);
+        ("uncached", false, restored);
+      ] )
+
+(* Median time of [run] on a fresh [setup ()] per call, the setup
+   untimed.  Bechamel's [Test.multiple] cannot do this: every run of a
+   sample gets the same resource, so all but the first would be warm. *)
+let time_fresh ~samples setup run =
+  let module Clock = Toolkit.Monotonic_clock in
+  let clock = Clock.make () in
+  Clock.load clock;
+  let times =
+    Array.init samples (fun _ ->
+        let r = setup () in
+        let t0 = Clock.get clock in
+        run r;
+        Clock.get clock -. t0)
+  in
+  Clock.unload clock;
+  Array.sort compare times;
+  times.(samples / 2)
+
 (* Where a measurement was taken, as JSON-quoted meta values: the CPU
    model and core count, and the source tree as [git describe --always
    --dirty] ("-dirty": uncommitted changes on top of that commit). *)
@@ -875,6 +973,7 @@ let provenance () =
 
 let run_cpu_json ~smoke ~out () =
   let iters = if smoke then 64 else 512 in
+  let parse_samples = if smoke then 51 else 1001 in
   let cfg =
     if smoke then
       Benchmark.cfg ~limit:20 ~quota:(Time.second 0.02) ~stabilize:false ()
@@ -921,9 +1020,41 @@ let run_cpu_json ~smoke ~out () =
             ])
       (hook_workloads ~iters)
   in
+  Format.printf "@.%-34s %8s %14s %12s@." "benign parse from" "steps" "median"
+    "vs uncached";
+  Format.printf "%s@." (String.make 80 '-');
+  let parse_rows =
+    List.concat_map
+      (fun arch ->
+        let steps, starts = parse_start_workloads arch in
+        let timed =
+          List.map
+            (fun (name, setup, run) ->
+              (name, time_fresh ~samples:parse_samples setup run))
+            starts
+        in
+        let uncached =
+          List.assoc
+            (Printf.sprintf "cpu/parse-%s/uncached" (Loader.Arch.name arch))
+            timed
+        in
+        List.map
+          (fun (name, ns) ->
+            Format.printf "%-34s %8d %14s %11.2fx@." name steps (pretty_nanos ns)
+              (uncached /. ns);
+            bench_row name "ns_per_run" ns
+              ~extra:
+                [
+                  ("steps_per_run", float_of_int steps);
+                  ("speedup_vs_uncached", uncached /. ns);
+                  ("samples", float_of_int parse_samples);
+                ])
+          timed)
+      Loader.Arch.all
+  in
   (* Flattened into the shared schema: each workload contributes a
      /cached and /uncached timing row plus a /speedup ratio row; the
-     hooked-loop rows follow. *)
+     hooked-loop and parse-start rows follow. *)
   write_bench_json ~suite:"cpu" ~smoke
     ~meta:(("iters", string_of_int iters) :: provenance ())
     ~out
@@ -946,7 +1077,7 @@ let run_cpu_json ~smoke ~out () =
            bench_row (w.cw_name ^ "/speedup") "ratio" speedup;
          ])
        rows
-    @ hook_rows)
+    @ hook_rows @ parse_rows)
 
 (* ------------------------------------------------------------------ *)
 (* Sanitizer overhead benches: BENCH_sanitizer.json                    *)
@@ -1303,7 +1434,7 @@ let run_fuzz_json ~smoke ~out () =
     ]
   in
   let rows = List.concat_map bench_arch Loader.Arch.all in
-  write_bench_json ~suite:"fuzz" ~smoke ~out rows
+  write_bench_json ~suite:"fuzz" ~smoke ~meta:(provenance ()) ~out rows
 
 (* ------------------------------------------------------------------ *)
 (* Wire codec: BENCH_wire.json                                         *)

@@ -28,7 +28,11 @@ and compiled = {
   run : t -> kernel -> Outcome.stop_reason option;
 }
 
-let create ?(icache = true) mem =
+let new_icache () =
+  Memsim.Icache.table
+    ~dummy:{ insn = al (Mov (R0, Reg R0)); run = (fun _ _ -> None) }
+
+let create ~icache mem =
   {
     mem;
     regs = Array.make 16 0;
@@ -38,13 +42,7 @@ let create ?(icache = true) mem =
     v = false;
     steps = 0;
     branched = false;
-    icache =
-      (if icache then
-         Some
-           (Memsim.Icache.create
-              ~dummy:{ insn = al (Mov (R0, Reg R0)); run = (fun _ _ -> None) }
-              mem)
-       else None);
+    icache = Option.map (fun table -> Memsim.Icache.view table mem) icache;
   }
 
 (* [reg_index] is total over r0-r15, so the bounds checks would never

@@ -28,7 +28,11 @@ and compiled = {
   run : t -> kernel -> Outcome.stop_reason option;
 }
 
-let create ?(icache = true) mem =
+let new_icache () =
+  Memsim.Icache.table
+    ~dummy:{ insn = Insn.Nop; size = 1; run = (fun _ _ -> None) }
+
+let create ~icache mem =
   {
     mem;
     regs = Array.make 8 0;
@@ -38,13 +42,7 @@ let create ?(icache = true) mem =
     cf = false;
     o_f = false;
     steps = 0;
-    icache =
-      (if icache then
-         Some
-           (Memsim.Icache.create
-              ~dummy:{ insn = Insn.Nop; size = 1; run = (fun _ _ -> None) }
-              mem)
-       else None);
+    icache = Option.map (fun table -> Memsim.Icache.view table mem) icache;
   }
 
 (* [reg_index] is total over the eight registers, so the bounds checks

@@ -17,7 +17,8 @@ type t = {
   mutable o_f : bool;
   mutable steps : int;  (** instructions retired, for benches *)
   icache : compiled Memsim.Icache.t option;
-      (** decoded-instruction cache ([None] = decode every step) *)
+      (** this memory's view of the decoded-instruction cache
+          ([None] = decode every step) *)
 }
 
 and kernel = int -> t -> Machine.Outcome.syscall_result
@@ -35,10 +36,17 @@ and compiled = private {
     targets pre-resolved).  Behaviorally identical to interpreting
     [insn] — the cache only ever changes speed, never outcomes. *)
 
-val create : ?icache:bool -> Memsim.Memory.t -> t
-(** [icache] (default [true]) enables the write-invalidated
-    decoded-instruction cache; execution is bit-identical either way
-    (self-modifying pages re-decode via {!Memsim.Memory.page_gen}). *)
+val new_icache : unit -> compiled Memsim.Icache.table
+(** An empty decoded-instruction cache.  Its owner (a booted process,
+    shared by every fork of it) hands it to each {!create}, so compiled
+    instructions outlive the run. *)
+
+val create : icache:compiled Memsim.Icache.table option -> Memsim.Memory.t -> t
+(** A CPU over [mem] with zeroed registers.  [icache:(Some table)] runs
+    through the write-invalidated decoded-instruction cache [table],
+    viewed through [mem]; [None] decodes every step.  Execution is
+    bit-identical either way (self-modifying pages re-decode via
+    {!Memsim.Memory.page_gen}). *)
 
 val get : t -> Insn.reg -> int
 val set : t -> Insn.reg -> int -> unit

@@ -13,6 +13,14 @@ type spec = {
   bss_size : int;
 }
 
+(* The decoded-instruction cache of a fork family: [boot] creates it,
+   [fork] shares it (page generations tell every member which entries
+   hold its own bytes), [reimage] replaces it (the variant's text is
+   unique to it), and every [call] runs through it. *)
+type icache =
+  | X86_icache of Isa_x86.Cpu.compiled Memsim.Icache.table
+  | Arm_icache of Isa_arm.Cpu.compiled Memsim.Icache.table
+
 type t = {
   spec : spec;
   arch : Arch.t;
@@ -22,7 +30,12 @@ type t = {
   symbols : (string * int) list;
   trap : int;
   valid_targets : (int, unit) Hashtbl.t Lazy.t;
+  icache : icache;
 }
+
+let new_icache = function
+  | Arch.X86 -> X86_icache (Isa_x86.Cpu.new_icache ())
+  | Arch.Arm -> Arm_icache (Isa_arm.Cpu.new_icache ())
 
 (* The forward-edge CFI policy set: every symbol address — function
    entries in the main image and libc, PLT stubs, the loader specials.
@@ -148,6 +161,7 @@ let boot spec ~profile ~seed =
     symbols;
     trap = trap_addr;
     valid_targets = targets_of_symbols symbols;
+    icache = new_icache arch;
   }
 
 let symbol t name = List.assoc name t.symbols
@@ -163,8 +177,9 @@ let symbol_opt t name = List.assoc_opt name t.symbols
    [__bss_start], [__canary]) are recovered from the symbol table, so
    the variant links against the already-mapped world.  Returns [None]
    when the variant does not fit (caller falls back to a full [boot]).
-   The [poke_bytes] writes bump the page generations, so any live
-   decoded-instruction cache re-decodes the new text. *)
+   The [poke_bytes] writes bump the page generations, so no cache could
+   serve the old text to the variant anyway; it gets its own cache so
+   its unique text never crowds the family's. *)
 let reimage t spec' =
   if arch_of_code spec'.code <> t.arch then
     invalid_arg "Process.reimage: architecture mismatch";
@@ -197,13 +212,14 @@ let reimage t spec' =
         spec = spec';
         symbols;
         valid_targets = targets_of_symbols symbols;
+        icache = new_icache t.arch;
       }
   end
 
-(* Everything in [t] except [mem] is immutable after boot (layout,
-   symbols, profile), so process snapshots delegate entirely to the
-   memory's copy-on-write layer and a fork is just a record copy around a
-   forked memory. *)
+(* Everything in [t] except [mem] and the icache is immutable after boot
+   (layout, symbols, profile), so process snapshots delegate entirely to
+   the memory's copy-on-write layer and a fork is just a record copy
+   around a forked memory — sharing the icache. *)
 let snapshot t = Mem.snapshot t.mem
 let restore t snap = Mem.restore t.mem snap
 let fork t snap = { t with mem = Mem.fork snap }
@@ -216,10 +232,6 @@ type run_result = {
   icache_hits : int;
   icache_misses : int;
 }
-
-let icache_stats = function
-  | None -> (0, 0)
-  | Some c -> (Memsim.Icache.hits c, Memsim.Icache.misses c)
 
 (* The hooks of one call, in their fixed order: the observers
    ([on_step], the profiler, the trace, the taint sanitizer), then the
@@ -245,6 +257,12 @@ let hooks t isa ~taint ?on_step ?sanitizer ?trace ?profile cpu =
        else []);
     ]
 
+(* The family cache's counters are cumulative; a call reports its own
+   hits and misses as their difference around the run. *)
+let icache_stats = function
+  | None -> (0, 0)
+  | Some c -> (Memsim.Icache.hits c, Memsim.Icache.misses c)
+
 let call ?(fuel = 2_000_000) ?(icache = true) ?on_step ?sanitizer ?trace
     ?profile t ~entry ~args =
   let no_exec = t.profile.Defense.Profile.seccomp in
@@ -252,14 +270,23 @@ let call ?(fuel = 2_000_000) ?(icache = true) ?on_step ?sanitizer ?trace
   let hooks isa ~taint cpu =
     hooks t isa ~taint ?on_step ?sanitizer ?trace ?profile cpu
   in
-  let result outcome ~steps ~ret ~regs icache =
-    let icache_hits, icache_misses = icache_stats icache in
-    { outcome; steps; ret; regs = Array.copy regs; icache_hits; icache_misses }
+  let result outcome ~steps ~ret ~regs table (hits0, misses0) =
+    let hits1, misses1 = icache_stats table in
+    {
+      outcome;
+      steps;
+      ret;
+      regs = Array.copy regs;
+      icache_hits = hits1 - hits0;
+      icache_misses = misses1 - misses0;
+    }
   in
-  match t.arch with
-  | Arch.X86 ->
+  match t.icache with
+  | X86_icache table ->
       let module C = Isa_x86.Cpu in
-      let cpu = C.create ~icache t.mem in
+      let table = if icache then Some table else None in
+      let before = icache_stats table in
+      let cpu = C.create ~icache:table t.mem in
       C.set cpu Isa_x86.Insn.ESP sp;
       List.iter (C.push cpu) (List.rev args);
       C.push cpu t.trap;
@@ -270,12 +297,14 @@ let call ?(fuel = 2_000_000) ?(icache = true) ?on_step ?sanitizer ?trace
           cpu
       in
       result outcome ~steps:cpu.C.steps ~ret:(C.get cpu Isa_x86.Insn.EAX)
-        ~regs:cpu.C.regs cpu.C.icache
-  | Arch.Arm ->
+        ~regs:cpu.C.regs table before
+  | Arm_icache table ->
       if List.length args > 4 then
         invalid_arg "Process.call: at most 4 register arguments on ARM";
       let module C = Isa_arm.Cpu in
-      let cpu = C.create ~icache t.mem in
+      let table = if icache then Some table else None in
+      let before = icache_stats table in
+      let cpu = C.create ~icache:table t.mem in
       C.set cpu Isa_arm.Insn.SP sp;
       List.iteri (fun i a -> C.set cpu (Isa_arm.Insn.reg_of_index i) a) args;
       C.set cpu Isa_arm.Insn.LR t.trap;
@@ -286,7 +315,7 @@ let call ?(fuel = 2_000_000) ?(icache = true) ?on_step ?sanitizer ?trace
           cpu
       in
       result outcome ~steps:cpu.C.steps ~ret:(C.get cpu Isa_arm.Insn.R0)
-        ~regs:cpu.C.regs cpu.C.icache
+        ~regs:cpu.C.regs table before
 
 let call_named ?fuel ?icache ?on_step ?sanitizer ?trace ?profile t ~entry ~args
     =

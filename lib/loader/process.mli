@@ -20,6 +20,10 @@ type spec = {
   bss_size : int;
 }
 
+type icache
+(** The decoded-instruction cache of a fork family (one per ISA's
+    instruction type). *)
+
 type t = {
   spec : spec;
   arch : Arch.t;
@@ -35,6 +39,13 @@ type t = {
           entries, PLT stubs, loader specials): coarse-grained label
           CFI as an embedded toolchain would emit it.  Lazy so
           unmitigated processes pay nothing; shared across forks. *)
+  icache : icache;
+      (** compiled instructions, owned by the fork family: {!boot}
+          creates the cache, {!fork} shares it, {!reimage} gives the
+          variant a fresh one, and every {!call} runs through it, so
+          decoded text survives {!restore} and is compiled once for all
+          forks of a template (page generations keep each member's own
+          writes out of the others' hits). *)
 }
 
 val boot : spec -> profile:Defense.Profile.t -> seed:int -> t
@@ -60,31 +71,36 @@ val reimage : t -> spec -> t option
     Returns [None] when the variant's text does not fit (callers fall
     back to a full {!boot}).  Cheap — one assembly plus one text
     write — so it composes with {!fork} for µs-scale diversified
-    spawning.  Raises if the spec's architecture differs or an import
-    has no PLT stub. *)
+    spawning.  The variant gets an empty icache of its own: its text is
+    unique, so the family's entries could never serve it.  Raises if the
+    spec's architecture differs or an import has no PLT stub. *)
 
 val snapshot : t -> Memsim.Memory.snapshot
 (** Copy-on-write snapshot of the process memory (see
     {!Memsim.Memory.snapshot}).  Everything else in [t] is immutable
-    after [boot], so this captures the whole machine state between
-    calls: a later {!restore} followed by {!call} replays bit-identically
-    (outcome, step count, register file). *)
+    after [boot] (the icache only ever changes speed), so this captures
+    the whole machine state between calls: a later {!restore} followed
+    by {!call} replays bit-identically (outcome, step count, register
+    file). *)
 
 val restore : t -> Memsim.Memory.snapshot -> unit
 
 val fork : t -> Memsim.Memory.snapshot -> t
 (** An independent process sharing this one's immutable boot state
-    (layout, symbols, profile) with memory forked copy-on-write from the
-    snapshot.  The snapshot must come from this process (or a fork of
-    it). *)
+    (layout, symbols, profile) and its icache, with memory forked
+    copy-on-write from the snapshot.  The snapshot must come from this
+    process (or a fork of it). *)
 
 type run_result = {
   outcome : Machine.Outcome.stop_reason;
   steps : int;  (** instructions retired during the call *)
   ret : int;  (** eax / r0 at stop time *)
   regs : int array;  (** full register file at stop time (8 on x86, 16 on ARM) *)
-  icache_hits : int;  (** decoded-instruction cache hits (0 if disabled) *)
+  icache_hits : int;
+      (** decoded-instruction cache hits during this call (0 if disabled) *)
   icache_misses : int;
+      (** entries this call had to decode and compile: 0 when the family
+          has already run every instruction the call reaches *)
 }
 
 val call :
@@ -100,9 +116,12 @@ val call :
   run_result
 (** Call a function following the architecture's convention (cdecl stack
     arguments on x86, r0–r3 on ARM; at most 4 args on ARM) on a fresh
-    stack at the top of the stack region, with the decoded-instruction
-    cache unless [icache:false] (bit-identical execution either way —
-    the differential tests step every exploit scenario both ways).
+    stack at the top of the stack region, through the process's
+    decoded-instruction cache ({!t.icache}, shared with its fork
+    family) unless [icache:false], which decodes every step — the
+    reference path.  Execution is bit-identical either way (the
+    differential tests step every exploit scenario both ways, from cold,
+    restored and forked processes).
 
     The optional arguments and the process profile become the hooks of
     the ISA's [Cpu.run] (see {!Machine.Hook}), in a fixed order:

@@ -1,5 +1,5 @@
-(* Decoded-instruction cache keyed by (page, offset), invalidated by
-   {!Memory}'s per-page write-generation counters.
+(* Decoded-instruction cache keyed by address, validated against
+   {!Memory}'s page generations, and shared by a whole fork family.
 
    Decoding is the interpreter's hot path: the x86 decoder pulls bytes one
    at a time through closures and allocates an instruction record per
@@ -9,107 +9,147 @@
    address and validating it with a couple of integer compares removes
    the whole decode cost.
 
-   Correctness under self-modifying code (shellcode written to an rwx
-   stack and then executed, the paper's §III-A) comes entirely from the
-   generation protocol: every byte store and permission change gives the
-   page a fresh, never-reused generation, and an entry only hits while
-   the generation(s) it was filled under are still current.  An entry
-   holds the page's generation *cell* ({!Memory.gen_ref}) plus a
-   snapshot, so validation is a load + compare with no call back into
-   {!Memory}.  An x86 instruction may straddle a page boundary, so an
-   entry records the cell/snapshot of the page holding its last byte
-   too; non-straddling entries alias the two cells ([hi == lo]) and skip
-   the second probe.
+   Correctness comes entirely from the generation protocol.  Generations
+   are drawn from one counter shared by every address space, every
+   change to a page's bytes or permissions stores a fresh one, and
+   {!Memory.fork} hands each page the generation of the frame it shares
+   — so a generation value names exactly one (bytes, permission) page
+   state, in whichever memory of the family it shows up.  An entry
+   records the generation it was decoded under; a view validates it
+   against the viewing memory's own page cell.  A hit therefore means
+   "this memory's page holds the very bytes this entry was decoded
+   from", whether the entry was filled by this memory, its template, or
+   a sibling fork.  Self-modifying code (shellcode written to an rwx
+   stack and then run, the paper's §III-A), [mprotect], unmap/remap and
+   restore all store fresh generations and force a re-decode.
 
-   The slot arrays hold a [dummy] entry rather than [option]s: the dummy
-   carries a private cell whose value never equals its snapshot, so it
-   can never validate.  This keeps the hit path free of [Some] boxes —
-   it runs once per interpreted instruction. *)
+   An x86 instruction may straddle a page boundary, so an entry records
+   the generation of the page holding its last byte too ([hi_gen], 0 for
+   the common same-page entry: no page ever has generation 0).
 
-type 'a entry = {
-  v : 'a;
-  len : int;
-  lo : int ref;  (* generation cell of the first byte's page *)
-  lo_gen : int;  (* its value at fill time *)
-  hi : int ref;  (* last byte's page; [== lo] unless straddling *)
-  hi_gen : int;
-}
+   Slots live in 64-entry chunks allocated on first fill, under a
+   per-page directory, so a page whose text runs a few functions costs a
+   few small minor-heap arrays rather than one 4096-slot array.  Empty
+   slots hold a [dummy] entry whose generation no page cell can hold,
+   which keeps the hit path free of [option] boxes — it runs once per
+   interpreted instruction. *)
 
-type 'a t = {
-  mem : Memory.t;
+type 'a entry = { v : 'a; len : int; lo_gen : int; hi_gen : int }
+
+let chunk_bits = 6
+let chunk_mask = (1 lsl chunk_bits) - 1
+let chunks_per_page = Memory.page_size lsr chunk_bits
+
+type 'a table = {
   dummy : 'a entry;
-  pages : (int, 'a entry array) Hashtbl.t;
-  mutable last_idx : int;
-  mutable last_slots : 'a entry array;
+  empty_chunk : 'a entry array;  (* all [dummy]; never written *)
+  empty_page : 'a entry array array;  (* all [empty_chunk]; never written *)
+  pages : (int, 'a entry array array) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
 }
 
-let create ~dummy mem =
-  (* The dummy's snapshot (-1) never equals its cell's value (0), so it
-     can never validate — lookup always takes the miss path on a
-     never-filled slot. *)
-  let cell = ref 0 in
+(* [last_*] cache the directory and the viewing memory's generation cell
+   of the last page looked up.  A cached cell can go stale only when the
+   memory drops the page (unmap, restore); both retire the cell with a
+   fresh generation no entry was filled under, so a stale cell can only
+   miss, and the miss path re-reads the live one. *)
+type 'a t = {
+  table : 'a table;
+  mem : Memory.t;
+  mutable last_idx : int;
+  mutable last_page : 'a entry array array;
+  mutable last_cell : int ref;
+}
+
+let table ~dummy =
+  (* Live pages carry generations >= 1 and unmapped addresses read -1
+     (see {!Memory.gen_ref}), so the dummy's 0 never validates. *)
+  let dummy = { v = dummy; len = 1; lo_gen = 0; hi_gen = 0 } in
+  let empty_chunk = Array.make (chunk_mask + 1) dummy in
   {
-    mem;
-    dummy = { v = dummy; len = 1; lo = cell; lo_gen = -1; hi = cell; hi_gen = -1 };
+    dummy;
+    empty_chunk;
+    empty_page = Array.make chunks_per_page empty_chunk;
     pages = Hashtbl.create 16;
-    last_idx = -1;
-    last_slots = [||];
     hits = 0;
     misses = 0;
   }
 
-let hits t = t.hits
-let misses t = t.misses
+let view table mem =
+  { table; mem; last_idx = -1; last_page = table.empty_page; last_cell = ref (-1) }
 
-let clear t =
-  Hashtbl.reset t.pages;
-  t.last_idx <- -1;
-  t.last_slots <- [||]
+let hits table = table.hits
+let misses table = table.misses
 
-let slots t idx =
-  if idx = t.last_idx then t.last_slots
-  else begin
-    let s =
-      match Hashtbl.find_opt t.pages idx with
-      | Some s -> s
-      | None ->
-          let s = Array.make Memory.page_size t.dummy in
-          Hashtbl.add t.pages idx s;
-          s
-    in
-    t.last_idx <- idx;
-    t.last_slots <- s;
-    s
-  end
+let select t idx addr =
+  t.last_idx <- idx;
+  t.last_page <-
+    (match Hashtbl.find_opt t.table.pages idx with
+    | Some p -> p
+    | None -> t.table.empty_page);
+  t.last_cell <- Memory.gen_ref t.mem addr
 
-(* A live page's cell always holds its current generation, a retired
-   (unmapped) page's cell holds a generation newer than any snapshot
-   taken from it, and a remapped page gets a brand-new cell — so the
-   compare below is exact, never merely probabilistic. *)
+(* Miss or stale.  [decode] fetches through the memory's execute
+   permission check, so nothing is ever cached from a page that was not
+   executable at decode time — and a later [set_perm] bumps the
+   generation, forcing this path (and its NX check) to run again. *)
+let[@inline never] fill t addr ~decode =
+  let v, len = decode t.mem addr in
+  let tbl = t.table in
+  tbl.misses <- tbl.misses + 1;
+  let cell = Memory.gen_ref t.mem addr in
+  t.last_cell <- cell;
+  let off = addr land (Memory.page_size - 1) in
+  let hi_gen =
+    if off + len <= Memory.page_size then 0
+    else Memory.page_gen t.mem (addr + len - 1)
+  in
+  let e = { v; len; lo_gen = !cell; hi_gen } in
+  let page =
+    if t.last_page != tbl.empty_page then t.last_page
+    else begin
+      (* Another view may have created the directory since [select]. *)
+      let p =
+        match Hashtbl.find_opt tbl.pages t.last_idx with
+        | Some p -> p
+        | None ->
+            let p = Array.make chunks_per_page tbl.empty_chunk in
+            Hashtbl.add tbl.pages t.last_idx p;
+            p
+      in
+      t.last_page <- p;
+      p
+    end
+  in
+  let ci = off lsr chunk_bits in
+  let chunk =
+    let c = page.(ci) in
+    if c != tbl.empty_chunk then c
+    else begin
+      let c = Array.make (chunk_mask + 1) tbl.dummy in
+      page.(ci) <- c;
+      c
+    end
+  in
+  chunk.(off land chunk_mask) <- e;
+  e
+
 let lookup t addr ~decode =
   let addr = Word.of_int addr in
+  let idx = addr lsr Memory.page_bits in
+  if idx <> t.last_idx then select t idx addr;
   let off = addr land (Memory.page_size - 1) in
-  let s = slots t (addr lsr Memory.page_bits) in
-  let e = Array.unsafe_get s off in
-  if !(e.lo) = e.lo_gen && (e.hi == e.lo || !(e.hi) = e.hi_gen) then begin
-    t.hits <- t.hits + 1;
+  let e =
+    Array.unsafe_get
+      (Array.unsafe_get t.last_page (off lsr chunk_bits))
+      (off land chunk_mask)
+  in
+  if
+    !(t.last_cell) = e.lo_gen
+    && (e.hi_gen = 0 || Memory.page_gen t.mem (addr + e.len - 1) = e.hi_gen)
+  then begin
+    t.table.hits <- t.table.hits + 1;
     e
   end
-  else begin
-    (* Miss or stale.  [decode] fetches through the memory's execute
-       permission check, so nothing is ever cached from a page that was
-       not executable at decode time — and a later [set_perm] bumps the
-       generation, forcing this path (and its NX check) to run again. *)
-    let v, len = decode t.mem addr in
-    t.misses <- t.misses + 1;
-    let lo = Memory.gen_ref t.mem addr in
-    let hi =
-      if off + len <= Memory.page_size then lo
-      else Memory.gen_ref t.mem (addr + len - 1)
-    in
-    let e = { v; len; lo; lo_gen = !lo; hi; hi_gen = !hi } in
-    Array.unsafe_set s off e;
-    e
-  end
+  else fill t addr ~decode

@@ -1,45 +1,60 @@
-(** Write-invalidated decoded-instruction cache over {!Memory}.
+(** Write-invalidated decoded-instruction cache over {!Memory}, shared by
+    a fork family.
 
     Shared by both interpreters (the cached value type ['a] is the ISA's
-    instruction type): each address decodes at most once per generation
-    of the page(s) holding its bytes, and {!Memory}'s per-page write
-    generations invalidate entries automatically — a byte store,
-    [mprotect], or unmap/remap of an executed page forces a re-decode,
-    which keeps execution bit-identical under self-modifying code
-    (shellcode written to the stack and then run). *)
+    instruction type).  The cache is split in two:
+
+    - a {!table} of decoded entries, keyed by address, that outlives
+      any one run and is shared by every memory of a fork family (a
+      booted process, its restores, and every {!Memory.fork} of its
+      snapshots);
+    - a per-memory {!t} view that validates an entry against the
+      viewing memory's own page generation.
+
+    Because a generation names exactly one (bytes, permission) page
+    state across all address spaces (see {!Memory.page_gen}), an entry
+    filled by one member hits in another exactly when that member's page
+    holds the same bytes and permissions.  A byte store, [mprotect],
+    unmap/remap or restore of an executed page forces a re-decode, which
+    keeps execution bit-identical under self-modifying code (shellcode
+    written to the stack and then run) and across siblings that write
+    their own copy of a shared page. *)
 
 type 'a entry = private {
   v : 'a;
   len : int;
-  lo : int ref;  (** generation cell of the page holding the first byte *)
-  lo_gen : int;  (** its value when the entry was filled *)
-  hi : int ref;  (** last byte's page; [== lo] unless the encoding straddles *)
-  hi_gen : int;
+  lo_gen : int;  (** generation of the page holding the first byte *)
+  hi_gen : int;  (** last byte's page when the encoding straddles, else 0 *)
 }
-(** A decoded instruction [v] of encoded length [len], valid while the
-    generation cell(s) of the page(s) it was decoded from still hold the
-    snapshotted values (see {!Memory.gen_ref}). *)
+(** A decoded instruction [v] of encoded length [len], valid in a memory
+    whose page(s) still carry these generations. *)
+
+type 'a table
+(** Decoded entries of one fork family, with its hit/miss counters. *)
+
+val table : dummy:'a -> 'a table
+(** An empty table.  [dummy] is any value of the instruction type; it
+    pre-fills the slot chunks (with a generation no page can have) so
+    the hit path needs no [option] box.  It is never returned by
+    {!lookup}. *)
 
 type 'a t
+(** A view of a table through one memory. *)
 
-val create : dummy:'a -> Memory.t -> 'a t
-(** [dummy] is any value of the instruction type; it pre-fills the slot
-    arrays (with a generation no live page can have) so the hit path
-    needs no [option] box.  It is never returned by {!lookup}. *)
+val view : 'a table -> Memory.t -> 'a t
+(** Cheap (one small record); views of the same table may be created
+    over any memories, and may interleave. *)
 
 val lookup : 'a t -> int -> decode:(Memory.t -> int -> 'a * int) -> 'a entry
 (** [lookup t addr ~decode] returns the cached decode of the instruction
-    at [addr], calling [decode t.mem addr] (which must return the decoded
-    value and its encoded byte length) on a miss or stale entry.
-    Exceptions from [decode] — decode errors, NX faults — propagate and
-    cache nothing.  Pass a top-level function for [decode] so the hit
-    path allocates nothing. *)
+    at [addr], calling [decode mem addr] on the view's memory (which must
+    return the decoded value and its encoded byte length) on a miss or
+    stale entry, and storing the result in the table.  Exceptions from
+    [decode] — decode errors, NX faults — propagate and cache nothing.
+    Pass a top-level function for [decode] so the hit path allocates
+    nothing. *)
 
-val hits : 'a t -> int
-val misses : 'a t -> int
-(** Fill + invalidation counters (observability; the invalidation tests
-    assert a rewrite of an executed page forces a miss). *)
-
-val clear : 'a t -> unit
-(** Drop every entry (the generation protocol makes this unnecessary for
-    correctness; provided for tests and memory reclamation). *)
+val hits : 'a table -> int
+val misses : 'a table -> int
+(** Cumulative over every view of the table; a run's own counts are the
+    difference around it. *)

@@ -34,9 +34,13 @@ type region = { name : string; base : int; size : int; perm : perm }
 
 (* [gen] is the page's write generation.  Every mutation of the page's
    bytes — and every permission change — stores a fresh value drawn from
-   the address space's monotonic counter, so a generation value is never
-   reused across page lifetimes or writes.  Decoded-instruction caches
-   ({!Icache}) validate against it.
+   one monotonic counter shared by every address space ([gen_counter]
+   below), and {!fork} gives each page the generation of the frame it
+   shares.  So a generation value names exactly one (bytes, permission)
+   page state, in any memory it appears in: never reused across page
+   lifetimes, writes, or address spaces.  Decoded-instruction caches
+   ({!Icache}) validate against it, which is what lets one cache serve a
+   whole fork family.
 
    The generation lives in a heap cell ([int ref]) rather than a mutable
    field so {!gen_ref} can hand the cell itself to a decode cache: entry
@@ -63,7 +67,6 @@ let offset_mask = page_size - 1
 type t = {
   pages : (int, page) Hashtbl.t;
   mutable regs : region list;
-  mutable gen_counter : int;
   (* Last-hit page per access kind: the interpreters touch the same text /
      stack / data page over and over, so a single-entry cache turns the
      per-byte Hashtbl probe into an int compare + field load.  [gq_*] backs
@@ -83,7 +86,10 @@ type t = {
   mutable trace : Telemetry.Trace.t option;
 }
 
-let null_page = { pperm = none; data = Bytes.empty; gen = ref 0; frozen = false }
+(* Placeholder for the one-entry page caches; its cell doubles as the
+   generation {!gen_ref} reports for an unmapped address.  It is never in
+   a page table, so nothing ever stores to it. *)
+let null_page = { pperm = none; data = Bytes.empty; gen = ref (-1); frozen = false }
 
 (* Cold path of the copy-on-write protocol: give the page a private copy
    of its buffer before the first mutation after a snapshot.  Kept
@@ -96,7 +102,6 @@ let create () =
   {
     pages = Hashtbl.create 64;
     regs = [];
-    gen_counter = 0;
     rd_idx = -1;
     rd_pg = null_page;
     wr_idx = -1;
@@ -126,9 +131,15 @@ let fault t addr kind context =
           ]);
   raise (Fault { addr; kind; context })
 
-let fresh_gen t =
-  t.gen_counter <- t.gen_counter + 1;
-  t.gen_counter
+(* The one generation counter behind every address space.  A plain
+   global is sound because memories are only ever touched from a single
+   domain; running shards on several domains would need an [Atomic.t]
+   here (or per-domain disjoint ranges). *)
+let gen_counter = ref 0
+
+let fresh_gen () =
+  incr gen_counter;
+  !gen_counter
 
 let invalidate_page_caches t =
   t.rd_idx <- -1;
@@ -174,7 +185,7 @@ let map t ~base ~size ~perm ~name =
       {
         pperm = perm;
         data = Bytes.make page_size '\000';
-        gen = ref (fresh_gen t);
+        gen = ref (fresh_gen ());
         frozen = false;
       }
   done;
@@ -198,7 +209,7 @@ let unmap t ~base =
     (* Retire the page's generation so any decode-cache entry filled from
        it can never validate again, even if the page object leaks through
        a stale reference. *)
-    | Some p -> p.gen := fresh_gen t
+    | Some p -> p.gen := fresh_gen ()
     | None -> ());
     Hashtbl.remove t.pages i
   done;
@@ -215,7 +226,7 @@ let set_perm t ~base perm =
         p.pperm <- perm;
         (* Permission changes must also invalidate decode caches: a cached
            instruction was admitted under the old execute bit. *)
-        p.gen := fresh_gen t
+        p.gen := fresh_gen ()
     | None -> ()
   done;
   t.regs <-
@@ -285,10 +296,11 @@ let page_gen t addr =
         !(p.gen)
     | None -> -1
 
-(* The page's generation cell itself, for decode caches to validate
-   against without a call: [map] creates a fresh cell per page and
-   [unmap] retires the old cell's value, so a cell+snapshot pair can
-   never spuriously re-validate across a remap. *)
+(* The page's generation cell itself, for decode caches to re-read
+   without a call: [map] creates a fresh cell per page, and [unmap] and
+   [restore] retire the value of a cell whose page they drop, so a stale
+   cell never again holds a value an entry was filled under.  An
+   unmapped address gets [null_page]'s cell, which holds -1 forever. *)
 let gen_ref t addr =
   let addr = Word.of_int addr in
   let idx = addr lsr page_bits in
@@ -299,7 +311,7 @@ let gen_ref t addr =
         t.gq_idx <- idx;
         t.gq_pg <- p;
         p.gen
-    | None -> fault t addr Unmapped "gen_ref"
+    | None -> null_page.gen
 
 let read_u8 t addr =
   let addr = Word.of_int addr in
@@ -312,7 +324,7 @@ let write_u8 t addr v =
   let p = write_page t addr "write" in
   if not p.pperm.write then fault t addr Perm_write "write";
   if p.frozen then unshare p;
-  p.gen := fresh_gen t;
+  p.gen := fresh_gen ();
   Bytes.unsafe_set p.data (addr land offset_mask) (Char.unsafe_chr (v land 0xFF))
 
 let fetch_u8 t addr =
@@ -386,7 +398,7 @@ let write_u32 t addr v =
     let p = write_page t a "write" in
     if not p.pperm.write then fault t a Perm_write "write";
     if p.frozen then unshare p;
-    p.gen := fresh_gen t;
+    p.gen := fresh_gen ();
     let d = p.data in
     Bytes.unsafe_set d off (Char.unsafe_chr (v land 0xFF));
     Bytes.unsafe_set d (off + 1) (Char.unsafe_chr ((v lsr 8) land 0xFF));
@@ -437,7 +449,7 @@ let write_bytes t addr s =
       let chunk = min (len - !i) (page_size - off) in
       let p = write_page t a "write" in
       if p.frozen then unshare p;
-      p.gen := fresh_gen t;
+      p.gen := fresh_gen ();
       Bytes.blit_string s !i p.data off chunk;
       i := !i + chunk
     done
@@ -493,7 +505,7 @@ let poke_bytes t addr s =
       let chunk = min (len - !i) (page_size - off) in
       let p = write_page t a "poke" in
       if p.frozen then unshare p;
-      p.gen := fresh_gen t;
+      p.gen := fresh_gen ();
       Bytes.blit_string s !i p.data off chunk;
       i := !i + chunk
     done
@@ -513,9 +525,12 @@ let poke_bytes t addr s =
    back to snapshot contents gets a {e fresh} generation, which is exactly
    what keeps decode caches ({!Icache}) coherent — their entries were
    filled against the dirty bytes and must re-validate.  Untouched pages
-   (generation still equal to the frame's) keep their generation, so
-   decode-cache entries for never-written text pages survive fork/restore
-   cycles; that is the perf win that makes snapshot fuzzing cheap. *)
+   (generation still equal to the frame's) keep their generation, and a
+   fork starts every page at its frame's generation (the frame's bytes
+   and permissions are the state that generation names), so decode-cache
+   entries for never-written text pages survive restores and are valid in
+   every fork of the snapshot; that is what makes snapshot fuzzing and
+   forked fleets cheap. *)
 
 type frame = {
   f_idx : int;
@@ -564,7 +579,7 @@ let restore t snap =
      in
      List.iter
        (fun (idx, p) ->
-         p.gen := fresh_gen t;
+         p.gen := fresh_gen ();
          Hashtbl.remove t.pages idx)
        (List.sort compare stale)
    end);
@@ -587,14 +602,14 @@ let restore t snap =
           p.data <- f.f_data;
           p.frozen <- true;
           p.pperm <- f.f_perm;
-          p.gen := fresh_gen t
+          p.gen := fresh_gen ()
       | None ->
           incr dirty;
           Hashtbl.replace t.pages f.f_idx
             {
               pperm = f.f_perm;
               data = f.f_data;
-              gen = ref (fresh_gen t);
+              gen = ref (fresh_gen ());
               frozen = true;
             })
     snap.s_frames;
@@ -615,7 +630,7 @@ let fork snap =
   Array.iter
     (fun f ->
       Hashtbl.replace t.pages f.f_idx
-        { pperm = f.f_perm; data = f.f_data; gen = ref (fresh_gen t); frozen = true })
+        { pperm = f.f_perm; data = f.f_data; gen = ref f.f_gen; frozen = true })
     snap.s_frames;
   t.regs <- snap.s_regs;
   t

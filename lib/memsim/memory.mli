@@ -55,23 +55,27 @@ val page_bits : int
 
 val page_gen : t -> int -> int
 (** Write generation of the page containing the address, or [-1] if no
-    page is mapped there.  A page's generation changes on every byte
-    store ({!write_u8}, {!write_u16}, {!write_u32}, {!write_bytes},
-    {!poke_bytes}) and on every permission change ({!set_perm}), and
-    generation values are never reused across page lifetimes (a page
-    remapped after {!unmap} starts at a fresh value).  This is the
-    invalidation signal for decoded-instruction caches ({!Icache}): a
-    cached decode is valid iff the generations it was filled under still
-    match. *)
+    page is mapped there.  Every generation is drawn from one counter
+    shared by all address spaces, so a value names exactly one (bytes,
+    permission) page state wherever it appears: a page's generation
+    changes on every byte store ({!write_u8}, {!write_u16},
+    {!write_u32}, {!write_bytes}, {!poke_bytes}) and on every
+    permission change ({!set_perm}), a page remapped after {!unmap}
+    starts at a fresh value, and {!fork} gives each page the generation
+    of the frame whose bytes it shares.  This is the invalidation signal
+    for decoded-instruction caches ({!Icache}): a cached decode is valid
+    in a memory iff that memory's page(s) still carry the generations it
+    was filled under.  Live pages always carry a value [>= 1]. *)
 
 val gen_ref : t -> int -> int ref
 (** The generation cell of the page containing the address (the cell
-    {!page_gen} reads).  Decode caches snapshot [!(gen_ref t addr)] at
-    fill time and validate an entry with a direct load + compare — no
-    call back into this module on the hit path.  Each page lifetime has
-    its own cell, and {!unmap} retires the cell's value, so a
-    (cell, snapshot) pair can never spuriously re-validate across a
-    remap.  Raises {!Fault} ([Unmapped]) if no page is mapped there. *)
+    {!page_gen} reads), for decode caches to re-read with a direct load
+    — no call back into this module on the hit path.  Each page lifetime
+    has its own cell, and {!unmap} and {!restore} retire the value of a
+    cell whose page they drop, so a stale cell never again holds a value
+    an entry was filled under.  For an unmapped address it returns a
+    shared cell that always holds [-1].  Callers must not store to the
+    cell. *)
 
 val map : t -> base:int -> size:int -> perm:perm -> name:string -> unit
 (** Map a zero-filled region.  [base] and [size] are rounded outward to page
@@ -153,13 +157,21 @@ val poke_bytes : t -> int -> string -> unit
     page on the first subsequent write, so the mutator pays one
     page-copy per dirtied page and untouched pages cost nothing.
 
-    Generation-counter interaction (the {!Icache} contract): {!restore}
-    never rewinds the generation counter.  Pages dirtied since the
-    snapshot get a {e fresh} generation when their bytes are swapped
-    back, forcing decode caches to re-validate; pages never written keep
-    their generation, so cached decodes of text pages survive arbitrarily
-    many fork/restore cycles.  Multiple snapshots of the same memory, and
-    restores in any order, are supported. *)
+    Generation interaction (the {!Icache} contract): there is one
+    generation counter for every address space, and a generation names
+    one (bytes, permission) page state.  {!restore} never rewinds the
+    counter: pages dirtied since the snapshot get a {e fresh} generation
+    when their bytes are swapped back, forcing decode caches to
+    re-validate, while pages never written keep theirs.  {!fork} starts
+    each page at the generation its frame was captured with.  So cached
+    decodes of text pages survive arbitrarily many restores and are
+    valid in every fork — one decode cache can serve the whole family.
+    Multiple snapshots of the same memory, and restores in any order,
+    are supported.
+
+    The counter is a plain global: memories must only be used from one
+    domain.  Running shards on several domains would need it atomic, or
+    per-domain disjoint ranges. *)
 
 type snapshot
 
@@ -176,9 +188,12 @@ val restore : t -> snapshot -> unit
 val fork : snapshot -> t
 (** A fresh, independent memory whose initial state is the snapshot.
     Shares page buffers copy-on-write with the snapshot (and with any
-    other fork of it); no trace sink is attached.  Generations in the
-    fork are fresh — decode caches must not be carried over from the
-    parent. *)
+    other fork of it); no trace sink is attached.  Each page starts at
+    the generation its frame was captured with — the generation names
+    exactly the frame's bytes and permissions — so decode caches filled
+    by the parent or by any sibling fork stay valid for the pages this
+    fork has not written.  Its own writes draw fresh generations from
+    the shared counter, so they can never collide with a sibling's. *)
 
 val snapshot_pages : snapshot -> int
 (** Number of pages the snapshot pins. *)

@@ -88,7 +88,7 @@ let run_x86 insns =
     ~perm:Mem.rx ~name:"text";
   Mem.poke_bytes mem 0x1000 code;
   Mem.map mem ~base:0x8000 ~size:0x1000 ~perm:Mem.rw ~name:"stack";
-  let cpu = Isa_x86.Cpu.create mem in
+  let cpu = Isa_x86.Cpu.create ~icache:(Some (Isa_x86.Cpu.new_icache ())) mem in
   Isa_x86.Cpu.set cpu Isa_x86.Insn.ESP 0x8F00;
   cpu.Isa_x86.Cpu.eip <- 0x1000;
   match Isa_x86.Cpu.run ~fuel:10_000 ~traps:[] ~kernel:no_kernel ~hooks:[] cpu with
@@ -183,7 +183,7 @@ let run_arm insns =
     ~perm:Mem.rx ~name:"text";
   Mem.poke_bytes mem 0x1000 code;
   Mem.map mem ~base:0x8000 ~size:0x1000 ~perm:Mem.rw ~name:"stack";
-  let cpu = Isa_arm.Cpu.create mem in
+  let cpu = Isa_arm.Cpu.create ~icache:(Some (Isa_arm.Cpu.new_icache ())) mem in
   Isa_arm.Cpu.set cpu Isa_arm.Insn.SP 0x8F00;
   Isa_arm.Cpu.set_pc cpu 0x1000;
   let kernel n _ = if n = 0xFF then O.Stop O.Halted else O.Resume in
@@ -465,6 +465,162 @@ let test_cached_uncached_benign () =
         (Format.asprintf "%a" O.pp cached.Loader.Process.outcome))
     [ (Loader.Arch.X86, "x86"); (Loader.Arch.Arm, "arm") ]
 
+(* ------------------------------------------------------------------ *)
+(* The persistent, fork-shared icache: every starting point a process   *)
+(* can run from gives the reference result                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A process's icache outlives its calls and is shared by its forks, so
+   a parse can start cold (fresh boot), warm (the same process after a
+   parse and a restore) or from a fork of a warmed template.  Each
+   starting point restores the boot state exactly, so all three must
+   equal the uncached reference from a cold boot. *)
+
+let victim config = Connman.Dnsproxy.process (Connman.Dnsproxy.create config)
+
+let parse_wire ~icache proc wire =
+  let buf = proc.Loader.Process.layout.Loader.Layout.heap_base in
+  Mem.write_bytes proc.Loader.Process.mem buf wire;
+  Loader.Process.call proc ~fuel:400_000 ~icache
+    ~entry:(Loader.Process.symbol proc "parse_response")
+    ~args:[ buf; String.length wire ]
+
+let benign_wire config =
+  let d = Connman.Dnsproxy.create config in
+  let query = Connman.Dnsproxy.make_query d lookup_name in
+  Dns.Packet.encode
+    (Dns.Packet.response ~query
+       [ Dns.Packet.a_record lookup_name ~ttl:60 ~ipv4:0x5DB8D822 ])
+
+(* Run a benign parse, then rewind to the boot state; returns the boot
+   snapshot. *)
+let warm config proc =
+  let snap = Loader.Process.snapshot proc in
+  ignore (parse_wire ~icache:true proc (benign_wire config));
+  Loader.Process.restore proc snap;
+  snap
+
+let config_for ~arch ~profile ~boot_seed =
+  {
+    Connman.Dnsproxy.version = Connman.Version.v1_34;
+    arch;
+    profile;
+    boot_seed;
+    diversity_seed = None;
+  }
+
+(* Every cell's (name, victim config, wire): the six exploit cells, the
+   DoS and a benign parse on both ISAs. *)
+let starting_point_cases () =
+  let crafted name config ?strategy analysis_seed =
+    let analysis =
+      victim { config with Connman.Dnsproxy.boot_seed = analysis_seed }
+    in
+    match
+      Exploit.Autogen.generate ~analysis:(Exploit.Target.connman analysis)
+        ?strategy ()
+    with
+    | Error e -> Alcotest.failf "%s: generation failed: %s" name e
+    | Ok (_payload, raw_name) ->
+        let d = Connman.Dnsproxy.create config in
+        let query = Connman.Dnsproxy.make_query d lookup_name in
+        (name, config, Exploit.Autogen.response_for ~query ~raw_name)
+  in
+  let isas = [ (Loader.Arch.X86, "x86"); (Loader.Arch.Arm, "arm") ] in
+  List.map
+    (fun (name, arch, profile) ->
+      crafted name (config_for ~arch ~profile ~boot_seed:41) 1041)
+    exploit_cells
+  @ List.map
+      (fun (arch, tag) ->
+        crafted ("dos/" ^ tag)
+          (config_for ~arch ~profile:Defense.Profile.wx_aslr ~boot_seed:7)
+          ~strategy:Exploit.Autogen.Dos 1007)
+      isas
+  @ List.map
+      (fun (arch, tag) ->
+        let config =
+          config_for ~arch ~profile:Defense.Profile.wx_aslr ~boot_seed:23
+        in
+        ("benign/" ^ tag, config, benign_wire config))
+      isas
+
+let test_starting_points () =
+  List.iter
+    (fun (name, config, wire) ->
+      let reference = parse_wire ~icache:false (victim config) wire in
+      check_same_run (name ^ " cold")
+        (parse_wire ~icache:true (victim config) wire)
+        reference;
+      let p = victim config in
+      ignore (warm config p);
+      check_same_run (name ^ " warm after restore")
+        (parse_wire ~icache:true p wire)
+        reference;
+      let template = victim config in
+      let snap = warm config template in
+      check_same_run (name ^ " fork of a warmed template")
+        (parse_wire ~icache:true (Loader.Process.fork template snap) wire)
+        reference)
+    (starting_point_cases ())
+
+(* The counts a call reports are its own: a repeat parse, and a fork of
+   a warmed template, compile nothing. *)
+let test_warm_calls_compile_nothing () =
+  List.iter
+    (fun (arch, tag) ->
+      let config =
+        config_for ~arch ~profile:Defense.Profile.wx_aslr ~boot_seed:23
+      in
+      let wire = benign_wire config in
+      let p = victim config in
+      let snap = Loader.Process.snapshot p in
+      let first = parse_wire ~icache:true p wire in
+      Alcotest.(check bool)
+        (tag ^ ": a cold parse compiles") true
+        (first.Loader.Process.icache_misses > 0);
+      let second = parse_wire ~icache:true p wire in
+      Alcotest.(check int) (tag ^ ": second call misses") 0
+        second.Loader.Process.icache_misses;
+      Alcotest.(check int)
+        (tag ^ ": every step of the second call hits")
+        second.Loader.Process.steps second.Loader.Process.icache_hits;
+      let forked = parse_wire ~icache:true (Loader.Process.fork p snap) wire in
+      Alcotest.(check int) (tag ^ ": fork of a warmed template misses") 0
+        forked.Loader.Process.icache_misses;
+      check_same_run (tag ^ ": fork = template") first forked)
+    [ (Loader.Arch.X86, "x86"); (Loader.Arch.Arm, "arm") ]
+
+(* A diversified variant's text is unique to it: it compiles its own,
+   gets the uncached result, and leaves the template's entries alone. *)
+let test_diversified_fork_own_cache () =
+  List.iter
+    (fun (arch, tag) ->
+      let config =
+        config_for ~arch ~profile:Defense.Profile.wx_aslr ~boot_seed:23
+      in
+      let wire = benign_wire config in
+      let template = Connman.Dnsproxy.create config in
+      let tproc = Connman.Dnsproxy.process template in
+      let tsnap = warm config tproc in
+      let variant =
+        Connman.Dnsproxy.process
+          (Connman.Dnsproxy.fork_diversified template ~diversity_seed:5)
+      in
+      let vsnap = Loader.Process.snapshot variant in
+      let cached = parse_wire ~icache:true variant wire in
+      Alcotest.(check bool)
+        (tag ^ ": the variant compiles its own text") true
+        (cached.Loader.Process.icache_misses > 0);
+      Loader.Process.restore variant vsnap;
+      check_same_run (tag ^ ": variant cached = uncached") cached
+        (parse_wire ~icache:false variant wire);
+      Loader.Process.restore tproc tsnap;
+      Alcotest.(check int)
+        (tag ^ ": the template's entries survive the variant") 0
+        (parse_wire ~icache:true tproc wire).Loader.Process.icache_misses)
+    [ (Loader.Arch.X86, "x86"); (Loader.Arch.Arm, "arm") ]
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "differential"
@@ -484,5 +640,14 @@ let () =
           Alcotest.test_case "all exploit cells" `Quick test_cached_uncached_exploits;
           Alcotest.test_case "dos payloads" `Quick test_cached_uncached_dos;
           Alcotest.test_case "benign parses" `Quick test_cached_uncached_benign;
+        ] );
+      ( "icache: persistent and fork-shared",
+        [
+          Alcotest.test_case "cold, warm and forked starts" `Quick
+            test_starting_points;
+          Alcotest.test_case "warm calls compile nothing" `Quick
+            test_warm_calls_compile_nothing;
+          Alcotest.test_case "diversified forks compile their own" `Quick
+            test_diversified_fork_own_cache;
         ] );
     ]

@@ -20,7 +20,7 @@ let setup ?extern program =
   Mem.map mem ~base:text_base ~size ~perm:Mem.rx ~name:"text";
   Mem.poke_bytes mem text_base result.Asm.code;
   Mem.map mem ~base:0xBFFF_0000 ~size:0x10000 ~perm:Mem.rw ~name:"stack";
-  let cpu = Cpu.create mem in
+  let cpu = Cpu.create ~icache:(Some (Cpu.new_icache ())) mem in
   Cpu.set cpu Insn.ESP 0xBFFF_F000;
   cpu.Cpu.eip <- text_base;
   (mem, cpu, result)
@@ -837,7 +837,9 @@ let run_selfmod ~icache =
   Mem.map mem ~base:text_base ~size ~perm:Mem.rwx ~name:"text";
   Mem.poke_bytes mem text_base result.Asm.code;
   Mem.map mem ~base:0xBFFF_0000 ~size:0x10000 ~perm:Mem.rw ~name:"stack";
-  let cpu = Cpu.create ~icache mem in
+  let cpu =
+    Cpu.create ~icache:(if icache then Some (Cpu.new_icache ()) else None) mem
+  in
   Cpu.set cpu Insn.ESP 0xBFFF_F000;
   cpu.Cpu.eip <- text_base;
   let outcome = run cpu in

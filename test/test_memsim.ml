@@ -307,14 +307,17 @@ let test_gen_ref_cells () =
   let snapshot = !cell in
   Mem.unmap m ~base:0x1000;
   check_bool "unmap retires the cell's value" true (!cell <> snapshot);
-  expect_fault Mem.Unmapped (fun () -> Mem.gen_ref m 0x1000)
+  check_int "an unmapped address reads generation -1" (-1)
+    !(Mem.gen_ref m 0x1000)
 
 (* --- Icache: hits, misses, and every invalidation source --- *)
+
+let icache_view m = Memsim.Icache.view (Memsim.Icache.table ~dummy:0) m
 
 let icache_fixture () =
   let m = fresh () in
   Mem.map m ~base:0x1000 ~size:0x2000 ~perm:Mem.rwx ~name:"text";
-  let c = Memsim.Icache.create ~dummy:0 m in
+  let c = icache_view m in
   let calls = ref 0 in
   let decode _mem addr =
     incr calls;
@@ -323,8 +326,9 @@ let icache_fixture () =
   (m, c, calls, decode)
 
 let test_icache_hit_and_miss () =
-  let m, c, calls, decode = icache_fixture () in
-  ignore m;
+  let m, _, calls, decode = icache_fixture () in
+  let table = Memsim.Icache.table ~dummy:0 in
+  let c = Memsim.Icache.view table m in
   let e = Memsim.Icache.lookup c 0x1008 ~decode in
   check_int "decoded value" (0x1008 * 10) e.Memsim.Icache.v;
   check_int "decoded length" 4 e.Memsim.Icache.len;
@@ -332,8 +336,8 @@ let test_icache_hit_and_miss () =
   let e2 = Memsim.Icache.lookup c 0x1008 ~decode in
   check_int "hit returns same value" e.Memsim.Icache.v e2.Memsim.Icache.v;
   check_int "no second decode" 1 !calls;
-  check_bool "hit counted" true (Memsim.Icache.hits c = 1);
-  check_bool "miss counted" true (Memsim.Icache.misses c = 1);
+  check_bool "hit counted" true (Memsim.Icache.hits table = 1);
+  check_bool "miss counted" true (Memsim.Icache.misses table = 1);
   (* A different address on the same page is its own slot. *)
   ignore (Memsim.Icache.lookup c 0x100C ~decode);
   check_int "separate slot decodes" 2 !calls
@@ -364,7 +368,7 @@ let test_icache_perm_and_unmap_invalidate () =
 let test_icache_straddling_entry () =
   let m = fresh () in
   Mem.map m ~base:0x1000 ~size:0x2000 ~perm:Mem.rwx ~name:"text";
-  let c = Memsim.Icache.create ~dummy:0 m in
+  let c = icache_view m in
   let calls = ref 0 in
   let decode _ addr =
     incr calls;
@@ -373,18 +377,33 @@ let test_icache_straddling_entry () =
   (* 6 bytes starting 2 before the page boundary: the entry depends on
      both pages' generations. *)
   let e = Memsim.Icache.lookup c 0x1FFE ~decode in
-  check_bool "entry records both pages" true
-    (not (e.Memsim.Icache.lo == e.Memsim.Icache.hi));
+  check_int "straddling entry keeps its full length" 6 e.Memsim.Icache.len;
   ignore (Memsim.Icache.lookup c 0x1FFE ~decode);
   check_int "hit while both pages clean" 1 !calls;
   (* Touching the second page alone must invalidate. *)
   Mem.write_u8 m 0x2800 1;
   ignore (Memsim.Icache.lookup c 0x1FFE ~decode);
   check_int "second-page store invalidates" 2 !calls;
-  (* And a non-straddling entry shares one cell for both ends. *)
-  let e2 = Memsim.Icache.lookup c 0x1100 ~decode in
-  check_bool "same-page entry aliases its cells" true
-    (e2.Memsim.Icache.lo == e2.Memsim.Icache.hi)
+  (* And so must losing execute on the second page alone (it is its own
+     region here). *)
+  let m2 = fresh () in
+  Mem.map m2 ~base:0x1000 ~size:0x1000 ~perm:Mem.rwx ~name:"lo";
+  Mem.map m2 ~base:0x2000 ~size:0x1000 ~perm:Mem.rwx ~name:"hi";
+  let c2 = Memsim.Icache.view (Memsim.Icache.table ~dummy:"") m2 in
+  let fetch_decode mem addr =
+    (String.init 6 (fun i -> Char.chr (Mem.fetch_u8 mem (addr + i))), 6)
+  in
+  ignore (Memsim.Icache.lookup c2 0x1FFE ~decode:fetch_decode);
+  Mem.set_perm m2 ~base:0x2000 Mem.rw;
+  expect_fault Mem.Perm_exec (fun () ->
+      Memsim.Icache.lookup c2 0x1FFE ~decode:fetch_decode);
+  (* A same-page entry depends on its own page only: the next page's
+     stores leave it hot. *)
+  ignore (Memsim.Icache.lookup c 0x1100 ~decode);
+  let before = !calls in
+  Mem.write_u8 m 0x2800 2;
+  ignore (Memsim.Icache.lookup c 0x1100 ~decode);
+  check_int "next-page store leaves a same-page entry hot" before !calls
 
 (* --- Copy-on-write snapshots --- *)
 
@@ -490,6 +509,335 @@ let test_snapshot_icache_coherent () =
   ignore (Memsim.Icache.lookup c 0x2008 ~decode);
   check_int "untouched page's entry survives restore" 4 !calls
 
+(* One table, viewed through a template and two forks of its snapshot:
+   the forks hit the template's entries, and a fork that writes its own
+   copy of the page misses without disturbing the others. *)
+let test_icache_fork_shared () =
+  let m = fresh () in
+  Mem.map m ~base:0x1000 ~size:0x1000 ~perm:Mem.rwx ~name:"text";
+  Mem.poke_bytes m 0x1000 "\x01\x02\x03\x04";
+  let table = Memsim.Icache.table ~dummy:"" in
+  let calls = ref 0 in
+  let decode mem addr =
+    incr calls;
+    (Mem.read_bytes mem addr 4, 4)
+  in
+  let lookup mem addr =
+    (Memsim.Icache.lookup (Memsim.Icache.view table mem) addr ~decode)
+      .Memsim.Icache.v
+  in
+  ignore (lookup m 0x1000);
+  let snap = Mem.snapshot m in
+  let f1 = Mem.fork snap and f2 = Mem.fork snap in
+  check_string "fork served the template's entry" "\x01\x02\x03\x04"
+    (lookup f1 0x1000);
+  check_int "without decoding" 1 !calls;
+  Mem.write_u8 f1 0x1002 0xFF;
+  check_string "writer sees its own bytes" "\x01\x02\xff\x04" (lookup f1 0x1000);
+  check_int "writer re-decoded" 2 !calls;
+  check_string "sibling still sees the shared bytes" "\x01\x02\x03\x04"
+    (lookup f2 0x1000);
+  check_string "template too" "\x01\x02\x03\x04" (lookup m 0x1000);
+  (* The slot now holds the sibling's refill; the writer must not be
+     served it. *)
+  check_string "writer again" "\x01\x02\xff\x04" (lookup f1 0x1000)
+
+(* --- Model-based test of the generation and icache protocol ---
+
+   A family of memories (a root and forks of any member's snapshots),
+   one icache table seen through a view per member, and a naive model:
+   per member a map from page index to (permissions, bytes).  Random
+   operations run on both; after every one, every member's view is
+   probed, and each lookup must return exactly what the uncached decode
+   returns — which must in turn match decoding the model's bytes — or
+   raise the same fault. *)
+
+module IM = Map.Make (Int)
+
+type mpage = { mperm : Mem.perm; mbytes : string }
+type model = mpage IM.t
+
+(* Two disjoint regions; the first spans two pages so decodes can
+   straddle a boundary. *)
+let model_regions = [| (0x1000, 0x2000); (0x3000, 0x1000) |]
+let model_perms = [| Mem.rwx; Mem.rx; Mem.rw; Mem.r; Mem.none |]
+
+let region_pages (base, size) =
+  List.init (size / Mem.page_size) (fun i -> (base lsr Mem.page_bits) + i)
+
+let zero_page perm = { mperm = perm; mbytes = String.make Mem.page_size '\000' }
+
+(* A toy variable-length encoding: the low three bits of the first byte
+   give the length (1-8) and the value is the raw bytes.  Every byte is
+   fetched through the execute check, lowest address first. *)
+let fetch_decode mem addr =
+  let b0 = Mem.fetch_u8 mem addr in
+  let len = 1 + (b0 land 7) in
+  ( String.init len (fun i ->
+        Char.chr (if i = 0 then b0 else Mem.fetch_u8 mem (addr + i))),
+    len )
+
+let model_fetch (m : model) a =
+  let a = Word.of_int a in
+  match IM.find_opt (a lsr Mem.page_bits) m with
+  | None -> Error (a, Mem.Unmapped)
+  | Some p when not p.mperm.Mem.execute -> Error (a, Mem.Perm_exec)
+  | Some p -> Ok p.mbytes.[a land (Mem.page_size - 1)]
+
+let model_decode m addr =
+  match model_fetch m addr with
+  | Error e -> Error e
+  | Ok c0 ->
+      let len = 1 + (Char.code c0 land 7) in
+      let rec go i acc =
+        if i = len then Ok (String.of_seq (List.to_seq (List.rev acc)), len)
+        else
+          match model_fetch m (addr + i) with
+          | Error e -> Error e
+          | Ok c -> go (i + 1) (c :: acc)
+      in
+      go 1 [ c0 ]
+
+(* The fault a span store (or, without the permission check, a poke)
+   raises: the lowest address whose page is missing or not writable. *)
+let model_span_fault (m : model) addr len ~check_perm =
+  let rec go i =
+    if i = len then None
+    else
+      let a = Word.of_int (addr + i) in
+      match IM.find_opt (a lsr Mem.page_bits) m with
+      | None -> Some (a, Mem.Unmapped)
+      | Some p when check_perm && not p.mperm.Mem.write -> Some (a, Mem.Perm_write)
+      | Some _ -> go (i + 1)
+  in
+  go 0
+
+let model_write (m : model) addr s =
+  let m = ref m in
+  String.iteri
+    (fun i c ->
+      let a = Word.of_int (addr + i) in
+      let idx = a lsr Mem.page_bits in
+      let p = IM.find idx !m in
+      let b = Bytes.of_string p.mbytes in
+      Bytes.set b (a land (Mem.page_size - 1)) c;
+      m := IM.add idx { p with mbytes = Bytes.to_string b } !m)
+    s;
+  !m
+
+(* Member indices are taken modulo the family size, snapshot indices
+   modulo the member's snapshot count. *)
+type op =
+  | Map of int * int * int  (* member, region, perm *)
+  | Unmap of int * int
+  | Set_perm of int * int * int
+  | Store of int * int * string
+  | Poke of int * int * string
+  | Snapshot of int
+  | Restore of int * int  (* member, one of its own snapshots *)
+  | Fork of int * int  (* member whose snapshot, which one *)
+  | Lookup of int * int * bool  (* member, address, through a fresh view *)
+
+let pp_op =
+  let perm p = Format.asprintf "%a" Mem.pp_perm model_perms.(p) in
+  function
+  | Map (i, r, p) -> Printf.sprintf "map m%d r%d %s" i r (perm p)
+  | Unmap (i, r) -> Printf.sprintf "unmap m%d r%d" i r
+  | Set_perm (i, r, p) -> Printf.sprintf "set_perm m%d r%d %s" i r (perm p)
+  | Store (i, a, s) -> Printf.sprintf "store m%d 0x%x %S" i a s
+  | Poke (i, a, s) -> Printf.sprintf "poke m%d 0x%x %S" i a s
+  | Snapshot i -> Printf.sprintf "snapshot m%d" i
+  | Restore (i, k) -> Printf.sprintf "restore m%d s%d" i k
+  | Fork (i, k) -> Printf.sprintf "fork m%d s%d" i k
+  | Lookup (i, a, fresh) ->
+      Printf.sprintf "lookup m%d 0x%x%s" i a (if fresh then " (fresh view)" else "")
+
+(* Addresses cluster on the starts and ends of pages 0-4, so stores land
+   on the bytes lookups decode and decodes straddle boundaries. *)
+let gen_addr =
+  QCheck.Gen.(
+    map2
+      (fun page off -> (page lsl Mem.page_bits) + off)
+      (int_range 0 4)
+      (oneof [ int_range 0 15; int_range (Mem.page_size - 8) (Mem.page_size - 1) ]))
+
+let gen_op =
+  let open QCheck.Gen in
+  let member = int_bound 7 and region = int_bound 1 and perm = int_bound 4 in
+  let bytes = string_size ~gen:char (int_range 1 6) in
+  frequency
+    [
+      (1, map3 (fun i r p -> Map (i, r, p)) member region perm);
+      (1, map2 (fun i r -> Unmap (i, r)) member region);
+      (2, map3 (fun i r p -> Set_perm (i, r, p)) member region perm);
+      (6, map3 (fun i a s -> Store (i, a, s)) member gen_addr bytes);
+      (2, map3 (fun i a s -> Poke (i, a, s)) member gen_addr bytes);
+      (2, map (fun i -> Snapshot i) member);
+      (2, map2 (fun i k -> Restore (i, k)) member (int_bound 3));
+      (1, map2 (fun i k -> Fork (i, k)) member (int_bound 3));
+      (6, map3 (fun i a f -> Lookup (i, a, f)) member gen_addr bool);
+    ]
+
+type member = {
+  mem : Mem.t;
+  mutable model : model;
+  mutable view : string Memsim.Icache.t;
+  mutable snaps : (Mem.snapshot * model) list;
+}
+
+let probe_addrs = [ 0x0FFF; 0x1000; 0x1FF9; 0x1FFE; 0x2000; 0x2FFC; 0x3000; 0x3FFF ]
+
+exception Divergence of string
+
+let show_decode = function
+  | Ok (v, len) -> Printf.sprintf "%S/%d" v len
+  | Error f -> Mem.fault_to_string f
+
+let check_lookup mb addr =
+  let expected = model_decode mb.model addr in
+  let uncached =
+    match fetch_decode mb.mem addr with
+    | r -> Ok r
+    | exception Mem.Fault f -> Error f
+  in
+  let cached =
+    match Memsim.Icache.lookup mb.view addr ~decode:fetch_decode with
+    | e -> Ok (e.Memsim.Icache.v, e.Memsim.Icache.len)
+    | exception Mem.Fault f -> Error f
+  in
+  let agrees =
+    match (uncached, expected) with
+    | Ok r, Ok r' -> r = r'
+    | Error f, Error (a, kind) -> f.Mem.addr = a && f.Mem.kind = kind
+    | _ -> false
+  in
+  if not agrees then
+    raise
+      (Divergence
+         (Printf.sprintf "uncached decode at 0x%x disagrees with the model: %s"
+            addr (show_decode uncached)));
+  if cached <> uncached then
+    raise
+      (Divergence
+         (Printf.sprintf "lookup at 0x%x: cached %s, uncached %s" addr
+            (show_decode cached) (show_decode uncached)))
+
+(* [f] must raise exactly the predicted fault, or none; true if it
+   committed. *)
+let commits what expected f =
+  match (expected, f ()) with
+  | None, () -> true
+  | Some _, () -> raise (Divergence (what ^ ": expected a fault"))
+  | exception Mem.Fault fl -> (
+      match expected with
+      | Some (a, kind) when fl.Mem.addr = a && fl.Mem.kind = kind -> false
+      | _ -> raise (Divergence (what ^ ": unexpected " ^ Mem.fault_to_string fl)))
+
+let run_model ops =
+  let table = Memsim.Icache.table ~dummy:"" in
+  let root = Mem.create () in
+  let model = ref IM.empty in
+  Array.iter
+    (fun ((base, size) as r) ->
+      Mem.map root ~base ~size ~perm:Mem.rwx ~name:(Printf.sprintf "r%x" base);
+      List.iter
+        (fun idx -> model := IM.add idx (zero_page Mem.rwx) !model)
+        (region_pages r))
+    model_regions;
+  (* Seed short and page-straddling encodings. *)
+  List.iter
+    (fun (a, s) ->
+      Mem.poke_bytes root a s;
+      model := model_write !model a s)
+    [
+      (0x1000, "\x03abc"); (0x1FF9, "\x06ABCDE"); (0x1FFE, "\x07xyzwvut");
+      (0x2FFC, "\x01q\x02rs");
+    ];
+  let s0 = Mem.snapshot root in
+  let family = ref [||] in
+  let add mem model snaps =
+    family :=
+      Array.append !family
+        [| { mem; model; view = Memsim.Icache.view table mem; snaps } |]
+  in
+  add root !model [ (s0, !model) ];
+  add (Mem.fork s0) !model [];
+  add (Mem.fork s0) !model [];
+  let pick i = !family.(i mod Array.length !family) in
+  let mapped mb (base, _) = IM.mem (base lsr Mem.page_bits) mb.model in
+  let update_region mb reg f =
+    mb.model <- List.fold_left (fun m idx -> f idx m) mb.model (region_pages reg)
+  in
+  let step = function
+    | Map (i, r, p) ->
+        let mb = pick i and ((base, size) as reg) = model_regions.(r) in
+        if not (mapped mb reg) then begin
+          Mem.map mb.mem ~base ~size ~perm:model_perms.(p)
+            ~name:(Printf.sprintf "r%x" base);
+          update_region mb reg (fun idx -> IM.add idx (zero_page model_perms.(p)))
+        end
+    | Unmap (i, r) ->
+        let mb = pick i and reg = model_regions.(r) in
+        if mapped mb reg then begin
+          Mem.unmap mb.mem ~base:(fst reg);
+          update_region mb reg IM.remove
+        end
+    | Set_perm (i, r, p) ->
+        let mb = pick i and reg = model_regions.(r) in
+        if mapped mb reg then begin
+          Mem.set_perm mb.mem ~base:(fst reg) model_perms.(p);
+          update_region mb reg (fun idx m ->
+              IM.add idx { (IM.find idx m) with mperm = model_perms.(p) } m)
+        end
+    | Store (i, a, s) ->
+        let mb = pick i in
+        let expected = model_span_fault mb.model a (String.length s) ~check_perm:true in
+        if commits "store" expected (fun () -> Mem.write_bytes mb.mem a s) then
+          mb.model <- model_write mb.model a s
+    | Poke (i, a, s) ->
+        let mb = pick i in
+        let expected = model_span_fault mb.model a (String.length s) ~check_perm:false in
+        if commits "poke" expected (fun () -> Mem.poke_bytes mb.mem a s) then
+          mb.model <- model_write mb.model a s
+    | Snapshot i ->
+        let mb = pick i in
+        mb.snaps <- (Mem.snapshot mb.mem, mb.model) :: mb.snaps
+    | Restore (i, k) ->
+        let mb = pick i in
+        if mb.snaps <> [] then begin
+          let snap, model = List.nth mb.snaps (k mod List.length mb.snaps) in
+          Mem.restore mb.mem snap;
+          mb.model <- model
+        end
+    | Fork (i, k) ->
+        let mb = pick i in
+        if mb.snaps <> [] && Array.length !family < 6 then begin
+          let snap, model = List.nth mb.snaps (k mod List.length mb.snaps) in
+          add (Mem.fork snap) model []
+        end
+    | Lookup (i, a, fresh) ->
+        let mb = pick i in
+        if fresh then mb.view <- Memsim.Icache.view table mb.mem;
+        check_lookup mb a
+  in
+  List.iteri
+    (fun n op ->
+      try
+        step op;
+        Array.iter (fun mb -> List.iter (check_lookup mb) probe_addrs) !family
+      with Divergence why ->
+        QCheck.Test.fail_reportf "after op %d (%s): %s" n (pp_op op) why)
+    ops;
+  true
+
+let prop_icache_model =
+  QCheck.Test.make ~name:"icache and generations agree with a flat model"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+       QCheck.Gen.(list_size (int_range 10 80) gen_op))
+    run_model
+
 let prop_snapshot_roundtrip =
   QCheck.Test.make ~name:"restore rewinds arbitrary write sequences" ~count:100
     QCheck.(
@@ -588,6 +936,9 @@ let () =
             test_icache_perm_and_unmap_invalidate;
           Alcotest.test_case "page-straddling entries" `Quick
             test_icache_straddling_entry;
+          Alcotest.test_case "one table across forks" `Quick
+            test_icache_fork_shared;
+          qt prop_icache_model;
         ] );
       ( "snapshots",
         [
