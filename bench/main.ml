@@ -387,7 +387,8 @@ let run_benchmarks () =
 (* Shared bench JSON schema ("bench-suite-v1")                         *)
 (*                                                                     *)
 (* Every BENCH_*.json file is the same shape: run metadata (suite,     *)
-(* smoke flag, extra suite-specific keys) plus a flat result list of   *)
+(* smoke flag, extra suite-specific keys, then machine, commit and     *)
+(* OCaml version) plus a flat result list of                           *)
 (* {name, unit, value, ...extras}.  Downstream tooling reads one       *)
 (* schema instead of three.                                            *)
 (* ------------------------------------------------------------------ *)
@@ -402,38 +403,73 @@ type bench_row = {
 let bench_row ?(extra = []) name unit value =
   { br_name = name; br_unit = unit; br_value = value; br_extra = extra }
 
+(* A Bechamel estimate as a row: ns/op plus ops/s and the fit's r². *)
+let ns_per_op_row (name, nanos, r2) =
+  let ops = if nanos > 0.0 then 1e9 /. nanos else 0.0 in
+  bench_row name "ns_per_op" nanos ~extra:[ ("ops_per_sec", ops); ("r_square", r2) ]
+
+(* Where a measurement was taken: the CPU model and core count, the
+   source tree as [git describe --always --dirty] ("-dirty": uncommitted
+   changes on top of that commit), and the OCaml version. *)
+let provenance () =
+  let machine =
+    match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+    | exception Sys_error _ -> "unknown"
+    | info ->
+        let lines = String.split_on_char '\n' info in
+        let has prefix = String.starts_with ~prefix in
+        let model =
+          match List.find_opt (has "model name") lines with
+          | Some l -> String.trim (List.nth (String.split_on_char ':' l) 1)
+          | None -> "unknown"
+        in
+        Printf.sprintf "%s x%d" model
+          (List.length (List.filter (has "processor") lines))
+  in
+  let commit =
+    let tmp = Filename.temp_file "bench" ".rev" in
+    let cmd = "git describe --always --dirty > " ^ Filename.quote tmp ^ " 2>/dev/null" in
+    let rev =
+      if Sys.command cmd = 0 then In_channel.with_open_text tmp In_channel.input_line
+      else None
+    in
+    Sys.remove tmp;
+    Option.value rev ~default:"unknown"
+  in
+  Telemetry.Json.
+    [
+      ("machine", Str machine);
+      ("commit", Str commit);
+      ("ocaml", Str Sys.ocaml_version);
+    ]
+
 let write_bench_json ~suite ~smoke ?(meta = []) ~out rows =
-  let safe f = if Float.is_nan f then 0.0 else f in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"bench-suite-v1\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"suite\": %S,\n" suite);
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" smoke);
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %S: %s,\n" k v))
-    meta;
-  Buffer.add_string buf "  \"results\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"name\": %S, \"unit\": %S, \"value\": %.4f"
-           r.br_name r.br_unit (safe r.br_value));
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string buf (Printf.sprintf ", %S: %.4f" k (safe v)))
-        r.br_extra;
-      Buffer.add_string buf
-        (Printf.sprintf "}%s\n" (if i < n - 1 then "," else "")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let json = Buffer.contents buf in
-  (match Telemetry.Json.validate json with
+  let open Telemetry.Json in
+  let safe f = fixed 4 (if Float.is_nan f then 0.0 else f) in
+  let row r =
+    Obj
+      ([
+         ("name", Str r.br_name);
+         ("unit", Str r.br_unit);
+         ("value", safe r.br_value);
+       ]
+      @ List.map (fun (k, v) -> (k, safe v)) r.br_extra)
+  in
+  let json =
+    print
+      (Obj
+         ([
+            ("schema", Str "bench-suite-v1");
+            ("suite", Str suite);
+            ("smoke", Bool smoke);
+          ]
+         @ meta @ provenance ()
+         @ [ ("results", Arr (List.map row rows)) ]))
+  in
+  (match validate json with
   | Ok () -> ()
   | Error e -> failwith (Printf.sprintf "%s: emitted invalid JSON (%s)" out e));
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
+  Out_channel.with_open_bin out (fun oc -> output_string oc json);
   Format.printf "@.wrote %s@." out
 
 (* ------------------------------------------------------------------ *)
@@ -465,14 +501,7 @@ let run_cache_json ~smoke ~out () =
           (Test.elements test))
       cache_tests
   in
-  write_bench_json ~suite:"cache" ~smoke ~out
-    (List.map
-       (fun (name, nanos, r2) ->
-         let nanos = if Float.is_nan nanos then 0.0 else nanos in
-         let ops = if nanos > 0.0 then 1e9 /. nanos else 0.0 in
-         bench_row name "ns_per_op" nanos
-           ~extra:[ ("ops_per_sec", ops); ("r_square", r2) ])
-       rows)
+  write_bench_json ~suite:"cache" ~smoke ~out (List.map ns_per_op_row rows)
 
 (* ------------------------------------------------------------------ *)
 (* CPU interpreter benches: BENCH_cpu.json                             *)
@@ -941,36 +970,6 @@ let time_fresh ~samples setup run =
   Array.sort compare times;
   times.(samples / 2)
 
-(* Where a measurement was taken, as JSON-quoted meta values: the CPU
-   model and core count, and the source tree as [git describe --always
-   --dirty] ("-dirty": uncommitted changes on top of that commit). *)
-let provenance () =
-  let machine =
-    match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
-    | exception Sys_error _ -> "unknown"
-    | info ->
-        let lines = String.split_on_char '\n' info in
-        let has prefix = String.starts_with ~prefix in
-        let model =
-          match List.find_opt (has "model name") lines with
-          | Some l -> String.trim (List.nth (String.split_on_char ':' l) 1)
-          | None -> "unknown"
-        in
-        Printf.sprintf "%s x%d" model
-          (List.length (List.filter (has "processor") lines))
-  in
-  let commit =
-    let tmp = Filename.temp_file "bench" ".rev" in
-    let cmd = "git describe --always --dirty > " ^ Filename.quote tmp ^ " 2>/dev/null" in
-    let rev =
-      if Sys.command cmd = 0 then In_channel.with_open_text tmp In_channel.input_line
-      else None
-    in
-    Sys.remove tmp;
-    Option.value rev ~default:"unknown"
-  in
-  [ ("machine", Printf.sprintf "%S" machine); ("commit", Printf.sprintf "%S" commit) ]
-
 let run_cpu_json ~smoke ~out () =
   let iters = if smoke then 64 else 512 in
   let parse_samples = if smoke then 51 else 1001 in
@@ -1056,7 +1055,7 @@ let run_cpu_json ~smoke ~out () =
      /cached and /uncached timing row plus a /speedup ratio row; the
      hooked-loop and parse-start rows follow. *)
   write_bench_json ~suite:"cpu" ~smoke
-    ~meta:(("iters", string_of_int iters) :: provenance ())
+    ~meta:[ ("iters", Telemetry.Json.Int iters) ]
     ~out
     (List.concat_map
        (fun (w, c_ns, c_r2, c_rate, u_ns, u_r2, u_rate, speedup) ->
@@ -1161,7 +1160,7 @@ let run_sanitizer_json ~smoke ~out () =
       (sanitizer_workloads ~iters)
   in
   write_bench_json ~suite:"sanitizer" ~smoke
-    ~meta:[ ("iters", string_of_int iters) ]
+    ~meta:[ ("iters", Telemetry.Json.Int iters) ]
     ~out
     (List.concat_map
        (fun (name, p_ns, p_r2, s_ns, s_r2, overhead) ->
@@ -1286,14 +1285,7 @@ let run_faults_json ~smoke ~out () =
         (name, nanos, r2))
       workloads
   in
-  write_bench_json ~suite:"faults" ~smoke ~out
-    (List.map
-       (fun (name, nanos, r2) ->
-         let nanos = if Float.is_nan nanos then 0.0 else nanos in
-         let ops = if nanos > 0.0 then 1e9 /. nanos else 0.0 in
-         bench_row name "ns_per_op" nanos
-           ~extra:[ ("ops_per_sec", ops); ("r_square", r2) ])
-       rows)
+  write_bench_json ~suite:"faults" ~smoke ~out (List.map ns_per_op_row rows)
 
 (* Throughput context: instructions retired per benign parse — and the
    §IV concern made quantitative: what each defense costs the device on
@@ -1434,7 +1426,7 @@ let run_fuzz_json ~smoke ~out () =
     ]
   in
   let rows = List.concat_map bench_arch Loader.Arch.all in
-  write_bench_json ~suite:"fuzz" ~smoke ~meta:(provenance ()) ~out rows
+  write_bench_json ~suite:"fuzz" ~smoke ~out rows
 
 (* ------------------------------------------------------------------ *)
 (* Wire codec: BENCH_wire.json                                         *)
@@ -1931,16 +1923,23 @@ let run_regress ~base ~next ~tolerance () =
   Format.printf "@.%d compared, %d regression(s)@." !compared !regressions;
   if !regressions > 0 then exit 1
 
+(* The JSON suites: subcommand, default output file, runner.  [all] runs
+   them in this order; otherwise the first one named on the command line
+   runs. *)
+let suites =
+  [
+    ("cache", "BENCH_cache.json", run_cache_json);
+    ("cpu", "BENCH_cpu.json", run_cpu_json);
+    ("faults", "BENCH_faults.json", run_faults_json);
+    ("sanitizer", "BENCH_sanitizer.json", run_sanitizer_json);
+    ("fuzz", "BENCH_fuzz.json", run_fuzz_json);
+    ("wire", "BENCH_wire.json", run_wire_json);
+    ("fleet", "BENCH_fleet.json", run_fleet_json);
+    ("diversity", "BENCH_diversity.json", run_diversity_json);
+  ]
+
 let () =
   let argv = Array.to_list Sys.argv in
-  let out_of default argv =
-    let rec go = function
-      | "--out" :: path :: _ -> path
-      | _ :: rest -> go rest
-      | [] -> default
-    in
-    go argv
-  in
   let flag_value name argv =
     let rec go = function
       | f :: v :: _ when f = name -> Some v
@@ -1949,6 +1948,7 @@ let () =
     in
     go argv
   in
+  let out_of default argv = Option.value (flag_value "--out" argv) ~default in
   let smoke = List.mem "--smoke" argv in
   if List.mem "regress" argv then begin
     match (flag_value "--base" argv, flag_value "--new" argv) with
@@ -1970,34 +1970,14 @@ let () =
   else if List.mem "all" argv then begin
     (* Every JSON suite in one run; --out is a directory prefix here. *)
     let dir = out_of "." argv in
-    let path name = Filename.concat dir name in
-    run_cache_json ~smoke ~out:(path "BENCH_cache.json") ();
-    run_cpu_json ~smoke ~out:(path "BENCH_cpu.json") ();
-    run_faults_json ~smoke ~out:(path "BENCH_faults.json") ();
-    run_sanitizer_json ~smoke ~out:(path "BENCH_sanitizer.json") ();
-    run_fuzz_json ~smoke ~out:(path "BENCH_fuzz.json") ();
-    run_wire_json ~smoke ~out:(path "BENCH_wire.json") ();
-    run_fleet_json ~smoke ~out:(path "BENCH_fleet.json") ();
-    run_diversity_json ~smoke ~out:(path "BENCH_diversity.json") ()
+    List.iter
+      (fun (_, file, run) -> run ~smoke ~out:(Filename.concat dir file) ())
+      suites
   end
-  else if List.mem "cache" argv then
-    run_cache_json ~smoke ~out:(out_of "BENCH_cache.json" argv) ()
-  else if List.mem "cpu" argv then
-    run_cpu_json ~smoke ~out:(out_of "BENCH_cpu.json" argv) ()
-  else if List.mem "faults" argv then
-    run_faults_json ~smoke ~out:(out_of "BENCH_faults.json" argv) ()
-  else if List.mem "sanitizer" argv then
-    run_sanitizer_json ~smoke ~out:(out_of "BENCH_sanitizer.json" argv) ()
-  else if List.mem "fuzz" argv then
-    run_fuzz_json ~smoke ~out:(out_of "BENCH_fuzz.json" argv) ()
-  else if List.mem "wire" argv then
-    run_wire_json ~smoke ~out:(out_of "BENCH_wire.json" argv) ()
-  else if List.mem "fleet" argv then
-    run_fleet_json ~smoke ~out:(out_of "BENCH_fleet.json" argv) ()
-  else if List.mem "diversity" argv then
-    run_diversity_json ~smoke ~out:(out_of "BENCH_diversity.json" argv) ()
-  else begin
-    print_experiments ();
-    print_parse_costs ();
-    run_benchmarks ()
-  end
+  else
+    match List.find_opt (fun (name, _, _) -> List.mem name argv) suites with
+    | Some (_, file, run) -> run ~smoke ~out:(out_of file argv) ()
+    | None ->
+        print_experiments ();
+        print_parse_costs ();
+        run_benchmarks ()

@@ -12,7 +12,9 @@
      sanitize     — the detection matrix: every cell under the taint
                     sanitizer, with symbolized exploit reports
      metrics      — cache stats + the Prometheus-style metrics registry
-                    (cache-stats is its deprecated alias) *)
+
+   The experiment subcommands (sanitize, chaos, fuzz, diversity, fleet,
+   monitor, codec-diff) share one shape, see [experiment]. *)
 
 open Cmdliner
 
@@ -83,6 +85,10 @@ let shards_conv =
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic run seed.")
+
+(* An option flag without a default: [None] when absent. *)
+let optional kind name doc =
+  Arg.(value & opt (some kind) None & info [ name ] ~doc)
 
 let arch_arg =
   Arg.(
@@ -268,8 +274,45 @@ let pp_cell_summary seed (row : Core.Experiments.chaos_row) =
     row.Core.Experiments.compromised row.Core.Experiments.crashes
     row.Core.Experiments.restarts row.Core.Experiments.availability
 
+(* Every JSON document is validated before it is written to [out];
+   [false] when it does not parse. *)
+let write_json ~name out json =
+  let valid =
+    match Telemetry.Json.validate json with
+    | Ok () -> true
+    | Error e ->
+        Format.eprintf "%s json: INVALID (%s)@." name e;
+        false
+  in
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc json);
+      Format.printf "wrote %s (%d bytes)@." path (String.length json))
+    out;
+  valid
+
+(* One experiment subcommand: [run] is the subcommand's own term,
+   yielding the experiment as a thunk.  The result is printed with [pp],
+   its JSON validated and written to --out, and the exit code is 0 only
+   when the JSON is valid and [ok] holds.  An [Invalid_argument] or
+   [Failure] from the run (a bad option value) exits 1 with its
+   message. *)
+let experiment name ~doc ~out_doc ~pp ~to_json ~ok run =
+  let main run out =
+    match run () with
+    | exception (Invalid_argument e | Failure e) ->
+        Format.eprintf "%s@." e;
+        1
+    | r ->
+        Format.printf "%a@." pp r;
+        let valid = write_json ~name out (to_json r) in
+        if valid && ok r then 0 else 1
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const main $ run $ optional Arg.string "out" out_doc)
+
 let trace_cmd =
-  let run seed cell schedule buffer out check limit =
+  let run seed cell schedule buffer out limit =
     let trace = Telemetry.Trace.create ~capacity:buffer () in
     match Core.Experiments.run_instrumented_cell ~seed ~schedule ~trace ~cell () with
     | Error e ->
@@ -281,33 +324,21 @@ let trace_cmd =
           (Telemetry.Trace.emitted trace)
           (Telemetry.Trace.length trace)
           (Telemetry.Trace.dropped trace);
-        (match out with
-        | Some path ->
-            let json = Telemetry.Trace.to_chrome_json trace in
-            let oc = open_out path in
-            output_string oc json;
-            close_out oc;
-            Format.printf "wrote %s (%d bytes; load in ui.perfetto.dev)@." path
-              (String.length json)
-        | None ->
-            let evs = Telemetry.Trace.events trace in
-            let n = List.length evs in
-            List.iteri
-              (fun i e ->
-                if i < limit / 2 || i >= n - (limit / 2) then
-                  Format.printf "%a@." Telemetry.Trace.pp_event e
-                else if i = limit / 2 then
-                  Format.printf "  ... (%d events elided)@." (n - limit))
-              evs);
-        if check then
-          match Telemetry.Json.validate (Telemetry.Trace.to_chrome_json trace) with
-          | Ok () ->
-              Format.printf "trace json: well-formed@.";
-              0
-          | Error e ->
-              Format.eprintf "trace json: INVALID (%s)@." e;
-              1
-        else 0
+        if out = None then begin
+          let evs = Telemetry.Trace.events trace in
+          let n = List.length evs in
+          List.iteri
+            (fun i e ->
+              if i < limit / 2 || i >= n - (limit / 2) then
+                Format.printf "%a@." Telemetry.Trace.pp_event e
+              else if i = limit / 2 then
+                Format.printf "  ... (%d events elided)@." (n - limit))
+            evs;
+          0
+        end
+        else if write_json ~name:"trace" out (Telemetry.Trace.to_chrome_json trace)
+        then 0
+        else 1
   in
   let buffer_arg =
     Arg.(
@@ -315,16 +346,9 @@ let trace_cmd =
       & info [ "buffer" ] ~doc:"Ring-buffer capacity in events.")
   in
   let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ]
-          ~doc:"Write Chrome trace-event JSON (Perfetto-loadable) to a file.")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ] ~doc:"Validate the exported JSON; exit 1 if malformed.")
+    optional Arg.string "out"
+      "Write Chrome trace-event JSON (loadable in ui.perfetto.dev) to a \
+       file instead of printing the timeline."
   in
   let limit_arg =
     Arg.(
@@ -338,7 +362,7 @@ let trace_cmd =
           (cpu, memory, network, daemon, supervisor on one timeline).")
     Term.(
       const run $ seed_arg $ cell_arg $ schedule_arg $ buffer_arg $ out_arg
-      $ check_arg $ limit_arg)
+      $ limit_arg)
 
 let profile_cmd =
   let run seed cell schedule top folded =
@@ -357,9 +381,8 @@ let profile_cmd =
         (match folded with
         | None -> ()
         | Some path ->
-            let oc = open_out path in
-            output_string oc (Telemetry.Profile.folded profiler ~symbolize ());
-            close_out oc;
+            Out_channel.with_open_text path (fun oc ->
+                output_string oc (Telemetry.Profile.folded profiler ~symbolize ()));
             Format.printf "wrote %s (folded stacks for flamegraph.pl)@." path);
         0
   in
@@ -367,10 +390,8 @@ let profile_cmd =
     Arg.(value & opt int 20 & info [ "top" ] ~doc:"Flat-profile rows to print.")
   in
   let folded_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "folded" ] ~doc:"Write flamegraph-ready folded stacks to a file.")
+    optional Arg.string "folded"
+      "Write flamegraph-ready folded stacks to a file."
   in
   Cmd.v
     (Cmd.info "profile"
@@ -380,51 +401,18 @@ let profile_cmd =
     Term.(const run $ seed_arg $ cell_arg $ schedule_arg $ top_arg $ folded_arg)
 
 let sanitize_cmd =
-  let run seed out check show_reports =
-    let rows = Core.Experiments.detection_matrix ~seed () in
-    Format.printf "%a@." Core.Experiments.pp_detection rows;
+  let pp ppf (_, show_reports, rows) =
+    Core.Experiments.pp_detection ppf rows;
     if show_reports then
       List.iter
         (fun (r : Core.Experiments.detection_row) ->
           match r.Core.Experiments.det_rendered with
           | [] -> ()
           | lines ->
-              Format.printf "@.%s (%s, %s):@." r.Core.Experiments.det_cell
+              Format.fprintf ppf "@.%s (%s, %s):@." r.Core.Experiments.det_cell
                 r.Core.Experiments.det_arch r.Core.Experiments.det_profile;
-              List.iter (fun l -> Format.printf "  %s@." l) lines)
-        rows;
-    let json = Core.Experiments.detection_json ~seed rows in
-    (match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc json;
-        close_out oc;
-        Format.printf "wrote %s@." path);
-    let json_ok =
-      (not check)
-      ||
-      match Telemetry.Json.validate json with
-      | Ok () ->
-          Format.printf "detection json: well-formed@.";
-          true
-      | Error e ->
-          Format.eprintf "detection json: INVALID (%s)@." e;
-          false
-    in
-    if json_ok && List.for_all (fun r -> r.Core.Experiments.det_ok) rows then 0
-    else 1
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~doc:"Write the detection matrix as JSON to a file.")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ] ~doc:"Validate the exported JSON; exit 1 if malformed.")
+              List.iter (fun l -> Format.fprintf ppf "  %s@." l) lines)
+        rows
   in
   let reports_arg =
     Arg.(
@@ -432,14 +420,19 @@ let sanitize_cmd =
       & info [ "reports" ]
           ~doc:"Also print every sanitizer report (symbolized), per cell.")
   in
-  Cmd.v
-    (Cmd.info "sanitize"
-       ~doc:
-         "Re-run the DoS, the six-exploit matrix, and benign controls under \
-          the byte-granular taint sanitizer; print where each attack was \
-          first detected (exit 1 if any cell is missed or a benign control \
-          reports).")
-    Term.(const run $ seed_arg $ out_arg $ check_arg $ reports_arg)
+  experiment "sanitize"
+    ~doc:
+      "Re-run the DoS, the six-exploit matrix, and benign controls under \
+       the byte-granular taint sanitizer; print where each attack was \
+       first detected (exit 1 if any cell is missed or a benign control \
+       reports)."
+    ~out_doc:"Write the detection matrix as JSON to a file." ~pp
+    ~to_json:(fun (seed, _, rows) -> Core.Experiments.detection_json ~seed rows)
+    ~ok:(fun (_, _, rows) -> List.for_all (fun r -> r.Core.Experiments.det_ok) rows)
+    Term.(
+      const (fun seed reports () ->
+          (seed, reports, Core.Experiments.detection_matrix ~seed ()))
+      $ seed_arg $ reports_arg)
 
 let botnet_cmd =
   let run seed =
@@ -467,7 +460,7 @@ let botnet_cmd =
     (Cmd.info "botnet" ~doc:"Recruit a mixed-firmware fleet over poisoned DNS.")
     Term.(const run $ seed_arg)
 
-let metrics_cmd, cache_stats_cmd =
+let metrics_cmd =
   let run seed queries names capacity shards cell schedule =
     (* Part 1: a synthetic workload on a standalone sharded cache —
        repeated lookups over a name population, filling on miss, with
@@ -576,58 +569,21 @@ let metrics_cmd, cache_stats_cmd =
     Arg.(value & opt int 1024 & info [ "capacity" ] ~doc:"Cache capacity.")
   in
   let shards_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shards" ] ~doc:"Shard count (default: derived from capacity).")
+    optional Arg.int "shards" "Shard count (default: derived from capacity)."
   in
-  let term =
+  Cmd.v
+    (Cmd.info "metrics"
+       ~doc:
+         "Dump DNS-cache statistics and expose the unified metrics registry \
+          (caches, netsim packet fates, daemon, supervisor) in Prometheus \
+          text format.")
     Term.(
       const run $ seed_arg $ queries_arg $ names_arg $ capacity_arg
       $ shards_arg $ cell_arg $ schedule_arg)
-  in
-  let metrics =
-    Cmd.v
-      (Cmd.info "metrics"
-         ~doc:
-           "Dump DNS-cache statistics and expose the unified metrics registry \
-            (caches, netsim packet fates, daemon, supervisor) in Prometheus \
-            text format.")
-      term
-  in
-  let deprecated =
-    Cmd.v
-      (Cmd.info "cache-stats"
-         ~doc:
-           "Deprecated alias of $(b,metrics) (kept for scripts; same output).")
-      term
-  in
-  (metrics, deprecated)
+
+let smoke_arg doc = Arg.(value & flag & info [ "smoke" ] ~doc)
 
 let chaos_cmd =
-  let run seed smoke shards output =
-    let report = Core.Experiments.chaos_campaign ~seed ~smoke ~shards () in
-    Format.printf "%a@." Core.Experiments.pp_chaos report;
-    (match output with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Core.Experiments.chaos_json report);
-        close_out oc;
-        Format.printf "wrote %s@." path);
-    0
-  in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ] ~doc:"Reduced grid (2 cells × 3 schedules) for CI.")
-  in
-  let output_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~doc:"Write the campaign report as JSON to a file.")
-  in
   let shards_arg =
     Arg.(
       value & opt shards_conv 1
@@ -636,49 +592,23 @@ let chaos_cmd =
             "Scheduler shard count for every cell's world (results are \
              bit-identical across counts).")
   in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Replay the exploit matrix and the DoS under deterministic network \
-          fault schedules, with connmand supervised.")
-    Term.(const run $ seed_arg $ smoke_arg $ shards_arg $ output_arg)
+  experiment "chaos"
+    ~doc:
+      "Replay the exploit matrix and the DoS under deterministic network \
+       fault schedules, with connmand supervised."
+    ~out_doc:"Write the campaign report as JSON to a file."
+    ~pp:Core.Experiments.pp_chaos ~to_json:Core.Experiments.chaos_json
+    ~ok:(fun _ -> true)
+    Term.(
+      const (fun seed smoke shards () ->
+          Core.Experiments.chaos_campaign ~seed ~smoke ~shards ())
+      $ seed_arg
+      $ smoke_arg "Reduced grid (2 cells × 3 schedules) for CI."
+      $ shards_arg)
 
 let fuzz_cmd =
-  let run seed smoke shards execs out check =
-    let report = Core.Experiments.fuzz_campaign ~seed ~smoke ~shards ?execs () in
-    Format.printf "%a@." Core.Experiments.pp_fuzz report;
-    let json = Core.Experiments.fuzz_json report in
-    (match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc json;
-        close_out oc;
-        Format.printf "wrote %s@." path);
-    let json_ok =
-      (not check)
-      ||
-      match Telemetry.Json.validate json with
-      | Ok () ->
-          Format.printf "fuzz json: well-formed@.";
-          true
-      | Error e ->
-          Format.eprintf "fuzz json: INVALID (%s)@." e;
-          false
-    in
-    if json_ok && report.Core.Experiments.fuzz_ok then 0 else 1
-  in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"Reduced budget (4000 executions per ISA) for CI.")
-  in
   let execs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "execs" ] ~doc:"Explicit execution budget per ISA.")
+    optional Arg.int "execs" "Explicit execution budget per ISA."
   in
   let shards_arg =
     Arg.(
@@ -688,234 +618,97 @@ let fuzz_cmd =
             "Independent engine instances per ISA, on derived seeds; the \
              campaign passes if every ISA rediscovers in at least one shard.")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~doc:"Write the campaign report as JSON to a file.")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ] ~doc:"Validate the exported JSON; exit 1 if malformed.")
-  in
-  Cmd.v
-    (Cmd.info "fuzz"
-       ~doc:
-         "Coverage-guided snapshot fuzzing of the Connman parse path on both \
-          ISAs: mutate benign DNS responses until the Listing-1 overflow is \
-          rediscovered, triaged by the taint oracle with wire-byte \
-          provenance (exit 1 if either ISA misses within budget).")
+  experiment "fuzz"
+    ~doc:
+      "Coverage-guided snapshot fuzzing of the Connman parse path on both \
+       ISAs: mutate benign DNS responses until the Listing-1 overflow is \
+       rediscovered, triaged by the taint oracle with wire-byte \
+       provenance (exit 1 if either ISA misses within budget)."
+    ~out_doc:"Write the campaign report as JSON to a file."
+    ~pp:Core.Experiments.pp_fuzz ~to_json:Core.Experiments.fuzz_json
+    ~ok:(fun r -> r.Core.Experiments.fuzz_ok)
     Term.(
-      const run $ seed_arg $ smoke_arg $ shards_arg $ execs_arg $ out_arg
-      $ check_arg)
+      const (fun seed smoke shards execs () ->
+          Core.Experiments.fuzz_campaign ~seed ~smoke ~shards ?execs ())
+      $ seed_arg
+      $ smoke_arg "Reduced budget (4000 executions per ISA) for CI."
+      $ shards_arg $ execs_arg)
 
 let diversity_cmd =
-  let run seed variants arch profile smoke out check =
-    let report () =
-      Core.Experiments.diversity_matrix ~seed ~smoke ?variants ?arch
-        ?base_profile:profile ()
-    in
-    match report () with
-    | exception Invalid_argument e ->
-        Format.eprintf "%s@." e;
-        1
-    | r ->
-        Format.printf "%a@." Core.Experiments.pp_diversity r;
-        let json = Core.Experiments.diversity_json r in
-        (match out with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            output_string oc json;
-            close_out oc;
-            Format.printf "wrote %s@." path);
-        let json_ok =
-          (not check)
-          ||
-          match Telemetry.Json.validate json with
-          | Error e ->
-              Format.eprintf "diversity json: INVALID (%s)@." e;
-              false
-          | Ok () ->
-              (* Replay the whole matrix: determinism means byte-equal. *)
-              if String.equal json (Core.Experiments.diversity_json (report ()))
-              then begin
-                Format.printf "diversity json: well-formed, byte-identical replay@.";
-                true
-              end
-              else begin
-                Format.eprintf "diversity json: replay NOT byte-identical@.";
-                false
-              end
-        in
-        if json_ok && r.Core.Experiments.div_ok then 0 else 1
-  in
   let variants_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "variants" ]
-          ~doc:"Forked variants per combination (default: 1000; 48 with --smoke).")
+    optional Arg.int "variants"
+      "Forked variants per combination (default: 1000; 48 with --smoke)."
   in
   let arch_arg =
-    Arg.(
-      value
-      & opt (some arch_conv) None
-      & info [ "arch" ] ~doc:"Restrict to matrix cells of one architecture.")
+    optional arch_conv "arch" "Restrict to matrix cells of one architecture."
   in
   let profile_arg =
-    Arg.(
-      value
-      & opt (some profile_conv) None
-      & info [ "profile" ] ~doc:"Restrict to matrix cells of one base profile.")
+    optional profile_conv "profile"
+      "Restrict to matrix cells of one base profile."
   in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ] ~doc:"CI-sized run: 48 variants per combination.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~doc:"Write the survival matrix as JSON to a file.")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Validate the exported JSON and replay the matrix to prove \
-             byte-determinism; exit 1 on any mismatch.")
-  in
-  Cmd.v
-    (Cmd.info "diversity"
-       ~doc:
-         "Run the software-diversity survival matrix: fork a population of \
-          seeded layout variants per exploit-matrix cell (and the DoS), \
-          replay the stock-image payload against base, diversified, \
-          shadow-stack/forward-CFI, and combined defenses, and report \
-          per-combination survival probabilities with Wilson intervals plus \
-          gadget-survival statistics (exit 1 when a supposedly-mitigated \
-          combination still lets the payload through, or when diversity \
-          raises survival above the undiversified base).")
+  experiment "diversity"
+    ~doc:
+      "Run the software-diversity survival matrix: fork a population of \
+       seeded layout variants per exploit-matrix cell (and the DoS), \
+       replay the stock-image payload against base, diversified, \
+       shadow-stack/forward-CFI, and combined defenses, and report \
+       per-combination survival probabilities with Wilson intervals plus \
+       gadget-survival statistics (exit 1 when a supposedly-mitigated \
+       combination still lets the payload through, or when diversity \
+       raises survival above the undiversified base)."
+    ~out_doc:"Write the survival matrix as JSON to a file."
+    ~pp:Core.Experiments.pp_diversity ~to_json:Core.Experiments.diversity_json
+    ~ok:(fun r -> r.Core.Experiments.div_ok)
     Term.(
-      const run $ seed_arg $ variants_arg $ arch_arg $ profile_arg $ smoke_arg
-      $ out_arg $ check_arg)
+      const (fun seed variants arch profile smoke () ->
+          Core.Experiments.diversity_matrix ~seed ~smoke ?variants ?arch
+            ?base_profile:profile ())
+      $ seed_arg $ variants_arg $ arch_arg $ profile_arg
+      $ smoke_arg "CI-sized run: 48 variants per combination.")
+
+(* Shared by fleet and monitor: the campaign config, from the default or
+   smoke preset with any of seed, devices, lans and shards overridden. *)
+let fleet_config =
+  let config seed devices lans shards smoke =
+    let base =
+      if smoke then Fleet.Campaign.smoke_config
+      else Fleet.Campaign.default_config
+    in
+    let value v default = Option.value v ~default in
+    {
+      base with
+      Fleet.Campaign.seed = value seed base.Fleet.Campaign.seed;
+      devices = value devices base.Fleet.Campaign.devices;
+      lans = value lans base.Fleet.Campaign.lans;
+      shards = value shards base.Fleet.Campaign.shards;
+    }
+  in
+  Term.(
+    const config
+    $ optional Arg.int "seed" "Deterministic run seed (default: the config's)."
+    $ optional Arg.int "devices" "Fleet size (default: 1000; 48 with --smoke)."
+    $ optional Arg.int "lans" "LAN count (default: 20; 4 with --smoke)."
+    $ optional shards_conv "shards"
+        "Scheduler shard count (default: 4; 2 with --smoke)."
+    $ smoke_arg
+        "CI-sized campaign: 48 devices, 4 LANs, 2 shards, canary + one \
+         rollout wave.")
 
 let fleet_cmd =
-  let run seed devices lans shards smoke out check =
-    let base =
-      if smoke then Fleet.Campaign.smoke_config
-      else Fleet.Campaign.default_config
-    in
-    let value v default = match v with Some v -> v | None -> default in
-    let cfg =
-      {
-        base with
-        Fleet.Campaign.seed = value seed base.Fleet.Campaign.seed;
-        devices = value devices base.Fleet.Campaign.devices;
-        lans = value lans base.Fleet.Campaign.lans;
-        shards = value shards base.Fleet.Campaign.shards;
-      }
-    in
-    let report = Fleet.Campaign.run cfg in
-    Format.printf "%a@." Fleet.Campaign.pp report;
-    let json = Fleet.Campaign.json report in
-    (match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc json;
-        close_out oc;
-        Format.printf "wrote %s@." path);
-    let json_ok =
-      (not check)
-      ||
-      match Telemetry.Json.validate json with
-      | Ok () ->
-          Format.printf "fleet json: well-formed@.";
-          true
-      | Error e ->
-          Format.eprintf "fleet json: INVALID (%s)@." e;
-          false
-    in
-    if json_ok && Fleet.Campaign.ok report then 0 else 1
-  in
-  let seed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "seed" ] ~doc:"Deterministic run seed (default: the config's).")
-  in
-  let devices_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "devices" ] ~doc:"Fleet size (default: 1000; 48 with --smoke).")
-  in
-  let lans_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "lans" ] ~doc:"LAN count (default: 20; 4 with --smoke).")
-  in
-  let shards_arg =
-    Arg.(
-      value
-      & opt (some shards_conv) None
-      & info [ "shards" ]
-          ~doc:"Scheduler shard count (default: 4; 2 with --smoke).")
-  in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "CI-sized campaign: 48 devices, 4 LANs, 2 shards, canary + one \
-             rollout wave.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~doc:"Write the campaign report as JSON to a file.")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ] ~doc:"Validate the exported JSON; exit 1 if malformed.")
-  in
-  Cmd.v
-    (Cmd.info "fleet"
-       ~doc:
-         "Fleet-scale resilience campaign: fork a device population from \
-          copy-on-write snapshots over a sharded network world, mix benign \
-          load with exploit and DoS forgery under chaos, supervise every \
-          device (quarantine, probation, reintroduction), and roll out the \
-          patch canary-first with automatic rollback (exit 1 unless the \
-          fleet converges with zero residual compromises).")
-    Term.(
-      const run $ seed_arg $ devices_arg $ lans_arg $ shards_arg $ smoke_arg
-      $ out_arg $ check_arg)
+  experiment "fleet"
+    ~doc:
+      "Fleet-scale resilience campaign: fork a device population from \
+       copy-on-write snapshots over a sharded network world, mix benign \
+       load with exploit and DoS forgery under chaos, supervise every \
+       device (quarantine, probation, reintroduction), and roll out the \
+       patch canary-first with automatic rollback (exit 1 unless the \
+       fleet converges with zero residual compromises)."
+    ~out_doc:"Write the campaign report as JSON to a file."
+    ~pp:Fleet.Campaign.pp ~to_json:Fleet.Campaign.json ~ok:Fleet.Campaign.ok
+    Term.(const (fun cfg () -> Fleet.Campaign.run cfg) $ fleet_config)
 
 let monitor_cmd =
-  let run seed devices lans shards smoke interval rules_file out check =
-    let base =
-      if smoke then Fleet.Campaign.smoke_config
-      else Fleet.Campaign.default_config
-    in
-    let value v default = match v with Some v -> v | None -> default in
-    let cfg =
-      {
-        base with
-        Fleet.Campaign.seed = value seed base.Fleet.Campaign.seed;
-        devices = value devices base.Fleet.Campaign.devices;
-        lans = value lans base.Fleet.Campaign.lans;
-        shards = value shards base.Fleet.Campaign.shards;
-      }
-    in
+  let run cfg interval rules_file () =
     let reg = Telemetry.Metrics.create () in
     let mon =
       match interval with
@@ -928,177 +721,59 @@ let monitor_cmd =
       | Some path -> In_channel.with_open_bin path In_channel.input_all
     in
     match Telemetry.Monitor.add_rules mon rules_text with
-    | Error e ->
-        Format.eprintf "monitor rules: %s@." e;
-        1
-    | Ok nrules ->
-        let report = Fleet.Campaign.run ~monitor:mon cfg in
-        print_string (Telemetry.Monitor.dashboard mon);
-        Format.printf "rules loaded: %d;  campaign: %s@." nrules
-          (if Fleet.Campaign.ok report then "ok" else "NOT ok");
-        let json = Telemetry.Monitor.json mon in
-        (match out with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            output_string oc json;
-            close_out oc;
-            Format.printf "wrote %s@." path);
-        if not check then 0
-        else begin
-          let module M = Telemetry.Monitor in
-          let json_ok =
-            match Telemetry.Json.validate json with
-            | Ok () ->
-                Format.printf "monitor json: well-formed@.";
-                true
-            | Error e ->
-                Format.eprintf "monitor json: INVALID (%s)@." e;
-                false
-          in
-          let incidents = M.incidents mon in
-          let resolved =
-            List.exists (fun i -> i.M.i_resolved_us >= 0) incidents
-          in
-          if not resolved then
-            Format.eprintf
-              "monitor check: no incident both fired and resolved@.";
-          let causal =
-            List.exists
-              (fun i ->
-                match i.M.i_timeline with
-                | [] -> false
-                | first :: _ -> (
-                    first.M.e_kind = "wire_provenance"
-                    &&
-                    match List.rev i.M.i_timeline with
-                    | last :: _ ->
-                        last.M.e_kind = "quarantine"
-                        || last.M.e_kind = "rollback"
-                    | [] -> false))
-              incidents
-          in
-          if not causal then
-            Format.eprintf
-              "monitor check: no incident timeline runs wire provenance -> \
-               containment@.";
-          if json_ok && resolved && causal then begin
-            Format.printf
-              "monitor check: %d incident(s), causal timeline present@."
-              (List.length incidents);
-            0
-          end
-          else 1
-        end
+    | Error e -> failwith ("monitor rules: " ^ e)
+    | Ok nrules -> (mon, nrules, Fleet.Campaign.run ~monitor:mon cfg)
   in
-  let seed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "seed" ] ~doc:"Deterministic run seed (default: the config's).")
-  in
-  let devices_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "devices" ] ~doc:"Fleet size (default: 1000; 48 with --smoke).")
-  in
-  let lans_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "lans" ] ~doc:"LAN count (default: 20; 4 with --smoke).")
-  in
-  let shards_arg =
-    Arg.(
-      value
-      & opt (some shards_conv) None
-      & info [ "shards" ]
-          ~doc:"Scheduler shard count (default: 4; 2 with --smoke).")
-  in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"CI-sized campaign: 48 devices, 4 LANs, 2 shards.")
+  let pp ppf (mon, nrules, report) =
+    Format.pp_print_string ppf (Telemetry.Monitor.dashboard mon);
+    Format.fprintf ppf "rules loaded: %d;  campaign: %s;  causal incident: %s"
+      nrules
+      (if Fleet.Campaign.ok report then "ok" else "NOT ok")
+      (if Fleet.Campaign.monitor_ok mon then "yes" else "no")
   in
   let interval_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "interval" ]
-          ~doc:"Scrape interval in simulated microseconds (default 1000000).")
+    optional Arg.int "interval"
+      "Scrape interval in simulated microseconds (default 1000000)."
   in
   let rules_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "rules" ]
-          ~doc:
-            "Load recording/alert rules from a file (default: the built-in \
-             fleet rule set).")
+    optional Arg.string "rules"
+      "Load recording/alert rules from a file (default: the built-in fleet \
+       rule set)."
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~doc:"Write the monitor-v1 flight record to a file.")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Validate the exported JSON and require at least one resolved \
-             alert incident whose timeline starts at wire-byte provenance \
-             and ends in quarantine or rollback; exit 1 otherwise.")
-  in
-  Cmd.v
-    (Cmd.info "monitor"
-       ~doc:
-         "Run the fleet campaign under the deterministic flight recorder: \
-          scrape every metric series on the simulated clock, evaluate \
-          recording and alert rules (threshold, for-duration, hysteresis), \
-          correlate firing alerts with the causal event journal into \
-          per-incident timelines, and print a text dashboard.  Same seed, \
-          same bytes — for any shard count.")
-    Term.(
-      const run $ seed_arg $ devices_arg $ lans_arg $ shards_arg $ smoke_arg
-      $ interval_arg $ rules_arg $ out_arg $ check_arg)
+  experiment "monitor"
+    ~doc:
+      "Run the fleet campaign under the deterministic flight recorder: \
+       scrape every metric series on the simulated clock, evaluate \
+       recording and alert rules (threshold, for-duration, hysteresis), \
+       correlate firing alerts with the causal event journal into \
+       per-incident timelines, and print a text dashboard (exit 1 unless \
+       an alert incident resolved and an incident timeline runs from \
+       wire-byte provenance to quarantine or rollback).  Same seed, same \
+       bytes — for any shard count."
+    ~out_doc:"Write the monitor-v1 flight record to a file." ~pp
+    ~to_json:(fun (mon, _, _) -> Telemetry.Monitor.json mon)
+    ~ok:(fun (mon, _, _) -> Fleet.Campaign.monitor_ok mon)
+    Term.(const run $ fleet_config $ interval_arg $ rules_arg)
 
 let codec_diff_cmd =
-  let run seed execs out =
-    let report = Fuzz.Differential.run ~seed ~execs () in
-    Format.printf "%a@." Fuzz.Differential.pp_report report;
-    (match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Fuzz.Differential.report_json report);
-        close_out oc;
-        Format.printf "wrote %s@." path);
-    if report.Fuzz.Differential.divergent = 0 then 0 else 1
-  in
   let execs_arg =
     Arg.(
       value & opt int 50_000
       & info [ "execs" ] ~doc:"Mutation-execution budget.")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~doc:"Write the codec-diff report as JSON to a file.")
-  in
-  Cmd.v
-    (Cmd.info "codec-diff"
-       ~doc:
-         "Differentially fuzz the zero-copy DNS codec against the legacy \
-          reference: both must agree on decode results, error strings, and \
-          re-encoded bytes over benign seeds, the committed crash corpus, \
-          crafted hostiles, and a seeded mutation stream (exit 1 on any \
-          divergence).")
-    Term.(const run $ seed_arg $ execs_arg $ out_arg)
+  experiment "codec-diff"
+    ~doc:
+      "Differentially fuzz the zero-copy DNS codec against the legacy \
+       reference: both must agree on decode results, error strings, and \
+       re-encoded bytes over benign seeds, the committed crash corpus, \
+       crafted hostiles, and a seeded mutation stream (exit 1 on any \
+       divergence)."
+    ~out_doc:"Write the codec-diff report as JSON to a file."
+    ~pp:Fuzz.Differential.pp_report ~to_json:Fuzz.Differential.report_json
+    ~ok:(fun r -> r.Fuzz.Differential.divergent = 0)
+    Term.(
+      const (fun seed execs () -> Fuzz.Differential.run ~seed ~execs ())
+      $ seed_arg $ execs_arg)
 
 let report_cmd =
   let run seed output =
@@ -1116,9 +791,8 @@ let report_cmd =
     (match output with
     | None -> print_string (Buffer.contents buf)
     | Some path ->
-        let oc = open_out path in
-        output_string oc (Buffer.contents buf);
-        close_out oc;
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Buffer.contents buf));
         Format.printf "wrote %s@." path);
     if passed = List.length rows then 0 else 1
   in
@@ -1158,7 +832,6 @@ let () =
             sanitize_cmd;
             botnet_cmd;
             metrics_cmd;
-            cache_stats_cmd;
             chaos_cmd;
             fuzz_cmd;
             diversity_cmd;

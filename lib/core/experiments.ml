@@ -797,41 +797,51 @@ let chaos_campaign ?(seed = 1) ?(smoke = false) ?(shards = 1) () =
   { chaos_seed = seed; chaos_smoke = smoke; chaos_shards = shards;
     chaos_rows = rows; chaos_sweep = sweep }
 
-(* Hand-rolled JSON with fixed field order and %.4f floats so identical
-   seeds serialize to identical bytes. *)
+(* Fixed key order and %.4f floats (%.2f for the loss rate) so
+   identical seeds serialize to identical bytes. *)
 let chaos_json r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"schema\": \"chaos-campaign-v1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.chaos_seed);
-  Buffer.add_string b (Printf.sprintf "  \"shards\": %d,\n" r.chaos_shards);
-  Buffer.add_string b
-    (Printf.sprintf "  \"smoke\": %b,\n  \"rows\": [\n" r.chaos_smoke);
-  List.iteri
-    (fun i row ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"cell\": %S, \"schedule\": %S, \"compromised\": %b, \
-            \"crashes\": %d, \"restarts\": %d, \"gave_up\": %b, \
-            \"availability\": %.4f, \"delivered\": %d, \"dropped\": %d, \
-            \"dropped_fault\": %d, \"dropped_link\": %d, \"corrupted\": %d, \
-            \"duplicated\": %d, \"reordered\": %d}%s\n"
-           row.cell row.schedule row.compromised row.crashes row.restarts
-           row.gave_up row.availability row.delivered row.dropped
-           row.dropped_fault row.dropped_link row.corrupted row.duplicated
-           row.reordered
-           (if i = List.length r.chaos_rows - 1 then "" else ",")))
-    r.chaos_rows;
-  Buffer.add_string b "  ],\n  \"loss_sweep\": [\n";
-  List.iteri
-    (fun i p ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"loss\": %.2f, \"trials\": %d, \"compromised\": %d}%s\n"
-           p.sweep_loss p.sweep_trials p.sweep_hits
-           (if i = List.length r.chaos_sweep - 1 then "" else ",")))
-    r.chaos_sweep;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  let open Telemetry.Json in
+  print
+    (Obj
+       [
+         ("schema", Str "chaos-campaign-v1");
+         ("seed", Int r.chaos_seed);
+         ("shards", Int r.chaos_shards);
+         ("smoke", Bool r.chaos_smoke);
+         ( "rows",
+           Arr
+             (List.map
+                (fun row ->
+                  Obj
+                    [
+                      ("cell", Str row.cell);
+                      ("schedule", Str row.schedule);
+                      ("compromised", Bool row.compromised);
+                      ("crashes", Int row.crashes);
+                      ("restarts", Int row.restarts);
+                      ("gave_up", Bool row.gave_up);
+                      ("availability", fixed 4 row.availability);
+                      ("delivered", Int row.delivered);
+                      ("dropped", Int row.dropped);
+                      ("dropped_fault", Int row.dropped_fault);
+                      ("dropped_link", Int row.dropped_link);
+                      ("corrupted", Int row.corrupted);
+                      ("duplicated", Int row.duplicated);
+                      ("reordered", Int row.reordered);
+                    ])
+                r.chaos_rows) );
+         ( "loss_sweep",
+           Arr
+             (List.map
+                (fun p ->
+                  Obj
+                    [
+                      ("loss", fixed 2 p.sweep_loss);
+                      ("trials", Int p.sweep_trials);
+                      ("compromised", Int p.sweep_hits);
+                    ])
+                r.chaos_sweep) );
+       ])
 
 let pp_chaos ppf r =
   let line = String.make 100 '-' in
@@ -986,39 +996,47 @@ let detection_matrix ?(seed = 1) () =
 
 (* Deterministic serialization, same contract as [chaos_json]. *)
 let detection_json ?(seed = 1) rows =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"schema\": \"detection-matrix-v1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n  \"rows\": [\n" seed);
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"cell\": %S, \"arch\": %S, \"profile\": %S, \
-            \"disposition\": %S, \"reports\": %d" r.det_cell r.det_arch
-           r.det_profile r.det_disposition r.det_reports);
-      List.iter
-        (fun (k, n) ->
-          Buffer.add_string b (Printf.sprintf ", \"%s\": %d" k n))
-        r.det_counts;
-      (match r.det_first with
-      | None -> Buffer.add_string b ", \"first\": null"
-      | Some f ->
-          Buffer.add_string b
-            (Printf.sprintf
-               ", \"first\": {\"kind\": %S, \"step\": %d, \"pc\": \"0x%08x\", \
-                \"addr\": \"0x%08x\", \"target\": \"0x%08x\", \"source\": %d, \
-                \"wire_offset\": %d, \"origin\": %S, \"symbol\": %S, \
-                \"detail\": %S}"
-               (Oracle.kind_name f.Oracle.kind)
-               f.Oracle.step f.Oracle.pc f.Oracle.addr f.Oracle.target
-               (Oracle.source_id f) (Oracle.wire_offset f) f.Oracle.origin
-               r.det_first_symbol f.Oracle.detail));
-      Buffer.add_string b
-        (Printf.sprintf ", \"ok\": %b}%s\n" r.det_ok
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  let open Telemetry.Json in
+  let hex n = Str (Printf.sprintf "0x%08x" n) in
+  let first r =
+    match r.det_first with
+    | None -> Null
+    | Some f ->
+        Obj
+          [
+            ("kind", Str (Oracle.kind_name f.Oracle.kind));
+            ("step", Int f.Oracle.step);
+            ("pc", hex f.Oracle.pc);
+            ("addr", hex f.Oracle.addr);
+            ("target", hex f.Oracle.target);
+            ("source", Int (Oracle.source_id f));
+            ("wire_offset", Int (Oracle.wire_offset f));
+            ("origin", Str f.Oracle.origin);
+            ("symbol", Str r.det_first_symbol);
+            ("detail", Str f.Oracle.detail);
+          ]
+  in
+  print
+    (Obj
+       [
+         ("schema", Str "detection-matrix-v1");
+         ("seed", Int seed);
+         ( "rows",
+           Arr
+             (List.map
+                (fun r ->
+                  Obj
+                    ([
+                       ("cell", Str r.det_cell);
+                       ("arch", Str r.det_arch);
+                       ("profile", Str r.det_profile);
+                       ("disposition", Str r.det_disposition);
+                       ("reports", Int r.det_reports);
+                     ]
+                    @ List.map (fun (k, n) -> (k, Int n)) r.det_counts
+                    @ [ ("first", first r); ("ok", Bool r.det_ok) ]))
+                rows) );
+       ])
 
 let pp_detection ppf rows =
   let line = String.make 112 '-' in
@@ -1103,23 +1121,20 @@ let fuzz_campaign ?(seed = 1) ?(smoke = false) ?(shards = 1) ?execs () =
   }
 
 (* Deterministic serialization, same contract as [chaos_json]: the
-   embedded per-run documents are [Fuzz.Engine.stats_json] verbatim, so
-   the campaign file carries everything a single run's file would. *)
+   embedded per-run documents are [Fuzz.Engine.stats_value], so the
+   campaign file carries everything a single run's file would. *)
 let fuzz_json r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"schema\": \"fuzz-campaign-v1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.fuzz_seed);
-  Buffer.add_string b (Printf.sprintf "  \"shards\": %d,\n" r.fuzz_shards);
-  Buffer.add_string b (Printf.sprintf "  \"smoke\": %b,\n" r.fuzz_smoke);
-  Buffer.add_string b (Printf.sprintf "  \"ok\": %b,\n  \"runs\": [\n" r.fuzz_ok);
-  List.iteri
-    (fun i st ->
-      Buffer.add_string b (String.trim (Fuzz.Engine.stats_json st));
-      Buffer.add_string b
-        (if i = List.length r.fuzz_runs - 1 then "\n" else ",\n"))
-    r.fuzz_runs;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  let open Telemetry.Json in
+  print
+    (Obj
+       [
+         ("schema", Str "fuzz-campaign-v1");
+         ("seed", Int r.fuzz_seed);
+         ("shards", Int r.fuzz_shards);
+         ("smoke", Bool r.fuzz_smoke);
+         ("ok", Bool r.fuzz_ok);
+         ("runs", Arr (List.map Fuzz.Engine.stats_value r.fuzz_runs));
+       ])
 
 let pp_fuzz ppf r =
   Format.fprintf ppf "fuzz campaign (seed %d%s)@." r.fuzz_seed
@@ -1385,57 +1400,63 @@ let diversity_matrix ?(seed = 1) ?(smoke = false) ?variants ?arch ?base_profile
   }
 
 (* Deterministic serialization, same contract as [chaos_json]: fixed key
-   order, %.4f floats, so the same seed always yields the same bytes. *)
+   order, %.4f floats (%.2f for the means), so the same seed always
+   yields the same bytes. *)
 let diversity_json r =
-  let b = Buffer.create 8192 in
-  Buffer.add_string b "{\n  \"schema\": \"diversity-matrix-v1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.div_seed);
-  Buffer.add_string b (Printf.sprintf "  \"variants\": %d,\n" r.div_n);
-  Buffer.add_string b (Printf.sprintf "  \"smoke\": %b,\n" r.div_smoke);
-  Buffer.add_string b (Printf.sprintf "  \"ok\": %b,\n  \"cells\": [\n" r.div_ok);
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"cell\": %S, \"arch\": %S, \"base_profile\": %S, \"combos\": [\n"
-           c.div_id c.div_arch c.div_base_profile);
-      List.iteri
-        (fun j k ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "      {\"combo\": %S, \"profile\": %S, \"diversified\": %b, \
-                \"trials\": %d, \"successes\": %d, \"rate\": %.4f, \
-                \"ci_low\": %.4f, \"ci_high\": %.4f, \"mitigations\": [%s], \
-                \"gadgets_baseline\": %d, \"gadget_survival_mean\": %.4f, \
-                \"moved_mean\": %.2f, \"pad_mean\": %.2f, \"rewrites_mean\": \
-                %.2f, \"variants\": ["
-               k.combo k.combo_profile k.combo_diversified k.combo_trials
-               k.combo_successes k.combo_rate k.combo_ci_low k.combo_ci_high
-               (String.concat ", "
-                  (List.map (Printf.sprintf "%S") k.combo_mitigations))
-               k.combo_gadgets_baseline k.combo_gadget_survival_mean
-               k.combo_moved_mean k.combo_pad_mean k.combo_rewrites_mean);
-          List.iteri
-            (fun vi v ->
-              Buffer.add_string b
-                (Printf.sprintf
-                   "%s{\"seed\": %d, \"moved\": %d, \"pad_bytes\": %d, \
-                    \"rewrites\": %d, \"gadgets\": %d, \"gadget_survival\": \
-                    %.4f}"
-                   (if vi = 0 then "" else ", ")
-                   v.var_seed v.var_moved v.var_pad_bytes v.var_rewrites
-                   v.var_gadgets v.var_gadget_survival))
-            k.combo_variant_sample;
-          Buffer.add_string b
-            (Printf.sprintf "], \"ok\": %b}%s\n" k.combo_ok
-               (if j = List.length c.div_combos - 1 then "" else ",")))
-        c.div_combos;
-      Buffer.add_string b
-        (Printf.sprintf "    ]}%s\n"
-           (if i = List.length r.div_cells - 1 then "" else ",")))
-    r.div_cells;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  let open Telemetry.Json in
+  let variant v =
+    Obj
+      [
+        ("seed", Int v.var_seed);
+        ("moved", Int v.var_moved);
+        ("pad_bytes", Int v.var_pad_bytes);
+        ("rewrites", Int v.var_rewrites);
+        ("gadgets", Int v.var_gadgets);
+        ("gadget_survival", fixed 4 v.var_gadget_survival);
+      ]
+  in
+  let combo k =
+    Obj
+      [
+        ("combo", Str k.combo);
+        ("profile", Str k.combo_profile);
+        ("diversified", Bool k.combo_diversified);
+        ("trials", Int k.combo_trials);
+        ("successes", Int k.combo_successes);
+        ("rate", fixed 4 k.combo_rate);
+        ("ci_low", fixed 4 k.combo_ci_low);
+        ("ci_high", fixed 4 k.combo_ci_high);
+        ("mitigations", Arr (List.map (fun m -> Str m) k.combo_mitigations));
+        ("gadgets_baseline", Int k.combo_gadgets_baseline);
+        ("gadget_survival_mean", fixed 4 k.combo_gadget_survival_mean);
+        ("moved_mean", fixed 2 k.combo_moved_mean);
+        ("pad_mean", fixed 2 k.combo_pad_mean);
+        ("rewrites_mean", fixed 2 k.combo_rewrites_mean);
+        ("variants", Arr (List.map variant k.combo_variant_sample));
+        ("ok", Bool k.combo_ok);
+      ]
+  in
+  print
+    (Obj
+       [
+         ("schema", Str "diversity-matrix-v1");
+         ("seed", Int r.div_seed);
+         ("variants", Int r.div_n);
+         ("smoke", Bool r.div_smoke);
+         ("ok", Bool r.div_ok);
+         ( "cells",
+           Arr
+             (List.map
+                (fun c ->
+                  Obj
+                    [
+                      ("cell", Str c.div_id);
+                      ("arch", Str c.div_arch);
+                      ("base_profile", Str c.div_base_profile);
+                      ("combos", Arr (List.map combo c.div_combos));
+                    ])
+                r.div_cells) );
+       ])
 
 let pp_diversity ppf r =
   let line = String.make 104 '-' in

@@ -219,7 +219,7 @@ val fuzz_campaign :
 
 val fuzz_json : fuzz_report -> string
 (** Deterministic serialization ([fuzz-campaign-v1] schema, embedding
-    each run's [fuzz-stats-v1] document verbatim). *)
+    each run's [fuzz-stats-v1] document, {!Fuzz.Engine.stats_value}). *)
 
 val pp_fuzz : Format.formatter -> fuzz_report -> unit
 

@@ -116,6 +116,23 @@ let default_rules =
    record fleet_stock_compromised_fraction = fleet_diversity_compromised{cohort=\"stock\"} / fleet_diversity_devices{cohort=\"stock\"}\n\
    alert stock_cohort_compromised if fleet_stock_compromised_fraction > 0.05 for 5s clear 0.01\n"
 
+(* The acceptance predicate of a campaign run under [default_rules]: some
+   alert incident resolved, and some incident's timeline runs from the
+   wire-byte provenance of a hostile answer to its containment
+   (quarantine or rollback). *)
+let monitor_ok mon =
+  let module M = Telemetry.Monitor in
+  let incidents = M.incidents mon in
+  let contained i =
+    match (i.M.i_timeline, List.rev i.M.i_timeline) with
+    | first :: _, last :: _ ->
+        first.M.e_kind = "wire_provenance"
+        && (last.M.e_kind = "quarantine" || last.M.e_kind = "rollback")
+    | _ -> false
+  in
+  List.exists (fun i -> i.M.i_resolved_us >= 0) incidents
+  && List.exists contained incidents
+
 type wave_outcome = {
   o_wave : Rollout.wave;
   o_applied_us : int;
@@ -885,70 +902,85 @@ let ok r =
      | Some _ -> r.r_rollbacks >= 1
      | None -> true)
 
-(* fleet-campaign-v1: hand-rolled for byte determinism — fixed key
-   order, fixed float formatting, no hash iteration anywhere. *)
+(* fleet-campaign-v1: fixed key order, %.4f floats, no hash iteration
+   anywhere, so the same seed always yields the same bytes. *)
 let json r =
-  let b = Buffer.create 8192 in
-  let add fmt = Printf.bprintf b fmt in
-  add "{\n";
-  add "  \"schema\": \"fleet-campaign-v1\",\n";
-  add "  \"seed\": %d,\n" r.r_config.seed;
-  add "  \"devices\": %d,\n" r.r_config.devices;
-  add "  \"lans\": %d,\n" r.r_config.lans;
-  add "  \"shards\": %d,\n" r.r_config.shards;
-  add "  \"arch\": \"%s\",\n" (arch_name r.r_config.arch);
-  add "  \"diversity_frac\": %.4f,\n" r.r_config.diversity_frac;
-  add "  \"horizon_us\": %d,\n" r.r_config.horizon_us;
-  add "  \"lookups\": %d,\n" r.r_lookups;
-  add "  \"answered\": %d,\n" r.r_answered;
-  add "  \"availability\": %.4f,\n" r.r_availability;
-  add "  \"compromises\": %d,\n" r.r_compromises;
-  add "  \"compromised_devices\": %d,\n" r.r_compromised_devices;
-  add "  \"diversified_devices\": %d,\n" r.r_diversified;
-  add "  \"div_compromised_devices\": %d,\n" r.r_div_compromised;
-  add "  \"stock_compromised_devices\": %d,\n" r.r_stock_compromised;
-  add "  \"crashes\": %d,\n" r.r_crashes;
-  add "  \"restarts\": %d,\n" r.r_restarts;
-  add "  \"quarantines\": %d,\n" r.r_quarantines;
-  add "  \"reintroductions\": %d,\n" r.r_reintroductions;
-  add "  \"revivals\": %d,\n" r.r_revivals;
-  add "  \"escalations\": %d,\n" r.r_escalations;
-  add "  \"rollbacks\": %d,\n" r.r_rollbacks;
-  add "  \"forks\": %d,\n" r.r_forks;
-  add "  \"converged_us\": %d,\n" r.r_converged_us;
-  add "  \"ok\": %b,\n" (ok r);
-  add "  \"cache\": { \"hits\": %d, \"misses\": %d },\n" r.r_cache_hits
-    r.r_cache_misses;
-  add "  \"net\": { \"delivered\": %d, \"dropped\": %d, \"events\": %d },\n"
-    r.r_delivered r.r_dropped r.r_events;
-  add "  \"waves\": [\n";
-  List.iteri
-    (fun i o ->
-      let w = o.o_wave in
-      add
-        "    { \"index\": %d, \"label\": \"%s\", \"first\": %d, \"count\": \
-         %d, \"bad\": %b, \"applied_us\": %d, \"evaluated_us\": %d, \
-         \"hits\": %d, \"rolled_back\": %b }%s\n"
-        w.Rollout.w_index w.Rollout.w_label w.Rollout.w_first w.Rollout.w_count
-        w.Rollout.w_bad o.o_applied_us o.o_evaluated_us o.o_hits
-        o.o_rolled_back
-        (if i = List.length r.r_waves - 1 then "" else ","))
-    r.r_waves;
-  add "  ],\n";
-  add "  \"samples\": [\n";
-  List.iteri
-    (fun i s ->
-      add
-        "    { \"at_us\": %d, \"compromises\": %d, \"crashes\": %d, \
-         \"patched\": %d, \"healthy\": %d, \"degraded\": %d, \
-         \"quarantined\": %d, \"reintroduced\": %d }%s\n"
-        s.s_at_us s.s_compromises s.s_crashes s.s_patched s.s_healthy
-        s.s_degraded s.s_quarantined s.s_reintroduced
-        (if i = List.length r.r_samples - 1 then "" else ","))
-    r.r_samples;
-  add "  ]\n";
-  add "}\n";
-  Buffer.contents b
+  let open Telemetry.Json in
+  let c = r.r_config in
+  print
+    (Obj
+       [
+         ("schema", Str "fleet-campaign-v1");
+         ("seed", Int c.seed);
+         ("devices", Int c.devices);
+         ("lans", Int c.lans);
+         ("shards", Int c.shards);
+         ("arch", Str (arch_name c.arch));
+         ("diversity_frac", fixed 4 c.diversity_frac);
+         ("horizon_us", Int c.horizon_us);
+         ("lookups", Int r.r_lookups);
+         ("answered", Int r.r_answered);
+         ("availability", fixed 4 r.r_availability);
+         ("compromises", Int r.r_compromises);
+         ("compromised_devices", Int r.r_compromised_devices);
+         ("diversified_devices", Int r.r_diversified);
+         ("div_compromised_devices", Int r.r_div_compromised);
+         ("stock_compromised_devices", Int r.r_stock_compromised);
+         ("crashes", Int r.r_crashes);
+         ("restarts", Int r.r_restarts);
+         ("quarantines", Int r.r_quarantines);
+         ("reintroductions", Int r.r_reintroductions);
+         ("revivals", Int r.r_revivals);
+         ("escalations", Int r.r_escalations);
+         ("rollbacks", Int r.r_rollbacks);
+         ("forks", Int r.r_forks);
+         ("converged_us", Int r.r_converged_us);
+         ("ok", Bool (ok r));
+         ( "cache",
+           Obj [ ("hits", Int r.r_cache_hits); ("misses", Int r.r_cache_misses) ]
+         );
+         ( "net",
+           Obj
+             [
+               ("delivered", Int r.r_delivered);
+               ("dropped", Int r.r_dropped);
+               ("events", Int r.r_events);
+             ] );
+         ( "waves",
+           Arr
+             (List.map
+                (fun o ->
+                  let w = o.o_wave in
+                  Obj
+                    [
+                      ("index", Int w.Rollout.w_index);
+                      ("label", Str w.Rollout.w_label);
+                      ("first", Int w.Rollout.w_first);
+                      ("count", Int w.Rollout.w_count);
+                      ("bad", Bool w.Rollout.w_bad);
+                      ("applied_us", Int o.o_applied_us);
+                      ("evaluated_us", Int o.o_evaluated_us);
+                      ("hits", Int o.o_hits);
+                      ("rolled_back", Bool o.o_rolled_back);
+                    ])
+                r.r_waves) );
+         ( "samples",
+           Arr
+             (List.map
+                (fun s ->
+                  Obj
+                    [
+                      ("at_us", Int s.s_at_us);
+                      ("compromises", Int s.s_compromises);
+                      ("crashes", Int s.s_crashes);
+                      ("patched", Int s.s_patched);
+                      ("healthy", Int s.s_healthy);
+                      ("degraded", Int s.s_degraded);
+                      ("quarantined", Int s.s_quarantined);
+                      ("reintroduced", Int s.s_reintroduced);
+                    ])
+                r.r_samples) );
+       ])
 
 let pp ppf r =
   Format.fprintf ppf

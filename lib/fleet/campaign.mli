@@ -130,6 +130,13 @@ val default_rules : string
     the stock cohort's fraction — the series the cohort gauges feed even
     when [diversity_frac = 0] (all-zero, so the rules stay quiet). *)
 
+val monitor_ok : Telemetry.Monitor.t -> bool
+(** The acceptance predicate of a campaign run under a monitor loaded
+    with {!default_rules}: at least one alert incident both fired and
+    resolved, and at least one incident's timeline starts at the
+    wire-byte provenance of a hostile answer and ends in containment
+    (quarantine or rollback). *)
+
 val run :
   ?metrics:Telemetry.Metrics.t -> ?monitor:Telemetry.Monitor.t -> config -> report
 (** Execute the campaign.  When [metrics] is given, per-shard
@@ -150,7 +157,8 @@ val run :
 
 val json : report -> string
 (** Byte-deterministic [fleet-campaign-v1] document (fixed key order,
-    fixed float formatting): same seed ⇒ identical bytes. *)
+    [%.4f] floats, {!Telemetry.Json.print}): same seed ⇒ identical
+    bytes. *)
 
 val ok : report -> bool
 (** The campaign's acceptance predicate: the fleet converged on the

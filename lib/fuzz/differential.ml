@@ -137,43 +137,31 @@ let run ?(seed = 1) ?(execs = 10_000) () =
     divergences = List.rev !kept;
   }
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let report_json r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n  \"schema\": \"codec-diff-v1\",\n";
-  Printf.bprintf b "  \"seed\": %d,\n" r.seed;
-  Printf.bprintf b "  \"execs\": %d,\n" r.execs;
-  Printf.bprintf b "  \"pool\": %d,\n" r.pool;
-  Printf.bprintf b "  \"decode_ok\": %d,\n" r.decode_ok;
-  Printf.bprintf b "  \"decode_err\": %d,\n" r.decode_err;
-  Printf.bprintf b "  \"divergent\": %d,\n" r.divergent;
-  Buffer.add_string b "  \"divergences\": [";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "\n    {\"stage\": \"%s\", \"input_hex\": \"%s\", \"legacy\": \
-         \"%s\", \"zero_copy\": \"%s\"}"
-        (json_escape d.stage)
-        (Engine.hex_of_string d.input)
-        (json_escape d.legacy) (json_escape d.zero_copy))
-    r.divergences;
-  if r.divergences <> [] then Buffer.add_string b "\n  ";
-  Buffer.add_string b "]\n}\n";
-  Buffer.contents b
+  let open Telemetry.Json in
+  print
+    (Obj
+       [
+         ("schema", Str "codec-diff-v1");
+         ("seed", Int r.seed);
+         ("execs", Int r.execs);
+         ("pool", Int r.pool);
+         ("decode_ok", Int r.decode_ok);
+         ("decode_err", Int r.decode_err);
+         ("divergent", Int r.divergent);
+         ( "divergences",
+           Arr
+             (List.map
+                (fun d ->
+                  Obj
+                    [
+                      ("stage", Str d.stage);
+                      ("input_hex", Str (Engine.hex_of_string d.input));
+                      ("legacy", Str d.legacy);
+                      ("zero_copy", Str d.zero_copy);
+                    ])
+                r.divergences) );
+       ])
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -222,20 +222,6 @@ let run config =
 
 (* {1 Deterministic JSON} *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let hex_of_string s =
   let b = Buffer.create (2 * String.length s) in
   String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
@@ -247,50 +233,42 @@ let string_of_hex h =
     (String.length h / 2)
     (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
 
-let opt_int = function None -> "null" | Some n -> string_of_int n
+let nullable f = function None -> Telemetry.Json.Null | Some x -> f x
 
-let opt_str = function
-  | None -> "null"
-  | Some s -> Printf.sprintf "\"%s\"" (json_escape s)
+let crash_value c =
+  let open Telemetry.Json in
+  Obj
+    [
+      ("exec", Int c.exec);
+      ("outcome", Str c.outcome);
+      ("steps", Int c.steps);
+      ("rule", nullable (fun r -> Str r) c.rule);
+      ("wire_offset", nullable (fun n -> Int n) c.wire_offset);
+      ("provenance", nullable (fun p -> Str p) c.provenance);
+      ("input_hex", Str (hex_of_string c.input));
+    ]
 
-let crash_json c =
-  Printf.sprintf
-    "{\"exec\":%d,\"outcome\":\"%s\",\"steps\":%d,\"rule\":%s,\"wire_offset\":%s,\"provenance\":%s,\"input_hex\":\"%s\"}"
-    c.exec (json_escape c.outcome) c.steps (opt_str c.rule)
-    (opt_int c.wire_offset) (opt_str c.provenance) (hex_of_string c.input)
+let stats_value st =
+  let open Telemetry.Json in
+  Obj
+    [
+      ("schema", Str "fuzz-stats-v1");
+      ("arch", Str (Loader.Arch.name st.cfg.arch));
+      ("version", Str (Connman.Version.to_string st.cfg.version));
+      ("profile", Str (Defense.Profile.name st.cfg.profile));
+      ("seed", Int st.cfg.seed);
+      ("max_execs", Int st.cfg.max_execs);
+      ("seed_inputs", Int st.seed_inputs);
+      ("execs", Int st.execs);
+      ("corpus", Int st.corpus);
+      ("edges", Int st.edges);
+      ("total_steps", Int st.total_steps);
+      ("rediscovered_at_exec", nullable (fun n -> Int n) st.rediscovered_at);
+      ("first_rule", nullable (fun r -> Str r) st.first_rule);
+      ("crashes", Arr (List.map crash_value st.crashes));
+    ]
 
-let stats_json st =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"fuzz-stats-v1\",\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"arch\": \"%s\",\n" (Loader.Arch.name st.cfg.arch));
-  Buffer.add_string b
-    (Printf.sprintf "  \"version\": \"%s\",\n"
-       (Connman.Version.to_string st.cfg.version));
-  Buffer.add_string b
-    (Printf.sprintf "  \"profile\": \"%s\",\n" (Defense.Profile.name st.cfg.profile));
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" st.cfg.seed);
-  Buffer.add_string b (Printf.sprintf "  \"max_execs\": %d,\n" st.cfg.max_execs);
-  Buffer.add_string b (Printf.sprintf "  \"seed_inputs\": %d,\n" st.seed_inputs);
-  Buffer.add_string b (Printf.sprintf "  \"execs\": %d,\n" st.execs);
-  Buffer.add_string b (Printf.sprintf "  \"corpus\": %d,\n" st.corpus);
-  Buffer.add_string b (Printf.sprintf "  \"edges\": %d,\n" st.edges);
-  Buffer.add_string b (Printf.sprintf "  \"total_steps\": %d,\n" st.total_steps);
-  Buffer.add_string b
-    (Printf.sprintf "  \"rediscovered_at_exec\": %s,\n" (opt_int st.rediscovered_at));
-  Buffer.add_string b
-    (Printf.sprintf "  \"first_rule\": %s,\n" (opt_str st.first_rule));
-  Buffer.add_string b "  \"crashes\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b "    ";
-      Buffer.add_string b (crash_json c);
-      if i < List.length st.crashes - 1 then Buffer.add_char b ',';
-      Buffer.add_char b '\n')
-    st.crashes;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+let stats_json st = Telemetry.Json.print (stats_value st)
 
 let pp_stats ppf st =
   Format.fprintf ppf

@@ -56,9 +56,12 @@ val benign_seeds : unit -> string list
 
 val run : config -> stats
 
+val stats_value : stats -> Telemetry.Json.value
+(** The [fuzz-stats-v1] document; deterministic (no wall-clock fields). *)
+
 val stats_json : stats -> string
-(** [fuzz-stats-v1] JSON; deterministic (no wall-clock fields) and
-    byte-identical for equal seeds. *)
+(** [Telemetry.Json.print] of {!stats_value}: byte-identical for equal
+    seeds. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

@@ -1,6 +1,7 @@
 type value =
   | Null
   | Bool of bool
+  | Int of int
   | Num of float
   | Str of string
   | Arr of value list
@@ -114,7 +115,11 @@ let parse s =
         (match peek () with Some ('+' | '-') -> advance () | _ -> ());
         digits ()
     | _ -> ());
-    float_of_string (String.sub s start (!pos - start))
+    let lit = String.sub s start (!pos - start) in
+    let integral = not (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') lit) in
+    match if integral then int_of_string_opt lit else None with
+    | Some n -> Int n
+    | None -> Num (float_of_string lit)
   in
   let rec value () =
     skip_ws ();
@@ -172,7 +177,7 @@ let parse s =
     | Some 't' -> literal "true"; Bool true
     | Some 'f' -> literal "false"; Bool false
     | Some 'n' -> literal "null"; Null
-    | Some ('-' | '0' .. '9') -> Num (number ())
+    | Some ('-' | '0' .. '9') -> number ()
     | Some c -> fail (Printf.sprintf "unexpected '%c'" c)
   in
   try
@@ -188,5 +193,73 @@ let validate s = Result.map (fun (_ : value) -> ()) (parse s)
 
 let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 let to_list = function Arr vs -> Some vs | _ -> None
-let to_float = function Num f -> Some f | _ -> None
+let to_int = function Int n -> Some n | _ -> None
+let to_float = function Int n -> Some (float_of_int n) | Num f -> Some f | _ -> None
 let to_string = function Str s -> Some s | _ -> None
+
+(* --- printer ------------------------------------------------------------- *)
+
+let fixed d x = Num (float_of_string (Printf.sprintf "%.*f" d x))
+
+(* Shortest of %.15g/%.16g/%.17g that reads back as [f]: a float that
+   some decimal of <= 15 significant digits names is printed as that
+   decimal by %.15g, so the first hit is the shortest.  A "." is added
+   when the digits alone would read back as an integer. *)
+let number f =
+  if not (Float.is_finite f) then
+    invalid_arg (Printf.sprintf "Json.print: %h is not a JSON number" f);
+  let rec shortest p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || float_of_string s = f then s else shortest (p + 1)
+  in
+  let s = shortest 15 in
+  if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+
+let escape b s =
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+let is_container = function Arr _ | Obj _ -> true | _ -> false
+
+(* A container at depth 0 or 1 holding a container gets one member per
+   line, indented two spaces per level; everything else is one line. *)
+let print v =
+  let b = Buffer.create 4096 in
+  let rec value depth = function
+    | Null -> Buffer.add_string b "null"
+    | Bool x -> Buffer.add_string b (string_of_bool x)
+    | Int n -> Buffer.add_string b (string_of_int n)
+    | Num f -> Buffer.add_string b (number f)
+    | Str s -> escape b s
+    | Arr vs -> container depth '[' ']' (List.map (fun v -> (None, v)) vs)
+    | Obj kvs -> container depth '{' '}' (List.map (fun (k, v) -> (Some k, v)) kvs)
+  and container depth opening closing members =
+    let multiline = depth <= 1 && List.exists (fun (_, v) -> is_container v) members in
+    let indent = String.make (2 * (depth + 1)) ' ' in
+    Buffer.add_char b opening;
+    List.iteri
+      (fun i (key, v) ->
+        if i > 0 then Buffer.add_string b (if multiline then "," else ", ");
+        if multiline then (Buffer.add_char b '\n'; Buffer.add_string b indent);
+        Option.iter (fun k -> escape b k; Buffer.add_string b ": ") key;
+        value (depth + 1) v)
+      members;
+    if multiline then begin
+      Buffer.add_char b '\n';
+      Buffer.add_string b (String.make (2 * depth) ' ')
+    end;
+    Buffer.add_char b closing
+  in
+  value 0 v;
+  Buffer.add_char b '\n';
+  Buffer.contents b

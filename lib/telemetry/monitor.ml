@@ -622,105 +622,93 @@ let incidents t =
 
 (* --- export -------------------------------------------------------------- *)
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let render_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6f" v
+(* Series sorted by (name, rendered labels): insertion-order free. *)
+let sorted_keys t =
+  List.sort
+    (fun (n1, l1, _) (n2, l2, _) ->
+      let c = compare n1 n2 in
+      if c <> 0 then c else compare (render_labels l1) (render_labels l2))
+    (List.rev t.order)
 
 let json t =
-  let b = Buffer.create 65536 in
-  Buffer.add_string b "{\n  \"schema\": \"monitor-v1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"interval_us\": %d,\n" t.ival);
-  Buffer.add_string b (Printf.sprintf "  \"scrapes\": %d,\n" t.nscrapes);
-  Buffer.add_string b (Printf.sprintf "  \"last_scrape_us\": %d,\n" t.last_ts);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"journal\": {\"emitted\": %d, \"retained\": %d, \"dropped\": %d},\n"
-       t.jtotal t.jlen (journal_dropped t));
-  (* series sorted by (name, rendered labels) — insertion-order free *)
-  let keys =
-    List.sort
-      (fun (n1, l1, _) (n2, l2, _) ->
-        let c = compare n1 n2 in
-        if c <> 0 then c else compare (render_labels l1) (render_labels l2))
-      (List.rev t.order)
+  let open Json in
+  let num = fixed 6 in
+  let series (name, labels, key) =
+    let ss = Hashtbl.find t.stores key in
+    Obj
+      [
+        ("name", Str name);
+        ("labels", Obj (List.map (fun (k, v) -> (k, Str v)) labels));
+        ("type", Str ss.ss_typ);
+        ("stride", Int ss.ss_stride);
+        ( "points",
+          Arr
+            (List.map
+               (fun p ->
+                 Obj
+                   [
+                     ("ts", Int p.p_ts);
+                     ("last", num p.p_last);
+                     ("sum", num p.p_sum);
+                     ("min", num p.p_min);
+                     ("max", num p.p_max);
+                     ("n", Int p.p_count);
+                   ])
+               (sstore_points ss)) );
+      ]
   in
-  Buffer.add_string b "  \"series\": [\n";
-  List.iteri
-    (fun i (name, labels, key) ->
-      if i > 0 then Buffer.add_string b ",\n";
-      let ss = Hashtbl.find t.stores key in
-      Buffer.add_string b
-        (Printf.sprintf "    {\"name\": %s, \"labels\": {%s}, \"type\": %s, \"stride\": %d, \"points\": ["
-           (json_string name)
-           (String.concat ", "
-              (List.map (fun (k, v) -> json_string k ^ ": " ^ json_string v) labels))
-           (json_string ss.ss_typ) ss.ss_stride);
-      List.iteri
-        (fun j p ->
-          if j > 0 then Buffer.add_string b ", ";
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"ts\": %d, \"last\": %s, \"sum\": %s, \"min\": %s, \"max\": %s, \"n\": %d}"
-               p.p_ts (render_float p.p_last) (render_float p.p_sum)
-               (render_float p.p_min) (render_float p.p_max) p.p_count))
-        (sstore_points ss);
-      Buffer.add_string b "]}")
-    keys;
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"alerts\": [\n";
-  List.iteri
-    (fun i tr ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"ts\": %d, \"rule\": %s, \"from\": %s, \"to\": %s, \"value\": %s}"
-           tr.tr_ts (json_string tr.tr_rule)
-           (json_string (state_name tr.tr_from))
-           (json_string (state_name tr.tr_to))
-           (render_float tr.tr_value)))
-    (transitions t);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"incidents\": [\n";
-  List.iteri
-    (fun i inc ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"rule\": %s, \"pending_us\": %d, \"firing_us\": %d, \
-            \"resolved_us\": %d, \"peak\": %s, \"truncated\": %d, \"timeline\": [\n"
-           (json_string inc.i_rule) inc.i_pending_us inc.i_firing_us
-           inc.i_resolved_us (render_float inc.i_peak) inc.i_truncated);
-      List.iteri
-        (fun j e ->
-          if j > 0 then Buffer.add_string b ",\n";
-          Buffer.add_string b
-            (Printf.sprintf
-               "      {\"ts\": %d, \"source\": %s, \"kind\": %s, \"actor\": %s, \"detail\": %s}"
-               e.e_ts (json_string e.e_source) (json_string e.e_kind)
-               (json_string e.e_actor) (json_string e.e_detail)))
-        inc.i_timeline;
-      Buffer.add_string b "\n    ]}")
-    (incidents t);
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let alert tr =
+    Obj
+      [
+        ("ts", Int tr.tr_ts);
+        ("rule", Str tr.tr_rule);
+        ("from", Str (state_name tr.tr_from));
+        ("to", Str (state_name tr.tr_to));
+        ("value", num tr.tr_value);
+      ]
+  in
+  let incident inc =
+    Obj
+      [
+        ("rule", Str inc.i_rule);
+        ("pending_us", Int inc.i_pending_us);
+        ("firing_us", Int inc.i_firing_us);
+        ("resolved_us", Int inc.i_resolved_us);
+        ("peak", num inc.i_peak);
+        ("truncated", Int inc.i_truncated);
+        ( "timeline",
+          Arr
+            (List.map
+               (fun e ->
+                 Obj
+                   [
+                     ("ts", Int e.e_ts);
+                     ("source", Str e.e_source);
+                     ("kind", Str e.e_kind);
+                     ("actor", Str e.e_actor);
+                     ("detail", Str e.e_detail);
+                   ])
+               inc.i_timeline) );
+      ]
+  in
+  print
+    (Obj
+       [
+         ("schema", Str "monitor-v1");
+         ("interval_us", Int t.ival);
+         ("scrapes", Int t.nscrapes);
+         ("last_scrape_us", Int t.last_ts);
+         ( "journal",
+           Obj
+             [
+               ("emitted", Int t.jtotal);
+               ("retained", Int t.jlen);
+               ("dropped", Int (journal_dropped t));
+             ] );
+         ("series", Arr (List.map series (sorted_keys t)));
+         ("alerts", Arr (List.map alert (transitions t)));
+         ("incidents", Arr (List.map incident (incidents t)));
+       ])
 
 (* --- dashboard ----------------------------------------------------------- *)
 
@@ -754,6 +742,10 @@ let sparkline pts =
 
 let cmp_name = function Gt -> ">" | Lt -> "<" | Ge -> ">=" | Le -> "<="
 
+let fmt_value v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.6f" v
+
 let fmt_us us =
   if us < 0 then "-"
   else Printf.sprintf "%.3fs" (float_of_int us /. 1e6)
@@ -764,13 +756,7 @@ let dashboard t =
     (Printf.sprintf
        "flight recorder: %d scrapes @ %s interval, %d series, journal %d events (%d dropped)\n"
        t.nscrapes (fmt_us t.ival) (List.length t.order) t.jtotal (journal_dropped t));
-  let keys =
-    List.sort
-      (fun (n1, l1, _) (n2, l2, _) ->
-        let c = compare n1 n2 in
-        if c <> 0 then c else compare (render_labels l1) (render_labels l2))
-      (List.rev t.order)
-  in
+  let keys = sorted_keys t in
   (* Series with any movement; recorded rules surface alongside raw ones. *)
   let active =
     List.filter
@@ -798,7 +784,7 @@ let dashboard t =
       Buffer.add_string b
         (Printf.sprintf "  %-44s %s last=%s\n"
            (name ^ render_labels labels)
-           (sparkline pts) (render_float last)))
+           (sparkline pts) (fmt_value last)))
     shown;
   if List.length active > List.length shown then
     Buffer.add_string b
@@ -814,8 +800,8 @@ let dashboard t =
         (Printf.sprintf "  %-28s %-8s value=%s thr=%s%s for=%s clear=%s episodes=%d\n"
            ar.ar_name
            (state_name ar.ar_state)
-           (render_float ar.ar_last) (cmp_name ar.ar_cmp) (render_float ar.ar_thr)
-           (fmt_us ar.ar_for) (render_float ar.ar_clear) fired))
+           (fmt_value ar.ar_last) (cmp_name ar.ar_cmp) (fmt_value ar.ar_thr)
+           (fmt_us ar.ar_for) (fmt_value ar.ar_clear) fired))
     (List.rev t.alerts);
   let incs = incidents t in
   Buffer.add_string b (Printf.sprintf "incidents (%d):\n" (List.length incs));
@@ -824,7 +810,7 @@ let dashboard t =
       Buffer.add_string b
         (Printf.sprintf "  #%d %s pending=%s firing=%s resolved=%s peak=%s\n"
            (i + 1) inc.i_rule (fmt_us inc.i_pending_us) (fmt_us inc.i_firing_us)
-           (fmt_us inc.i_resolved_us) (render_float inc.i_peak));
+           (fmt_us inc.i_resolved_us) (fmt_value inc.i_peak));
       List.iter
         (fun e ->
           Buffer.add_string b

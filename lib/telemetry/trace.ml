@@ -71,33 +71,11 @@ let events t = List.init t.len (fun i -> t.ring.((t.start + i) mod t.cap))
 
 (* --- serialization ------------------------------------------------------ *)
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let arg_json = function
-  | I n -> string_of_int n
-  | S s -> json_string s
-  | B b -> if b then "true" else "false"
-  | F f -> Printf.sprintf "%.4f" f
-
-let args_json args =
-  String.concat ", "
-    (List.map (fun (k, v) -> Printf.sprintf "%s: %s" (json_string k) (arg_json v)) args)
+  | I n -> Json.Int n
+  | S s -> Json.Str s
+  | B b -> Json.Bool b
+  | F f -> Json.fixed 4 f
 
 (* Chrome trace-event format: one process (pid 1), one named thread per
    track, metadata events first.  Tracks get tids in first-appearance
@@ -123,57 +101,55 @@ let to_chrome_json t =
       ]
     else []
   in
-  let iter_all f =
-    List.iter f marker;
-    iter t f
-  in
+  let all = marker @ events t in
   let tids = Hashtbl.create 8 in
   let order = ref [] in
-  iter_all (fun e ->
+  List.iter
+    (fun e ->
       if not (Hashtbl.mem tids e.track) then begin
         Hashtbl.add tids e.track (Hashtbl.length tids + 1);
         order := e.track :: !order
-      end);
-  let b = Buffer.create (256 * (t.len + 2)) in
-  Buffer.add_string b "{\"traceEvents\": [\n";
-  let first = ref true in
-  let sep () = if !first then first := false else Buffer.add_string b ",\n" in
-  sep ();
-  Buffer.add_string b
-    "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
-     \"args\": {\"name\": \"connman-repro\"}}";
-  List.iter
-    (fun track ->
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": \
-            %d, \"args\": {\"name\": %s}}"
-           (Hashtbl.find tids track) (json_string track)))
-    (List.rev !order);
-  iter_all (fun e ->
-      sep ();
-      let tid = Hashtbl.find tids e.track in
-      if e.dur > 0 then
-        Buffer.add_string b
-          (Printf.sprintf
-             "  {\"name\": %s, \"cat\": %s, \"ph\": \"X\", \"ts\": %d, \
-              \"dur\": %d, \"pid\": 1, \"tid\": %d, \"args\": {%s}}"
-             (json_string e.name) (json_string e.cat) e.ts e.dur tid
-             (args_json e.args))
-      else
-        Buffer.add_string b
-          (Printf.sprintf
-             "  {\"name\": %s, \"cat\": %s, \"ph\": \"i\", \"s\": \"t\", \
-              \"ts\": %d, \"pid\": 1, \"tid\": %d, \"args\": {%s}}"
-             (json_string e.name) (json_string e.cat) e.ts tid
-             (args_json e.args)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "\n], \"displayTimeUnit\": \"ms\", \"otherData\": {\"emitted\": %d, \
-        \"dropped\": %d}}\n"
-       t.total (dropped t));
-  Buffer.contents b
+      end)
+    all;
+  let open Json in
+  let meta ~tid name arg =
+    Obj
+      [
+        ("name", Str name);
+        ("ph", Str "M");
+        ("pid", Int 1);
+        ("tid", Int tid);
+        ("args", Obj [ ("name", Str arg) ]);
+      ]
+  in
+  let event e =
+    let phase =
+      if e.dur > 0 then [ ("ph", Str "X"); ("ts", Int e.ts); ("dur", Int e.dur) ]
+      else [ ("ph", Str "i"); ("s", Str "t"); ("ts", Int e.ts) ]
+    in
+    Obj
+      ([ ("name", Str e.name); ("cat", Str e.cat) ]
+      @ phase
+      @ [
+          ("pid", Int 1);
+          ("tid", Int (Hashtbl.find tids e.track));
+          ("args", Obj (List.map (fun (k, v) -> (k, arg_json v)) e.args));
+        ])
+  in
+  print
+    (Obj
+       [
+         ( "traceEvents",
+           Arr
+             ((meta ~tid:0 "process_name" "connman-repro"
+              :: List.rev_map
+                   (fun track -> meta ~tid:(Hashtbl.find tids track) "thread_name" track)
+                   !order)
+             @ List.map event all) );
+         ("displayTimeUnit", Str "ms");
+         ( "otherData",
+           Obj [ ("emitted", Int t.total); ("dropped", Int (dropped t)) ] );
+       ])
 
 let pp_arg ppf (k, v) =
   let s =

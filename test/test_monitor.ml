@@ -1,9 +1,9 @@
 (* Flight-recorder tests: quantile estimation at exact bucket edges, the
    alert pending/firing/hysteresis state machine, store downsampling,
-   the rules grammar, the JSON parser, the trace dropped-events marker,
-   and the monitor's determinism contract — the exported monitor-v1
-   document is byte-identical across replays AND across scheduler shard
-   counts of the same seeded fleet campaign. *)
+   the rules grammar, the JSON parser and printer, the trace
+   dropped-events marker, and the monitor's determinism contract — the
+   exported monitor-v1 document is byte-identical across replays AND
+   across scheduler shard counts of the same seeded fleet campaign. *)
 
 module M = Telemetry.Metrics
 module Mon = Telemetry.Monitor
@@ -244,25 +244,123 @@ let test_json_parse () =
       check_bool "error mentions offset" true
         (String.length e >= 6 && String.sub e 0 6 = "offset")
 
+(* --- JSON printer ---------------------------------------------------------- *)
+
+(* Any value the printer accepts: strings and keys over all 256 byte
+   values, ints out to min_int/max_int, finite floats incl. subnormals. *)
+let gen_json =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (0 -- 8) in
+  let finite =
+    oneof
+      [
+        map
+          (fun b ->
+            let f = Int64.float_of_bits b in
+            if Float.is_finite f then f else 0.25)
+          ui64;
+        map (fun m -> Int64.float_of_bits (Int64.of_int m)) (1 -- ((1 lsl 52) - 1));
+        oneofl [ 0.0; -0.0; 5e-324; -.min_float; max_float; 0.1; 1e21 ];
+      ]
+  in
+  let scalar =
+    oneof
+      [
+        return J.Null;
+        map (fun b -> J.Bool b) bool;
+        map (fun n -> J.Int n) (oneof [ int; oneofl [ min_int; max_int; 0 ] ]);
+        map (fun f -> J.Num f) finite;
+        map (fun s -> J.Str s) bytes;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               (1, map (fun vs -> J.Arr vs) (list_size (0 -- 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun kvs -> J.Obj kvs)
+                   (list_size (0 -- 4) (pair bytes (self (n / 4)))) );
+             ])
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"parse (print v) = Ok v" ~count:500
+    (QCheck.make ~print:J.print gen_json)
+    (fun v -> J.parse (J.print v) = Ok v)
+
+let test_json_print_rejects_non_finite () =
+  List.iter
+    (fun f ->
+      check_bool (Printf.sprintf "%h raises" f) true
+        (match J.print (J.Arr [ J.Num f ]) with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ nan; infinity; neg_infinity ]
+
+let test_json_print_layout () =
+  let v =
+    J.Obj
+      [
+        ("a", J.Int (-1));
+        ( "b",
+          J.Arr [ J.Obj [ ("c", J.Arr [ J.Num 0.5; J.Num 2.0 ]) ]; J.Arr [] ] );
+        ("d", J.Obj [ ("e", J.Str "q\"\\\n\x01\xff"); ("f", J.fixed 4 0.1) ]);
+        ("g", J.Obj []);
+        ("h", J.Num 1e-7);
+      ]
+  in
+  check_string "exact bytes"
+    "{\n\
+    \  \"a\": -1,\n\
+    \  \"b\": [\n\
+    \    {\"c\": [0.5, 2.0]},\n\
+    \    []\n\
+    \  ],\n\
+    \  \"d\": {\"e\": \"q\\\"\\\\\\n\\u0001\xff\", \"f\": 0.1},\n\
+    \  \"g\": {},\n\
+    \  \"h\": 1e-07\n\
+     }\n"
+    (J.print v)
+
+(* Ints print exactly: a seed past 2^53 survives the fleet report. *)
+let test_json_fleet_max_int_seed () =
+  let json = C.json (C.run { C.smoke_config with C.seed = max_int }) in
+  check_bool "seed line" true
+    (List.mem
+       (Printf.sprintf "  \"seed\": %d," max_int)
+       (String.split_on_char '\n' json));
+  match J.parse json with
+  | Ok v ->
+      check_bool "seed parses back" true
+        (Option.bind (J.member "seed" v) J.to_int = Some max_int)
+  | Error e -> Alcotest.fail e
+
 (* --- trace dropped-events marker ----------------------------------------- *)
 
 let trace_dropped_expected =
-  "{\"traceEvents\": [\n\
-  \  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
+  "{\n\
+  \  \"traceEvents\": [\n\
+  \    {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
    \"args\": {\"name\": \"connman-repro\"}},\n\
-  \  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 1, \
+  \    {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 1, \
    \"args\": {\"name\": \"ring\"}},\n\
-  \  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 2, \
+  \    {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 2, \
    \"args\": {\"name\": \"wire\"}},\n\
-  \  {\"name\": \"dropped_events\", \"cat\": \"trace\", \"ph\": \"i\", \"s\": \
+  \    {\"name\": \"dropped_events\", \"cat\": \"trace\", \"ph\": \"i\", \"s\": \
    \"t\", \"ts\": 20, \"pid\": 1, \"tid\": 1, \"args\": {\"dropped\": 1, \
    \"emitted\": 3}},\n\
-  \  {\"name\": \"e2\", \"cat\": \"net\", \"ph\": \"i\", \"s\": \"t\", \"ts\": \
+  \    {\"name\": \"e2\", \"cat\": \"net\", \"ph\": \"i\", \"s\": \"t\", \"ts\": \
    20, \"pid\": 1, \"tid\": 2, \"args\": {}},\n\
-  \  {\"name\": \"e3\", \"cat\": \"net\", \"ph\": \"i\", \"s\": \"t\", \"ts\": \
+  \    {\"name\": \"e3\", \"cat\": \"net\", \"ph\": \"i\", \"s\": \"t\", \"ts\": \
    30, \"pid\": 1, \"tid\": 2, \"args\": {}}\n\
-   ], \"displayTimeUnit\": \"ms\", \"otherData\": {\"emitted\": 3, \
-   \"dropped\": 1}}\n"
+  \  ],\n\
+  \  \"displayTimeUnit\": \"ms\",\n\
+  \  \"otherData\": {\"emitted\": 3, \"dropped\": 1}\n\
+   }\n"
 
 let test_trace_dropped_marker () =
   let tr = T.create ~capacity:2 () in
@@ -390,7 +488,15 @@ let () =
             test_rules_errors_are_atomic;
         ] );
       ( "json",
-        [ Alcotest.test_case "parse + accessors" `Quick test_json_parse ] );
+        [
+          Alcotest.test_case "parse + accessors" `Quick test_json_parse;
+          QCheck_alcotest.to_alcotest prop_json_round_trip;
+          Alcotest.test_case "print rejects nan/inf" `Quick
+            test_json_print_rejects_non_finite;
+          Alcotest.test_case "print layout" `Quick test_json_print_layout;
+          Alcotest.test_case "fleet seed max_int" `Quick
+            test_json_fleet_max_int_seed;
+        ] );
       ( "trace",
         [
           Alcotest.test_case "dropped-events marker" `Quick
