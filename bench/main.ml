@@ -1333,8 +1333,10 @@ let print_parse_costs () =
 (*                                                                     *)
 (* The costs that set the fuzzer's throughput: taking a CoW snapshot,  *)
 (* restoring it (clean, and after a parse has dirtied pages), forking  *)
-(* a fresh machine from it, and a complete fuzz execution              *)
-(* (restore + datagram write + coverage-instrumented parse).          *)
+(* a fresh machine from it, a complete fuzz execution (restore +       *)
+(* datagram write + parse with the edge map on [on_step]), and the     *)
+(* sanitizer triage of a fixed crash input, stopped at its first       *)
+(* report as the engine runs it and run to the end.                    *)
 (*                                                                     *)
 (*   dune exec bench/main.exe -- fuzz             (full measurement)   *)
 (*   dune exec bench/main.exe -- fuzz --smoke     (few iterations)     *)
@@ -1365,14 +1367,12 @@ let run_fuzz_json ~smoke ~out () =
     let buf = proc.Loader.Process.layout.Loader.Layout.heap_base in
     let input = List.hd (Fuzz.Engine.benign_seeds ()) in
     let cov = Fuzz.Coverage.create () in
-    let prof = Telemetry.Profile.create () in
-    Telemetry.Profile.set_sink prof (Some (Fuzz.Coverage.touch cov));
+    let on_step = Fuzz.Coverage.touch cov in
     let parse () =
       Memsim.Memory.write_bytes proc.Loader.Process.mem buf input;
-      Telemetry.Profile.clear prof;
       Fuzz.Coverage.begin_exec cov;
       let r =
-        Loader.Process.call proc ~fuel:400_000 ~profile:prof ~entry
+        Loader.Process.call proc ~fuel:400_000 ~on_step ~entry
           ~args:[ buf; String.length input ]
       in
       ignore (Fuzz.Coverage.commit cov);
@@ -1404,11 +1404,47 @@ let run_fuzz_json ~smoke ~out () =
       time_fn cfg ("fuzz/fork-" ^ aname) (fun () ->
           ignore (Loader.Process.fork proc snap))
     in
+    (* Triage as the engine does it: restore, write the crash input, arm
+       a fresh oracle, run sanitized; [halt] stops at the first report. *)
+    let crash = Fuzz.Engine.string_of_hex (snd (List.hd Fuzz.Corpus.entries)) in
+    let triage ~halt () =
+      Loader.Process.restore proc snap;
+      Memsim.Memory.write_bytes proc.Loader.Process.mem buf crash;
+      let oracle = Sanitizer.Oracle.create ~halt_on_report:halt () in
+      let len = String.length crash in
+      let src = Sanitizer.Oracle.new_source oracle ~origin:"fuzz" ~length:len in
+      Sanitizer.Oracle.taint oracle ~src buf ~len;
+      Sanitizer.Oracle.protect_frame oracle
+        ~buffer:(Connman.Frame.buffer_addr proc)
+        (Connman.Frame.geometry arch);
+      Loader.Process.call proc ~fuel:400_000 ~sanitizer:oracle ~entry
+        ~args:[ buf; len ]
+    in
+    (* Time one triage mode; the untimed first run checks that the input
+       still crashes and counts its steps. *)
+    let time_triage ~halt =
+      let name =
+        Printf.sprintf "fuzz/triage-%s/%s" aname (if halt then "halting" else "full")
+      in
+      let r = triage ~halt () in
+      if r.Loader.Process.outcome = Machine.Outcome.Halted then
+        failwith ("fuzz bench: crash input parsed cleanly: " ^ name);
+      let ns, r2 = time_fn cfg name (fun () -> ignore (triage ~halt ())) in
+      (name, ns, float_of_int r.Loader.Process.steps, r2)
+    in
+    let ((_, full_ns, _, _) as full) = time_triage ~halt:false in
+    let ((_, halting_ns, _, _) as halting) = time_triage ~halt:true in
+    let triage_row (name, ns, steps, r2) =
+      bench_row name "ns_per_run" ns
+        ~extra:[ ("steps_per_run", steps); ("vs_full", full_ns /. ns); ("r_square", r2) ]
+    in
     let execs_per_sec = if exec_ns > 0.0 then 1e9 /. exec_ns else 0.0 in
     Format.printf
       "%-22s snapshot %10s  restore %10s  exec %10s (%8.0f execs/s)  fork %10s@."
       aname (pretty_nanos snap_ns) (pretty_nanos rclean_ns)
       (pretty_nanos exec_ns) execs_per_sec (pretty_nanos fork_ns);
+    Format.printf "%-22s triage full %10s  halting %10s (%.1fx)@." aname
+      (pretty_nanos full_ns) (pretty_nanos halting_ns) (full_ns /. halting_ns);
     [
       bench_row ("fuzz/snapshot-" ^ aname) "ns_per_op" snap_ns
         ~extra:[ ("r_square", snap_r2) ];
@@ -1423,6 +1459,8 @@ let run_fuzz_json ~smoke ~out () =
           ];
       bench_row ("fuzz/fork-" ^ aname) "ns_per_op" fork_ns
         ~extra:[ ("r_square", fork_r2) ];
+      triage_row full;
+      triage_row halting;
     ]
   in
   let rows = List.concat_map bench_arch Loader.Arch.all in

@@ -1,9 +1,11 @@
 (* AFL-style edge coverage over the retired-instruction stream.
 
-   The map does not hook the interpreters itself: {!touch} is designed to
-   sit behind [Telemetry.Profile.set_sink], so the same per-pc stream the
-   profiler already taps feeds the edge map with no second
-   instrumentation point in the CPUs.
+   The map does not hook the interpreters itself: {!touch} is the
+   [on_step] observer of [Loader.Process.call], i.e. a
+   [Machine.Hook.observe] hook, the same per-pc stream the profiler
+   taps.  Going straight onto the step hook rather than through the
+   profiler's sink skips the profiler's per-pc count update, which the
+   fuzzer never reads.
 
    An edge is the (previous pc, pc) pair, hashed into a fixed 64 Ki
    bucket map.  Two layers of state keep the common operations O(1):

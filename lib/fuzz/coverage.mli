@@ -1,10 +1,11 @@
 (** Edge-coverage bitmap over the retired-instruction stream.
 
-    Feeds from the instruction profiler's pc tap
-    ([Telemetry.Profile.set_sink]): attach [touch] as the sink and the
-    map sees every retired instruction with no extra hook in the
-    interpreters.  An edge is a hashed (previous pc, pc) pair in a
-    fixed 65536-bucket map, as in AFL. *)
+    Feeds from the interpreters' pc stream: pass [touch] as the
+    [on_step] observer of [Loader.Process.call] and the map sees every
+    pc the run tries to execute.  (Behind [Telemetry.Profile.set_sink]
+    it sees the same stream, at the cost of the profiler's counts.)  An
+    edge is a hashed (previous pc, pc) pair in a fixed 65536-bucket map,
+    as in AFL. *)
 
 type t
 
@@ -15,8 +16,7 @@ val begin_exec : t -> unit
     per-exec hit set (O(1) — the global map is untouched). *)
 
 val touch : t -> int -> unit
-(** One retired instruction at this pc.  Intended as a
-    [Telemetry.Profile] sink. *)
+(** One instruction at this pc.  Intended as an [on_step] observer. *)
 
 val commit : t -> int
 (** Fold the current execution's edges into the global map; returns the

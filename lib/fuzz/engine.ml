@@ -10,18 +10,21 @@ module O = Machine.Outcome
    machine: boot the daemon image once, snapshot it copy-on-write, then
    per execution restore (microseconds — only pages the last parse
    dirtied are swapped back), write the mutated datagram into the guest
-   rx buffer and call [parse_response] with edge coverage tapped off the
-   instruction profiler.  Inputs that light up new edges join the
-   corpus.
+   rx buffer and call [parse_response] with the edge map as its
+   [on_step] observer.  Inputs that light up new edges join the corpus.
 
    Crashing inputs get a second, sanitizer-instrumented run from the
    same snapshot: the taint oracle labels every wire byte, protects the
    [get_name] frame, and its first report names both the detection rule
    that fired and the exact wire offset that reached the overflow — the
    [wire[off]@fuzz -> mem -> pc] provenance chain.  Two runs rather than
-   one taint-instrumented run because taint costs about twice as much per
-   step and only crashing inputs need it; determinism makes the replay
-   exact.
+   one taint-instrumented run because taint costs several times as much
+   per step and only crashing inputs need it; determinism makes the
+   replay exact.  And the triage halts at that first report
+   ([halt_on_report]): the engine keeps nothing else of it, and most of
+   a crash's instructions come after its overflow is detected.  Its
+   step count is the coverage run's, which a full triage would retire
+   exactly (the oracle only observes), so [total_steps] is unchanged.
 
    Everything — mutation choices, corpus growth, stats — is a pure
    function of [config.seed].  The stats JSON contains no wall-clock
@@ -121,9 +124,8 @@ let run config =
   let buf = proc.Process.layout.Loader.Layout.heap_base in
   let max_len = min 2048 proc.Process.layout.Loader.Layout.heap_size in
   let cov = Coverage.create () in
-  let profile = Telemetry.Profile.create () in
-  Telemetry.Profile.set_sink profile (Some (Coverage.touch cov));
-  let oracle = Oracle.create () in
+  let on_step = Coverage.touch cov in
+  let oracle = Oracle.create ~halt_on_report:true () in
   let geometry = Connman.Frame.geometry config.arch in
   let frame_buffer = Connman.Frame.buffer_addr proc in
   let symbolize = Exploit.Debugger.symbolize proc in
@@ -135,17 +137,18 @@ let run config =
   let exec_cov input =
     Process.restore proc snap;
     Mem.write_bytes proc.Process.mem buf input;
-    Telemetry.Profile.clear profile;
     Coverage.begin_exec cov;
     let r =
-      Process.call proc ~fuel ~profile ~entry ~args:[ buf; String.length input ]
+      Process.call proc ~fuel ~on_step ~entry ~args:[ buf; String.length input ]
     in
     total_steps := !total_steps + r.Process.steps;
     r
   in
   (* Sanitizer-instrumented replay for triage: same snapshot, same
-     bytes, taint armed. *)
-  let triage input =
+     bytes, taint armed, stopped at the first report.  A full triage
+     would retire exactly the coverage run's [steps] (the oracle only
+     observes), so that is what the triage counts toward [total_steps]. *)
+  let triage input ~steps =
     Process.restore proc snap;
     Mem.write_bytes proc.Process.mem buf input;
     Oracle.begin_parse oracle;
@@ -153,11 +156,10 @@ let run config =
     let src = Oracle.new_source oracle ~origin:"fuzz" ~length:(String.length input) in
     Oracle.taint oracle ~src buf ~len:(String.length input);
     Oracle.protect_frame oracle ~buffer:frame_buffer geometry;
-    let r =
-      Process.call proc ~fuel ~sanitizer:oracle ~entry
-        ~args:[ buf; String.length input ]
-    in
-    total_steps := !total_steps + r.Process.steps;
+    ignore
+      (Process.call proc ~fuel ~sanitizer:oracle ~entry
+         ~args:[ buf; String.length input ]);
+    total_steps := !total_steps + steps;
     Oracle.first_report oracle
   in
   let seeds = benign_seeds () in
@@ -179,7 +181,7 @@ let run config =
     let r = exec_cov input in
     let fresh = Coverage.commit cov in
     if r.Process.outcome <> O.Halted then begin
-      let report = triage input in
+      let report = triage input ~steps:r.Process.steps in
       let rule = Option.map (fun (rp : Oracle.report) -> Oracle.kind_name rp.Oracle.kind) report in
       if !first_rule = None then first_rule := rule;
       (match report with

@@ -3,12 +3,13 @@
     Boots the daemon image once, takes a copy-on-write snapshot
     ({!Loader.Process.snapshot}), then per execution restores the
     snapshot, writes a mutated DNS datagram into the guest rx buffer and
-    calls [parse_response] with edge coverage ({!Coverage}) tapped off
-    the instruction profiler.  Inputs reaching new edges join the
-    corpus; crashing inputs are replayed under the taint oracle
-    ({!Sanitizer.Oracle}) from the same snapshot for triage, so every
-    crash report carries the detection rule and the
-    [wire[off]@fuzz -> mem -> pc] provenance chain.
+    calls [parse_response] with edge coverage ({!Coverage}) as its
+    [on_step] observer.  Inputs reaching new edges join the corpus;
+    crashing inputs are replayed under the taint oracle
+    ({!Sanitizer.Oracle}) from the same snapshot for triage, stopped at
+    the oracle's first report, so every crash report carries the
+    detection rule and the [wire[off]@fuzz -> mem -> pc] provenance
+    chain.
 
     A run is a pure function of [config.seed]: the stats (and their
     JSON) are byte-identical across re-runs. *)
@@ -43,7 +44,10 @@ type stats = {
   execs : int;
   corpus : int;
   edges : int;
-  total_steps : int;  (** guest instructions retired across all runs *)
+  total_steps : int;
+      (** guest instructions retired across all runs, a triage counted
+          as the full run (= its coverage run's steps), not where its
+          halting oracle stopped it *)
   crashes : crash list;  (** deduped by (outcome, rule), chronological *)
   rediscovered_at : int option;
       (** execution index of the first redzone-write triage *)

@@ -565,8 +565,11 @@ let isa =
 
 (* The taint sanitizer as a hook — the ARM twin of the x86 one: the
    oracle's pre-step rules against the pre-state, taint effects
-   committed only if the instruction retires.  A condition-failed
-   instruction plans nothing, exactly as it executes nothing. *)
+   committed only if the instruction retires, a veto only once a halting
+   oracle holds a report.  A condition-failed instruction plans nothing,
+   exactly as it executes nothing.  As on x86, a register label or a
+   labelled store goes through the oracle's planner and allocates
+   nothing; only [push] and [pop] build closures of their own. *)
 let taint oracle =
   let module O = Sanitizer.Oracle in
   let module Shadow = Memsim.Shadow in
@@ -575,107 +578,108 @@ let taint oracle =
   let mlab8 a = O.mem_label oracle a in
   let mlab32 a = O.mem_label32 oracle a in
   let lab_op2 = function Imm _ -> 0 | Reg r | Lsl (r, _) -> rlab r in
-  let nothing () = () in
+  let pl = O.planner oracle in
+  let halt = Hook.Veto O.halt_reason in
+  let to_reg r l = O.plan_reg pl (reg_index r) l in
+  let to_mem t pc addr len value label =
+    O.plan_store pl ~pc ~step:t.steps ~addr ~len ~value ~label
+  in
+  let check_pc t pc0 ~target ~slot ~label ~detail =
+    O.check_pc oracle ~pc:pc0 ~step:t.steps ~target ~slot ~label ~detail
+  in
+  (* Data-processing result label; a write to pc with a tainted result
+     is the hijack. *)
+  let dp t pc0 op rd l =
+    if rd = PC then begin
+      check_pc t pc0
+        ~target:(Word.of_int (dp_value t op) land lnot 1)
+        ~slot:0 ~label:l ~detail:"tainted value written to pc";
+      Hook.Go
+    end
+    else to_reg rd l
+  in
   let plan t pc0 op =
-    let stepno = t.steps in
-    (* The two commits, as on x86: a register's new label, a labelled
-       store. *)
-    let to_reg r l () = set_rlab r l in
-    let to_mem addr len value label () =
-      O.store oracle ~pc:pc0 ~step:stepno ~addr ~len ~value ~label
-    in
-    let check_pc ~target ~slot ~label ~detail =
-      O.check_pc oracle ~pc:pc0 ~step:stepno ~target ~slot ~label ~detail
-    in
-    (* Data-processing result label; a write to pc with a tainted result
-       is the hijack. *)
-    let dp rd l =
-      if rd = PC then begin
-        check_pc
-          ~target:(Word.of_int (dp_value t op) land lnot 1)
-          ~slot:0 ~label:l ~detail:"tainted value written to pc";
-        nothing
-      end
-      else to_reg rd l
-    in
     match op with
-    | Cmp _ | Tst _ | B _ -> nothing
-    | Mov (rd, o) | Mvn (rd, o) -> dp rd (lab_op2 o)
+    | Cmp _ | Tst _ | B _ -> Hook.Go
+    | Mov (rd, o) | Mvn (rd, o) -> dp t pc0 op rd (lab_op2 o)
     | Eor (rd, rn, Reg rm) when rn = rm ->
         (* eor r, r, r clears the value — no attacker bytes survive. *)
-        dp rd 0
+        dp t pc0 op rd 0
     | Add (rd, rn, o) | Sub (rd, rn, o) | Rsb (rd, rn, o) | And (rd, rn, o)
     | Orr (rd, rn, o) | Eor (rd, rn, o) | Bic (rd, rn, o) ->
-        dp rd (Shadow.join (rlab rn) (lab_op2 o))
-    | Mul (rd, rm, rs) -> dp rd (Shadow.join (rlab rm) (rlab rs))
+        dp t pc0 op rd (Shadow.join (rlab rn) (lab_op2 o))
+    | Mul (rd, rm, rs) -> dp t pc0 op rd (Shadow.join (rlab rm) (rlab rs))
     | Ldr (rd, _, _) | Ldr_r (rd, _, _) ->
         let a = mem_addr t op in
         let l = mlab32 a in
         if rd = PC then begin
-          check_pc
+          check_pc t pc0
             ~target:(try_read32 t a land lnot 1)
             ~slot:a ~label:l ~detail:"pc loaded from tainted memory";
-          nothing
+          Hook.Go
         end
         else to_reg rd l
     | Ldrb (rd, _, _) | Ldrb_r (rd, _, _) -> to_reg rd (mlab8 (mem_addr t op))
     | Str (rd, _, _) | Str_r (rd, _, _) ->
-        to_mem (mem_addr t op) 4 (get t rd) (rlab rd)
+        to_mem t pc0 (mem_addr t op) 4 (get t rd) (rlab rd)
     | Strb (rd, _, _) | Strb_r (rd, _, _) ->
-        to_mem (mem_addr t op) 1 (get t rd land 0xFF) (rlab rd)
+        to_mem t pc0 (mem_addr t op) 1 (get t rd land 0xFF) (rlab rd)
     | Push regs ->
+        let stepno = t.steps in
         let n = List.length regs in
         let base = Word.sub (get t SP) (4 * n) in
         let slots =
           List.mapi (fun i r -> (Word.add base (4 * i), r, rlab r, get t r)) regs
         in
-        fun () ->
-          List.iter
-            (fun (a, r, l, v) ->
-              to_mem a 4 v l ();
-              if r = LR then O.note_ret_slot oracle a)
-            slots
+        Hook.Commit
+          (fun () ->
+            List.iter
+              (fun (a, r, l, v) ->
+                O.store oracle ~pc:pc0 ~step:stepno ~addr:a ~len:4 ~value:v
+                  ~label:l;
+                if r = LR then O.note_ret_slot oracle a)
+              slots)
     | Pop regs ->
         let sp0 = get t SP in
         let slots = List.mapi (fun i r -> (Word.add sp0 (4 * i), r)) regs in
         List.iter
           (fun (a, r) ->
             if r = PC then
-              check_pc
+              check_pc t pc0
                 ~target:(try_read32 t a land lnot 1)
                 ~slot:a ~label:(mlab32 a)
                 ~detail:"pop {…, pc} from attacker-controlled stack")
           slots;
-        fun () ->
-          List.iter
-            (fun (a, r) ->
-              if r = PC then O.clear_ret_slot oracle a
-              else set_rlab r (mlab32 a))
-            slots
+        Hook.Commit
+          (fun () ->
+            List.iter
+              (fun (a, r) ->
+                if r = PC then O.clear_ret_slot oracle a
+                else set_rlab r (mlab32 a))
+              slots)
     | Bl _ -> to_reg LR 0
     | Bx r ->
-        check_pc
+        check_pc t pc0
           ~target:(get t r land lnot 1)
           ~slot:0 ~label:(rlab r) ~detail:"bx through tainted register";
-        nothing
+        Hook.Go
     | Blx_r r ->
-        check_pc
+        check_pc t pc0
           ~target:(get t r land lnot 1)
           ~slot:0 ~label:(rlab r) ~detail:"blx through tainted register";
         to_reg LR 0
     | Svc n ->
         if n = 0 then
-          O.check_kernel_entry oracle t.mem ~pc:pc0 ~step:stepno
+          O.check_kernel_entry oracle t.mem ~pc:pc0 ~step:t.steps
             ~number:(get t R7) ~number_label:(rlab R7) ~path:(get t R0)
             ~path_label:(rlab R0) ~argv_label:(rlab R1);
-        nothing
+        Hook.Go
   in
   {
     Hook.pre =
       (fun t pc { cond; op } _ ->
-        if not (cond_holds t cond) then Hook.Go
-        else
-          let commit = plan t pc op in
-          if commit == nothing then Hook.Go else Hook.Commit commit);
+        if O.halted oracle then halt
+        else if not (cond_holds t cond) then Hook.Go
+        else plan t pc op);
     stop = (fun _ _ -> ());
   }

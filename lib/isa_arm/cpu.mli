@@ -85,4 +85,5 @@ val taint : Sanitizer.Oracle.t -> (t, Insn.t) Machine.Hook.t
     and data-processing ops propagate labels through the oracle, and the
     detections (redzone write, return-slot overwrite, tainted pc via
     [pop {…, pc}]/[bx]/[blx]/pc-writing ops, tainted [svc]) fire as
-    instructions are about to retire.  Never vetoes. *)
+    instructions are about to retire.  Vetoes only as the x86 hook
+    does, once a halting oracle holds a report. *)

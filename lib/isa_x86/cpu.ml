@@ -603,7 +603,13 @@ let isa =
    [int]) against the pre-state and plans the taint effects to commit if
    the instruction retires: shadow bytes for stores, register labels for
    loads and ALU ops, return-slot bookkeeping for call/ret.  The oracle
-   never touches guest state and never vetoes. *)
+   never touches guest state; it vetoes only once a halting oracle
+   ({!Sanitizer.Oracle.create}[ ~halt_on_report]) holds a report.
+
+   Planning the common steps allocates nothing: one register label, one
+   labelled store, or a call's store plus its slot goes through the
+   oracle's planner ({!Sanitizer.Oracle.planner}); only [ret] and
+   [leave] build a closure of their own. *)
 let taint oracle =
   let module O = Sanitizer.Oracle in
   let module Shadow = Memsim.Shadow in
@@ -613,41 +619,41 @@ let taint oracle =
   let mlab32 a = O.mem_label32 oracle a in
   let lab_op t = function Reg r -> rlab r | Mem m -> mlab32 (ea t m) in
   let lab_op8 t = function Reg r -> rlab r | Mem m -> mlab8 (ea t m) in
-  let nothing () = () in
+  let pl = O.planner oracle in
+  let halt = Hook.Veto O.halt_reason in
+  let to_reg r l = O.plan_reg pl (reg_index r) l in
+  let to_mem t pc addr len value label =
+    O.plan_store pl ~pc ~step:t.steps ~addr ~len ~value ~label
+  in
+  let check_pc t pc0 ~target ~slot ~label ~detail =
+    O.check_pc oracle ~pc:pc0 ~step:t.steps ~target ~slot ~label ~detail
+  in
+  let slot_of t = function Mem m -> ea t m | Reg _ -> 0 in
   let plan t pc0 insn size =
-    let stepno = t.steps in
     let sp0 = get t ESP in
-    (* The two commits: a register's new label, a labelled store. *)
-    let to_reg r l () = set_rlab r l in
-    let to_mem addr len value label () =
-      O.store oracle ~pc:pc0 ~step:stepno ~addr ~len ~value ~label
-    in
-    let check_pc ~target ~slot ~label ~detail =
-      O.check_pc oracle ~pc:pc0 ~step:stepno ~target ~slot ~label ~detail
-    in
-    let slot_of = function Mem m -> ea t m | Reg _ -> 0 in
     match insn with
     | Nop | Cmp _ | Cmp_i _ | Test_rr _ | Jmp_rel _ | Jmp_short _ | Jcc _
     | Jcc_short _ | Hlt | Inc_r _ | Dec_r _ | Shl_i _ | Shr_i _ | Neg (Reg _)
     | Not (Reg _) | Add_i (Reg _, _) | Sub_i (Reg _, _) ->
-        nothing
-    | Push_r r -> to_mem (Word.sub sp0 4) 4 (get t r) (rlab r)
-    | Push_i i -> to_mem (Word.sub sp0 4) 4 (Word.of_int i) 0
-    | Push_i8 i -> to_mem (Word.sub sp0 4) 4 (Word.sign8 (i land 0xFF)) 0
+        Hook.Go
+    | Push_r r -> to_mem t pc0 (Word.sub sp0 4) 4 (get t r) (rlab r)
+    | Push_i i -> to_mem t pc0 (Word.sub sp0 4) 4 (Word.of_int i) 0
+    | Push_i8 i -> to_mem t pc0 (Word.sub sp0 4) 4 (Word.sign8 (i land 0xFF)) 0
     | Push_m m ->
         let a = ea t m in
-        to_mem (Word.sub sp0 4) 4 (try_read32 t a) (mlab32 a)
+        to_mem t pc0 (Word.sub sp0 4) 4 (try_read32 t a) (mlab32 a)
     | Pop_r r -> to_reg r (mlab32 sp0)
     | Mov_ri (r, _) | Mov_mi (Reg r, _) | Lea (r, { base = None; _ }) ->
         to_reg r 0
     | Mov (Reg d, s) -> to_reg d (lab_op t s)
-    | Mov (Mem m, s) -> to_mem (ea t m) 4 (try_read_op t s) (lab_op t s)
-    | Mov_mi (Mem m, i) -> to_mem (ea t m) 4 (Word.of_int i) 0
+    | Mov (Mem m, s) -> to_mem t pc0 (ea t m) 4 (try_read_op t s) (lab_op t s)
+    | Mov_mi (Mem m, i) -> to_mem t pc0 (ea t m) 4 (Word.of_int i) 0
     | Mov_b (Reg d, s) ->
         (* Only the low byte is replaced: merge rather than overwrite the
            register's label. *)
         to_reg d (Shadow.join (lab_op8 t s) (rlab d))
-    | Mov_b (Mem m, s) -> to_mem (ea t m) 1 (try_read_op8 t s) (lab_op8 t s)
+    | Mov_b (Mem m, s) ->
+        to_mem t pc0 (ea t m) 1 (try_read_op8 t s) (lab_op8 t s)
     | Movzx_b (r, s) -> to_reg r (lab_op8 t s)
     | Lea (r, { base = Some b; _ }) -> to_reg r (rlab b)
     | Xor (Reg d, Reg s) when d = s ->
@@ -656,47 +662,43 @@ let taint oracle =
         to_reg d 0
     | Add (d, s) | Sub (d, s) | And (d, s) | Or (d, s) | Xor (d, s) -> (
         let l = Shadow.join (lab_op t d) (lab_op t s) in
-        match d with Reg r -> to_reg r l | Mem m -> to_mem (ea t m) 4 0 l)
+        match d with Reg r -> to_reg r l | Mem m -> to_mem t pc0 (ea t m) 4 0 l)
     | Add_i (Mem m, _) | Sub_i (Mem m, _) | Neg (Mem m) | Not (Mem m) ->
         let a = ea t m in
-        to_mem a 4 0 (mlab32 a)
+        to_mem t pc0 a 4 0 (mlab32 a)
     | Imul (r, o) -> to_reg r (Shadow.join (rlab r) (lab_op t o))
     | Call_rel _ | Call_rm _ ->
         (match insn with
         | Call_rm o ->
-            check_pc ~target:(try_read_op t o) ~slot:(slot_of o)
+            check_pc t pc0 ~target:(try_read_op t o) ~slot:(slot_of t o)
               ~label:(lab_op t o) ~detail:"call through tainted pointer"
         | _ -> ());
-        let slot = Word.sub sp0 4 in
-        let store = to_mem slot 4 (Word.add pc0 size) 0 in
-        fun () ->
-          store ();
-          O.note_ret_slot oracle slot
+        O.plan_call pl ~pc:pc0 ~step:t.steps ~slot:(Word.sub sp0 4)
+          ~ret:(Word.add pc0 size)
     | Jmp_rm o ->
-        check_pc ~target:(try_read_op t o) ~slot:(slot_of o) ~label:(lab_op t o)
-          ~detail:"jmp through tainted pointer";
-        nothing
+        check_pc t pc0 ~target:(try_read_op t o) ~slot:(slot_of t o)
+          ~label:(lab_op t o) ~detail:"jmp through tainted pointer";
+        Hook.Go
     | Ret | Ret_i _ ->
-        check_pc ~target:(try_read32 t sp0) ~slot:sp0 ~label:(mlab32 sp0)
+        check_pc t pc0 ~target:(try_read32 t sp0) ~slot:sp0 ~label:(mlab32 sp0)
           ~detail:"ret to attacker-controlled address";
-        fun () -> O.clear_ret_slot oracle sp0
+        Hook.Commit (fun () -> O.clear_ret_slot oracle sp0)
     | Leave ->
         let ebp0 = get t EBP in
         let lsp = rlab EBP and lbp = mlab32 ebp0 in
-        fun () ->
-          set_rlab ESP lsp;
-          set_rlab EBP lbp
+        Hook.Commit
+          (fun () ->
+            set_rlab ESP lsp;
+            set_rlab EBP lbp)
     | Int n ->
         if n = 0x80 then
-          O.check_kernel_entry oracle t.mem ~pc:pc0 ~step:stepno
+          O.check_kernel_entry oracle t.mem ~pc:pc0 ~step:t.steps
             ~number:(get t EAX) ~number_label:(rlab EAX) ~path:(get t EBX)
             ~path_label:(rlab EBX) ~argv_label:(rlab ECX);
-        nothing
+        Hook.Go
   in
   {
     Hook.pre =
-      (fun t pc insn size ->
-        let commit = plan t pc insn size in
-        if commit == nothing then Hook.Go else Hook.Commit commit);
+      (fun t pc insn size -> if O.halted oracle then halt else plan t pc insn size);
     stop = (fun _ _ -> ());
   }

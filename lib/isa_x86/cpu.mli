@@ -80,5 +80,6 @@ val taint : Sanitizer.Oracle.t -> (t, Insn.t) Machine.Hook.t
 (** The taint sanitizer: loads, stores and ALU ops propagate labels
     through the oracle's shadow state, and its detections (redzone
     write, return-slot overwrite, tainted pc, tainted syscall) fire as
-    instructions are about to retire.  Never vetoes and never touches
-    guest state. *)
+    instructions are about to retire.  Never touches guest state, and
+    vetoes only when a halting oracle already holds a report: the run
+    then stops before the next instruction with [Aborted "sanitizer"]. *)

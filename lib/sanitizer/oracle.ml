@@ -44,26 +44,28 @@ type t = {
   regs : int array;  (* 16 taint slots cover both ISAs; x86 uses 0..7 *)
   mutable sources : (int * source) list;  (* newest first *)
   mutable next_source : int;
-  ret_slots : (int, bool ref) Hashtbl.t;  (* slot base -> reported? *)
+  ret_slots : bool ref Memsim.Int_table.t;  (* slot base -> reported? *)
   mutable redzones : redzone list;
   mutable reports : report list;  (* newest first *)
   mutable n_reports : int;
   counts : int array;  (* indexed by severity *)
   mutable trace : Tr.t option;
+  halt_on_report : bool;
 }
 
-let create () =
+let create ?(halt_on_report = false) () =
   {
     shadow = Shadow.create ();
     regs = Array.make 16 0;
     sources = [];
     next_source = 0;
-    ret_slots = Hashtbl.create 16;
+    ret_slots = Memsim.Int_table.create 16;
     redzones = [];
     reports = [];
     n_reports = 0;
     counts = Array.make 4 0;
     trace = None;
+    halt_on_report;
   }
 
 let set_trace t tr = t.trace <- tr
@@ -80,7 +82,7 @@ let origin_of t id =
 let begin_parse t =
   Shadow.clear t.shadow;
   Array.fill t.regs 0 16 0;
-  Hashtbl.reset t.ret_slots;
+  Memsim.Int_table.reset t.ret_slots;
   t.redzones <- []
 
 let taint t ~src addr ~len =
@@ -105,11 +107,11 @@ let set_reg_label t i l = t.regs.(i) <- l
 let tainted_bytes t = Shadow.tainted t.shadow
 
 let note_ret_slot t addr =
-  if not (Hashtbl.mem t.ret_slots addr) then
-    Hashtbl.replace t.ret_slots addr (ref false)
+  if not (Memsim.Int_table.mem t.ret_slots addr) then
+    Memsim.Int_table.replace t.ret_slots addr (ref false)
 
-let clear_ret_slot t addr = Hashtbl.remove t.ret_slots addr
-let ret_slot_count t = Hashtbl.length t.ret_slots
+let clear_ret_slot t addr = Memsim.Int_table.remove t.ret_slots addr
+let ret_slot_count t = Memsim.Int_table.length t.ret_slots
 
 let add_redzone t ~base ~len =
   if len > 0 then t.redzones <- { base; len; fired = false } :: t.redzones
@@ -142,28 +144,26 @@ let record t ~kind ~step ~pc ~addr ~target ~label ~detail =
         (kind_name kind)
 
 (* Is any byte of [addr, addr+len) inside a registered return slot?
-   Slots are 4 bytes, so the slot containing byte [b] must start in
-   [b-3, b]: a handful of hash lookups per store, independent of how
-   many slots are live. *)
+   Slots are 4 bytes, so an overlapping slot starts in
+   [addr-3, addr+len-1]: [len + 3] table probes per store, lowest slot
+   first, independent of how many slots are live. *)
 let hit_ret_slot t addr len =
-  let found = ref None in
-  (try
-     for b = addr to addr + len - 1 do
-       for s = b - 3 to b do
-         match Hashtbl.find_opt t.ret_slots s with
-         | Some fired when s <= b && b < s + 4 ->
-             found := Some (s, fired);
-             raise Exit
-         | _ -> ()
-       done
-     done
-   with Exit -> ());
-  !found
+  let rec probe s =
+    if s >= addr + len then None
+    else
+      match Memsim.Int_table.find_opt t.ret_slots s with
+      | Some fired -> Some (s, fired)
+      | None -> probe (s + 1)
+  in
+  probe (addr - 3)
 
 let hit_redzone t addr len =
-  List.find_opt
-    (fun z -> addr < z.base + z.len && addr + len > z.base)
-    t.redzones
+  let rec find = function
+    | [] -> None
+    | z :: rest ->
+        if addr < z.base + z.len && addr + len > z.base then Some z else find rest
+  in
+  find t.redzones
 
 let store t ~pc ~step ~addr ~len ~value ~label =
   for i = 0 to len - 1 do
@@ -240,6 +240,7 @@ let first_report t =
   match t.reports with [] -> None | l -> Some (List.nth l (List.length l - 1))
 
 let report_count t = t.n_reports
+let halted t = t.halt_on_report && t.n_reports > 0
 let count t kind = t.counts.(severity kind)
 
 let clear_reports t =
@@ -282,3 +283,62 @@ let register_metrics t reg =
   Telemetry.Metrics.probe reg ~help:"live return-address slots"
     ~kind:`Gauge "sanitizer_ret_slots" (fun () ->
       float_of_int (ret_slot_count t))
+
+(* The pending effect of the current step, written by a [plan_*] call
+   and applied by one of the planner's commits, which are made once per
+   planner: planning an instruction allocates nothing. *)
+type pending = {
+  mutable reg : int;
+  mutable lab : Shadow.label;  (* of the register, or of the store *)
+  mutable pc : int;  (* the store: instruction, step, target, value *)
+  mutable step : int;
+  mutable addr : int;
+  mutable len : int;
+  mutable value : int;
+}
+
+type planner = {
+  p : pending;
+  reg_commit : Machine.Hook.verdict;
+  store_commit : Machine.Hook.verdict;
+  call_commit : Machine.Hook.verdict;
+}
+
+let planner t =
+  let p = { reg = 0; lab = 0; pc = 0; step = 0; addr = 0; len = 0; value = 0 } in
+  let store () =
+    store t ~pc:p.pc ~step:p.step ~addr:p.addr ~len:p.len ~value:p.value ~label:p.lab
+  in
+  {
+    p;
+    reg_commit = Machine.Hook.Commit (fun () -> t.regs.(p.reg) <- p.lab);
+    store_commit = Machine.Hook.Commit store;
+    call_commit =
+      Machine.Hook.Commit
+        (fun () ->
+          store ();
+          note_ret_slot t p.addr);
+  }
+
+let plan_reg pl i l =
+  pl.p.reg <- i;
+  pl.p.lab <- l;
+  pl.reg_commit
+
+let pend_store p ~pc ~step ~addr ~len ~value ~label =
+  p.pc <- pc;
+  p.step <- step;
+  p.addr <- addr;
+  p.len <- len;
+  p.value <- value;
+  p.lab <- label
+
+let plan_store pl ~pc ~step ~addr ~len ~value ~label =
+  pend_store pl.p ~pc ~step ~addr ~len ~value ~label;
+  pl.store_commit
+
+let plan_call pl ~pc ~step ~slot ~ret =
+  pend_store pl.p ~pc ~step ~addr:slot ~len:4 ~value:ret ~label:0;
+  pl.call_commit
+
+let halt_reason = Machine.Outcome.Aborted "sanitizer"

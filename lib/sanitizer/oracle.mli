@@ -25,7 +25,9 @@
     The oracle is a strict observer: it never reads or writes guest
     memory and never touches CPU registers, so a sanitized run retires
     exactly the instructions a plain run does (the differential tests
-    hold this unconditionally). *)
+    hold this unconditionally).  The one exception is opt-in: an oracle
+    created with [~halt_on_report:true] stops the run at the instruction
+    after its first report. *)
 
 module Shadow = Memsim.Shadow
 
@@ -66,7 +68,12 @@ val source_id : report -> int
 
 type t
 
-val create : unit -> t
+val create : ?halt_on_report:bool -> unit -> t
+(** [halt_on_report] (default [false]), after ASan's [halt_on_error]:
+    once the oracle holds a report, the interpreters' taint hooks veto
+    the next instruction, stopping the run with [Aborted "sanitizer"].
+    For callers that keep only {!first_report}.  Without it the oracle
+    never changes a run. *)
 
 val set_trace : t -> Telemetry.Trace.t option -> unit
 (** Reports additionally emit instant events under [cat:"sanitizer"]. *)
@@ -155,6 +162,36 @@ val check_kernel_entry :
     — with the path and argv registers' labels and the first tainted
     byte of the path string in [mem]. *)
 
+(** {1 Planned effects}
+
+    A taint hook plans an instruction's effect against the pre-state
+    and returns it as the hook's commit, applied only if the
+    instruction retires.  A planner holds one pending effect and the
+    commits that apply it, made once: planning a register label, a
+    store or a call allocates nothing.  The pending effect is
+    overwritten by the next plan, so a commit must be applied (or
+    dropped) before the hook plans again — as the hooked loop does. *)
+
+type planner
+
+val planner : t -> planner
+
+val plan_reg : planner -> int -> Shadow.label -> Machine.Hook.verdict
+(** [plan_reg pl i l]: on retire, register index [i] takes label [l]. *)
+
+val plan_store :
+  planner -> pc:int -> step:int -> addr:int -> len:int -> value:int ->
+  label:Shadow.label -> Machine.Hook.verdict
+(** On retire, {!store}. *)
+
+val plan_call :
+  planner -> pc:int -> step:int -> slot:int -> ret:int -> Machine.Hook.verdict
+(** On retire, the clean store of the return address [ret] to [slot],
+    which becomes a return slot ({!note_ret_slot}). *)
+
+val halt_reason : Machine.Outcome.stop_reason
+(** [Aborted "sanitizer"]: the veto of a halted oracle ({!halted}). *)
+
 (** {1 Results} *)
 
 val reports : t -> report list
@@ -162,6 +199,11 @@ val reports : t -> report list
 
 val first_report : t -> report option
 val report_count : t -> int
+
+val halted : t -> bool
+(** The oracle was created with [~halt_on_report:true] and holds a
+    report: the taint hooks stop the run before its next instruction. *)
+
 val count : t -> kind -> int
 val clear_reports : t -> unit
 

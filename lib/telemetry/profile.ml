@@ -1,25 +1,35 @@
+(* Per-pc counts keyed by int with an inline multiplicative hash — not
+   the polymorphic [caml_hash] — and probed with [find], so recording a
+   pc already seen allocates nothing. *)
+module Pcs = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash pc = (pc * 0x9E3779B1) lsr 16
+end)
+
 type t = {
-  counts : (int, int ref) Hashtbl.t;
+  counts : int ref Pcs.t;
   mutable total : int;
   mutable sink : (int -> unit) option;
 }
 
-let create () = { counts = Hashtbl.create 1024; total = 0; sink = None }
+let create () = { counts = Pcs.create 1024; total = 0; sink = None }
 
 let set_sink t sink = t.sink <- sink
 
 let record t pc =
-  (match Hashtbl.find_opt t.counts pc with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.counts pc (ref 1));
+  (match Pcs.find t.counts pc with
+  | r -> incr r
+  | exception Not_found -> Pcs.add t.counts pc (ref 1));
   t.total <- t.total + 1;
   match t.sink with None -> () | Some f -> f pc
 
 let total t = t.total
-let distinct_pcs t = Hashtbl.length t.counts
+let distinct_pcs t = Pcs.length t.counts
 
 let clear t =
-  Hashtbl.reset t.counts;
+  Pcs.reset t.counts;
   t.total <- 0
 
 (* "parse_response+0x4c" and "parse_response+0x50" both bucket under
@@ -31,7 +41,7 @@ let base_symbol s =
 
 let report t ~symbolize =
   let by_sym = Hashtbl.create 64 in
-  Hashtbl.iter
+  Pcs.iter
     (fun pc n ->
       let sym = base_symbol (symbolize pc) in
       match Hashtbl.find_opt by_sym sym with
@@ -67,4 +77,4 @@ let pp_flat ?top ~symbolize ppf t =
         sym)
     rows;
   Format.fprintf ppf "%10d  total (%d distinct pcs)@." t.total
-    (Hashtbl.length t.counts)
+    (Pcs.length t.counts)

@@ -21,11 +21,11 @@ val record : t -> int -> unit  (** one retired instruction at this pc *)
 
 val set_sink : t -> (int -> unit) option -> unit
 (** Attach (or detach with [None]) a tap on the raw pc stream: the sink
-    fires on every {!record}, before bucketing.  This is how downstream
-    consumers that need the instruction stream but not the histogram —
-    e.g. a fuzzer's edge-coverage map — feed off the profiler without a
-    second instrumentation hook in the interpreters.  [None] by default;
-    the cost when detached is one option check per retired
+    fires on every {!record}, after the count update.  A consumer that
+    needs the instruction stream but not the histogram — e.g. a fuzzer's
+    edge-coverage map — is cheaper as an [on_step] observer of
+    [Loader.Process.call]; the sink serves one that wants both.  [None]
+    by default; the cost when detached is one option check per retired
     instruction. *)
 
 val total : t -> int  (** instructions recorded *)

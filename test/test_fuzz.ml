@@ -270,6 +270,83 @@ let test_engine_deterministic () =
         (a.Engine.execs = 120 && a.Engine.edges > 0 && a.Engine.total_steps > 0))
     [ Loader.Arch.X86; Loader.Arch.Arm ]
 
+(* Seed 3's campaigns, pinned as the engine reported them when every
+   triage ran its crash to the end: a triage halted at its first report
+   and credited with the coverage run's steps must leave these numbers
+   where they were. *)
+let test_engine_pinned () =
+  List.iter
+    (fun (arch, edges, total_steps, crash) ->
+      let st =
+        Engine.run { Engine.default_config with Engine.arch; seed = 3; max_execs = 1000 }
+      in
+      let tag = Loader.Arch.name arch in
+      Alcotest.(check int) (tag ^ ": edges") edges st.Engine.edges;
+      Alcotest.(check int) (tag ^ ": total_steps") total_steps st.Engine.total_steps;
+      Alcotest.(check (list (triple int int (option int))))
+        (tag ^ ": crashes (exec, steps, wire offset)")
+        [ crash ]
+        (List.map
+           (fun c -> (c.Engine.exec, c.Engine.steps, c.Engine.wire_offset))
+           st.Engine.crashes))
+    [
+      (Loader.Arch.X86, 132, 1_421_136, (581, 191_989, Some 34));
+      (Loader.Arch.Arm, 106, 1_248_328, (581, 151_657, Some 34));
+    ]
+
+(* --- the engine's harness, rebuilt from public calls ---
+
+   One boot per ISA at the engine's default profile, restored before
+   every run, with the two instrumented runs the engine makes:
+   coverage (edge map on the pc stream) and sanitizer triage (every wire
+   byte tainted, the overflow frame protected). *)
+
+type harness = {
+  arch : Loader.Arch.t;
+  proc : Loader.Process.t;
+  snap : Memsim.Memory.snapshot;
+  entry : int;
+  buf : int;
+}
+
+let harness ?(seed = 99) arch =
+  let profile = Engine.default_config.Engine.profile in
+  let spec =
+    match arch with
+    | Loader.Arch.X86 ->
+        Connman.Program_x86.spec ~version:Connman.Version.v1_34 ~profile ()
+    | Loader.Arch.Arm ->
+        Connman.Program_arm.spec ~version:Connman.Version.v1_34 ~profile ()
+  in
+  let proc = Loader.Process.boot spec ~profile ~seed in
+  {
+    arch;
+    proc;
+    snap = Loader.Process.snapshot proc;
+    entry = Loader.Process.symbol proc "parse_response";
+    buf = proc.Loader.Process.layout.Loader.Layout.heap_base;
+  }
+
+let parse ?on_step ?sanitizer ?profile h input =
+  Loader.Process.restore h.proc h.snap;
+  Memsim.Memory.write_bytes h.proc.Loader.Process.mem h.buf input;
+  Loader.Process.call h.proc ~fuel:400_000 ?on_step ?sanitizer ?profile
+    ~entry:h.entry ~args:[ h.buf; String.length input ]
+
+(* A triage under a fresh oracle: the run and the oracle's first report. *)
+let triage ?halt_on_report h input =
+  let oracle = Sanitizer.Oracle.create ?halt_on_report () in
+  let src =
+    Sanitizer.Oracle.new_source oracle ~origin:"fuzz"
+      ~length:(String.length input)
+  in
+  Sanitizer.Oracle.taint oracle ~src h.buf ~len:(String.length input);
+  Sanitizer.Oracle.protect_frame oracle
+    ~buffer:(Connman.Frame.buffer_addr h.proc)
+    (Connman.Frame.geometry h.arch);
+  let r = parse ~sanitizer:oracle h input in
+  (r, Sanitizer.Oracle.first_report oracle)
+
 (* --- regression corpus replay ---
 
    Every committed fuzzer-found input must still overflow the Listing-1
@@ -278,44 +355,17 @@ let test_engine_deterministic () =
    uses: one boot per ISA, restore between inputs. *)
 
 let replay_corpus_on arch =
-  let profile = Defense.Profile.wx in
-  let spec =
-    match arch with
-    | Loader.Arch.X86 ->
-        Connman.Program_x86.spec ~version:Connman.Version.v1_34 ~profile ()
-    | Loader.Arch.Arm ->
-        Connman.Program_arm.spec ~version:Connman.Version.v1_34 ~profile ()
-  in
-  let proc = Loader.Process.boot spec ~profile ~seed:99 in
-  let snap = Loader.Process.snapshot proc in
-  let entry = Loader.Process.symbol proc "parse_response" in
-  let buf = proc.Loader.Process.layout.Loader.Layout.heap_base in
-  let geometry = Connman.Frame.geometry arch in
-  let frame_buffer = Connman.Frame.buffer_addr proc in
-  let oracle = Sanitizer.Oracle.create () in
+  let h = harness arch in
   List.iter
     (fun (name, hex) ->
       let input = Engine.string_of_hex hex in
-      Loader.Process.restore proc snap;
-      Memsim.Memory.write_bytes proc.Loader.Process.mem buf input;
-      Sanitizer.Oracle.begin_parse oracle;
-      Sanitizer.Oracle.clear_reports oracle;
-      let src =
-        Sanitizer.Oracle.new_source oracle ~origin:"fuzz"
-          ~length:(String.length input)
-      in
-      Sanitizer.Oracle.taint oracle ~src buf ~len:(String.length input);
-      Sanitizer.Oracle.protect_frame oracle ~buffer:frame_buffer geometry;
-      let r =
-        Loader.Process.call proc ~fuel:400_000 ~sanitizer:oracle ~entry
-          ~args:[ buf; String.length input ]
-      in
+      let r, first = triage h input in
       let tag = Printf.sprintf "%s/%s" (Loader.Arch.name arch) name in
       Alcotest.(check bool)
         (tag ^ ": still crashes the guest")
         true
         (r.Loader.Process.outcome <> O.Halted);
-      match Sanitizer.Oracle.first_report oracle with
+      match first with
       | None -> Alcotest.fail (tag ^ ": oracle fired no report")
       | Some rp ->
           Alcotest.(check string)
@@ -331,6 +381,87 @@ let replay_corpus_on arch =
 
 let test_corpus_replay_x86 () = replay_corpus_on Loader.Arch.X86
 let test_corpus_replay_arm () = replay_corpus_on Loader.Arch.Arm
+
+(* --- what the engine keeps of its two runs ---
+
+   The engine stops its triage at the first report and credits it with
+   the coverage run's steps.  Both are sound only if a halting triage
+   names the same first report as a full one, and a full triage retires
+   exactly the coverage run's instructions.  The inputs are the crashes
+   of the [fuzz --smoke] configuration (run without the early stop, so
+   every distinct (outcome, rule) it meets is kept) and the regression
+   corpus. *)
+
+let smoke_crash_inputs arch =
+  let st =
+    Engine.run
+      {
+        Engine.default_config with
+        Engine.arch;
+        max_execs = 4_000;
+        stop_on_find = false;
+      }
+  in
+  List.map (fun c -> (c.Engine.input, Some c.Engine.steps)) st.Engine.crashes
+  @ List.map (fun (_, hex) -> (Engine.string_of_hex hex, None)) Corpus_data.entries
+
+let test_halting_triage arch () =
+  let h = harness ~seed:Engine.default_config.Engine.seed arch in
+  let symbolize = Exploit.Debugger.symbolize h.proc in
+  let inputs = smoke_crash_inputs arch in
+  Alcotest.(check bool) "several crash inputs" true (List.length inputs > 2);
+  let stopped_early = ref 0 in
+  List.iteri
+    (fun i (input, campaign_steps) ->
+      let tag = Printf.sprintf "%s input %d" (Loader.Arch.name arch) i in
+      let cov = parse ~on_step:ignore h input in
+      let full, full_first = triage h input in
+      let halted, halted_first = triage ~halt_on_report:true h input in
+      Alcotest.(check int) (tag ^ ": full triage steps = coverage steps")
+        cov.Loader.Process.steps full.Loader.Process.steps;
+      Option.iter
+        (Alcotest.(check int) (tag ^ ": the campaign recorded these steps")
+           cov.Loader.Process.steps)
+        campaign_steps;
+      let show =
+        Option.map (fun rp ->
+            ( Sanitizer.Oracle.kind_name rp.Sanitizer.Oracle.kind,
+              Sanitizer.Oracle.wire_offset rp,
+              Sanitizer.Oracle.render ~symbolize rp ))
+      in
+      Alcotest.(check (option (triple string int string)))
+        (tag ^ ": same first report") (show full_first) (show halted_first);
+      Alcotest.(check bool) (tag ^ ": halting triage retires no more")
+        true
+        (halted.Loader.Process.steps <= full.Loader.Process.steps);
+      if halted.Loader.Process.steps < full.Loader.Process.steps then
+        incr stopped_early)
+    inputs;
+  Alcotest.(check bool) "some halting triage stopped early" true (!stopped_early > 0)
+
+(* The edge map fed from [on_step] and from the profiler's sink: the same
+   fresh-edge counts input by input, and the same map at the end. *)
+let test_coverage_paths arch () =
+  let h = harness arch in
+  let crash = Engine.string_of_hex (snd (List.hd Corpus_data.entries)) in
+  let direct = Fuzz.Coverage.create () and sunk = Fuzz.Coverage.create () in
+  let profile = Telemetry.Profile.create () in
+  Telemetry.Profile.set_sink profile (Some (Fuzz.Coverage.touch sunk));
+  List.iteri
+    (fun i input ->
+      Fuzz.Coverage.begin_exec direct;
+      let a = parse ~on_step:(Fuzz.Coverage.touch direct) h input in
+      Fuzz.Coverage.begin_exec sunk;
+      Telemetry.Profile.clear profile;
+      let b = parse ~profile h input in
+      let tag = Printf.sprintf "%s input %d" (Loader.Arch.name arch) i in
+      Alcotest.(check int) (tag ^ ": same steps") a.Loader.Process.steps
+        b.Loader.Process.steps;
+      Alcotest.(check int) (tag ^ ": same fresh edges")
+        (Fuzz.Coverage.commit direct) (Fuzz.Coverage.commit sunk);
+      Alcotest.(check int) (tag ^ ": same edge count") (Fuzz.Coverage.edges direct)
+        (Fuzz.Coverage.edges sunk))
+    (Engine.benign_seeds () @ [ crash ])
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -366,10 +497,22 @@ let () =
         [
           Alcotest.test_case "seed-deterministic stats" `Slow
             test_engine_deterministic;
+          Alcotest.test_case "seed-3 stats pinned" `Quick test_engine_pinned;
         ] );
       ( "regression corpus",
         [
           Alcotest.test_case "replay on x86" `Quick test_corpus_replay_x86;
           Alcotest.test_case "replay on arm" `Quick test_corpus_replay_arm;
         ] );
+      ( "triage",
+        List.concat_map
+          (fun arch ->
+            let a = Loader.Arch.name arch in
+            [
+              Alcotest.test_case ("halting = full first report, " ^ a) `Quick
+                (test_halting_triage arch);
+              Alcotest.test_case ("coverage via on_step = via sink, " ^ a) `Quick
+                (test_coverage_paths arch);
+            ])
+          Loader.Arch.all );
     ]

@@ -877,6 +877,56 @@ let test_shadow_snapshot_restore () =
   Shadow.restore sh snap;
   check_int "snapshot reusable after clear" 3 (Shadow.tainted sh)
 
+(* The shadow map against a plain association model, over addresses in
+   three pages so the last-page cache keeps switching — and must never
+   serve a page that [clear] or [restore] dropped. *)
+let prop_shadow_model =
+  let module Shadow = Memsim.Shadow in
+  let addr = QCheck.Gen.(map2 (fun p o -> (p * 0x1000) + o) (int_range 1 3) (int_bound 7)) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map2 (fun a l -> `Set (a, l)) addr (int_bound 2));
+          (4, map (fun a -> `Get a) addr);
+          (1, return `Clear);
+          (1, map (fun a -> `Clear_range a) addr);
+          (1, return `Snapshot);
+          (1, return `Restore);
+        ])
+  in
+  QCheck.Test.make ~name:"shadow map = model (cache, clear, restore)" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 60) op))
+    (fun ops ->
+      let sh = Shadow.create () in
+      let model = Hashtbl.create 16 in
+      let snap = ref (Shadow.snapshot sh, Hashtbl.copy model) in
+      let get a = Option.value (Hashtbl.find_opt model a) ~default:0 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Set (a, l) ->
+              let l = if l = 0 then Shadow.clean else Shadow.make ~src:l ~offset:a in
+              Shadow.set sh a l;
+              Hashtbl.replace model a l
+          | `Get _ -> ()
+          | `Clear ->
+              Shadow.clear sh;
+              Hashtbl.reset model
+          | `Clear_range a ->
+              Shadow.clear_range sh a ~len:2;
+              Hashtbl.replace model a 0;
+              Hashtbl.replace model (a + 1) 0
+          | `Snapshot -> snap := (Shadow.snapshot sh, Hashtbl.copy model)
+          | `Restore ->
+              Shadow.restore sh (fst !snap);
+              Hashtbl.reset model;
+              Hashtbl.iter (Hashtbl.replace model) (snd !snap));
+          (match op with `Get a | `Set (a, _) -> Shadow.get sh a = get a | _ -> true)
+          && Shadow.tainted sh
+             = Hashtbl.fold (fun _ l n -> if l <> 0 then n + 1 else n) model 0)
+        ops)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "memsim"
@@ -953,6 +1003,7 @@ let () =
           qt prop_snapshot_roundtrip;
           Alcotest.test_case "shadow snapshot/restore" `Quick
             test_shadow_snapshot_restore;
+          qt prop_shadow_model;
         ] );
       ( "rng",
         [

@@ -8,7 +8,8 @@
    [Process.call] level, disposition and [last_steps] through the daemon
    (which has no single-step attachment point, so there "all" is the
    other three).  In particular an attached observer must not switch the
-   embedded mitigations off. *)
+   embedded mitigations off.  The one observer allowed to stop a run, an
+   oracle created with [~halt_on_report:true], gets its own group. *)
 
 module Dnsproxy = Connman.Dnsproxy
 module Process = Loader.Process
@@ -98,8 +99,9 @@ let observer_sets =
 (* One parse on a fresh restore of the booted image, with the observers
    attached the way the daemon attaches them (the oracle taints every
    wire byte and guards the overflow frame).  When both pc observers
-   are attached they must see the same pcs. *)
-let call d snap wire obs =
+   are attached they must see the same pcs.  The oracle is returned for
+   its reports. *)
+let call ?halt_on_report d snap wire obs =
   let arch = (Dnsproxy.config d).Dnsproxy.arch in
   let proc = Dnsproxy.process d in
   Process.restore proc snap;
@@ -109,7 +111,7 @@ let call d snap wire obs =
   let sanitizer =
     if not obs.sanitizer then None
     else begin
-      let oracle = Oracle.create () in
+      let oracle = Oracle.create ?halt_on_report () in
       Oracle.begin_parse oracle;
       let src = Oracle.new_source oracle ~origin:"udp" ~length:len in
       Oracle.taint oracle ~src buf ~len;
@@ -132,7 +134,7 @@ let call d snap wire obs =
       check_int (obs.name ^ ": on_step and profiler saw the same pcs")
         !stepped (Telemetry.Profile.total p)
   | _ -> ());
-  r
+  (r, sanitizer)
 
 let same_run what (bare : Process.run_result) (seen : Process.run_result) =
   check_string (what ^ " outcome") (O.to_string bare.Process.outcome)
@@ -172,20 +174,65 @@ let check_scenario arch base kind () =
           let d = Dnsproxy.create cfg in
           let w = wire d payload in
           let snap = Process.snapshot (Dnsproxy.process d) in
-          let bare = call d snap w (List.hd observer_sets) in
+          let bare = fst (call d snap w (List.hd observer_sets)) in
           let bare_word, bare_steps = deliver cfg payload (List.hd observer_sets) in
           check_int (pname ^ ": daemon and call agree on steps") bare.Process.steps
             bare_steps;
           List.iter
             (fun obs ->
               let what = Printf.sprintf "%s/%s" pname obs.name in
-              same_run what bare (call d snap w obs);
+              same_run what bare (fst (call d snap w obs));
               if obs.trace || obs.profile || obs.sanitizer then begin
                 let word, steps = deliver cfg payload obs in
                 check_string (what ^ " disposition") bare_word word;
                 check_int (what ^ " last_steps") bare_steps steps
               end)
             (List.tl observer_sets))
+    (profiles base)
+
+(* --- the one observer that may stop a run: a halting oracle ---
+
+   Against the full sanitized run (itself the bare run, above): the same
+   first report, and the run stops at the instruction after it — the
+   reporting instruction retires, the next is vetoed — unless the run
+   had ended by then anyway. *)
+
+let sanitizer_only = List.find (fun o -> o.name = "sanitizer") observer_sets
+
+let check_halting arch base kind () =
+  List.iter
+    (fun (pname, profile) ->
+      let cfg = config arch profile in
+      match payload cfg kind with
+      | None -> ()
+      | Some payload -> (
+          let d = Dnsproxy.create cfg in
+          let w = wire d payload in
+          let snap = Process.snapshot (Dnsproxy.process d) in
+          let full, full_oracle = call d snap w sanitizer_only in
+          let halted, halted_oracle =
+            call ~halt_on_report:true d snap w sanitizer_only
+          in
+          let first o = Option.bind o Oracle.first_report in
+          let show = Option.map (Format.asprintf "%a" Oracle.pp_report) in
+          Alcotest.(check (option string))
+            (pname ^ ": same first report")
+            (show (first full_oracle))
+            (show (first halted_oracle));
+          match first full_oracle with
+          | None -> same_run (pname ^ ": no report, no halt") full halted
+          | Some rp ->
+              let next = rp.Oracle.step + 1 in
+              check_int (pname ^ ": stops after the reporting instruction")
+                (min full.Process.steps next) halted.Process.steps;
+              if full.Process.steps > next then
+                check_string (pname ^ ": halted by the oracle")
+                  (O.to_string (O.Aborted "sanitizer"))
+                  (O.to_string halted.Process.outcome)
+              else if full.Process.steps < next then
+                check_string (pname ^ ": ended before the halt")
+                  (O.to_string full.Process.outcome)
+                  (O.to_string halted.Process.outcome)))
     (profiles base)
 
 let scenarios =
@@ -209,5 +256,10 @@ let () =
         List.map
           (fun (name, arch, base, kind) ->
             Alcotest.test_case name `Quick (check_scenario arch base kind))
+          scenarios );
+      ( "halting oracle",
+        List.map
+          (fun (name, arch, base, kind) ->
+            Alcotest.test_case name `Quick (check_halting arch base kind))
           scenarios );
     ]
