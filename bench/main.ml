@@ -518,10 +518,11 @@ let run_cache_json ~smoke ~out () =
 (* speedup the tentpole claims.  The self-modifying variants store     *)
 (* into their own text page every iteration, so with the cache on they *)
 (* measure the generation-check/re-decode invalidation path rather     *)
-(* than the hit path.  The steady state alone hides what a real parse  *)
-(* pays, so the suite also times one benign connmand parse per ISA     *)
-(* from every starting point a process has (cold boot, restored, fork, *)
-(* reimaged variant) against the uncached path.                        *)
+(* than the hit path.  The DoS rows give ns/step on the longest real   *)
+(* parse, plain and mitigated.  The steady state alone hides what a    *)
+(* real parse pays, so the suite also times one benign connmand parse  *)
+(* per ISA from every starting point a process has (cold boot,         *)
+(* restored, fork, reimaged variant) against the uncached path.        *)
 (* ------------------------------------------------------------------ *)
 
 module Mem = Memsim.Memory
@@ -952,6 +953,39 @@ let parse_start_workloads arch =
         ("uncached", false, restored);
       ] )
 
+(* The 8192-byte DoS parse, the interpreter's longest real run (about
+   47k steps), on a warmed template per ISA: [plain] under W^X, and
+   [mitigated] with the shadow stack and forward CFI enforced as well.
+   Each run restores the boot snapshot, writes the datagram and calls
+   [parse_response]; the row is the time per retired instruction. *)
+let dos_parse_workloads () =
+  List.concat_map
+    (fun arch ->
+      List.map
+        (fun (tag, profile) ->
+          let d = Dnsproxy.create (mk_config arch profile 9) in
+          let wire =
+            Dns.Craft.hostile_response
+              ~query:(Dnsproxy.make_query d lookup)
+              ~raw_name:(Dns.Craft.dos_name ~size:8192) ()
+          in
+          let proc = Dnsproxy.process d in
+          let snap = Loader.Process.snapshot proc in
+          let buf = proc.Loader.Process.layout.Loader.Layout.heap_base in
+          let entry = Loader.Process.symbol proc "parse_response" in
+          let parse () =
+            Loader.Process.restore proc snap;
+            Mem.write_bytes proc.Loader.Process.mem buf wire;
+            Loader.Process.call proc ~fuel:400_000 ~entry
+              ~args:[ buf; String.length wire ]
+          in
+          let steps = (parse ()).Loader.Process.steps in
+          ( Printf.sprintf "cpu/dos-parse-%s/%s" (Loader.Arch.name arch) tag,
+            steps,
+            fun () -> ignore (parse ()) ))
+        [ ("plain", Profile.wx); ("mitigated", Profile.with_mitigations Profile.wx) ])
+    Loader.Arch.all
+
 (* Median time of [run] on a fresh [setup ()] per call, the setup
    untimed.  Bechamel's [Test.multiple] cannot do this: every run of a
    sample gets the same resource, so all but the first would be warm. *)
@@ -1019,6 +1053,20 @@ let run_cpu_json ~smoke ~out () =
             ])
       (hook_workloads ~iters)
   in
+  Format.printf "@.%-34s %8s %14s %10s@." "DoS parse" "steps" "per run"
+    "ns/step";
+  Format.printf "%s@." (String.make 80 '-');
+  let dos_rows =
+    List.map
+      (fun (name, steps, run) ->
+        let ns, r2 = time_fn cfg name run in
+        let per_step = ns /. float_of_int steps in
+        Format.printf "%-34s %8d %14s %10.1f@." name steps (pretty_nanos ns)
+          per_step;
+        bench_row name "ns_per_step" per_step
+          ~extra:[ ("steps_per_run", float_of_int steps); ("r_square", r2) ])
+      (dos_parse_workloads ())
+  in
   Format.printf "@.%-34s %8s %14s %12s@." "benign parse from" "steps" "median"
     "vs uncached";
   Format.printf "%s@." (String.make 80 '-');
@@ -1076,7 +1124,7 @@ let run_cpu_json ~smoke ~out () =
            bench_row (w.cw_name ^ "/speedup") "ratio" speedup;
          ])
        rows
-    @ hook_rows @ parse_rows)
+    @ hook_rows @ dos_rows @ parse_rows)
 
 (* ------------------------------------------------------------------ *)
 (* Sanitizer overhead benches: BENCH_sanitizer.json                    *)

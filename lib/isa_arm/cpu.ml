@@ -8,7 +8,8 @@ module Hook = Machine.Hook
    execution thunk specialized at fill time for the instruction's (fixed)
    address — pc+8 reads, successor pc and branch targets are captured
    constants, register operands pre-resolved array indices.  See
-   [compile]. *)
+   [compile].  It also carries, once built, the block that starts at its
+   address, as on x86. *)
 type t = {
   mem : Mem.t;
   regs : int array;
@@ -26,11 +27,26 @@ and kernel = int -> t -> Outcome.syscall_result
 and compiled = {
   insn : Insn.t;
   run : t -> kernel -> Outcome.stop_reason option;
+  mutable block : block;
+}
+
+(* A head's block is built on its second execution. *)
+and block = Unseen | Seen | Built of chain
+
+(* A straight-line run from a head entry, as on x86 (every member is 4
+   bytes). *)
+and chain = {
+  pcs : int array;
+  runs : (t -> kernel -> Outcome.stop_reason option) array;
+  last_insn : Insn.t;
+  lo : int;  (* the followers' lowest and highest pc (lo > hi: none) *)
+  hi : int;
+  refills : int;  (* the head page's {!Memsim.Icache.refills} when built *)
 }
 
 let new_icache () =
   Memsim.Icache.table
-    ~dummy:{ insn = al (Mov (R0, Reg R0)); run = (fun _ _ -> None) }
+    ~dummy:{ insn = al (Mov (R0, Reg R0)); run = (fun _ _ -> None); block = Unseen }
 
 let create ~icache mem =
   {
@@ -237,8 +253,11 @@ let exec t ~kernel start cond op =
    branches, shifted-register addressing) falls back to the generic
    [exec] — behavior is bit-identical either way, which the differential
    tests assert instruction-by-instruction over every exploit scenario.
-   Compilation cost is paid once per (page generation, address), i.e. on
-   the same events as decoding itself. *)
+   The hottest forms (mov, add/sub/cmp with an immediate, immediate-offset
+   loads and stores, none touching pc) get flat thunks that read their
+   registers directly rather than through operand closures.  Compilation
+   cost is paid once per (page generation, address), i.e. on the same
+   events as decoding itself. *)
 let compile start { cond; op } =
   let next = Word.add start 4 in
   (* Pre-resolved operand readers.  pc reads as start+8 — a constant at
@@ -309,7 +328,89 @@ let compile start { cond; op } =
             None
         | exception Mem.Fault f -> Some (Outcome.Fault f))
   in
+  (* The flat forms: no pc operand, so every register is a plain slot and
+     every operation a direct call. *)
+  let loaded t d v =
+    Array.unsafe_set t.regs d v;
+    set_pc t next;
+    None
+  in
   match op with
+  | Mov (rd, Imm i) when rd <> PC ->
+      let d = reg_index rd and v = Word.of_int i in
+      guard (fun t _ ->
+          t.steps <- t.steps + 1;
+          Array.unsafe_set t.regs d v;
+          set_pc t next;
+          None)
+  | Mov (rd, Reg rs) when rd <> PC && rs <> PC ->
+      let d = reg_index rd and s = reg_index rs in
+      guard (fun t _ ->
+          t.steps <- t.steps + 1;
+          Array.unsafe_set t.regs d (Array.unsafe_get t.regs s);
+          set_pc t next;
+          None)
+  | Add (rd, rn, Imm i) when rd <> PC && rn <> PC ->
+      let d = reg_index rd and n = reg_index rn and i = Word.of_int i in
+      guard (fun t _ ->
+          t.steps <- t.steps + 1;
+          Array.unsafe_set t.regs d (Word.add (Array.unsafe_get t.regs n) i);
+          set_pc t next;
+          None)
+  | Sub (rd, rn, Imm i) when rd <> PC && rn <> PC ->
+      let d = reg_index rd and n = reg_index rn and i = Word.of_int i in
+      guard (fun t _ ->
+          t.steps <- t.steps + 1;
+          Array.unsafe_set t.regs d (Word.sub (Array.unsafe_get t.regs n) i);
+          set_pc t next;
+          None)
+  | Cmp (rn, Imm i) when rn <> PC ->
+      let n = reg_index rn and b = Word.of_int i in
+      guard (fun t _ ->
+          t.steps <- t.steps + 1;
+          set_cmp_flags t (Array.unsafe_get t.regs n) b;
+          set_pc t next;
+          None)
+  | Ldr (rd, rn, off) when rd <> PC && rn <> PC ->
+      let d = reg_index rd and n = reg_index rn in
+      guard (fun t _ ->
+          t.steps <- t.steps + 1;
+          match Mem.read_u32 t.mem (Word.add (Array.unsafe_get t.regs n) off) with
+          | v -> loaded t d v
+          | exception Mem.Fault f -> Some (Outcome.Fault f))
+  | Ldrb (rd, rn, off) when rd <> PC && rn <> PC ->
+      let d = reg_index rd and n = reg_index rn in
+      guard (fun t _ ->
+          t.steps <- t.steps + 1;
+          match Mem.read_u8 t.mem (Word.add (Array.unsafe_get t.regs n) off) with
+          | v -> loaded t d v
+          | exception Mem.Fault f -> Some (Outcome.Fault f))
+  | Str (rd, rn, off) when rd <> PC && rn <> PC ->
+      let s = reg_index rd and n = reg_index rn in
+      guard (fun t _ ->
+          t.steps <- t.steps + 1;
+          match
+            Mem.write_u32 t.mem
+              (Word.add (Array.unsafe_get t.regs n) off)
+              (Array.unsafe_get t.regs s)
+          with
+          | () ->
+              set_pc t next;
+              None
+          | exception Mem.Fault f -> Some (Outcome.Fault f))
+  | Strb (rd, rn, off) when rd <> PC && rn <> PC ->
+      let s = reg_index rd and n = reg_index rn in
+      guard (fun t _ ->
+          t.steps <- t.steps + 1;
+          match
+            Mem.write_u8 t.mem
+              (Word.add (Array.unsafe_get t.regs n) off)
+              (Array.unsafe_get t.regs s land 0xFF)
+          with
+          | () ->
+              set_pc t next;
+              None
+          | exception Mem.Fault f -> Some (Outcome.Fault f))
   | Mov (rd, o) when rd <> PC ->
       let o = cop2 o in
       dp rd o
@@ -403,115 +504,197 @@ let compile start { cond; op } =
    allocates nothing. *)
 let compile_decode mem addr =
   let insn = Decode.decode mem addr in
-  ({ insn; run = compile addr insn }, 4)
+  ({ insn; run = compile addr insn; block = Unseen }, 4)
 
-(* Fetch-decode-execute, through the decoded-instruction cache when
-   enabled; on a hit the NX check is carried by the cache's generation
-   protocol (any byte store or [set_perm] on the page forces a
-   re-decode). *)
-let step t ~kernel =
-  let start = pc t in
-  if start land 3 <> 0 then
-    Some
-      (Outcome.Fault
-         { Mem.addr = start; kind = Mem.Perm_exec; context = "unaligned pc" })
-  else
-    match t.icache with
-    | Some c -> (
-        match Memsim.Icache.lookup c start ~decode:compile_decode with
-        | exception Decode.Error { addr; word } ->
-            Some (Outcome.Decode_error { addr; byte = word land 0xFF })
-        | exception Mem.Fault f -> Some (Outcome.Fault f)
-        | e -> (e.Memsim.Icache.v).run t kernel)
-    | None -> (
-        match Decode.decode t.mem start with
-        | exception Decode.Error { addr; word } ->
-            Some (Outcome.Decode_error { addr; byte = word land 0xFF })
-        | exception Mem.Fault f -> Some (Outcome.Fault f)
-        | { cond; op } -> exec t ~kernel start cond op)
+(* Instructions that end a block: every branch but an unconditional [b],
+   every write to pc and [svc] — whatever the condition, since a
+   condition-failed one only falls through.  An unconditional [b] has a
+   constant target and classifies as no transfer, so a block runs on
+   through it, as on x86. *)
+let ends_block { cond; op } =
+  match op with
+  | B _ -> cond <> AL
+  | Bl _ | Bx _ | Blx_r _ | Svc _ -> true
+  | Pop regs -> List.mem PC regs
+  | Mov (rd, _) | Mvn (rd, _) | Add (rd, _, _) | Sub (rd, _, _) | Rsb (rd, _, _)
+  | And (rd, _, _) | Orr (rd, _, _) | Eor (rd, _, _) | Bic (rd, _, _)
+  | Mul (rd, _, _) | Ldr (rd, _, _) | Ldr_r (rd, _, _) | Ldrb (rd, _, _)
+  | Ldrb_r (rd, _, _) ->
+      rd = PC
+  | Cmp _ | Tst _ | Str _ | Strb _ | Str_r _ | Strb_r _ | Push _ -> false
 
+let block_cap = 32
 
-(* As on x86: dedicated loops with a direct compare for the zero/one-trap
-   cases, a precomputed int hash set beyond that — never a per-step list
-   scan. *)
-let run_plain ~fuel ~traps ~kernel t =
-  match traps with
-  | [] ->
-      let rec loop budget =
-        if budget <= 0 then Outcome.Fuel_exhausted
-        else
-          match step t ~kernel with
-          | Some reason -> reason
-          | None -> loop (budget - 1)
-      in
-      loop fuel
-  | [ a ] ->
-      let rec loop budget =
-        if budget <= 0 then Outcome.Fuel_exhausted
-        else if pc t = a then Outcome.Halted
-        else
-          match step t ~kernel with
-          | Some reason -> reason
-          | None -> loop (budget - 1)
-      in
-      loop fuel
-  | l ->
-      let set = Hashtbl.create (2 * List.length l) in
-      List.iter (fun a -> Hashtbl.replace set a ()) l;
-      let rec loop budget =
-        if budget <= 0 then Outcome.Fuel_exhausted
-        else if Hashtbl.mem set (pc t) then Outcome.Halted
-        else
-          match step t ~kernel with
-          | Some reason -> reason
-          | None -> loop (budget - 1)
-      in
-      loop fuel
+(* The block from the valid head entry [e] at [head], chained as on x86:
+   from entries already cached at the head's generation, through
+   unconditional [b]s, up to the first instruction that ends a block, a
+   successor off the head's page, or [block_cap] members. *)
+let build c (e : compiled Memsim.Icache.entry) head =
+  let follower pc (f : compiled) =
+    let next =
+      match f.insn with
+      | { cond = AL; op = B d } -> Word.add (Word.add pc 8) d
+      | _ -> Word.add pc 4
+    in
+    if ends_block f.insn || next lsr Mem.page_bits <> head lsr Mem.page_bits then
+      None
+    else
+      let e' = Memsim.Icache.peek c next in
+      if e'.lo_gen = e.lo_gen then Some (next, e'.v) else None
+  in
+  let rec count n pc f =
+    if n = block_cap then n
+    else match follower pc f with Some (pc, f) -> count (n + 1) pc f | None -> n
+  in
+  let n = count 1 head e.v in
+  let pcs = Array.make n head and runs = Array.make n e.v.run in
+  let rec fill i pc (f : compiled) =
+    pcs.(i) <- pc;
+    runs.(i) <- f.run;
+    match follower pc f with
+    | Some (pc', f') when i + 1 < n -> fill (i + 1) pc' f'
+    | _ -> f
+  in
+  let last = fill 0 head e.v in
+  let lo, hi = Hook.follower_span pcs in
+  Built { pcs; runs; last_insn = last.insn; lo; hi; refills = Memsim.Icache.refills c }
 
-(* One fetch of the hooked loop, as on x86. *)
-let fetch t pc =
-  if pc land 3 <> 0 then
-    raise (Mem.Fault { Mem.addr = pc; kind = Mem.Perm_exec; context = "unaligned pc" })
-  else
-    match t.icache with
-    | Some c -> (Memsim.Icache.lookup c pc ~decode:compile_decode).Memsim.Icache.v
-    | None ->
-        let ({ cond; op } as insn) = Decode.decode t.mem pc in
-        { insn; run = (fun t kernel -> exec t ~kernel pc cond op) }
+let unaligned pc =
+  Outcome.Fault { Mem.addr = pc; kind = Mem.Perm_exec; context = "unaligned pc" }
 
-(* The hooked loop — the ARM twin of the x86 one (every A32 instruction
-   is 4 bytes). *)
-let run_hooked ~fuel ~traps ~kernel hooks t =
-  let h = Hook.compose hooks in
-  let finish ending =
-    h.Hook.stop t ending;
-    Hook.outcome ending
+(* The reference loop ([icache = None]), as on x86. *)
+let run_exec ~fuel ~traps ~kernel (p : (t, Insn.t) Hook.plan) t =
+  let finish = Hook.finish p t in
+  let pre =
+    match p.step with Some h -> h.pre | None -> fun _ _ _ _ -> Hook.Go
   in
   let rec loop budget =
     if budget <= 0 then finish Hook.Out_of_fuel
     else if Hook.at_trap traps (pc t) then finish Hook.Trapped
     else
       let start = pc t in
-      match fetch t start with
-      | exception Decode.Error { addr; word } ->
-          finish (Hook.Unfetchable (Outcome.Decode_error { addr; byte = word land 0xFF }))
-      | exception Mem.Fault f -> finish (Hook.Unfetchable (Outcome.Fault f))
-      | f -> (
-          match h.Hook.pre t start f.insn 4 with
-          | Hook.Veto reason -> finish (Hook.Stopped reason)
-          | verdict -> (
-              match f.run t kernel with
-              | Some reason -> finish (Hook.Stopped reason)
-              | None ->
-                  (match verdict with Hook.Commit c -> c () | _ -> ());
-                  loop (budget - 1)))
+      if start land 3 <> 0 then finish (Hook.Unfetchable (unaligned start))
+      else
+        match Decode.decode t.mem start with
+        | exception Decode.Error { addr; word } ->
+            finish
+              (Hook.Unfetchable (Outcome.Decode_error { addr; byte = word land 0xFF }))
+        | exception Mem.Fault f -> finish (Hook.Unfetchable (Outcome.Fault f))
+        | { cond; op } as insn -> (
+            match pre t start insn 4 with
+            | Hook.Veto reason -> finish (Hook.Stopped reason)
+            | verdict -> (
+                match exec t ~kernel start cond op with
+                | Some reason -> finish (Hook.Stopped reason)
+                | None ->
+                    (match verdict with Hook.Commit c -> c () | _ -> ());
+                    loop (budget - 1)))
+  in
+  loop fuel
+
+(* The icache loop — the ARM twin of the x86 one. *)
+let run_cached ~fuel ~traps ~kernel (p : (t, Insn.t) Hook.plan) c t =
+  let finish = Hook.finish p t in
+  let rec loop budget =
+    if budget <= 0 then finish Hook.Out_of_fuel
+    else if Hook.at_trap traps (pc t) then finish Hook.Trapped
+    else
+      let start = pc t in
+      if start land 3 <> 0 then finish (Hook.Unfetchable (unaligned start))
+      else
+        match Memsim.Icache.lookup c start ~decode:compile_decode with
+        | exception Decode.Error { addr; word } ->
+            finish
+              (Hook.Unfetchable (Outcome.Decode_error { addr; byte = word land 0xFF }))
+        | exception Mem.Fault f -> finish (Hook.Unfetchable (Outcome.Fault f))
+        | e -> dispatch budget start e
+  and dispatch budget start (e : compiled Memsim.Icache.entry) =
+    let f = e.v in
+    match f.block with
+    | Built b when p.blocks && b.refills = Memsim.Icache.refills c ->
+        let n = Array.length b.runs in
+        if n > budget || Hook.trap_within traps ~lo:b.lo ~hi:b.hi then
+          single budget start f
+        else begin
+          let cell = Memsim.Icache.cell c in
+          match p.observe with
+          | None -> block budget b n e.lo_gen cell 0
+          | Some observe -> observed budget b n e.lo_gen cell observe 0
+        end
+    | (Seen | Built _) when p.blocks ->
+        f.block <- build c e start;
+        dispatch budget start e
+    | Unseen ->
+        f.block <- Seen;
+        single budget start f
+    | Seen | Built _ -> single budget start f
+  and single budget start f =
+    match p.step with
+    | None -> (
+        match f.run t kernel with
+        | Some reason -> finish (Hook.Stopped reason)
+        | None -> loop (budget - 1))
+    | Some h -> (
+        match h.pre t start f.insn 4 with
+        | Hook.Veto reason -> finish (Hook.Stopped reason)
+        | verdict -> (
+            match f.run t kernel with
+            | Some reason -> finish (Hook.Stopped reason)
+            | None ->
+                (match verdict with Hook.Commit c -> c () | _ -> ());
+                loop (budget - 1)))
+  (* Members before the last, then the terminator.  [observed] is the
+     same walk for runs with [Observe] hooks. *)
+  and block budget b n gen cell i =
+    if i < n - 1 then
+      match (Array.unsafe_get b.runs i) t kernel with
+      | None ->
+          if !cell = gen then block budget b n gen cell (i + 1)
+          else left budget i
+      | Some reason ->
+          Memsim.Icache.credit c i;
+          finish (Hook.Stopped reason)
+    else terminator budget b n
+  and observed budget b n gen cell observe i =
+    observe (Array.unsafe_get b.pcs i);
+    if i < n - 1 then
+      match (Array.unsafe_get b.runs i) t kernel with
+      | None ->
+          if !cell = gen then observed budget b n gen cell observe (i + 1)
+          else left budget i
+      | Some reason ->
+          Memsim.Icache.credit c i;
+          finish (Hook.Stopped reason)
+    else terminator budget b n
+  (* A store into the block's page after member [i]: the next turn
+     fetches the next member afresh. *)
+  and left budget i =
+    Memsim.Icache.credit c i;
+    loop (budget - i - 1)
+  and terminator budget b n =
+    let i = n - 1 in
+    Memsim.Icache.credit c i;
+    match p.terminal with
+    | None -> (
+        match (Array.unsafe_get b.runs i) t kernel with
+        | Some reason -> finish (Hook.Stopped reason)
+        | None -> loop (budget - n))
+    | Some pre -> (
+        match pre t (Array.unsafe_get b.pcs i) b.last_insn 4 with
+        | Hook.Veto reason -> finish (Hook.Stopped reason)
+        | verdict -> (
+            match (Array.unsafe_get b.runs i) t kernel with
+            | Some reason -> finish (Hook.Stopped reason)
+            | None ->
+                (match verdict with Hook.Commit c -> c () | _ -> ());
+                loop (budget - n)))
   in
   loop fuel
 
 let run ?(fuel = 2_000_000) ~traps ~kernel ~hooks t =
-  match hooks with
-  | [] -> run_plain ~fuel ~traps ~kernel t
-  | hooks -> run_hooked ~fuel ~traps ~kernel hooks t
+  match t.icache with
+  | None -> run_exec ~fuel ~traps ~kernel (Hook.plan hooks) t
+  | Some c -> run_cached ~fuel ~traps ~kernel (Hook.plan hooks) c t
 
 (* Guest reads made while planning a hook's verdict: a fault here is the
    instruction's own to raise when it executes, so it reads as 0. *)
@@ -682,4 +865,5 @@ let taint oracle =
         else if not (cond_holds t cond) then Hook.Go
         else plan t pc op);
     stop = (fun _ _ -> ());
+    lower = Hook.Step;
   }

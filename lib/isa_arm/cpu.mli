@@ -30,12 +30,17 @@ and kernel = int -> t -> Machine.Outcome.syscall_result
 and compiled = private {
   insn : Insn.t;
   run : t -> kernel -> Machine.Outcome.stop_reason option;
+  mutable block : block;
 }
 (** Icache payload: the decoded instruction plus an execution thunk
     specialized for the instruction's address (pc+8 reads, successor pc
-    and branch targets pre-resolved).  Behaviorally identical to
+    and branch targets pre-resolved), and the straight-line block that
+    starts there once it has been built.  Behaviorally identical to
     interpreting [insn] — the cache only ever changes speed, never
     outcomes. *)
+
+and block
+(** A cached straight-line run of compiled instructions (see {!run}). *)
 
 val new_icache : unit -> compiled Memsim.Icache.table
 (** An empty decoded-instruction cache.  Its owner (a booted process,
@@ -70,8 +75,18 @@ val run :
   hooks:(t, Insn.t) Machine.Hook.t list ->
   t ->
   Machine.Outcome.stop_reason
-(** As on x86: the specialised plain loop with no [hooks], otherwise the
-    hooked loop of {!Machine.Hook} (one fetch per step). *)
+(** As on x86: the reference loop without an icache, block-at-a-time
+    execution with one (blocks end where {!ends_block} says, off the
+    head's page, or at 32 instructions; conditional members count as
+    they would alone). *)
+
+val ends_block : Insn.t -> bool
+(** The instruction ends a block: a conditional [b], [bl], [bx], [blx],
+    [svc], or any write to pc ([pop {…, pc}], a load or data-processing
+    op into pc), whatever its condition.  An unconditional [b] does not:
+    the block goes on at its target.  Every instruction that does not
+    end a block classifies as {!Machine.Hook.Other} under
+    {!isa}[.transfer]. *)
 
 val isa : (t, Insn.t) Machine.Hook.isa
 (** The instruction classifier behind the shared hooks: [bl]/[blx] push

@@ -7,7 +7,9 @@ module Hook = Machine.Hook
 (* [compiled] is the icache payload: the decoded instruction, its size, and an
    execution thunk specialized at fill time for the instruction's (fixed)
    address — successor eip and branch targets are captured constants,
-   register operands are pre-resolved array indices.  See [compile]. *)
+   register operands are pre-resolved array indices.  See [compile].  It
+   also carries, once built, the block that starts at its address: see
+   [build] and [run]. *)
 type t = {
   mem : Mem.t;
   regs : int array;
@@ -26,11 +28,28 @@ and compiled = {
   insn : Insn.t;
   size : int;
   run : t -> kernel -> Outcome.stop_reason option;
+  mutable block : block;
+}
+
+(* A head's block is built on its second execution. *)
+and block = Unseen | Seen | Built of chain
+
+(* A straight-line run from a head entry: [pcs.(i)] and [runs.(i)] are
+   the i-th member's address and thunk, and [last_*] describe the final
+   member (the only one that may transfer control). *)
+and chain = {
+  pcs : int array;
+  runs : (t -> kernel -> Outcome.stop_reason option) array;
+  last_insn : Insn.t;
+  last_size : int;
+  lo : int;  (* the followers' lowest and highest pc (lo > hi: none) *)
+  hi : int;
+  refills : int;  (* the head page's {!Memsim.Icache.refills} when built *)
 }
 
 let new_icache () =
   Memsim.Icache.table
-    ~dummy:{ insn = Insn.Nop; size = 1; run = (fun _ _ -> None) }
+    ~dummy:{ insn = Insn.Nop; size = 1; run = (fun _ _ -> None); block = Unseen }
 
 let create ~icache mem =
   {
@@ -101,6 +120,40 @@ let set_sub_flags t a b res =
   t.sf <- Word.bit res 31;
   t.cf <- a < b;
   t.o_f <- Word.bit a 31 <> Word.bit b 31 && Word.bit res 31 <> Word.bit a 31
+
+(* SHL/SHR by the masked count [n] of the operand [a].  A zero count
+   changes neither the register nor any flag.  Otherwise CF holds the
+   last bit shifted out, and OF follows the 1-bit rule (SHL: the result's
+   sign differs from CF; SHR: the operand's sign).  Hardware defines OF
+   only for 1-bit shifts; like common emulators, the model applies the
+   1-bit rule to every count. *)
+let shl t d a n =
+  if n <> 0 then begin
+    let res = Word.of_int (a lsl n) in
+    Array.unsafe_set t.regs d res;
+    t.zf <- res = 0;
+    t.sf <- Word.bit res 31;
+    t.cf <- Word.bit a (32 - n);
+    t.o_f <- Word.bit res 31 <> t.cf
+  end
+
+let shr t d a n =
+  if n <> 0 then begin
+    let res = a lsr n in
+    Array.unsafe_set t.regs d res;
+    t.zf <- res = 0;
+    t.sf <- Word.bit res 31;
+    t.cf <- Word.bit a (n - 1);
+    t.o_f <- Word.bit a 31
+  end
+
+(* NEG: CF is set unless the operand was 0, OF when it was the one value
+   whose negation overflows. *)
+let set_neg_flags t a v =
+  t.zf <- v = 0;
+  t.sf <- Word.bit v 31;
+  t.cf <- v <> 0;
+  t.o_f <- a = 0x8000_0000
 
 let cond_holds t = function
   | E -> t.zf
@@ -216,28 +269,17 @@ let exec t ~kernel next insn =
             t.sf <- Word.bit res 31;
             t.o_f <- a = 0x8000_0000;
             None
-        (* Deliberate simplification: real SHL/SHR leave CF holding the
-           last bit shifted out (and OF defined only for 1-bit shifts);
-           this subset clears CF/OF via [set_logic_flags].  Nothing in the
-           modelled programs branches on CF after a shift — the unsigned
-           Jcc forms (B/AE/BE/A) only follow CMP/ADD/SUB here — so the
-           shortcut is observationally safe for the reproduced binaries. *)
         | Shl_i (r, i) ->
-            let res = Word.of_int (get t r lsl (i land 31)) in
-            set t r res;
-            set_logic_flags t res;
+            shl t (reg_index r) (get t r) (i land 31);
             None
         | Shr_i (r, i) ->
-            let res = get t r lsr (i land 31) in
-            set t r res;
-            set_logic_flags t res;
+            shr t (reg_index r) (get t r) (i land 31);
             None
         | Neg o ->
-            let v = Word.neg (read_op t o) in
+            let a = read_op t o in
+            let v = Word.neg a in
             write_op t o v;
-            t.zf <- v = 0;
-            t.sf <- Word.bit v 31;
-            t.cf <- v <> 0;
+            set_neg_flags t a v;
             None
         | Not o ->
             write_op t o (Word.lognot (read_op t o));
@@ -286,8 +328,11 @@ let exec t ~kernel next insn =
    fault).  Anything outside the hot set falls back to the generic
    [exec] — behavior is bit-identical either way, which the differential
    tests assert instruction-by-instruction over every exploit scenario.
-   Compilation cost is paid once per (page generation, address), i.e. on
-   the same events as decoding itself. *)
+   The register-base memory forms the parse paths run most (mov and movzx
+   loads, mov and byte stores, push, pop, call, ret) get thunks of their own; like
+   [exec], they advance eip and count the step before the access, so a
+   fault leaves the same state.  Compilation cost is paid once per (page
+   generation, address), i.e. on the same events as decoding itself. *)
 let compile start size insn =
   let next = Word.add start size in
   let pre t =
@@ -316,6 +361,7 @@ let compile start size insn =
       None
   in
   let logic t _ _ r = set_logic_flags t r in
+  let esp = reg_index ESP in
   match insn with
   | Nop ->
       fun t _ ->
@@ -395,20 +441,16 @@ let compile start size insn =
         t.o_f <- a = 0x8000_0000;
         None
   | Shl_i (r, i) ->
-      let d = reg_index r and amt = i land 31 in
+      let d = reg_index r and n = i land 31 in
       fun t _ ->
         pre t;
-        let res = Word.of_int (Array.unsafe_get t.regs d lsl amt) in
-        Array.unsafe_set t.regs d res;
-        set_logic_flags t res;
+        shl t d (Array.unsafe_get t.regs d) n;
         None
   | Shr_i (r, i) ->
-      let d = reg_index r and amt = i land 31 in
+      let d = reg_index r and n = i land 31 in
       fun t _ ->
         pre t;
-        let res = Array.unsafe_get t.regs d lsr amt in
-        Array.unsafe_set t.regs d res;
-        set_logic_flags t res;
+        shr t d (Array.unsafe_get t.regs d) n;
         None
   | Not (Reg r) ->
       let d = reg_index r in
@@ -420,11 +462,10 @@ let compile start size insn =
       let d = reg_index r in
       fun t _ ->
         pre t;
-        let v = Word.neg (Array.unsafe_get t.regs d) in
+        let a = Array.unsafe_get t.regs d in
+        let v = Word.neg a in
         Array.unsafe_set t.regs d v;
-        t.zf <- v = 0;
-        t.sf <- Word.bit v 31;
-        t.cf <- v <> 0;
+        set_neg_flags t a v;
         None
   | Imul (r, Reg s) ->
       let d = reg_index r and s = reg_index s in
@@ -433,6 +474,88 @@ let compile start size insn =
         Array.unsafe_set t.regs d
           (Word.mul (Array.unsafe_get t.regs d) (Array.unsafe_get t.regs s));
         None
+  | Mov (Reg d, Mem { base = Some b; disp }) ->
+      let d = reg_index d and b = reg_index b in
+      fun t _ -> (
+        pre t;
+        match Mem.read_u32 t.mem (Word.add (Array.unsafe_get t.regs b) disp) with
+        | v ->
+            Array.unsafe_set t.regs d v;
+            None
+        | exception Mem.Fault f -> Some (Outcome.Fault f))
+  | Mov (Mem { base = Some b; disp }, Reg s) ->
+      let b = reg_index b and s = reg_index s in
+      fun t _ -> (
+        pre t;
+        match
+          Mem.write_u32 t.mem
+            (Word.add (Array.unsafe_get t.regs b) disp)
+            (Array.unsafe_get t.regs s)
+        with
+        | () -> None
+        | exception Mem.Fault f -> Some (Outcome.Fault f))
+  | Mov_b (Mem { base = Some b; disp }, Reg s) ->
+      let b = reg_index b and s = reg_index s in
+      fun t _ -> (
+        pre t;
+        match
+          Mem.write_u8 t.mem
+            (Word.add (Array.unsafe_get t.regs b) disp)
+            (Array.unsafe_get t.regs s land 0xFF)
+        with
+        | () -> None
+        | exception Mem.Fault f -> Some (Outcome.Fault f))
+  | Movzx_b (d, Mem { base = Some b; disp }) ->
+      let d = reg_index d and b = reg_index b in
+      fun t _ -> (
+        pre t;
+        match Mem.read_u8 t.mem (Word.add (Array.unsafe_get t.regs b) disp) with
+        | v ->
+            Array.unsafe_set t.regs d v;
+            None
+        | exception Mem.Fault f -> Some (Outcome.Fault f))
+  | Push_r r ->
+      let s = reg_index r in
+      fun t _ -> (
+        pre t;
+        let v = Array.unsafe_get t.regs s in
+        let sp = Word.sub (Array.unsafe_get t.regs esp) 4 in
+        Array.unsafe_set t.regs esp sp;
+        match Mem.write_u32 t.mem sp v with
+        | () -> None
+        | exception Mem.Fault f -> Some (Outcome.Fault f))
+  | Pop_r r ->
+      let d = reg_index r in
+      fun t _ -> (
+        pre t;
+        let sp = Array.unsafe_get t.regs esp in
+        match Mem.read_u32 t.mem sp with
+        | v ->
+            Array.unsafe_set t.regs esp (Word.add sp 4);
+            Array.unsafe_set t.regs d v;
+            None
+        | exception Mem.Fault f -> Some (Outcome.Fault f))
+  | Call_rel d ->
+      let target = Word.add next d in
+      fun t _ -> (
+        pre t;
+        let sp = Word.sub (Array.unsafe_get t.regs esp) 4 in
+        Array.unsafe_set t.regs esp sp;
+        match Mem.write_u32 t.mem sp next with
+        | () ->
+            t.eip <- target;
+            None
+        | exception Mem.Fault f -> Some (Outcome.Fault f))
+  | Ret ->
+      fun t _ -> (
+        pre t;
+        let sp = Array.unsafe_get t.regs esp in
+        match Mem.read_u32 t.mem sp with
+        | v ->
+            Array.unsafe_set t.regs esp (Word.add sp 4);
+            t.eip <- v;
+            None
+        | exception Mem.Fault f -> Some (Outcome.Fault f))
   | Jmp_rel d | Jmp_short d ->
       let target = Word.add next d in
       fun t _ ->
@@ -463,98 +586,87 @@ let compile start size insn =
    the decode address.  Top-level so the hit path allocates nothing. *)
 let compile_decode mem addr =
   let insn, size = Decode.decode mem addr in
-  ({ insn; size; run = compile addr size insn }, size)
+  ({ insn; size; run = compile addr size insn; block = Unseen }, size)
 
-(* Fetch-decode-execute, through the decoded-instruction cache when
-   enabled; on a hit the NX check is carried by the cache's generation
-   protocol (any byte store or [set_perm] on the page forces a
-   re-decode). *)
-let step t ~kernel =
-  let start = t.eip in
-  match t.icache with
-  | Some c -> (
-      match Memsim.Icache.lookup c start ~decode:compile_decode with
-      | exception Decode.Error { addr; byte } ->
-          Some (Outcome.Decode_error { addr; byte })
-      | exception Mem.Fault f -> Some (Outcome.Fault f)
-      | e -> (e.Memsim.Icache.v).run t kernel)
-  | None -> (
-      match Decode.decode t.mem start with
-      | exception Decode.Error { addr; byte } ->
-          Some (Outcome.Decode_error { addr; byte })
-      | exception Mem.Fault f -> Some (Outcome.Fault f)
-      | insn, size -> exec t ~kernel (Word.add start size) insn)
+(* Instructions that end a block: every control transfer but a direct
+   [jmp], and the instructions that stop or leave the interpreter.  A
+   direct [jmp] has a constant target and classifies as no transfer, so a
+   block runs on through it (a loop's back edge joins its body to its
+   test). *)
+let ends_block = function
+  | Call_rel _ | Call_rm _ | Jmp_rm _ | Jcc _ | Jcc_short _ | Ret | Ret_i _
+  | Int _ | Hlt ->
+      true
+  | _ -> false
 
-(* The per-step trap check must not scan a list: the common zero/one-trap
-   cases get dedicated loops with a direct compare, anything larger a
-   precomputed int hash set — never a per-step [List.mem]. *)
-let run_plain ~fuel ~traps ~kernel t =
-  match traps with
-  | [] ->
-      let rec loop budget =
-        if budget <= 0 then Outcome.Fuel_exhausted
-        else
-          match step t ~kernel with
-          | Some reason -> reason
-          | None -> loop (budget - 1)
-      in
-      loop fuel
-  | [ a ] ->
-      let rec loop budget =
-        if budget <= 0 then Outcome.Fuel_exhausted
-        else if t.eip = a then Outcome.Halted
-        else
-          match step t ~kernel with
-          | Some reason -> reason
-          | None -> loop (budget - 1)
-      in
-      loop fuel
-  | l ->
-      let set = Hashtbl.create (2 * List.length l) in
-      List.iter (fun a -> Hashtbl.replace set a ()) l;
-      let rec loop budget =
-        if budget <= 0 then Outcome.Fuel_exhausted
-        else if Hashtbl.mem set t.eip then Outcome.Halted
-        else
-          match step t ~kernel with
-          | Some reason -> reason
-          | None -> loop (budget - 1)
-      in
-      loop fuel
+let block_cap = 32
 
-(* One fetch of the hooked loop: the icache entry, or — cache off — a
-   fresh decode run through the generic [exec]. *)
-let fetch t pc =
-  match t.icache with
-  | Some c -> (Memsim.Icache.lookup c pc ~decode:compile_decode).Memsim.Icache.v
-  | None ->
-      let insn, size = Decode.decode t.mem pc in
-      { insn; size; run = (fun t kernel -> exec t ~kernel (Word.add pc size) insn) }
+(* The block from the valid head entry [e] at [head]: its followers are
+   chained from entries the table already holds at the head's generation
+   (so building never decodes or counts), and the block stops at the
+   first instruction that ends one, at a successor off the head's page,
+   at an entry that is missing or straddles a page, or at [block_cap]
+   members. *)
+let build c (e : compiled Memsim.Icache.entry) head =
+  let follower pc (f : compiled) =
+    let next =
+      match f.insn with
+      | Jmp_rel d | Jmp_short d -> Word.add (Word.add pc f.size) d
+      | _ -> Word.add pc f.size
+    in
+    if ends_block f.insn || next lsr Mem.page_bits <> head lsr Mem.page_bits then
+      None
+    else
+      let e' = Memsim.Icache.peek c next in
+      if e'.lo_gen = e.lo_gen && e'.hi_gen = 0 then Some (next, e'.v) else None
+  in
+  let rec count n pc f =
+    if n = block_cap then n
+    else match follower pc f with Some (pc, f) -> count (n + 1) pc f | None -> n
+  in
+  let n = if e.hi_gen <> 0 then 1 else count 1 head e.v in
+  let pcs = Array.make n head and runs = Array.make n e.v.run in
+  let rec fill i pc (f : compiled) =
+    pcs.(i) <- pc;
+    runs.(i) <- f.run;
+    match follower pc f with
+    | Some (pc', f') when i + 1 < n -> fill (i + 1) pc' f'
+    | _ -> f
+  in
+  let last = fill 0 head e.v in
+  let lo, hi = Hook.follower_span pcs in
+  Built
+    {
+      pcs;
+      runs;
+      last_insn = last.insn;
+      last_size = last.size;
+      lo;
+      hi;
+      refills = Memsim.Icache.refills c;
+    }
 
-(* The hooked loop (see {!Machine.Hook}): one fetch per step, so icache
-   hit/miss counts equal a plain run's; the hooks see the decoded
-   instruction before it executes, and their commits apply only if it
-   retires. *)
-let run_hooked ~fuel ~traps ~kernel hooks t =
-  let h = Hook.compose hooks in
-  let finish ending =
-    h.Hook.stop t ending;
-    Hook.outcome ending
+(* The reference loop ([icache = None]): decode every step and run it
+   through the generic [exec], with every hook's [pre] per instruction. *)
+let run_exec ~fuel ~traps ~kernel (p : (t, Insn.t) Hook.plan) t =
+  let finish = Hook.finish p t in
+  let pre =
+    match p.step with Some h -> h.pre | None -> fun _ _ _ _ -> Hook.Go
   in
   let rec loop budget =
     if budget <= 0 then finish Hook.Out_of_fuel
     else if Hook.at_trap traps t.eip then finish Hook.Trapped
     else
       let pc = t.eip in
-      match fetch t pc with
+      match Decode.decode t.mem pc with
       | exception Decode.Error { addr; byte } ->
           finish (Hook.Unfetchable (Outcome.Decode_error { addr; byte }))
       | exception Mem.Fault f -> finish (Hook.Unfetchable (Outcome.Fault f))
-      | f -> (
-          match h.Hook.pre t pc f.insn f.size with
+      | insn, size -> (
+          match pre t pc insn size with
           | Hook.Veto reason -> finish (Hook.Stopped reason)
           | verdict -> (
-              match f.run t kernel with
+              match exec t ~kernel (Word.add pc size) insn with
               | Some reason -> finish (Hook.Stopped reason)
               | None ->
                   (match verdict with Hook.Commit c -> c () | _ -> ());
@@ -562,10 +674,114 @@ let run_hooked ~fuel ~traps ~kernel hooks t =
   in
   loop fuel
 
+(* The icache loop.  Each turn checks fuel and traps, looks the pc up
+   once, and runs the head's block — or just the head, when the hooks
+   need every step, the block is not built yet, the remaining fuel is
+   shorter than it, or a trap address lies inside it.  A member may stop
+   the run exactly as it would alone (its thunk leaves the same steps,
+   pc and registers).  A store into the block's page leaves the block
+   right after the storing instruction, and the next turn re-decodes.
+   Followers credit one icache hit each, so hit and miss counts are those
+   of a one-lookup-per-step loop. *)
+let run_cached ~fuel ~traps ~kernel (p : (t, Insn.t) Hook.plan) c t =
+  let finish = Hook.finish p t in
+  let rec loop budget =
+    if budget <= 0 then finish Hook.Out_of_fuel
+    else if Hook.at_trap traps t.eip then finish Hook.Trapped
+    else
+      let pc = t.eip in
+      match Memsim.Icache.lookup c pc ~decode:compile_decode with
+      | exception Decode.Error { addr; byte } ->
+          finish (Hook.Unfetchable (Outcome.Decode_error { addr; byte }))
+      | exception Mem.Fault f -> finish (Hook.Unfetchable (Outcome.Fault f))
+      | e -> dispatch budget pc e
+  and dispatch budget pc (e : compiled Memsim.Icache.entry) =
+    let f = e.v in
+    match f.block with
+    | Built b when p.blocks && b.refills = Memsim.Icache.refills c ->
+        let n = Array.length b.runs in
+        if n > budget || Hook.trap_within traps ~lo:b.lo ~hi:b.hi then
+          single budget pc f
+        else begin
+          let cell = Memsim.Icache.cell c in
+          match p.observe with
+          | None -> block budget b n e.lo_gen cell 0
+          | Some observe -> observed budget b n e.lo_gen cell observe 0
+        end
+    | (Seen | Built _) when p.blocks ->
+        f.block <- build c e pc;
+        dispatch budget pc e
+    | Unseen ->
+        f.block <- Seen;
+        single budget pc f
+    | Seen | Built _ -> single budget pc f
+  and single budget pc f =
+    match p.step with
+    | None -> (
+        match f.run t kernel with
+        | Some reason -> finish (Hook.Stopped reason)
+        | None -> loop (budget - 1))
+    | Some h -> (
+        match h.pre t pc f.insn f.size with
+        | Hook.Veto reason -> finish (Hook.Stopped reason)
+        | verdict -> (
+            match f.run t kernel with
+            | Some reason -> finish (Hook.Stopped reason)
+            | None ->
+                (match verdict with Hook.Commit c -> c () | _ -> ());
+                loop (budget - 1)))
+  (* Members before the last, then the terminator.  [observed] is the
+     same walk for runs with [Observe] hooks. *)
+  and block budget b n gen cell i =
+    if i < n - 1 then
+      match (Array.unsafe_get b.runs i) t kernel with
+      | None ->
+          if !cell = gen then block budget b n gen cell (i + 1)
+          else left budget i
+      | Some reason ->
+          Memsim.Icache.credit c i;
+          finish (Hook.Stopped reason)
+    else terminator budget b n
+  and observed budget b n gen cell observe i =
+    observe (Array.unsafe_get b.pcs i);
+    if i < n - 1 then
+      match (Array.unsafe_get b.runs i) t kernel with
+      | None ->
+          if !cell = gen then observed budget b n gen cell observe (i + 1)
+          else left budget i
+      | Some reason ->
+          Memsim.Icache.credit c i;
+          finish (Hook.Stopped reason)
+    else terminator budget b n
+  (* A store into the block's page after member [i]: the next turn
+     fetches the next member afresh. *)
+  and left budget i =
+    Memsim.Icache.credit c i;
+    loop (budget - i - 1)
+  and terminator budget b n =
+    let i = n - 1 in
+    Memsim.Icache.credit c i;
+    match p.terminal with
+    | None -> (
+        match (Array.unsafe_get b.runs i) t kernel with
+        | Some reason -> finish (Hook.Stopped reason)
+        | None -> loop (budget - n))
+    | Some pre -> (
+        match pre t (Array.unsafe_get b.pcs i) b.last_insn b.last_size with
+        | Hook.Veto reason -> finish (Hook.Stopped reason)
+        | verdict -> (
+            match (Array.unsafe_get b.runs i) t kernel with
+            | Some reason -> finish (Hook.Stopped reason)
+            | None ->
+                (match verdict with Hook.Commit c -> c () | _ -> ());
+                loop (budget - n)))
+  in
+  loop fuel
+
 let run ?(fuel = 2_000_000) ~traps ~kernel ~hooks t =
-  match hooks with
-  | [] -> run_plain ~fuel ~traps ~kernel t
-  | hooks -> run_hooked ~fuel ~traps ~kernel hooks t
+  match t.icache with
+  | None -> run_exec ~fuel ~traps ~kernel (Hook.plan hooks) t
+  | Some c -> run_cached ~fuel ~traps ~kernel (Hook.plan hooks) c t
 
 (* Guest reads made while planning a hook's verdict: a fault here is the
    instruction's own to raise when it executes, so it reads as 0. *)
@@ -701,4 +917,5 @@ let taint oracle =
     Hook.pre =
       (fun t pc insn size -> if O.halted oracle then halt else plan t pc insn size);
     stop = (fun _ _ -> ());
+    lower = Hook.Step;
   }

@@ -236,8 +236,9 @@ type run_result = {
 (* The hooks of one call, in their fixed order: the observers
    ([on_step], the profiler, the trace, the taint sanitizer), then the
    enforced mitigations — so every observer sees the instruction
-   enforcement blocks, and none can skip it.  An empty list runs the
-   plain loop. *)
+   enforcement blocks, and none can skip it.  Observers first is also
+   what lets the mitigations run block-at-a-time (see
+   {!Machine.Hook.plan}). *)
 let hooks t isa ~taint ?on_step ?sanitizer ?trace ?profile cpu =
   let module H = Machine.Hook in
   let p = t.profile in

@@ -132,7 +132,9 @@ val call :
     enforcement (shadow return stack and forward-edge CFI against
     {!t.valid_targets}).  Observers never change a run: outcome, step
     count and register file are the same with any set of them attached.
-    With no hook the call runs the plain loop. *)
+    With the icache, [on_step], [profile] and enforcement ride cached
+    blocks; [trace] or [sanitizer] makes the run go one instruction per
+    turn. *)
 
 val call_named :
   ?fuel:int ->

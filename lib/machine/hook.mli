@@ -1,7 +1,6 @@
-(** Composable per-step hooks for the interpreters' hooked run loop.
+(** Composable per-step hooks for the interpreters' run loops.
 
-    Each ISA's [Cpu.run] takes a list of hooks.  An empty list runs the
-    specialised plain loops; otherwise one hooked loop fetches each
+    Each ISA's [Cpu.run] takes a list of hooks.  The loop fetches each
     instruction once (through the icache when it is on) and hands the
     decoded instruction and its size to every hook's {!t.pre}, in list
     order, against the pre-state.  A hook may veto the instruction
@@ -13,7 +12,29 @@
     register file depend only on the vetoing hooks — in practice the
     enforcement hook {!enforce}.  Callers put enforcement last: every
     observer then sees the instruction enforcement blocks, and no
-    observer can skip enforcement. *)
+    observer can skip enforcement.
+
+    {2 Lowering to blocks}
+
+    With the icache on, the loop executes cached blocks: runs of
+    instructions on one page that go on through direct unconditional
+    jumps and end at any other control transfer or pc write, or at a
+    length cap.  Each hook says, through its
+    {!t.lower} field, what it needs from a block:
+
+    - {!Observe}[ f]: only the stream of pcs.  The loop calls [f] on each
+      block member's pc before running it, as the per-instruction [pre]
+      would.
+    - {!Terminal}: only instructions its classifier does not call
+      {!Other}.  Only a block's last instruction can be one (the
+      lowering contract: an instruction that does not end a block
+      classifies as [Other] under the ISA's {!isa.transfer}), so its
+      [pre] runs only there.
+    - {!Step}: every instruction, through [pre].
+
+    A run with a [Step] hook, or with a [Terminal] hook listed before an
+    [Observe] one, goes per-instruction.  Either way a run's outcome,
+    steps, registers, hook calls and icache counts are the same. *)
 
 type verdict =
   | Go  (** nothing to do on retire *)
@@ -29,10 +50,16 @@ type ending =
   | Stopped of Outcome.stop_reason
       (** an instruction or a veto stopped the run *)
 
+type lowering =
+  | Observe of (int -> unit)  (** an observer of this pc stream *)
+  | Terminal  (** vetoes or commits only at control transfers *)
+  | Step  (** needs every instruction *)
+
 type ('cpu, 'insn) t = {
   pre : 'cpu -> int -> 'insn -> int -> verdict;
       (** [pre cpu pc insn size], before [insn] at [pc] executes *)
   stop : 'cpu -> ending -> unit;
+  lower : lowering;  (** what the hook needs from a block *)
 }
 
 type transfer =
@@ -58,14 +85,16 @@ type ('cpu, 'insn) isa = {
 
 val observe : ('cpu, 'insn) isa -> (int -> unit) -> ('cpu, 'insn) t
 (** Calls the function with every pc the run tries to execute, including
-    one whose fetch fails — single-step observation and the profiler. *)
+    one whose fetch fails — single-step observation and the profiler.
+    Lowers to [Observe]. *)
 
 val trace : ('cpu, 'insn) isa -> Telemetry.Trace.t -> 'cpu -> ('cpu, 'insn) t
 (** ["cpu"]-category events on [isa.track]: [call] (emitted here, at
     the entry pc), [syscall], [bb] (a retired instruction that did not
     fall through), [trap] and [stop].  Timestamps are the step counter
     offset from the trace clock when the hook was made (one instruction
-    per µs); the clock is advanced past the run when it ends. *)
+    per µs); the clock is advanced past the run when it ends.  Lowers to
+    [Step]. *)
 
 val enforce :
   ('cpu, 'insn) isa ->
@@ -79,17 +108,35 @@ val enforce :
     top.  Forward-edge CFI: an indirect call or jump must land on an
     address [valid_target] accepts.  A violation vetoes with
     [Cfi_violation] at the transfer's own pc, so the blocked instruction
-    does not retire. *)
+    does not retire.  Lowers to [Terminal]. *)
 
 (** {1 The loop's side} *)
 
-val compose : ('cpu, 'insn) t list -> ('cpu, 'insn) t
-(** One hook running the list in order: [pre] stops at the first veto
-    (later hooks do not see that instruction) and joins the commits;
-    every [stop] runs.  Raises on the empty list. *)
+type ('cpu, 'insn) plan = {
+  step : ('cpu, 'insn) t option;
+      (** the whole list composed ([None] for no hooks), for an
+          instruction run on its own: [pre] runs the hooks in order,
+          stops at the first veto (later hooks do not see that
+          instruction) and joins the commits; every [stop] runs *)
+  blocks : bool;  (** the list may run block-at-a-time *)
+  observe : (int -> unit) option;  (** the [Observe] functions, in order *)
+  terminal : ('cpu -> int -> 'insn -> int -> verdict) option;
+      (** the [Terminal] hooks' [pre], composed *)
+}
 
-val outcome : ending -> Outcome.stop_reason
-(** The run's result for an ending: [Halted] at a trap,
-    [Fuel_exhausted], or the stop reason. *)
+val plan : ('cpu, 'insn) t list -> ('cpu, 'insn) plan
+(** How a run loop executes a hook list (see {!lowering}). *)
+
+val finish : ('cpu, 'insn) plan -> 'cpu -> ending -> Outcome.stop_reason
+(** End a run: every hook's [stop], then the run's result — [Halted] at a
+    trap, [Fuel_exhausted], or the stop reason. *)
 
 val at_trap : int list -> int -> bool
+
+val follower_span : int array -> int * int
+(** The lowest and highest of a block's follower pcs ([pcs.(1)] on; the
+    head is checked on its own), or [(max_int, min_int)] for none. *)
+
+val trap_within : int list -> lo:int -> hi:int -> bool
+(** Some trap address lies in [\[lo, hi\]]: a block whose followers'
+    pcs span that range may run past it. *)

@@ -45,6 +45,9 @@ type 'a table = {
   empty_chunk : 'a entry array;  (* all [dummy]; never written *)
   empty_page : 'a entry array array;  (* all [empty_chunk]; never written *)
   pages : (int, 'a entry array array) Hashtbl.t;
+  refills : (int, int ref) Hashtbl.t;
+      (* per page, how many fills replaced an entry (see {!refills}) *)
+  no_refills : int ref;  (* the count of a page without a directory; stays 0 *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -59,6 +62,7 @@ type 'a t = {
   mem : Memory.t;
   mutable last_idx : int;
   mutable last_page : 'a entry array array;
+  mutable last_refills : int ref;
   mutable last_cell : int ref;
 }
 
@@ -72,12 +76,21 @@ let table ~dummy =
     empty_chunk;
     empty_page = Array.make chunks_per_page empty_chunk;
     pages = Hashtbl.create 16;
+    refills = Hashtbl.create 16;
+    no_refills = ref 0;
     hits = 0;
     misses = 0;
   }
 
 let view table mem =
-  { table; mem; last_idx = -1; last_page = table.empty_page; last_cell = ref (-1) }
+  {
+    table;
+    mem;
+    last_idx = -1;
+    last_page = table.empty_page;
+    last_refills = table.no_refills;
+    last_cell = ref (-1);
+  }
 
 let hits table = table.hits
 let misses table = table.misses
@@ -88,6 +101,10 @@ let select t idx addr =
     (match Hashtbl.find_opt t.table.pages idx with
     | Some p -> p
     | None -> t.table.empty_page);
+  t.last_refills <-
+    (match Hashtbl.find_opt t.table.refills idx with
+    | Some r -> r
+    | None -> t.table.no_refills);
   t.last_cell <- Memory.gen_ref t.mem addr
 
 (* Miss or stale.  [decode] fetches through the memory's execute
@@ -116,9 +133,11 @@ let[@inline never] fill t addr ~decode =
         | None ->
             let p = Array.make chunks_per_page tbl.empty_chunk in
             Hashtbl.add tbl.pages t.last_idx p;
+            Hashtbl.add tbl.refills t.last_idx (ref 0);
             p
       in
       t.last_page <- p;
+      t.last_refills <- Hashtbl.find tbl.refills t.last_idx;
       p
     end
   in
@@ -132,7 +151,9 @@ let[@inline never] fill t addr ~decode =
       c
     end
   in
-  chunk.(off land chunk_mask) <- e;
+  let slot = off land chunk_mask in
+  if chunk.(slot) != tbl.dummy then incr t.last_refills;
+  chunk.(slot) <- e;
   e
 
 let lookup t addr ~decode =
@@ -153,3 +174,26 @@ let lookup t addr ~decode =
     e
   end
   else fill t addr ~decode
+
+(* Block support.  A block is a straight-line run of entries the
+   interpreter chains from a looked-up head; it is built from what the
+   table already holds (never decoding) and executed without looking its
+   followers up, so the caller re-checks the head page's generation cell
+   itself and credits the followers' hits. *)
+
+let peek t addr =
+  let addr = Word.of_int addr in
+  let idx = addr lsr Memory.page_bits in
+  let page =
+    if idx = t.last_idx then t.last_page
+    else
+      match Hashtbl.find_opt t.table.pages idx with
+      | Some p -> p
+      | None -> t.table.empty_page
+  in
+  let off = addr land (Memory.page_size - 1) in
+  page.(off lsr chunk_bits).(off land chunk_mask)
+
+let cell t = t.last_cell
+let refills t = !(t.last_refills)
+let credit t n = t.table.hits <- t.table.hits + n

@@ -58,3 +58,38 @@ val hits : 'a table -> int
 val misses : 'a table -> int
 (** Cumulative over every view of the table; a run's own counts are the
     difference around it. *)
+
+(** {1 Blocks}
+
+    An interpreter may execute a straight-line run of cached entries
+    (a block) after one {!lookup} of its head.  These accessors let it
+    keep the cache's guarantees without a lookup per follower. *)
+
+val peek : 'a t -> int -> 'a entry
+(** The entry the table holds at an address, whatever its generations
+    (a never-filled slot has [lo_gen = 0], which no page carries).  Does
+    not decode, validate or count.  A caller chaining a block from a
+    valid head at generation [g] keeps only followers with [lo_gen = g]
+    and [hi_gen = 0]: those were decoded from the very bytes the head's
+    page holds now. *)
+
+val cell : 'a t -> int ref
+(** The viewed memory's generation cell of the page of the last
+    {!lookup}.  After a successful lookup it holds the entry's [lo_gen]
+    until a store, [mprotect] or remap touches that page, so one load
+    and compare per instruction detects a block's text changing under
+    it. *)
+
+val refills : 'a t -> int
+(** How many fills on the page of the last {!lookup} have replaced an
+    entry (a first fill of an empty slot does not count).  A block chained
+    under one count holds exactly the entries its members' slots hold
+    while the count is unchanged; a different count means some member's
+    slot may now hold another entry (refilled under another generation,
+    which a restore can make stale again while the block's entries turn
+    valid), so the block must be rebuilt for its hits to stay one per
+    fetch. *)
+
+val credit : 'a t -> int -> unit
+(** Count [n] hits: one per block follower executed, so hit and miss
+    counts keep their one-per-fetch meaning. *)

@@ -621,6 +621,805 @@ let test_diversified_fork_own_cache () =
         (parse_wire ~icache:true tproc wire).Loader.Process.icache_misses)
     [ (Loader.Arch.X86, "x86"); (Loader.Arch.Arm, "arm") ]
 
+(* ------------------------------------------------------------------ *)
+(* Block execution: four paths, one answer                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Random programs made of the shapes blocks come from — ALU runs,
+   register-base loads and stores, push/pop pairs, forward branches,
+   bounded loops, direct and indirect call/return pairs, and stores of
+   NOPs over NOPs just ahead in the running text — run twice (a restore
+   in between, the icache kept, so the second run starts with its blocks
+   built) on four paths: the reference loop without an icache, the icache loop bare,
+   with an observer and the mitigations ([Observe] then [Terminal]: run
+   block-at-a-time), and with a [Step] observer (run per instruction).
+   In the second run the fuel may run out mid-block, and a trap address
+   may lie inside a block.  Every path must leave the same outcome, steps, pc, registers,
+   flags and memory; the three icache paths the same icache hits and
+   misses; the two observed paths the same pc stream.  A second property
+   lets a function overwrite its own return address, so the shadow
+   stack vetoes at a block's terminator, and checks the mitigated
+   paths against the reference loop. *)
+
+module Hook = Machine.Hook
+
+type run_result = {
+  outcome : string;
+  steps : int;
+  pc : int;
+  regs : int list;
+  flags : bool list;
+  digest : string;
+  seen : int list;  (* observed pcs, latest first; [] when unobserved *)
+  hits : int;
+  misses : int;
+}
+
+(* A path: the icache on or off, and the hooks.  [Enforced] is an
+   observer then the mitigations (block-at-a-time with the icache);
+   [Stepped] lowers the observer to [Step] (per instruction). *)
+type hooks = Bare | Enforced | Stepped | Stepped_enforced
+type path = { cached : bool; hooks : hooks }
+
+let path_name p =
+  (if p.cached then "icache" else "reference")
+  ^
+  match p.hooks with
+  | Bare -> ""
+  | Enforced -> "+[observe; enforce]"
+  | Stepped -> "+[step]"
+  | Stepped_enforced -> "+[step; enforce]"
+
+let four_paths =
+  [
+    { cached = false; hooks = Bare };
+    { cached = true; hooks = Bare };
+    { cached = true; hooks = Enforced };
+    { cached = true; hooks = Stepped };
+  ]
+
+let enforced_paths =
+  [
+    { cached = false; hooks = Enforced };
+    { cached = true; hooks = Enforced };
+    { cached = true; hooks = Stepped_enforced };
+  ]
+
+(* The hook list of a path, from the ISA's observer and mitigations. *)
+let path_hooks path ~observe ~enforce =
+  match path.hooks with
+  | Bare -> []
+  | Enforced -> [ observe; enforce ]
+  | Stepped -> [ { observe with Hook.lower = Hook.Step } ]
+  | Stepped_enforced -> [ { observe with Hook.lower = Hook.Step }; enforce ]
+
+(* The memory every block program runs in: text (rx, or rwx for
+   self-modifying programs) on two or more pages, a data page the loads
+   and stores address through a fixed base register, and a stack. *)
+let text_base = 0x1000
+let data_base = 0x8100
+let stack_top = 0x9F00
+
+let block_memory ~rwx ~code_at code =
+  let mem = Mem.create () in
+  let size = (code_at - text_base + String.length code + 0x1FFF) land lnot 0xFFF in
+  Mem.map mem ~base:text_base ~size ~perm:(if rwx then Mem.rwx else Mem.rx) ~name:"text";
+  Mem.poke_bytes mem code_at code;
+  Mem.map mem ~base:0x8000 ~size:0x1000 ~perm:Mem.rw ~name:"data";
+  Mem.map mem ~base:0x9000 ~size:0x1000 ~perm:Mem.rw ~name:"stack";
+  let digest () =
+    Digest.to_hex
+      (Digest.string
+         (String.concat ""
+            (List.map
+               (fun r -> Mem.read_bytes mem r.Mem.base r.Mem.size)
+               (Mem.regions mem))))
+  in
+  (mem, digest)
+
+let check_paths ~name runs =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let field what get a b = if get a <> get b then fail "%s: %s differs" name what in
+  match runs with
+  | [] -> true
+  | (_, reference) :: rest ->
+      List.iter
+        (fun (path, rs) ->
+          List.iteri
+            (fun i (r, r') ->
+              let where = Printf.sprintf "%s, run %d" (path_name path) (i + 1) in
+              if r.outcome <> r'.outcome then
+                fail "%s: %s: outcome %s, reference %s" name where r'.outcome r.outcome;
+              field (where ^ " steps") (fun r -> r.steps) r r';
+              field (where ^ " pc") (fun r -> r.pc) r r';
+              field (where ^ " registers") (fun r -> r.regs) r r';
+              field (where ^ " flags") (fun r -> r.flags) r r';
+              field (where ^ " memory") (fun r -> r.digest) r r')
+            (List.combine reference rs))
+        rest;
+      let cached = List.filter (fun (p, _) -> p.cached) runs in
+      (match cached with
+      | [] -> ()
+      | (_, first) :: others ->
+          List.iter
+            (fun (path, rs) ->
+              List.iteri
+                (fun i (r, r') ->
+                  let where = Printf.sprintf "%s, run %d" (path_name path) (i + 1) in
+                  field (where ^ " icache hits") (fun r -> r.hits) r r';
+                  field (where ^ " icache misses") (fun r -> r.misses) r r')
+                (List.combine first rs))
+            others);
+      let observed = List.filter (fun (p, _) -> p.hooks <> Bare) runs in
+      (match observed with
+      | [] -> ()
+      | (_, first) :: others ->
+          List.iter
+            (fun (path, rs) ->
+              List.iteri
+                (fun i (r, r') ->
+                  field
+                    (Printf.sprintf "%s, run %d pc stream" (path_name path) (i + 1))
+                    (fun r -> r.seen) r r')
+                (List.combine first rs))
+            others);
+      true
+
+(* Case knobs shared by both ISAs' generators.  Most programs run to
+   their end; a few fault, through a load from a wild base register or a
+   store into read-only text. *)
+type knobs = {
+  code_at : int;  (* address of the code in the text region *)
+  fuel : int;
+  trap : bool;  (* trap at the [trap] label *)
+  rwx : bool;
+  wild : bool;
+      (* loads may go through a base register the program walks off the
+         data page, so a block that ran cleanly faults midway later *)
+}
+
+let gen_knobs ~align =
+  QCheck.Gen.(
+    map5
+      (fun off fuel trap rwx wild ->
+        { code_at = text_base + (off land lnot (align - 1)); fuel; trap; rwx; wild })
+      (* Half the programs start near a page end, so blocks meet the
+         boundary and x86 instructions straddle it. *)
+      (frequency [ (1, int_bound 0xF80); (1, int_range 0xE00 0xFF0) ])
+      (frequency [ (1, int_range 1 150); (2, return 50_000) ])
+      bool
+      (frequencyl [ (7, true); (1, false) ])
+      (frequencyl [ (1, true); (3, false) ]))
+
+let knobs_to_string k =
+  Printf.sprintf "code at 0x%x, fuel %d, trap %b, rwx %b, wild %b" k.code_at k.fuel
+    k.trap k.rwx k.wild
+
+(* A program's shape; each ISA lowers it to assembler items. *)
+type 'op piece =
+  | Op of 'op
+  | Pushed of 'op piece list  (* push two registers; body; pop them back *)
+  | If of int * 'op piece list  (* skip the body when the [n]th condition holds *)
+  | Loop of int * 'op piece list
+      (* run the body [n] times: a test at the bottom, or (odd [n]) at the
+         top with a direct jump back *)
+  | Call of int  (* direct call of function [n] *)
+  | Call_indirect of int
+  | Selfmod of bool
+      (* a store over the NOPs that follow — of other instructions when
+         [true], of NOPs again otherwise — on a data-dependent subset of
+         its executions *)
+  | Trap  (* the trap label *)
+  | Smash  (* first in a function: replace its own return address *)
+
+type 'op program = { main : 'op piece list; funcs : 'op piece list list }
+
+let rec piece_to_string show = function
+  | Op op -> show op
+  | Pushed body -> "push{" ^ pieces_to_string show body ^ "}"
+  | If (c, body) -> Printf.sprintf "if%d{%s}" c (pieces_to_string show body)
+  | Loop (n, body) -> Printf.sprintf "loop%d{%s}" n (pieces_to_string show body)
+  | Call n -> Printf.sprintf "call f%d" n
+  | Call_indirect n -> Printf.sprintf "call *f%d" n
+  | Selfmod changes -> if changes then "selfmod" else "selfmod(nops)"
+  | Trap -> "trap:"
+  | Smash -> "smash"
+
+and pieces_to_string show l = String.concat "; " (List.map (piece_to_string show) l)
+
+let program_to_string show (p, k) =
+  Printf.sprintf "%s\nmain: %s\n%s" (knobs_to_string k)
+    (pieces_to_string show p.main)
+    (String.concat "\n"
+       (List.mapi (fun i f -> Printf.sprintf "f%d: %s" i (pieces_to_string show f)) p.funcs))
+
+let gen_program ~op ~smash =
+  let open QCheck.Gen in
+  let flat ~calls =
+    list_size (int_range 1 8)
+      (frequency
+         ([ (8, map (fun o -> Op o) op); (1, map (fun b -> Selfmod b) bool) ]
+         @
+         if calls then [ (1, map (fun n -> Call n) (int_bound 1)) ] else []))
+  in
+  let piece ~calls =
+    frequency
+      ([
+         (10, map (fun o -> Op o) op);
+         (2, map (fun b -> Pushed b) (flat ~calls:false));
+         (2, map2 (fun c b -> If (c, b)) (int_bound 11) (flat ~calls));
+         (1, map (fun b -> Selfmod b) bool);
+       ]
+      @
+      if calls then
+        [
+          (3, map2 (fun n b -> Loop (n, b)) (int_range 1 8) (flat ~calls:true));
+          (1, map (fun n -> Call n) (int_bound 1));
+          (1, map (fun n -> Call_indirect n) (int_bound 1));
+        ]
+      else [])
+  in
+  let func first =
+    map2
+      (fun smashed body -> if smash && first && smashed then Smash :: body else body)
+      bool
+      (list_size (int_range 1 8) (piece ~calls:false))
+  in
+  map4
+    (fun main at f0 f1 ->
+      let at = at mod (List.length main + 1) in
+      {
+        main = List.filteri (fun i _ -> i < at) main @ (Trap :: List.filteri (fun i _ -> i >= at) main);
+        funcs = [ f0; f1 ];
+      })
+    (list_size (int_range 1 30) (piece ~calls:true))
+    nat (func true) (func false)
+
+(* What the path runner needs from an ISA. *)
+type ('cpu, 'insn, 'entry) machine = {
+  isa : ('cpu, 'insn) Hook.isa;
+  new_icache : unit -> 'entry Memsim.Icache.table;
+  create : icache:'entry Memsim.Icache.table option -> Mem.t -> 'cpu;
+  start : 'cpu -> int -> unit;  (* registers set, pc at the entry *)
+  run : fuel:int -> traps:int list -> hooks:('cpu, 'insn) Hook.t list -> 'cpu -> O.stop_reason;
+  state : 'cpu -> int * int array * bool list;  (* steps, registers, flags *)
+}
+
+(* Each path runs the program at [entry] twice: the first run warms the
+   table; the second, on its blocks, gets the case's fuel and trap. *)
+let run_paths m ~mem ~digest ~entry ~funcs ~traps ~fuel paths =
+  let snap = Mem.snapshot mem in
+  List.map
+    (fun path ->
+      let table = if path.cached then Some (m.new_icache ()) else None in
+      let counts () =
+        match table with
+        | Some t -> (Memsim.Icache.hits t, Memsim.Icache.misses t)
+        | None -> (0, 0)
+      in
+      let run ~fuel ~traps =
+        Mem.restore mem snap;
+        let seen = ref [] in
+        let observe = Hook.observe m.isa (fun pc -> seen := pc :: !seen) in
+        let hooks =
+          path_hooks path ~observe
+            ~enforce:
+              (Hook.enforce m.isa ~shadow_stack:true ~forward_cfi:true
+                 ~valid_target:(fun a -> List.mem a funcs) ~shadow0:[])
+        in
+        let hits0, misses0 = counts () in
+        let cpu = m.create ~icache:table mem in
+        m.start cpu entry;
+        let outcome = m.run ~fuel ~traps ~hooks cpu in
+        let steps, regs, flags = m.state cpu in
+        let hits1, misses1 = counts () in
+        {
+          outcome = O.to_string outcome;
+          steps;
+          pc = m.isa.Hook.pc cpu;
+          regs = Array.to_list regs;
+          flags;
+          digest = digest ();
+          seen = !seen;
+          hits = hits1 - hits0;
+          misses = misses1 - misses0;
+        }
+      in
+      let first = run ~fuel:50_000 ~traps:[] in
+      (path, [ first; run ~fuel ~traps ]))
+    paths
+
+(* --- x86 --- *)
+
+module X86_blocks = struct
+  open Isa_x86.Insn
+  module A = Isa_x86.Asm
+  module C = Isa_x86.Cpu
+
+  (* eax/ecx/edx/esi/edi are the programs' own; ebx holds the data base,
+     ebp the loop counter, esp the stack. *)
+  let reg = QCheck.Gen.oneofl [ EAX; ECX; EDX; ESI; EDI ]
+  let conds = [ E; NE; B; AE; BE; A; L; GE; LE; G; S; NS ]
+
+  let op ~wild =
+    let open QCheck.Gen in
+    let imm = map Word.to_signed (int_bound 0xFFFFFF) in
+    let data = map (fun d -> Mem { base = Some EBX; disp = d }) (int_bound 0x3FC) in
+    let wild_mem = map (fun d -> Mem { base = Some ESI; disp = d }) (int_bound 0x3FC) in
+    frequency
+      [
+        (3, map2 (fun r i -> Mov_ri (r, i)) reg imm);
+        (2, map2 (fun d s -> Mov (Reg d, Reg s)) reg reg);
+        (2, map2 (fun d s -> Add (Reg d, Reg s)) reg reg);
+        (2, map2 (fun d i -> Add_i (Reg d, i)) reg imm);
+        (2, map2 (fun d s -> Sub (Reg d, Reg s)) reg reg);
+        (1, map2 (fun d s -> Xor (Reg d, Reg s)) reg reg);
+        (1, map2 (fun d s -> And (Reg d, Reg s)) reg reg);
+        (2, map2 (fun d s -> Cmp (Reg d, Reg s)) reg reg);
+        (1, map2 (fun d i -> Cmp_i (Reg d, i)) reg imm);
+        (1, map2 (fun a b -> Test_rr (a, b)) reg reg);
+        (1, map (fun r -> Inc_r r) reg);
+        (1, map (fun r -> Dec_r r) reg);
+        (1, map2 (fun r n -> Shl_i (r, n)) reg (int_range 0 31));
+        (1, map2 (fun r n -> Shr_i (r, n)) reg (int_range 0 31));
+        (1, map (fun r -> Neg (Reg r)) reg);
+        (1, map2 (fun r s -> Imul (r, Reg s)) reg reg);
+        (3, map2 (fun d m -> Mov (Reg d, m)) reg data);
+        (2, map2 (fun d m -> Movzx_b (d, m)) reg data);
+        (3, map2 (fun m s -> Mov (m, Reg s)) data reg);
+        (2, map2 (fun m s -> Mov_b (m, Reg s)) data reg);
+        (1, map2 (fun m s -> Add (m, Reg s)) data reg);
+        ((if wild then 3 else 0), map2 (fun d m -> Mov (Reg d, m)) reg wild_mem);
+        ((if wild then 2 else 0), map (fun i -> Add_i (Reg ESI, i)) (int_range 0x100 0x800));
+      ]
+
+  let lower p =
+    let n = ref 0 in
+    let fresh s =
+      incr n;
+      Printf.sprintf "%s%d" s !n
+    in
+    let rec piece = function
+      | Op o -> [ A.I o ]
+      | Pushed body -> [ A.I (Push_r EAX); A.I (Push_r ECX) ] @ pieces body @ [ A.I (Pop_r ECX); A.I (Pop_r EAX) ]
+      | If (c, body) ->
+          let skip = fresh "skip" in
+          (A.Jcc (List.nth conds c, skip) :: pieces body) @ [ A.Label skip ]
+      | Loop (k, body) when k land 1 = 0 ->
+          let top = fresh "loop" in
+          [ A.I (Push_r EBP); A.I (Mov_ri (EBP, k)); A.Label top ]
+          @ pieces body
+          @ [ A.I (Dec_r EBP); A.Jcc (NE, top); A.I (Pop_r EBP) ]
+      | Loop (k, body) ->
+          let top = fresh "loop" and exit = fresh "exit" in
+          [ A.I (Push_r EBP); A.I (Mov_ri (EBP, k + 1)); A.Label top; A.I (Dec_r EBP); A.Jcc (E, exit) ]
+          @ pieces body
+          @ [ A.Jmp top; A.Label exit; A.I (Pop_r EBP) ]
+      | Call f -> [ A.Call (Printf.sprintf "f%d" f) ]
+      | Call_indirect f -> [ A.Mov_ri_sym (EDX, Printf.sprintf "f%d" f); A.I (Call_rm (Reg EDX)) ]
+      | Selfmod changes ->
+          (* The store goes to the pad when the jcc is taken and to the
+             data page otherwise, so the store's block is built on the
+             executions that leave the text alone. *)
+          let pad = fresh "pad" and store = fresh "store" in
+          [
+            A.Mov_ri_sym (EDI, pad);
+            A.Jcc (List.nth conds (!n mod List.length conds), store);
+            A.I (Mov (Reg EDI, Reg EBX));
+            A.Label store;
+            A.I
+              (Mov_mi
+                 (Mem { base = Some EDI; disp = 0 }, if changes then 0x4141_4141 else 0x9090_9090));
+            A.Label pad;
+          ]
+          @ List.init 4 (fun _ -> A.I Nop)
+      | Trap -> [ A.Label "trap" ]
+      | Smash -> [ A.I (Pop_r EDX); A.Mov_ri_sym (EDX, "smashed"); A.I (Push_r EDX) ]
+    and pieces l = List.concat_map piece l in
+    pieces p.main
+    @ [ A.I Hlt; A.Label "smashed"; A.I (Mov_ri (EAX, 0x5A5A)); A.I Hlt ]
+    @ List.concat
+        (List.mapi
+           (fun i f -> (A.Label (Printf.sprintf "f%d" i) :: pieces f) @ [ A.I Ret ])
+           p.funcs)
+
+  let machine =
+    let kernel _ _ = O.Stop (O.Aborted "unexpected syscall") in
+    {
+      isa = C.isa;
+      new_icache = C.new_icache;
+      create = C.create;
+      start =
+        (fun cpu entry ->
+          C.set cpu EBX data_base;
+          C.set cpu ESI data_base;
+          C.set cpu ESP stack_top;
+          cpu.C.eip <- entry);
+      run = (fun ~fuel ~traps ~hooks cpu -> C.run ~fuel ~traps ~kernel ~hooks cpu);
+      state = (fun cpu -> (cpu.C.steps, cpu.C.regs, [ cpu.C.zf; cpu.C.sf; cpu.C.cf; cpu.C.o_f ]));
+    }
+
+  let run_paths (p, k) paths =
+    let asm = A.assemble ~base:k.code_at (lower p) in
+    let mem, digest = block_memory ~rwx:k.rwx ~code_at:k.code_at asm.A.code in
+    run_paths machine ~mem ~digest ~entry:k.code_at
+      ~funcs:[ A.symbol asm "f0"; A.symbol asm "f1" ]
+      ~traps:(if k.trap then [ A.symbol asm "trap" ] else [])
+      ~fuel:k.fuel paths
+
+  let arb ~smash =
+    QCheck.make
+      ~print:(program_to_string Isa_x86.Insn.to_string)
+      QCheck.Gen.(
+        gen_knobs ~align:1 >>= fun k ->
+        map (fun p -> (p, k)) (gen_program ~op:(op ~wild:k.wild) ~smash))
+end
+
+(* --- ARM --- *)
+
+module Arm_blocks = struct
+  open Isa_arm.Insn
+  module A = Isa_arm.Asm
+  module C = Isa_arm.Cpu
+
+  (* r0-r7 are the programs' own; r8 holds the data base, r9 a call or
+     self-modifying store's target, r10 and r12 the words that store
+     writes ([add r1, r1, #1] and the NOP), r11 the loop counter. *)
+  let reg = QCheck.Gen.oneofl [ R0; R1; R2; R3; R4; R5; R6; R7 ]
+  let conds = [ EQ; NE; CS; CC; MI; PL; HI; LS; GE; LT; GT; LE ]
+  let nop_word = Isa_arm.Encode.encode_word nop
+  let add_word = Isa_arm.Encode.encode_word (al (Add (R1, R1, Imm 1)))
+
+  let op ~wild =
+    let open QCheck.Gen in
+    let enc_imm =
+      map2 (fun imm8 rot -> Word.ror imm8 (2 * rot)) (int_bound 255) (int_bound 15)
+    in
+    let op2 =
+      frequency
+        [
+          (3, map (fun i -> Imm i) enc_imm);
+          (2, map (fun r -> Reg r) reg);
+          (1, map2 (fun r n -> Lsl (r, n)) reg (int_range 1 31));
+        ]
+    in
+    let off = int_bound 0x3FC in
+    let word = map (fun o -> o land lnot 3) off in
+    let base = frequencyl [ (4, R8); ((if wild then 1 else 0), R0) ] in
+    let cond = frequency [ (4, return AL); (1, oneofl conds) ] in
+    map2
+      (fun cond op -> { cond; op })
+      cond
+      (frequency
+         [
+           (3, map2 (fun r o -> Mov (r, o)) reg op2);
+           ( (if wild then 2 else 0),
+             map (fun i -> Add (R0, R0, Imm i)) (oneofl [ 0x100; 0x200; 0x400; 0x800 ]) );
+           (1, map2 (fun r o -> Mvn (r, o)) reg op2);
+           (3, map3 (fun d n o -> Add (d, n, o)) reg reg op2);
+           (3, map3 (fun d n o -> Sub (d, n, o)) reg reg op2);
+           (1, map3 (fun d n o -> Rsb (d, n, o)) reg reg op2);
+           (1, map3 (fun d n o -> Eor (d, n, o)) reg reg op2);
+           (1, map3 (fun d m s -> Mul (d, m, s)) reg reg reg);
+           (2, map2 (fun n o -> Cmp (n, o)) reg op2);
+           (1, map2 (fun n o -> Tst (n, o)) reg op2);
+           (3, map3 (fun d b o -> Ldr (d, b, o)) reg base word);
+           (2, map3 (fun d b o -> Ldrb (d, b, o)) reg base off);
+           (3, map2 (fun s o -> Str (s, R8, o)) reg word);
+           (2, map2 (fun s o -> Strb (s, R8, o)) reg off);
+         ])
+
+  let lower p =
+    let n = ref 0 in
+    let literals = ref [] in
+    let fresh s =
+      incr n;
+      Printf.sprintf "%s%d" s !n
+    in
+    let literal sym =
+      let l = "lit_" ^ sym in
+      if not (List.mem_assoc l !literals) then literals := (l, sym) :: !literals;
+      l
+    in
+    let rec piece = function
+      | Op o -> [ A.I o ]
+      | Pushed body -> (A.I (al (Push [ R0; R1 ])) :: pieces body) @ [ A.I (al (Pop [ R0; R1 ])) ]
+      | If (c, body) ->
+          let skip = fresh "skip" in
+          (A.B_sym (List.nth conds c, skip) :: pieces body) @ [ A.Label skip ]
+      | Loop (k, body) when k land 1 = 0 ->
+          let top = fresh "loop" in
+          [ A.I (al (Push [ R11 ])); A.I (al (Mov (R11, Imm k))); A.Label top ]
+          @ pieces body
+          @ [
+              A.I (al (Sub (R11, R11, Imm 1)));
+              A.I (al (Cmp (R11, Imm 0)));
+              A.B_sym (NE, top);
+              A.I (al (Pop [ R11 ]));
+            ]
+      | Loop (k, body) ->
+          let top = fresh "loop" and exit = fresh "exit" in
+          [
+            A.I (al (Push [ R11 ]));
+            A.I (al (Mov (R11, Imm (k + 1))));
+            A.Label top;
+            A.I (al (Sub (R11, R11, Imm 1)));
+            A.I (al (Cmp (R11, Imm 0)));
+            A.B_sym (EQ, exit);
+          ]
+          @ pieces body
+          @ [ A.B_sym (AL, top); A.Label exit; A.I (al (Pop [ R11 ])) ]
+      | Call f -> [ A.I (al (Push [ LR ])); A.Bl_sym (Printf.sprintf "f%d" f); A.I (al (Pop [ LR ])) ]
+      | Call_indirect f ->
+          [
+            A.I (al (Push [ LR ]));
+            A.Ldr_sym (R9, literal (Printf.sprintf "f%d" f));
+            A.I (al (Blx_r R9));
+            A.I (al (Pop [ LR ]));
+          ]
+      | Selfmod changes ->
+          (* A conditional store: the block around it is built on the
+             executions whose condition fails. *)
+          let pad = fresh "pad" in
+          let cond = List.nth conds (!n mod List.length conds) in
+          [
+            A.Ldr_sym (R9, literal pad);
+            A.I { cond; op = Str ((if changes then R10 else R12), R9, 0) };
+            A.Label pad;
+            A.I nop;
+          ]
+      | Trap -> [ A.Label "trap" ]
+      | Smash -> [ A.Ldr_sym (R4, literal "smashed"); A.I (al (Str (R4, SP, 4))) ]
+    and pieces l = List.concat_map piece l in
+    let main = pieces p.main in
+    let funcs =
+      List.concat
+        (List.mapi
+           (fun i f ->
+             let name = Printf.sprintf "f%d" i in
+             if i = 0 then
+               (A.Label name :: A.I (al (Push [ R4; LR ])) :: pieces f)
+               @ [ A.I (al (Pop [ R4; PC ])) ]
+             else (A.Label name :: pieces f) @ [ A.I (al (Bx LR)) ])
+           p.funcs)
+    in
+    main
+    @ [
+        A.I (al (Svc 0xFF));
+        A.Label "smashed";
+        A.I (al (Mov (R0, Imm 0x5A)));
+        A.I (al (Svc 0xFF));
+      ]
+    @ funcs
+    @ List.concat_map (fun (l, sym) -> [ A.Label l; A.Word_sym sym ]) (List.rev !literals)
+
+  let machine =
+    let kernel n _ = if n = 0xFF then O.Stop O.Halted else O.Resume in
+    {
+      isa = C.isa;
+      new_icache = C.new_icache;
+      create = C.create;
+      start =
+        (fun cpu entry ->
+          C.set cpu R8 data_base;
+          C.set cpu R0 data_base;
+          C.set cpu R10 add_word;
+          C.set cpu R12 nop_word;
+          C.set cpu SP stack_top;
+          C.set_pc cpu entry);
+      run = (fun ~fuel ~traps ~hooks cpu -> C.run ~fuel ~traps ~kernel ~hooks cpu);
+      state = (fun cpu -> (cpu.C.steps, cpu.C.regs, [ cpu.C.n; cpu.C.z; cpu.C.c; cpu.C.v ]));
+    }
+
+  let run_paths (p, k) paths =
+    let asm = A.assemble ~base:k.code_at (lower p) in
+    let mem, digest = block_memory ~rwx:k.rwx ~code_at:k.code_at asm.A.code in
+    run_paths machine ~mem ~digest ~entry:k.code_at
+      ~funcs:[ A.symbol asm "f0"; A.symbol asm "f1" ]
+      ~traps:(if k.trap then [ A.symbol asm "trap" ] else [])
+      ~fuel:k.fuel paths
+
+  let arb ~smash =
+    QCheck.make
+      ~print:(program_to_string Isa_arm.Insn.to_string)
+      QCheck.Gen.(
+        gen_knobs ~align:4 >>= fun k ->
+        map (fun p -> (p, k)) (gen_program ~op:(op ~wild:k.wild) ~smash))
+end
+
+let prop_blocks ~name ~arb ~run_paths =
+  QCheck.Test.make ~name:(name ^ " blocks: four paths, one answer") ~count:300
+    ~long_factor:20 arb (fun case -> check_paths ~name (run_paths case four_paths))
+
+(* With smashed returns, the mitigated paths stop where the reference
+   loop with the same hooks does: the veto lands on a block's
+   terminator. *)
+let prop_block_vetoes ~name ~arb ~run_paths =
+  QCheck.Test.make ~name:(name ^ " blocks: vetoes match the reference") ~count:200
+    ~long_factor:20 arb (fun case -> check_paths ~name (run_paths case enforced_paths))
+
+(* The lowering contract: enforcement runs only at a block's last
+   instruction, which is sound only if no other member is a transfer.
+   For random decodable instructions in random register states (with a
+   mapped stack of random words, so returns read real targets), an
+   instruction that does not end a block must classify as [Other]. *)
+let contract_state rand ~nregs =
+  let mem = Mem.create () in
+  Mem.map mem ~base:0x9000 ~size:0x1000 ~perm:Mem.rw ~name:"stack";
+  Mem.write_bytes mem 0x9000 (String.init 0x1000 (fun _ -> Char.chr (Random.State.int rand 256)));
+  let regs =
+    Array.init nregs (fun _ ->
+        if Random.State.bool rand then 0x9000 + Random.State.int rand 0xFF0
+        else Random.State.bits rand land Word.mask)
+  in
+  (mem, regs, Array.init 4 (fun _ -> Random.State.bool rand))
+
+let rec decodable decode rand =
+  match decode rand with Some d -> d | None -> decodable decode rand
+
+let prop_contract_x86 =
+  let module C = Isa_x86.Cpu in
+  let gen rand =
+    let insn, size =
+      decodable
+        (fun rand ->
+          let b = String.init 16 (fun _ -> Char.chr (Random.State.int rand 256)) in
+          match Isa_x86.Decode.decode_with (fun i -> Char.code b.[i]) 0 with
+          | d -> Some d
+          | exception Isa_x86.Decode.Error _ -> None)
+        rand
+    in
+    (insn, size, contract_state rand ~nregs:8, Random.State.bits rand land Word.mask)
+  in
+  QCheck.Test.make ~name:"x86: a non-terminator classifies as Other" ~count:2000
+    ~long_factor:20
+    (QCheck.make ~print:(fun (i, _, _, _) -> Isa_x86.Insn.to_string i) gen)
+    (fun (insn, size, (mem, regs, flags), pc) ->
+      let cpu = C.create ~icache:None mem in
+      Array.blit regs 0 cpu.C.regs 0 8;
+      cpu.C.zf <- flags.(0);
+      cpu.C.sf <- flags.(1);
+      cpu.C.cf <- flags.(2);
+      cpu.C.o_f <- flags.(3);
+      C.ends_block insn
+      || match C.isa.Hook.transfer cpu pc insn size with Hook.Other -> true | _ -> false)
+
+let any_arm_insn =
+  let open QCheck.Gen in
+  let open Isa_arm.Insn in
+  let reg = map reg_of_index (int_bound 15) in
+  let imm = map2 (fun imm8 rot -> Word.ror imm8 (2 * rot)) (int_bound 255) (int_bound 15) in
+  let op2 =
+    oneof [ map (fun i -> Imm i) imm; map (fun r -> Reg r) reg; map2 (fun r n -> Lsl (r, n)) reg (int_range 1 31) ]
+  in
+  let off = int_range (-0xFFF) 0xFFF in
+  let regs = map (fun m -> List.filter (fun r -> m land (1 lsl reg_index r) <> 0) (List.init 16 reg_of_index)) (int_range 1 0xFFFF) in
+  let op =
+    oneof
+      [
+        map2 (fun d o -> Mov (d, o)) reg op2;
+        map2 (fun d o -> Mvn (d, o)) reg op2;
+        map3 (fun d n o -> Add (d, n, o)) reg reg op2;
+        map3 (fun d n o -> Sub (d, n, o)) reg reg op2;
+        map3 (fun d n o -> Rsb (d, n, o)) reg reg op2;
+        map3 (fun d n o -> And (d, n, o)) reg reg op2;
+        map3 (fun d n o -> Orr (d, n, o)) reg reg op2;
+        map3 (fun d n o -> Eor (d, n, o)) reg reg op2;
+        map3 (fun d n o -> Bic (d, n, o)) reg reg op2;
+        map3 (fun d m s -> Mul (d, m, s)) reg reg reg;
+        map2 (fun n o -> Cmp (n, o)) reg op2;
+        map2 (fun n o -> Tst (n, o)) reg op2;
+        map3 (fun d n o -> Ldr (d, n, o)) reg reg off;
+        map3 (fun d n o -> Str (d, n, o)) reg reg off;
+        map3 (fun d n o -> Ldrb (d, n, o)) reg reg off;
+        map3 (fun d n o -> Strb (d, n, o)) reg reg off;
+        map3 (fun d n m -> Ldr_r (d, n, m)) reg reg reg;
+        map3 (fun d n m -> Str_r (d, n, m)) reg reg reg;
+        map3 (fun d n m -> Ldrb_r (d, n, m)) reg reg reg;
+        map3 (fun d n m -> Strb_r (d, n, m)) reg reg reg;
+        map (fun l -> Push l) regs;
+        map (fun l -> Pop l) regs;
+        map (fun d -> B (4 * d)) (int_range (-1000) 1000);
+        map (fun d -> Bl (4 * d)) (int_range (-1000) 1000);
+        map (fun r -> Bx r) reg;
+        map (fun r -> Blx_r r) reg;
+        map (fun n -> Svc n) (int_bound 0xFF);
+      ]
+  in
+  map2 (fun cond op -> { cond; op }) (map (fun c -> Option.get (cond_of_code c)) (oneofl [ 0; 1; 2; 3; 4; 5; 8; 9; 10; 11; 12; 13; 14 ])) op
+
+let prop_contract_arm =
+  let module C = Isa_arm.Cpu in
+  let gen rand =
+    (* Random words rarely decode to the rarer forms (bx, blx, pop with
+       pc, loads into pc), so half the cases encode a random instruction
+       over every register, pc included. *)
+    let word =
+      if Random.State.bool rand then Random.State.bits rand land Word.mask
+      else
+        match Isa_arm.Encode.encode_word (QCheck.Gen.generate1 ~rand any_arm_insn) with
+        | w -> w
+        | exception Invalid_argument _ -> Random.State.bits rand land Word.mask
+    in
+    let insn =
+      decodable
+        (fun rand ->
+          match Isa_arm.Decode.decode_word ~addr:0 word with
+          | i -> Some i
+          | exception Isa_arm.Decode.Error _ -> (
+              match
+                Isa_arm.Decode.decode_word ~addr:0 (Random.State.bits rand land Word.mask)
+              with
+              | i -> Some i
+              | exception Isa_arm.Decode.Error _ -> None))
+        rand
+    in
+    (insn, contract_state rand ~nregs:16, Random.State.bits rand land 0xFFFF_FFFC)
+  in
+  QCheck.Test.make ~name:"arm: a non-terminator classifies as Other" ~count:2000
+    ~long_factor:20
+    (QCheck.make ~print:(fun (i, _, _) -> Isa_arm.Insn.to_string i) gen)
+    (fun (insn, (mem, regs, flags), pc) ->
+      let cpu = C.create ~icache:None mem in
+      Array.blit regs 0 cpu.C.regs 0 16;
+      C.set_pc cpu pc;
+      cpu.C.n <- flags.(0);
+      cpu.C.z <- flags.(1);
+      cpu.C.c <- flags.(2);
+      cpu.C.v <- flags.(3);
+      C.ends_block insn
+      || match C.isa.Hook.transfer cpu pc insn 4 with Hook.Other -> true | _ -> false)
+
+(* Forks share one table, and a generation names one page state across
+   the family, so a block's entries can be valid in one memory while a
+   sibling that wrote its copy of the page has refilled some member's
+   slot.  The per-instruction loop then misses on that member, so the
+   block must too: hit and miss counts stay one per fetch. *)
+let test_sibling_refill () =
+  let module C = Isa_x86.Cpu in
+  let template = Mem.create () in
+  Mem.map template ~base:0x1000 ~size:0x1000 ~perm:Mem.rwx ~name:"text";
+  Mem.poke_bytes template 0x1000
+    (String.concat "" (List.map Isa_x86.Encode.encode Isa_x86.Insn.[ Nop; Nop; Nop; Hlt ]));
+  let snap = Mem.snapshot template in
+  let counts hooks =
+    let table = C.new_icache () in
+    let run mem entry =
+      let h0 = Memsim.Icache.hits table and m0 = Memsim.Icache.misses table in
+      let cpu = C.create ~icache:(Some table) mem in
+      cpu.C.eip <- entry;
+      ignore (C.run ~fuel:100 ~traps:[] ~kernel:no_kernel ~hooks cpu);
+      (Memsim.Icache.hits table - h0, Memsim.Icache.misses table - m0)
+    in
+    let a = Mem.fork snap and b = Mem.fork snap in
+    for _ = 1 to 3 do
+      ignore (run a 0x1000)
+    done;
+    (* Same bytes, new page state in [b]: entering past the head refills
+       the followers only. *)
+    Mem.write_u8 b 0x1800 0;
+    ignore (run b 0x1001);
+    run a 0x1000
+  in
+  let step = { (Hook.observe Isa_x86.Cpu.isa ignore) with Hook.lower = Hook.Step } in
+  Alcotest.(check (pair int int)) "per instruction: the head hits, the rest miss" (1, 3)
+    (counts [ step ]);
+  Alcotest.(check (pair int int)) "block-at-a-time: the same" (1, 3) (counts [])
+
+let block_props =
+  [
+    prop_blocks ~name:"x86" ~arb:(X86_blocks.arb ~smash:false)
+      ~run_paths:X86_blocks.run_paths;
+    prop_blocks ~name:"arm" ~arb:(Arm_blocks.arb ~smash:false)
+      ~run_paths:Arm_blocks.run_paths;
+    prop_block_vetoes ~name:"x86" ~arb:(X86_blocks.arb ~smash:true)
+      ~run_paths:X86_blocks.run_paths;
+    prop_block_vetoes ~name:"arm" ~arb:(Arm_blocks.arb ~smash:true)
+      ~run_paths:Arm_blocks.run_paths;
+    prop_contract_x86;
+    prop_contract_arm;
+  ]
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "differential"
@@ -641,6 +1440,11 @@ let () =
           Alcotest.test_case "dos payloads" `Quick test_cached_uncached_dos;
           Alcotest.test_case "benign parses" `Quick test_cached_uncached_benign;
         ] );
+      ( "blocks: every path agrees",
+        List.map qt block_props
+        @ [
+            Alcotest.test_case "a sibling's refill" `Quick test_sibling_refill;
+          ] );
       ( "icache: persistent and fork-shared",
         [
           Alcotest.test_case "cold, warm and forked starts" `Quick

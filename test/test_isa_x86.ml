@@ -776,6 +776,102 @@ let test_dec_overflow_sets_of () =
   check_int "jl sees dec's OF" 1 (Cpu.get cpu EDX);
   check_bool "OF set" true cpu.Cpu.o_f
 
+(* The four modelled flags after [program] runs to [hlt], on the reference
+   loop and on the cached one: both must give the same answer. *)
+let flags_after program =
+  let run_with icache =
+    let _, cpu, _ = setup program in
+    let cpu =
+      if icache then cpu
+      else begin
+        let c = Cpu.create ~icache:None cpu.Cpu.mem in
+        Cpu.set c Insn.ESP 0xBFFF_F000;
+        c.Cpu.eip <- cpu.Cpu.eip;
+        c
+      end
+    in
+    (match run cpu with
+    | O.Halted -> ()
+    | o -> Alcotest.failf "flags program: %a" O.pp o);
+    (cpu.Cpu.zf, cpu.Cpu.sf, cpu.Cpu.cf, cpu.Cpu.o_f, Cpu.get cpu Insn.EAX)
+  in
+  let cached = run_with true and reference = run_with false in
+  if cached <> reference then Alcotest.fail "cached and reference flags differ";
+  cached
+
+let check_flags name (zf, sf, cf, o_f, eax) (zf', sf', cf', o_f', eax') =
+  check_bool (name ^ ": ZF") zf zf';
+  check_bool (name ^ ": SF") sf sf';
+  check_bool (name ^ ": CF") cf cf';
+  check_bool (name ^ ": OF") o_f o_f';
+  check_int (name ^ ": result") eax eax'
+
+let test_shl_flags () =
+  let open Insn in
+  let shl v n = flags_after [ Asm.I (Mov_ri (EAX, v)); Asm.I (Shl_i (EAX, n)); Asm.I Hlt ] in
+  (* The bit shifted out last lands in CF; a 1-bit shift sets OF when
+     the result's sign differs from it. *)
+  check_flags "shl 0x80000001, 1" (false, false, true, true, 2) (shl 0x8000_0001 1);
+  check_flags "shl 0x40000000, 1" (false, true, false, true, 0x8000_0000)
+    (shl 0x4000_0000 1);
+  check_flags "shl 0x10000000, 4" (true, false, true, true, 0) (shl 0x1000_0000 4);
+  check_flags "shl 0x08000000, 4" (false, true, false, true, 0x8000_0000)
+    (shl 0x0800_0000 4)
+
+let test_shr_flags () =
+  let open Insn in
+  let shr v n = flags_after [ Asm.I (Mov_ri (EAX, v)); Asm.I (Shr_i (EAX, n)); Asm.I Hlt ] in
+  (* A 1-bit SHR sets OF to the operand's sign. *)
+  check_flags "shr 3, 1" (false, false, true, false, 1) (shr 3 1);
+  check_flags "shr 0x80000000, 1" (false, false, false, true, 0x4000_0000)
+    (shr 0x8000_0000 1);
+  check_flags "shr 0x80000000, 31" (false, false, false, true, 1) (shr 0x8000_0000 31);
+  check_flags "shr 0x40000000, 31" (true, false, true, false, 0) (shr 0x4000_0000 31)
+
+let test_shift_by_zero_keeps_flags () =
+  let open Insn in
+  (* 0 cmp 1 borrows: ZF=0, SF=1, CF=1, OF=0.  A count of 0 (and 32,
+     which masks to 0) changes neither the register nor a flag. *)
+  let after shift =
+    flags_after
+      [
+        Asm.I (Mov_ri (EAX, 0));
+        Asm.I (Cmp_i (Reg EAX, 1));
+        Asm.I (Mov_ri (EAX, 0x1234));
+        Asm.I shift;
+        Asm.I Hlt;
+      ]
+  in
+  check_flags "shl by 0" (false, true, true, false, 0x1234) (after (Shl_i (EAX, 0)));
+  check_flags "shr by 32" (false, true, true, false, 0x1234) (after (Shr_i (EAX, 32)))
+
+let test_neg_flags () =
+  let open Insn in
+  (* inc 0x7FFFFFFF leaves OF=1, so a stale OF would survive the neg. *)
+  let neg ?(mem = false) v =
+    let slot = { base = Some ESP; disp = 0 } in
+    flags_after
+      ([
+         Asm.I (Mov_ri (EAX, 0x7FFF_FFFF));
+         Asm.I (Inc_r EAX);
+         Asm.I (Mov_ri (EAX, v));
+       ]
+      @ (if mem then
+           [
+             Asm.I (Mov (Mem slot, Reg EAX));
+             Asm.I (Neg (Mem slot));
+             Asm.I (Mov (Reg EAX, Mem slot));
+           ]
+         else [ Asm.I (Neg (Reg EAX)) ])
+      @ [ Asm.I Hlt ])
+  in
+  check_flags "neg 0x80000000" (false, true, true, true, 0x8000_0000) (neg 0x8000_0000);
+  check_flags "neg [0x80000000]" (false, true, true, true, 0x8000_0000)
+    (neg ~mem:true 0x8000_0000);
+  check_flags "neg 5" (false, true, true, false, Word.neg 5) (neg 5);
+  check_flags "neg [5]" (false, true, true, false, Word.neg 5) (neg ~mem:true 5);
+  check_flags "neg 0" (true, false, false, false, 0) (neg 0)
+
 let test_inc_dec_preserve_cf () =
   let open Insn in
   let program =
@@ -914,6 +1010,11 @@ let () =
           Alcotest.test_case "inc overflow sets OF" `Quick test_inc_overflow_sets_of;
           Alcotest.test_case "dec overflow sets OF" `Quick test_dec_overflow_sets_of;
           Alcotest.test_case "inc/dec preserve CF" `Quick test_inc_dec_preserve_cf;
+          Alcotest.test_case "shl: CF is the last bit out" `Quick test_shl_flags;
+          Alcotest.test_case "shr: CF is the last bit out" `Quick test_shr_flags;
+          Alcotest.test_case "shift by 0 keeps the flags" `Quick
+            test_shift_by_zero_keeps_flags;
+          Alcotest.test_case "neg 0x80000000 sets OF" `Quick test_neg_flags;
         ] );
       ( "self-modifying code",
         [
