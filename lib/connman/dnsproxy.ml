@@ -1,19 +1,11 @@
-module Mem = Memsim.Memory
-module O = Machine.Outcome
-
-type disposition =
+type disposition = Forwarder.disposition =
   | Cached of int
   | Dropped of string
-  | Crashed of O.stop_reason
-  | Compromised of O.stop_reason
-  | Blocked of O.stop_reason
+  | Crashed of Machine.Outcome.stop_reason
+  | Compromised of Machine.Outcome.stop_reason
+  | Blocked of Machine.Outcome.stop_reason
 
-let pp_disposition ppf = function
-  | Cached n -> Format.fprintf ppf "cached %d record(s)" n
-  | Dropped why -> Format.fprintf ppf "dropped (%s)" why
-  | Crashed r -> Format.fprintf ppf "CRASHED: %a" O.pp r
-  | Compromised r -> Format.fprintf ppf "COMPROMISED: %a" O.pp r
-  | Blocked r -> Format.fprintf ppf "blocked by defense: %a" O.pp r
+let pp_disposition = Forwarder.pp_disposition
 
 type config = {
   version : Version.t;
@@ -32,400 +24,37 @@ let default_config =
     diversity_seed = None;
   }
 
-type t = {
-  config : config;
-  mutable proc : Loader.Process.t;
-  mutable alive : bool;
-  mutable restarts : int;
-  mutable next_id : int;
-  mutable steps : int;
-  pending : (int, Dns.Packet.question) Hashtbl.t;
-  view : Dns.Wire.view;  (* reusable zero-copy parse state (host side) *)
-  cache : Dns.Cache.t;
-  mutable clock : int;  (* logical seconds, advanced by [tick] *)
-  mutable telemetry : Telemetry.Trace.t option;
-  mutable profiler : Telemetry.Profile.t option;
-  mutable sanitizer : Sanitizer.Oracle.t option;
-  mutable icache_hits : int;  (* across parses and restarts *)
-  mutable icache_misses : int;
-}
+include Forwarder.Make (struct
+  type nonrec config = config
 
-let track = "connmand"
+  let daemon =
+    {
+      Loader.Service.track = "connmand";
+      entry = Program_x86.entry;
+      frame = Frame.geometry;
+      buffer_addr = Frame.buffer_addr;
+    }
 
-let trace_event t ?dur ?ts name args =
-  match t.telemetry with
-  | None -> ()
-  | Some tr -> Telemetry.Trace.emit tr ?ts ?dur ~cat:"daemon" ~track name ~args
+  let id_base = 0x1000
 
-let build_spec config =
-  match config.arch with
-  | Loader.Arch.X86 ->
-      Program_x86.spec ~version:config.version ~profile:config.profile
-        ?diversity_seed:config.diversity_seed ()
-  | Loader.Arch.Arm ->
-      Program_arm.spec ~version:config.version ~profile:config.profile
-        ?diversity_seed:config.diversity_seed ()
+  let spec c =
+    match c.arch with
+    | Loader.Arch.X86 ->
+        Program_x86.spec ~version:c.version ~profile:c.profile
+          ?diversity_seed:c.diversity_seed ()
+    | Loader.Arch.Arm ->
+        Program_arm.spec ~version:c.version ~profile:c.profile
+          ?diversity_seed:c.diversity_seed ()
 
-let boot config ~restarts =
-  Loader.Process.boot (build_spec config) ~profile:config.profile
-    ~seed:(config.boot_seed + (restarts * 7919))
-
-(* SOA-minimum stand-in: how long an NXDOMAIN is believed. *)
-let negative_ttl = 60
-
-let create ?cache_capacity config =
-  {
-    config;
-    proc = boot config ~restarts:0;
-    alive = true;
-    restarts = 0;
-    next_id = 0x1000 + (config.boot_seed land 0xFFF);
-    steps = 0;
-    pending = Hashtbl.create 8;
-    view = Dns.Wire.create_view ();
-    cache = Dns.Cache.create ?capacity:cache_capacity ();
-    clock = 0;
-    telemetry = None;
-    profiler = None;
-    sanitizer = None;
-    icache_hits = 0;
-    icache_misses = 0;
-  }
-
-(* Fleet-scale spawning: a copy-on-write clone of the template's current
-   machine state instead of a full [boot].  The clone shares the
-   template's boot-time randomness — forked cohorts model devices
-   flashed from one firmware image, not independent boots — so anything
-   ASLR-sensitive must fork from per-diversity templates. *)
-let fork ?cache_capacity template =
-  let snap = Loader.Process.snapshot template.proc in
-  {
-    config = template.config;
-    proc = Loader.Process.fork template.proc snap;
-    alive = template.alive;
-    restarts = 0;
-    next_id = 0x1000 + (template.config.boot_seed land 0xFFF);
-    steps = 0;
-    pending = Hashtbl.create 8;
-    view = Dns.Wire.create_view ();
-    cache = Dns.Cache.create ?capacity:cache_capacity ();
-    clock = 0;
-    telemetry = None;
-    profiler = None;
-    sanitizer = None;
-    icache_hits = 0;
-    icache_misses = 0;
-  }
+  let profile c = c.profile
+  let boot_seed c = c.boot_seed
+end)
 
 (* Diversified spawning: fork copy-on-write from the template, then
-   re-assemble the diversified variant into the already-mapped text
-   region ([Loader.Process.reimage]) — no libc/PLT/stack rebuild, so a
-   whole mixed-diversity cohort costs µs per device.  The clone keeps
-   the template's boot-time randomness (same ASLR draw, same canary):
-   only the code layout differs, which is exactly the variable the
-   survival matrix isolates.  Falls back to a full boot when the
-   variant's text outgrows the mapped region (deterministic per seed
-   either way). *)
-let fork_diversified ?cache_capacity template ~diversity_seed =
-  let config =
-    { template.config with diversity_seed = Some diversity_seed }
-  in
-  let snap = Loader.Process.snapshot template.proc in
-  let forked = Loader.Process.fork template.proc snap in
-  match Loader.Process.reimage forked (build_spec config) with
-  | None -> create ?cache_capacity config
-  | Some proc ->
-      {
-        config;
-        proc;
-        alive = template.alive;
-        restarts = 0;
-        next_id = 0x1000 + (config.boot_seed land 0xFFF);
-        steps = 0;
-        pending = Hashtbl.create 8;
-        view = Dns.Wire.create_view ();
-        cache = Dns.Cache.create ?capacity:cache_capacity ();
-        clock = 0;
-        telemetry = None;
-        profiler = None;
-        sanitizer = None;
-        icache_hits = 0;
-        icache_misses = 0;
-      }
-
-let config t = t.config
-let peek_pending t id = Hashtbl.find_opt t.pending id
-let process t = t.proc
-let alive t = t.alive
-let last_steps t = t.steps
-
-(* Attaching mid-run means the boot-time [map] events predate the trace;
-   re-emit the current region snapshot so the timeline starts with a
-   complete memory picture. *)
-let snapshot_regions t =
-  match t.telemetry with
-  | None -> ()
-  | Some tr ->
-      List.iter
-        (fun (reg : Mem.region) ->
-          Telemetry.Trace.emit tr ~cat:"mem" ~track:"memory" "region"
-            ~args:
-              [
-                ("name", Telemetry.Trace.S reg.Mem.name);
-                ("base", Telemetry.Trace.I reg.Mem.base);
-                ("size", Telemetry.Trace.I reg.Mem.size);
-                ("proc", Telemetry.Trace.S track);
-              ])
-        (Mem.regions t.proc.Loader.Process.mem)
-
-let set_trace t tr =
-  t.telemetry <- tr;
-  Mem.set_trace t.proc.Loader.Process.mem tr;
-  (match t.sanitizer with
-  | Some oracle -> Sanitizer.Oracle.set_trace oracle tr
-  | None -> ());
-  snapshot_regions t
-
-let set_profiler t p = t.profiler <- p
-
-let set_sanitizer t oracle =
-  t.sanitizer <- oracle;
-  match oracle with
-  | Some o -> Sanitizer.Oracle.set_trace o t.telemetry
-  | None -> ()
-
-let sanitizer t = t.sanitizer
-
-let restart t =
-  t.restarts <- t.restarts + 1;
-  t.proc <- boot t.config ~restarts:t.restarts;
-  t.alive <- true;
-  Hashtbl.reset t.pending;
-  (* The new process has a fresh address space: re-attach the sink and
-     re-emit its layout. *)
-  Mem.set_trace t.proc.Loader.Process.mem t.telemetry;
-  trace_event t "restart" [ ("restarts", Telemetry.Trace.I t.restarts) ];
-  snapshot_regions t
-
-let make_query t qname =
-  let id = t.next_id land 0xFFFF in
-  t.next_id <- t.next_id + 1;
-  let q = Dns.Packet.query ~id qname Dns.Packet.A in
-  Hashtbl.replace t.pending id (List.hd q.Dns.Packet.questions);
-  trace_event t "query"
-    [
-      ("qname", Telemetry.Trace.S (Dns.Name.to_string qname));
-      ("id", Telemetry.Trace.I id);
-    ];
-  q
-
-(* Host-side pre-validation, standing in for the header/flag checks
-   dnsproxy.c performs before reaching get_name.  Reads only fixed-offset
-   header fields and the (strictly parsed) question — never the answer's
-   owner name, which is exactly the field the vulnerable path expands. *)
-let prevalidate t wire =
-  let len = String.length wire in
-  if len < 12 then Error "short packet"
-  else
-    let u16 off = (Char.code wire.[off] lsl 8) lor Char.code wire.[off + 1] in
-    let id = u16 0 in
-    let flags = u16 2 in
-    if (flags lsr 15) land 1 <> 1 then Error "not a response"
-    else if flags land 0xF <> 0 then Error "error rcode"
-    else if u16 4 <> 1 then Error "qdcount != 1"
-    else if u16 6 < 1 then Error "no answers"
-    else
-      match Hashtbl.find_opt t.pending id with
-      | None -> Error "unknown transaction id"
-      | Some pending -> (
-          (* Zero-copy: compare the wire question against the pending
-             one in place instead of materializing a label list. *)
-          match
-            Dns.Wire.name_equal_consumed wire 12 pending.Dns.Packet.qname
-          with
-          | Error e -> Error ("bad question: " ^ e)
-          | Ok (equal, used) ->
-              if not equal then Error "question mismatch"
-              else if 12 + used + 4 > len then Error "truncated question"
-              else begin
-                Hashtbl.remove t.pending id;
-                Ok id
-              end)
-
-(* Update the host-visible cache on a successful parse: validate with
-   the reusable zero-copy view and record A answers with their TTLs
-   straight off the wire — the only materialization is the dotted owner
-   name the cache is keyed by.  (The machine-level cache_store keeps the
-   guest .bss in sync with a prefix copy.) *)
-let update_cache t wire =
-  match Dns.Wire.parse t.view wire with
-  | Error _ -> 0
-  | Ok () ->
-      let n = ref 0 in
-      (* Answers occupy rr indices [0, ancount). *)
-      for i = 0 to Dns.Wire.ancount t.view - 1 do
-        if
-          Dns.Wire.rr_rtype t.view i = Dns.Packet.qtype_code Dns.Packet.A
-          && Dns.Wire.rr_rdlen t.view i = 4
-        then begin
-          let ip = Dns.Wire.get_u32 wire (Dns.Wire.rr_rdata t.view i) in
-          Dns.Cache.insert t.cache ~now:t.clock
-            ~name:(Dns.Wire.name_to_string wire (Dns.Wire.rr_name t.view i))
-            ~ttl:(Dns.Wire.rr_ttl t.view i) ~ipv4:ip;
-          incr n
-        end
-      done;
-      !n
-
-let rx_buffer_addr proc =
-  proc.Loader.Process.layout.Loader.Layout.heap_base
-
-(* An NXDOMAIN answering a pending question is terminal for that lookup:
-   record it as a negative cache entry (so repeated queries for a name
-   known to be absent are absorbed host-side) and drop the datagram
-   before it ever reaches the vulnerable machine-code parse. *)
-let nxdomain_negative t wire =
-  let len = String.length wire in
-  if len < 12 then false
-  else
-    let u16 off = (Char.code wire.[off] lsl 8) lor Char.code wire.[off + 1] in
-    let flags = u16 2 in
-    if (flags lsr 15) land 1 <> 1 || flags land 0xF <> 3 || u16 4 <> 1 then
-      false
-    else
-      match Hashtbl.find_opt t.pending (u16 0) with
-      | None -> false
-      | Some pending -> (
-          match
-            Dns.Wire.name_equal_consumed wire 12 pending.Dns.Packet.qname
-          with
-          | Ok (true, _) ->
-              Hashtbl.remove t.pending (u16 0);
-              Dns.Cache.insert_negative t.cache ~now:t.clock
-                ~name:(Dns.Name.to_string pending.Dns.Packet.qname)
-                ~ttl:negative_ttl;
-              true
-          | _ -> false)
-
-let disposition_event t = function
-  | Cached n -> trace_event t "cached" [ ("records", Telemetry.Trace.I n) ]
-  | Dropped why -> trace_event t "drop" [ ("reason", Telemetry.Trace.S why) ]
-  | Crashed r ->
-      trace_event t "crashed" [ ("reason", Telemetry.Trace.S (O.to_string r)) ]
-  | Compromised r ->
-      trace_event t "compromised"
-        [ ("reason", Telemetry.Trace.S (O.to_string r)) ]
-  | Blocked r ->
-      trace_event t "blocked" [ ("reason", Telemetry.Trace.S (O.to_string r)) ]
-
-(* The protocol boundary is where taint enters: every byte of the UDP
-   response lands in the guest rx buffer carrying a provenance label
-   (source id + wire offset), and the overflow frame's return slot and
-   redzone are registered from the {!Frame} geometry — this is all the
-   sanitizer needs to chain a later detection back to the exact wire
-   byte.  [origin] names where the datagram came from (the netsim source
-   address when delivered through {!Core.Device}). *)
-let arm_sanitizer t ~origin proc buf wire =
-  match t.sanitizer with
-  | None -> ()
-  | Some oracle ->
-      Sanitizer.Oracle.begin_parse oracle;
-      let src =
-        Sanitizer.Oracle.new_source oracle ~origin
-          ~length:(String.length wire)
-      in
-      Sanitizer.Oracle.taint oracle ~src buf ~len:(String.length wire);
-      Sanitizer.Oracle.protect_frame oracle
-        ~buffer:(Frame.buffer_addr proc)
-        (Frame.geometry t.config.arch)
-
-let handle_response ?(origin = "udp") t wire =
-  trace_event t "rx-response"
-    [ ("bytes", Telemetry.Trace.I (String.length wire)) ];
-  let d =
-    if not t.alive then Dropped "daemon not running"
-    else if nxdomain_negative t wire then Dropped "nxdomain (negative cached)"
-    else
-      match prevalidate t wire with
-      | Error why -> Dropped why
-      | Ok _id ->
-          let proc = t.proc in
-          let buf = rx_buffer_addr proc in
-          let heap_size = proc.Loader.Process.layout.Loader.Layout.heap_size in
-          if String.length wire > heap_size then Dropped "oversized datagram"
-          else begin
-            Mem.write_bytes proc.Loader.Process.mem buf wire;
-            arm_sanitizer t ~origin proc buf wire;
-            let entry = Loader.Process.symbol proc "parse_response" in
-            let ts0 =
-              match t.telemetry with
-              | Some tr -> Telemetry.Trace.now tr
-              | None -> 0
-            in
-            let r =
-              Loader.Process.call proc ~fuel:400_000 ?sanitizer:t.sanitizer
-                ?trace:t.telemetry ?profile:t.profiler ~entry
-                ~args:[ buf; String.length wire ]
-            in
-            t.steps <- r.Loader.Process.steps;
-            t.icache_hits <- t.icache_hits + r.Loader.Process.icache_hits;
-            t.icache_misses <- t.icache_misses + r.Loader.Process.icache_misses;
-            trace_event t "parse" ~ts:ts0 ~dur:r.Loader.Process.steps
-              [ ("steps", Telemetry.Trace.I r.Loader.Process.steps) ];
-            match r.Loader.Process.outcome with
-            | O.Halted -> Cached (update_cache t wire)
-            | O.Exec _ as reason ->
-                t.alive <- false;
-                Compromised reason
-            | (O.Fault _ | O.Decode_error _ | O.Fuel_exhausted) as reason ->
-                t.alive <- false;
-                Crashed reason
-            | (O.Cfi_violation _ | O.Aborted _) as reason ->
-                t.alive <- false;
-                Blocked reason
-            | (O.Exited _) as reason ->
-                t.alive <- false;
-                Crashed reason
-          end
-  in
-  disposition_event t d;
-  d
-
-let cache_lookup t qname =
-  let r = Dns.Cache.lookup t.cache ~now:t.clock (Dns.Name.to_string qname) in
-  (match t.telemetry with
-  | None -> ()
-  | Some _ ->
-      trace_event t
-        (match r with Some _ -> "cache-hit" | None -> "cache-miss")
-        [ ("qname", Telemetry.Trace.S (Dns.Name.to_string qname)) ]);
-  r
-
-let cache_find t qname =
-  Dns.Cache.find t.cache ~now:t.clock (Dns.Name.to_string qname)
-
-let cache t = t.cache
-let cache_stats t = Dns.Cache.stats t.cache
-let tick t seconds = t.clock <- t.clock + max 0 seconds
-
-let register_metrics t reg =
-  let labels = [ ("daemon", track) ] in
-  Telemetry.Metrics.probe reg ~labels ~kind:`Counter
-    ~help:"daemon restarts after a crash" "daemon_restarts_total" (fun () ->
-      float_of_int t.restarts);
-  Telemetry.Metrics.probe reg ~labels ~kind:`Gauge
-    ~help:"1 if the daemon is accepting responses" "daemon_alive" (fun () ->
-      if t.alive then 1.0 else 0.0);
-  Telemetry.Metrics.probe reg ~labels ~kind:`Gauge
-    ~help:"instructions retired by the most recent parse"
-    "daemon_parse_steps" (fun () -> float_of_int t.steps);
-  Telemetry.Metrics.probe reg ~labels ~kind:`Counter
-    ~help:"decoded-instruction cache hits across parses"
-    "daemon_icache_hits_total" (fun () -> float_of_int t.icache_hits);
-  Telemetry.Metrics.probe reg ~labels ~kind:`Counter
-    ~help:"decoded-instruction cache misses across parses"
-    "daemon_icache_misses_total" (fun () -> float_of_int t.icache_misses);
-  (match t.sanitizer with
-  | Some oracle -> Sanitizer.Oracle.register_metrics oracle reg
-  | None -> ());
-  Dns.Cache.register_metrics t.cache reg ~prefix:track
+   re-assemble the variant into the already-mapped text region.  The
+   clone keeps the template's boot-time randomness (same ASLR draw, same
+   canary): only the code layout differs, which is exactly the variable
+   the survival matrix isolates. *)
+let fork_diversified ?cache_capacity t ~diversity_seed =
+  fork_variant ?cache_capacity t
+    { (config t) with diversity_seed = Some diversity_seed }

@@ -10,9 +10,14 @@
 
     A crash (memory fault, illegal instruction, hang) kills the daemon:
     subsequent responses are dropped — the DoS outcome.  An [exec] of a
-    shell is remote code execution. *)
+    shell is remote code execution.
 
-type disposition =
+    The daemon is an instance of the shared DNS-forwarder front
+    ({!Forwarder}) over one {!Loader.Service}; what is Connman's own is
+    its program ({!Program_x86}, {!Program_arm}), the [parse_response]
+    entry, its {!Frame} and the ["connmand"] track. *)
+
+type disposition = Forwarder.disposition =
   | Cached of int  (** parsed fine; [n] A records entered the cache *)
   | Dropped of string  (** pre-validation rejected the packet *)
   | Crashed of Machine.Outcome.stop_reason  (** daemon died (DoS) *)

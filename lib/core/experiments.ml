@@ -35,13 +35,13 @@ let fire ?strategy d =
         ( payload,
           Dnsproxy.handle_response d (Autogen.response_for ~query ~raw_name) )
 
-let disposition_word = function
-  | Dnsproxy.Cached _ -> "parsed"
-  | Dnsproxy.Dropped _ -> "dropped"
-  | Dnsproxy.Crashed _ -> "crash"
-  | Dnsproxy.Compromised r when O.is_shell r -> "root shell"
-  | Dnsproxy.Compromised _ -> "code execution"
-  | Dnsproxy.Blocked _ -> "blocked"
+let disposition_word : Connman.Forwarder.disposition -> string = function
+  | Cached _ -> "parsed"
+  | Dropped _ -> "dropped"
+  | Crashed _ -> "crash"
+  | Compromised r when O.is_shell r -> "root shell"
+  | Compromised _ -> "code execution"
+  | Blocked _ -> "blocked"
 
 let row ~id ~section ~description ~expected observed =
   { id; section; description; expected; observed; ok = expected = observed }
@@ -322,14 +322,8 @@ let a6_adaptation ?(seed = 1) () =
     | Error e -> "generation failed: " ^ e
     | Ok (_, raw_name) -> (
         let query = D.make_query d (Dns.Name.of_string "upstream.example") in
-        match D.handle_response d (Dns.Craft.hostile_response ~query ~raw_name ())
-        with
-        | D.Cached _ -> "parsed"
-        | D.Dropped _ -> "dropped"
-        | D.Crashed _ -> "crash"
-        | D.Compromised r when O.is_shell r -> "root shell"
-        | D.Compromised _ -> "code execution"
-        | D.Blocked _ -> "blocked")
+        disposition_word
+          (D.handle_response d (Dns.Craft.hostile_response ~query ~raw_name ())))
   in
   List.map
     (fun (id, arch, profile, strategy, patched, expected) ->

@@ -24,9 +24,10 @@ val fire :
     for the telemetry differential tests: the exploit-matrix outcome of
     a device must be identical with tracing attached or not. *)
 
-val disposition_word : Connman.Dnsproxy.disposition -> string
+val disposition_word : Connman.Forwarder.disposition -> string
 (** The observed-outcome vocabulary of the result rows ("parsed",
-    "dropped", "crash", "root shell", "code execution", "blocked"). *)
+    "dropped", "crash", "root shell", "code execution", "blocked"), for
+    both DNS daemons (connmand and dnsmasq-sim share the type). *)
 
 val matrix_cells :
   (string

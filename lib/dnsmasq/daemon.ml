@@ -1,19 +1,11 @@
-module Mem = Memsim.Memory
-module O = Machine.Outcome
-
-type disposition =
+type disposition = Connman.Forwarder.disposition =
   | Cached of int
   | Dropped of string
-  | Crashed of O.stop_reason
-  | Compromised of O.stop_reason
-  | Blocked of O.stop_reason
+  | Crashed of Machine.Outcome.stop_reason
+  | Compromised of Machine.Outcome.stop_reason
+  | Blocked of Machine.Outcome.stop_reason
 
-let pp_disposition ppf = function
-  | Cached n -> Format.fprintf ppf "cached %d record(s)" n
-  | Dropped why -> Format.fprintf ppf "dropped (%s)" why
-  | Crashed r -> Format.fprintf ppf "CRASHED: %a" O.pp r
-  | Compromised r -> Format.fprintf ppf "COMPROMISED: %a" O.pp r
-  | Blocked r -> Format.fprintf ppf "blocked by defense: %a" O.pp r
+let pp_disposition = Connman.Forwarder.pp_disposition
 
 type config = {
   patched : bool;
@@ -22,253 +14,27 @@ type config = {
   boot_seed : int;
 }
 
-type t = {
-  config : config;
-  mutable proc : Loader.Process.t;
-  mutable alive : bool;
-  mutable restarts : int;
-  mutable next_id : int;
-  mutable steps : int;
-  pending : (int, Dns.Packet.question) Hashtbl.t;
-  view : Dns.Wire.view;  (* reusable zero-copy parse state (host side) *)
-  cache : Dns.Cache.t;
-  mutable clock : int;  (* logical seconds, advanced by [tick] *)
-  mutable telemetry : Telemetry.Trace.t option;
-  mutable profiler : Telemetry.Profile.t option;
-  mutable icache_hits : int;
-  mutable icache_misses : int;
-}
+include Connman.Forwarder.Make (struct
+  type nonrec config = config
 
-let track = "dnsmasq"
+  let daemon =
+    {
+      Loader.Service.track = "dnsmasq";
+      entry = Program_x86.entry;
+      frame = Frame.geometry;
+      buffer_addr = Frame.buffer_addr;
+    }
 
-let trace_event t ?dur ?ts name args =
-  match t.telemetry with
-  | None -> ()
-  | Some tr -> Telemetry.Trace.emit tr ?ts ?dur ~cat:"daemon" ~track name ~args
+  let id_base = 0x2000
 
-let build_spec config =
-  match config.arch with
-  | Loader.Arch.X86 ->
-      Program_x86.spec ~patched:config.patched ~profile:config.profile
-  | Loader.Arch.Arm ->
-      Program_arm.spec ~patched:config.patched ~profile:config.profile
+  let spec c =
+    match c.arch with
+    | Loader.Arch.X86 -> Program_x86.spec ~patched:c.patched ~profile:c.profile
+    | Loader.Arch.Arm -> Program_arm.spec ~patched:c.patched ~profile:c.profile
 
-let negative_ttl = 60
+  let profile c = c.profile
+  let boot_seed c = c.boot_seed
+end)
 
-let boot config ~restarts =
-  Loader.Process.boot (build_spec config) ~profile:config.profile
-    ~seed:(config.boot_seed + (restarts * 7919))
-
-let create ?cache_capacity config =
-  {
-    config;
-    proc = boot config ~restarts:0;
-    alive = true;
-    restarts = 0;
-    next_id = 0x2000 + (config.boot_seed land 0xFFF);
-    steps = 0;
-    pending = Hashtbl.create 8;
-    view = Dns.Wire.create_view ();
-    cache = Dns.Cache.create ?capacity:cache_capacity ();
-    clock = 0;
-    telemetry = None;
-    profiler = None;
-    icache_hits = 0;
-    icache_misses = 0;
-  }
-
-(* As in Connman's proxy: re-emit the region snapshot on attach, since the
-   boot-time [map] events predate the sink. *)
-let snapshot_regions t =
-  match t.telemetry with
-  | None -> ()
-  | Some tr ->
-      List.iter
-        (fun (reg : Mem.region) ->
-          Telemetry.Trace.emit tr ~cat:"mem" ~track:"memory" "region"
-            ~args:
-              [
-                ("name", Telemetry.Trace.S reg.Mem.name);
-                ("base", Telemetry.Trace.I reg.Mem.base);
-                ("size", Telemetry.Trace.I reg.Mem.size);
-                ("proc", Telemetry.Trace.S track);
-              ])
-        (Mem.regions t.proc.Loader.Process.mem)
-
-let set_trace t tr =
-  t.telemetry <- tr;
-  Mem.set_trace t.proc.Loader.Process.mem tr;
-  snapshot_regions t
-
-let set_profiler t p = t.profiler <- p
-
-let restart t =
-  t.restarts <- t.restarts + 1;
-  t.proc <- boot t.config ~restarts:t.restarts;
-  t.alive <- true;
-  Hashtbl.reset t.pending;
-  Mem.set_trace t.proc.Loader.Process.mem t.telemetry;
-  trace_event t "restart" [ ("restarts", Telemetry.Trace.I t.restarts) ];
-  snapshot_regions t
-
-let process t = t.proc
-let alive t = t.alive
-let tick t seconds = t.clock <- t.clock + max 0 seconds
-let cache t = t.cache
-let cache_stats t = Dns.Cache.stats t.cache
-
-let cache_lookup t qname =
-  let r = Dns.Cache.lookup t.cache ~now:t.clock (Dns.Name.to_string qname) in
-  (match t.telemetry with
-  | None -> ()
-  | Some _ ->
-      trace_event t
-        (match r with Some _ -> "cache-hit" | None -> "cache-miss")
-        [ ("qname", Telemetry.Trace.S (Dns.Name.to_string qname)) ]);
-  r
-
-let make_query t qname =
-  let id = t.next_id land 0xFFFF in
-  t.next_id <- t.next_id + 1;
-  let q = Dns.Packet.query ~id qname Dns.Packet.A in
-  Hashtbl.replace t.pending id (List.hd q.Dns.Packet.questions);
-  trace_event t "query"
-    [
-      ("qname", Telemetry.Trace.S (Dns.Name.to_string qname));
-      ("id", Telemetry.Trace.I id);
-    ];
-  q
-
-let prevalidate t wire =
-  let len = String.length wire in
-  if len < 12 then Error "short packet"
-  else
-    let u16 off = (Char.code wire.[off] lsl 8) lor Char.code wire.[off + 1] in
-    if (u16 2 lsr 15) land 1 <> 1 then Error "not a response"
-    else if u16 4 <> 1 || u16 6 < 1 then Error "unexpected counts"
-    else
-      match Hashtbl.find_opt t.pending (u16 0) with
-      | None -> Error "unknown transaction id"
-      | Some _ ->
-          Hashtbl.remove t.pending (u16 0);
-          Ok ()
-
-(* Same host-side policy as Connman's proxy: an NXDOMAIN answering a
-   pending question is negatively cached and never parsed. *)
-let nxdomain_negative t wire =
-  let len = String.length wire in
-  if len < 12 then false
-  else
-    let u16 off = (Char.code wire.[off] lsl 8) lor Char.code wire.[off + 1] in
-    let flags = u16 2 in
-    if (flags lsr 15) land 1 <> 1 || flags land 0xF <> 3 then false
-    else
-      match Hashtbl.find_opt t.pending (u16 0) with
-      | None -> false
-      | Some pending ->
-          Hashtbl.remove t.pending (u16 0);
-          Dns.Cache.insert_negative t.cache ~now:t.clock
-            ~name:(Dns.Name.to_string pending.Dns.Packet.qname)
-            ~ttl:negative_ttl;
-          true
-
-(* Record the A answers of a successfully-parsed response through the
-   reusable zero-copy view; returns the answer count (0 when the wire
-   does not strictly parse).  Only the cache key is materialized. *)
-let update_cache t wire =
-  match Dns.Wire.parse t.view wire with
-  | Error _ -> 0
-  | Ok () ->
-      for i = 0 to Dns.Wire.ancount t.view - 1 do
-        if
-          Dns.Wire.rr_rtype t.view i = Dns.Packet.qtype_code Dns.Packet.A
-          && Dns.Wire.rr_rdlen t.view i = 4
-        then
-          Dns.Cache.insert t.cache ~now:t.clock
-            ~name:(Dns.Wire.name_to_string wire (Dns.Wire.rr_name t.view i))
-            ~ttl:(Dns.Wire.rr_ttl t.view i)
-            ~ipv4:(Dns.Wire.get_u32 wire (Dns.Wire.rr_rdata t.view i))
-      done;
-      Dns.Wire.ancount t.view
-
-let disposition_event t = function
-  | Cached n -> trace_event t "cached" [ ("records", Telemetry.Trace.I n) ]
-  | Dropped why -> trace_event t "drop" [ ("reason", Telemetry.Trace.S why) ]
-  | Crashed r ->
-      trace_event t "crashed" [ ("reason", Telemetry.Trace.S (O.to_string r)) ]
-  | Compromised r ->
-      trace_event t "compromised"
-        [ ("reason", Telemetry.Trace.S (O.to_string r)) ]
-  | Blocked r ->
-      trace_event t "blocked" [ ("reason", Telemetry.Trace.S (O.to_string r)) ]
-
-let handle_response t wire =
-  trace_event t "rx-response"
-    [ ("bytes", Telemetry.Trace.I (String.length wire)) ];
-  let d =
-    if not t.alive then Dropped "daemon not running"
-    else if nxdomain_negative t wire then Dropped "nxdomain (negative cached)"
-    else
-      match prevalidate t wire with
-      | Error why -> Dropped why
-      | Ok () ->
-          let buf = t.proc.Loader.Process.layout.Loader.Layout.heap_base in
-          if
-            String.length wire
-            > t.proc.Loader.Process.layout.Loader.Layout.heap_size
-          then Dropped "oversized datagram"
-          else begin
-            Mem.write_bytes t.proc.Loader.Process.mem buf wire;
-            let entry = Loader.Process.symbol t.proc "process_reply" in
-            let ts0 =
-              match t.telemetry with
-              | Some tr -> Telemetry.Trace.now tr
-              | None -> 0
-            in
-            let r =
-              Loader.Process.call t.proc ~fuel:400_000 ?trace:t.telemetry
-                ?profile:t.profiler ~entry
-                ~args:[ buf; String.length wire ]
-            in
-            t.steps <- r.Loader.Process.steps;
-            t.icache_hits <- t.icache_hits + r.Loader.Process.icache_hits;
-            t.icache_misses <- t.icache_misses + r.Loader.Process.icache_misses;
-            trace_event t "parse" ~ts:ts0 ~dur:r.Loader.Process.steps
-              [ ("steps", Telemetry.Trace.I r.Loader.Process.steps) ];
-            match r.Loader.Process.outcome with
-            | O.Halted -> Cached (update_cache t wire)
-            | O.Exec _ as reason ->
-                t.alive <- false;
-                Compromised reason
-            | (O.Fault _ | O.Decode_error _ | O.Fuel_exhausted | O.Exited _) as
-              reason ->
-                t.alive <- false;
-                Crashed reason
-            | (O.Cfi_violation _ | O.Aborted _) as reason ->
-                t.alive <- false;
-                Blocked reason
-          end
-  in
-  disposition_event t d;
-  d
-
-let last_steps t = t.steps
-
-let register_metrics t reg =
-  let labels = [ ("daemon", track) ] in
-  Telemetry.Metrics.probe reg ~labels ~kind:`Counter
-    ~help:"daemon restarts after a crash" "daemon_restarts_total" (fun () ->
-      float_of_int t.restarts);
-  Telemetry.Metrics.probe reg ~labels ~kind:`Gauge
-    ~help:"1 if the daemon is accepting responses" "daemon_alive" (fun () ->
-      if t.alive then 1.0 else 0.0);
-  Telemetry.Metrics.probe reg ~labels ~kind:`Gauge
-    ~help:"instructions retired by the most recent parse"
-    "daemon_parse_steps" (fun () -> float_of_int t.steps);
-  Telemetry.Metrics.probe reg ~labels ~kind:`Counter
-    ~help:"decoded-instruction cache hits across parses"
-    "daemon_icache_hits_total" (fun () -> float_of_int t.icache_hits);
-  Telemetry.Metrics.probe reg ~labels ~kind:`Counter
-    ~help:"decoded-instruction cache misses across parses"
-    "daemon_icache_misses_total" (fun () -> float_of_int t.icache_misses);
-  Dns.Cache.register_metrics t.cache reg ~prefix:track
+(* Datagrams reach dnsmasq-sim only from its upstream: no origin label. *)
+let handle_response t wire = handle_response t wire

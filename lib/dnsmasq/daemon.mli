@@ -1,11 +1,16 @@
 (** The dnsmasq-sim forwarder daemon (§V adaptation target).
 
-    Same operational surface as {!Connman.Dnsproxy}: queries out,
-    responses pre-validated and then parsed by the vulnerable machine
-    code.  The point of this module is that {!Exploit.Autogen} retargets
-    to it by swapping frame geometry only. *)
+    Another instance of Connman's DNS-forwarder front
+    ({!Connman.Forwarder}): queries out, responses pre-validated by the
+    same host-side policy and then parsed by the vulnerable machine
+    code, the same lifecycle ({!Loader.Service}), the same disposition
+    type.  What is dnsmasq's own is its program ({!Program_x86},
+    {!Program_arm}), the [process_reply] entry, its {!Frame} and the
+    ["dnsmasq"] track.  The point of this module is that
+    {!Exploit.Autogen} retargets to it by swapping frame geometry
+    only. *)
 
-type disposition =
+type disposition = Connman.Forwarder.disposition =
   | Cached of int
   | Dropped of string
   | Crashed of Machine.Outcome.stop_reason
@@ -31,9 +36,11 @@ val alive : t -> bool
 val make_query : t -> Dns.Name.t -> Dns.Packet.t
 
 val handle_response : t -> string -> disposition
-(** A successful parse records the response's A answers in the cache;
-    an NXDOMAIN matching a pending question is negatively cached and
-    dropped before the machine-level parse. *)
+(** Feed raw wire bytes.  The response must pass Connman's
+    pre-validation (rcode 0, one question matching the pending one, at
+    least one answer); a successful parse records its A answers in the
+    cache and reports how many.  An NXDOMAIN passing the same checks is
+    negatively cached and dropped before the machine-level parse. *)
 
 val cache_lookup : t -> Dns.Name.t -> int option
 (** IPv4 (host order) cached for a name, if fresh on the daemon's
@@ -52,17 +59,3 @@ val restart : t -> unit
 (** Reboot the daemon after a crash (fresh address-space draw derived
     from the boot seed and restart count, as a supervisor restart would
     give); outstanding transactions are forgotten, the cache survives. *)
-
-val last_steps : t -> int
-(** Instructions retired by the most recent machine-level parse. *)
-
-val set_trace : t -> Telemetry.Trace.t option -> unit
-(** Attach a telemetry sink: lifecycle events under category ["daemon"]
-    track ["dnsmasq"], plus the process memory's fault/mapping events
-    (region snapshot re-emitted on attach and after {!restart}). *)
-
-val set_profiler : t -> Telemetry.Profile.t option -> unit
-
-val register_metrics : t -> Telemetry.Metrics.t -> unit
-(** Register [daemon_*] probes (labelled [{daemon="dnsmasq"}]) and the
-    DNS cache's [dns_cache_*] probes into the registry. *)

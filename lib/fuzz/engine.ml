@@ -114,7 +114,8 @@ let spec config =
   | Loader.Arch.Arm ->
       Connman.Program_arm.spec ~version:config.version ~profile:config.profile ()
 
-let fuel = 400_000 (* same budget Dnsproxy gives a parse *)
+(* A fuzz execution gets the budget a daemon gives a parse. *)
+let fuel = Loader.Service.fuel
 
 let run config =
   let rng = Rng.create config.seed in
@@ -151,11 +152,9 @@ let run config =
   let triage input ~steps =
     Process.restore proc snap;
     Mem.write_bytes proc.Process.mem buf input;
-    Oracle.begin_parse oracle;
     Oracle.clear_reports oracle;
-    let src = Oracle.new_source oracle ~origin:"fuzz" ~length:(String.length input) in
-    Oracle.taint oracle ~src buf ~len:(String.length input);
-    Oracle.protect_frame oracle ~buffer:frame_buffer geometry;
+    Oracle.arm oracle ~origin:"fuzz" ~rx:buf ~len:(String.length input)
+      ~buffer:frame_buffer geometry;
     ignore
       (Process.call proc ~fuel ~sanitizer:oracle ~entry
          ~args:[ buf; String.length input ]);

@@ -121,6 +121,12 @@ let protect_frame t ~buffer (frame : Machine.Stack_frame.t) =
   add_redzone t ~base:(buffer + frame.buffer_size)
     ~len:(frame.frame_end - frame.buffer_size)
 
+let arm t ~origin ~rx ~len ~buffer frame =
+  begin_parse t;
+  let src = new_source t ~origin ~length:len in
+  taint t ~src rx ~len;
+  protect_frame t ~buffer frame
+
 let record t ~kind ~step ~pc ~addr ~target ~label ~detail =
   let origin = origin_of t (Shadow.source_of label) in
   let r = { kind; step; pc; addr; target; label; origin; detail } in

@@ -131,6 +131,15 @@ val protect_frame : t -> buffer:int -> Machine.Stack_frame.t -> unit
 (** Register the frame's return slot ([buffer + off_ret]) and a redzone
     covering [buffer + buffer_size, buffer + frame_end). *)
 
+val arm :
+  t -> origin:string -> rx:int -> len:int -> buffer:int ->
+  Machine.Stack_frame.t -> unit
+(** Arm the oracle for one run over an attacker datagram: {!begin_parse},
+    a fresh source labelled [origin] for its [len] bytes, those bytes
+    tainted where they sit in guest memory (at [rx]), then
+    {!protect_frame} of the overflow frame whose buffer is at [buffer].
+    Every daemon parse and every fuzzer triage starts this way. *)
+
 (** {1 Detection entry points (called by the sanitized loops)} *)
 
 val store :

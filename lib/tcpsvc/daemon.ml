@@ -1,4 +1,4 @@
-module Mem = Memsim.Memory
+module Service = Loader.Service
 module O = Machine.Outcome
 
 type disposition =
@@ -22,34 +22,27 @@ type config = {
   boot_seed : int;
 }
 
-type t = {
-  config : config;
-  mutable proc : Loader.Process.t;
-  mutable alive : bool;
-  mutable restarts : int;
-}
+type t = Service.t
 
-let build_spec config =
-  match config.arch with
-  | Loader.Arch.X86 ->
-      Program_x86.spec ~patched:config.patched ~profile:config.profile
-  | Loader.Arch.Arm ->
-      Program_arm.spec ~patched:config.patched ~profile:config.profile
+let daemon =
+  {
+    Service.track = "tcpsvc";
+    entry = Program_x86.entry;
+    frame = Frame.geometry;
+    buffer_addr = Frame.buffer_addr;
+  }
 
-let boot config ~restarts =
-  Loader.Process.boot (build_spec config) ~profile:config.profile
-    ~seed:(config.boot_seed + (restarts * 7919))
+let create c =
+  let spec =
+    match c.arch with
+    | Loader.Arch.X86 -> Program_x86.spec ~patched:c.patched ~profile:c.profile
+    | Loader.Arch.Arm -> Program_arm.spec ~patched:c.patched ~profile:c.profile
+  in
+  Service.boot daemon spec ~profile:c.profile ~boot_seed:c.boot_seed
 
-let create config =
-  { config; proc = boot config ~restarts:0; alive = true; restarts = 0 }
-
-let restart t =
-  t.restarts <- t.restarts + 1;
-  t.proc <- boot t.config ~restarts:t.restarts;
-  t.alive <- true
-
-let process t = t.proc
-let alive t = t.alive
+let restart = Service.restart
+let process = Service.process
+let alive = Service.alive
 
 let frame ~tag =
   let n = String.length tag in
@@ -57,32 +50,14 @@ let frame ~tag =
   Printf.sprintf "ZZ%c%c%s" (Char.chr ((n lsr 8) land 0xFF)) (Char.chr (n land 0xFF)) tag
 
 let handle_frame t wire =
-  if not t.alive then Rejected "daemon not running"
+  if not (alive t) then Rejected "daemon not running"
   else if String.length wire < 4 || wire.[0] <> 'Z' || wire.[1] <> 'Z' then
     Rejected "bad magic"
   else
-    let buf = t.proc.Loader.Process.layout.Loader.Layout.heap_base in
-    if String.length wire > t.proc.Loader.Process.layout.Loader.Layout.heap_size
-    then Rejected "oversized frame"
-    else begin
-      Mem.write_bytes t.proc.Loader.Process.mem buf wire;
-      let entry = Loader.Process.symbol t.proc "handle_frame" in
-      let r =
-        Loader.Process.call t.proc ~fuel:400_000 ~entry
-          ~args:[ buf; String.length wire ]
-      in
-      match r.Loader.Process.outcome with
-      | O.Halted ->
-          if r.Loader.Process.ret = 0 then Handled
-          else Rejected "length check (patched build)"
-      | O.Exec _ as reason ->
-          t.alive <- false;
-          Compromised reason
-      | (O.Fault _ | O.Decode_error _ | O.Fuel_exhausted | O.Exited _) as reason
-        ->
-          t.alive <- false;
-          Crashed reason
-      | (O.Cfi_violation _ | O.Aborted _) as reason ->
-          t.alive <- false;
-          Blocked reason
-    end
+    match Service.call t ~origin:"tcp" wire with
+    | Service.Returned 0 -> Handled
+    | Service.Returned _ -> Rejected "length check (patched build)"
+    | Service.Oversized -> Rejected "oversized frame"
+    | Service.Compromised r -> Compromised r
+    | Service.Crashed r -> Crashed r
+    | Service.Blocked r -> Blocked r

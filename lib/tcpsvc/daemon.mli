@@ -2,7 +2,11 @@
 
     Message format: two magic bytes ['Z''Z'], a big-endian u16 tag
     length, then the tag.  The daemon checks the magic host-side (its
-    accept loop) and hands the frame to the vulnerable machine code. *)
+    accept loop) and hands the frame to the vulnerable machine code.
+    It runs in the daemon host the DNS daemons share
+    ({!Loader.Service}): same boot, restart and crash classification;
+    what is its own is the magic check and reading the entry's return
+    value as handled or rejected. *)
 
 type disposition =
   | Handled

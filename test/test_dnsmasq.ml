@@ -144,6 +144,138 @@ let test_dos_survived_by_278 () =
             D.pp_disposition other)
     [ Loader.Arch.X86; Loader.Arch.Arm ]
 
+(* A CNAME + A response caches one record, and says so. *)
+let test_cname_chain_counts_records () =
+  let d = daemon ~arch:Loader.Arch.X86 ~profile:Defense.Profile.wx () in
+  let edge = Dns.Name.of_string "edge.example" in
+  let query = D.make_query d lookup in
+  let wire =
+    Dns.Packet.encode
+      (Dns.Packet.response ~query
+         [
+           Dns.Packet.cname_record lookup ~ttl:60 ~target:edge;
+           Dns.Packet.a_record edge ~ttl:60 ~ipv4:0x0A0B0C0D;
+         ])
+  in
+  (match D.handle_response d wire with
+  | D.Cached 1 -> ()
+  | other -> Alcotest.failf "expected Cached 1, got %a" D.pp_disposition other);
+  check_int "one insertion" 1 (D.cache_stats d).Dns.Cache.insertions;
+  Alcotest.(check (option int))
+    "the A record is cached under its owner" (Some 0x0A0B0C0D)
+    (D.cache_lookup d edge)
+
+(* --- one forwarder host: the same policy in both DNS daemons --- *)
+
+(* The slice of a DNS daemon the host-policy table drives. *)
+module type FORWARDER = sig
+  type t
+
+  val name : string
+  val create : unit -> t
+  val make_query : t -> Dns.Name.t -> Dns.Packet.t
+  val handle_response : t -> string -> Connman.Forwarder.disposition
+  val restart : t -> unit
+  val alive : t -> bool
+  val process : t -> Loader.Process.t
+  val cache : t -> Dns.Cache.t
+end
+
+let forwarders : (module FORWARDER) list =
+  [
+    (module struct
+      include Connman.Dnsproxy
+
+      let name = "connmand"
+
+      let create () = create { default_config with boot_seed = 17 }
+
+      let handle_response t wire = handle_response t wire
+    end);
+    (module struct
+      include D
+
+      let name = "dnsmasq"
+      let create () = daemon ~arch:Loader.Arch.X86 ~profile:Defense.Profile.wx ()
+    end);
+  ]
+
+let with_rcode rcode (p : Dns.Packet.t) =
+  { p with Dns.Packet.header = { p.Dns.Packet.header with Dns.Packet.rcode } }
+
+let answer_for query =
+  Dns.Packet.response ~query [ Dns.Packet.a_record lookup ~ttl:60 ~ipv4:1 ]
+
+(* The same response, but its question names another host. *)
+let answer_for_other query =
+  let other =
+    Dns.Packet.query ~id:query.Dns.Packet.header.Dns.Packet.id
+      (Dns.Name.of_string "other.example") Dns.Packet.A
+  in
+  Dns.Packet.response ~query:other [ Dns.Packet.a_record lookup ~ttl:60 ~ipv4:1 ]
+
+(* (case, the wire to send for an outstanding query to [lookup],
+   whether to restart in between, the expected drop reason) *)
+let host_policy =
+  [
+    ( "SERVFAIL carrying an answer",
+      (fun _ q ->
+        Dns.Packet.encode (with_rcode Dns.Packet.ServFail (answer_for q))),
+      false,
+      "error rcode" );
+    ( "question mismatch",
+      (fun _ q -> Dns.Packet.encode (answer_for_other q)),
+      false,
+      "question mismatch" );
+    ( "restart forgets outstanding ids",
+      (fun _ q -> Dns.Packet.encode (answer_for q)),
+      true,
+      "unknown transaction id" );
+    ( "oversized datagram",
+      (fun proc q ->
+        Dns.Packet.encode (answer_for q)
+        ^ String.make proc.Loader.Process.layout.Loader.Layout.heap_size '\000'),
+      false,
+      "oversized datagram" );
+    ( "NXDOMAIN with a second question",
+      (fun _ q ->
+        let nx = with_rcode Dns.Packet.NXDomain (answer_for q) in
+        let qs = nx.Dns.Packet.questions in
+        Dns.Packet.encode { nx with Dns.Packet.questions = qs @ qs }),
+      false,
+      "error rcode" );
+    ( "NXDOMAIN for another question",
+      (fun _ q ->
+        Dns.Packet.encode
+          (with_rcode Dns.Packet.NXDomain (answer_for_other q))),
+      false,
+      "error rcode" );
+  ]
+
+let test_host_policy () =
+  List.iter
+    (fun (module F : FORWARDER) ->
+      List.iter
+        (fun (case, wire, restart, reason) ->
+          let d = F.create () in
+          let q = F.make_query d lookup in
+          if restart then F.restart d;
+          let label = F.name ^ ": " ^ case in
+          (match F.handle_response d (wire (F.process d) q) with
+          | Connman.Forwarder.Dropped why ->
+              Alcotest.(check string) label reason why
+          | other ->
+              Alcotest.failf "%s: expected Dropped, got %a" label
+                D.pp_disposition other);
+          check_bool (label ^ ": alive") true (F.alive d);
+          List.iter
+            (fun name ->
+              check_bool (label ^ ": nothing cached for " ^ name) true
+                (Dns.Cache.find (F.cache d) ~now:0 name = Dns.Cache.Miss))
+            [ "upstream.example"; "other.example" ])
+        host_policy)
+    forwarders
+
 (* --- frame geometry transfer --- *)
 
 let test_buffer_is_2048 () =
@@ -272,8 +404,15 @@ let () =
             test_benign_parse_fills_cache;
           Alcotest.test_case "nxdomain negatively cached" `Quick
             test_nxdomain_negatively_cached;
+          Alcotest.test_case "CNAME + A caches one record" `Quick
+            test_cname_chain_counts_records;
           Alcotest.test_case "2.77 DoS" `Quick test_dos_crashes_277;
           Alcotest.test_case "2.78 survives" `Quick test_dos_survived_by_278;
+        ] );
+      ( "one forwarder host",
+        [
+          Alcotest.test_case "host policy, both daemons" `Quick
+            test_host_policy;
         ] );
       ( "frame transfer",
         [

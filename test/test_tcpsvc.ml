@@ -74,6 +74,23 @@ let test_patched_rejects_oversize () =
   | D.Rejected _ -> check_bool "alive" true (D.alive d)
   | other -> Alcotest.failf "expected Rejected, got %a" D.pp_disposition other
 
+let test_restart_draws_fresh_address_space () =
+  let d = daemon ~arch:Loader.Arch.Arm ~profile:Defense.Profile.wx_aslr () in
+  let before = (D.process d).Loader.Process.layout in
+  (match D.handle_frame d (D.frame ~tag:(String.make 8192 'A')) with
+  | D.Crashed _ -> ()
+  | other -> Alcotest.failf "expected crash, got %a" D.pp_disposition other);
+  D.restart d;
+  check_bool "alive again" true (D.alive d);
+  let after = (D.process d).Loader.Process.layout in
+  check_bool "libc moved" true
+    (after.Loader.Layout.libc_base <> before.Loader.Layout.libc_base);
+  check_bool "stack moved" true
+    (after.Loader.Layout.stack_top <> before.Loader.Layout.stack_top);
+  match D.handle_frame d (D.frame ~tag:"sensor-42") with
+  | D.Handled -> ()
+  | other -> Alcotest.failf "after restart: %a" D.pp_disposition other
+
 (* --- adapted strategies, verbatim carrier --- *)
 
 let test_adapted_matrix () =
@@ -194,6 +211,8 @@ let () =
             test_oversized_tag_crashes;
           Alcotest.test_case "patched rejects oversize" `Quick
             test_patched_rejects_oversize;
+          Alcotest.test_case "restart draws a fresh address space" `Quick
+            test_restart_draws_fresh_address_space;
         ] );
       ( "adapted §III matrix (verbatim carrier)",
         [
