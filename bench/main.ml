@@ -1380,11 +1380,11 @@ let print_parse_costs () =
 (* Snapshot-fuzzing benches: BENCH_fuzz.json                           *)
 (*                                                                     *)
 (* The costs that set the fuzzer's throughput: taking a CoW snapshot,  *)
-(* restoring it (clean, and after a parse has dirtied pages), forking  *)
-(* a fresh machine from it, a complete fuzz execution (restore +       *)
-(* datagram write + parse with the edge map on [on_step]), and the     *)
-(* sanitizer triage of a fixed crash input, stopped at its first       *)
-(* report as the engine runs it and run to the end.                    *)
+(* restoring it (clean, and after one parse, timed apart from the      *)
+(* parse), forking a fresh machine from it, a complete fuzz execution  *)
+(* (restore + datagram write + parse with the edge map on [on_step]),  *)
+(* and the sanitizer triage of a fixed crash input, stopped at its     *)
+(* first report as the engine runs it and run to the end.              *)
 (*                                                                     *)
 (*   dune exec bench/main.exe -- fuzz             (full measurement)   *)
 (*   dune exec bench/main.exe -- fuzz --smoke     (few iterations)     *)
@@ -1441,8 +1441,16 @@ let run_fuzz_json ~smoke ~out () =
       time_fn cfg ("fuzz/restore-clean-" ^ aname) (fun () ->
           Loader.Process.restore proc snap)
     in
-    (* Dirty restore: every iteration parses (dirtying stack/heap/bss
-       pages) then rewinds, i.e. one full fuzz execution. *)
+    (* Restore after one benign parse, the parse untimed: the rewind of
+       the pages a fuzz execution dirtied. *)
+    let rdirty_ns =
+      time_fresh
+        ~samples:(if smoke then 51 else 1001)
+        (fun () -> ignore (parse ()))
+        (fun () -> Loader.Process.restore proc snap)
+    in
+    (* Every iteration restores then parses (dirtying stack/heap/bss
+       pages), i.e. one full fuzz execution. *)
     let exec_ns, exec_r2 =
       time_fn cfg ("fuzz/exec-" ^ aname) (fun () ->
           Loader.Process.restore proc snap;
@@ -1460,9 +1468,7 @@ let run_fuzz_json ~smoke ~out () =
       Memsim.Memory.write_bytes proc.Loader.Process.mem buf crash;
       let oracle = Sanitizer.Oracle.create ~halt_on_report:halt () in
       let len = String.length crash in
-      let src = Sanitizer.Oracle.new_source oracle ~origin:"fuzz" ~length:len in
-      Sanitizer.Oracle.taint oracle ~src buf ~len;
-      Sanitizer.Oracle.protect_frame oracle
+      Sanitizer.Oracle.arm oracle ~origin:"fuzz" ~rx:buf ~len
         ~buffer:(Connman.Frame.buffer_addr proc)
         (Connman.Frame.geometry arch);
       Loader.Process.call proc ~fuel:400_000 ~sanitizer:oracle ~entry
@@ -1488,8 +1494,9 @@ let run_fuzz_json ~smoke ~out () =
     in
     let execs_per_sec = if exec_ns > 0.0 then 1e9 /. exec_ns else 0.0 in
     Format.printf
-      "%-22s snapshot %10s  restore %10s  exec %10s (%8.0f execs/s)  fork %10s@."
-      aname (pretty_nanos snap_ns) (pretty_nanos rclean_ns)
+      "%-22s snapshot %10s  restore %10s (after a parse %10s)  exec %10s (%8.0f \
+       execs/s)  fork %10s@."
+      aname (pretty_nanos snap_ns) (pretty_nanos rclean_ns) (pretty_nanos rdirty_ns)
       (pretty_nanos exec_ns) execs_per_sec (pretty_nanos fork_ns);
     Format.printf "%-22s triage full %10s  halting %10s (%.1fx)@." aname
       (pretty_nanos full_ns) (pretty_nanos halting_ns) (full_ns /. halting_ns);
@@ -1498,6 +1505,7 @@ let run_fuzz_json ~smoke ~out () =
         ~extra:[ ("r_square", snap_r2) ];
       bench_row ("fuzz/restore-clean-" ^ aname) "ns_per_op" rclean_ns
         ~extra:[ ("r_square", rclean_r2) ];
+      bench_row ("fuzz/restore-dirty-" ^ aname) "ns_per_op" rdirty_ns;
       bench_row ("fuzz/exec-" ^ aname) "ns_per_run" exec_ns
         ~extra:
           [

@@ -8,10 +8,13 @@ module O = Machine.Outcome
 
    The harness is the classic AFL loop specialized to the simulated
    machine: boot the daemon image once, snapshot it copy-on-write, then
-   per execution restore (microseconds — only pages the last parse
-   dirtied are swapped back), write the mutated datagram into the guest
-   rx buffer and call [parse_response] with the edge map as its
-   [on_step] observer.  Inputs that light up new edges join the corpus.
+   per execution restore, write the mutated datagram into the guest rx
+   buffer and call [parse_response] with the edge map as its [on_step]
+   observer.  Every restore after the first is to the same snapshot, so
+   it touches only the pages the last run wrote, and their buffers are
+   recycled for the next run's copy-on-write stores: an exec costs a
+   fraction of a microsecond of restore and copies no fresh page into
+   the major heap.  Inputs that light up new edges join the corpus.
 
    Crashing inputs get a second, sanitizer-instrumented run from the
    same snapshot: the taint oracle labels every wire byte, protects the

@@ -64,6 +64,19 @@ let page_size = 4096
 let page_bits = 12
 let offset_mask = page_size - 1
 
+(* The restore side of copy-on-write; see the section at {!snapshot}.
+   A frame pins one page's state at snapshot time, and a snapshot's
+   frames are sorted by page index. *)
+type frame = {
+  f_idx : int;
+  f_page : page;  (* identity of the record frozen at snapshot time *)
+  f_data : Bytes.t;
+  f_perm : perm;
+  f_gen : int;
+}
+
+type snapshot = { s_frames : frame array; s_regs : region list }
+
 type t = {
   pages : (int, page) Hashtbl.t;
   mutable regs : region list;
@@ -80,6 +93,13 @@ type t = {
   mutable fx_pg : page;
   mutable gq_idx : int;
   mutable gq_pg : page;
+  (* [armed] is the snapshot this memory was last restored to, or
+     [unarmed]; while armed, [dirty] lists every page unshared since
+     (each once).  [spare] holds private buffers restore displaced, for
+     the next unshare or map to reuse. *)
+  mutable armed : snapshot;
+  mutable dirty : int list;
+  mutable spare : Bytes.t list;
   (* Telemetry sink, [None] in normal operation.  Faults and mapping
      changes are cold paths, so the option check never touches the
      per-byte accessors' hit paths. *)
@@ -91,12 +111,34 @@ type t = {
    a page table, so nothing ever stores to it. *)
 let null_page = { pperm = none; data = Bytes.empty; gen = ref (-1); frozen = false }
 
-(* Cold path of the copy-on-write protocol: give the page a private copy
-   of its buffer before the first mutation after a snapshot.  Kept
-   out-of-line so the store hot paths pay only the [frozen] test. *)
-let[@inline never] unshare p =
-  p.data <- Bytes.copy p.data;
-  p.frozen <- false
+(* Never restored to: no snapshot is physically this record. *)
+let unarmed = { s_frames = [||]; s_regs = [] }
+
+let disarm t =
+  t.armed <- unarmed;
+  t.dirty <- []
+
+(* A page-sized buffer only this memory holds: a spare if there is one,
+   else a fresh allocation.  Its contents are garbage.  Every private
+   buffer comes from here, so [spare] never holds more buffers than the
+   most pages this memory has had private at one time. *)
+let private_buffer t =
+  match t.spare with
+  | b :: rest ->
+      t.spare <- rest;
+      b
+  | [] -> Bytes.create page_size
+
+(* Cold path of the copy-on-write protocol: give page [idx] a private
+   copy of its buffer before the first mutation after a snapshot or
+   restore, and note it for the next restore.  Kept out-of-line so the
+   store hot paths pay only the [frozen] test. *)
+let[@inline never] unshare t idx p =
+  let b = private_buffer t in
+  Bytes.blit p.data 0 b 0 page_size;
+  p.data <- b;
+  p.frozen <- false;
+  if t.armed != unarmed then t.dirty <- idx :: t.dirty
 
 let create () =
   {
@@ -110,6 +152,9 @@ let create () =
     fx_pg = null_page;
     gq_idx = -1;
     gq_pg = null_page;
+    armed = unarmed;
+    dirty = [];
+    spare = [];
     trace = None;
   }
 
@@ -181,16 +226,13 @@ let map t ~base ~size ~perm ~name =
            (Word.to_hex (i lsl page_bits)))
   done;
   for i = first to last do
-    Hashtbl.replace t.pages i
-      {
-        pperm = perm;
-        data = Bytes.make page_size '\000';
-        gen = ref (fresh_gen ());
-        frozen = false;
-      }
+    let data = private_buffer t in
+    Bytes.fill data 0 page_size '\000';
+    Hashtbl.replace t.pages i { pperm = perm; data; gen = ref (fresh_gen ()); frozen = false }
   done;
   let reg = { name; base; size; perm } in
   t.regs <- reg :: t.regs;
+  disarm t;
   trace_region t "map" reg
 
 let region_at_base t base context =
@@ -214,6 +256,7 @@ let unmap t ~base =
     Hashtbl.remove t.pages i
   done;
   t.regs <- List.filter (fun reg -> reg.base <> base) t.regs;
+  disarm t;
   invalidate_page_caches t;
   trace_region t "unmap" reg
 
@@ -233,6 +276,7 @@ let set_perm t ~base perm =
     List.map
       (fun r0 -> if r0.base = base then { r0 with perm } else r0)
       t.regs;
+  disarm t;
   trace_region t "set_perm" { reg with perm }
 
 let regions t = List.sort (fun a b -> compare a.base b.base) t.regs
@@ -323,7 +367,7 @@ let write_u8 t addr v =
   let addr = Word.of_int addr in
   let p = write_page t addr "write" in
   if not p.pperm.write then fault t addr Perm_write "write";
-  if p.frozen then unshare p;
+  if p.frozen then unshare t (addr lsr page_bits) p;
   p.gen := fresh_gen ();
   Bytes.unsafe_set p.data (addr land offset_mask) (Char.unsafe_chr (v land 0xFF))
 
@@ -397,7 +441,7 @@ let write_u32 t addr v =
   if off <= page_size - 4 then begin
     let p = write_page t a "write" in
     if not p.pperm.write then fault t a Perm_write "write";
-    if p.frozen then unshare p;
+    if p.frozen then unshare t (a lsr page_bits) p;
     p.gen := fresh_gen ();
     let d = p.data in
     Bytes.unsafe_set d off (Char.unsafe_chr (v land 0xFF));
@@ -448,7 +492,7 @@ let write_bytes t addr s =
       let off = a land offset_mask in
       let chunk = min (len - !i) (page_size - off) in
       let p = write_page t a "write" in
-      if p.frozen then unshare p;
+      if p.frozen then unshare t (a lsr page_bits) p;
       p.gen := fresh_gen ();
       Bytes.blit_string s !i p.data off chunk;
       i := !i + chunk
@@ -468,22 +512,34 @@ let read_cstring t ?(max = 4096) addr =
   in
   loop 0
 
+let peek_page t addr =
+  let idx = addr lsr page_bits in
+  if idx = t.rd_idx then t.rd_pg
+  else
+    match Hashtbl.find_opt t.pages idx with
+    | Some p ->
+        t.rd_idx <- idx;
+        t.rd_pg <- p;
+        p
+    | None -> fault t addr Unmapped "peek"
+
 let peek_u8 t addr =
   let addr = Word.of_int addr in
-  let idx = addr lsr page_bits in
-  let p =
-    if idx = t.rd_idx then t.rd_pg
-    else
-      match Hashtbl.find_opt t.pages idx with
-      | Some p ->
-          t.rd_idx <- idx;
-          t.rd_pg <- p;
-          p
-      | None -> fault t addr Unmapped "peek"
-  in
-  Char.code (Bytes.unsafe_get p.data (addr land offset_mask))
+  Char.code (Bytes.unsafe_get (peek_page t addr).data (addr land offset_mask))
 
-let peek_bytes t addr len = String.init len (fun i -> Char.chr (peek_u8 t (addr + i)))
+(* Page-at-a-time; the first byte of the first unmapped page is the
+   lowest unmapped address, as a byte-at-a-time read would report. *)
+let peek_bytes t addr len =
+  let out = Bytes.create len in
+  let i = ref 0 in
+  while !i < len do
+    let a = Word.of_int (addr + !i) in
+    let off = a land offset_mask in
+    let chunk = min (len - !i) (page_size - off) in
+    Bytes.blit (peek_page t a).data off out !i chunk;
+    i := !i + chunk
+  done;
+  Bytes.unsafe_to_string out
 
 (* Like {!write_bytes}, pokes are not torn: all pages are checked mapped
    before any byte lands (permissions are deliberately ignored — this is
@@ -504,7 +560,7 @@ let poke_bytes t addr s =
       let off = a land offset_mask in
       let chunk = min (len - !i) (page_size - off) in
       let p = write_page t a "poke" in
-      if p.frozen then unshare p;
+      if p.frozen then unshare t (a lsr page_bits) p;
       p.gen := fresh_gen ();
       Bytes.blit_string s !i p.data off chunk;
       i := !i + chunk
@@ -518,29 +574,42 @@ let poke_bytes t addr s =
    permissions, and the generation the page carried when the snapshot was
    taken.  Taking a snapshot freezes every live page; the store paths
    unshare on the first subsequent write, so snapshot cost is O(pages)
-   with zero byte copying, and restore cost is proportional to the number
-   of pages actually dirtied since.
+   with zero byte copying.
 
-   Restore never rewinds [gen_counter]: a page whose bytes are swapped
-   back to snapshot contents gets a {e fresh} generation, which is exactly
-   what keeps decode caches ({!Icache}) coherent — their entries were
-   filled against the dirty bytes and must re-validate.  Untouched pages
-   (generation still equal to the frame's) keep their generation, and a
-   fork starts every page at its frame's generation (the frame's bytes
-   and permissions are the state that generation names), so decode-cache
-   entries for never-written text pages survive restores and are valid in
-   every fork of the snapshot; that is what makes snapshot fuzzing and
-   forked fleets cheap. *)
+   Restore takes one of two paths.  The dirty path runs when the memory
+   was last restored to this same snapshot (physical identity) and
+   nothing since has disarmed it: that restore left every page frozen on
+   its frame's buffer, so the only pages that can differ are the ones
+   {!unshare} noted in [dirty], and restore costs what the last run
+   dirtied.  Everything that could break that — {!map}, {!unmap},
+   {!set_perm} (a changed region table) and {!snapshot} (which re-freezes
+   pages) — disarms.  Every other restore (a different snapshot, the
+   first restore after a snapshot or fork, a changed region table) scans
+   every frame; the scan is the general path and the reference.  Either
+   way, the restore arms the memory for the snapshot it restored.
 
-type frame = {
-  f_idx : int;
-  f_page : page;  (* identity of the record frozen at snapshot time *)
-  f_data : Bytes.t;
-  f_perm : perm;
-  f_gen : int;
-}
+   Restore also keeps the private buffers it displaces on [spare], and
+   {!unshare} and {!map} take their buffer from there before allocating,
+   so a fuzzing loop stops copying fresh pages into the major heap.
 
-type snapshot = { s_frames : frame array; s_regs : region list }
+   The invariants every path keeps:
+   - A dirtied page comes back under a {e fresh} generation and an
+     untouched page keeps its own.  Restore never rewinds [gen_counter]:
+     decode caches ({!Icache}) filled against the dirty bytes must
+     re-validate, while entries for never-written text pages survive
+     restores.  A fork starts every page at its frame's generation (the
+     frame's bytes and permissions are the state that generation names),
+     so those entries are valid in every fork of the snapshot; that is
+     what makes snapshot fuzzing and forked fleets cheap.
+   - A frozen buffer may be reachable from a snapshot frame, so it is
+     never written and never recycled: only the buffer of a page that is
+     not frozen, which no frame and no other page can reach, goes to
+     [spare].
+   - A fork never receives a buffer it does not own: it starts with its
+     pages frozen on the frames' buffers, an empty [spare] and no dirty
+     list, and it is not armed.
+   - {!Shadow} snapshots are deep copies with their own restore; nothing
+     here touches them. *)
 
 let snapshot t =
   let frames =
@@ -553,6 +622,7 @@ let snapshot t =
   in
   let arr = Array.of_list frames in
   Array.sort (fun a b -> compare a.f_idx b.f_idx) arr;
+  disarm t;
   (match t.trace with
   | None -> ()
   | Some tr ->
@@ -562,13 +632,38 @@ let snapshot t =
 
 let snapshot_pages s = Array.length s.s_frames
 
-let restore t snap =
+(* Put page [p] back on frame [f] under a fresh generation, keeping the
+   buffer it displaces if nothing else can reach it. *)
+let reset_page t p f =
+  if not p.frozen then t.spare <- p.data :: t.spare;
+  p.data <- f.f_data;
+  p.frozen <- true;
+  p.pperm <- f.f_perm;
+  p.gen := fresh_gen ()
+
+(* The frame of page [idx], which an armed memory's snapshot has. *)
+let frame_of snap idx =
+  let rec go lo hi =
+    if lo > hi then invalid_arg "Memory.restore: dirty page outside the snapshot";
+    let mid = (lo + hi) lsr 1 in
+    let f = snap.s_frames.(mid) in
+    if f.f_idx = idx then f else if f.f_idx < idx then go (mid + 1) hi else go lo (mid - 1)
+  in
+  go 0 (Array.length snap.s_frames - 1)
+
+let restore_dirty t snap =
+  List.fold_left
+    (fun n idx ->
+      reset_page t (Hashtbl.find t.pages idx) (frame_of snap idx);
+      n + 1)
+    0 t.dirty
+
+let restore_scan t snap =
   (* Drop pages mapped after the snapshot was taken, retiring their
      generations so stale decode-cache entries can never re-validate.
      [map]/[unmap]/[set_perm] all replace the region list, so physical
      equality with the snapshot's list proves the page table's shape is
-     unchanged and the scan can be skipped — the common case in a
-     restore-per-exec fuzzing loop. *)
+     unchanged and the scan can be skipped. *)
   (if t.regs != snap.s_regs then begin
      let keep = Hashtbl.create (Array.length snap.s_frames) in
      Array.iter (fun f -> Hashtbl.replace keep f.f_idx ()) snap.s_frames;
@@ -599,10 +694,7 @@ let restore t snap =
           ()
       | Some p ->
           incr dirty;
-          p.data <- f.f_data;
-          p.frozen <- true;
-          p.pperm <- f.f_perm;
-          p.gen := fresh_gen ()
+          reset_page t p f
       | None ->
           incr dirty;
           Hashtbl.replace t.pages f.f_idx
@@ -614,6 +706,12 @@ let restore t snap =
             })
     snap.s_frames;
   t.regs <- snap.s_regs;
+  !dirty
+
+let restore t snap =
+  let dirty = if t.armed == snap then restore_dirty t snap else restore_scan t snap in
+  t.armed <- snap;
+  t.dirty <- [];
   invalidate_page_caches t;
   match t.trace with
   | None -> ()
@@ -622,7 +720,7 @@ let restore t snap =
         ~args:
           [
             ("pages", Telemetry.Trace.I (Array.length snap.s_frames));
-            ("dirty", Telemetry.Trace.I !dirty);
+            ("dirty", Telemetry.Trace.I dirty);
           ]
 
 let fork snap =

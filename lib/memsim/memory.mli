@@ -181,9 +181,17 @@ val snapshot : t -> snapshot
 
 val restore : t -> snapshot -> unit
 (** Rewind memory to the snapshot: page contents, permissions, and the
-    region table.  Cost is proportional to the pages dirtied, mapped, or
-    unmapped since the snapshot was taken.  The snapshot remains valid
-    and may be restored again. *)
+    region table.  The snapshot remains valid and may be restored again.
+
+    When this memory's previous restore was to the same snapshot and no
+    {!map}, {!unmap}, {!set_perm} or {!snapshot} has run on it since —
+    the restore-per-exec loop of a snapshot fuzzer — the cost is
+    proportional to the pages written since that restore.  Any other
+    restore (a different snapshot, the first one after a {!snapshot} or
+    {!fork}, or after a region-table change) scans every page the
+    snapshot pins.  Either way, the private page buffers a restore
+    displaces are reused by later copy-on-write stores of this memory,
+    so a steady restore loop allocates no page buffers. *)
 
 val fork : snapshot -> t
 (** A fresh, independent memory whose initial state is the snapshot.

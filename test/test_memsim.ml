@@ -509,6 +509,113 @@ let test_snapshot_icache_coherent () =
   ignore (Memsim.Icache.lookup c 0x2008 ~decode);
   check_int "untouched page's entry survives restore" 4 !calls
 
+(* --- Dirty-page restore and recycled buffers --- *)
+
+let four_pages () =
+  let m = fresh () in
+  Mem.map m ~base:0x1000 ~size:0x4000 ~perm:Mem.rw ~name:"d";
+  Mem.write_bytes m 0x1000 "template";
+  m
+
+let contents m = Mem.peek_bytes m 0x1000 0x4000
+
+(* Words allocated straight into the major heap: a page copy (513 words
+   with its header) is too big for the minor heap. *)
+let major_direct_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+let test_restore_recycles () =
+  let m = four_pages () in
+  let snap = Mem.snapshot m in
+  let expected = contents m in
+  let cycle i =
+    Mem.restore m snap;
+    Mem.write_bytes m 0x1010 "payload";
+    Mem.write_u32 m 0x3FFC i
+  in
+  (* Warm-up: its restore scans and arms, and its stores copy; from then
+     on each restore hands the two displaced buffers to the next
+     stores. *)
+  cycle 0;
+  let before = major_direct_words () in
+  for i = 1 to 1000 do
+    cycle i
+  done;
+  let words = major_direct_words () -. before in
+  check_bool
+    (Printf.sprintf "1000 cycles: %.0f major words, under one page copy" words)
+    true (words < 513.);
+  Mem.restore m snap;
+  check_string "and the restore is exact" expected (contents m)
+
+(* The [dirty] argument of the restore's trace event. *)
+let traced_restore m snap =
+  let tr = Telemetry.Trace.create () in
+  Mem.set_trace m (Some tr);
+  Mem.restore m snap;
+  Mem.set_trace m None;
+  match
+    List.find_map
+      (fun e ->
+        if e.Telemetry.Trace.name = "restore" then List.assoc_opt "dirty" e.args else None)
+      (Telemetry.Trace.events tr)
+  with
+  | Some (Telemetry.Trace.I n) -> n
+  | _ -> Alcotest.fail "no restore event with a dirty count"
+
+let test_restore_dirty_count () =
+  let m = four_pages () in
+  let snap = Mem.snapshot m in
+  check_int "nothing written since the snapshot" 0 (traced_restore m snap);
+  (* Three distinct pages: the first twice, the next two by one
+     straddling store. *)
+  Mem.write_u8 m 0x1000 1;
+  Mem.write_u32 m 0x1FFC 2;
+  Mem.write_bytes m 0x2FFE "abcd";
+  check_int "repeat restore: the pages written" 3 (traced_restore m snap);
+  check_int "then none" 0 (traced_restore m snap);
+  (* A snapshot in between re-freezes a written page; the next store to
+     it is still one dirty page. *)
+  Mem.write_u8 m 0x4000 1;
+  ignore (Mem.snapshot m);
+  Mem.write_u8 m 0x4001 2;
+  Mem.write_u8 m 0x2000 3;
+  check_int "a snapshot in between" 2 (traced_restore m snap)
+
+let test_restore_exact_across_snapshots () =
+  let m = four_pages () in
+  let s1 = Mem.snapshot m in
+  let b1 = contents m in
+  Mem.write_bytes m 0x2000 "second";
+  let s2 = Mem.snapshot m in
+  let b2 = contents m in
+  let scribble m =
+    Mem.write_bytes m 0x1000 "junk";
+    Mem.write_u32 m 0x3FFC 0xFFFFFFFF;
+    Mem.write_u8 m 0x4800 9
+  in
+  Mem.restore m s1;
+  scribble m;
+  Mem.restore m s2;
+  check_string "last restore was to another snapshot" b2 (contents m);
+  scribble m;
+  Mem.restore m s2;
+  check_string "repeat restore" b2 (contents m);
+  Mem.restore m s1;
+  check_string "and back to the older one" b1 (contents m);
+  let f = Mem.fork s2 in
+  scribble f;
+  Mem.restore f s2;
+  check_string "a fork restored to its snapshot" b2 (contents f);
+  scribble f;
+  Mem.restore f s2;
+  check_string "a fork's repeat restore" b2 (contents f);
+  Mem.restore f s1;
+  check_string "a fork restored to an older snapshot" b1 (contents f);
+  check_string "the parent is untouched" b1 (contents m);
+  check_string "a fresh fork sees the snapshot" b2 (contents (Mem.fork s2))
+
 (* One table, viewed through a template and two forks of its snapshot:
    the forks hit the template's entries, and a fork that writes its own
    copy of the page misses without disturbing the others. *)
@@ -625,6 +732,15 @@ let model_write (m : model) addr s =
     s;
   !m
 
+(* The model after poking all of region [reg] with [s]. *)
+let model_fill (m : model) (base, _) s =
+  List.fold_left
+    (fun m idx ->
+      let off = (idx lsl Mem.page_bits) - base in
+      IM.add idx { (IM.find idx m) with mbytes = String.sub s off Mem.page_size } m)
+    m
+    (region_pages (base, String.length s))
+
 (* Member indices are taken modulo the family size, snapshot indices
    modulo the member's snapshot count. *)
 type op =
@@ -635,7 +751,10 @@ type op =
   | Poke of int * int * string
   | Snapshot of int
   | Restore of int * int  (* member, one of its own snapshots *)
-  | Fork of int * int  (* member whose snapshot, which one *)
+  | Restore_last of int  (* the snapshot it last restored: the dirty path *)
+  | Snapshot_restore of int * int  (* snapshot, then restore one at once *)
+  | Fork of int * int * bool  (* member whose snapshot, which one, restore it at once *)
+  | Reimage of int * int * int  (* member, region, seed of its new bytes *)
   | Lookup of int * int * bool  (* member, address, through a fresh view *)
 
 let pp_op =
@@ -648,7 +767,10 @@ let pp_op =
   | Poke (i, a, s) -> Printf.sprintf "poke m%d 0x%x %S" i a s
   | Snapshot i -> Printf.sprintf "snapshot m%d" i
   | Restore (i, k) -> Printf.sprintf "restore m%d s%d" i k
-  | Fork (i, k) -> Printf.sprintf "fork m%d s%d" i k
+  | Restore_last i -> Printf.sprintf "restore m%d last" i
+  | Snapshot_restore (i, k) -> Printf.sprintf "snapshot m%d, restore s%d" i k
+  | Fork (i, k, r) -> Printf.sprintf "fork m%d s%d%s" i k (if r then ", restore it" else "")
+  | Reimage (i, r, seed) -> Printf.sprintf "reimage m%d r%d #%d" i r seed
   | Lookup (i, a, fresh) ->
       Printf.sprintf "lookup m%d 0x%x%s" i a (if fresh then " (fresh view)" else "")
 
@@ -661,6 +783,10 @@ let gen_addr =
       (int_range 0 4)
       (oneof [ int_range 0 15; int_range (Mem.page_size - 8) (Mem.page_size - 1) ]))
 
+(* Restores come in every shape: the same snapshot again (the dirty
+   path), an older one, one right after a snapshot or a fork, and,
+   through the random order, after [set_perm]/[map]/[unmap] (the full
+   scan). *)
 let gen_op =
   let open QCheck.Gen in
   let member = int_bound 7 and region = int_bound 1 and perm = int_bound 4 in
@@ -674,15 +800,21 @@ let gen_op =
       (2, map3 (fun i a s -> Poke (i, a, s)) member gen_addr bytes);
       (2, map (fun i -> Snapshot i) member);
       (2, map2 (fun i k -> Restore (i, k)) member (int_bound 3));
-      (1, map2 (fun i k -> Fork (i, k)) member (int_bound 3));
+      (3, map (fun i -> Restore_last i) member);
+      (1, map2 (fun i k -> Snapshot_restore (i, k)) member (int_bound 1));
+      (1, map3 (fun i k r -> Fork (i, k, r)) member (int_bound 3) bool);
+      (1, map3 (fun i r seed -> Reimage (i, r, seed)) member region nat);
       (6, map3 (fun i a f -> Lookup (i, a, f)) member gen_addr bool);
     ]
 
 type member = {
   mem : Mem.t;
   mutable model : model;
+  mutable table : string Memsim.Icache.table;
   mutable view : string Memsim.Icache.t;
+  mutable retired : string Memsim.Icache.t list;  (* views of replaced tables *)
   mutable snaps : (Mem.snapshot * model) list;
+  mutable last : (Mem.snapshot * model) option;  (* last restored *)
 }
 
 let probe_addrs = [ 0x0FFF; 0x1000; 0x1FF9; 0x1FFE; 0x2000; 0x2FFC; 0x3000; 0x3FFF ]
@@ -693,16 +825,14 @@ let show_decode = function
   | Ok (v, len) -> Printf.sprintf "%S/%d" v len
   | Error f -> Mem.fault_to_string f
 
+(* The lookup at [addr] through the member's view and through every
+   view of a table a reimage replaced: each must return what the
+   uncached decode returns, which must match the model. *)
 let check_lookup mb addr =
   let expected = model_decode mb.model addr in
   let uncached =
     match fetch_decode mb.mem addr with
     | r -> Ok r
-    | exception Mem.Fault f -> Error f
-  in
-  let cached =
-    match Memsim.Icache.lookup mb.view addr ~decode:fetch_decode with
-    | e -> Ok (e.Memsim.Icache.v, e.Memsim.Icache.len)
     | exception Mem.Fault f -> Error f
   in
   let agrees =
@@ -716,11 +846,53 @@ let check_lookup mb addr =
       (Divergence
          (Printf.sprintf "uncached decode at 0x%x disagrees with the model: %s"
             addr (show_decode uncached)));
-  if cached <> uncached then
-    raise
-      (Divergence
-         (Printf.sprintf "lookup at 0x%x: cached %s, uncached %s" addr
-            (show_decode cached) (show_decode uncached)))
+  List.iter
+    (fun view ->
+      let cached =
+        match Memsim.Icache.lookup view addr ~decode:fetch_decode with
+        | e -> Ok (e.Memsim.Icache.v, e.Memsim.Icache.len)
+        | exception Mem.Fault f -> Error f
+      in
+      if cached <> uncached then
+        raise
+          (Divergence
+             (Printf.sprintf "lookup at 0x%x: cached %s, uncached %s" addr
+                (show_decode cached) (show_decode uncached))))
+    (mb.view :: mb.retired)
+
+(* The fault kind a one-byte access raises at [a], if any. *)
+let access_fault f a =
+  match f a with
+  | _ -> None
+  | exception Mem.Fault fl -> Some fl.Mem.kind
+
+(* What the decodes do not read: which of pages 0-4 are mapped, and for
+   each mapped one its region's permissions, whether a read and a fetch
+   of its first byte fault, and every byte of it. *)
+let check_contents what mem (model : model) =
+  let fail fmt = Printf.ksprintf (fun s -> raise (Divergence (what ^ ": " ^ s))) fmt in
+  for idx = 0 to 4 do
+    let a = idx lsl Mem.page_bits in
+    match IM.find_opt idx model with
+    | None -> if Mem.is_mapped mem a then fail "page %d is mapped, the model's is not" idx
+    | Some p ->
+        if not (Mem.is_mapped mem a) then fail "page %d is unmapped" idx;
+        (match Mem.region_at mem a with
+        | Some reg when reg.Mem.perm = p.mperm -> ()
+        | _ -> fail "page %d's region has the wrong permissions" idx);
+        if access_fault (Mem.read_u8 mem) a <> (if p.mperm.Mem.read then None else Some Mem.Perm_read)
+        then fail "page %d: read permission differs" idx;
+        if access_fault (Mem.fetch_u8 mem) a
+           <> if p.mperm.Mem.execute then None else Some Mem.Perm_exec
+        then fail "page %d: execute permission differs" idx;
+        let bytes = Mem.peek_bytes mem a Mem.page_size in
+        if bytes <> p.mbytes then begin
+          let off = ref 0 in
+          while bytes.[!off] = p.mbytes.[!off] do incr off done;
+          fail "byte 0x%x is %02x, the model's %02x" (a + !off)
+            (Char.code bytes.[!off]) (Char.code p.mbytes.[!off])
+        end
+  done
 
 (* [f] must raise exactly the predicted fault, or none; true if it
    committed. *)
@@ -755,19 +927,38 @@ let run_model ops =
     ];
   let s0 = Mem.snapshot root in
   let family = ref [||] in
-  let add mem model snaps =
+  (* A fork shares its source's table and may restore the snapshot it
+     came from. *)
+  let add mem table snaps =
+    let model = snd (List.hd snaps) in
     family :=
       Array.append !family
-        [| { mem; model; view = Memsim.Icache.view table mem; snaps } |]
+        [|
+          {
+            mem;
+            model;
+            table;
+            view = Memsim.Icache.view table mem;
+            retired = [];
+            snaps;
+            last = None;
+          };
+        |]
   in
-  add root !model [ (s0, !model) ];
-  add (Mem.fork s0) !model [];
-  add (Mem.fork s0) !model [];
+  add root table [ (s0, !model) ];
+  add (Mem.fork s0) table [ (s0, !model) ];
+  add (Mem.fork s0) table [ (s0, !model) ];
   let pick i = !family.(i mod Array.length !family) in
   let mapped mb (base, _) = IM.mem (base lsr Mem.page_bits) mb.model in
   let update_region mb reg f =
     mb.model <- List.fold_left (fun m idx -> f idx m) mb.model (region_pages reg)
   in
+  let restore mb ((snap, model) as s) =
+    Mem.restore mb.mem snap;
+    mb.model <- model;
+    mb.last <- Some s
+  in
+  let nth_snap mb k = List.nth mb.snaps (k mod List.length mb.snaps) in
   let step = function
     | Map (i, r, p) ->
         let mb = pick i and ((base, size) as reg) = model_regions.(r) in
@@ -804,27 +995,52 @@ let run_model ops =
         mb.snaps <- (Mem.snapshot mb.mem, mb.model) :: mb.snaps
     | Restore (i, k) ->
         let mb = pick i in
-        if mb.snaps <> [] then begin
-          let snap, model = List.nth mb.snaps (k mod List.length mb.snaps) in
-          Mem.restore mb.mem snap;
-          mb.model <- model
-        end
-    | Fork (i, k) ->
+        restore mb (nth_snap mb k)
+    | Restore_last i ->
         let mb = pick i in
-        if mb.snaps <> [] && Array.length !family < 6 then begin
-          let snap, model = List.nth mb.snaps (k mod List.length mb.snaps) in
-          add (Mem.fork snap) model []
+        restore mb (Option.value mb.last ~default:(List.hd mb.snaps))
+    | Snapshot_restore (i, k) ->
+        let mb = pick i in
+        mb.snaps <- (Mem.snapshot mb.mem, mb.model) :: mb.snaps;
+        restore mb (nth_snap mb k)
+    | Fork (i, k, restore_it) ->
+        let mb = pick i in
+        if Array.length !family < 6 then begin
+          let ((snap, _) as s) = nth_snap mb k in
+          add (Mem.fork snap) mb.table [ s ];
+          if restore_it then restore !family.(Array.length !family - 1) s
+        end
+    | Reimage (i, r, seed) ->
+        (* [Process.reimage] at memory level: fresh bytes over the whole
+           region, then a table of the member's own. *)
+        let mb = pick i and ((base, size) as reg) = model_regions.(r) in
+        if mapped mb reg then begin
+          let rng = Random.State.make [| seed |] in
+          let s = String.init size (fun _ -> Char.chr (Random.State.int rng 256)) in
+          Mem.poke_bytes mb.mem base s;
+          mb.model <- model_fill mb.model reg s;
+          mb.retired <- mb.view :: mb.retired;
+          mb.table <- Memsim.Icache.table ~dummy:"";
+          mb.view <- Memsim.Icache.view mb.table mb.mem
         end
     | Lookup (i, a, fresh) ->
         let mb = pick i in
-        if fresh then mb.view <- Memsim.Icache.view table mb.mem;
+        if fresh then mb.view <- Memsim.Icache.view mb.table mb.mem;
         check_lookup mb a
   in
   List.iteri
     (fun n op ->
       try
         step op;
-        Array.iter (fun mb -> List.iter (check_lookup mb) probe_addrs) !family
+        Array.iteri
+          (fun m mb ->
+            List.iter (check_lookup mb) probe_addrs;
+            check_contents (Printf.sprintf "m%d" m) mb.mem mb.model;
+            List.iteri
+              (fun k (snap, model) ->
+                check_contents (Printf.sprintf "a fork of m%d's s%d" m k) (Mem.fork snap) model)
+              mb.snaps)
+          !family
       with Divergence why ->
         QCheck.Test.fail_reportf "after op %d (%s): %s" n (pp_op op) why)
     ops;
@@ -832,7 +1048,7 @@ let run_model ops =
 
 let prop_icache_model =
   QCheck.Test.make ~name:"icache and generations agree with a flat model"
-    ~count:300
+    ~count:300 ~long_factor:20
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
        QCheck.Gen.(list_size (int_range 10 80) gen_op))
@@ -1000,6 +1216,12 @@ let () =
           Alcotest.test_case "fork independence" `Quick test_fork_independence;
           Alcotest.test_case "icache coherent across restore" `Quick
             test_snapshot_icache_coherent;
+          Alcotest.test_case "restore recycles displaced pages" `Quick
+            test_restore_recycles;
+          Alcotest.test_case "restore counts the pages written" `Quick
+            test_restore_dirty_count;
+          Alcotest.test_case "restore exact across snapshots and forks" `Quick
+            test_restore_exact_across_snapshots;
           qt prop_snapshot_roundtrip;
           Alcotest.test_case "shadow snapshot/restore" `Quick
             test_shadow_snapshot_restore;
