@@ -3,13 +3,8 @@ module Mem = Memsim.Memory
 module Word = Memsim.Word
 module Outcome = Machine.Outcome
 module Hook = Machine.Hook
+module Engine = Machine.Engine
 
-(* [compiled] is the icache payload: the decoded instruction plus an
-   execution thunk specialized at fill time for the instruction's (fixed)
-   address — pc+8 reads, successor pc and branch targets are captured
-   constants, register operands pre-resolved array indices.  See
-   [compile].  It also carries, once built, the block that starts at its
-   address, as on x86. *)
 type t = {
   mem : Mem.t;
   regs : int array;
@@ -23,30 +18,9 @@ type t = {
 }
 
 and kernel = int -> t -> Outcome.syscall_result
+and compiled = (t, Insn.t) Engine.compiled
 
-and compiled = {
-  insn : Insn.t;
-  run : t -> kernel -> Outcome.stop_reason option;
-  mutable block : block;
-}
-
-(* A head's block is built on its second execution. *)
-and block = Unseen | Seen | Built of chain
-
-(* A straight-line run from a head entry, as on x86 (every member is 4
-   bytes). *)
-and chain = {
-  pcs : int array;
-  runs : (t -> kernel -> Outcome.stop_reason option) array;
-  last_insn : Insn.t;
-  lo : int;  (* the followers' lowest and highest pc (lo > hi: none) *)
-  hi : int;
-  refills : int;  (* the head page's {!Memsim.Icache.refills} when built *)
-}
-
-let new_icache () =
-  Memsim.Icache.table
-    ~dummy:{ insn = al (Mov (R0, Reg R0)); run = (fun _ _ -> None); block = Unseen }
+let new_icache () = Engine.new_icache ~dummy:(al (Mov (R0, Reg R0)))
 
 let create ~icache mem =
   {
@@ -498,19 +472,11 @@ let compile start { cond; op } =
         with Mem.Fault f -> Some (Outcome.Fault f))
   | _ -> fun t kernel -> exec t ~kernel start cond op
 
-(* What [lookup]'s miss path fills entries with: decode, then compile for
-   the decode address.  Every A32 instruction is 4 aligned bytes, so a
-   cached entry never straddles a page.  Top-level: the hit path
-   allocates nothing. *)
-let compile_decode mem addr =
-  let insn = Decode.decode mem addr in
-  ({ insn; run = compile addr insn; block = Unseen }, 4)
-
 (* Instructions that end a block: every branch but an unconditional [b],
    every write to pc and [svc] — whatever the condition, since a
    condition-failed one only falls through.  An unconditional [b] has a
    constant target and classifies as no transfer, so a block runs on
-   through it, as on x86. *)
+   through it. *)
 let ends_block { cond; op } =
   match op with
   | B _ -> cond <> AL
@@ -523,178 +489,30 @@ let ends_block { cond; op } =
       rd = PC
   | Cmp _ | Tst _ | Str _ | Strb _ | Str_r _ | Strb_r _ | Push _ -> false
 
-let block_cap = 32
-
-(* The block from the valid head entry [e] at [head], chained as on x86:
-   from entries already cached at the head's generation, through
-   unconditional [b]s, up to the first instruction that ends a block, a
-   successor off the head's page, or [block_cap] members. *)
-let build c (e : compiled Memsim.Icache.entry) head =
-  let follower pc (f : compiled) =
-    let next =
-      match f.insn with
-      | { cond = AL; op = B d } -> Word.add (Word.add pc 8) d
-      | _ -> Word.add pc 4
-    in
-    if ends_block f.insn || next lsr Mem.page_bits <> head lsr Mem.page_bits then
-      None
-    else
-      let e' = Memsim.Icache.peek c next in
-      if e'.lo_gen = e.lo_gen then Some (next, e'.v) else None
-  in
-  let rec count n pc f =
-    if n = block_cap then n
-    else match follower pc f with Some (pc, f) -> count (n + 1) pc f | None -> n
-  in
-  let n = count 1 head e.v in
-  let pcs = Array.make n head and runs = Array.make n e.v.run in
-  let rec fill i pc (f : compiled) =
-    pcs.(i) <- pc;
-    runs.(i) <- f.run;
-    match follower pc f with
-    | Some (pc', f') when i + 1 < n -> fill (i + 1) pc' f'
-    | _ -> f
-  in
-  let last = fill 0 head e.v in
-  let lo, hi = Hook.follower_span pcs in
-  Built { pcs; runs; last_insn = last.insn; lo; hi; refills = Memsim.Icache.refills c }
-
-let unaligned pc =
-  Outcome.Fault { Mem.addr = pc; kind = Mem.Perm_exec; context = "unaligned pc" }
-
-(* The reference loop ([icache = None]), as on x86. *)
-let run_exec ~fuel ~traps ~kernel (p : (t, Insn.t) Hook.plan) t =
-  let finish = Hook.finish p t in
-  let pre =
-    match p.step with Some h -> h.pre | None -> fun _ _ _ _ -> Hook.Go
-  in
-  let rec loop budget =
-    if budget <= 0 then finish Hook.Out_of_fuel
-    else if Hook.at_trap traps (pc t) then finish Hook.Trapped
-    else
-      let start = pc t in
-      if start land 3 <> 0 then finish (Hook.Unfetchable (unaligned start))
-      else
-        match Decode.decode t.mem start with
-        | exception Decode.Error { addr; word } ->
-            finish
-              (Hook.Unfetchable (Outcome.Decode_error { addr; byte = word land 0xFF }))
-        | exception Mem.Fault f -> finish (Hook.Unfetchable (Outcome.Fault f))
-        | { cond; op } as insn -> (
-            match pre t start insn 4 with
-            | Hook.Veto reason -> finish (Hook.Stopped reason)
-            | verdict -> (
-                match exec t ~kernel start cond op with
-                | Some reason -> finish (Hook.Stopped reason)
-                | None ->
-                    (match verdict with Hook.Commit c -> c () | _ -> ());
-                    loop (budget - 1)))
-  in
-  loop fuel
-
-(* The icache loop — the ARM twin of the x86 one. *)
-let run_cached ~fuel ~traps ~kernel (p : (t, Insn.t) Hook.plan) c t =
-  let finish = Hook.finish p t in
-  let rec loop budget =
-    if budget <= 0 then finish Hook.Out_of_fuel
-    else if Hook.at_trap traps (pc t) then finish Hook.Trapped
-    else
-      let start = pc t in
-      if start land 3 <> 0 then finish (Hook.Unfetchable (unaligned start))
-      else
-        match Memsim.Icache.lookup c start ~decode:compile_decode with
-        | exception Decode.Error { addr; word } ->
-            finish
-              (Hook.Unfetchable (Outcome.Decode_error { addr; byte = word land 0xFF }))
-        | exception Mem.Fault f -> finish (Hook.Unfetchable (Outcome.Fault f))
-        | e -> dispatch budget start e
-  and dispatch budget start (e : compiled Memsim.Icache.entry) =
-    let f = e.v in
-    match f.block with
-    | Built b when p.blocks && b.refills = Memsim.Icache.refills c ->
-        let n = Array.length b.runs in
-        if n > budget || Hook.trap_within traps ~lo:b.lo ~hi:b.hi then
-          single budget start f
-        else begin
-          let cell = Memsim.Icache.cell c in
-          match p.observe with
-          | None -> block budget b n e.lo_gen cell 0
-          | Some observe -> observed budget b n e.lo_gen cell observe 0
-        end
-    | (Seen | Built _) when p.blocks ->
-        f.block <- build c e start;
-        dispatch budget start e
-    | Unseen ->
-        f.block <- Seen;
-        single budget start f
-    | Seen | Built _ -> single budget start f
-  and single budget start f =
-    match p.step with
-    | None -> (
-        match f.run t kernel with
-        | Some reason -> finish (Hook.Stopped reason)
-        | None -> loop (budget - 1))
-    | Some h -> (
-        match h.pre t start f.insn 4 with
-        | Hook.Veto reason -> finish (Hook.Stopped reason)
-        | verdict -> (
-            match f.run t kernel with
-            | Some reason -> finish (Hook.Stopped reason)
-            | None ->
-                (match verdict with Hook.Commit c -> c () | _ -> ());
-                loop (budget - 1)))
-  (* Members before the last, then the terminator.  [observed] is the
-     same walk for runs with [Observe] hooks. *)
-  and block budget b n gen cell i =
-    if i < n - 1 then
-      match (Array.unsafe_get b.runs i) t kernel with
-      | None ->
-          if !cell = gen then block budget b n gen cell (i + 1)
-          else left budget i
-      | Some reason ->
-          Memsim.Icache.credit c i;
-          finish (Hook.Stopped reason)
-    else terminator budget b n
-  and observed budget b n gen cell observe i =
-    observe (Array.unsafe_get b.pcs i);
-    if i < n - 1 then
-      match (Array.unsafe_get b.runs i) t kernel with
-      | None ->
-          if !cell = gen then observed budget b n gen cell observe (i + 1)
-          else left budget i
-      | Some reason ->
-          Memsim.Icache.credit c i;
-          finish (Hook.Stopped reason)
-    else terminator budget b n
-  (* A store into the block's page after member [i]: the next turn
-     fetches the next member afresh. *)
-  and left budget i =
-    Memsim.Icache.credit c i;
-    loop (budget - i - 1)
-  and terminator budget b n =
-    let i = n - 1 in
-    Memsim.Icache.credit c i;
-    match p.terminal with
-    | None -> (
-        match (Array.unsafe_get b.runs i) t kernel with
-        | Some reason -> finish (Hook.Stopped reason)
-        | None -> loop (budget - n))
-    | Some pre -> (
-        match pre t (Array.unsafe_get b.pcs i) b.last_insn 4 with
-        | Hook.Veto reason -> finish (Hook.Stopped reason)
-        | verdict -> (
-            match (Array.unsafe_get b.runs i) t kernel with
-            | Some reason -> finish (Hook.Stopped reason)
-            | None ->
-                (match verdict with Hook.Commit c -> c () | _ -> ());
-                loop (budget - n)))
-  in
-  loop fuel
+let engine =
+  {
+    Engine.pc;
+    fetch =
+      (fun mem addr ->
+        (* Checked before decoding, so an unaligned pc counts no icache
+           miss. *)
+        if addr land 3 <> 0 then
+          raise (Mem.Fault { addr; kind = Mem.Perm_exec; context = "unaligned pc" });
+        try (Decode.decode mem addr, 4)
+        with Decode.Error { addr; word } ->
+          raise (Engine.Undecodable { addr; byte = word land 0xFF }));
+    exec = (fun t kernel start { cond; op } _ -> exec t ~kernel start cond op);
+    compile = (fun start _ insn -> compile start insn);
+    ends_block;
+    follower =
+      (fun pc insn _ ->
+        match insn with
+        | { cond = AL; op = B d } -> Word.add (Word.add pc 8) d
+        | _ -> Word.add pc 4);
+  }
 
 let run ?(fuel = 2_000_000) ~traps ~kernel ~hooks t =
-  match t.icache with
-  | None -> run_exec ~fuel ~traps ~kernel (Hook.plan hooks) t
-  | Some c -> run_cached ~fuel ~traps ~kernel (Hook.plan hooks) c t
+  Engine.run engine ~fuel ~traps ~kernel ~hooks t.mem t.icache t
 
 (* Guest reads made while planning a hook's verdict: a fault here is the
    instruction's own to raise when it executes, so it reads as 0. *)

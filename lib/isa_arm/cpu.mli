@@ -27,20 +27,8 @@ and kernel = int -> t -> Machine.Outcome.syscall_result
 (** [svc n] handler; by ARM EABI convention r7 carries the syscall number
     and r0–r2 the arguments. *)
 
-and compiled = private {
-  insn : Insn.t;
-  run : t -> kernel -> Machine.Outcome.stop_reason option;
-  mutable block : block;
-}
-(** Icache payload: the decoded instruction plus an execution thunk
-    specialized for the instruction's address (pc+8 reads, successor pc
-    and branch targets pre-resolved), and the straight-line block that
-    starts there once it has been built.  Behaviorally identical to
-    interpreting [insn] — the cache only ever changes speed, never
-    outcomes. *)
-
-and block
-(** A cached straight-line run of compiled instructions (see {!run}). *)
+and compiled = (t, Insn.t) Machine.Engine.compiled
+(** Icache payload: see {!Machine.Engine.compiled}. *)
 
 val new_icache : unit -> compiled Memsim.Icache.table
 (** An empty decoded-instruction cache.  Its owner (a booted process,
@@ -75,10 +63,10 @@ val run :
   hooks:(t, Insn.t) Machine.Hook.t list ->
   t ->
   Machine.Outcome.stop_reason
-(** As on x86: the reference loop without an icache, block-at-a-time
-    execution with one (blocks end where {!ends_block} says, off the
-    head's page, or at 32 instructions; conditional members count as
-    they would alone). *)
+(** {!Machine.Engine.run} over this ISA's semantics (default [fuel]
+    2_000_000): the reference loop without an icache, block-at-a-time
+    execution with one.  A pc that is not word-aligned stops the run
+    with a [Perm_exec] fault at that pc, context ["unaligned pc"]. *)
 
 val ends_block : Insn.t -> bool
 (** The instruction ends a block: a conditional [b], [bl], [bx], [blx],

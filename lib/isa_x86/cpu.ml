@@ -3,13 +3,8 @@ module Mem = Memsim.Memory
 module Word = Memsim.Word
 module Outcome = Machine.Outcome
 module Hook = Machine.Hook
+module Engine = Machine.Engine
 
-(* [compiled] is the icache payload: the decoded instruction, its size, and an
-   execution thunk specialized at fill time for the instruction's (fixed)
-   address — successor eip and branch targets are captured constants,
-   register operands are pre-resolved array indices.  See [compile].  It
-   also carries, once built, the block that starts at its address: see
-   [build] and [run]. *)
 type t = {
   mem : Mem.t;
   regs : int array;
@@ -23,33 +18,9 @@ type t = {
 }
 
 and kernel = int -> t -> Outcome.syscall_result
+and compiled = (t, Insn.t) Engine.compiled
 
-and compiled = {
-  insn : Insn.t;
-  size : int;
-  run : t -> kernel -> Outcome.stop_reason option;
-  mutable block : block;
-}
-
-(* A head's block is built on its second execution. *)
-and block = Unseen | Seen | Built of chain
-
-(* A straight-line run from a head entry: [pcs.(i)] and [runs.(i)] are
-   the i-th member's address and thunk, and [last_*] describe the final
-   member (the only one that may transfer control). *)
-and chain = {
-  pcs : int array;
-  runs : (t -> kernel -> Outcome.stop_reason option) array;
-  last_insn : Insn.t;
-  last_size : int;
-  lo : int;  (* the followers' lowest and highest pc (lo > hi: none) *)
-  hi : int;
-  refills : int;  (* the head page's {!Memsim.Icache.refills} when built *)
-}
-
-let new_icache () =
-  Memsim.Icache.table
-    ~dummy:{ insn = Insn.Nop; size = 1; run = (fun _ _ -> None); block = Unseen }
+let new_icache () = Engine.new_icache ~dummy:Insn.Nop
 
 let create ~icache mem =
   {
@@ -582,12 +553,6 @@ let compile start size insn =
         Some Outcome.Halted
   | insn -> fun t kernel -> exec t ~kernel next insn
 
-(* What [lookup]'s miss path fills entries with: decode, then compile for
-   the decode address.  Top-level so the hit path allocates nothing. *)
-let compile_decode mem addr =
-  let insn, size = Decode.decode mem addr in
-  ({ insn; size; run = compile addr size insn; block = Unseen }, size)
-
 (* Instructions that end a block: every control transfer but a direct
    [jmp], and the instructions that stop or leave the interpreter.  A
    direct [jmp] has a constant target and classifies as no transfer, so a
@@ -599,189 +564,25 @@ let ends_block = function
       true
   | _ -> false
 
-let block_cap = 32
-
-(* The block from the valid head entry [e] at [head]: its followers are
-   chained from entries the table already holds at the head's generation
-   (so building never decodes or counts), and the block stops at the
-   first instruction that ends one, at a successor off the head's page,
-   at an entry that is missing or straddles a page, or at [block_cap]
-   members. *)
-let build c (e : compiled Memsim.Icache.entry) head =
-  let follower pc (f : compiled) =
-    let next =
-      match f.insn with
-      | Jmp_rel d | Jmp_short d -> Word.add (Word.add pc f.size) d
-      | _ -> Word.add pc f.size
-    in
-    if ends_block f.insn || next lsr Mem.page_bits <> head lsr Mem.page_bits then
-      None
-    else
-      let e' = Memsim.Icache.peek c next in
-      if e'.lo_gen = e.lo_gen && e'.hi_gen = 0 then Some (next, e'.v) else None
-  in
-  let rec count n pc f =
-    if n = block_cap then n
-    else match follower pc f with Some (pc, f) -> count (n + 1) pc f | None -> n
-  in
-  let n = if e.hi_gen <> 0 then 1 else count 1 head e.v in
-  let pcs = Array.make n head and runs = Array.make n e.v.run in
-  let rec fill i pc (f : compiled) =
-    pcs.(i) <- pc;
-    runs.(i) <- f.run;
-    match follower pc f with
-    | Some (pc', f') when i + 1 < n -> fill (i + 1) pc' f'
-    | _ -> f
-  in
-  let last = fill 0 head e.v in
-  let lo, hi = Hook.follower_span pcs in
-  Built
-    {
-      pcs;
-      runs;
-      last_insn = last.insn;
-      last_size = last.size;
-      lo;
-      hi;
-      refills = Memsim.Icache.refills c;
-    }
-
-(* The reference loop ([icache = None]): decode every step and run it
-   through the generic [exec], with every hook's [pre] per instruction. *)
-let run_exec ~fuel ~traps ~kernel (p : (t, Insn.t) Hook.plan) t =
-  let finish = Hook.finish p t in
-  let pre =
-    match p.step with Some h -> h.pre | None -> fun _ _ _ _ -> Hook.Go
-  in
-  let rec loop budget =
-    if budget <= 0 then finish Hook.Out_of_fuel
-    else if Hook.at_trap traps t.eip then finish Hook.Trapped
-    else
-      let pc = t.eip in
-      match Decode.decode t.mem pc with
-      | exception Decode.Error { addr; byte } ->
-          finish (Hook.Unfetchable (Outcome.Decode_error { addr; byte }))
-      | exception Mem.Fault f -> finish (Hook.Unfetchable (Outcome.Fault f))
-      | insn, size -> (
-          match pre t pc insn size with
-          | Hook.Veto reason -> finish (Hook.Stopped reason)
-          | verdict -> (
-              match exec t ~kernel (Word.add pc size) insn with
-              | Some reason -> finish (Hook.Stopped reason)
-              | None ->
-                  (match verdict with Hook.Commit c -> c () | _ -> ());
-                  loop (budget - 1)))
-  in
-  loop fuel
-
-(* The icache loop.  Each turn checks fuel and traps, looks the pc up
-   once, and runs the head's block — or just the head, when the hooks
-   need every step, the block is not built yet, the remaining fuel is
-   shorter than it, or a trap address lies inside it.  A member may stop
-   the run exactly as it would alone (its thunk leaves the same steps,
-   pc and registers).  A store into the block's page leaves the block
-   right after the storing instruction, and the next turn re-decodes.
-   Followers credit one icache hit each, so hit and miss counts are those
-   of a one-lookup-per-step loop. *)
-let run_cached ~fuel ~traps ~kernel (p : (t, Insn.t) Hook.plan) c t =
-  let finish = Hook.finish p t in
-  let rec loop budget =
-    if budget <= 0 then finish Hook.Out_of_fuel
-    else if Hook.at_trap traps t.eip then finish Hook.Trapped
-    else
-      let pc = t.eip in
-      match Memsim.Icache.lookup c pc ~decode:compile_decode with
-      | exception Decode.Error { addr; byte } ->
-          finish (Hook.Unfetchable (Outcome.Decode_error { addr; byte }))
-      | exception Mem.Fault f -> finish (Hook.Unfetchable (Outcome.Fault f))
-      | e -> dispatch budget pc e
-  and dispatch budget pc (e : compiled Memsim.Icache.entry) =
-    let f = e.v in
-    match f.block with
-    | Built b when p.blocks && b.refills = Memsim.Icache.refills c ->
-        let n = Array.length b.runs in
-        if n > budget || Hook.trap_within traps ~lo:b.lo ~hi:b.hi then
-          single budget pc f
-        else begin
-          let cell = Memsim.Icache.cell c in
-          match p.observe with
-          | None -> block budget b n e.lo_gen cell 0
-          | Some observe -> observed budget b n e.lo_gen cell observe 0
-        end
-    | (Seen | Built _) when p.blocks ->
-        f.block <- build c e pc;
-        dispatch budget pc e
-    | Unseen ->
-        f.block <- Seen;
-        single budget pc f
-    | Seen | Built _ -> single budget pc f
-  and single budget pc f =
-    match p.step with
-    | None -> (
-        match f.run t kernel with
-        | Some reason -> finish (Hook.Stopped reason)
-        | None -> loop (budget - 1))
-    | Some h -> (
-        match h.pre t pc f.insn f.size with
-        | Hook.Veto reason -> finish (Hook.Stopped reason)
-        | verdict -> (
-            match f.run t kernel with
-            | Some reason -> finish (Hook.Stopped reason)
-            | None ->
-                (match verdict with Hook.Commit c -> c () | _ -> ());
-                loop (budget - 1)))
-  (* Members before the last, then the terminator.  [observed] is the
-     same walk for runs with [Observe] hooks. *)
-  and block budget b n gen cell i =
-    if i < n - 1 then
-      match (Array.unsafe_get b.runs i) t kernel with
-      | None ->
-          if !cell = gen then block budget b n gen cell (i + 1)
-          else left budget i
-      | Some reason ->
-          Memsim.Icache.credit c i;
-          finish (Hook.Stopped reason)
-    else terminator budget b n
-  and observed budget b n gen cell observe i =
-    observe (Array.unsafe_get b.pcs i);
-    if i < n - 1 then
-      match (Array.unsafe_get b.runs i) t kernel with
-      | None ->
-          if !cell = gen then observed budget b n gen cell observe (i + 1)
-          else left budget i
-      | Some reason ->
-          Memsim.Icache.credit c i;
-          finish (Hook.Stopped reason)
-    else terminator budget b n
-  (* A store into the block's page after member [i]: the next turn
-     fetches the next member afresh. *)
-  and left budget i =
-    Memsim.Icache.credit c i;
-    loop (budget - i - 1)
-  and terminator budget b n =
-    let i = n - 1 in
-    Memsim.Icache.credit c i;
-    match p.terminal with
-    | None -> (
-        match (Array.unsafe_get b.runs i) t kernel with
-        | Some reason -> finish (Hook.Stopped reason)
-        | None -> loop (budget - n))
-    | Some pre -> (
-        match pre t (Array.unsafe_get b.pcs i) b.last_insn b.last_size with
-        | Hook.Veto reason -> finish (Hook.Stopped reason)
-        | verdict -> (
-            match (Array.unsafe_get b.runs i) t kernel with
-            | Some reason -> finish (Hook.Stopped reason)
-            | None ->
-                (match verdict with Hook.Commit c -> c () | _ -> ());
-                loop (budget - n)))
-  in
-  loop fuel
+let engine =
+  {
+    Engine.pc = (fun t -> t.eip);
+    fetch =
+      (fun mem addr ->
+        try Decode.decode mem addr
+        with Decode.Error { addr; byte } -> raise (Engine.Undecodable { addr; byte }));
+    exec = (fun t kernel pc insn size -> exec t ~kernel (Word.add pc size) insn);
+    compile;
+    ends_block;
+    follower =
+      (fun pc insn size ->
+        match insn with
+        | Jmp_rel d | Jmp_short d -> Word.add (Word.add pc size) d
+        | _ -> Word.add pc size);
+  }
 
 let run ?(fuel = 2_000_000) ~traps ~kernel ~hooks t =
-  match t.icache with
-  | None -> run_exec ~fuel ~traps ~kernel (Hook.plan hooks) t
-  | Some c -> run_cached ~fuel ~traps ~kernel (Hook.plan hooks) c t
+  Engine.run engine ~fuel ~traps ~kernel ~hooks t.mem t.icache t
 
 (* Guest reads made while planning a hook's verdict: a fault here is the
    instruction's own to raise when it executes, so it reads as 0. *)

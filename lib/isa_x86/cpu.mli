@@ -26,21 +26,8 @@ and kernel = int -> t -> Machine.Outcome.syscall_result
     (registers carry the arguments, eax the syscall number by Linux i386
     convention). *)
 
-and compiled = private {
-  insn : Insn.t;
-  size : int;  (** encoded length *)
-  run : t -> kernel -> Machine.Outcome.stop_reason option;
-  mutable block : block;
-}
-(** Icache payload: the decoded instruction plus an execution thunk
-    specialized for the instruction's address (successor eip and branch
-    targets pre-resolved), and the straight-line block that starts
-    there once it has been built.  Behaviorally identical to
-    interpreting [insn] — the cache only ever changes speed, never
-    outcomes. *)
-
-and block
-(** A cached straight-line run of compiled instructions (see {!run}). *)
+and compiled = (t, Insn.t) Machine.Engine.compiled
+(** Icache payload: see {!Machine.Engine.compiled}. *)
 
 val new_icache : unit -> compiled Memsim.Icache.table
 (** An empty decoded-instruction cache.  Its owner (a booted process,
@@ -70,23 +57,9 @@ val run :
   hooks:(t, Insn.t) Machine.Hook.t list ->
   t ->
   Machine.Outcome.stop_reason
-(** Run until a trap address is reached ([Halted]), a stop condition fires,
-    or [fuel] instructions (default 2_000_000) have retired, calling the
-    [hooks] as {!Machine.Hook} describes.
-
-    Without an icache this is the reference loop: decode and the generic
-    interpreter every step.  With one, the loop executes cached blocks:
-    a run of up to 32 compiled instructions on the head's page, through
-    direct [jmp]s, that ends where {!ends_block} says or before an
-    instruction straddling a page.  A block is built, without decoding,
-    from entries already cached at its head's page generation, on the
-    head's second execution, and rebuilt when a member's slot may have
-    been refilled since ({!Memsim.Icache.refills}).  Fuel and traps are checked once per
-    block; the loop runs the head alone when the remaining fuel is
-    shorter than the block, a trap address lies inside it, or a hook
-    lowers to [Step].  A store into the block's page ends the block after
-    the storing instruction.  Outcome, steps, registers, flags, hook
-    calls and icache hit/miss counts are those of one lookup per step. *)
+(** {!Machine.Engine.run} over this ISA's semantics (default [fuel]
+    2_000_000): the reference loop without an icache, block-at-a-time
+    execution with one. *)
 
 val ends_block : Insn.t -> bool
 (** The instruction ends a block: [call], an indirect [jmp], [jcc],

@@ -238,7 +238,7 @@ type run_result = {
    enforced mitigations — so every observer sees the instruction
    enforcement blocks, and none can skip it.  Observers first is also
    what lets the mitigations run block-at-a-time (see
-   {!Machine.Hook.plan}). *)
+   {!Machine.Hook.lowering}). *)
 let hooks t isa ~taint ?on_step ?sanitizer ?trace ?profile cpu =
   let module H = Machine.Hook in
   let p = t.profile in

@@ -102,94 +102,3 @@ let enforce isa ~shadow_stack ~forward_cfi ~valid_target ~shadow0 =
         | [] -> violation pc 0 target)
   in
   { pre; stop = (fun _ _ -> ()); lower = Terminal }
-
-(* Both commits, allocated only on steps where two hooks commit. *)
-let both f g () =
-  f ();
-  g ()
-
-let compose2 h1 h2 =
-  {
-    pre =
-      (fun cpu pc insn size ->
-        match h1.pre cpu pc insn size with
-        | Veto _ as v -> v
-        | Go -> h2.pre cpu pc insn size
-        | Commit f as c -> (
-            match h2.pre cpu pc insn size with
-            | Go -> c
-            | Veto _ as v -> v
-            | Commit g -> Commit (both f g)));
-    stop =
-      (fun cpu ending ->
-        h1.stop cpu ending;
-        h2.stop cpu ending);
-    lower = Step;
-  }
-
-let compose = function
-  | [] -> invalid_arg "Hook.compose: no hooks"
-  | h :: rest -> List.fold_left compose2 h rest
-
-type ('cpu, 'insn) plan = {
-  step : ('cpu, 'insn) t option;
-  blocks : bool;
-  observe : (int -> unit) option;
-  terminal : ('cpu -> int -> 'insn -> int -> verdict) option;
-}
-
-(* Blocks are exact when every observer runs before every terminal hook:
-   an observer then sees each pc in order whether or not a veto follows,
-   and the terminal hooks see only the instructions their classifiers
-   cannot wave through. *)
-let plan hooks =
-  let rec blockable seen_terminal = function
-    | [] -> true
-    | h :: rest -> (
-        match h.lower with
-        | Step -> false
-        | Observe _ -> (not seen_terminal) && blockable false rest
-        | Terminal -> blockable true rest)
-  in
-  let observers =
-    List.filter_map (fun h -> match h.lower with Observe f -> Some f | _ -> None) hooks
-  in
-  let terminals =
-    List.filter (fun h -> match h.lower with Terminal -> true | _ -> false) hooks
-  in
-  {
-    step = (match hooks with [] -> None | hooks -> Some (compose hooks));
-    blocks = blockable false hooks;
-    observe =
-      (match observers with
-      | [] -> None
-      | [ f ] -> Some f
-      | fs -> Some (fun pc -> List.iter (fun f -> f pc) fs));
-    terminal =
-      (match terminals with [] -> None | hs -> Some (compose hs).pre);
-  }
-
-let outcome = function
-  | Trapped -> Outcome.Halted
-  | Out_of_fuel -> Outcome.Fuel_exhausted
-  | Unfetchable reason | Stopped reason -> reason
-
-let finish plan cpu ending =
-  (match plan.step with Some h -> h.stop cpu ending | None -> ());
-  outcome ending
-
-let rec at_trap traps (pc : int) =
-  match traps with [] -> false | a :: rest -> a = pc || at_trap rest pc
-
-let follower_span pcs =
-  let lo = ref max_int and hi = ref min_int in
-  for i = 1 to Array.length pcs - 1 do
-    lo := Int.min !lo pcs.(i);
-    hi := Int.max !hi pcs.(i)
-  done;
-  (!lo, !hi)
-
-let rec trap_within traps ~lo ~hi =
-  match traps with
-  | [] -> false
-  | a :: rest -> (lo <= a && a <= hi) || trap_within rest ~lo ~hi

@@ -1,6 +1,7 @@
 (** Composable per-step hooks for the interpreters' run loops.
 
-    Each ISA's [Cpu.run] takes a list of hooks.  The loop fetches each
+    Each ISA's [Cpu.run] takes a list of hooks and runs them on
+    {!Engine}.  Its loop fetches each
     instruction once (through the icache when it is on) and hands the
     decoded instruction and its size to every hook's {!t.pre}, in list
     order, against the pre-state.  A hook may veto the instruction
@@ -16,10 +17,10 @@
 
     {2 Lowering to blocks}
 
-    With the icache on, the loop executes cached blocks: runs of
-    instructions on one page that go on through direct unconditional
-    jumps and end at any other control transfer or pc write, or at a
-    length cap.  Each hook says, through its
+    With the icache on, the loop executes cached blocks ({!Engine}):
+    runs of instructions on one page that go on through direct
+    unconditional jumps and end at any other control transfer or pc
+    write, or at a length cap.  Each hook says, through its
     {!t.lower} field, what it needs from a block:
 
     - {!Observe}[ f]: only the stream of pcs.  The loop calls [f] on each
@@ -33,7 +34,9 @@
     - {!Step}: every instruction, through [pre].
 
     A run with a [Step] hook, or with a [Terminal] hook listed before an
-    [Observe] one, goes per-instruction.  Either way a run's outcome,
+    [Observe] one, goes per-instruction: the hooks' [pre]s run in list
+    order, a veto ends the step (later hooks do not see that
+    instruction), and the commits of the others join.  Either way a run's outcome,
     steps, registers, hook calls and icache counts are the same. *)
 
 type verdict =
@@ -109,34 +112,3 @@ val enforce :
     address [valid_target] accepts.  A violation vetoes with
     [Cfi_violation] at the transfer's own pc, so the blocked instruction
     does not retire.  Lowers to [Terminal]. *)
-
-(** {1 The loop's side} *)
-
-type ('cpu, 'insn) plan = {
-  step : ('cpu, 'insn) t option;
-      (** the whole list composed ([None] for no hooks), for an
-          instruction run on its own: [pre] runs the hooks in order,
-          stops at the first veto (later hooks do not see that
-          instruction) and joins the commits; every [stop] runs *)
-  blocks : bool;  (** the list may run block-at-a-time *)
-  observe : (int -> unit) option;  (** the [Observe] functions, in order *)
-  terminal : ('cpu -> int -> 'insn -> int -> verdict) option;
-      (** the [Terminal] hooks' [pre], composed *)
-}
-
-val plan : ('cpu, 'insn) t list -> ('cpu, 'insn) plan
-(** How a run loop executes a hook list (see {!lowering}). *)
-
-val finish : ('cpu, 'insn) plan -> 'cpu -> ending -> Outcome.stop_reason
-(** End a run: every hook's [stop], then the run's result — [Halted] at a
-    trap, [Fuel_exhausted], or the stop reason. *)
-
-val at_trap : int list -> int -> bool
-
-val follower_span : int array -> int * int
-(** The lowest and highest of a block's follower pcs ([pcs.(1)] on; the
-    head is checked on its own), or [(max_int, min_int)] for none. *)
-
-val trap_within : int list -> lo:int -> hi:int -> bool
-(** Some trap address lies in [\[lo, hi\]]: a block whose followers'
-    pcs span that range may run past it. *)

@@ -639,9 +639,13 @@ let test_diversified_fork_own_cache () =
    misses; the two observed paths the same pc stream.  A second property
    lets a function overwrite its own return address, so the shadow
    stack vetoes at a block's terminator, and checks the mitigated
-   paths against the reference loop. *)
+   paths against the reference loop.  A third runs those programs under
+   the ISA's taint hook, its data page a taint source, on both loops:
+   with a non-halting and with a halting oracle, the two must agree on
+   the run and on every report. *)
 
 module Hook = Machine.Hook
+module Oracle = Sanitizer.Oracle
 
 type run_result = {
   outcome : string;
@@ -653,12 +657,15 @@ type run_result = {
   seen : int list;  (* observed pcs, latest first; [] when unobserved *)
   hits : int;
   misses : int;
+  reports : (string * int * int * int) list;
+      (* the taint oracle's reports: kind, pc, step, target *)
 }
 
 (* A path: the icache on or off, and the hooks.  [Enforced] is an
    observer then the mitigations (block-at-a-time with the icache);
-   [Stepped] lowers the observer to [Step] (per instruction). *)
-type hooks = Bare | Enforced | Stepped | Stepped_enforced
+   [Stepped] lowers the observer to [Step] (per instruction); [Tainted]
+   is the taint hook alone, on a halting oracle or not. *)
+type hooks = Bare | Enforced | Stepped | Stepped_enforced | Tainted of { halting : bool }
 type path = { cached : bool; hooks : hooks }
 
 let path_name p =
@@ -669,6 +676,7 @@ let path_name p =
   | Enforced -> "+[observe; enforce]"
   | Stepped -> "+[step]"
   | Stepped_enforced -> "+[step; enforce]"
+  | Tainted { halting } -> if halting then "+[taint, halting]" else "+[taint]"
 
 let four_paths =
   [
@@ -685,18 +693,26 @@ let enforced_paths =
     { cached = true; hooks = Stepped_enforced };
   ]
 
-(* The hook list of a path, from the ISA's observer and mitigations. *)
-let path_hooks path ~observe ~enforce =
+let taint_paths ~halting =
+  [ { cached = false; hooks = Tainted { halting } }; { cached = true; hooks = Tainted { halting } } ]
+
+(* The hook list of a path, from the ISA's observer, mitigations and
+   taint hook ([Some] on a taint path). *)
+let path_hooks path ~observe ~enforce ~taint =
   match path.hooks with
   | Bare -> []
   | Enforced -> [ observe; enforce ]
   | Stepped -> [ { observe with Hook.lower = Hook.Step } ]
   | Stepped_enforced -> [ { observe with Hook.lower = Hook.Step }; enforce ]
+  | Tainted _ -> Option.to_list taint
 
 (* The memory every block program runs in: text (rx, or rwx for
    self-modifying programs) on two or more pages, a data page the loads
-   and stores address through a fixed base register, and a stack. *)
+   and stores address through a fixed base register, and a stack.  The
+   data page's first word, below every address the programs store to,
+   holds the address a smashed return goes to. *)
 let text_base = 0x1000
+let data_page = 0x8000
 let data_base = 0x8100
 let stack_top = 0x9F00
 
@@ -734,7 +750,8 @@ let check_paths ~name runs =
               field (where ^ " pc") (fun r -> r.pc) r r';
               field (where ^ " registers") (fun r -> r.regs) r r';
               field (where ^ " flags") (fun r -> r.flags) r r';
-              field (where ^ " memory") (fun r -> r.digest) r r')
+              field (where ^ " memory") (fun r -> r.digest) r r';
+              field (where ^ " sanitizer reports") (fun r -> r.reports) r r')
             (List.combine reference rs))
         rest;
       let cached = List.filter (fun (p, _) -> p.cached) runs in
@@ -750,7 +767,9 @@ let check_paths ~name runs =
                   field (where ^ " icache misses") (fun r -> r.misses) r r')
                 (List.combine first rs))
             others);
-      let observed = List.filter (fun (p, _) -> p.hooks <> Bare) runs in
+      let observed =
+        List.filter (fun (p, _) -> match p.hooks with Bare | Tainted _ -> false | _ -> true) runs
+      in
       (match observed with
       | [] -> ()
       | (_, first) :: others ->
@@ -878,6 +897,7 @@ let gen_program ~op ~smash =
 (* What the path runner needs from an ISA. *)
 type ('cpu, 'insn, 'entry) machine = {
   isa : ('cpu, 'insn) Hook.isa;
+  taint : Oracle.t -> ('cpu, 'insn) Hook.t;
   new_icache : unit -> 'entry Memsim.Icache.table;
   create : icache:'entry Memsim.Icache.table option -> Mem.t -> 'cpu;
   start : 'cpu -> int -> unit;  (* registers set, pc at the entry *)
@@ -901,8 +921,20 @@ let run_paths m ~mem ~digest ~entry ~funcs ~traps ~fuel paths =
         Mem.restore mem snap;
         let seen = ref [] in
         let observe = Hook.observe m.isa (fun pc -> seen := pc :: !seen) in
+        (* A taint path gets a fresh oracle per run, the whole data page
+           one source. *)
+        let oracle =
+          match path.hooks with
+          | Tainted { halting } ->
+              let o = Oracle.create ~halt_on_report:halting () in
+              Oracle.taint o
+                ~src:(Oracle.new_source o ~origin:"data" ~length:0x1000)
+                data_page ~len:0x1000;
+              Some o
+          | _ -> None
+        in
         let hooks =
-          path_hooks path ~observe
+          path_hooks path ~observe ~taint:(Option.map m.taint oracle)
             ~enforce:
               (Hook.enforce m.isa ~shadow_stack:true ~forward_cfi:true
                  ~valid_target:(fun a -> List.mem a funcs) ~shadow0:[])
@@ -923,6 +955,13 @@ let run_paths m ~mem ~digest ~entry ~funcs ~traps ~fuel paths =
           seen = !seen;
           hits = hits1 - hits0;
           misses = misses1 - misses0;
+          reports =
+            (match oracle with
+            | None -> []
+            | Some o ->
+                List.map
+                  (fun (r : Oracle.report) -> (Oracle.kind_name r.kind, r.pc, r.step, r.target))
+                  (Oracle.reports o));
         }
       in
       let first = run ~fuel:50_000 ~traps:[] in
@@ -1014,7 +1053,12 @@ module X86_blocks = struct
           ]
           @ List.init 4 (fun _ -> A.I Nop)
       | Trap -> [ A.Label "trap" ]
-      | Smash -> [ A.I (Pop_r EDX); A.Mov_ri_sym (EDX, "smashed"); A.I (Push_r EDX) ]
+      | Smash ->
+          [
+            A.I (Pop_r EDX);
+            A.I (Mov (Reg EDX, Mem { base = Some EBX; disp = data_page - data_base }));
+            A.I (Push_r EDX);
+          ]
     and pieces l = List.concat_map piece l in
     pieces p.main
     @ [ A.I Hlt; A.Label "smashed"; A.I (Mov_ri (EAX, 0x5A5A)); A.I Hlt ]
@@ -1027,6 +1071,7 @@ module X86_blocks = struct
     let kernel _ _ = O.Stop (O.Aborted "unexpected syscall") in
     {
       isa = C.isa;
+      taint = C.taint;
       new_icache = C.new_icache;
       create = C.create;
       start =
@@ -1042,6 +1087,7 @@ module X86_blocks = struct
   let run_paths (p, k) paths =
     let asm = A.assemble ~base:k.code_at (lower p) in
     let mem, digest = block_memory ~rwx:k.rwx ~code_at:k.code_at asm.A.code in
+    Mem.write_u32 mem data_page (A.symbol asm "smashed");
     run_paths machine ~mem ~digest ~entry:k.code_at
       ~funcs:[ A.symbol asm "f0"; A.symbol asm "f1" ]
       ~traps:(if k.trap then [ A.symbol asm "trap" ] else [])
@@ -1169,7 +1215,7 @@ module Arm_blocks = struct
             A.I nop;
           ]
       | Trap -> [ A.Label "trap" ]
-      | Smash -> [ A.Ldr_sym (R4, literal "smashed"); A.I (al (Str (R4, SP, 4))) ]
+      | Smash -> [ A.I (al (Ldr (R4, R8, data_page - data_base))); A.I (al (Str (R4, SP, 4))) ]
     and pieces l = List.concat_map piece l in
     let main = pieces p.main in
     let funcs =
@@ -1197,6 +1243,7 @@ module Arm_blocks = struct
     let kernel n _ = if n = 0xFF then O.Stop O.Halted else O.Resume in
     {
       isa = C.isa;
+      taint = C.taint;
       new_icache = C.new_icache;
       create = C.create;
       start =
@@ -1214,6 +1261,7 @@ module Arm_blocks = struct
   let run_paths (p, k) paths =
     let asm = A.assemble ~base:k.code_at (lower p) in
     let mem, digest = block_memory ~rwx:k.rwx ~code_at:k.code_at asm.A.code in
+    Mem.write_u32 mem data_page (A.symbol asm "smashed");
     run_paths machine ~mem ~digest ~entry:k.code_at
       ~funcs:[ A.symbol asm "f0"; A.symbol asm "f1" ]
       ~traps:(if k.trap then [ A.symbol asm "trap" ] else [])
@@ -1237,6 +1285,102 @@ let prop_blocks ~name ~arb ~run_paths =
 let prop_block_vetoes ~name ~arb ~run_paths =
   QCheck.Test.make ~name:(name ^ " blocks: vetoes match the reference") ~count:200
     ~long_factor:20 arb (fun case -> check_paths ~name (run_paths case enforced_paths))
+
+(* The taint hook is a [Step] hook, so both loops run it per
+   instruction: with the oracle halting at its first report or not, the
+   icache loop must stop where the reference loop does and report what
+   it reports. *)
+let prop_block_taint ~name ~arb ~run_paths =
+  QCheck.Test.make ~name:(name ^ " blocks: taint reports match the reference") ~count:200
+    ~long_factor:20 arb (fun case ->
+      check_paths ~name (run_paths case (taint_paths ~halting:false))
+      && check_paths ~name (run_paths case (taint_paths ~halting:true)))
+
+(* The taint property is not vacuous: a function that overwrites its
+   return address with the data page's first word trips the oracle on
+   the store and (not halting) again at the return. *)
+let check_taint_reports name run_paths =
+  let case =
+    ( { main = [ Call 0 ]; funcs = [ [ Smash ]; [] ] },
+      { code_at = text_base; fuel = 50_000; trap = false; rwx = false; wild = false } )
+  in
+  List.iter
+    (fun (halting, kinds, outcome) ->
+      let runs = run_paths case (taint_paths ~halting) in
+      ignore (check_paths ~name runs);
+      List.iter
+        (fun (path, rs) ->
+          List.iter
+            (fun r ->
+              let where = Printf.sprintf "%s %s" name (path_name path) in
+              Alcotest.(check (list string)) (where ^ " report kinds") kinds
+                (List.map (fun (kind, _, _, _) -> kind) r.reports);
+              Alcotest.(check string) (where ^ " outcome") outcome r.outcome)
+            rs)
+        runs)
+    [
+      (false, [ "ret-slot-overwrite"; "tainted-pc" ], O.to_string O.Halted);
+      (true, [ "ret-slot-overwrite" ], O.to_string Oracle.halt_reason);
+    ]
+
+let test_taint_reports () =
+  check_taint_reports "x86" X86_blocks.run_paths;
+  check_taint_reports "arm" Arm_blocks.run_paths
+
+(* An ARM pc that is not word-aligned stops the run before its fetch:
+   every path stops with the same fault at that pc, and the fetch counts
+   no icache miss.  A loop warms the blocks; then [bx] or [mov pc] goes
+   to an address = 2 (mod 4). *)
+let test_arm_unaligned_pc () =
+  let open Isa_arm.Insn in
+  let module A = Isa_arm.Asm in
+  let target = text_base + 0x102 in
+  let fault =
+    O.to_string (O.Fault { Mem.addr = target; kind = Mem.Perm_exec; context = "unaligned pc" })
+  in
+  List.iter
+    (fun (what, jump) ->
+      let asm =
+        A.assemble ~base:text_base
+          [
+            A.I (al (Mov (R2, Imm 3)));
+            A.Label "loop";
+            A.I (al (Sub (R2, R2, Imm 1)));
+            A.I (al (Cmp (R2, Imm 0)));
+            A.B_sym (NE, "loop");
+            A.I (al (Mov (R1, Imm (text_base + 0x100))));
+            A.I (al (Add (R1, R1, Imm 2)));
+            A.I (al jump);
+          ]
+      in
+      let mem, digest = block_memory ~rwx:false ~code_at:text_base asm.A.code in
+      let runs =
+        run_paths Arm_blocks.machine ~mem ~digest ~entry:text_base ~funcs:[] ~traps:[]
+          ~fuel:1000
+          [
+            { cached = false; hooks = Bare };
+            { cached = true; hooks = Bare };
+            { cached = false; hooks = Stepped };
+            { cached = true; hooks = Stepped };
+          ]
+      in
+      ignore (check_paths ~name:what runs);
+      List.iter
+        (fun (path, rs) ->
+          List.iteri
+            (fun i r ->
+              let where = Printf.sprintf "%s: %s, run %d" what (path_name path) (i + 1) in
+              Alcotest.(check string) (where ^ " outcome") fault r.outcome;
+              Alcotest.(check int) (where ^ " pc") target r.pc;
+              Alcotest.(check int) (where ^ " steps") 13 r.steps;
+              if path.cached then
+                Alcotest.(check (pair int int))
+                  (where ^ " icache hits, misses")
+                  (if i = 0 then (6, 7) else (13, 0))
+                  (r.hits, r.misses))
+            rs)
+        runs)
+    [ ("bx r1", Bx R1); ("mov pc, r1", Mov (PC, Reg R1)) ]
 
 (* The lowering contract: enforcement runs only at a block's last
    instruction, which is sound only if no other member is a transfer.
@@ -1416,6 +1560,10 @@ let block_props =
       ~run_paths:X86_blocks.run_paths;
     prop_block_vetoes ~name:"arm" ~arb:(Arm_blocks.arb ~smash:true)
       ~run_paths:Arm_blocks.run_paths;
+    prop_block_taint ~name:"x86" ~arb:(X86_blocks.arb ~smash:true)
+      ~run_paths:X86_blocks.run_paths;
+    prop_block_taint ~name:"arm" ~arb:(Arm_blocks.arb ~smash:true)
+      ~run_paths:Arm_blocks.run_paths;
     prop_contract_x86;
     prop_contract_arm;
   ]
@@ -1444,6 +1592,9 @@ let () =
         List.map qt block_props
         @ [
             Alcotest.test_case "a sibling's refill" `Quick test_sibling_refill;
+            Alcotest.test_case "taint reports, both loops" `Quick test_taint_reports;
+            Alcotest.test_case "arm: an unaligned pc stops every path" `Quick
+              test_arm_unaligned_pc;
           ] );
       ( "icache: persistent and fork-shared",
         [
