@@ -90,20 +90,39 @@ let matrix_cells =
      "blx-trampoline ROP under W^X+ASLR");
   ]
 
-let e1_to_e6_matrix ?(seed = 1) () =
+(* One row per matrix cell: boot the cell's target with its profile
+   hardened, fire the cell's exploit and report the disposition word. *)
+let matrix_rows ~seed ~harden row_of =
   List.map
-    (fun (id, section, arch, profile, strategy, description) ->
-      let d = mk_device ~seed arch profile in
+    (fun ((_, _, arch, profile, strategy, _) as cell) ->
+      let d = mk_device ~seed arch (harden profile) in
       let observed =
         match fire ~strategy d with
         | Error e -> "generation failed: " ^ e
         | Ok (_, disposition) -> disposition_word disposition
       in
+      row_of cell observed)
+    matrix_cells
+
+(* The matrix again under one added defense, which must block every cell. *)
+let matrix_ablation ~seed ~harden ~prefix ~section ~defense =
+  matrix_rows ~seed ~harden (fun (id, _, arch, _, strategy, _) observed ->
+      row
+        ~id:(prefix ^ "/" ^ id)
+        ~section
+        ~description:
+          (Printf.sprintf "%s vs %s on %s" defense
+             (Autogen.strategy_name strategy)
+             (Loader.Arch.name arch))
+        ~expected:"blocked" observed)
+
+let e1_to_e6_matrix ?(seed = 1) () =
+  matrix_rows ~seed ~harden:Fun.id
+    (fun (id, section, arch, _, _, description) observed ->
       let description =
         Printf.sprintf "%s (%s)" description (Loader.Arch.name arch)
       in
       row ~id ~section ~description ~expected:"root shell" observed)
-    matrix_cells
 
 (* --- E7: Wi-Fi Pineapple remote delivery -------------------------------- *)
 
@@ -169,29 +188,11 @@ let e8_survey ?(seed = 1) () =
 
 (* --- A1: CFI blocks every code-reuse exploit ---------------------------- *)
 
+(* CFI CaRE guards return edges; pure code injection is already dead
+   under W^X but the injected return still violates the shadow stack. *)
 let a1_cfi ?(seed = 1) () =
-  List.map
-    (fun (id, _, arch, profile, strategy, _) ->
-      let d = mk_device ~seed arch (Profile.with_shadow_stack profile) in
-      let observed =
-        match fire ~strategy d with
-        | Error e -> "generation failed: " ^ e
-        | Ok (_, disposition) -> disposition_word disposition
-      in
-      let expected =
-        (* CFI CaRE guards return edges; pure code injection is already
-           dead under W^X but the injected return still violates the
-           shadow stack. *)
-        "blocked"
-      in
-      row
-        ~id:("A1/" ^ id)
-        ~section:"§IV"
-        ~description:
-          (Printf.sprintf "CFI vs %s on %s" (Autogen.strategy_name strategy)
-             (Loader.Arch.name arch))
-        ~expected observed)
-    matrix_cells
+  matrix_ablation ~seed ~harden:Profile.with_shadow_stack ~prefix:"A1"
+    ~section:"§IV" ~defense:"CFI"
 
 (* --- A2: software diversity --------------------------------------------- *)
 
@@ -243,22 +244,8 @@ let a2_diversity ?(seed = 1) ?(fleet = 16) () =
 (* --- A3: stack canaries -------------------------------------------------- *)
 
 let a3_canary ?(seed = 1) () =
-  List.map
-    (fun (id, _, arch, profile, strategy, _) ->
-      let d = mk_device ~seed arch (Profile.with_canary profile) in
-      let observed =
-        match fire ~strategy d with
-        | Error e -> "generation failed: " ^ e
-        | Ok (_, disposition) -> disposition_word disposition
-      in
-      row
-        ~id:("A3/" ^ id)
-        ~section:"§III (CFLAGS)"
-        ~description:
-          (Printf.sprintf "canary vs %s on %s" (Autogen.strategy_name strategy)
-             (Loader.Arch.name arch))
-        ~expected:"blocked" observed)
-    matrix_cells
+  matrix_ablation ~seed ~harden:Profile.with_canary ~prefix:"A3"
+    ~section:"§III (CFLAGS)" ~defense:"canary"
 
 (* --- A4: ASLR entropy brute-force sweep ---------------------------------- *)
 
@@ -435,23 +422,8 @@ let a8_tcp_carrier ?(seed = 1) () =
 (* --- A7: seccomp syscall filter ------------------------------------------ *)
 
 let a7_seccomp ?(seed = 1) () =
-  List.map
-    (fun (id, _, arch, profile, strategy, _) ->
-      let d = mk_device ~seed arch (Profile.with_seccomp profile) in
-      let observed =
-        match fire ~strategy d with
-        | Error e -> "generation failed: " ^ e
-        | Ok (_, disposition) -> disposition_word disposition
-      in
-      row
-        ~id:("A7/" ^ id)
-        ~section:"hardening"
-        ~description:
-          (Printf.sprintf "seccomp (no exec) vs %s on %s"
-             (Autogen.strategy_name strategy)
-             (Loader.Arch.name arch))
-        ~expected:"blocked" observed)
-    matrix_cells
+  matrix_ablation ~seed ~harden:Profile.with_seccomp ~prefix:"A7"
+    ~section:"hardening" ~defense:"seccomp (no exec)"
 
 let all ?(seed = 1) () =
   e0_dos ~seed ()

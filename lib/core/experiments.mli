@@ -3,8 +3,8 @@
     reproduced as a checkable row (see DESIGN.md's experiment table).
 
     Rows carry the expected outcome (the paper's claim) and the observed
-    one; [ok] means they agree.  [all] is what [bench/main.exe] and
-    EXPERIMENTS.md report. *)
+    one; [ok] means they agree.  [all] is what [bin/main.exe experiments]
+    and EXPERIMENTS.md report. *)
 
 type row = {
   id : string;  (** e.g. "E5" *)

@@ -177,13 +177,6 @@ let dgram_args dgram =
 let set_default_policy t p = t.default_policy <- Faults.validate p
 let default_policy t = t.default_policy
 
-(* Compat shim for the pre-fault-layer API: a world-wide drop knob.  It
-   now applies to broadcast traffic too (the seed implementation only
-   consulted it on unicast — DHCP/discovery broadcasts sailed through). *)
-let set_loss t p =
-  if p < 0.0 || p > 1.0 then invalid_arg "World.set_loss: probability";
-  t.default_policy <- { t.default_policy with Faults.drop = p }
-
 let link_key a b = if a.hid <= b.hid then (a.hid, b.hid) else (b.hid, a.hid)
 
 let set_link_policy t a b p =

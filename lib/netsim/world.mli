@@ -110,12 +110,6 @@ val set_lan_policy : t -> lan -> Faults.policy -> unit
 
 val clear_lan_policy : t -> lan -> unit
 
-val set_loss : t -> float -> unit
-(** Compatibility shim: sets the world default policy's drop
-    probability.  Unlike the seed implementation it now applies to
-    broadcast datagrams too, so DHCP/discovery traffic experiences loss.
-    Drops count in {!stats}. *)
-
 (** {2 Topology} *)
 
 val add_lan : ?shard:int -> t -> name:string -> lan

@@ -385,6 +385,48 @@ let test_canary_allows_benign () =
   | Dnsproxy.Cached _ -> ()
   | other -> Alcotest.failf "expected Cached, got %a" Dnsproxy.pp_disposition other
 
+(* --- defense cost on the hot path --- *)
+
+(* What each defense costs a device per benign response, in guest
+   instructions retired by the parse (seed 9, one A record).  The shadow
+   stack, CFI and seccomp are host-enforced, as a hardware shadow stack
+   or a kernel filter would be, so they cost none; canaries add the
+   prologue/epilogue checks the compiler emits. *)
+let test_defense_parse_cost () =
+  let profiles =
+    Defense.Profile.
+      [
+        ("none", none);
+        ("wx", wx);
+        ("wx+aslr", wx_aslr);
+        ("wx+canary", with_canary wx);
+        ("wx+aslr+shstk", with_shadow_stack wx_aslr);
+        ("wx+seccomp", with_seccomp wx);
+      ]
+  in
+  List.iter
+    (fun (arch, plain, canary) ->
+      List.iter
+        (fun (label, profile) ->
+          let d = mk ~arch ~profile ~seed:9 () in
+          let query = Dnsproxy.make_query d lookup_name in
+          let wire =
+            Dns.Packet.encode
+              (Dns.Packet.response ~query
+                 [ Dns.Packet.a_record lookup_name ~ttl:300 ~ipv4:1 ])
+          in
+          let name = Printf.sprintf "%s %s" (Loader.Arch.name arch) label in
+          (match Dnsproxy.handle_response d wire with
+          | Dnsproxy.Cached _ -> ()
+          | other ->
+              Alcotest.failf "%s: expected Cached, got %a" name
+                Dnsproxy.pp_disposition other);
+          check_int name
+            (if label = "wx+canary" then canary else plain)
+            (Dnsproxy.last_steps d))
+        profiles)
+    [ (Loader.Arch.X86, 511, 519); (Loader.Arch.Arm, 451, 459) ]
+
 (* --- diversity changes the image --- *)
 
 let test_diversity_moves_symbols () =
@@ -471,6 +513,8 @@ let () =
           Alcotest.test_case "canary blocks overflow" `Quick
             test_canary_blocks_overflow;
           Alcotest.test_case "canary allows benign" `Quick test_canary_allows_benign;
+          Alcotest.test_case "guest instructions per benign parse" `Quick
+            test_defense_parse_cost;
           Alcotest.test_case "diversity moves symbols" `Quick
             test_diversity_moves_symbols;
         ] );

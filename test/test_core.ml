@@ -286,7 +286,7 @@ let test_lossy_network_retry_succeeds () =
      (broadcasts honour the loss rate too, so a lossy join could leave
      the device unconfigured).  Individual lookups may be lost; retry
      until a response lands. *)
-  W.set_loss w 0.5;
+  W.set_default_policy w { (W.default_policy w) with Netsim.Faults.drop = 0.5 };
   Device.lookup_with_retry device "ipv4.connman.net" ~retries:30
     ~timeout_us:10_000;
   ignore (W.run w);
@@ -315,7 +315,7 @@ let test_total_loss_never_delivers () =
   ignore (Device.join_wifi device [ ap ] ~ssid:"HomeWiFi");
   ignore (W.run w);
   let before = List.length (Device.dispositions device) in
-  W.set_loss w 1.0;
+  W.set_default_policy w { (W.default_policy w) with Netsim.Faults.drop = 1.0 };
   Device.lookup_with_retry device "ipv4.connman.net" ~retries:5 ~timeout_us:5_000;
   ignore (W.run w);
   check_int "no new responses" before (List.length (Device.dispositions device))

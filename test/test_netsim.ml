@@ -196,10 +196,10 @@ let drop_all = { F.default with F.drop = 1.0 }
 
 (* Regression: the seed implementation rolled the loss probability for
    unicast only — broadcast datagrams (DHCP discovery and friends) were
-   immune to [set_loss]. *)
+   immune to the world's drop probability. *)
 let test_broadcast_respects_loss () =
   let w, _, a, b = two_hosts () in
-  W.set_loss w 1.0;
+  W.set_default_policy w { (W.default_policy w) with F.drop = 1.0 };
   let hits = ref 0 in
   W.on_udp b ~port:68 (fun _ _ -> incr hits);
   W.send w ~from:a ~dst:Ip.broadcast ~dport:68 "announce";
@@ -333,12 +333,7 @@ let test_policy_validation () =
   Alcotest.check_raises "bad uniform latency"
     (Invalid_argument "Faults.validate: latency range must satisfy 0 <= lo < hi")
     (fun () ->
-      ignore (F.validate { F.default with F.latency = F.Uniform { lo = 9; hi = 9 } }));
-  check_bool "set_loss validates" true
-    (try
-       W.set_loss (W.create ()) 2.0;
-       false
-     with Invalid_argument _ -> true)
+      ignore (F.validate { F.default with F.latency = F.Uniform { lo = 9; hi = 9 } }))
 
 (* --- wifi --- *)
 
@@ -650,7 +645,7 @@ let test_shard_seed_replay () =
     W.set_host_ip b (Some (Ip.of_string "10.0.0.2"));
     W.attach a lan;
     W.attach b lan;
-    W.set_loss w 0.5;
+    W.set_default_policy w { (W.default_policy w) with F.drop = 0.5 };
     let got = ref [] in
     W.on_udp b ~port:9 (fun _ d -> got := d.W.payload :: !got);
     for i = 1 to 40 do
