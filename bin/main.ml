@@ -748,8 +748,9 @@ let monitor_cmd =
        correlate firing alerts with the causal event journal into \
        per-incident timelines, and print a text dashboard (exit 1 unless \
        an alert incident resolved and an incident timeline runs from \
-       wire-byte provenance to quarantine or rollback).  Same seed, same \
-       bytes — for any shard count."
+       wire-byte provenance to quarantine or rollback).  Same config, \
+       same bytes; the shipped configs draw link latency and supervisor \
+       jitter from per-shard RNGs, so --shards changes the output."
     ~out_doc:"Write the monitor-v1 flight record to a file." ~pp
     ~to_json:(fun (mon, _, _) -> Telemetry.Monitor.json mon)
     ~ok:(fun (mon, _, _) -> Fleet.Campaign.monitor_ok mon)

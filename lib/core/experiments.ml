@@ -19,15 +19,21 @@ let mk_device ?(version = Version.v1_34) ?(seed = 1) ?diversity_seed arch profil
   Dnsproxy.create
     { Dnsproxy.version; arch; profile; boot_seed = seed; diversity_seed }
 
+(* The attacker's payload, generated against [analysis]: the attacker's
+   own boot of the firmware, never the victim. *)
+let craft ?strategy analysis =
+  Autogen.generate
+    ~analysis:(Exploit.Target.connman (Dnsproxy.process analysis))
+    ?strategy ()
+
 (* Build the payload against the attacker's analysis copy (a different
    boot of the same firmware), then fire it over a forged response. *)
 let fire ?strategy d =
   let cfg = Dnsproxy.config d in
-  let analysis =
-    Dnsproxy.process
+  match
+    craft ?strategy
       (Dnsproxy.create { cfg with Dnsproxy.boot_seed = cfg.Dnsproxy.boot_seed + 5000 })
-  in
-  match Autogen.generate ~analysis:(Exploit.Target.connman analysis) ?strategy () with
+  with
   | Error e -> Error e
   | Ok (payload, raw_name) ->
       let query = Dnsproxy.make_query d lookup in
@@ -198,10 +204,9 @@ let a1_cfi ?(seed = 1) () =
 
 let a2_diversity ?(seed = 1) ?(fleet = 16) () =
   let arch = Loader.Arch.Arm in
-  let analysis =
-    Dnsproxy.process (mk_device ~seed ~diversity_seed:0 arch Profile.wx)
-  in
-  match Autogen.generate ~analysis:(Exploit.Target.connman analysis) ~strategy:Autogen.Rop_wx () with
+  match
+    craft ~strategy:Autogen.Rop_wx (mk_device ~seed ~diversity_seed:0 arch Profile.wx)
+  with
   | Error e ->
       [
         row ~id:"A2" ~section:"§IV" ~description:"diversity fleet"
@@ -252,8 +257,7 @@ let a3_canary ?(seed = 1) () =
 let a4_entropy_sweep ?(seed = 1) ?(trials = 64) ?(bits = [ 0; 2; 4; 6 ]) () =
   let arch = Loader.Arch.X86 in
   (* Attacker hardcodes the static libc layout (analysis without ASLR). *)
-  let analysis = Dnsproxy.process (mk_device ~seed arch Profile.wx) in
-  match Autogen.generate ~analysis:(Exploit.Target.connman analysis) ~strategy:Autogen.Ret2libc () with
+  match craft ~strategy:Autogen.Ret2libc (mk_device ~seed arch Profile.wx) with
   | Error e ->
       [
         row ~id:"A4" ~section:"related work" ~description:"entropy sweep"
@@ -510,13 +514,11 @@ let count_cached device =
        (function Dnsproxy.Cached _ -> true | _ -> false)
        (Device.dispositions device))
 
-(* One cell × one schedule: a victim and a malicious resolver alone on an
-   impaired LAN, connmand under supervision.  [instrument] runs once the
-   world, device, and supervisor exist but before any traffic — the
-   telemetry layer's attach point. *)
-let run_chaos_cell ?(instrument = fun _ _ _ -> ()) ?(shards = 1) ~seed
-    (cell, arch, profile, kind) (sched_name, policy) =
-  let world = W.create ~seed ~shards () in
+(* The chaos venue: a victim connmand (v1.34 on [arch] under [profile],
+   booted at [boot_seed]) and the attacker's host, alone on one LAN
+   under [policy], the victim using the attacker as its DNS server. *)
+let chaos_venue ?shards ~seed ~boot_seed ~policy arch profile =
+  let world = W.create ~seed ?shards () in
   let lan = W.add_lan world ~name:"venue" in
   W.set_lan_policy world lan policy;
   let attacker_ip = Ip.of_string "10.9.0.1" in
@@ -524,13 +526,24 @@ let run_chaos_cell ?(instrument = fun _ _ _ -> ()) ?(shards = 1) ~seed
   W.set_host_ip attacker (Some attacker_ip);
   W.attach attacker lan;
   let config =
-    { Dnsproxy.version = Version.v1_34; arch; profile; boot_seed = seed;
+    { Dnsproxy.version = Version.v1_34; arch; profile; boot_seed;
       diversity_seed = None }
   in
   let device = Device.create world ~name:"victim" ~config in
   W.attach (Device.host device) lan;
   W.set_host_ip (Device.host device) (Some (Ip.of_string "10.9.0.100"));
   W.set_host_dns (Device.host device) (Some attacker_ip);
+  (world, attacker, device)
+
+(* One cell × one schedule on the chaos venue, connmand under
+   supervision.  [instrument] runs once the world, device, and
+   supervisor exist but before any traffic — the telemetry layer's
+   attach point. *)
+let run_chaos_cell ?(instrument = fun _ _ _ -> ()) ?(shards = 1) ~seed
+    (cell, arch, profile, kind) (sched_name, policy) =
+  let world, attacker, device =
+    chaos_venue ~shards ~seed ~boot_seed:seed ~policy arch profile
+  in
   let sup = Device.supervise device in
   instrument world device sup;
   let attack_response =
@@ -541,13 +554,7 @@ let run_chaos_cell ?(instrument = fun _ _ _ -> ()) ?(shards = 1) ~seed
             (Dns.Craft.hostile_response ~query
                ~raw_name:(Dns.Craft.dos_name ~size:8192) ())
     | `Exploit strategy -> (
-        let analysis =
-          Dnsproxy.process
-            (Dnsproxy.create { config with Dnsproxy.boot_seed = seed + 5000 })
-        in
-        match
-          Autogen.generate ~analysis:(Exploit.Target.connman analysis) ~strategy ()
-        with
+        match craft ~strategy (mk_device ~seed:(seed + 5000) arch profile) with
         | Ok (_, raw_name) ->
             fun ~query -> Some (Autogen.response_for ~query ~raw_name)
         | Error _ -> fun ~query:_ -> None)
@@ -687,16 +694,10 @@ let run_instrumented_cell ?(seed = 1) ?(schedule = "clean") ?(shards = 1)
    should fall monotonically as loss rises. *)
 let chaos_sweep ~seed ~trials =
   let arch = Loader.Arch.X86 and profile = Profile.none in
-  let analysis =
-    Dnsproxy.process
-      (Dnsproxy.create
-         { Dnsproxy.version = Version.v1_34; arch; profile;
-           boot_seed = seed + 5000; diversity_seed = None })
-  in
   let raw_name =
     match
-      Autogen.generate ~analysis:(Exploit.Target.connman analysis)
-        ~strategy:Autogen.Code_injection ()
+      craft ~strategy:Autogen.Code_injection
+        (mk_device ~seed:(seed + 5000) arch profile)
     with
     | Ok (_, raw_name) -> Some raw_name
     | Error _ -> None
@@ -705,22 +706,10 @@ let chaos_sweep ~seed ~trials =
     (fun loss ->
       let hits = ref 0 in
       for i = 1 to trials do
-        let world = W.create ~seed:(seed + (i * 131)) () in
-        let lan = W.add_lan world ~name:"venue" in
-        if loss > 0.0 then W.set_lan_policy world lan (F.lossy loss);
-        let attacker_ip = Ip.of_string "10.9.0.1" in
-        let attacker = W.add_host world ~name:"attacker" in
-        W.set_host_ip attacker (Some attacker_ip);
-        W.attach attacker lan;
-        let device =
-          Device.create world ~name:"victim"
-            ~config:
-              { Dnsproxy.version = Version.v1_34; arch; profile;
-                boot_seed = seed + i; diversity_seed = None }
+        let world, attacker, device =
+          chaos_venue ~seed:(seed + (i * 131)) ~boot_seed:(seed + i)
+            ~policy:(F.lossy loss) arch profile
         in
-        W.attach (Device.host device) lan;
-        W.set_host_ip (Device.host device) (Some (Ip.of_string "10.9.0.100"));
-        W.set_host_dns (Device.host device) (Some attacker_ip);
         Netsim.Dns_server.malicious world attacker ~forge:(fun ~query ~raw:_ ->
             match raw_name with
             | Some raw_name -> Some (Autogen.response_for ~query ~raw_name)
@@ -1310,13 +1299,8 @@ let diversity_matrix ?(seed = 1) ?(smoke = false) ?variants ?arch ?base_profile
           match kind with
           | `Dos -> dos_wire
           | `Exploit strategy -> (
-              let analysis =
-                Dnsproxy.process
-                  (mk_device ~seed:(seed + 5000) arch base_profile)
-              in
               match
-                Autogen.generate ~analysis:(Exploit.Target.connman analysis)
-                  ~strategy ()
+                craft ~strategy (mk_device ~seed:(seed + 5000) arch base_profile)
               with
               | Ok (_, raw_name) ->
                   fun query -> Autogen.response_for ~query ~raw_name

@@ -6,10 +6,14 @@
     runners call {!scrape} from a [Netsim.World] barrier, which fires
     only once every shard has drained all events at or before the
     barrier time.  Counter values at a barrier are order-independent
-    sums over the executed-event multiset, so the same seeded run
-    scrapes the same values regardless of shard count, and {!json} is
-    byte-deterministic (the determinism suite asserts identity across
-    runs {e and} across shard counts).
+    sums over the executed-event multiset, and {!json} is
+    byte-deterministic across runs of one config.  The executed-event
+    multiset, and so every scrape, is the same at any shard count only
+    when the run draws nothing from a shard RNG (constant link latency,
+    zero supervisor jitter); the shipped fleet configs draw both, so
+    their documents depend on the shard count.  test_replay asserts
+    identity across runs, and across shard counts on a draw-free
+    config.
 
     Each scrape:
     + samples every registry series into a fixed-capacity ring with

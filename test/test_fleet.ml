@@ -1,9 +1,10 @@
 (* Fleet engine tests: the health state machine and supervision
    hierarchy contracts, the rollout planner, and the campaign acceptance
-   criteria — 1,000 devices over 4 scheduler shards, seed-reproducible
-   to the byte, compromises driven to zero by the staged rollout, one
-   automatic rollback from the injected bad patch, and quarantined
-   devices reintroduced after probation. *)
+   criteria — 1,000 devices over 4 scheduler shards, compromises driven
+   to zero by the staged rollout, one automatic rollback from the
+   injected bad patch, and quarantined devices reintroduced after
+   probation.  The default-config document is pinned to the byte in
+   test/golden (fleet.json.expected). *)
 
 module H = Fleet.Health
 module Hier = Fleet.Hierarchy
@@ -189,9 +190,6 @@ let test_campaign_acceptance () =
     (cfg.C.devices >= 1000 && cfg.C.shards >= 4);
   let r1 = C.run cfg in
   let j1 = C.json r1 in
-  (* Seed-reproducible: a second run emits byte-identical JSON. *)
-  let r2 = C.run cfg in
-  check_bool "byte-identical replay" true (String.equal j1 (C.json r2));
   check_bool "schema tag present" true
     (let tag = {|"schema": "fleet-campaign-v1"|} in
      let n = String.length tag in

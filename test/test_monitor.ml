@@ -1,16 +1,15 @@
 (* Flight-recorder tests: quantile estimation at exact bucket edges, the
    alert pending/firing/hysteresis state machine, store downsampling,
    the rules grammar, the JSON parser and printer, the trace
-   dropped-events marker, and the monitor's determinism contract — the
-   exported monitor-v1 document is byte-identical across replays AND
-   across scheduler shard counts of the same seeded fleet campaign. *)
+   dropped-events marker, and incident timelines on the smoke campaign.
+   The monitor-v1 document's replay and shard-count contracts are
+   test_replay.ml's. *)
 
 module M = Telemetry.Metrics
 module Mon = Telemetry.Monitor
 module T = Telemetry.Trace
 module J = Telemetry.Json
 module C = Fleet.Campaign
-module Sup = Core.Supervisor
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -374,55 +373,15 @@ let test_trace_dropped_marker () =
   | Error e -> Alcotest.fail ("marker JSON invalid: " ^ e));
   check_string "exact marker bytes" trace_dropped_expected json
 
-(* --- determinism: replay and shard-count independence --------------------- *)
+(* --- incident timelines on the real (chaotic) smoke campaign -------------- *)
 
-(* A draw-free campaign: constant link latency (the default draws a
-   uniform latency per datagram from the shard RNG), zero supervisor
-   backoff jitter (the only per-device shard-RNG consumer left), no
-   drop/corrupt/reorder draws.  Forge draws already run on per-LAN RNGs,
-   so the executed-event multiset — and therefore every barrier scrape —
-   is identical for any shard count. *)
-let det_config shards =
-  {
-    C.smoke_config with
-    C.shards;
-    chaos =
-      { Netsim.Faults.default with Netsim.Faults.latency = Netsim.Faults.Const 500 };
-    sup_policy =
-      {
-        Sup.default_policy with
-        Sup.backoff = { Sup.default_policy.backoff with Sup.jitter = 0.0 };
-      };
-  }
-
-let run_monitored cfg =
+let test_incident_causal_order () =
   let mon = Mon.create (M.create ()) in
   (match Mon.add_rules mon C.default_rules with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  ignore (C.run ~monitor:mon cfg);
-  (mon, Mon.json mon)
-
-let test_replay_byte_identical () =
-  let _, a = run_monitored (det_config 2) in
-  let _, b = run_monitored (det_config 2) in
-  check_int "same length" (String.length a) (String.length b);
-  check_bool "byte-identical across replays" true (String.equal a b);
-  match J.parse a with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("monitor json invalid: " ^ e)
-
-let test_shard_count_byte_identical () =
-  let _, a = run_monitored (det_config 1) in
-  let _, b = run_monitored (det_config 2) in
-  let _, c = run_monitored (det_config 4) in
-  check_bool "1 shard = 2 shards" true (String.equal a b);
-  check_bool "2 shards = 4 shards" true (String.equal b c)
-
-(* --- incident timelines on the real (chaotic) smoke campaign -------------- *)
-
-let test_incident_causal_order () =
-  let mon, json = run_monitored C.smoke_config in
+  ignore (C.run ~monitor:mon C.smoke_config);
+  let json = Mon.json mon in
   (match J.parse json with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("monitor json invalid: " ^ e));
@@ -501,13 +460,6 @@ let () =
         [
           Alcotest.test_case "dropped-events marker" `Quick
             test_trace_dropped_marker;
-        ] );
-      ( "determinism",
-        [
-          Alcotest.test_case "replay byte-identical" `Slow
-            test_replay_byte_identical;
-          Alcotest.test_case "shard-count byte-identical" `Slow
-            test_shard_count_byte_identical;
         ] );
       ( "incidents",
         [

@@ -303,12 +303,7 @@ let test_differential_run () =
   check_int "no divergences in 10k mutants" 0 r.Fuzz.Differential.divergent;
   check_bool "both outcomes exercised" true
     (r.Fuzz.Differential.decode_ok > 100
-    && r.Fuzz.Differential.decode_err > 100);
-  (* Determinism: the JSON report is byte-identical across runs. *)
-  let r2 = Fuzz.Differential.run ~seed:1 ~execs:10_000 () in
-  check_string "deterministic report"
-    (Fuzz.Differential.report_json r)
-    (Fuzz.Differential.report_json r2)
+    && r.Fuzz.Differential.decode_err > 100)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
