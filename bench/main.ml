@@ -1374,14 +1374,13 @@ let wire_rows ~smoke:_ =
 (*                                                                     *)
 (* How fast devices spawn (a CoW fork of the firmware template, per    *)
 (* ISA), and end-to-end scheduler throughput: events per second of a   *)
-(* whole campaign (benign + attack traffic, supervision, rollout) at   *)
-(* shard counts 1/2/4, one monotonic-clock run each (a campaign is far *)
-(* too heavy for an OLS sweep).  The flight recorder's cost is the     *)
-(* 4-shard campaign again with the monitor attached (1s scrape         *)
-(* barrier, the built-in rule set, causal journaling), run right after *)
-(* the bare one.  The event count is the same both ways — the barrier  *)
-(* only segments the run loop — so the overhead ratio is pure scrape + *)
-(* journal cost.                                                       *)
+(* whole campaign (benign + attack traffic, supervision, rollout), one *)
+(* monotonic-clock run (a campaign is far too heavy for an OLS sweep). *)
+(* The flight recorder's cost is the same campaign again with the      *)
+(* monitor attached (1s scrape barrier, the built-in rule set, causal  *)
+(* journaling), run right after the bare one.  The event count is the  *)
+(* same both ways — the barrier only segments the run loop — so the    *)
+(* overhead ratio is pure scrape + journal cost.                       *)
 (* ------------------------------------------------------------------ *)
 
 let fleet_rows ~smoke =
@@ -1393,18 +1392,12 @@ let fleet_rows ~smoke =
       (Ols (fun () -> ignore (Dnsproxy.fork tpl)))
       ~extras:[ ("devices_per_sec", per_sec) ]
   in
-  let config shards =
-    if smoke then { Fleet.Campaign.smoke_config with Fleet.Campaign.shards }
+  let ccfg =
+    if smoke then Fleet.Campaign.smoke_config
     else
-      {
-        Fleet.Campaign.default_config with
-        Fleet.Campaign.devices = 240;
-        lans = 8;
-        shards;
-      }
+      { Fleet.Campaign.default_config with Fleet.Campaign.devices = 240; lans = 8 }
   in
-  let campaign name ?monitor shards =
-    let ccfg = config shards in
+  let campaign name ?monitor () =
     let run () =
       let monitor = Option.map (fun make -> make ()) monitor in
       (Fleet.Campaign.run ?monitor ccfg).Fleet.Campaign.r_events
@@ -1419,13 +1412,11 @@ let fleet_rows ~smoke =
     | Error e -> failwith ("fleet bench: bad built-in rules: " ^ e));
     mon
   in
-  let bare = "fleet/campaign-shards-4" and monitored = "fleet/campaign-monitored-shards-4" in
+  let bare = "fleet/campaign" and monitored = "fleet/campaign-monitored" in
   List.map fork Loader.Arch.all
-  @ List.map
-      (fun shards -> campaign (Printf.sprintf "fleet/campaign-shards-%d" shards) shards)
-      [ 1; 2; 4 ]
   @ [
-      campaign monitored ~monitor 4;
+      campaign bare ();
+      campaign monitored ~monitor ();
       row "fleet/monitor-overhead" "ratio" (Ratio (bare, monitored))
         ~extras:[ ("bare_events_per_sec", fun c -> c.get bare) ];
     ]

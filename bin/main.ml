@@ -72,17 +72,6 @@ let profile_conv =
   in
   Arg.conv (parse, Defense.Profile.pp)
 
-let shards_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ ->
-        Error
-          (`Msg
-            (Printf.sprintf "invalid shard count: %s (expected a positive integer)" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic run seed.")
 
@@ -584,14 +573,6 @@ let metrics_cmd =
 let smoke_arg doc = Arg.(value & flag & info [ "smoke" ] ~doc)
 
 let chaos_cmd =
-  let shards_arg =
-    Arg.(
-      value & opt shards_conv 1
-      & info [ "shards" ]
-          ~doc:
-            "Scheduler shard count for every cell's world (results are \
-             bit-identical across counts).")
-  in
   experiment "chaos"
     ~doc:
       "Replay the exploit matrix and the DoS under deterministic network \
@@ -600,23 +581,13 @@ let chaos_cmd =
     ~pp:Core.Experiments.pp_chaos ~to_json:Core.Experiments.chaos_json
     ~ok:(fun _ -> true)
     Term.(
-      const (fun seed smoke shards () ->
-          Core.Experiments.chaos_campaign ~seed ~smoke ~shards ())
+      const (fun seed smoke () -> Core.Experiments.chaos_campaign ~seed ~smoke ())
       $ seed_arg
-      $ smoke_arg "Reduced grid (2 cells × 3 schedules) for CI."
-      $ shards_arg)
+      $ smoke_arg "Reduced grid (2 cells × 3 schedules) for CI.")
 
 let fuzz_cmd =
   let execs_arg =
     optional Arg.int "execs" "Explicit execution budget per ISA."
-  in
-  let shards_arg =
-    Arg.(
-      value & opt shards_conv 1
-      & info [ "shards" ]
-          ~doc:
-            "Independent engine instances per ISA, on derived seeds; the \
-             campaign passes if every ISA rediscovers in at least one shard.")
   in
   experiment "fuzz"
     ~doc:
@@ -628,11 +599,11 @@ let fuzz_cmd =
     ~pp:Core.Experiments.pp_fuzz ~to_json:Core.Experiments.fuzz_json
     ~ok:(fun r -> r.Core.Experiments.fuzz_ok)
     Term.(
-      const (fun seed smoke shards execs () ->
-          Core.Experiments.fuzz_campaign ~seed ~smoke ~shards ?execs ())
+      const (fun seed smoke execs () ->
+          Core.Experiments.fuzz_campaign ~seed ~smoke ?execs ())
       $ seed_arg
       $ smoke_arg "Reduced budget (4000 executions per ISA) for CI."
-      $ shards_arg $ execs_arg)
+      $ execs_arg)
 
 let diversity_cmd =
   let variants_arg =
@@ -667,9 +638,9 @@ let diversity_cmd =
       $ smoke_arg "CI-sized run: 48 variants per combination.")
 
 (* Shared by fleet and monitor: the campaign config, from the default or
-   smoke preset with any of seed, devices, lans and shards overridden. *)
+   smoke preset with any of seed, devices and lans overridden. *)
 let fleet_config =
-  let config seed devices lans shards smoke =
+  let config seed devices lans smoke =
     let base =
       if smoke then Fleet.Campaign.smoke_config
       else Fleet.Campaign.default_config
@@ -680,7 +651,6 @@ let fleet_config =
       Fleet.Campaign.seed = value seed base.Fleet.Campaign.seed;
       devices = value devices base.Fleet.Campaign.devices;
       lans = value lans base.Fleet.Campaign.lans;
-      shards = value shards base.Fleet.Campaign.shards;
     }
   in
   Term.(
@@ -688,17 +658,14 @@ let fleet_config =
     $ optional Arg.int "seed" "Deterministic run seed (default: the config's)."
     $ optional Arg.int "devices" "Fleet size (default: 1000; 48 with --smoke)."
     $ optional Arg.int "lans" "LAN count (default: 20; 4 with --smoke)."
-    $ optional shards_conv "shards"
-        "Scheduler shard count (default: 4; 2 with --smoke)."
     $ smoke_arg
-        "CI-sized campaign: 48 devices, 4 LANs, 2 shards, canary + one \
-         rollout wave.")
+        "CI-sized campaign: 48 devices, 4 LANs, canary + one rollout wave.")
 
 let fleet_cmd =
   experiment "fleet"
     ~doc:
       "Fleet-scale resilience campaign: fork a device population from \
-       copy-on-write snapshots over a sharded network world, mix benign \
+       copy-on-write snapshots over a simulated network, mix benign \
        load with exploit and DoS forgery under chaos, supervise every \
        device (quarantine, probation, reintroduction), and roll out the \
        patch canary-first with automatic rollback (exit 1 unless the \
@@ -749,8 +716,7 @@ let monitor_cmd =
        per-incident timelines, and print a text dashboard (exit 1 unless \
        an alert incident resolved and an incident timeline runs from \
        wire-byte provenance to quarantine or rollback).  Same config, \
-       same bytes; the shipped configs draw link latency and supervisor \
-       jitter from per-shard RNGs, so --shards changes the output."
+       same bytes."
     ~out_doc:"Write the monitor-v1 flight record to a file." ~pp
     ~to_json:(fun (mon, _, _) -> Telemetry.Monitor.json mon)
     ~ok:(fun (mon, _, _) -> Fleet.Campaign.monitor_ok mon)

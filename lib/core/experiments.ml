@@ -471,7 +471,6 @@ type sweep_point = { sweep_loss : float; sweep_trials : int; sweep_hits : int }
 type chaos_report = {
   chaos_seed : int;
   chaos_smoke : bool;
-  chaos_shards : int;
   chaos_rows : chaos_row list;
   chaos_sweep : sweep_point list;
 }
@@ -517,8 +516,8 @@ let count_cached device =
 (* The chaos venue: a victim connmand (v1.34 on [arch] under [profile],
    booted at [boot_seed]) and the attacker's host, alone on one LAN
    under [policy], the victim using the attacker as its DNS server. *)
-let chaos_venue ?shards ~seed ~boot_seed ~policy arch profile =
-  let world = W.create ~seed ?shards () in
+let chaos_venue ~seed ~boot_seed ~policy arch profile =
+  let world = W.create ~seed () in
   let lan = W.add_lan world ~name:"venue" in
   W.set_lan_policy world lan policy;
   let attacker_ip = Ip.of_string "10.9.0.1" in
@@ -539,10 +538,10 @@ let chaos_venue ?shards ~seed ~boot_seed ~policy arch profile =
    supervision.  [instrument] runs once the world, device, and
    supervisor exist but before any traffic — the telemetry layer's
    attach point. *)
-let run_chaos_cell ?(instrument = fun _ _ _ -> ()) ?(shards = 1) ~seed
+let run_chaos_cell ?(instrument = fun _ _ _ -> ()) ~seed
     (cell, arch, profile, kind) (sched_name, policy) =
   let world, attacker, device =
-    chaos_venue ~shards ~seed ~boot_seed:seed ~policy arch profile
+    chaos_venue ~seed ~boot_seed:seed ~policy arch profile
   in
   let sup = Device.supervise device in
   instrument world device sup;
@@ -622,8 +621,8 @@ let run_chaos_cell ?(instrument = fun _ _ _ -> ()) ?(shards = 1) ~seed
    CPU), and the supervisor; optional profiler on the parse; optional
    metrics registry over all three.  Returns the row plus a symbolizer
    bound to the daemon's current process, for rendering the profile. *)
-let run_instrumented_cell ?(seed = 1) ?(schedule = "clean") ?(shards = 1)
-    ?trace ?profiler ?metrics ?monitor ~cell () =
+let run_instrumented_cell ?(seed = 1) ?(schedule = "clean") ?trace ?profiler
+    ?metrics ?monitor ~cell () =
   match
     ( List.find_opt (fun (id, _, _, _) -> id = cell) chaos_cells,
       List.assoc_opt schedule chaos_schedules )
@@ -652,22 +651,17 @@ let run_instrumented_cell ?(seed = 1) ?(schedule = "clean") ?(shards = 1)
         | Some _ -> Dnsproxy.set_profiler daemon profiler);
         (* The monitor's registry rides the same probe set; dedupe when
            the caller passed it as [?metrics] too. *)
-        (* The monitor's registry skips the per-shard netsim breakdown so
-           its series set is shard-count independent (the byte-identity
-           contract); an explicit [?metrics] registry keeps it. *)
         let regs =
-          let base = match metrics with None -> [] | Some r -> [ (r, true) ] in
+          let base = Option.to_list metrics in
           match monitor with
           | None -> base
           | Some m ->
               let mr = Telemetry.Monitor.registry m in
-              if List.exists (fun (r, _) -> r == mr) base then
-                List.map (fun (r, ps) -> (r, ps && r != mr)) base
-              else base @ [ (mr, false) ]
+              if List.memq mr base then base else base @ [ mr ]
         in
         List.iter
-          (fun (reg, per_shard) ->
-            W.register_metrics ~per_shard world reg;
+          (fun reg ->
+            W.register_metrics world reg;
             Dnsproxy.register_metrics daemon reg;
             Supervisor.register_metrics sup reg)
           regs;
@@ -680,7 +674,7 @@ let run_instrumented_cell ?(seed = 1) ?(schedule = "clean") ?(shards = 1)
               (fun now -> Telemetry.Monitor.scrape m ~now)
       in
       let row =
-        run_chaos_cell ~instrument ~shards ~seed cell_spec (schedule, policy)
+        run_chaos_cell ~instrument ~seed cell_spec (schedule, policy)
       in
       let symbolize pc =
         match !daemon_ref with
@@ -726,9 +720,7 @@ let chaos_sweep ~seed ~trials =
       { sweep_loss = loss; sweep_trials = trials; sweep_hits = !hits })
     [ 0.0; 0.3; 0.6; 0.9 ]
 
-let chaos_campaign ?(seed = 1) ?(smoke = false) ?(shards = 1) () =
-  if shards < 1 then
-    invalid_arg "Experiments.chaos_campaign: shards must be positive";
+let chaos_campaign ?(seed = 1) ?(smoke = false) () =
   let cells, schedules =
     if smoke then
       ( List.filter (fun (id, _, _, _) -> id = "DoS" || id = "E1") chaos_cells,
@@ -742,15 +734,15 @@ let chaos_campaign ?(seed = 1) ?(smoke = false) ?(shards = 1) () =
       (fun (ci, cell) ->
         List.map
           (fun (si, sched) ->
-            run_chaos_cell ~shards
+            run_chaos_cell
               ~seed:(seed + (ci * 1009) + (si * 101))
               cell sched)
           (List.mapi (fun si s -> (si, s)) schedules))
       (List.mapi (fun ci c -> (ci, c)) cells)
   in
   let sweep = chaos_sweep ~seed ~trials:(if smoke then 3 else 8) in
-  { chaos_seed = seed; chaos_smoke = smoke; chaos_shards = shards;
-    chaos_rows = rows; chaos_sweep = sweep }
+  { chaos_seed = seed; chaos_smoke = smoke; chaos_rows = rows;
+    chaos_sweep = sweep }
 
 (* Fixed key order and %.4f floats (%.2f for the loss rate) so
    identical seeds serialize to identical bytes. *)
@@ -761,7 +753,6 @@ let chaos_json r =
        [
          ("schema", Str "chaos-campaign-v1");
          ("seed", Int r.chaos_seed);
-         ("shards", Int r.chaos_shards);
          ("smoke", Bool r.chaos_smoke);
          ( "rows",
            Arr
@@ -1034,45 +1025,37 @@ let pp_markdown ppf rows =
 type fuzz_report = {
   fuzz_seed : int;
   fuzz_smoke : bool;
-  fuzz_shards : int;
-  fuzz_runs : Fuzz.Engine.stats list;  (* x86 shards first, then ARM shards *)
+  fuzz_runs : Fuzz.Engine.stats list;  (* x86, then ARM *)
   fuzz_ok : bool;
 }
 
 (* Budgets sized from measured behaviour (seed 1 rediscovers at exec 954
    on both ISAs): smoke leaves ~4x headroom and still finishes in well
-   under a second per ISA.  [shards] runs that many independent engine
-   instances per ISA on derived seeds (the netsim shard-seed idiom,
-   [seed + 7919*i]); the campaign passes when every ISA rediscovers the
-   overflow in at least one shard. *)
-let fuzz_campaign ?(seed = 1) ?(smoke = false) ?(shards = 1) ?execs () =
-  if shards < 1 then
-    invalid_arg "Experiments.fuzz_campaign: shards must be positive";
+   under a second per ISA.  The campaign passes when both ISAs
+   rediscover the overflow. *)
+let fuzz_campaign ?(seed = 1) ?(smoke = false) ?execs () =
   let max_execs =
     match execs with Some e -> e | None -> if smoke then 4_000 else 20_000
   in
-  let run_arch arch =
-    List.init shards (fun si ->
+  let runs =
+    List.map
+      (fun arch ->
         Fuzz.Engine.run
           {
             Fuzz.Engine.default_config with
             Fuzz.Engine.arch;
-            seed = seed + (7919 * si);
+            seed;
             max_execs;
             stop_on_find = true;
           })
-  in
-  let x86 = run_arch Loader.Arch.X86 in
-  let arm = run_arch Loader.Arch.Arm in
-  let found =
-    List.exists (fun st -> st.Fuzz.Engine.rediscovered_at <> None)
+      [ Loader.Arch.X86; Loader.Arch.Arm ]
   in
   {
     fuzz_seed = seed;
     fuzz_smoke = smoke;
-    fuzz_shards = shards;
-    fuzz_runs = x86 @ arm;
-    fuzz_ok = found x86 && found arm;
+    fuzz_runs = runs;
+    fuzz_ok =
+      List.for_all (fun st -> st.Fuzz.Engine.rediscovered_at <> None) runs;
   }
 
 (* Deterministic serialization, same contract as [chaos_json]: the
@@ -1085,7 +1068,6 @@ let fuzz_json r =
        [
          ("schema", Str "fuzz-campaign-v1");
          ("seed", Int r.fuzz_seed);
-         ("shards", Int r.fuzz_shards);
          ("smoke", Bool r.fuzz_smoke);
          ("ok", Bool r.fuzz_ok);
          ("runs", Arr (List.map Fuzz.Engine.stats_value r.fuzz_runs));

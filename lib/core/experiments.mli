@@ -109,7 +109,6 @@ type sweep_point = { sweep_loss : float; sweep_trials : int; sweep_hits : int }
 type chaos_report = {
   chaos_seed : int;
   chaos_smoke : bool;
-  chaos_shards : int;  (** scheduler shard count of every cell's world *)
   chaos_rows : chaos_row list;
   chaos_sweep : sweep_point list;
       (** exploit-delivery success vs link loss (0/0.3/0.6/0.9) *)
@@ -121,7 +120,6 @@ val chaos_schedules : (string * Netsim.Faults.policy) list
 val run_instrumented_cell :
   ?seed:int ->
   ?schedule:string ->
-  ?shards:int ->
   ?trace:Telemetry.Trace.t ->
   ?profiler:Telemetry.Profile.t ->
   ?metrics:Telemetry.Metrics.t ->
@@ -144,13 +142,9 @@ val run_instrumented_cell :
     {!Telemetry.Monitor.interval_us} — the single-cell flight-recorder
     hookup, mirroring the fleet campaign's. *)
 
-val chaos_campaign :
-  ?seed:int -> ?smoke:bool -> ?shards:int -> unit -> chaos_report
+val chaos_campaign : ?seed:int -> ?smoke:bool -> unit -> chaos_report
 (** Run the grid ([smoke] cuts it to 2 cells × 3 schedules and 3 sweep
-    trials for CI).  [shards] (default 1) builds every cell's world
-    sharded; a cell's single LAN stays on shard 0, so results replay
-    bit-identically across shard counts.  Raises [Invalid_argument] on
-    a non-positive count. *)
+    trials for CI). *)
 
 val chaos_json : chaos_report -> string
 (** Deterministic serialization (fixed field order, fixed float
@@ -202,21 +196,15 @@ val pp_detection : Format.formatter -> detection_row list -> unit
 type fuzz_report = {
   fuzz_seed : int;
   fuzz_smoke : bool;
-  fuzz_shards : int;  (** independent engine instances per ISA *)
-  fuzz_runs : Fuzz.Engine.stats list;
-      (** x86 shards (seed-derived order) first, then ARM shards *)
-  fuzz_ok : bool;
-      (** every ISA rediscovered the overflow in at least one shard *)
+  fuzz_runs : Fuzz.Engine.stats list;  (** the x86 run, then the ARM run *)
+  fuzz_ok : bool;  (** both ISAs rediscovered the overflow *)
 }
 
 val fuzz_campaign :
-  ?seed:int -> ?smoke:bool -> ?shards:int -> ?execs:int -> unit -> fuzz_report
+  ?seed:int -> ?smoke:bool -> ?execs:int -> unit -> fuzz_report
 (** [smoke] caps the budget at 4000 executions per ISA (vs 20000), and
     [execs] overrides either cap outright; the default seed rediscovers
-    at execution 954 on both ISAs.  [shards] (default 1) runs that many
-    independent engine instances per ISA on derived seeds
-    ([seed + 7919*i], the netsim shard idiom).  Raises
-    [Invalid_argument] on a non-positive shard count. *)
+    at execution 954 on both ISAs. *)
 
 val fuzz_json : fuzz_report -> string
 (** Deterministic serialization ([fuzz-campaign-v1] schema, embedding

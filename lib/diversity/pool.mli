@@ -2,7 +2,7 @@
 
     A fleet or experiment draws one master seed and derives one variant
     seed per device index; the derivation is a closed-form mix (no
-    shared RNG stream), so cohorts can be sized, sharded, or replayed
+    shared RNG stream), so cohorts can be sized, split, or replayed
     independently while staying byte-reproducible. *)
 
 val seed_for : master:int -> int -> int

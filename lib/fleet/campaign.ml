@@ -14,8 +14,6 @@ type config = {
   seed : int;
   devices : int;
   lans : int;
-  shards : int;
-  batch_us : int;
   arch : Loader.Arch.t;
   diversity_frac : float;
   round_gap_us : int;
@@ -44,8 +42,6 @@ let default_config =
     seed = 42;
     devices = 1000;
     lans = 20;
-    shards = 4;
-    batch_us = 100;
     arch = Loader.Arch.X86;
     diversity_frac = 0.0;
     round_gap_us = 5_000_000;
@@ -74,7 +70,6 @@ let smoke_config =
     default_config with
     devices = 48;
     lans = 4;
-    shards = 2;
     round_gap_us = 2_000_000;
     attack_start_us = 500_000;
     forge_exploit = 0.3;
@@ -188,7 +183,6 @@ let validate cfg =
   if cfg.lans < 1 then fail "lans must be positive";
   if cfg.devices < cfg.lans then fail "need at least one device per LAN";
   if cfg.devices / cfg.lans > 200 then fail "more than 200 devices per LAN";
-  if cfg.shards < 1 then fail "shards must be positive";
   if cfg.benign_names < 1 then fail "benign_names must be positive";
   if cfg.round_gap_us < 1 || cfg.sample_gap_us < 1 then
     fail "round_gap_us and sample_gap_us must be positive";
@@ -211,7 +205,6 @@ type member = {
   idx : int;
   mhost : W.host;
   mlan : int;
-  mshard : int;
   mcell : Hierarchy.cell;
   mhealth : Health.t;
   mutable mdaemon : Dnsproxy.t;
@@ -251,7 +244,6 @@ end
 
 type lan_ctx = {
   l_lan : W.lan;
-  l_shard : int;
   l_resolver : W.host;
   l_resolver_ip : Ip.t;
   l_cache : Dns.Cache.t;
@@ -260,7 +252,7 @@ type lan_ctx = {
 
 let run ?metrics ?monitor cfg =
   validate cfg;
-  let world = W.create ~seed:cfg.seed ~shards:cfg.shards ~batch:cfg.batch_us () in
+  let world = W.create ~seed:cfg.seed () in
   W.set_default_policy world cfg.chaos;
   (* Three firmware templates: the vulnerable build, the real fix, and
      the injected faulty "patch" (a rebuild that still ships the
@@ -354,8 +346,7 @@ let run ?metrics ?monitor cfg =
   let hier = Hierarchy.create ~escalate_frac:cfg.escalate_frac () in
   let lans =
     Array.init cfg.lans (fun l ->
-        let shard = l mod cfg.shards in
-        let lan = W.add_lan ~shard world ~name:(Printf.sprintf "lan-%02d" l) in
+        let lan = W.add_lan world ~name:(Printf.sprintf "lan-%02d" l) in
         let resolver =
           W.add_host world ~name:(Printf.sprintf "resolver-%02d" l)
         in
@@ -364,7 +355,6 @@ let run ?metrics ?monitor cfg =
         W.attach resolver lan;
         {
           l_lan = lan;
-          l_shard = shard;
           l_resolver = resolver;
           l_resolver_ip = rip;
           l_cache = Dns.Cache.create ~capacity:256 ~shards:4 ();
@@ -388,7 +378,6 @@ let run ?metrics ?monitor cfg =
             idx = i;
             mhost = host;
             mlan = l;
-            mshard = lc.l_shard;
             mcell = cells.(l);
             mhealth = Health.create ~config:cfg.health ();
             mdaemon = vuln_t;  (* placeholder, replaced by [respawn] below *)
@@ -424,8 +413,8 @@ let run ?metrics ?monitor cfg =
         members.(k).mcohort <- w.Rollout.w_label
       done)
     plan;
-  let ssim m = W.shard_sim world m.mshard in
-  let now_of m = Sim.now (ssim m) in
+  let sim = W.sim world in
+  let now () = Sim.now sim in
   (* Health side effects: entering quarantine pulls the device out of
      rotation and arms the probation timer; probation reimages the
      device from its current template, clears a supervisor give-up via
@@ -446,12 +435,12 @@ let run ?metrics ?monitor cfg =
     Hierarchy.check hier m.mcell ~now
   and enter_quarantine m ~cause =
     m.mrotation <- false;
-    jn ~ts:(now_of m) ~source:"health" ~actor:(W.host_name m.mhost) ~detail:cause
+    jn ~ts:(now ()) ~source:"health" ~actor:(W.host_name m.mhost) ~detail:cause
       "quarantine";
-    Sim.schedule (ssim m) ~delay:cfg.health.Health.probation_us (fun _ ->
+    Sim.schedule sim ~delay:cfg.health.Health.probation_us (fun _ ->
         reintroduce m)
   and reintroduce m =
-    let now = now_of m in
+    let now = now () in
     if Health.state m.mhealth = Health.Quarantined then begin
       let st = Health.observe m.mhealth ~now Health.Probation_over in
       m.mdaemon <- respawn m;
@@ -471,14 +460,14 @@ let run ?metrics ?monitor cfg =
     (fun l cell ->
       Hierarchy.on_escalate cell (fun () ->
           jn
-            ~ts:(Sim.now (W.shard_sim world lans.(l).l_shard))
+            ~ts:(now ())
             ~source:"cell"
             ~actor:(W.lan_name lans.(l).l_lan)
             "cell_escalated";
           List.iter
             (fun m ->
               if Health.state m.mhealth = Health.Degraded then begin
-                let now = now_of m in
+                let now = now () in
                 let st = Health.observe m.mhealth ~now Health.Cell_escalated in
                 if st = Health.Quarantined then
                   enter_quarantine m ~cause:"cell_escalated"
@@ -490,7 +479,7 @@ let run ?metrics ?monitor cfg =
       let on_event (e : Supervisor.event) =
         match e.Supervisor.kind with
         | Supervisor.Gave_up ->
-            let now = now_of m in
+            let now = now () in
             let prev = Health.state m.mhealth in
             let st = Health.observe m.mhealth ~now Health.Crash_loop in
             after_health m prev st ~now ~cause:"crash_loop"
@@ -498,7 +487,7 @@ let run ?metrics ?monitor cfg =
       in
       let name = Printf.sprintf "dev-%04d" m.idx in
       let sup =
-        Supervisor.supervise ~policy:cfg.sup_policy ~name ~on_event (ssim m)
+        Supervisor.supervise ~policy:cfg.sup_policy ~name ~on_event sim
           (module Member_daemon) m
       in
       Supervisor.set_monitor sup monitor;
@@ -513,7 +502,7 @@ let run ?metrics ?monitor cfg =
               ~origin:(Ip.to_string dgram.W.src)
               m.mdaemon dgram.W.payload
           in
-          let now = now_of m in
+          let now = now () in
           let dev = W.host_name m.mhost in
           match d with
           | Dnsproxy.Cached _ ->
@@ -559,7 +548,7 @@ let run ?metrics ?monitor cfg =
      sharded answer cache; inside the attack window it forges the
      exploit or a DoS answer instead, and keeps a bounded set of
      "pinned" victims it re-DoSes on every query (the crash-loop
-     generator).  All randomness comes from the LAN's shard RNG. *)
+     generator). *)
   let benign lc query reply ~now =
     match query.Dns.Packet.questions with
     | [ q ] when q.Dns.Packet.qtype = Dns.Packet.A ->
@@ -581,12 +570,10 @@ let run ?metrics ?monitor cfg =
   in
   Array.iteri
     (fun li lc ->
-      let sim = W.shard_sim world lc.l_shard in
-      (* Forge decisions draw from a per-LAN RNG, not the shard RNG: the
-         draw sequence a resolver sees then depends only on its own
-         query arrival order, so moving LANs between shards (changing
-         [shards]) cannot reshuffle who gets exploited — a precondition
-         for cross-shard-count monitor determinism. *)
+      (* Forge decisions draw from a per-LAN RNG, not the world's: the
+         draw sequence a resolver sees depends only on its own query
+         arrival order, so link-fault draws elsewhere in the world do
+         not reshuffle who gets exploited. *)
       let rng = Rng.create (cfg.seed + (104729 * (li + 1))) in
       W.on_udp lc.l_resolver ~port:53 (fun _ctx dgram ->
           match Dns.Packet.decode dgram.W.payload with
@@ -596,7 +583,7 @@ let run ?metrics ?monitor cfg =
                 W.send world ~from:lc.l_resolver ~sport:53 ~dst:dgram.W.src
                   ~dport:dgram.W.sport payload
               in
-              let now = Sim.now sim in
+              let now = now () in
               let in_attack = now >= cfg.attack_start_us in
               let dos () =
                 Dns.Craft.hostile_response ~query
@@ -625,7 +612,7 @@ let run ?metrics ?monitor cfg =
     (fun m ->
       let offset = 50_000 + (m.idx * 7919 mod (max 1 (cfg.round_gap_us / 2))) in
       for r = 0 to rounds - 1 do
-        Sim.schedule (ssim m)
+        Sim.schedule sim
           ~delay:((r * cfg.round_gap_us) + offset)
           (fun _ ->
             if m.mrotation && Dnsproxy.alive m.mdaemon then begin
@@ -645,7 +632,6 @@ let run ?metrics ?monitor cfg =
   (* Staged rollout: apply a wave, soak, gate, advance or roll back (a
      rolled-back wave reverts to the vulnerable image and is retried
      with the good patch). *)
-  let sim0 = W.sim world in
   let apply_wave (w : Rollout.wave) template =
     for k = w.Rollout.w_first to w.Rollout.w_first + w.Rollout.w_count - 1 do
       let m = members.(k) in
@@ -659,7 +645,7 @@ let run ?metrics ?monitor cfg =
   let rec start_wave = function
     | [] -> ()
     | (w : Rollout.wave) :: rest ->
-        let applied = Sim.now sim0 in
+        let applied = now () in
         jn ~ts:applied ~source:"rollout" ~actor:"rollout"
           ~detail:
             (Printf.sprintf "%s: %d devices%s" w.Rollout.w_label
@@ -667,8 +653,8 @@ let run ?metrics ?monitor cfg =
                (if w.Rollout.w_bad then " (faulty build)" else ""))
           "wave_applied";
         apply_wave w (if w.Rollout.w_bad then bad_t else good_t);
-        Sim.schedule sim0 ~delay:cfg.soak_us (fun _ ->
-            let evaluated = Sim.now sim0 in
+        Sim.schedule sim ~delay:cfg.soak_us (fun _ ->
+            let evaluated = now () in
             let hits = ref 0 in
             for k = w.Rollout.w_first to w.Rollout.w_first + w.Rollout.w_count - 1
             do
@@ -696,7 +682,7 @@ let run ?metrics ?monitor cfg =
                      !hits w.Rollout.w_count)
                 "rollback";
               apply_wave w vuln_t;
-              Sim.schedule sim0 ~delay:cfg.wave_gap_us (fun _ ->
+              Sim.schedule sim ~delay:cfg.wave_gap_us (fun _ ->
                   start_wave ({ w with Rollout.w_bad = false } :: rest))
             end
             else begin
@@ -710,18 +696,18 @@ let run ?metrics ?monitor cfg =
                 jn ~ts:evaluated ~source:"fleet" ~actor:"fleet"
                   "converged"
               end;
-              Sim.schedule sim0 ~delay:cfg.wave_gap_us (fun _ -> start_wave rest)
+              Sim.schedule sim ~delay:cfg.wave_gap_us (fun _ -> start_wave rest)
             end)
   in
-  Sim.schedule sim0 ~delay:cfg.rollout_start_us (fun _ -> start_wave plan);
-  (* Fleet time series, sampled on shard 0's clock. *)
+  Sim.schedule sim ~delay:cfg.rollout_start_us (fun _ -> start_wave plan);
+  (* Fleet time series. *)
   for s = 1 to cfg.horizon_us / cfg.sample_gap_us do
-    Sim.schedule sim0 ~delay:(s * cfg.sample_gap_us) (fun _ ->
+    Sim.schedule sim ~delay:(s * cfg.sample_gap_us) (fun _ ->
         let counts = Hierarchy.state_counts hier in
         let get st = try List.assoc st counts with Not_found -> 0 in
         samples :=
           {
-            s_at_us = Sim.now sim0;
+            s_at_us = now ();
             s_compromises = !win_comp;
             s_crashes = !win_crash;
             s_patched =
@@ -738,23 +724,18 @@ let run ?metrics ?monitor cfg =
         win_crash := 0)
   done;
   (* The fleet series register into the explicit [?metrics] registry and
-     into the monitor's own (deduplicated when they are the same one).
-     The monitor's registry skips the per-shard netsim breakdown: its
-     series set must not depend on the shard count, or the exported
-     flight record could never be byte-identical across placements. *)
+     into the monitor's own (deduplicated when they are the same one). *)
   let regs =
-    let base = match metrics with Some r -> [ (r, true) ] | None -> [] in
+    let base = Option.to_list metrics in
     match monitor with
     | Some mon ->
         let mreg = Telemetry.Monitor.registry mon in
-        if List.exists (fun (r, _) -> r == mreg) base then
-          List.map (fun (r, ps) -> (r, ps && r != mreg)) base
-        else base @ [ (mreg, false) ]
+        if List.memq mreg base then base else base @ [ mreg ]
     | None -> base
   in
   List.iter
-    (fun (reg, per_shard) ->
-      W.register_metrics ~per_shard world reg;
+    (fun reg ->
+      W.register_metrics world reg;
       let count f =
         float_of_int
           (Array.fold_left (fun a m -> if f m then a + 1 else a) 0 members)
@@ -821,9 +802,8 @@ let run ?metrics ?monitor cfg =
           Hierarchy.escalations hier);
       c "fleet_forks_total" "CoW daemon spawns" (fun () -> !forks))
     regs;
-  (* The monitor scrapes at world barriers: every shard is drained
-     through the barrier time before the scrape reads the registry, so
-     the sampled values are shard-count independent. *)
+  (* The monitor scrapes at world barriers: every event at or before the
+     barrier time has run before the scrape reads the registry. *)
   (match monitor with
   | None -> ()
   | Some mon ->
@@ -914,7 +894,6 @@ let json r =
          ("seed", Int c.seed);
          ("devices", Int c.devices);
          ("lans", Int c.lans);
-         ("shards", Int c.shards);
          ("arch", Str (arch_name c.arch));
          ("diversity_frac", fixed 4 c.diversity_frac);
          ("horizon_us", Int c.horizon_us);
@@ -984,13 +963,13 @@ let json r =
 
 let pp ppf r =
   Format.fprintf ppf
-    "@[<v>fleet campaign: %d devices / %d LANs / %d shards (seed %d)@,\
+    "@[<v>fleet campaign: %d devices / %d LANs (seed %d)@,\
      lookups %d, answered %d (availability %.4f)@,\
      compromises %d (%d devices; %d/%d diversified vs %d stock), crashes %d, restarts %d@,\
      quarantines %d, reintroductions %d, revivals %d, escalations %d@,\
      waves %d (%d rolled back), converged at %dus@,\
      forks %d, cache %d/%d hit/miss, net %d delivered / %d dropped@]"
-    r.r_config.devices r.r_config.lans r.r_config.shards r.r_config.seed
+    r.r_config.devices r.r_config.lans r.r_config.seed
     r.r_lookups r.r_answered r.r_availability r.r_compromises
     r.r_compromised_devices r.r_div_compromised r.r_diversified
     r.r_stock_compromised r.r_crashes r.r_restarts r.r_quarantines

@@ -2,9 +2,8 @@
     devices under mixed benign/attack traffic, chaos, hierarchical
     supervision, quarantine, and a staged patch rollout.
 
-    One campaign builds a sharded {!Netsim.World} ([lans] LANs spread
-    round-robin over [shards] scheduler shards), boots three daemon
-    {e templates} — the vulnerable firmware, the patched build, and an
+    One campaign builds a {!Netsim.World} of [lans] LANs, boots three
+    daemon {e templates} — the vulnerable firmware, the patched build, and an
     injected faulty "patch" that still ships the vulnerable parser —
     and forks every device from its cohort's template via copy-on-write
     snapshots ({!Connman.Dnsproxy.fork}), so spawning is µs-scale.
@@ -21,16 +20,14 @@
     {!Rollout} plan patches the fleet canary-first with a regression
     gate per wave.
 
-    Everything draws from the world's seeded, sharded RNGs: the same
-    [config] replays bit-identically, and {!json} is byte-deterministic
-    ([fleet-campaign-v1]). *)
+    Everything draws from seeded RNGs (the world's, and one per LAN
+    resolver): the same [config] replays bit-identically, and {!json}
+    is byte-deterministic ([fleet-campaign-v1]). *)
 
 type config = {
   seed : int;
   devices : int;
   lans : int;  (** devices are assigned round-robin: device i → LAN i mod lans *)
-  shards : int;  (** LAN l → scheduler shard l mod shards *)
-  batch_us : int;  (** cross-shard epoch window *)
   arch : Loader.Arch.t;
   diversity_frac : float;
       (** fraction of the fleet booted as software-diversity variants
@@ -48,10 +45,8 @@ type config = {
   pinned_per_lan : int;  (** attacker focus: victims re-DoSed every query *)
   chaos : Netsim.Faults.policy;  (** world-wide impairment policy *)
   sup_policy : Core.Supervisor.policy;
-      (** per-device supervision (backoff/burst).  The default keeps
-          {!Core.Supervisor.default_policy}; the cross-shard-count
-          determinism tests zero its jitter, the only per-device shard-RNG
-          consumer left in the campaign. *)
+      (** per-device supervision (backoff/burst); the default keeps
+          {!Core.Supervisor.default_policy}. *)
   health : Health.config;
   escalate_frac : float;  (** LAN-supervisor escalation threshold *)
   rollout_start_us : int;
@@ -66,11 +61,11 @@ type config = {
 }
 
 val default_config : config
-(** 1,000 devices / 20 LANs / 4 shards, 90 simulated seconds, faulty
+(** 1,000 devices / 20 LANs, 90 simulated seconds, faulty
     patch in wave 2. *)
 
 val smoke_config : config
-(** CI-sized: 48 devices / 4 LANs / 2 shards, canary + one wave (the
+(** CI-sized: 48 devices / 4 LANs, canary + one wave (the
     injected bad patch, so the rollback path is exercised), 40 simulated
     seconds. *)
 
@@ -139,7 +134,7 @@ val monitor_ok : Telemetry.Monitor.t -> bool
 
 val run :
   ?metrics:Telemetry.Metrics.t -> ?monitor:Telemetry.Monitor.t -> config -> report
-(** Execute the campaign.  When [metrics] is given, per-shard
+(** Execute the campaign.  When [metrics] is given, the
     [netsim_*] series, per-cohort fleet gauges (label ["cohort"] = wave
     label), health-census gauges (label ["state"]), and fleet counters
     are registered before the run, so the registry can be scraped after

@@ -178,7 +178,7 @@ let fault t addr kind context =
 
 (* The one generation counter behind every address space.  A plain
    global is sound because memories are only ever touched from a single
-   domain; running shards on several domains would need an [Atomic.t]
+   domain; using memories from several domains would need an [Atomic.t]
    here (or per-domain disjoint ranges). *)
 let gen_counter = ref 0
 

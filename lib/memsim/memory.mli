@@ -170,8 +170,8 @@ val poke_bytes : t -> int -> string -> unit
     are supported.
 
     The counter is a plain global: memories must only be used from one
-    domain.  Running shards on several domains would need it atomic, or
-    per-domain disjoint ranges. *)
+    domain.  Using memories from several domains would need it atomic,
+    or per-domain disjoint ranges. *)
 
 type snapshot
 

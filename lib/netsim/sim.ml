@@ -26,7 +26,10 @@ let create ?(seed = 1) () =
 
 let now t = t.clock
 let rng t = t.rng
-let key e = (e.time, e.seq)
+
+(* [a] fires before [b]: time, then FIFO sequence, compared as ints so a
+   sift step allocates nothing. *)
+let earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
 let swap t i j =
   let tmp = t.heap.(i) in
@@ -36,7 +39,7 @@ let swap t i j =
 let rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if key t.heap.(i) < key t.heap.(parent) then begin
+    if earlier t.heap.(i) t.heap.(parent) then begin
       swap t i parent;
       sift_up t parent
     end
@@ -45,8 +48,8 @@ let rec sift_up t i =
 let rec sift_down t i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let smallest = ref i in
-  if l < t.size && key t.heap.(l) < key t.heap.(!smallest) then smallest := l;
-  if r < t.size && key t.heap.(r) < key t.heap.(!smallest) then smallest := r;
+  if l < t.size && earlier t.heap.(l) t.heap.(!smallest) then smallest := l;
+  if r < t.size && earlier t.heap.(r) t.heap.(!smallest) then smallest := r;
   if !smallest <> i then begin
     swap t i !smallest;
     sift_down t !smallest
@@ -77,7 +80,6 @@ let pop t =
   top
 
 let pending t = t.size
-let next_time t = if t.size = 0 then None else Some t.heap.(0).time
 
 let run ?until t =
   let processed = ref 0 in

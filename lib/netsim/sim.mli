@@ -21,6 +21,3 @@ val run : ?until:int -> t -> int
     are relative to it, not to the last event that happened to fire. *)
 
 val pending : t -> int
-
-val next_time : t -> int option
-(** Timestamp of the earliest pending event, if any. *)

@@ -18,16 +18,10 @@ type stats = {
   mutable reordered : int;
 }
 
-(* Scheduler state lives in explicit shards: each shard owns an event
-   heap (with its RNG) and its own stats record, so fleet-scale worlds
-   can spread LANs over several heaps.  Cross-shard traffic is batched
-   through per-shard inboxes and flushed at epoch boundaries; with one
-   shard (the default) nothing changes — [run] delegates straight to
-   [Sim.run] on the lone heap, bit-identical to the unsharded world
-   under seed replay. *)
+(* One event heap (with its RNG) and one stats record drive every LAN. *)
 type t = {
-  shards : shard array;  (* at least one; shard 0 carries the world seed *)
-  batch : int;  (* epoch window, µs: bounds cross-shard delivery skew *)
+  wsim : Sim.t;
+  wstats : stats;
   mutable lans : lan list;
   mutable hosts : host list;
   mutable next_id : int;  (* host/lan id source (policy and visited keys) *)
@@ -39,21 +33,11 @@ type t = {
   mutable barrier : (int * (int -> unit)) option;  (* (every_us, hook) *)
 }
 
-and shard = {
-  sindex : int;
-  ssim : Sim.t;
-  sstats : stats;
-  sinbox : pending Queue.t;  (* datagram copies from other shards *)
-}
-
-and pending = { p_time : int; p_dgram : datagram; p_target : host }
-
 and lan = {
   lid : int;
   lname : string;
   mutable members : host list;
   mutable uplink : lan option;
-  mutable lshard : int;
 }
 
 and host = {
@@ -80,22 +64,10 @@ let zero_stats () =
     reordered = 0;
   }
 
-let create ?(seed = 7) ?(shards = 1) ?(batch = 100) () =
-  if shards < 1 then invalid_arg "World.create: shards must be >= 1";
-  if batch < 0 then invalid_arg "World.create: batch must be >= 0";
+let create ?(seed = 7) () =
   {
-    shards =
-      Array.init shards (fun i ->
-          {
-            sindex = i;
-            (* Shard 0 carries the world seed unchanged so a one-shard
-               world replays the unsharded one bit-for-bit; the others
-               derive distinct streams from it. *)
-            ssim = Sim.create ~seed:(seed + (7919 * i)) ();
-            sstats = zero_stats ();
-            sinbox = Queue.create ();
-          });
-    batch;
+    wsim = Sim.create ~seed ();
+    wstats = zero_stats ();
     lans = [];
     hosts = [];
     next_id = 0;
@@ -112,57 +84,20 @@ let fresh_id t =
   t.next_id <- id + 1;
   id
 
-let sim t = t.shards.(0).ssim
-let shard_count t = Array.length t.shards
-
-let shard_sim t i =
-  if i < 0 || i >= Array.length t.shards then
-    invalid_arg "World.shard_sim: no such shard";
-  t.shards.(i).ssim
-
-let shard_stats t i =
-  if i < 0 || i >= Array.length t.shards then
-    invalid_arg "World.shard_stats: no such shard";
-  t.shards.(i).sstats
-
-let merge_stats acc s =
-  acc.delivered <- acc.delivered + s.delivered;
-  acc.dropped <- acc.dropped + s.dropped;
-  acc.dropped_fault <- acc.dropped_fault + s.dropped_fault;
-  acc.dropped_link <- acc.dropped_link + s.dropped_link;
-  acc.no_route <- acc.no_route + s.no_route;
-  acc.no_handler <- acc.no_handler + s.no_handler;
-  acc.corrupted <- acc.corrupted + s.corrupted;
-  acc.duplicated <- acc.duplicated + s.duplicated;
-  acc.reordered <- acc.reordered + s.reordered
-
-(* Single shard: hand out the live record (existing callers hold on to
-   it across runs).  Sharded: a fresh merged snapshot. *)
-let stats t =
-  if Array.length t.shards = 1 then t.shards.(0).sstats
-  else begin
-    let acc = zero_stats () in
-    Array.iter (fun sh -> merge_stats acc sh.sstats) t.shards;
-    acc
-  end
-
-let shard_of_host t h =
-  match h.hlan with
-  | Some lan when lan.lshard < Array.length t.shards -> t.shards.(lan.lshard)
-  | _ -> t.shards.(0)
+let sim t = t.wsim
+let stats t = t.wstats
 
 let set_trace t tr = t.trace <- tr
 let trace t = t.trace
 
-(* Every net event first advances the trace's shared clock to the acting
-   shard's sim-now, so layers without a clock of their own (daemons,
-   supervisor) timestamp against a current µs.  [Trace.set_now] is
-   monotonic, so out-of-order shard clocks cannot drag it backward. *)
-let trace_event t sh name args =
+(* Every net event first advances the trace's shared clock to sim-now,
+   so layers without a clock of their own (daemons, supervisor)
+   timestamp against a current µs. *)
+let trace_event t name args =
   match t.trace with
   | None -> ()
   | Some tr ->
-      Telemetry.Trace.set_now tr (Sim.now sh.ssim);
+      Telemetry.Trace.set_now tr (Sim.now t.wsim);
       Telemetry.Trace.emit tr ~cat:"net" ~track:"net" name ~args
 
 let dgram_args dgram =
@@ -203,26 +138,13 @@ let policy_for t ~src ~dst =
 
 (* --- topology ----------------------------------------------------------- *)
 
-let add_lan ?(shard = 0) t ~name =
-  if shard < 0 || shard >= Array.length t.shards then
-    invalid_arg "World.add_lan: no such shard";
-  let lan =
-    { lid = fresh_id t; lname = name; members = []; uplink = None;
-      lshard = shard }
-  in
+let add_lan t ~name =
+  let lan = { lid = fresh_id t; lname = name; members = []; uplink = None } in
   t.lans <- lan :: t.lans;
   lan
 
 let lan_name lan = lan.lname
 let set_uplink lan up = lan.uplink <- up
-
-let set_lan_shard t lan i =
-  if i < 0 || i >= Array.length t.shards then
-    invalid_arg "World.set_lan_shard: no such shard";
-  lan.lshard <- i
-
-let lan_shard lan = lan.lshard
-let host_shard t h = (shard_of_host t h).sindex
 
 let add_host t ~name =
   let host =
@@ -307,37 +229,31 @@ let resolve_unicast t lan dst =
 
 (* --- delivery ----------------------------------------------------------- *)
 
-(* [sh] is the receiver's shard: its heap fired the delivery event, its
-   stats absorb the outcome. *)
-let deliver t sh dgram target =
+let deliver t dgram target =
+  let s = t.wstats in
   match List.assoc_opt dgram.dport target.handlers with
   | None ->
-      sh.sstats.dropped <- sh.sstats.dropped + 1;
-      sh.sstats.no_handler <- sh.sstats.no_handler + 1;
-      trace_event t sh "rx-drop"
+      s.dropped <- s.dropped + 1;
+      s.no_handler <- s.no_handler + 1;
+      trace_event t "rx-drop"
         (("host", Telemetry.Trace.S target.hname)
         :: ("reason", Telemetry.Trace.S "no-handler")
         :: dgram_args dgram)
   | Some handler ->
-      sh.sstats.delivered <- sh.sstats.delivered + 1;
-      trace_event t sh "rx"
+      s.delivered <- s.delivered + 1;
+      trace_event t "rx"
         (("host", Telemetry.Trace.S target.hname) :: dgram_args dgram);
       handler { world = t; self = target } dgram
 
 (* Push one datagram across the [src -> target] link, applying that
-   link's impairment policy.  The sender's shard draws the fault plan
-   (its RNG, its clock); every surviving copy is either scheduled on the
-   receiver's heap directly (same shard) or queued in the receiver
-   shard's inbox for the next epoch flush. *)
+   link's impairment policy, and schedule every surviving copy. *)
 let transmit t dgram ~src target =
-  let ssrc = shard_of_host t src in
-  let sdst = shard_of_host t target in
   let policy = policy_for t ~src ~dst:target in
   let plan =
-    Faults.apply (Sim.rng ssrc.ssim) policy ~now:(Sim.now ssrc.ssim)
+    Faults.apply (Sim.rng t.wsim) policy ~now:(Sim.now t.wsim)
       ~payload:dgram.payload
   in
-  let s = ssrc.sstats in
+  let s = t.wstats in
   let link_args () =
     ("from", Telemetry.Trace.S src.hname)
     :: ("to", Telemetry.Trace.S target.hname)
@@ -347,12 +263,12 @@ let transmit t dgram ~src target =
   | Faults.Drop_link ->
       s.dropped <- s.dropped + 1;
       s.dropped_link <- s.dropped_link + 1;
-      trace_event t ssrc "drop"
+      trace_event t "drop"
         (("reason", Telemetry.Trace.S "link") :: link_args ())
   | Faults.Drop_fault ->
       s.dropped <- s.dropped + 1;
       s.dropped_fault <- s.dropped_fault + 1;
-      trace_event t ssrc "drop"
+      trace_event t "drop"
         (("reason", Telemetry.Trace.S "fault") :: link_args ())
   | Faults.Pass ->
       if plan.Faults.corrupted then s.corrupted <- s.corrupted + 1;
@@ -369,30 +285,20 @@ let transmit t dgram ~src target =
               ("reordered", Telemetry.Trace.B plan.Faults.reordered);
             ]
           in
-          trace_event t ssrc "tx" (link_args () @ flags));
+          trace_event t "tx" (link_args () @ flags));
       List.iter
         (fun (delay, payload) ->
           let dgram = { dgram with payload } in
-          if ssrc == sdst then
-            Sim.schedule sdst.ssim ~delay (fun _ -> deliver t sdst dgram target)
-          else
-            Queue.push
-              {
-                p_time = Sim.now ssrc.ssim + delay;
-                p_dgram = dgram;
-                p_target = target;
-              }
-              sdst.sinbox)
+          Sim.schedule t.wsim ~delay (fun _ -> deliver t dgram target))
         plan.Faults.copies
 
 let send t ~from ?(sport = 0) ~dst ~dport payload =
-  let ssrc = shard_of_host t from in
-  let s = ssrc.sstats in
+  let s = t.wstats in
   match from.hlan with
   | None ->
       s.dropped <- s.dropped + 1;
       s.no_route <- s.no_route + 1;
-      trace_event t ssrc "drop"
+      trace_event t "drop"
         [
           ("reason", Telemetry.Trace.S "no-lan");
           ("from", Telemetry.Trace.S from.hname);
@@ -410,71 +316,12 @@ let send t ~from ?(sport = 0) ~dst ~dport payload =
         | None ->
             s.dropped <- s.dropped + 1;
             s.no_route <- s.no_route + 1;
-            trace_event t ssrc "drop"
+            trace_event t "drop"
               (("reason", Telemetry.Trace.S "no-route")
               :: ("from", Telemetry.Trace.S from.hname)
               :: dgram_args dgram))
 
-(* Move inbox entries onto the shard's own heap.  A copy whose stamped
-   time already passed on the receiver's clock is delivered at [now] —
-   cross-shard skew is bounded by the epoch window ([batch]). *)
-let flush_inbox t sh =
-  while not (Queue.is_empty sh.sinbox) do
-    let p = Queue.pop sh.sinbox in
-    let delay = max 0 (p.p_time - Sim.now sh.ssim) in
-    Sim.schedule sh.ssim ~delay (fun _ -> deliver t sh p.p_dgram p.p_target)
-  done
-
-(* Conservative epoch loop over the shard heaps: flush every inbox, find
-   the globally earliest pending event, run all shards up to that time
-   plus the batch window, repeat.  One shard short-circuits to a plain
-   [Sim.run] — bit-identical to the unsharded world. *)
-let run_span ?until t =
-    if Array.length t.shards = 1 then Sim.run ?until t.shards.(0).ssim
-    else begin
-      let processed = ref 0 in
-      let progress = ref true in
-      while !progress do
-        progress := false;
-        Array.iter (flush_inbox t) t.shards;
-        let next =
-          Array.fold_left
-            (fun acc sh ->
-              match Sim.next_time sh.ssim with
-              | None -> acc
-              | Some tm -> (
-                  match acc with None -> Some tm | Some a -> Some (min a tm)))
-            None t.shards
-        in
-        match next with
-        | None -> ()
-        | Some tmin ->
-            let beyond =
-              match until with Some u -> tmin > u | None -> false
-            in
-            if not beyond then begin
-              let horizon = tmin + t.batch in
-              let horizon =
-                match until with Some u -> min horizon u | None -> horizon
-              in
-              Array.iter
-                (fun sh ->
-                  processed := !processed + Sim.run ~until:horizon sh.ssim)
-                t.shards;
-              progress := true
-            end
-      done;
-      (* Advance every shard clock to the caller's horizon (no events
-         remain at or before it). *)
-      (match until with
-      | Some u ->
-          Array.iter (fun sh -> ignore (Sim.run ~until:u sh.ssim)) t.shards
-      | None -> ());
-      !processed
-    end
-
-let now t =
-  Array.fold_left (fun acc sh -> max acc (Sim.now sh.ssim)) 0 t.shards
+let now t = Sim.now t.wsim
 
 let set_barrier t ~every_us hook =
   if every_us <= 0 then invalid_arg "World.set_barrier: every_us must be positive";
@@ -482,67 +329,41 @@ let set_barrier t ~every_us hook =
 
 let clear_barrier t = t.barrier <- None
 
-let has_pending t =
-  Array.exists (fun sh -> Sim.pending sh.ssim > 0) t.shards
-
 (* With a barrier installed, [run] is an outer loop over barrier times
-   b = k·every_us: every shard is drained through b (inclusive — see
-   [Sim.run]) before the hook observes b.  All events at or before b
-   have executed regardless of shard count, so counter-style state seen
-   by the hook is an order-independent sum — this is what makes a
-   monitor scrape shard-count deterministic.  Without [until], barriers
-   keep firing while any shard still has pending work. *)
+   b = k·every_us: the heap is drained through b (inclusive — see
+   [Sim.run]) before the hook observes b.  Without [until], barriers
+   keep firing while events remain pending. *)
 let run ?until t =
   let processed =
     match t.barrier with
-    | None -> run_span ?until t
+    | None -> Sim.run ?until t.wsim
     | Some (every, hook) ->
         let processed = ref 0 in
         let next = ref (((now t / every) + 1) * every) in
         let continue () =
           match until with
           | Some u -> !next <= u
-          | None -> has_pending t
+          | None -> Sim.pending t.wsim > 0
         in
         while continue () do
-          processed := !processed + run_span ~until:!next t;
+          processed := !processed + Sim.run ~until:!next t.wsim;
           hook !next;
           next := !next + every
         done;
-        (match until with
-        | Some u -> processed := !processed + run_span ~until:u t
-        | None -> processed := !processed + run_span t);
-        !processed
+        !processed + Sim.run ?until t.wsim
   in
   (* Feed the telemetry clock at the end of the run too: with the
      clock-lag fix, an early-drained [run ~until] still advances sim
      time, and the trace's µs should agree. *)
   (match t.trace with
   | None -> ()
-  | Some tr -> Telemetry.Trace.set_now tr (Sim.now t.shards.(0).ssim));
+  | Some tr -> Telemetry.Trace.set_now tr (Sim.now t.wsim));
   processed
 
-let register_metrics ?(per_shard = true) t reg =
-  (* Single-shard worlds keep the seed exposition byte-for-byte; sharded
-     worlds add one ["shard"]-labelled series per shard after each
-     unlabelled rollup, registered in shard-index order so the
-     registry's (name, registration-seq) exposition order is stable.
-     Probes read the live stats records, so rollup = sum of shards holds
-     at every scrape.  [~per_shard:false] suppresses the labelled
-     breakdown: the registry then exposes the same series set for any
-     shard count — what the monitor's cross-shard-count byte-identity
-     contract needs. *)
-  let sharded = per_shard && Array.length t.shards > 1 in
+let register_metrics t reg =
   let c name help f =
     Telemetry.Metrics.probe reg ~help ~kind:`Counter name (fun () ->
-        float_of_int (f (stats t)));
-    if sharded then
-      Array.iter
-        (fun sh ->
-          Telemetry.Metrics.probe reg ~help ~kind:`Counter
-            ~labels:[ ("shard", string_of_int sh.sindex) ] name (fun () ->
-              float_of_int (f sh.sstats)))
-        t.shards
+        float_of_int (f t.wstats))
   in
   c "netsim_delivered_total" "datagrams delivered to a handler" (fun s ->
       s.delivered);
@@ -562,13 +383,4 @@ let register_metrics ?(per_shard = true) t reg =
   c "netsim_reordered_total" "datagrams reordered in flight" (fun s ->
       s.reordered);
   Telemetry.Metrics.probe reg ~help:"simulated clock, microseconds"
-    ~kind:`Gauge "netsim_sim_now_us" (fun () ->
-      float_of_int (Sim.now t.shards.(0).ssim));
-  if sharded then
-    Array.iter
-      (fun sh ->
-        Telemetry.Metrics.probe reg ~help:"simulated clock, microseconds"
-          ~kind:`Gauge
-          ~labels:[ ("shard", string_of_int sh.sindex) ] "netsim_sim_now_us"
-          (fun () -> float_of_int (Sim.now sh.ssim)))
-      t.shards
+    ~kind:`Gauge "netsim_sim_now_us" (fun () -> float_of_int (Sim.now t.wsim))

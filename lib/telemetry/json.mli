@@ -29,7 +29,7 @@ val print : value -> string
 val fixed : int -> float -> value
 (** [fixed d x] is [x] rounded to [d] decimals (printf's [%.*f]), as a
     [Num].  Emitters quantize through it so that results which agree to
-    [d] decimals (e.g. across shard counts) print the same bytes. *)
+    [d] decimals print the same bytes. *)
 
 val parse : string -> (value, string) result
 (** Parses exactly one JSON value (surrounded by optional whitespace);

@@ -1,6 +1,6 @@
 (* Campaign flight recorder.  See monitor.mli for the contract; the two
    load-bearing properties are (1) scrapes are driven by the sim clock at
-   world barriers, so values are shard-count independent, and (2) every
+   world barriers, after every event up to the barrier time, and (2) every
    export path orders by explicit deterministic keys — no Hashtbl
    iteration order, no wall clock, no global emission sequence. *)
 
@@ -473,9 +473,9 @@ let journal_emitted t = t.jtotal
 let journal_dropped t = t.jtotal - t.jlen
 
 (* Export order: (ts, actor, per-actor ordinal).  Per-actor emission order
-   is deterministic for a fixed seed regardless of shard count; actor
-   names break same-timestamp ties between actors.  Global emission order
-   would NOT be deterministic across shard counts. *)
+   is deterministic for a fixed seed; actor names break same-timestamp
+   ties between actors, so the export does not follow global emission
+   order. *)
 let sorted_jrecs t =
   let cap = Array.length t.jring in
   let l = List.init t.jlen (fun i -> t.jring.((t.jstart + i) mod cap)) in

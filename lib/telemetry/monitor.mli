@@ -4,16 +4,9 @@
     The monitor never looks at wall time.  A {e scrape} is driven
     externally with an explicit sim-clock timestamp — the fleet/chaos
     runners call {!scrape} from a [Netsim.World] barrier, which fires
-    only once every shard has drained all events at or before the
-    barrier time.  Counter values at a barrier are order-independent
-    sums over the executed-event multiset, and {!json} is
-    byte-deterministic across runs of one config.  The executed-event
-    multiset, and so every scrape, is the same at any shard count only
-    when the run draws nothing from a shard RNG (constant link latency,
-    zero supervisor jitter); the shipped fleet configs draw both, so
-    their documents depend on the shard count.  test_replay asserts
-    identity across runs, and across shard counts on a draw-free
-    config.
+    only once every event at or before the barrier time has run — and
+    {!json} is byte-deterministic across runs of one config (test_replay
+    asserts it).
 
     Each scrape:
     + samples every registry series into a fixed-capacity ring with
@@ -164,8 +157,8 @@ val journal :
     ["supervisor"] are device-scoped; ["cell"], ["rollout"], ["fleet"]
     are scope-wide (incident timelines include scope-wide events plus
     the anchor device's own).  Export order is by
-    [(ts, actor, per-actor ordinal)] — deterministic across shard
-    counts, which global emission order is not. *)
+    [(ts, actor, per-actor ordinal)]: same-timestamp events sort by
+    actor, not by which one the scheduler happened to run first. *)
 
 type entry = {
   e_ts : int;

@@ -3,7 +3,7 @@
    (and to the attacker only through its addresses).  This suite replays
    every exploit cell, the DoS, and benign traffic against diversified
    variants and mitigated interpreters, and pins the survival matrix's
-   determinism and headline result. *)
+   headline result (its replay is test_replay.ml's). *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -424,15 +424,10 @@ let test_entropy_diversity_sweep () =
 
 (* {1 Survival matrix} *)
 
-let test_matrix_deterministic () =
-  let run () =
+let test_matrix_headline () =
+  let r1 =
     Core.Experiments.diversity_matrix ~seed:3 ~smoke:true ~variants:6 ()
   in
-  let r1 = run () in
-  let j1 = Core.Experiments.diversity_json r1 in
-  let j2 = Core.Experiments.diversity_json (run ()) in
-  check_bool "diversity-matrix-v1 byte-deterministic" true
-    (String.equal j1 j2);
   check_bool "report self-check passes" true r1.Core.Experiments.div_ok;
   check_int "all seven cells present" 7
     (List.length r1.Core.Experiments.div_cells);
@@ -555,8 +550,7 @@ let () =
         [
           Alcotest.test_case "entropy x diversity sweep" `Slow
             test_entropy_diversity_sweep;
-          Alcotest.test_case "matrix determinism + headline" `Slow
-            test_matrix_deterministic;
+          Alcotest.test_case "matrix headline" `Slow test_matrix_headline;
           Alcotest.test_case "matrix filters" `Quick test_matrix_filters;
         ] );
       ( "fleet cohorts",

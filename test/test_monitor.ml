@@ -2,8 +2,7 @@
    alert pending/firing/hysteresis state machine, store downsampling,
    the rules grammar, the JSON parser and printer, the trace
    dropped-events marker, and incident timelines on the smoke campaign.
-   The monitor-v1 document's replay and shard-count contracts are
-   test_replay.ml's. *)
+   The monitor-v1 document's replay contract is test_replay.ml's. *)
 
 module M = Telemetry.Metrics
 module Mon = Telemetry.Monitor
@@ -213,7 +212,7 @@ let test_rules_errors_are_atomic () =
   (* duration suffixes and label selectors parse *)
   let ok =
     "# comment\n\
-     record r1 = rate(net_total{shard=\"0\"}[1500ms]) * 2\n\
+     record r1 = rate(net_total{lan=\"0\"}[1500ms]) * 2\n\
      alert a1 if quantile(0.99, parse_steps) >= 100 for 250ms clear 50\n"
   in
   match Mon.add_rules mon ok with

@@ -567,7 +567,7 @@ let test_malicious_forges () =
         ((Char.code wire.[0] lsl 8) lor Char.code wire.[1])
   | None -> Alcotest.fail "no forged response"
 
-(* --- shards + clock regressions --- *)
+(* --- clock regressions --- *)
 
 (* Regression: [Sim.run ?until] used to leave the clock wherever the
    last event fired when the heap drained before the horizon, so a
@@ -584,60 +584,61 @@ let test_sim_until_advances_clock () =
   ignore (Sim.run sim);
   check_int "delay anchored at the horizon" 2507 !fired_at
 
-let shard_world () =
-  let w = W.create ~seed:11 ~shards:2 ~batch:50 () in
+(* The heap orders by time, then by schedule order: with many equal
+   timestamps, events still fire in the order they were scheduled. *)
+let prop_sim_equal_times_fifo =
+  QCheck.Test.make ~name:"equal timestamps fire FIFO" ~count:50
+    QCheck.(list_of_size (QCheck.Gen.int_range 1 300) (int_bound 8))
+    (fun delays ->
+      let sim = Sim.create () in
+      let fired = ref [] in
+      List.iteri
+        (fun i d -> Sim.schedule sim ~delay:d (fun _ -> fired := i :: !fired))
+        delays;
+      ignore (Sim.run sim);
+      let expected =
+        List.mapi (fun i d -> (d, i)) delays |> List.sort compare |> List.map snd
+      in
+      List.rev !fired = expected)
+
+(* --- one-heap world --- *)
+
+(* Every LAN's traffic fires on the world's one heap, so a datagram
+   that crosses LANs arrives exactly one link latency after it was
+   sent, and its reply one latency later. *)
+let test_cross_lan_latency () =
+  let w = W.create ~seed:11 () in
   let lan_a = W.add_lan w ~name:"lan-a" in
   let lan_b = W.add_lan w ~name:"lan-b" in
   W.set_uplink lan_b (Some lan_a);
-  W.set_lan_shard w lan_b 1;
   let a = W.add_host w ~name:"a" in
   let b = W.add_host w ~name:"b" in
   W.set_host_ip a (Some (Ip.of_string "10.0.0.1"));
   W.set_host_ip b (Some (Ip.of_string "10.1.0.1"));
   W.attach a lan_a;
   W.attach b lan_b;
-  (w, lan_a, lan_b, a, b)
-
-let test_shard_cross_delivery () =
-  let w, _, lan_b, a, b = shard_world () in
-  check_int "shard count" 2 (W.shard_count w);
-  check_int "lan pinned" 1 (W.lan_shard lan_b);
+  W.set_link_policy w a b { F.default with F.latency = F.Const 250 };
   let got = ref [] in
   W.on_udp b ~port:9 (fun ctx d ->
-      got := d.W.payload :: !got;
+      got := (W.now ctx.W.world, d.W.payload) :: !got;
       W.send ctx.W.world ~from:ctx.W.self ~sport:9 ~dst:d.W.src
         ~dport:d.W.sport "pong");
   let echoed = ref [] in
-  W.on_udp a ~port:7 (fun _ d -> echoed := d.W.payload :: !echoed);
+  W.on_udp a ~port:7 (fun ctx d ->
+      echoed := (W.now ctx.W.world, d.W.payload) :: !echoed);
   W.send w ~from:a ~sport:7 ~dst:(Ip.of_string "10.1.0.1") ~dport:9 "ping";
   ignore (W.run w);
-  Alcotest.(check (list string)) "request crossed shards" [ "ping" ] !got;
-  Alcotest.(check (list string)) "reply crossed back" [ "pong" ] !echoed;
-  check_int "merged delivered" 2 (W.stats w).W.delivered;
-  check_int "per-shard sum = merged" 2
-    ((W.shard_stats w 0).W.delivered + (W.shard_stats w 1).W.delivered)
+  Alcotest.(check (list (pair int string)))
+    "request after one latency" [ (250, "ping") ] !got;
+  Alcotest.(check (list (pair int string)))
+    "reply after two latencies" [ (500, "pong") ] !echoed;
+  check_int "delivered" 2 (W.stats w).W.delivered
 
-let test_shard_merged_stats_and_validation () =
-  let w, _, _, a, b = shard_world () in
-  (* One unroutable send per shard: each charges its own shard. *)
-  W.send w ~from:a ~dst:(Ip.of_string "203.0.113.9") ~dport:9 "x";
-  W.send w ~from:b ~dst:(Ip.of_string "203.0.113.9") ~dport:9 "x";
-  ignore (W.run w);
-  check_int "shard 0 no_route" 1 (W.shard_stats w 0).W.no_route;
-  check_int "shard 1 no_route" 1 (W.shard_stats w 1).W.no_route;
-  check_int "merged no_route" 2 (W.stats w).W.no_route;
-  Alcotest.check_raises "bad shard index"
-    (Invalid_argument "World.shard_sim: no such shard") (fun () ->
-      ignore (W.shard_sim w 2));
-  Alcotest.check_raises "bad shard count"
-    (Invalid_argument "World.create: shards must be >= 1") (fun () ->
-      ignore (W.create ~shards:0 ()))
-
-(* Seed replay through the sharded world structure: a lossy scenario
-   re-run from the same seed delivers exactly the same subset. *)
-let test_shard_seed_replay () =
-  let outcome shards =
-    let w = W.create ~seed:21 ~shards () in
+(* A lossy scenario re-run from the same seed delivers exactly the same
+   subset. *)
+let test_world_seed_replay () =
+  let outcome () =
+    let w = W.create ~seed:21 () in
     let lan = W.add_lan w ~name:"lan" in
     let a = W.add_host w ~name:"a" in
     let b = W.add_host w ~name:"b" in
@@ -655,22 +656,15 @@ let test_shard_seed_replay () =
     ignore (W.run w);
     (List.rev !got, (W.stats w).W.delivered, (W.stats w).W.dropped)
   in
-  let r1 = outcome 1 and r2 = outcome 1 in
-  Alcotest.(check bool) "same seed, same fate" true (r1 = r2);
-  let delivered, dropped = (match r1 with _, d, p -> (d, p)) in
+  let ((_, delivered, dropped) as r1) = outcome () in
+  check_bool "same seed, same fate" true (r1 = outcome ());
   check_int "everything accounted" 40 (delivered + dropped);
-  Alcotest.(check bool) "loss actually fired" true (dropped > 0);
-  (* The single-LAN scenario runs entirely on shard 0, so extra idle
-     shards must not disturb the draw sequence. *)
-  let r4 = outcome 4 in
-  Alcotest.(check bool) "idle shards don't shift the rng" true (r1 = r4)
+  check_bool "loss actually fired" true (dropped > 0)
 
-(* Fault injection × sharding: with drop, corruption, and reordering all
-   active, the delivery trace (receiver shard-clock timestamp, dst,
-   payload bytes — corrupted ones included) and the per-reason stats
-   must be bit-identical across shard counts (traffic LANs default to
-   shard 0; idle shards may not consume randomness), and a layout that
-   actually spreads LANs over shards must replay against itself. *)
+(* With drop, corruption and reordering all active over two LANs, the
+   delivery trace (receive time, dst, payload bytes, corrupted ones
+   included) and the per-reason stats replay bit-identically from the
+   same seed, and another seed draws a different trace. *)
 let chaotic_policy =
   {
     F.default with
@@ -680,15 +674,12 @@ let chaotic_policy =
     reorder_window_us = 2_000;
   }
 
-let fault_shard_outcome ?(pin = false) shards =
-  let w = W.create ~seed:33 ~shards ~batch:100 () in
+let fault_outcome seed =
+  let w = W.create ~seed () in
   W.set_default_policy w chaotic_policy;
   let trace = ref [] in
-  let mk_lane i =
-    let lan =
-      W.add_lan w ~name:(Printf.sprintf "lan-%d" i)
-        ~shard:(if pin then i mod shards else 0)
-    in
+  let lane i =
+    let lan = W.add_lan w ~name:(Printf.sprintf "lan-%d" i) in
     let tx = W.add_host w ~name:(Printf.sprintf "tx-%d" i) in
     let rx = W.add_host w ~name:(Printf.sprintf "rx-%d" i) in
     let dst = Ip.of_string (Printf.sprintf "10.%d.0.2" i) in
@@ -697,20 +688,15 @@ let fault_shard_outcome ?(pin = false) shards =
     W.attach tx lan;
     W.attach rx lan;
     W.on_udp rx ~port:9 (fun ctx d ->
-        let at =
-          Sim.now
-            (W.shard_sim ctx.W.world (W.host_shard ctx.W.world ctx.W.self))
-        in
-        trace := (at, d.W.dst, d.W.payload) :: !trace);
+        trace := (W.now ctx.W.world, d.W.dst, d.W.payload) :: !trace);
     (tx, dst)
   in
-  let lanes = List.init 2 mk_lane in
   List.iteri
     (fun i (tx, dst) ->
       for k = 1 to 60 do
         W.send w ~from:tx ~sport:7 ~dst ~dport:9 (Printf.sprintf "m-%d-%02d" i k)
       done)
-    lanes;
+    (List.init 2 lane);
   ignore (W.run w);
   let s = W.stats w in
   ( List.rev !trace,
@@ -719,42 +705,28 @@ let fault_shard_outcome ?(pin = false) shards =
       s.W.dropped_fault,
       s.W.corrupted,
       s.W.reordered,
-      s.W.duplicated ),
-    if shards > 1 then (W.shard_stats w 1).W.delivered else 0 )
+      s.W.duplicated ) )
 
-let test_shard_fault_replay () =
-  let r1 = fault_shard_outcome 1 in
-  let r2 = fault_shard_outcome 2 in
-  let r4 = fault_shard_outcome 4 in
-  check_bool "bit-identical across shard counts" true (r1 = r2 && r1 = r4);
-  let _, (delivered, dropped, dropped_fault, corrupted, reordered, _), _ = r1 in
-  check_int "everything accounted" 120 (delivered + dropped);
-  check_bool "drops fired" true (dropped_fault > 0);
-  check_bool "corruption fired" true (corrupted > 0);
-  check_bool "reordering fired" true (reordered > 0);
-  let p1 = fault_shard_outcome ~pin:true 2 in
-  let p2 = fault_shard_outcome ~pin:true 2 in
-  check_bool "pinned layout replays against itself" true (p1 = p2);
-  let _, _, shard1_delivered = p1 in
-  check_bool "pinned layout really ran traffic on shard 1" true
-    (shard1_delivered > 0)
+let test_fault_replay () =
+  let ((_, (_, _, dropped_fault, corrupted, reordered, _)) as r1) =
+    fault_outcome 33
+  in
+  check_bool "same seed, bit-identical trace" true (r1 = fault_outcome 33);
+  check_bool "every fault fired" true
+    (dropped_fault > 0 && corrupted > 0 && reordered > 0);
+  check_bool "another seed, another trace" false (r1 = fault_outcome 34)
 
-(* Per-shard metrics exposition: sharded worlds expose one
-   ["shard"]-labelled series per shard after each unlabelled rollup, in
-   shard-index order, and the rollup equals the sum of the shards at
-   every scrape. *)
-let test_per_shard_metrics () =
-  let w, _, _, a, b = shard_world () in
-  (* Request/response traffic so both shards deliver datagrams. *)
-  W.on_udp b ~port:9 (fun ctx d ->
-      W.send ctx.W.world ~from:ctx.W.self ~sport:9 ~dst:d.W.src ~dport:d.W.sport
-        "pong");
-  W.on_udp a ~port:7 (fun _ _ -> ());
+(* [register_metrics] exposes each stats counter and the sim clock as
+   one unlabelled series, and an idle world scrapes identically twice. *)
+let test_metrics_exposition () =
+  let w, _, a, b = two_hosts () in
+  W.on_udp b ~port:9 (fun _ _ -> ());
   for _ = 1 to 5 do
-    W.send w ~from:a ~sport:7 ~dst:(Ip.of_string "10.1.0.1") ~dport:9 "ping"
+    W.send w ~from:a ~dst:(Ip.of_string "10.0.0.2") ~dport:9 "ping"
   done;
+  W.send w ~from:a ~dst:(Ip.of_string "10.0.0.2") ~dport:10 "nobody";
   W.send w ~from:a ~dst:(Ip.of_string "203.0.113.9") ~dport:9 "x";
-  ignore (W.run w);
+  ignore (W.run ~until:5_000 w);
   let reg = Telemetry.Metrics.create () in
   W.register_metrics w reg;
   let text = Telemetry.Metrics.expose reg in
@@ -769,37 +741,59 @@ let test_per_shard_metrics () =
         (String.split_on_char '\n' text)
     in
     match line with
-    | Some l -> float_of_string (String.sub l (n + 1) (String.length l - n - 1))
+    | Some l ->
+        int_of_float
+          (float_of_string (String.sub l (n + 1) (String.length l - n - 1)))
     | None -> Alcotest.failf "series %s not exposed:\n%s" series text
   in
-  List.iter
-    (fun name ->
-      let rollup = value name in
-      let s0 = value (name ^ "{shard=\"0\"}") in
-      let s1 = value (name ^ "{shard=\"1\"}") in
-      Alcotest.(check (float 0.0)) (name ^ " rollup = sum of shards") rollup
-        (s0 +. s1))
-    [ "netsim_delivered_total"; "netsim_dropped_total"; "netsim_no_route_total" ];
-  check_bool "traffic crossed both shards" true
-    (value "netsim_delivered_total{shard=\"0\"}" > 0.
-    && value "netsim_delivered_total{shard=\"1\"}" > 0.);
-  (* Label order is stable: shard 0 precedes shard 1 for every name, and
-     a second scrape renders byte-identically (live probes aside, the
-     world is idle now). *)
-  let find sub =
-    let n = String.length sub in
-    let rec go i =
-      if i + n > String.length text then
-        Alcotest.failf "no %s in exposition" sub
-      else if String.equal (String.sub text i n) sub then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  check_bool "shard series sorted by index" true
-    (find "netsim_delivered_total{shard=\"0\"}"
-    < find "netsim_delivered_total{shard=\"1\"}");
+  let s = W.stats w in
+  check_int "delivered" 5 (value "netsim_delivered_total");
+  check_int "delivered = stats" s.W.delivered (value "netsim_delivered_total");
+  check_int "no_handler" 1 (value "netsim_no_handler_total");
+  check_int "no_route" 1 (value "netsim_no_route_total");
+  check_int "dropped = stats" s.W.dropped (value "netsim_dropped_total");
+  check_int "clock" 5_000 (value "netsim_sim_now_us");
   check_string "scrape is reproducible" text (Telemetry.Metrics.expose reg)
+
+(* [set_barrier] segments [run ~until]: each barrier sees every event
+   at or before its time already fired (inclusive), and the clock ends
+   at the horizon. *)
+let test_barrier_drains_through () =
+  let w = W.create () in
+  let fired = ref 0 in
+  List.iter
+    (fun d -> Sim.schedule (W.sim w) ~delay:d (fun _ -> incr fired))
+    [ 50; 100; 150; 250 ];
+  let seen = ref [] in
+  W.set_barrier w ~every_us:100 (fun b -> seen := (b, !fired) :: !seen);
+  check_int "events" 4 (W.run ~until:300 w);
+  Alcotest.(check (list (pair int int)))
+    "barrier sees events through its time"
+    [ (100, 2); (200, 3); (300, 4) ]
+    (List.rev !seen);
+  check_int "clock at horizon" 300 (W.now w);
+  check_int "world clock is the sim clock" (Sim.now (W.sim w)) (W.now w)
+
+(* Without [~until], barriers fire only while events remain pending;
+   [clear_barrier] removes the hook, and a non-positive period is
+   rejected. *)
+let test_barrier_open_run_and_clear () =
+  let w = W.create () in
+  List.iter
+    (fun d -> Sim.schedule (W.sim w) ~delay:d (fun _ -> ()))
+    [ 50; 250 ];
+  let seen = ref [] in
+  W.set_barrier w ~every_us:100 (fun b -> seen := b :: !seen);
+  check_int "events" 2 (W.run w);
+  Alcotest.(check (list int)) "barriers while pending" [ 100; 200; 300 ]
+    (List.rev !seen);
+  W.clear_barrier w;
+  Sim.schedule (W.sim w) ~delay:500 (fun _ -> ());
+  check_int "one more event" 1 (W.run w);
+  check_int "no hook after clear" 3 (List.length !seen);
+  Alcotest.check_raises "period must be positive"
+    (Invalid_argument "World.set_barrier: every_us must be positive")
+    (fun () -> W.set_barrier w ~every_us:0 (fun _ -> ()))
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -819,18 +813,20 @@ let () =
           Alcotest.test_case "until advances clock past drained heap" `Quick
             test_sim_until_advances_clock;
           qt prop_sim_many_events_ordered;
+          qt prop_sim_equal_times_fifo;
         ] );
-      ( "shards",
+      ( "world",
         [
-          Alcotest.test_case "cross-shard delivery" `Quick
-            test_shard_cross_delivery;
-          Alcotest.test_case "merged stats + validation" `Quick
-            test_shard_merged_stats_and_validation;
-          Alcotest.test_case "seed replay" `Quick test_shard_seed_replay;
-          Alcotest.test_case "fault injection replays across shard counts"
-            `Quick test_shard_fault_replay;
-          Alcotest.test_case "per-shard metrics exposition" `Quick
-            test_per_shard_metrics;
+          Alcotest.test_case "cross-LAN delivery at link latency" `Quick
+            test_cross_lan_latency;
+          Alcotest.test_case "seed replay" `Quick test_world_seed_replay;
+          Alcotest.test_case "fault injection replays" `Quick test_fault_replay;
+          Alcotest.test_case "metrics exposition" `Quick
+            test_metrics_exposition;
+          Alcotest.test_case "barrier drains through its time" `Quick
+            test_barrier_drains_through;
+          Alcotest.test_case "barrier on an open run, then cleared" `Quick
+            test_barrier_open_run_and_clear;
         ] );
       ( "delivery",
         [

@@ -1,17 +1,10 @@
-(* One determinism harness for every experiment JSON document, on two
-   axes.  Replay: each document runs twice in one process (test/golden
-   pins the bytes of one fresh-process run; a second run in the same
-   process catches state that leaks between runs).  Shard count: a document is the same at 1,
-   2 and 4 scheduler shards only where nothing draws from a shard RNG.
-   The chaos campaign meets that at its shipped config; the fleet and
-   monitor documents meet it only at the draw-free [det_config], because
-   their shipped configs draw link latency and supervisor jitter from
-   shard RNGs.  The chaos and fleet documents record the shard count, so
-   that field is normalised before the comparison. *)
+(* One replay harness for every experiment JSON document: each runs
+   twice in one process and must give the same bytes both times.
+   test/golden pins the bytes of one fresh-process run; a second run in
+   the same process catches state that leaks between runs. *)
 
 module E = Core.Experiments
 module C = Fleet.Campaign
-module Sup = Core.Supervisor
 
 let monitor cfg =
   let mon = Telemetry.Monitor.create (Telemetry.Metrics.create ()) in
@@ -21,30 +14,18 @@ let monitor cfg =
   ignore (C.run ~monitor:mon cfg);
   Telemetry.Monitor.json mon
 
-let trace_e3 () =
-  let trace = Telemetry.Trace.create ~capacity:65536 () in
-  match E.run_instrumented_cell ~seed:1 ~trace ~cell:"E3" () with
-  | Ok _ -> Telemetry.Trace.to_chrome_json trace
+let trace_e3 seed () =
+  let trace = Telemetry.Trace.create () in
+  match E.run_instrumented_cell ~seed ~trace ~cell:"E3" () with
+  | Ok _ when Telemetry.Trace.length trace > 0 ->
+      Telemetry.Trace.to_chrome_json trace
+  | Ok _ -> failwith "trace recorded no events"
   | Error e -> failwith e
 
-(* A draw-free campaign: constant link latency (the default draws a
-   uniform latency per datagram from the shard RNG), zero supervisor
-   backoff jitter (the only per-device shard-RNG consumer left), no
-   drop/corrupt/reorder draws.  Forge draws already run on per-LAN RNGs,
-   so the executed-event multiset — and therefore every barrier scrape —
-   is identical for any shard count. *)
-let det_config shards =
-  {
-    C.smoke_config with
-    C.shards;
-    chaos =
-      { Netsim.Faults.default with Netsim.Faults.latency = Netsim.Faults.Const 500 };
-    sup_policy =
-      {
-        Sup.default_policy with
-        Sup.backoff = { Sup.default_policy.backoff with Sup.jitter = 0.0 };
-      };
-  }
+let fuzz_stats arch () =
+  Fuzz.Engine.stats_json
+    (Fuzz.Engine.run
+       { Fuzz.Engine.default_config with Fuzz.Engine.arch; max_execs = 120 })
 
 (* (document, the command or config it stands for, the run) *)
 let experiments =
@@ -55,35 +36,28 @@ let experiments =
     ( "fuzz-campaign",
       "fuzz --smoke",
       fun () -> E.fuzz_json (E.fuzz_campaign ~seed:1 ~smoke:true ()) );
+    ("fuzz-stats", "Engine.run x86, 120 execs", fuzz_stats Loader.Arch.X86);
+    ("fuzz-stats", "Engine.run arm, 120 execs", fuzz_stats Loader.Arch.Arm);
     ( "diversity-matrix",
       "diversity --smoke",
       fun () -> E.diversity_json (E.diversity_matrix ~seed:1 ~smoke:true ()) );
+    ( "diversity-matrix",
+      "diversity --smoke --seed 3 --variants 6",
+      fun () ->
+        E.diversity_json (E.diversity_matrix ~seed:3 ~smoke:true ~variants:6 ()) );
     ("fleet-campaign", "fleet --smoke", fun () -> C.json (C.run C.smoke_config));
     ("monitor", "monitor --smoke", fun () -> monitor C.smoke_config);
-    ("monitor", "det_config, 2 shards", fun () -> monitor (det_config 2));
     ( "chaos-campaign",
       "chaos --smoke",
       fun () -> E.chaos_json (E.chaos_campaign ~seed:1 ~smoke:true ()) );
+    ( "chaos-campaign",
+      "chaos --smoke --seed 5",
+      fun () -> E.chaos_json (E.chaos_campaign ~seed:5 ~smoke:true ()) );
     ( "codec-diff",
       "codec-diff --execs 10000",
       fun () -> Fuzz.Differential.(report_json (run ~seed:1 ~execs:10_000 ())) );
-    ("chrome-trace", "trace --cell E3", trace_e3);
-  ]
-
-(* (document, config, the run at a shard count) *)
-let across_shards =
-  [
-    ( "chaos-campaign",
-      "chaos --smoke, shards field normalised",
-      fun shards ->
-        E.chaos_json
-          { (E.chaos_campaign ~seed:1 ~smoke:true ~shards ()) with E.chaos_shards = 1 } );
-    ( "fleet-campaign",
-      "det_config, shards field normalised",
-      fun shards ->
-        let r = C.run (det_config shards) in
-        C.json { r with C.r_config = { r.C.r_config with C.shards = 1 } } );
-    ("monitor", "det_config", fun shards -> monitor (det_config shards));
+    ("chrome-trace", "trace --cell E3", trace_e3 1);
+    ("chrome-trace", "trace --cell E3 --seed 5", trace_e3 5);
   ]
 
 let valid doc =
@@ -104,19 +78,13 @@ let replay run () =
   valid first;
   same "replay" first (run ())
 
-let shard_counts run () =
-  let one = run 1 in
-  valid one;
-  List.iter
-    (fun n -> same (Printf.sprintf "%d shards vs 1" n) one (run n))
-    [ 2; 4 ]
-
-let cases test table =
-  List.map
-    (fun (doc, cfg, run) ->
-      Alcotest.test_case (Printf.sprintf "%s (%s)" doc cfg) `Quick (test run))
-    table
-
 let () =
   Alcotest.run "replay"
-    [ ("json", cases replay experiments); ("shards", cases shard_counts across_shards) ]
+    [
+      ( "json",
+        List.map
+          (fun (doc, cfg, run) ->
+            Alcotest.test_case (Printf.sprintf "%s (%s)" doc cfg) `Quick
+              (replay run))
+          experiments );
+    ]
