@@ -89,6 +89,9 @@ let steps_extras steps =
     ("steps_per_sec", steps_per_sec steps);
   ]
 
+(* A row name for one ISA: [base], a dash, then the architecture's name. *)
+let on arch base = base ^ "-" ^ Loader.Arch.name arch
+
 let no_meta ~smoke:_ = []
 let iters ~smoke = if smoke then 64 else 512
 let iters_meta ~smoke = [ ("iters", Telemetry.Json.Int (iters ~smoke)) ]
@@ -398,9 +401,9 @@ let dnsmasq_parse_bench arch =
     in
     ignore (D.handle_response d wire)
 
-let tcpsvc_exploit_bench () =
+let tcpsvc_exploit_bench arch =
   let module D = Tcpsvc.Daemon in
-  let arch = Loader.Arch.Arm and profile = Profile.wx_aslr in
+  let profile = Profile.wx_aslr in
   let analysis =
     D.process (D.create { D.patched = false; arch; profile; boot_seed = 9 })
   in
@@ -434,33 +437,31 @@ let pineapple_bench () =
 
 let exploit_rows ~smoke:_ =
   let benign_bytes = Dns.Packet.encode benign_msg in
+  let x86 = Loader.Arch.X86 and arm = Loader.Arch.Arm in
+  let payload cell ((arch, _, _) as target) =
+    ns_per_op (on arch ("payload/" ^ cell)) (payload_bench target)
+  in
   [
     ns_per_op "dns/encode" (fun () -> ignore (Dns.Packet.encode benign_msg));
     ns_per_op "dns/decode" (fun () -> ignore (Dns.Packet.decode benign_bytes));
     ns_per_op "dns/plan-labels-1k" (fun () ->
         ignore (Dns.Craft.plan_labels chain_spec));
-    ns_per_op "boot/connmand-x86" (boot_bench Loader.Arch.X86);
-    ns_per_op "boot/connmand-arm" (boot_bench Loader.Arch.Arm);
-    ns_per_op "gadget/scan-x86" (gadget_bench Loader.Arch.X86);
-    ns_per_op "gadget/scan-arm" (gadget_bench Loader.Arch.Arm);
-    ns_per_op "payload/E1-inject-x86"
-      (payload_bench (Loader.Arch.X86, Profile.none, Autogen.Code_injection));
-    ns_per_op "payload/E2-inject-arm"
-      (payload_bench (Loader.Arch.Arm, Profile.none, Autogen.Code_injection));
-    ns_per_op "payload/E3-ret2libc-x86"
-      (payload_bench (Loader.Arch.X86, Profile.wx, Autogen.Ret2libc));
-    ns_per_op "payload/E4-ropwx-arm"
-      (payload_bench (Loader.Arch.Arm, Profile.wx, Autogen.Rop_wx));
-    ns_per_op "payload/E5-ropaslr-x86"
-      (payload_bench (Loader.Arch.X86, Profile.wx_aslr, Autogen.Rop_aslr));
-    ns_per_op "payload/E6-ropaslr-arm"
-      (payload_bench (Loader.Arch.Arm, Profile.wx_aslr, Autogen.Rop_aslr));
+    ns_per_op (on x86 "boot/connmand") (boot_bench x86);
+    ns_per_op (on arm "boot/connmand") (boot_bench arm);
+    ns_per_op (on x86 "gadget/scan") (gadget_bench x86);
+    ns_per_op (on arm "gadget/scan") (gadget_bench arm);
+    payload "E1-inject" (x86, Profile.none, Autogen.Code_injection);
+    payload "E2-inject" (arm, Profile.none, Autogen.Code_injection);
+    payload "E3-ret2libc" (x86, Profile.wx, Autogen.Ret2libc);
+    payload "E4-ropwx" (arm, Profile.wx, Autogen.Rop_wx);
+    payload "E5-ropaslr" (x86, Profile.wx_aslr, Autogen.Rop_aslr);
+    payload "E6-ropaslr" (arm, Profile.wx_aslr, Autogen.Rop_aslr);
     ns_per_op "exploit/E5-end-to-end"
-      (end_to_end_bench (Loader.Arch.X86, Profile.wx_aslr, Autogen.Rop_aslr));
+      (end_to_end_bench (x86, Profile.wx_aslr, Autogen.Rop_aslr));
     ns_per_op "exploit/E6-end-to-end"
-      (end_to_end_bench (Loader.Arch.Arm, Profile.wx_aslr, Autogen.Rop_aslr));
-    ns_per_op "cpu/parse-dnsmasq-arm" (dnsmasq_parse_bench Loader.Arch.Arm);
-    ns_per_op "exploit/tcpsvc-rop-aslr-arm" (tcpsvc_exploit_bench ());
+      (end_to_end_bench (arm, Profile.wx_aslr, Autogen.Rop_aslr));
+    ns_per_op (on arm "cpu/parse-dnsmasq") (dnsmasq_parse_bench arm);
+    ns_per_op (on arm "exploit/tcpsvc-rop-aslr") (tcpsvc_exploit_bench arm);
     ns_per_op "scenario/pineapple" (pineapple_bench ());
   ]
 
@@ -827,7 +828,8 @@ let arm_selfmod iters =
 
 (* Each workload cached and uncached, and the uncached/cached ratio. *)
 let cpu_workload_rows ~iters =
-  let workload name runner perm program =
+  let workload arch runner kind perm program =
+    let name = on arch ("cpu/" ^ kind) in
     let timed tag icache =
       let run, steps = runner ~perm ~icache program in
       row (name ^ "/" ^ tag) "ns_per_run" (Ols run) ~extras:(steps_extras steps)
@@ -838,23 +840,25 @@ let cpu_workload_rows ~iters =
       row (name ^ "/speedup") "ratio" (Ratio (name ^ "/uncached", name ^ "/cached"));
     ]
   in
-  let x86 = x86_runner ~hooks:no_hooks and arm = arm_runner ~hooks:no_hooks in
+  let x86 = workload Loader.Arch.X86 (x86_runner ~hooks:no_hooks)
+  and arm = workload Loader.Arch.Arm (arm_runner ~hooks:no_hooks) in
   List.concat
     [
-      workload "cpu/straight-x86" x86 Mem.rx (x86_straight iters);
-      workload "cpu/branchy-x86" x86 Mem.rx (x86_branchy iters);
-      workload "cpu/syscall-x86" x86 Mem.rx (x86_syscall iters);
-      workload "cpu/selfmod-x86" x86 Mem.rwx (x86_selfmod iters);
-      workload "cpu/straight-arm" arm Mem.rx (arm_straight iters);
-      workload "cpu/branchy-arm" arm Mem.rx (arm_branchy iters);
-      workload "cpu/syscall-arm" arm Mem.rx (arm_syscall iters);
-      workload "cpu/selfmod-arm" arm Mem.rwx (arm_selfmod iters);
+      x86 "straight" Mem.rx (x86_straight iters);
+      x86 "branchy" Mem.rx (x86_branchy iters);
+      x86 "syscall" Mem.rx (x86_syscall iters);
+      x86 "selfmod" Mem.rwx (x86_selfmod iters);
+      arm "straight" Mem.rx (arm_straight iters);
+      arm "branchy" Mem.rx (arm_branchy iters);
+      arm "syscall" Mem.rx (arm_syscall iters);
+      arm "selfmod" Mem.rwx (arm_selfmod iters);
     ]
 
 (* The hook sets of the per-hook overhead rows, each a per-run builder
    (the trace and enforcement hooks carry per-run state).  The policy
    set of forward-edge CFI is the text base; the workloads make no
-   indirect transfer, so it only pays for classifying each step. *)
+   indirect transfer, so it only pays for classifying each step.  The
+   sanitizer arms its oracle per run, as the daemon does per datagram. *)
 let hook_sets isa ~taint ~text_base =
   let module H = Machine.Hook in
   let profile = Telemetry.Profile.create () in
@@ -872,7 +876,6 @@ let hook_sets isa ~taint ~text_base =
       ~shadow0:[]
   in
   [
-    ("bare", no_hooks);
     ("profile", fun c -> [ prof c ]);
     ("trace", fun c -> [ tr c ]);
     ("sanitizer", fun c -> [ san c ]);
@@ -880,23 +883,33 @@ let hook_sets isa ~taint ~text_base =
     ("all", fun c -> [ prof c; tr c; san c; enf c ]);
   ]
 
-(* The straight-line workload of each ISA under every hook set, against
-   its bare run. *)
+(* The straight-line workload of each ISA under every hook set, and the
+   branchy one under the sanitizer, each against the workload's bare run:
+   its [cached] row. *)
 let hook_rows ~iters =
-  let rows prefix runner sets =
+  let rows arch runner sets kind program =
+    let workload = on arch kind in
     List.map
       (fun (set, hooks) ->
-        let run, steps = runner ~hooks in
-        row (prefix ^ set) "ns_per_run" (Ols run)
-          ~extras:(steps_extras steps @ [ ("overhead", over (prefix ^ "bare")) ]))
+        let run, steps = runner ~hooks ~perm:Mem.rx ~icache:true program in
+        row
+          (Printf.sprintf "cpu/hooks/%s/%s" workload set)
+          "ns_per_run" (Ols run)
+          ~extras:
+            (steps_extras steps
+            @ [ ("overhead", over (Printf.sprintf "cpu/%s/cached" workload)) ]))
       sets
   in
-  rows "cpu/hooks/straight-x86/"
-    (fun ~hooks -> x86_runner ~hooks ~perm:Mem.rx ~icache:true (x86_straight iters))
-    (hook_sets Isa_x86.Cpu.isa ~taint:Isa_x86.Cpu.taint ~text_base:x86_text_base)
-  @ rows "cpu/hooks/straight-arm/"
-      (fun ~hooks -> arm_runner ~hooks ~perm:Mem.rx ~icache:true (arm_straight iters))
-      (hook_sets Isa_arm.Cpu.isa ~taint:Isa_arm.Cpu.taint ~text_base:arm_text_base)
+  let sanitizer sets = List.filter (fun (set, _) -> set = "sanitizer") sets in
+  let x86 = hook_sets Isa_x86.Cpu.isa ~taint:Isa_x86.Cpu.taint ~text_base:x86_text_base
+  and arm = hook_sets Isa_arm.Cpu.isa ~taint:Isa_arm.Cpu.taint ~text_base:arm_text_base in
+  List.concat
+    [
+      rows Loader.Arch.X86 x86_runner x86 "straight" (x86_straight iters);
+      rows Loader.Arch.X86 x86_runner (sanitizer x86) "branchy" (x86_branchy iters);
+      rows Loader.Arch.Arm arm_runner arm "straight" (arm_straight iters);
+      rows Loader.Arch.Arm arm_runner (sanitizer arm) "branchy" (arm_branchy iters);
+    ]
 
 (* The 8192-byte DoS parse, the interpreter's longest real run (about
    47k steps), on a warmed template per ISA: [plain] under W^X, and
@@ -1002,63 +1015,6 @@ let cpu_rows ~smoke =
   let iters = iters ~smoke in
   cpu_workload_rows ~iters @ hook_rows ~iters @ dos_parse_rows ()
   @ List.concat_map (parse_start_rows ~samples:(samples ~smoke)) Loader.Arch.all
-
-(* ------------------------------------------------------------------ *)
-(* sanitizer: taint-sanitizer overhead, BENCH_sanitizer.json           *)
-(*                                                                     *)
-(* Each workload is timed through the plain [run] loop and through    *)
-(* [run] with the taint hook against a reused oracle ([begin_parse]    *)
-(* per invocation, as the daemon does per datagram).  Straight-line    *)
-(* and branchy loops bound the per-retired-instruction cost on both    *)
-(* ISAs; the parse-heavy rows measure the end-to-end benign-response   *)
-(* parse through connmand with and without the oracle attached — the   *)
-(* number a deployment would actually pay.                             *)
-(* ------------------------------------------------------------------ *)
-
-let sanitized_runner runner taint program =
-  let oracle = Sanitizer.Oracle.create () in
-  let hooks _ =
-    Sanitizer.Oracle.begin_parse oracle;
-    [ taint oracle ]
-  in
-  fst (runner ~hooks ~perm:Mem.rx ~icache:true program)
-
-let plain_runner runner program = fst (runner ~hooks:no_hooks ~perm:Mem.rx ~icache:true program)
-
-(* One live daemon per variant; with the oracle attached every response
-   byte is tainted and the parse runs with the taint hook (benign
-   bytes, so zero reports — pure overhead). *)
-let sanitizer_parse_bench ~sanitize arch =
-  let d = Dnsproxy.create (mk_config arch Profile.wx 9) in
-  if sanitize then Dnsproxy.set_sanitizer d (Some (Sanitizer.Oracle.create ()));
-  fun () -> ignore (Dnsproxy.handle_response d (benign_wire d))
-
-let sanitizer_rows ~smoke =
-  let iters = iters ~smoke in
-  let workload name plain sanitized =
-    [
-      row (name ^ "/plain") "ns_per_run" (Ols plain);
-      row (name ^ "/sanitized") "ns_per_run" (Ols sanitized);
-      row (name ^ "/overhead") "ratio" (Ratio (name ^ "/sanitized", name ^ "/plain"));
-    ]
-  in
-  let loop name runner taint program =
-    workload name (plain_runner runner program) (sanitized_runner runner taint program)
-  in
-  let parse name arch =
-    workload name
-      (sanitizer_parse_bench ~sanitize:false arch)
-      (sanitizer_parse_bench ~sanitize:true arch)
-  in
-  List.concat
-    [
-      loop "sanitizer/straight-x86" x86_runner Isa_x86.Cpu.taint (x86_straight iters);
-      loop "sanitizer/branchy-x86" x86_runner Isa_x86.Cpu.taint (x86_branchy iters);
-      loop "sanitizer/straight-arm" arm_runner Isa_arm.Cpu.taint (arm_straight iters);
-      loop "sanitizer/branchy-arm" arm_runner Isa_arm.Cpu.taint (arm_branchy iters);
-      parse "sanitizer/parse-x86" Loader.Arch.X86;
-      parse "sanitizer/parse-arm" Loader.Arch.Arm;
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* faults: fault-injection paths, BENCH_faults.json                    *)
@@ -1372,26 +1328,18 @@ let wire_rows ~smoke:_ =
 (* ------------------------------------------------------------------ *)
 (* fleet: campaign scale, BENCH_fleet.json                             *)
 (*                                                                     *)
-(* How fast devices spawn (a CoW fork of the firmware template, per    *)
-(* ISA), and end-to-end scheduler throughput: events per second of a   *)
-(* whole campaign (benign + attack traffic, supervision, rollout), one *)
+(* End-to-end scheduler throughput: events per second of a whole       *)
+(* campaign (benign + attack traffic, supervision, rollout), one       *)
 (* monotonic-clock run (a campaign is far too heavy for an OLS sweep). *)
 (* The flight recorder's cost is the same campaign again with the      *)
 (* monitor attached (1s scrape barrier, the built-in rule set, causal  *)
 (* journaling), run right after the bare one.  The event count is the  *)
 (* same both ways — the barrier only segments the run loop — so the    *)
-(* overhead ratio is pure scrape + journal cost.                       *)
+(* overhead ratio is pure scrape + journal cost.  A device spawn is    *)
+(* [diversity/fork-plain-*].                                           *)
 (* ------------------------------------------------------------------ *)
 
 let fleet_rows ~smoke =
-  let fork arch =
-    let tpl = Dnsproxy.create (mk_config arch Profile.wx 1) in
-    row
-      ("fleet/fork-" ^ Loader.Arch.name arch)
-      "ns_per_op"
-      (Ols (fun () -> ignore (Dnsproxy.fork tpl)))
-      ~extras:[ ("devices_per_sec", per_sec) ]
-  in
   let ccfg =
     if smoke then Fleet.Campaign.smoke_config
     else
@@ -1412,14 +1360,16 @@ let fleet_rows ~smoke =
     | Error e -> failwith ("fleet bench: bad built-in rules: " ^ e));
     mon
   in
+  (* One untimed campaign first: the first in a process pays the heap's
+     growth and would make whichever timed run comes first look slower. *)
+  ignore (Fleet.Campaign.run ccfg);
   let bare = "fleet/campaign" and monitored = "fleet/campaign-monitored" in
-  List.map fork Loader.Arch.all
-  @ [
-      campaign bare ();
-      campaign monitored ~monitor ();
-      row "fleet/monitor-overhead" "ratio" (Ratio (bare, monitored))
-        ~extras:[ ("bare_events_per_sec", fun c -> c.get bare) ];
-    ]
+  [
+    campaign bare ();
+    campaign monitored ~monitor ();
+    row "fleet/monitor-overhead" "ratio" (Ratio (bare, monitored))
+      ~extras:[ ("bare_events_per_sec", fun c -> c.get bare) ];
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* diversity: per-boot diversification, BENCH_diversity.json           *)
@@ -1428,7 +1378,9 @@ let fleet_rows ~smoke =
 (* breaking rewrites over the whole image, a fresh seed each call),    *)
 (* diversified CoW fork (fork + in-place reimage) vs a plain fork, and *)
 (* a benign parse through the mitigated interpreter (shadow return     *)
-(* stack + forward-edge CFI) vs the plain hot loop.                    *)
+(* stack + forward-edge CFI) and through the taint sanitizer (every    *)
+(* response byte tainted, zero reports: pure overhead) vs the plain    *)
+(* hot loop.                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let diversity_arch_rows arch =
@@ -1448,8 +1400,9 @@ let diversity_arch_rows arch =
   in
   let tpl = Dnsproxy.create (mk_config arch Profile.wx 1) in
   let dseed = ref 0 in
-  let parse profile =
+  let parse ?(sanitize = false) profile =
     let d = Dnsproxy.create (mk_config arch profile 9) in
+    if sanitize then Dnsproxy.set_sanitizer d (Some (Sanitizer.Oracle.create ()));
     fun () -> ignore (Dnsproxy.handle_response d (benign_wire d))
   in
   let name what = Printf.sprintf "diversity/%s-%s" what aname in
@@ -1469,6 +1422,9 @@ let diversity_arch_rows arch =
       (Ols (parse (Profile.with_mitigations Profile.wx)));
     row (name "parse" ^ "/overhead") "ratio"
       (Ratio (name "parse-mitigated", name "parse-plain"));
+    row (name "parse-sanitized") "ns_per_run"
+      (Ols (parse ~sanitize:true Profile.wx))
+      ~extras:[ ("overhead", over (name "parse-plain")) ];
   ]
 
 let diversity_rows ~smoke:_ = List.concat_map diversity_arch_rows Loader.Arch.all
@@ -1482,14 +1438,13 @@ let suites =
     { suite; file = "BENCH_" ^ suite ^ ".json"; smoke_cfg; full_cfg; meta; rows }
   in
   [
-    suite "cache" (50, 0.01) (2000, 0.25) cache_rows;
-    suite "cpu" (20, 0.02) (500, 0.5) cpu_rows ~meta:iters_meta;
+    suite "cache" (50, 0.01) (2000, 2.0) cache_rows;
+    suite "cpu" (20, 0.02) (500, 1.0) cpu_rows ~meta:iters_meta;
     suite "faults" (50, 0.01) (2000, 0.25) faults_rows;
-    suite "sanitizer" (20, 0.02) (500, 0.5) sanitizer_rows ~meta:iters_meta;
     suite "fuzz" (20, 0.02) (500, 0.5) fuzz_rows;
     suite "wire" (20, 0.02) (500, 0.5) wire_rows;
     suite "fleet" (20, 0.02) (200, 0.5) fleet_rows;
-    suite "diversity" (20, 0.02) (200, 0.5) diversity_rows;
+    suite "diversity" (20, 0.02) (1000, 1.0) diversity_rows;
     suite "exploit" (50, 0.01) (2000, 0.25) exploit_rows;
   ]
 
@@ -1503,7 +1458,9 @@ let suites =
 (* Rows are matched by name; the comparison is direction-aware by       *)
 (* unit (ns_* smaller-better, events_per_sec larger-better, ratios     *)
 (* larger-better except .../overhead rows).  Any row whose regression  *)
-(* exceeds the tolerance fails the run (exit 1).                       *)
+(* exceeds the tolerance, changes unit or is missing from the new run  *)
+(* fails the run (exit 1): deleting a row must not take it out of the  *)
+(* gate.                                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* [`Smaller]: a smaller value is better (times, overheads). *)
@@ -1561,7 +1518,9 @@ let run_regress ~base ~next ~tolerance () =
   List.iter
     (fun (name, (unit_, bv)) ->
       match List.assoc_opt name next_rows with
-      | None -> Format.printf "%-40s %6s : dropped from new run@." name unit_
+      | None ->
+          incr regressions;
+          Format.printf "%-40s %6s : dropped from new run  REGRESSED@." name unit_
       | Some (nunit, _) when nunit <> unit_ ->
           incr regressions;
           Format.printf "%-40s : unit changed %s -> %s  REGRESSED@." name

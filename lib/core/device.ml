@@ -57,9 +57,6 @@ let create world ~name ~config =
       Option.iter Supervisor.notify t.supervisor);
   t
 
-let of_firmware world ~name ?boot_seed fw =
-  create world ~name ~config:(Firmware.to_config ?boot_seed fw)
-
 let host t = t.host
 let daemon t = t.daemon
 let name t = t.name

@@ -11,9 +11,6 @@ type t
 val create :
   Netsim.World.t -> name:string -> config:Connman.Dnsproxy.config -> t
 
-val of_firmware :
-  Netsim.World.t -> name:string -> ?boot_seed:int -> Firmware.t -> t
-
 val host : t -> Netsim.World.host
 val daemon : t -> Connman.Dnsproxy.t
 val name : t -> string

@@ -25,14 +25,6 @@ module Dnsmasq_daemon = struct
   let restart = Dnsmasq.Daemon.restart
 end
 
-module Tcpsvc_daemon = struct
-  type t = Tcpsvc.Daemon.t
-
-  let kind = "tcpsvc"
-  let alive = Tcpsvc.Daemon.alive
-  let restart = Tcpsvc.Daemon.restart
-end
-
 type backoff = {
   initial_us : int;
   multiplier : float;

@@ -34,7 +34,6 @@ end
 
 module Connman_daemon : DAEMON with type t = Connman.Dnsproxy.t
 module Dnsmasq_daemon : DAEMON with type t = Dnsmasq.Daemon.t
-module Tcpsvc_daemon : DAEMON with type t = Tcpsvc.Daemon.t
 
 type backoff = {
   initial_us : int;  (** first restart delay (systemd [RestartSec]) *)

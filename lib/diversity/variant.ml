@@ -69,7 +69,3 @@ let arm ~seed chunks =
       pad_bytes = !pad_bytes;
       rewrites = Defense.Equiv.count_rewrites_arm padded rewritten;
     } )
-
-let pp_plan ppf p =
-  Format.fprintf ppf "seed=%#x moved=%d/%d pad=%dB rewrites=%d" p.seed p.moved
-    (List.length p.order) p.pad_bytes p.rewrites

@@ -49,5 +49,3 @@ val arm :
 (** Both passes are bit-for-bit compatible with the historical in-spec
     diversification pipeline, so committed experiment seeds keep their
     meaning. *)
-
-val pp_plan : Format.formatter -> plan -> unit

@@ -319,7 +319,6 @@ let rr_rtype v i = v.rrs.((i * rr_stride) + 1)
 let rr_ttl v i = v.rrs.((i * rr_stride) + 2)
 let rr_rdlen v i = v.rrs.((i * rr_stride) + 3)
 let rr_rdata v i = v.rrs.((i * rr_stride) + 4)
-let rr_count v = v.n_rrs
 
 (* {1 Encoding: the reusable arena} *)
 

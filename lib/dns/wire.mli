@@ -88,8 +88,9 @@ val arcount : view -> int
 (** {2 Section accessors}
 
     Questions are indexed [0 .. qdcount-1].  Resource records are
-    indexed [0 .. rr_count-1] in wire order: answers first, then
-    authorities (starting at [ancount]), then additionals. *)
+    indexed [0 .. ancount + nscount + arcount - 1] in wire order:
+    answers first, then authorities (starting at [ancount]), then
+    additionals. *)
 
 val question_name : view -> int -> int
 (** Offset of question [i]'s name in the borrowed message. *)
@@ -106,8 +107,6 @@ val rr_rdata : view -> int -> int
 (** Offset of record [i]'s rdata in the borrowed message ([rr_rdlen]
     bytes; for CNAME/NS/PTR it is a validated, possibly compressed
     name). *)
-
-val rr_count : view -> int
 
 (** {1 Encoding} *)
 

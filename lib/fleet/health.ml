@@ -16,14 +16,6 @@ type cause =
   | Probe_ok
   | Probation_over
 
-let cause_name = function
-  | Crashed -> "crashed"
-  | Compromised -> "compromised"
-  | Crash_loop -> "crash-loop"
-  | Cell_escalated -> "cell-escalated"
-  | Probe_ok -> "probe-ok"
-  | Probation_over -> "probation-over"
-
 type config = { quarantine_crashes : int; window_us : int; probation_us : int }
 
 let default_config =

@@ -46,8 +46,6 @@ type cause =
   | Probe_ok  (** a benign lookup completed end-to-end *)
   | Probation_over  (** the quarantine probation timer fired *)
 
-val cause_name : cause -> string
-
 type config = {
   quarantine_crashes : int;
       (** crashes inside [window_us] that force quarantine *)

@@ -49,7 +49,6 @@ let member_down m =
 
 let cell_down c = List.length (List.filter member_down c.c_members)
 let cell_size c = List.length c.c_members
-let cell_name c = c.c_name
 let cell_state c = c.c_state
 
 let check t c ~now =

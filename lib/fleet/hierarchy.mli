@@ -44,7 +44,6 @@ val check : t -> cell -> now:int -> unit
 (** Recompute the cell rollup and fire the hook on an [`Ok]/[`Degraded]
     → [`Escalated] edge. *)
 
-val cell_name : cell -> string
 val cell_state : cell -> [ `Ok | `Degraded | `Escalated ]
 val cell_size : cell -> int
 

@@ -8,10 +8,6 @@ type stop_reason =
   | Aborted of string
   | Fuel_exhausted
 
-let is_crash = function
-  | Fault _ | Decode_error _ | Fuel_exhausted -> true
-  | Halted | Exited _ | Exec _ | Cfi_violation _ | Aborted _ -> false
-
 let shell_names = [ "/bin/sh"; "sh"; "/bin/bash"; "bash" ]
 
 let is_shell = function
@@ -19,10 +15,6 @@ let is_shell = function
   | Halted | Exited _ | Fault _ | Decode_error _ | Cfi_violation _ | Aborted _
   | Fuel_exhausted ->
       false
-
-let is_blocked = function
-  | Cfi_violation _ | Aborted _ -> true
-  | Halted | Exited _ | Exec _ | Fault _ | Decode_error _ | Fuel_exhausted -> false
 
 let pp ppf = function
   | Halted -> Format.fprintf ppf "halted (normal return)"

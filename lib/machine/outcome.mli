@@ -24,14 +24,8 @@ type stop_reason =
           canary corruption. *)
   | Fuel_exhausted  (** Instruction budget exceeded (hang / livelock). *)
 
-val is_crash : stop_reason -> bool
-(** Faults, decode errors and hangs — the DoS class. *)
-
 val is_shell : stop_reason -> bool
 (** [Exec] of something that resolves to a shell ("/bin/sh", "sh", …). *)
-
-val is_blocked : stop_reason -> bool
-(** The run was stopped by a defense (CFI violation or canary abort). *)
 
 val pp : Format.formatter -> stop_reason -> unit
 val to_string : stop_reason -> string

@@ -7,5 +7,3 @@ type t = {
   off_ret : int;
   frame_end : int;
 }
-
-let null_window t = (t.off_null1, max 0 (t.off_null2 + 4 - t.off_null1))

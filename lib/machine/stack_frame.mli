@@ -19,7 +19,3 @@ type t = {
   off_ret : int;  (** saved return address / lr slot *)
   frame_end : int;  (** bytes from buffer start to past the frame *)
 }
-
-val null_window : t -> int * int
-(** [(off_null1, bytes)] — the zero-fill window payloads must respect;
-    [bytes] may be 0. *)

@@ -101,7 +101,6 @@ let mem_label32 t addr =
   let l3 = Shadow.get t.shadow (Memsim.Word.add addr 3) in
   Shadow.join l0 (Shadow.join l1 (Shadow.join l2 l3))
 
-let set_mem_label t addr l = Shadow.set t.shadow addr l
 let reg_label t i = t.regs.(i)
 let set_reg_label t i l = t.regs.(i) <- l
 let tainted_bytes t = Shadow.tainted t.shadow

@@ -105,7 +105,6 @@ val mem_label : t -> int -> Shadow.label
 val mem_label32 : t -> int -> Shadow.label
 (** Join of the four byte labels at an address. *)
 
-val set_mem_label : t -> int -> Shadow.label -> unit
 val reg_label : t -> int -> Shadow.label
 (** Taint of register index [i] (x86 uses 0..7, ARM 0..15). *)
 

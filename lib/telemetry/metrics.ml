@@ -44,7 +44,6 @@ let counter t ?(help = "") ?(labels = []) name =
   r
 
 let inc ?(by = 1.0) c = c := !c +. by
-let counter_value c = !c
 
 type gauge = float ref
 
@@ -54,7 +53,6 @@ let gauge t ?(help = "") ?(labels = []) name =
   r
 
 let set g v = g := v
-let gauge_value g = !g
 
 type histogram = {
   h_bounds : float array;  (* ascending upper bounds, +Inf excluded *)

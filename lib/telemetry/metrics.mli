@@ -28,13 +28,11 @@ val counter :
   t -> ?help:string -> ?labels:(string * string) list -> string -> counter
 
 val inc : ?by:float -> counter -> unit
-val counter_value : counter -> float
 
 val gauge :
   t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
 
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram :
   t ->

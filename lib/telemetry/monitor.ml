@@ -469,7 +469,6 @@ let journal t ~ts ~source ~actor ?(detail = "") kind =
   end;
   t.jtotal <- t.jtotal + 1
 
-let journal_emitted t = t.jtotal
 let journal_dropped t = t.jtotal - t.jlen
 
 (* Export order: (ts, actor, per-actor ordinal).  Per-actor emission order

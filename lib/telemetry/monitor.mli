@@ -170,7 +170,6 @@ type entry = {
 
 val journal_entries : t -> entry list  (** retained, in export order *)
 
-val journal_emitted : t -> int
 val journal_dropped : t -> int
 
 (** {1 Alerts and incidents} *)
