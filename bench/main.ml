@@ -498,7 +498,7 @@ let cache_lookup_bench n =
     ignore (Dns.Cache.lookup c ~now:1 names.(!k))
 
 (* Every insert lands on a full cache of live entries and must evict a
-   victim: O(log n) against the shard's expiry heap. *)
+   victim: O(log n) against the cache's expiry heap. *)
 let cache_evict_bench n =
   let c, _ = prefilled_cache n in
   let k = ref 0 in

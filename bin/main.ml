@@ -450,11 +450,11 @@ let botnet_cmd =
     Term.(const run $ seed_arg)
 
 let metrics_cmd =
-  let run seed queries names capacity shards cell schedule =
-    (* Part 1: a synthetic workload on a standalone sharded cache —
+  let run seed queries names capacity cell schedule =
+    (* Part 1: a synthetic workload on a standalone cache —
        repeated lookups over a name population, filling on miss, with
        ~1 in 8 names known-absent (negatively cached). *)
-    let c = Dns.Cache.create ~capacity ?shards () in
+    let c = Dns.Cache.create ~capacity () in
     let rng = Memsim.Rng.create seed in
     for q = 1 to queries do
       let now = q / 50 in
@@ -475,24 +475,9 @@ let metrics_cmd =
               ~ipv4:(0x0A000000 lor id)
     done;
     Format.printf
-      "=== Sharded cache, synthetic workload (seed %d, %d queries over %d \
-       names, capacity %d) ===@.@."
-      seed queries names capacity;
-    Format.printf "%5s %7s %9s %9s %9s %8s %8s %8s %8s@." "shard" "occ" "hits"
-      "misses" "neg-hits" "ins" "repl" "evict" "swept";
-    Array.iteri
-      (fun i (s : Dns.Cache.stats) ->
-        Format.printf "%5d %7d %9d %9d %9d %8d %8d %8d %8d@." i
-          s.Dns.Cache.occupancy s.Dns.Cache.hits s.Dns.Cache.misses
-          s.Dns.Cache.negative_hits s.Dns.Cache.insertions
-          s.Dns.Cache.replacements s.Dns.Cache.evictions
-          s.Dns.Cache.expired_sweeps)
-      (Dns.Cache.shard_stats c);
-    let s = Dns.Cache.stats c in
-    Format.printf "%5s %7d %9d %9d %9d %8d %8d %8d %8d@." "total"
-      s.Dns.Cache.occupancy s.Dns.Cache.hits s.Dns.Cache.misses
-      s.Dns.Cache.negative_hits s.Dns.Cache.insertions
-      s.Dns.Cache.replacements s.Dns.Cache.evictions s.Dns.Cache.expired_sweeps;
+      "=== DNS cache, synthetic workload (seed %d, %d queries over %d \
+       names, capacity %d) ===@.@.%a@."
+      seed queries names capacity Dns.Cache.pp_stats (Dns.Cache.stats c);
     (* Part 2: the same surface on a live connmand — benign responses
        populate the cache, an NXDOMAIN lands in the negative cache, and
        client lookups hit both. *)
@@ -557,18 +542,16 @@ let metrics_cmd =
   let capacity_arg =
     Arg.(value & opt int 1024 & info [ "capacity" ] ~doc:"Cache capacity.")
   in
-  let shards_arg =
-    optional Arg.int "shards" "Shard count (default: derived from capacity)."
-  in
   Cmd.v
     (Cmd.info "metrics"
        ~doc:
-         "Dump DNS-cache statistics and expose the unified metrics registry \
-          (caches, netsim packet fates, daemon, supervisor) in Prometheus \
-          text format.")
+         "Run a synthetic workload on one DNS cache, dump its statistics and \
+          connmand's, and expose the unified metrics registry (caches, \
+          netsim packet fates, daemon, supervisor) in Prometheus text \
+          format.")
     Term.(
       const run $ seed_arg $ queries_arg $ names_arg $ capacity_arg
-      $ shards_arg $ cell_arg $ schedule_arg)
+      $ cell_arg $ schedule_arg)
 
 let smoke_arg doc = Arg.(value & flag & info [ "smoke" ] ~doc)
 

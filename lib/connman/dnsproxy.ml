@@ -55,6 +55,6 @@ end)
    clone keeps the template's boot-time randomness (same ASLR draw, same
    canary): only the code layout differs, which is exactly the variable
    the survival matrix isolates. *)
-let fork_diversified ?cache_capacity t ~diversity_seed =
-  fork_variant ?cache_capacity t
+let fork_diversified t ~diversity_seed =
+  fork_variant t
     { (config t) with diversity_seed = Some diversity_seed }

@@ -39,10 +39,10 @@ val default_config : config
 
 type t
 
-val create : ?cache_capacity:int -> config -> t
-(** [cache_capacity] bounds the daemon's DNS cache (default 256). *)
+val create : config -> t
+(** A fresh boot; the daemon's DNS cache holds 256 entries. *)
 
-val fork : ?cache_capacity:int -> t -> t
+val fork : t -> t
 (** A fresh daemon cloned copy-on-write from this one's current machine
     state ({!Loader.Process.snapshot} + {!Loader.Process.fork}):
     µs-scale spawning for fleet-sized populations versus the full
@@ -53,8 +53,7 @@ val fork : ?cache_capacity:int -> t -> t
     cache, no telemetry attached, zero restarts.  [restart] on a clone
     performs a full re-boot from its own config as usual. *)
 
-val fork_diversified :
-  ?cache_capacity:int -> t -> diversity_seed:int -> t
+val fork_diversified : t -> diversity_seed:int -> t
 (** Like {!fork}, then re-assemble the code image as the variant
     [diversity_seed] selects ({!Loader.Process.reimage} into the
     already-mapped text region): µs-scale spawning of
@@ -98,7 +97,7 @@ val cache_find : t -> Dns.Name.t -> Dns.Cache.outcome
 (** Like {!cache_lookup} but distinguishes negative hits from misses. *)
 
 val cache : t -> Dns.Cache.t
-(** The daemon's cache, for stats dumps and shard-level inspection. *)
+(** The daemon's cache, for stats dumps and metrics registration. *)
 
 val cache_stats : t -> Dns.Cache.stats
 

@@ -41,28 +41,28 @@ module Make (D : DAEMON) = struct
   }
 
   (* Fresh host-side state around a booted or forked service. *)
-  let make ?cache_capacity config svc =
+  let make config svc =
     {
       config;
       svc;
       next_id = D.id_base + (D.boot_seed config land 0xFFF);
       pending = Hashtbl.create 8;
       view = Dns.Wire.create_view ();
-      cache = Dns.Cache.create ?capacity:cache_capacity ();
+      cache = Dns.Cache.create ();
       clock = 0;
     }
 
-  let create ?cache_capacity config =
-    make ?cache_capacity config
+  let create config =
+    make config
       (Service.boot D.daemon (D.spec config) ~profile:(D.profile config)
          ~boot_seed:(D.boot_seed config))
 
-  let fork ?cache_capacity t = make ?cache_capacity t.config (Service.fork t.svc)
+  let fork t = make t.config (Service.fork t.svc)
 
-  let fork_variant ?cache_capacity t config =
+  let fork_variant t config =
     match Service.fork_variant t.svc (D.spec config) with
-    | None -> create ?cache_capacity config
-    | Some svc -> make ?cache_capacity config svc
+    | None -> create config
+    | Some svc -> make config svc
 
   let config t = t.config
   let process t = Service.process t.svc

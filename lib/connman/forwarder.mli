@@ -45,9 +45,9 @@ end
 module Make (D : DAEMON) : sig
   type t
 
-  val create : ?cache_capacity:int -> D.config -> t
-  val fork : ?cache_capacity:int -> t -> t
-  val fork_variant : ?cache_capacity:int -> t -> D.config -> t
+  val create : D.config -> t
+  val fork : t -> t
+  val fork_variant : t -> D.config -> t
   (** {!fork}, re-imaged as the program of this config; a full
       {!create} when its text does not fit. *)
 

@@ -1,10 +1,10 @@
-(* Sharded TTL cache.  Each shard owns a hashtable plus a min-expiry
-   binary heap over (expires, seq) — the same sift-up/sift-down shape as
-   Netsim.Sim's event queue.  Heap nodes are invalidated lazily: the
-   table holds the truth, and a node is live only if the table still maps
-   its name to the same (expires, seq).  Stale nodes are discarded when
-   they reach the root, and a compaction rebuilds the heap from the table
-   when tombstones outnumber live entries. *)
+(* TTL cache: one hashtable plus one min-expiry binary heap over
+   (expires, seq), the same sift-up/sift-down shape as Netsim.Sim's event
+   queue.  Heap nodes are invalidated lazily: the table holds the truth,
+   and a node is live only if the table still maps its name to the same
+   (expires, seq).  Stale nodes are discarded when they reach the root,
+   and a compaction rebuilds the heap from the table when tombstones
+   outnumber live entries. *)
 
 type entry = {
   value : int;  (* ipv4 (host order); 0 for negative entries *)
@@ -17,11 +17,12 @@ type hnode = { hexp : int; hseq : int; hname : string }
 
 let hsentinel = { hexp = max_int; hseq = max_int; hname = "" }
 
-type shard = {
-  cap : int;
+type t = {
+  capacity : int;
   table : (string, entry) Hashtbl.t;
   mutable heap : hnode array;
   mutable hsize : int;
+  mutable next_seq : int;
   mutable hits : int;
   mutable misses : int;
   mutable negative_hits : int;
@@ -29,13 +30,6 @@ type shard = {
   mutable replacements : int;
   mutable evictions : int;
   mutable expired_sweeps : int;
-}
-
-type t = {
-  capacity : int;
-  mask : int;  (* shard count - 1; shard count is a power of two *)
-  shards : shard array;
-  mutable next_seq : int;
 }
 
 type outcome = Hit of int | Negative_hit | Miss
@@ -51,169 +45,142 @@ type stats = {
   occupancy : int;
 }
 
-let pow2_floor n =
-  let rec go acc = if acc * 2 <= n then go (acc * 2) else acc in
-  go 1
-
-let create ?(capacity = 256) ?shards () =
+let create ?(capacity = 256) () =
   if capacity <= 0 then invalid_arg "Cache.create: capacity must be positive";
-  let nshards =
-    match shards with
-    | Some s ->
-        if s <= 0 then invalid_arg "Cache.create: shards must be positive";
-        pow2_floor (min s capacity)
-    | None ->
-        (* keep every shard at least ~16 slots so small caches stay
-           single-shard (and deterministic for eviction-order tests) *)
-        min 64 (pow2_floor (max 1 (capacity / 16)))
-  in
-  let base = capacity / nshards and rem = capacity mod nshards in
-  let mk i =
-    {
-      cap = base + (if i < rem then 1 else 0);
-      table = Hashtbl.create 16;
-      heap = Array.make 16 hsentinel;
-      hsize = 0;
-      hits = 0;
-      misses = 0;
-      negative_hits = 0;
-      insertions = 0;
-      replacements = 0;
-      evictions = 0;
-      expired_sweeps = 0;
-    }
-  in
-  { capacity; mask = nshards - 1; shards = Array.init nshards mk; next_seq = 0 }
+  {
+    capacity;
+    table = Hashtbl.create 16;
+    heap = Array.make 16 hsentinel;
+    hsize = 0;
+    next_seq = 0;
+    hits = 0;
+    misses = 0;
+    negative_hits = 0;
+    insertions = 0;
+    replacements = 0;
+    evictions = 0;
+    expired_sweeps = 0;
+  }
 
 let capacity t = t.capacity
-let shard_count t = t.mask + 1
-let shard_of t name = Hashtbl.hash name land t.mask
-let shard_for t name = t.shards.(shard_of t name)
 
-(* --- per-shard min-heap on (hexp, hseq) --- *)
+(* --- min-heap on (hexp, hseq) --- *)
 
-let hkey n = (n.hexp, n.hseq)
+let earlier a b = a.hexp < b.hexp || (a.hexp = b.hexp && a.hseq < b.hseq)
 
-let hswap sh i j =
-  let tmp = sh.heap.(i) in
-  sh.heap.(i) <- sh.heap.(j);
-  sh.heap.(j) <- tmp
+let hswap t i j =
+  let tmp = t.heap.(i) in
+  t.heap.(i) <- t.heap.(j);
+  t.heap.(j) <- tmp
 
-let rec sift_up sh i =
+let rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if hkey sh.heap.(i) < hkey sh.heap.(parent) then begin
-      hswap sh i parent;
-      sift_up sh parent
+    if earlier t.heap.(i) t.heap.(parent) then begin
+      hswap t i parent;
+      sift_up t parent
     end
   end
 
-let rec sift_down sh i =
+let rec sift_down t i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let smallest = ref i in
-  if l < sh.hsize && hkey sh.heap.(l) < hkey sh.heap.(!smallest) then
-    smallest := l;
-  if r < sh.hsize && hkey sh.heap.(r) < hkey sh.heap.(!smallest) then
-    smallest := r;
+  if l < t.hsize && earlier t.heap.(l) t.heap.(!smallest) then smallest := l;
+  if r < t.hsize && earlier t.heap.(r) t.heap.(!smallest) then smallest := r;
   if !smallest <> i then begin
-    hswap sh i !smallest;
-    sift_down sh !smallest
+    hswap t i !smallest;
+    sift_down t !smallest
   end
 
 (* A node is live iff the table still maps its name to the same store. *)
-let node_live sh n =
-  match Hashtbl.find_opt sh.table n.hname with
+let node_live t n =
+  match Hashtbl.find_opt t.table n.hname with
   | Some e -> e.expires = n.hexp && e.seq = n.hseq
   | None -> false
 
-let heap_pop sh =
-  let top = sh.heap.(0) in
-  sh.hsize <- sh.hsize - 1;
-  if sh.hsize > 0 then begin
-    sh.heap.(0) <- sh.heap.(sh.hsize);
-    sift_down sh 0
+let heap_pop t =
+  let top = t.heap.(0) in
+  t.hsize <- t.hsize - 1;
+  if t.hsize > 0 then begin
+    t.heap.(0) <- t.heap.(t.hsize);
+    sift_down t 0
   end;
   (* vacated slot must not pin the node (and keeps stale scans honest) *)
-  sh.heap.(sh.hsize) <- hsentinel;
+  t.heap.(t.hsize) <- hsentinel;
   top
 
 (* Rebuild the heap from the table: one node per live entry. *)
-let compact sh =
-  let n = Hashtbl.length sh.table in
+let compact t =
+  let n = Hashtbl.length t.table in
   let arr = Array.make (max 16 n) hsentinel in
   let i = ref 0 in
   Hashtbl.iter
     (fun name e ->
       arr.(!i) <- { hexp = e.expires; hseq = e.seq; hname = name };
       incr i)
-    sh.table;
-  sh.heap <- arr;
-  sh.hsize <- n;
+    t.table;
+  t.heap <- arr;
+  t.hsize <- n;
   for j = (n / 2) - 1 downto 0 do
-    sift_down sh j
+    sift_down t j
   done
 
-let heap_push sh node =
-  if sh.hsize > (2 * Hashtbl.length sh.table) + 8 then compact sh;
-  if sh.hsize = Array.length sh.heap then begin
-    let bigger = Array.make (2 * sh.hsize) hsentinel in
-    Array.blit sh.heap 0 bigger 0 sh.hsize;
-    sh.heap <- bigger
+let heap_push t node =
+  if t.hsize > (2 * Hashtbl.length t.table) + 8 then compact t;
+  if t.hsize = Array.length t.heap then begin
+    let bigger = Array.make (2 * t.hsize) hsentinel in
+    Array.blit t.heap 0 bigger 0 t.hsize;
+    t.heap <- bigger
   end;
-  sh.heap.(sh.hsize) <- node;
-  sh.hsize <- sh.hsize + 1;
-  sift_up sh (sh.hsize - 1)
+  t.heap.(t.hsize) <- node;
+  t.hsize <- t.hsize + 1;
+  sift_up t (t.hsize - 1)
 
-let rec drop_stale sh =
-  if sh.hsize > 0 && not (node_live sh sh.heap.(0)) then begin
-    ignore (heap_pop sh);
-    drop_stale sh
+let rec drop_stale t =
+  if t.hsize > 0 && not (node_live t t.heap.(0)) then begin
+    ignore (heap_pop t);
+    drop_stale t
   end
 
 (* Reclaim every entry past its TTL before anything live is considered
    for eviction: expired entries must never hold capacity. *)
-let rec sweep_expired sh ~now =
-  drop_stale sh;
-  if sh.hsize > 0 && sh.heap.(0).hexp <= now then begin
-    let top = heap_pop sh in
-    Hashtbl.remove sh.table top.hname;
-    sh.expired_sweeps <- sh.expired_sweeps + 1;
-    sweep_expired sh ~now
+let rec sweep_expired t ~now =
+  drop_stale t;
+  if t.hsize > 0 && t.heap.(0).hexp <= now then begin
+    let top = heap_pop t in
+    Hashtbl.remove t.table top.hname;
+    t.expired_sweeps <- t.expired_sweeps + 1;
+    sweep_expired t ~now
   end
 
 (* Evict the live entry with the earliest expiry (FIFO among equals).
    Only called after a sweep, so the root's live node is the victim. *)
-let evict_one sh =
-  drop_stale sh;
-  if sh.hsize > 0 then begin
-    let top = heap_pop sh in
-    Hashtbl.remove sh.table top.hname;
-    sh.evictions <- sh.evictions + 1
+let evict_one t =
+  drop_stale t;
+  if t.hsize > 0 then begin
+    let top = heap_pop t in
+    Hashtbl.remove t.table top.hname;
+    t.evictions <- t.evictions + 1
   end
 
 let store t ~now ~name ~ttl ~value ~negative =
   if ttl > 0 then begin
-    let sh = shard_for t name in
-    sweep_expired sh ~now;
+    sweep_expired t ~now;
     let expires = now + ttl in
-    let add seq =
-      Hashtbl.replace sh.table name { value; negative; expires; seq };
-      heap_push sh { hexp = expires; hseq = seq; hname = name }
-    in
-    if Hashtbl.mem sh.table name then begin
-      sh.replacements <- sh.replacements + 1;
+    let add () =
       let seq = t.next_seq in
       t.next_seq <- seq + 1;
-      add seq
+      Hashtbl.replace t.table name { value; negative; expires; seq };
+      heap_push t { hexp = expires; hseq = seq; hname = name }
+    in
+    if Hashtbl.mem t.table name then begin
+      t.replacements <- t.replacements + 1;
+      add ()
     end
     else begin
-      if Hashtbl.length sh.table >= sh.cap then evict_one sh;
-      if Hashtbl.length sh.table < sh.cap then begin
-        sh.insertions <- sh.insertions + 1;
-        let seq = t.next_seq in
-        t.next_seq <- seq + 1;
-        add seq
-      end
+      if Hashtbl.length t.table >= t.capacity then evict_one t;
+      t.insertions <- t.insertions + 1;
+      add ()
     end
   end
 
@@ -224,85 +191,49 @@ let insert_negative t ~now ~name ~ttl =
   store t ~now ~name ~ttl ~value:0 ~negative:true
 
 let find t ~now name =
-  let sh = shard_for t name in
-  match Hashtbl.find_opt sh.table name with
+  match Hashtbl.find_opt t.table name with
   | Some e when e.expires > now ->
       if e.negative then begin
-        sh.negative_hits <- sh.negative_hits + 1;
+        t.negative_hits <- t.negative_hits + 1;
         Negative_hit
       end
       else begin
-        sh.hits <- sh.hits + 1;
+        t.hits <- t.hits + 1;
         Hit e.value
       end
   | Some _ ->
       (* expired: prune the table now; the heap node goes stale *)
-      Hashtbl.remove sh.table name;
-      sh.misses <- sh.misses + 1;
+      Hashtbl.remove t.table name;
+      t.misses <- t.misses + 1;
       Miss
   | None ->
-      sh.misses <- sh.misses + 1;
+      t.misses <- t.misses + 1;
       Miss
 
 let lookup t ~now name =
   match find t ~now name with Hit ip -> Some ip | Negative_hit | Miss -> None
 
-let remove t name = Hashtbl.remove (shard_for t name).table name
+let remove t name = Hashtbl.remove t.table name
 
 let size t ~now =
-  Array.fold_left
-    (fun acc sh ->
-      Hashtbl.fold
-        (fun _ e n -> if e.expires > now then n + 1 else n)
-        sh.table acc)
-    0 t.shards
+  Hashtbl.fold (fun _ e n -> if e.expires > now then n + 1 else n) t.table 0
 
 let flush t =
-  Array.iter
-    (fun sh ->
-      Hashtbl.reset sh.table;
-      Array.fill sh.heap 0 sh.hsize hsentinel;
-      sh.hsize <- 0)
-    t.shards
+  Hashtbl.reset t.table;
+  Array.fill t.heap 0 t.hsize hsentinel;
+  t.hsize <- 0
 
-let stats_of_shard (sh : shard) =
+let stats (t : t) =
   {
-    hits = sh.hits;
-    misses = sh.misses;
-    negative_hits = sh.negative_hits;
-    insertions = sh.insertions;
-    replacements = sh.replacements;
-    evictions = sh.evictions;
-    expired_sweeps = sh.expired_sweeps;
-    occupancy = Hashtbl.length sh.table;
+    hits = t.hits;
+    misses = t.misses;
+    negative_hits = t.negative_hits;
+    insertions = t.insertions;
+    replacements = t.replacements;
+    evictions = t.evictions;
+    expired_sweeps = t.expired_sweeps;
+    occupancy = Hashtbl.length t.table;
   }
-
-let shard_stats t = Array.map stats_of_shard t.shards
-
-let stats t =
-  Array.fold_left
-    (fun acc (sh : shard) ->
-      {
-        hits = acc.hits + sh.hits;
-        misses = acc.misses + sh.misses;
-        negative_hits = acc.negative_hits + sh.negative_hits;
-        insertions = acc.insertions + sh.insertions;
-        replacements = acc.replacements + sh.replacements;
-        evictions = acc.evictions + sh.evictions;
-        expired_sweeps = acc.expired_sweeps + sh.expired_sweeps;
-        occupancy = acc.occupancy + Hashtbl.length sh.table;
-      })
-    {
-      hits = 0;
-      misses = 0;
-      negative_hits = 0;
-      insertions = 0;
-      replacements = 0;
-      evictions = 0;
-      expired_sweeps = 0;
-      occupancy = 0;
-    }
-    t.shards
 
 let pp_stats ppf s =
   Format.fprintf ppf
@@ -329,7 +260,7 @@ let register_metrics t reg ~prefix =
       s.evictions);
   c "dns_cache_expired_sweeps_total" "expired entries reclaimed by the sweep"
     (fun s -> s.expired_sweeps);
-  Telemetry.Metrics.probe reg ~help:"entries currently in the tables" ~labels
+  Telemetry.Metrics.probe reg ~help:"entries currently in the table" ~labels
     ~kind:`Gauge "dns_cache_occupancy" (fun () ->
       float_of_int (stats t).occupancy);
   Telemetry.Metrics.probe reg ~help:"configured entry capacity" ~labels

@@ -1,14 +1,14 @@
 (** TTL-aware DNS cache (the state the Connman DNS proxy exists to keep).
 
-    Names hash to shards; each shard pairs its hashtable with a
-    min-expiry binary heap so eviction and expiry sweeps are O(log n)
-    where the old implementation folded over the whole table.  Heap
-    slots are invalidated lazily: replacing or removing an entry leaves
-    its old heap node behind as a stale tombstone that is discarded the
-    next time it surfaces at the root (a periodic compaction bounds the
-    tombstone population).  Before a live entry is ever evicted, the
-    shard sweeps entries that are already past their TTL, so dead
-    entries never hold capacity against live ones.
+    One hashtable paired with one min-expiry binary heap, so eviction
+    and expiry sweeps are O(log n) where the old implementation folded
+    over the whole table.  Heap slots are invalidated lazily: replacing
+    or removing an entry leaves its old heap node behind as a stale
+    tombstone that is discarded the next time it surfaces at the root
+    (a periodic compaction bounds the tombstone population).  Before a
+    live entry is ever evicted, the cache sweeps entries that are
+    already past their TTL, so dead entries never hold capacity against
+    live ones.
 
     Negative answers (NXDOMAIN) are first-class: they occupy capacity
     and expire like positive entries but carry no address, so repeated
@@ -20,19 +20,12 @@
 
 type t
 
-val create : ?capacity:int -> ?shards:int -> unit -> t
+val create : ?capacity:int -> unit -> t
 (** Default capacity 256 entries (the bound covers positive and
-    negative entries together).  [shards] is rounded down to a power of
-    two and clamped to [1, capacity]; the default picks enough shards
-    to keep each one small while never dropping a shard below ~16
-    slots, so tiny caches degenerate to a single shard and behave
-    exactly like the unsharded original. *)
+    negative entries together).  A cache evicts only when it holds
+    [capacity] live entries. *)
 
 val capacity : t -> int
-val shard_count : t -> int
-
-val shard_of : t -> string -> int
-(** Which shard a name hashes to (stable for the cache's lifetime). *)
 
 val insert : t -> now:int -> name:string -> ttl:int -> ipv4:int -> unit
 (** [ttl] seconds; a 0 TTL entry is never stored.  Re-inserting a
@@ -70,15 +63,11 @@ type stats = {
   replacements : int;  (** entries stored over an existing name *)
   evictions : int;  (** live entries removed to make room *)
   expired_sweeps : int;  (** expired entries reclaimed by the sweep *)
-  occupancy : int;  (** entries currently in the tables (may include
+  occupancy : int;  (** entries currently in the table (may include
                         expired ones not yet swept) *)
 }
 
 val stats : t -> stats
-(** Aggregate over all shards. *)
-
-val shard_stats : t -> stats array
-(** Per-shard counters, index = {!shard_of}. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

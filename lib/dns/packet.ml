@@ -196,10 +196,12 @@ let truncated t =
     additionals = [];
   }
 
-let encode_udp ?(compress = true) ?(payload_limit = 512) t =
+let udp_payload_limit = 512
+
+let encode_udp ?(compress = true) t =
   let a = Wire.arena () in
   encode_into ~compress a t;
-  if Wire.length a <= payload_limit then Wire.contents a
+  if Wire.length a <= udp_payload_limit then Wire.contents a
   else begin
     (* Too big for the datagram: send an honest truncation — TC set,
        records dropped, counts reflecting what is actually present — so

@@ -88,9 +88,9 @@ val encode_into : ?compress:bool -> Wire.arena -> t -> unit
     hot-path variant.  Read the bytes with {!Wire.contents} /
     {!Wire.unsafe_bytes}. *)
 
-val encode_udp : ?compress:bool -> ?payload_limit:int -> t -> string
-(** Datagram-honest encode: if the message exceeds [payload_limit]
-    (default 512, the classic UDP DNS payload cap), re-encode with [tc]
+val encode_udp : ?compress:bool -> t -> string
+(** Datagram-honest encode: if the message exceeds 512 bytes (the
+    classic UDP DNS payload cap), re-encode with [tc]
     set and all record sections dropped — counts reflecting what is
     actually present — so the client retries over TCP. *)
 

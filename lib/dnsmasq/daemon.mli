@@ -28,8 +28,8 @@ type config = {
 
 type t
 
-val create : ?cache_capacity:int -> config -> t
-(** [cache_capacity] bounds the daemon's DNS cache (default 256). *)
+val create : config -> t
+(** A fresh boot; the daemon's DNS cache holds 256 entries. *)
 
 val process : t -> Loader.Process.t
 val alive : t -> bool

@@ -357,7 +357,7 @@ let run ?metrics ?monitor cfg =
           l_lan = lan;
           l_resolver = resolver;
           l_resolver_ip = rip;
-          l_cache = Dns.Cache.create ~capacity:256 ~shards:4 ();
+          l_cache = Dns.Cache.create ();
           l_pinned = [];
         })
   in
@@ -545,10 +545,9 @@ let run ?metrics ?monitor cfg =
               after_health m prev st ~now ~cause:"crashed"))
     members;
   (* Each LAN's resolver: benign answers resolve through the LAN's
-     sharded answer cache; inside the attack window it forges the
-     exploit or a DoS answer instead, and keeps a bounded set of
-     "pinned" victims it re-DoSes on every query (the crash-loop
-     generator). *)
+     answer cache; inside the attack window it forges the exploit or a
+     DoS answer instead, and keeps a bounded set of "pinned" victims it
+     re-DoSes on every query (the crash-loop generator). *)
   let benign lc query reply ~now =
     match query.Dns.Packet.questions with
     | [ q ] when q.Dns.Packet.qtype = Dns.Packet.A ->

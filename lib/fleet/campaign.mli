@@ -8,7 +8,7 @@
     and forks every device from its cohort's template via copy-on-write
     snapshots ({!Connman.Dnsproxy.fork}), so spawning is µs-scale.
 
-    Each LAN's resolver answers benign queries through a sharded
+    Each LAN's resolver answers benign queries through a
     {!Dns.Cache}; once the attack window opens it also forges exploit
     payloads (built once with {!Exploit.Autogen} against an analysis
     boot) and oversized-name DoS answers, and {e pins} a bounded number
@@ -110,7 +110,7 @@ type report = {
   r_forks : int;  (** CoW daemon spawns, initial population included *)
   r_converged_us : int;
       (** when the whole fleet landed on the good patch ([-1] = never) *)
-  r_cache_hits : int;  (** resolver-side sharded cache, all LANs *)
+  r_cache_hits : int;  (** resolver-side caches, all LANs *)
   r_cache_misses : int;
   r_delivered : int;  (** world datagrams delivered *)
   r_dropped : int;

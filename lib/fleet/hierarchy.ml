@@ -12,24 +12,15 @@ type cell = {
 
 and t = {
   escalate_frac : float;
-  recover_frac : float;
   mutable cells : cell list;  (* reverse creation order *)
   mutable escalations : int;
   mutable log : (int * string * string) list;  (* most recent first *)
 }
 
-let create ?(escalate_frac = 0.35) ?recover_frac () =
-  let recover_frac =
-    match recover_frac with Some f -> f | None -> escalate_frac /. 2.0
-  in
-  if
-    (not (recover_frac > 0.0))
-    || recover_frac > escalate_frac
-    || escalate_frac > 1.0
-  then
-    invalid_arg
-      "Hierarchy.create: need 0 < recover_frac <= escalate_frac <= 1";
-  { escalate_frac; recover_frac; cells = []; escalations = 0; log = [] }
+let create ?(escalate_frac = 0.35) () =
+  if not (escalate_frac > 0.0 && escalate_frac <= 1.0) then
+    invalid_arg "Hierarchy.create: need 0 < escalate_frac <= 1";
+  { escalate_frac; cells = []; escalations = 0; log = [] }
 
 let add_cell t ~name =
   let c =
@@ -62,7 +53,7 @@ let check t c ~now =
     in
     match c.c_state with
     | `Escalated ->
-        if frac <= t.recover_frac then begin
+        if frac <= t.escalate_frac /. 2.0 then begin
           c.c_state <- (if all_healthy then `Ok else `Degraded);
           t.log <- (now, c.c_name, "recovered") :: t.log
         end

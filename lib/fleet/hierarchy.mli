@@ -15,7 +15,7 @@
     bulk-quarantines the cell's [Degraded] members
     ({!Health.Cell_escalated}) so a failing LAN is contained instead of
     limping.  The cell de-escalates (back to [`Degraded]/[`Ok]) only
-    when the down fraction falls to [recover_frac] or below —
+    when the down fraction falls to half of [escalate_frac] or below —
     escalation is hysteretic so a cell flapping around the threshold
     does not fire its hook repeatedly.
 
@@ -27,9 +27,9 @@
 type t
 type cell
 
-val create : ?escalate_frac:float -> ?recover_frac:float -> unit -> t
-(** Defaults: escalate at 0.35 down, recover at half that.  Raises
-    [Invalid_argument] unless [0 < recover_frac <= escalate_frac <= 1]. *)
+val create : ?escalate_frac:float -> unit -> t
+(** Escalate at [escalate_frac] down (default 0.35), recover at half
+    that.  Raises [Invalid_argument] unless [0 < escalate_frac <= 1]. *)
 
 val add_cell : t -> name:string -> cell
 

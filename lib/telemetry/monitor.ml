@@ -184,20 +184,17 @@ type t = {
 let dummy_jrec =
   { jr_entry = { e_ts = 0; e_source = ""; e_kind = ""; e_actor = ""; e_detail = "" }; jr_ord = 0 }
 
-let create ?(interval_us = 1_000_000) ?(points = 512) ?(journal_cap = 131072)
-    ?lookback_us reg =
+let journal_cap = 131072
+
+let create ?(interval_us = 1_000_000) ?(points = 512) reg =
   if interval_us <= 0 then invalid_arg "Monitor.create: interval_us must be positive";
   if points < 2 then invalid_arg "Monitor.create: points must be >= 2";
-  if journal_cap <= 0 then invalid_arg "Monitor.create: journal_cap must be positive";
   let points = if points land 1 = 1 then points + 1 else points in
-  let lookback =
-    match lookback_us with Some l -> max 0 l | None -> 2 * interval_us
-  in
   {
     reg;
     ival = interval_us;
     cap = points;
-    lookback;
+    lookback = 2 * interval_us;
     stores = Hashtbl.create 64;
     order = [];
     cur_hists = [];

@@ -29,20 +29,14 @@
 
 type t
 
-val create :
-  ?interval_us:int ->
-  ?points:int ->
-  ?journal_cap:int ->
-  ?lookback_us:int ->
-  Metrics.t ->
-  t
+val create : ?interval_us:int -> ?points:int -> Metrics.t -> t
 (** [interval_us] (default 1s) is the intended scrape cadence — the
     monitor itself never schedules; runners read it via {!interval_us}
     to set their barrier.  [points] (default 512, rounded up to even) is
-    the per-series ring capacity.  [journal_cap] (default 131072) bounds
-    the domain-event journal (drop-oldest).  [lookback_us] (default
-    [2 * interval_us]) is how far before an alert's pending edge the
-    incident correlator searches for the causal anchor. *)
+    the per-series ring capacity.  The domain-event journal keeps the
+    last 131072 entries (drop-oldest), and the incident correlator
+    searches [2 * interval_us] before an alert's pending edge for the
+    causal anchor. *)
 
 val registry : t -> Metrics.t
 val interval_us : t -> int

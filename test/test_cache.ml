@@ -1,4 +1,4 @@
-(* Tests for the sharded TTL-aware DNS cache and its daemon integration. *)
+(* Tests for the TTL-aware DNS cache and its daemon integration. *)
 
 module Cache = Dns.Cache
 module Dnsproxy = Connman.Dnsproxy
@@ -128,33 +128,6 @@ let test_negative_cache () =
   Cache.insert c ~now:41 ~name:"flap.example" ~ttl:30 ~ipv4:7;
   opt_int "positive wins" (Some 7) (Cache.lookup c ~now:42 "flap.example")
 
-let test_shard_distribution () =
-  let c = Cache.create ~capacity:1024 ~shards:8 () in
-  check_int "shard count" 8 (Cache.shard_count c);
-  let n = 800 in
-  for i = 0 to n - 1 do
-    let name = Printf.sprintf "host-%04d.shard.example" i in
-    check_bool "shard_of in bounds" true
-      (Cache.shard_of c name >= 0 && Cache.shard_of c name < 8);
-    check_int "shard_of stable" (Cache.shard_of c name) (Cache.shard_of c name);
-    Cache.insert c ~now:0 ~name ~ttl:1000 ~ipv4:i
-  done;
-  let occ =
-    Array.map (fun (s : Cache.stats) -> s.Cache.occupancy) (Cache.shard_stats c)
-  in
-  check_int "entries all stored" n (Array.fold_left ( + ) 0 occ);
-  Array.iteri
-    (fun i o ->
-      check_bool (Printf.sprintf "shard %d nonempty" i) true (o > 0);
-      check_bool (Printf.sprintf "shard %d not pathological" i) true
-        (o < n / 2))
-    occ;
-  (* aggregate stats = sum of shard stats *)
-  let agg = Cache.stats c in
-  let sum f = Array.fold_left (fun a s -> a + f s) 0 (Cache.shard_stats c) in
-  check_int "insertions aggregate" agg.Cache.insertions
-    (sum (fun (s : Cache.stats) -> s.Cache.insertions))
-
 let test_stats () =
   let c = Cache.create () in
   Cache.insert c ~now:0 ~name:"a" ~ttl:10 ~ipv4:1;
@@ -175,13 +148,42 @@ let test_flush () =
   Cache.insert c ~now:0 ~name:"b" ~ttl:10 ~ipv4:2;
   opt_int "usable after flush" (Some 2) (Cache.lookup c ~now:1 "b")
 
+(* Regression: the whole capacity is usable before anything live is
+   evicted.  A cache split into hash shards evicted as soon as one
+   shard's slice filled: a 256-entry cache (16 shards x 16) first
+   evicted at insert 166 with 165 names held. *)
+let test_full_capacity_before_eviction () =
+  let capacity = 256 in
+  let c = Cache.create ~capacity () in
+  let name i = Printf.sprintf "host-%05d.sim.example" i in
+  (* distinct TTLs, the earliest expiry in the middle of the run *)
+  let ttl i = 1000 + (((i * 37) + 100) mod capacity) in
+  let first_eviction = ref None in
+  for i = 0 to capacity - 1 do
+    Cache.insert c ~now:0 ~name:(name i) ~ttl:(ttl i) ~ipv4:i;
+    if !first_eviction = None && (Cache.stats c).Cache.evictions > 0 then
+      first_eviction := Some (i + 1)
+  done;
+  Alcotest.(check (option int)) "no eviction up to capacity" None !first_eviction;
+  check_int "every name held" capacity (Cache.size c ~now:0);
+  let victim = ref 0 in
+  for i = 1 to capacity - 1 do
+    if ttl i < ttl !victim then victim := i
+  done;
+  Cache.insert c ~now:0 ~name:(name capacity) ~ttl:5000 ~ipv4:capacity;
+  check_int "one eviction at insert capacity + 1" 1 (Cache.stats c).Cache.evictions;
+  check_int "capacity held" capacity (Cache.size c ~now:0);
+  for i = 0 to capacity do
+    opt_int (name i)
+      (if i = !victim then None else Some i)
+      (Cache.lookup c ~now:0 (name i))
+  done
+
 (* --- differential check against a naive reference model --- *)
 
-(* The reference mirrors the documented semantics with assoc-style
-   scans: per-shard capacity, sweep-then-evict on insert, min
-   (expires, seq) eviction, prune-on-expired-lookup.  Shard placement
-   and per-shard capacity are taken from the real cache (capacity
-   divisible by shards → uniform). *)
+(* The reference mirrors the documented semantics with whole-table
+   scans: sweep-then-evict on insert, min (expires, seq) eviction,
+   prune-on-expired-lookup. *)
 module Ref_model = struct
   type rentry = {
     value : int;
@@ -191,8 +193,8 @@ module Ref_model = struct
   }
 
   type t = {
-    cap_per_shard : int;
-    tables : (string, rentry) Hashtbl.t array;
+    capacity : int;
+    table : (string, rentry) Hashtbl.t;
     mutable next_seq : int;
     mutable hits : int;
     mutable misses : int;
@@ -203,10 +205,10 @@ module Ref_model = struct
     mutable expired_sweeps : int;
   }
 
-  let create ~capacity ~shards =
+  let create ~capacity =
     {
-      cap_per_shard = capacity / shards;
-      tables = Array.init shards (fun _ -> Hashtbl.create 16);
+      capacity;
+      table = Hashtbl.create 16;
       next_seq = 0;
       hits = 0;
       misses = 0;
@@ -217,54 +219,46 @@ module Ref_model = struct
       expired_sweeps = 0;
     }
 
-  let sweep m tbl ~now =
+  let sweep m ~now =
     let dead =
       Hashtbl.fold
         (fun name e acc -> if e.expires <= now then name :: acc else acc)
-        tbl []
+        m.table []
     in
-    List.iter (Hashtbl.remove tbl) dead;
+    List.iter (Hashtbl.remove m.table) dead;
     m.expired_sweeps <- m.expired_sweeps + List.length dead
 
-  let evict_min m tbl =
+  let evict_min m =
     let victim =
       Hashtbl.fold
         (fun name e best ->
           match best with
           | Some (_, b) when (b.expires, b.seq) <= (e.expires, e.seq) -> best
           | _ -> Some (name, e))
-        tbl None
+        m.table None
     in
     match victim with
     | Some (name, _) ->
-        Hashtbl.remove tbl name;
+        Hashtbl.remove m.table name;
         m.evictions <- m.evictions + 1
     | None -> ()
 
-  let store m ~shard ~now ~name ~ttl ~value ~negative =
+  let store m ~now ~name ~ttl ~value ~negative =
     if ttl > 0 then begin
-      let tbl = m.tables.(shard) in
-      sweep m tbl ~now;
-      if Hashtbl.mem tbl name then begin
-        m.replacements <- m.replacements + 1;
-        let seq = m.next_seq in
-        m.next_seq <- seq + 1;
-        Hashtbl.replace tbl name { value; negative; expires = now + ttl; seq }
-      end
+      sweep m ~now;
+      if Hashtbl.mem m.table name then
+        m.replacements <- m.replacements + 1
       else begin
-        if Hashtbl.length tbl >= m.cap_per_shard then evict_min m tbl;
-        if Hashtbl.length tbl < m.cap_per_shard then begin
-          m.insertions <- m.insertions + 1;
-          let seq = m.next_seq in
-          m.next_seq <- seq + 1;
-          Hashtbl.replace tbl name { value; negative; expires = now + ttl; seq }
-        end
-      end
+        if Hashtbl.length m.table >= m.capacity then evict_min m;
+        m.insertions <- m.insertions + 1
+      end;
+      let seq = m.next_seq in
+      m.next_seq <- seq + 1;
+      Hashtbl.replace m.table name { value; negative; expires = now + ttl; seq }
     end
 
-  let find m ~shard ~now name =
-    let tbl = m.tables.(shard) in
-    match Hashtbl.find_opt tbl name with
+  let find m ~now name =
+    match Hashtbl.find_opt m.table name with
     | Some e when e.expires > now ->
         if e.negative then begin
           m.negative_hits <- m.negative_hits + 1;
@@ -275,26 +269,48 @@ module Ref_model = struct
           Cache.Hit e.value
         end
     | Some _ ->
-        Hashtbl.remove tbl name;
+        Hashtbl.remove m.table name;
         m.misses <- m.misses + 1;
         Cache.Miss
     | None ->
         m.misses <- m.misses + 1;
         Cache.Miss
 
+  let remove m name = Hashtbl.remove m.table name
+  let flush m = Hashtbl.reset m.table
+
   let size m ~now =
-    Array.fold_left
-      (fun acc tbl ->
-        Hashtbl.fold
-          (fun _ e n -> if e.expires > now then n + 1 else n)
-          tbl acc)
-      0 m.tables
+    Hashtbl.fold (fun _ e n -> if e.expires > now then n + 1 else n) m.table 0
+
+  let stats m : Cache.stats =
+    {
+      Cache.hits = m.hits;
+      misses = m.misses;
+      negative_hits = m.negative_hits;
+      insertions = m.insertions;
+      replacements = m.replacements;
+      evictions = m.evictions;
+      expired_sweeps = m.expired_sweeps;
+      occupancy = Hashtbl.length m.table;
+    }
 end
 
+let stats_fields (s : Cache.stats) =
+  [
+    ("hits", s.Cache.hits);
+    ("misses", s.Cache.misses);
+    ("negative hits", s.Cache.negative_hits);
+    ("insertions", s.Cache.insertions);
+    ("replacements", s.Cache.replacements);
+    ("evictions", s.Cache.evictions);
+    ("sweeps", s.Cache.expired_sweeps);
+    ("occupancy", s.Cache.occupancy);
+  ]
+
 let test_differential_vs_reference () =
-  let capacity = 32 and shards = 4 in
-  let c = Cache.create ~capacity ~shards () in
-  let m = Ref_model.create ~capacity ~shards in
+  let capacity = 32 in
+  let c = Cache.create ~capacity () in
+  let m = Ref_model.create ~capacity in
   let rng = Memsim.Rng.create 0xD1FF in
   let name_of i = Printf.sprintf "n%02d.example" i in
   let now = ref 0 in
@@ -302,37 +318,110 @@ let test_differential_vs_reference () =
   for step = 1 to 5_000 do
     if Memsim.Rng.int rng 10 = 0 then now := !now + Memsim.Rng.int rng 4;
     let name = name_of (Memsim.Rng.int rng 48) in
-    let shard = Cache.shard_of c name in
     (match Memsim.Rng.int rng 20 with
     | 0 | 1 ->
         let ttl = Memsim.Rng.int rng 25 in
         (* exercises the ttl=0 rejection too *)
         Cache.insert_negative c ~now:!now ~name ~ttl;
-        Ref_model.store m ~shard ~now:!now ~name ~ttl ~value:0 ~negative:true
+        Ref_model.store m ~now:!now ~name ~ttl ~value:0 ~negative:true
     | 2 ->
         Cache.remove c name;
-        Hashtbl.remove m.Ref_model.tables.(shard) name
+        Ref_model.remove m name
     | n when n < 10 ->
         let ttl = Memsim.Rng.int rng 25 and v = step in
         Cache.insert c ~now:!now ~name ~ttl ~ipv4:v;
-        Ref_model.store m ~shard ~now:!now ~name ~ttl ~value:v ~negative:false
+        Ref_model.store m ~now:!now ~name ~ttl ~value:v ~negative:false
     | _ ->
         let a = Cache.find c ~now:!now name in
-        let b = Ref_model.find m ~shard ~now:!now name in
+        let b = Ref_model.find m ~now:!now name in
         if a <> b then incr mismatches);
     if Cache.size c ~now:!now <> Ref_model.size m ~now:!now then
       incr mismatches
   done;
   check_int "no lookup/size divergence over 5k ops" 0 !mismatches;
-  let s = Cache.stats c in
-  check_int "hits agree" m.Ref_model.hits s.Cache.hits;
-  check_int "misses agree" m.Ref_model.misses s.Cache.misses;
-  check_int "negative hits agree" m.Ref_model.negative_hits
-    s.Cache.negative_hits;
-  check_int "insertions agree" m.Ref_model.insertions s.Cache.insertions;
-  check_int "replacements agree" m.Ref_model.replacements s.Cache.replacements;
-  check_int "evictions agree" m.Ref_model.evictions s.Cache.evictions;
-  check_int "sweeps agree" m.Ref_model.expired_sweeps s.Cache.expired_sweeps
+  List.iter2
+    (fun (field, want) (_, got) -> check_int (field ^ " agree") want got)
+    (stats_fields (Ref_model.stats m))
+    (stats_fields (Cache.stats c))
+
+(* --- model-based property: random op sequences, checked after every op --- *)
+
+type op =
+  | Insert of int * int  (* name, ttl *)
+  | Insert_negative of int * int
+  | Remove of int
+  | Find of int
+  | Flush
+  | Advance of int
+
+let pp_op = function
+  | Insert (n, ttl) -> Printf.sprintf "insert n%d ttl %d" n ttl
+  | Insert_negative (n, ttl) -> Printf.sprintf "insert_negative n%d ttl %d" n ttl
+  | Remove n -> Printf.sprintf "remove n%d" n
+  | Find n -> Printf.sprintf "find n%d" n
+  | Flush -> "flush"
+  | Advance dt -> Printf.sprintf "advance %d" dt
+
+let gen_op =
+  QCheck.Gen.(
+    let name = int_range 0 59 and ttl = int_range 0 30 in
+    frequency
+      [
+        (8, map2 (fun n t -> Insert (n, t)) name ttl);
+        (2, map2 (fun n t -> Insert_negative (n, t)) name ttl);
+        (1, map (fun n -> Remove n) name);
+        (6, map (fun n -> Find n) name);
+        (1, return Flush);
+        (2, map (fun dt -> Advance dt) (int_range 1 10));
+      ])
+
+let prop_agrees_with_model =
+  QCheck.Test.make ~name:"cache agrees with the naive model after every op"
+    ~count:300 ~long_factor:20
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat "; " (List.map pp_op ops)))
+       QCheck.Gen.(pair (int_range 1 40) (list_size (int_range 1 200) gen_op)))
+    (fun (capacity, ops) ->
+      let c = Cache.create ~capacity () in
+      let m = Ref_model.create ~capacity in
+      let now = ref 0 in
+      let name i = Printf.sprintf "n%02d.example" i in
+      List.iteri
+        (fun k op ->
+          let fail fmt =
+            QCheck.Test.fail_reportf ("after op %d (%s): " ^^ fmt) k (pp_op op)
+          in
+          (match op with
+          | Insert (n, ttl) ->
+              Cache.insert c ~now:!now ~name:(name n) ~ttl ~ipv4:k;
+              Ref_model.store m ~now:!now ~name:(name n) ~ttl ~value:k
+                ~negative:false
+          | Insert_negative (n, ttl) ->
+              Cache.insert_negative c ~now:!now ~name:(name n) ~ttl;
+              Ref_model.store m ~now:!now ~name:(name n) ~ttl ~value:0
+                ~negative:true
+          | Remove n ->
+              Cache.remove c (name n);
+              Ref_model.remove m (name n)
+          | Find n ->
+              let got = Cache.find c ~now:!now (name n)
+              and want = Ref_model.find m ~now:!now (name n) in
+              if got <> want then fail "find disagrees"
+          | Flush ->
+              Cache.flush c;
+              Ref_model.flush m
+          | Advance dt -> now := !now + dt);
+          let got = Cache.size c ~now:!now and want = Ref_model.size m ~now:!now in
+          if got <> want then fail "size %d, model %d" got want;
+          List.iter2
+            (fun (field, want) (_, got) ->
+              if got <> want then fail "%s %d, model %d" field got want)
+            (stats_fields (Ref_model.stats m))
+            (stats_fields (Cache.stats c)))
+        ops;
+      true)
 
 let prop_capacity_never_exceeded =
   QCheck.Test.make ~name:"capacity bound holds under churn" ~count:200
@@ -434,16 +523,22 @@ let () =
           Alcotest.test_case "lazy invalidation under churn" `Quick
             test_replacement_churn_then_eviction;
           Alcotest.test_case "negative cache" `Quick test_negative_cache;
-          Alcotest.test_case "shard distribution" `Quick test_shard_distribution;
+          Alcotest.test_case "full capacity before eviction" `Quick
+            test_full_capacity_before_eviction;
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "flush" `Quick test_flush;
         ] );
       ( "differential",
         [
-          Alcotest.test_case "sharded cache agrees with naive model" `Quick
+          Alcotest.test_case "cache agrees with naive model" `Quick
             test_differential_vs_reference;
         ] );
-      ("properties", [ qt prop_capacity_never_exceeded; qt prop_fresh_entries_always_hit ]);
+      ( "properties",
+        [
+          qt prop_agrees_with_model;
+          qt prop_capacity_never_exceeded;
+          qt prop_fresh_entries_always_hit;
+        ] );
       ( "daemon integration",
         [
           Alcotest.test_case "ttl drives expiry" `Quick test_daemon_ttl_expiry;

@@ -85,7 +85,7 @@ end
 
 let test_hierarchy_escalation () =
   let sim = Sim.create ~seed:1 () in
-  let hier = Hier.create ~escalate_frac:0.5 ~recover_frac:0.25 () in
+  let hier = Hier.create ~escalate_frac:0.5 () in
   let cell = Hier.add_cell hier ~name:"lan-0" in
   let members =
     List.init 4 (fun i ->
@@ -114,7 +114,7 @@ let test_hierarchy_escalation () =
   Hier.check hier cell ~now:20;
   check_int "hysteresis: no refire while escalated" 1 !fired;
   check_int "one escalation counted" 1 (Hier.escalations hier);
-  (* Down fraction back at recover_frac: the episode ends (and a later
+  (* Down fraction back at half of escalate_frac: the episode ends (and a later
      re-escalation may fire the hook again). *)
   ignore (H.observe (List.nth members 0) ~now:30 H.Probation_over);
   Hier.check hier cell ~now:30;

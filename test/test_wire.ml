@@ -83,7 +83,7 @@ let test_encode_udp_truncates_honestly () =
           ~ipv4:i)
   in
   let full = Packet.response ~query:q answers in
-  let wire = Packet.encode_udp ~payload_limit:512 full in
+  let wire = Packet.encode_udp full in
   check_bool "fits the datagram" true (String.length wire <= 512);
   (match Packet.decode wire with
   | Error e -> Alcotest.failf "truncated message must parse: %s" e
@@ -96,7 +96,7 @@ let test_encode_udp_truncates_honestly () =
   (* Small messages pass through untouched. *)
   let small = Packet.response ~query:q [ List.hd answers ] in
   check_string "small unchanged" (Packet.encode small)
-    (Packet.encode_udp ~payload_limit:512 small)
+    (Packet.encode_udp small)
 
 (* --- strictly-backward pointers (regression) ------------------------- *)
 
