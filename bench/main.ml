@@ -39,6 +39,11 @@ type how =
           returns its event count; adds events and wall_ns *)
   | Ratio of string * string
       (** the value of the first named row over the second's *)
+  | Paired of { pairs : int; first : unit -> int; second : unit -> int }
+      (** the median over [pairs] pairs of monotonic-clock runs of two
+          closures that return their event counts, the order alternating
+          from pair to pair, of the first's events per second over the
+          second's; adds min, max and pairs *)
 
 (* What an extra reads once every row of its suite is measured. *)
 type ctx = {
@@ -147,6 +152,13 @@ let alloc_per_op ?(n = 10_000) f =
   for _ = 1 to n do f () done;
   (Gc.allocated_bytes () -. before) /. float_of_int n
 
+(* One run of a closure that returns its event count: the count and the
+   run's wall time in ns. *)
+let events_and_ns now run =
+  let t0 = now () in
+  let events = float_of_int (run ()) in
+  (events, now () -. t0)
+
 (* A measured row's value and the extras only its measurement knows. *)
 let measure cfg r =
   match r.how with
@@ -158,13 +170,30 @@ let measure cfg r =
       (ns /. float_of_int steps, [ ("r_square", r2) ])
   | Fresh { samples; setup } -> (time_fresh ~samples setup, [])
   | Once run ->
-      let events, wall_ns =
-        with_clock (fun now ->
-            let t0 = now () in
-            let events = float_of_int (run ()) in
-            (events, now () -. t0))
-      in
+      let events, wall_ns = with_clock (fun now -> events_and_ns now run) in
       (ratio (events *. 1e9) wall_ns, [ ("events", events); ("wall_ns", wall_ns) ])
+  | Paired { pairs; first; second } ->
+      let ratios =
+        with_clock (fun now ->
+            let rate run =
+              let events, wall_ns = events_and_ns now run in
+              ratio (events *. 1e9) wall_ns
+            in
+            Array.init pairs (fun i ->
+                if i land 1 = 0 then
+                  let a = rate first in
+                  ratio a (rate second)
+                else
+                  let b = rate second in
+                  ratio (rate first) b))
+      in
+      Array.sort compare ratios;
+      ( ratios.(pairs / 2),
+        [
+          ("min", ratios.(0));
+          ("max", ratios.(pairs - 1));
+          ("pairs", float_of_int pairs);
+        ] )
   | Ratio _ -> invalid_arg "measure: a ratio row is derived"
 
 (* ------------------------------------------------------------------ *)
@@ -1333,10 +1362,11 @@ let wire_rows ~smoke:_ =
 (* monotonic-clock run (a campaign is far too heavy for an OLS sweep). *)
 (* The flight recorder's cost is the same campaign again with the      *)
 (* monitor attached (1s scrape barrier, the built-in rule set, causal  *)
-(* journaling), run right after the bare one.  The event count is the  *)
-(* same both ways — the barrier only segments the run loop — so the    *)
-(* overhead ratio is pure scrape + journal cost.  A device spawn is    *)
-(* [diversity/fork-plain-*].                                           *)
+(* journaling).  The event count is the same both ways — the barrier   *)
+(* only segments the run loop — so the overhead ratio is pure scrape + *)
+(* journal cost; one pair of runs varies by about ±0.1 on a shared     *)
+(* host, so it is the median of five alternating pairs, with their     *)
+(* spread.  A device spawn is [diversity/fork-plain-*].                *)
 (* ------------------------------------------------------------------ *)
 
 let fleet_rows ~smoke =
@@ -1345,12 +1375,12 @@ let fleet_rows ~smoke =
     else
       { Fleet.Campaign.default_config with Fleet.Campaign.devices = 240; lans = 8 }
   in
+  let run ?monitor () =
+    let monitor = Option.map (fun make -> make ()) monitor in
+    (Fleet.Campaign.run ?monitor ccfg).Fleet.Campaign.r_events
+  in
   let campaign name ?monitor () =
-    let run () =
-      let monitor = Option.map (fun make -> make ()) monitor in
-      (Fleet.Campaign.run ?monitor ccfg).Fleet.Campaign.r_events
-    in
-    row name "events_per_sec" (Once run)
+    row name "events_per_sec" (Once (run ?monitor))
       ~extras:[ ("devices", const (float_of_int ccfg.Fleet.Campaign.devices)) ]
   in
   let monitor () =
@@ -1367,7 +1397,8 @@ let fleet_rows ~smoke =
   [
     campaign bare ();
     campaign monitored ~monitor ();
-    row "fleet/monitor-overhead" "ratio" (Ratio (bare, monitored))
+    row "fleet/monitor-overhead" "ratio"
+      (Paired { pairs = 5; first = run; second = run ~monitor })
       ~extras:[ ("bare_events_per_sec", fun c -> c.get bare) ];
   ]
 
@@ -1466,7 +1497,7 @@ let suites =
 (* [`Smaller]: a smaller value is better (times, overheads). *)
 let regress_direction ~unit_ ~name =
   match unit_ with
-  | "ns_per_op" | "ns_per_run" -> `Smaller
+  | "ns_per_op" | "ns_per_run" | "ns_per_step" -> `Smaller
   | "events_per_sec" -> `Larger
   | "ratio" ->
       if
@@ -1542,6 +1573,7 @@ let run_regress ~base ~next ~tolerance () =
             | "events_per_sec" -> "ev/s"
             | "ns_per_op" -> "ns/op"
             | "ns_per_run" -> "ns/run"
+            | "ns_per_step" -> "ns/step"
             | u -> u)
             bv nv delta_pct
             (if bad then "REGRESSED" else "ok"))

@@ -489,6 +489,38 @@ let ends_block { cond; op } =
       rd = PC
   | Cmp _ | Tst _ | Str _ | Strb _ | Str_r _ | Strb_r _ | Push _ -> false
 
+(* What each member of a copy loop does (see {!Engine.copy_loop_of}); a
+   conditional member is none of its shapes. *)
+let effect = function
+  | { cond = AL; op = Ldrb (rd, rn, disp) } when rd <> PC && rn <> PC ->
+      Engine.Load_byte { reg = reg_index rd; base = reg_index rn; disp }
+  | { cond = AL; op = Strb (rd, rn, disp) } when rd <> PC && rn <> PC ->
+      Engine.Store_byte { reg = reg_index rd; base = reg_index rn; disp }
+  | { cond = AL; op = Add (rd, rn, Imm i) } when rd = rn && rd <> PC ->
+      Engine.Add_imm { reg = reg_index rd; imm = Word.to_signed (Word.of_int i) }
+  | { cond = AL; op = Sub (rd, rn, Imm i) } when rd = rn && rd <> PC ->
+      Engine.Add_imm { reg = reg_index rd; imm = -Word.to_signed (Word.of_int i) }
+  | { cond = AL; op = Cmp (rn, Imm i) } when rn <> PC && Word.of_int i = 0 ->
+      Engine.Cmp_zero (reg_index rn)
+  | { cond = AL; op = B _ } -> Engine.Jump
+  | _ -> Engine.Other
+
+(* A copy loop ends in [beq] out; [k] iterations leave the last [cmp]'s
+   flags. *)
+let copy_loop members =
+  match List.rev members with
+  | (pc, { cond = EQ; op = B d }, _) :: rev_body -> (
+      let body = List.rev_map (fun (_, insn, _) -> effect insn) rev_body in
+      let head, _, _ = List.hd members and n = List.length members in
+      let exit = Word.add (Word.add pc 8) d in
+      Engine.copy_loop_of body
+        ~regs:(fun t -> t.regs)
+        ~leave:(fun t c k ->
+          set_cmp_flags t c 0;
+          t.steps <- t.steps + (n * k);
+          set_pc t (if c = 0 then exit else head)))
+  | _ -> None
+
 let engine =
   {
     Engine.pc;
@@ -509,6 +541,7 @@ let engine =
         match insn with
         | { cond = AL; op = B d } -> Word.add (Word.add pc 8) d
         | _ -> Word.add pc 4);
+    copy_loop;
   }
 
 let run ?(fuel = 2_000_000) ~traps ~kernel ~hooks t =

@@ -564,6 +564,38 @@ let ends_block = function
       true
   | _ -> false
 
+(* What each member of a copy loop does (see {!Engine.copy_loop_of}). *)
+let effect = function
+  | Movzx_b (r, Mem { base = Some b; disp }) ->
+      Engine.Load_byte { reg = reg_index r; base = reg_index b; disp }
+  | Mov_b (Mem { base = Some b; disp }, Reg r) ->
+      Engine.Store_byte { reg = reg_index r; base = reg_index b; disp }
+  | Inc_r r -> Engine.Add_imm { reg = reg_index r; imm = 1 }
+  | Dec_r r -> Engine.Add_imm { reg = reg_index r; imm = -1 }
+  | Add_i (Reg r, i) ->
+      Engine.Add_imm { reg = reg_index r; imm = Word.to_signed (Word.of_int i) }
+  | Sub_i (Reg r, i) ->
+      Engine.Add_imm { reg = reg_index r; imm = -Word.to_signed (Word.of_int i) }
+  | Cmp_i (Reg r, i) when Word.of_int i = 0 -> Engine.Cmp_zero (reg_index r)
+  | Jmp_rel _ | Jmp_short _ -> Engine.Jump
+  | _ -> Engine.Other
+
+(* A copy loop ends in [je] out; [k] iterations leave the last [cmp]'s
+   flags. *)
+let copy_loop members =
+  match List.rev members with
+  | (pc, (Jcc (E, d) | Jcc_short (E, d)), size) :: rev_body -> (
+      let body = List.rev_map (fun (_, insn, _) -> effect insn) rev_body in
+      let head, _, _ = List.hd members and n = List.length members in
+      let exit = Word.add (Word.add pc size) d in
+      Engine.copy_loop_of body
+        ~regs:(fun t -> t.regs)
+        ~leave:(fun t c k ->
+          set_sub_flags t c 0 c;
+          t.steps <- t.steps + (n * k);
+          t.eip <- (if c = 0 then exit else head)))
+  | _ -> None
+
 let engine =
   {
     Engine.pc = (fun t -> t.eip);
@@ -579,6 +611,7 @@ let engine =
         match insn with
         | Jmp_rel d | Jmp_short d -> Word.add (Word.add pc size) d
         | _ -> Word.add pc size);
+    copy_loop;
   }
 
 let run ?(fuel = 2_000_000) ~traps ~kernel ~hooks t =

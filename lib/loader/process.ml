@@ -231,6 +231,7 @@ type run_result = {
   regs : int array;
   icache_hits : int;
   icache_misses : int;
+  icache_summarised : int;
 }
 
 (* The hooks of one call, in their fixed order: the observers
@@ -259,10 +260,11 @@ let hooks t isa ~taint ?on_step ?sanitizer ?trace ?profile cpu =
     ]
 
 (* The family cache's counters are cumulative; a call reports its own
-   hits and misses as their difference around the run. *)
+   hits, misses and summarised iterations as their difference around the
+   run. *)
 let icache_stats = function
-  | None -> (0, 0)
-  | Some c -> (Memsim.Icache.hits c, Memsim.Icache.misses c)
+  | None -> (0, 0, 0)
+  | Some c -> Memsim.Icache.(hits c, misses c, summarised c)
 
 let call ?(fuel = 2_000_000) ?(icache = true) ?on_step ?sanitizer ?trace
     ?profile t ~entry ~args =
@@ -271,8 +273,8 @@ let call ?(fuel = 2_000_000) ?(icache = true) ?on_step ?sanitizer ?trace
   let hooks isa ~taint cpu =
     hooks t isa ~taint ?on_step ?sanitizer ?trace ?profile cpu
   in
-  let result outcome ~steps ~ret ~regs table (hits0, misses0) =
-    let hits1, misses1 = icache_stats table in
+  let result outcome ~steps ~ret ~regs table (hits0, misses0, summarised0) =
+    let hits1, misses1, summarised1 = icache_stats table in
     {
       outcome;
       steps;
@@ -280,6 +282,7 @@ let call ?(fuel = 2_000_000) ?(icache = true) ?on_step ?sanitizer ?trace
       regs = Array.copy regs;
       icache_hits = hits1 - hits0;
       icache_misses = misses1 - misses0;
+      icache_summarised = summarised1 - summarised0;
     }
   in
   match t.icache with

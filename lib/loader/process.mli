@@ -101,6 +101,10 @@ type run_result = {
   icache_misses : int;
       (** entries this call had to decode and compile: 0 when the family
           has already run every instruction the call reaches *)
+  icache_summarised : int;
+      (** copy-loop iterations this call ran as bulk steps (see
+          {!Machine.Engine}); 0 with [on_step], [profile], [trace] or
+          [sanitizer] attached, or without the icache *)
 }
 
 val call :

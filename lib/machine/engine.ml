@@ -28,6 +28,14 @@ and ('cpu, 'insn) chain = {
   lo : int;  (* the followers' lowest and highest pc (lo > hi: none) *)
   hi : int;
   refills : int;  (* the head page's {!Memsim.Icache.refills} when built *)
+  copy : 'cpu copy_loop option;  (* the block is a counted byte copy *)
+}
+
+and 'cpu copy_loop = {
+  src : 'cpu -> int;
+  dst : 'cpu -> int;
+  count : 'cpu -> int;
+  retire : 'cpu -> int -> int -> unit;
 }
 
 exception Undecodable of { addr : int; byte : int }
@@ -39,7 +47,67 @@ type ('cpu, 'insn) isa = {
   compile : int -> int -> 'insn -> 'cpu thunk;
   ends_block : 'insn -> bool;
   follower : int -> 'insn -> int -> int;
+  copy_loop : (int * 'insn * int) list -> 'cpu copy_loop option;
 }
+
+type effect =
+  | Load_byte of { reg : int; base : int; disp : int }
+  | Store_byte of { reg : int; base : int; disp : int }
+  | Add_imm of { reg : int; imm : int }
+  | Cmp_zero of int
+  | Jump
+  | Other
+
+(* The one iteration shape a summary runs, on effects: load a byte
+   through [src], store it through [dst], step both up by one and the
+   count down by one, compare the count with zero after every add (the
+   adds may write flags; loads and stores do not), in any order that
+   keeps each access ahead of its own pointer's step, with nothing else
+   but direct jumps. *)
+let copy_loop_of effects ~regs ~leave =
+  let effects = Array.of_list effects in
+  let positions p =
+    List.filter (fun i -> p effects.(i)) (List.init (Array.length effects) Fun.id)
+  in
+  let unique p = match positions p with [ i ] -> Some i | _ -> None in
+  let load = unique (function Load_byte _ -> true | _ -> false)
+  and store = unique (function Store_byte _ -> true | _ -> false)
+  and cmp = unique (function Cmp_zero _ -> true | _ -> false)
+  and adds = positions (function Add_imm _ -> true | _ -> false)
+  and others = positions (function Other -> true | _ -> false) in
+  match (load, store, cmp, others) with
+  | Some l, Some st, Some cmp, [] -> (
+      match (effects.(l), effects.(st), effects.(cmp)) with
+      | ( Load_byte { reg = loaded; base = src; disp = src_disp },
+          Store_byte { reg; base = dst; disp = dst_disp },
+          Cmp_zero count ) -> (
+          let step r imm =
+            unique (function Add_imm a -> a.reg = r && a.imm = imm | _ -> false)
+          in
+          match (step src 1, step dst 1, step count (-1)) with
+          | Some si, Some di, Some _
+            when reg = loaded
+                 && List.length (List.sort_uniq compare [ loaded; src; dst; count ]) = 4
+                 && List.length adds = 3
+                 && l < st && l < si && st < di
+                 && List.for_all (fun a -> a < cmp) adds ->
+              Some
+                {
+                  src = (fun cpu -> Memsim.Word.add (regs cpu).(src) src_disp);
+                  dst = (fun cpu -> Memsim.Word.add (regs cpu).(dst) dst_disp);
+                  count = (fun cpu -> (regs cpu).(count));
+                  retire =
+                    (fun cpu k last ->
+                      let r = regs cpu in
+                      r.(src) <- Memsim.Word.add r.(src) k;
+                      r.(dst) <- Memsim.Word.add r.(dst) k;
+                      r.(count) <- Memsim.Word.sub r.(count) k;
+                      r.(loaded) <- last;
+                      leave cpu r.(count) k);
+                }
+          | _ -> None)
+      | _ -> None)
+  | _ -> None
 
 let new_icache ~dummy =
   Icache.table
@@ -173,15 +241,22 @@ let build isa c (e : _ compiled Icache.entry) head =
   in
   let n = if e.hi_gen <> 0 then 1 else count 1 head e.v in
   let pcs = Array.make n head and runs = Array.make n e.v.run in
+  let members = ref [] in
   let rec fill i pc (f : _ compiled) =
     pcs.(i) <- pc;
     runs.(i) <- f.run;
+    members := (pc, f.insn, f.size) :: !members;
     match follower pc f with
     | Some (pc', f') when i + 1 < n -> fill (i + 1) pc' f'
     | _ -> f
   in
   let last = fill 0 head e.v in
   let lo, hi = follower_span pcs in
+  let copy =
+    if n > 1 && Memsim.Word.add pcs.(n - 1) last.size = head then
+      isa.copy_loop (List.rev !members)
+    else None
+  in
   Built
     {
       pcs;
@@ -191,6 +266,7 @@ let build isa c (e : _ compiled Icache.entry) head =
       lo;
       hi;
       refills = Icache.refills c;
+      copy;
     }
 
 (* The reference loop: fetch every step and run it through the ISA's
@@ -228,7 +304,7 @@ let run_exec isa ~fuel ~traps ~kernel p mem cpu =
    right after the storing instruction, and the next turn re-decodes.
    Followers credit one icache hit each, so hit and miss counts are those
    of a one-lookup-per-step loop. *)
-let run_cached isa ~fuel ~traps ~kernel p c cpu =
+let run_cached isa ~fuel ~traps ~kernel p mem c cpu =
   let finish = finish p cpu in
   (* What [lookup]'s miss path fills entries with: fetch, then compile
      for the fetch address.  Made once per run, so a hit allocates
@@ -257,7 +333,10 @@ let run_cached isa ~fuel ~traps ~kernel p c cpu =
         else begin
           let cell = Icache.cell c in
           match p.observe with
-          | None -> block budget b n e.lo_gen cell 0
+          | None -> (
+              match b.copy with
+              | Some l -> copy budget b n e.lo_gen cell l
+              | None -> block budget b n e.lo_gen cell 0)
           | Some observe -> observed budget b n e.lo_gen cell observe 0
         end
     | (Seen | Built _) when p.blocks ->
@@ -282,6 +361,26 @@ let run_cached isa ~fuel ~traps ~kernel p c cpu =
             | None ->
                 (match verdict with Commit c -> c () | _ -> ());
                 loop (budget - 1)))
+  (* [k] iterations of a copy loop as one step, bounded by the count,
+     the fuel and the src and dst pages' ends; the block's own path when
+     that leaves none, the dst is on the block's page, or the first byte
+     would fault.  The head's lookup counted the first iteration's first
+     hit. *)
+  and copy budget b n gen cell l =
+    let src = l.src cpu and dst = l.dst cpu in
+    let k = Int.min (l.count cpu) (budget / n) in
+    let k = Int.min k (Mem.page_size - (src land (Mem.page_size - 1))) in
+    let k = Int.min k (Mem.page_size - (dst land (Mem.page_size - 1))) in
+    if k < 1 || dst lsr Mem.page_bits = Array.unsafe_get b.pcs 0 lsr Mem.page_bits then
+      block budget b n gen cell 0
+    else
+      let last = Mem.copy_forward mem ~src ~dst k in
+      if last < 0 then block budget b n gen cell 0
+      else begin
+        Icache.credit_loop c ~iterations:k ~hits:((n * k) - 1);
+        l.retire cpu k last;
+        loop (budget - (n * k))
+      end
   (* Members before the last, then the terminator.  [observed] is the
      same walk for runs with [Observe] hooks. *)
   and block budget b n gen cell i =
@@ -333,4 +432,4 @@ let run_cached isa ~fuel ~traps ~kernel p c cpu =
 let run isa ~fuel ~traps ~kernel ~hooks mem icache cpu =
   match icache with
   | None -> run_exec isa ~fuel ~traps ~kernel (plan hooks) mem cpu
-  | Some c -> run_cached isa ~fuel ~traps ~kernel (plan hooks) c cpu
+  | Some c -> run_cached isa ~fuel ~traps ~kernel (plan hooks) mem c cpu

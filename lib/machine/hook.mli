@@ -30,7 +30,9 @@
       {!Other}.  Only a block's last instruction can be one (the
       lowering contract: an instruction that does not end a block
       classifies as [Other] under the ISA's {!isa.transfer}), so its
-      [pre] runs only there.
+      [pre] runs only there.  It must return [Go] on an instruction
+      classified [Other]: a copy-loop summary ({!Engine}) skips it on
+      the loop's conditional branch.
     - {!Step}: every instruction, through [pre].
 
     A run with a [Step] hook, or with a [Terminal] hook listed before an

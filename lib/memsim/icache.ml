@@ -50,6 +50,7 @@ type 'a table = {
   no_refills : int ref;  (* the count of a page without a directory; stays 0 *)
   mutable hits : int;
   mutable misses : int;
+  mutable summarised : int;
 }
 
 (* [last_*] cache the directory and the viewing memory's generation cell
@@ -80,6 +81,7 @@ let table ~dummy =
     no_refills = ref 0;
     hits = 0;
     misses = 0;
+    summarised = 0;
   }
 
 let view table mem =
@@ -94,6 +96,7 @@ let view table mem =
 
 let hits table = table.hits
 let misses table = table.misses
+let summarised table = table.summarised
 
 let select t idx addr =
   t.last_idx <- idx;
@@ -197,3 +200,7 @@ let peek t addr =
 let cell t = t.last_cell
 let refills t = !(t.last_refills)
 let credit t n = t.table.hits <- t.table.hits + n
+
+let credit_loop t ~iterations ~hits =
+  t.table.summarised <- t.table.summarised + iterations;
+  t.table.hits <- t.table.hits + hits

@@ -56,8 +56,12 @@ val lookup : 'a t -> int -> decode:(Memory.t -> int -> 'a * int) -> 'a entry
 
 val hits : 'a table -> int
 val misses : 'a table -> int
-(** Cumulative over every view of the table; a run's own counts are the
-    difference around it. *)
+
+val summarised : 'a table -> int
+(** Loop iterations an interpreter ran as one bulk step instead of
+    through their block ({!credit_loop}); 0 on a run with a per-step or
+    pc-stream observer.  Like [hits] and [misses], cumulative over every
+    view of the table; a run's own counts are the difference around it. *)
 
 (** {1 Blocks}
 
@@ -93,3 +97,7 @@ val refills : 'a t -> int
 val credit : 'a t -> int -> unit
 (** Count [n] hits: one per block follower executed, so hit and miss
     counts keep their one-per-fetch meaning. *)
+
+val credit_loop : 'a t -> iterations:int -> hits:int -> unit
+(** Count [iterations] summarised loop iterations and the [hits] their
+    fetches would have counted. *)

@@ -499,6 +499,31 @@ let write_bytes t addr s =
     done
   end
 
+(* The bulk form of [n] rounds of [write_u8 (dst + i) (read_u8 (src + i))]
+   inside one page each: forward byte by byte, so an overlap replicates
+   as the rounds would, and the dst page draws the [n] generations the
+   rounds draw.  The src page's buffer is taken after the dst page is
+   unshared, so a copy within one page reads the private copy. *)
+let copy_forward t ~src ~dst n =
+  let src = Word.of_int src and dst = Word.of_int dst in
+  let soff = src land offset_mask and doff = dst land offset_mask in
+  if n < 1 || soff + n > page_size || doff + n > page_size then
+    invalid_arg "Memory.copy_forward: a span leaves its page";
+  match Hashtbl.find_opt t.pages (dst lsr page_bits) with
+  | Some dp when dp.pperm.write -> (
+      match Hashtbl.find_opt t.pages (src lsr page_bits) with
+      | Some sp when sp.pperm.read ->
+          if dp.frozen then unshare t (dst lsr page_bits) dp;
+          let s = sp.data and d = dp.data in
+          for i = 0 to n - 1 do
+            Bytes.unsafe_set d (doff + i) (Bytes.unsafe_get s (soff + i))
+          done;
+          gen_counter := !gen_counter + n;
+          dp.gen := !gen_counter;
+          Char.code (Bytes.unsafe_get d (doff + n - 1))
+      | _ -> -1)
+  | _ -> -1
+
 let read_cstring t ?(max = 4096) addr =
   let buf = Buffer.create 16 in
   let rec loop i =

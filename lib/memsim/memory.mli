@@ -135,6 +135,18 @@ val write_bytes : t -> int -> string -> unit
 (** Atomic like {!write_u32}: all touched pages are validated before any
     byte is committed. *)
 
+val copy_forward : t -> src:int -> dst:int -> int -> int
+(** [copy_forward t ~src ~dst n] leaves memory, page generations and the
+    generation counter as [n >= 1] rounds of
+    [write_u8 t (dst + i) (read_u8 t (src + i))], [i = 0 … n-1], leave
+    them when none of them faults: the bytes go forward one at a time (an
+    overlap replicates), a frozen dst page is unshared and noted for
+    restore once, and the dst page's generation is the last of [n] fresh
+    ones.  Returns the last byte copied, or [-1], with nothing changed,
+    when the src page is unmapped or unreadable or the dst page unmapped
+    or unwritable (the first round would fault).  Each span must lie in
+    one page; raises [Invalid_argument] otherwise. *)
+
 val read_cstring : t -> ?max:int -> int -> string
 (** Read a NUL-terminated string (at most [max] bytes, default 4096). *)
 

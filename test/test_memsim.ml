@@ -1072,6 +1072,145 @@ let prop_snapshot_roundtrip =
       Mem.restore m snap;
       Mem.peek_bytes m 0x4000 0x2000 = expected)
 
+(* [copy_forward] against the byte loop it stands for, over three rw
+   pages and a fourth whose permission varies: spans anywhere within a
+   page, overlaps within one page in both directions, on a plain memory,
+   a snapshotted and restored one (frozen and armed) and a fork (frozen;
+   a restore arms it).  Two memories built alike take the two forms;
+   they must end with the same bytes, the same generation drawn on each
+   page relative to the next fresh one before the copy, and the same
+   count of generations drawn.  A restore must then put back the bytes
+   from the dirty pages alone, and a sibling fork must not move. *)
+type copy_case = {
+  frozen : [ `Plain | `Snapshotted | `Forked ];
+  last_perm : int;  (* the fourth page: 0 rw, 1 r, 2 none *)
+  fill : int;  (* seeds the pages' bytes *)
+  src : int;
+  dst : int;
+  len : int;
+}
+
+let copy_base = 0x1000
+
+let gen_copy_case =
+  let open QCheck.Gen in
+  let addr = map2 (fun p o -> copy_base + (p * 0x1000) + o) (int_bound 3) (int_bound 0xFFF) in
+  let* frozen = oneofl [ `Plain; `Snapshotted; `Forked ] in
+  let* last_perm = frequency [ (3, return 0); (1, return 1); (1, return 2) ] in
+  let* fill = nat in
+  let* src = addr in
+  let* dst =
+    frequency
+      [
+        (1, addr);
+        (* the same page, just ahead of or behind the source *)
+        ( 2,
+          map
+            (fun d -> max (src land lnot 0xFFF) (min (src lor 0xFFF) (src + d)))
+            (int_range (-8) 8) );
+      ]
+  in
+  let room = 0x1000 - max (src land 0xFFF) (dst land 0xFFF) in
+  let* len = frequency [ (3, int_range 1 (min room 80)); (1, int_range 1 room) ] in
+  return { frozen; last_perm; fill; src; dst; len }
+
+let print_copy_case c =
+  Printf.sprintf "%s, page 4 %s, fill %d: copy 0x%x -> 0x%x, %d bytes"
+    (match c.frozen with `Plain -> "plain" | `Snapshotted -> "snapshotted" | `Forked -> "forked")
+    (match c.last_perm with 0 -> "rw" | 1 -> "r" | _ -> "none")
+    c.fill c.src c.dst c.len
+
+(* The next generation the shared counter hands out (drawing it). *)
+let next_gen () =
+  let m = fresh () in
+  Mem.map m ~base:0 ~size:1 ~perm:Mem.rw ~name:"probe";
+  Mem.page_gen m 0
+
+let prop_copy_forward =
+  QCheck.Test.make ~name:"copy_forward = a read_u8/write_u8 loop" ~count:300
+    ~long_factor:20
+    (QCheck.make ~print:print_copy_case gen_copy_case)
+    (fun c ->
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let pages = List.init 4 (fun i -> copy_base + (i * 0x1000)) in
+      let build () =
+        let m = fresh () in
+        Mem.map m ~base:copy_base ~size:0x3000 ~perm:Mem.rw ~name:"d";
+        Mem.map m ~base:0x4000 ~size:0x1000 ~perm:Mem.rw ~name:"x";
+        let rng = Memsim.Rng.create c.fill in
+        Mem.write_bytes m copy_base
+          (String.init 0x4000 (fun _ -> Char.chr (Memsim.Rng.int rng 256)));
+        Mem.set_perm m ~base:0x4000
+          (match c.last_perm with 0 -> Mem.rw | 1 -> Mem.r | _ -> Mem.none);
+        m
+      in
+      (* Each memory with the snapshot it is armed for, if frozen, and
+         for a fork the untouched sibling. *)
+      let prepare () =
+        match c.frozen with
+        | `Plain -> (build (), None, None)
+        | `Snapshotted ->
+            let m = build () in
+            let s = Mem.snapshot m in
+            Mem.restore m s;
+            (m, Some s, None)
+        | `Forked ->
+            let s = Mem.snapshot (build ()) in
+            let m = Mem.fork s in
+            Mem.restore m s;
+            (m, Some s, Some (Mem.fork s))
+      in
+      let contents m = String.concat "" (List.map (fun p -> Mem.peek_bytes m p 0x1000) pages) in
+      let gens m = List.map (Mem.page_gen m) pages in
+      (* The copy one way; its result, the generations it drew relative
+         to [g0] (0: unchanged) and how many it drew. *)
+      let run copy =
+        let m, snap, sibling = prepare () in
+        let before = contents m and sibling_gens = Option.map gens sibling in
+        let g0 = next_gen () in
+        let result = copy m in
+        let drawn = next_gen () - g0 - 1 in
+        let rel = List.map (fun g -> if g > g0 then g - g0 else 0) (gens m) in
+        (m, snap, sibling, sibling_gens, before, result, rel, drawn)
+      in
+      let ma, snap_a, sib_a, sib_gens_a, before, last, rel_a, drawn_a =
+        run (fun m -> Mem.copy_forward m ~src:c.src ~dst:c.dst c.len)
+      in
+      let mb, snap_b, _, _, _, faulted, rel_b, drawn_b =
+        run (fun m ->
+            match
+              for i = 0 to c.len - 1 do
+                Mem.write_u8 m (c.dst + i) (Mem.read_u8 m (c.src + i))
+              done
+            with
+            | () -> false
+            | exception Mem.Fault _ -> true)
+      in
+      if faulted then begin
+        if last <> -1 then fail "the loop faults but the copy returned %d" last;
+        if contents ma <> before || drawn_a <> 0 || List.exists (( <> ) 0) rel_a then
+          fail "a refused copy changed memory or drew generations"
+      end
+      else begin
+        if last <> Char.code (Mem.peek_bytes mb (c.dst + c.len - 1) 1).[0] then
+          fail "returned %d, not the last byte copied" last;
+        if contents ma <> contents mb then fail "bytes differ from the loop's";
+        if rel_a <> rel_b then fail "page generations differ from the loop's";
+        if drawn_a <> drawn_b || drawn_a <> c.len then
+          fail "drew %d generations, the loop %d" drawn_a drawn_b
+      end;
+      (match (snap_a, snap_b) with
+      | Some sa, Some sb ->
+          let dirty_a = traced_restore ma sa and dirty_b = traced_restore mb sb in
+          if dirty_a <> dirty_b then fail "restore saw %d dirty pages, the loop's %d" dirty_a dirty_b;
+          if contents ma <> before then fail "restore did not put the bytes back"
+      | _ -> ());
+      (match (sib_a, sib_gens_a) with
+      | Some sib, Some g ->
+          if contents sib <> before || gens sib <> g then fail "the sibling fork moved"
+      | _ -> ());
+      true)
+
 let test_shadow_snapshot_restore () =
   let module Shadow = Memsim.Shadow in
   let sh = Shadow.create () in
@@ -1223,6 +1362,7 @@ let () =
           Alcotest.test_case "restore exact across snapshots and forks" `Quick
             test_restore_exact_across_snapshots;
           qt prop_snapshot_roundtrip;
+          qt prop_copy_forward;
           Alcotest.test_case "shadow snapshot/restore" `Quick
             test_shadow_snapshot_restore;
           qt prop_shadow_model;

@@ -4,12 +4,16 @@
    six exploit cells E1–E6) under every defense profile (none, wx,
    wx+aslr, and the scenario's base profile with +shstk, +fcfi,
    +shstk+fcfi, +seccomp).  Each observed run must match the bare run:
-   outcome, retired steps and the whole register file at the
-   [Process.call] level, disposition and [last_steps] through the daemon
-   (which has no single-step attachment point, so there "all" is the
-   other three).  In particular an attached observer must not switch the
-   embedded mitigations off.  The one observer allowed to stop a run, an
-   oracle created with [~halt_on_report:true], gets its own group. *)
+   outcome, retired steps, the whole register file, icache hits and
+   misses and the bytes of every mapped region at the [Process.call]
+   level, disposition and [last_steps] through the daemon (which has no
+   single-step attachment point, so there "all" is the other three).  In
+   particular an attached observer must not switch the embedded
+   mitigations off.  Bare runs summarise the guest's copy loops (see
+   {!Machine.Engine}) and observed runs do not, so the comparison covers
+   that fast path too; the [summaries] group checks that it is taken.
+   The one observer allowed to stop a run, an oracle created with
+   [~halt_on_report:true], gets its own group. *)
 
 module Dnsproxy = Connman.Dnsproxy
 module Process = Loader.Process
@@ -96,11 +100,19 @@ let observer_sets =
 
 (* --- Process.call level: outcome, steps, register file --- *)
 
+(* The bytes of every mapped region, permission-blind. *)
+let memory_digest mem =
+  let module M = Memsim.Memory in
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          (List.map (fun (r : M.region) -> M.peek_bytes mem r.M.base r.M.size) (M.regions mem))))
+
 (* One parse on a fresh restore of the booted image, with the observers
    attached the way the daemon attaches them (the oracle taints every
    wire byte and guards the overflow frame).  When both pc observers
    are attached they must see the same pcs.  The oracle is returned for
-   its reports. *)
+   its reports, with the digest of the memory the call leaves. *)
 let call ?halt_on_report d snap wire obs =
   let arch = (Dnsproxy.config d).Dnsproxy.arch in
   let proc = Dnsproxy.process d in
@@ -134,14 +146,22 @@ let call ?halt_on_report d snap wire obs =
       check_int (obs.name ^ ": on_step and profiler saw the same pcs")
         !stepped (Telemetry.Profile.total p)
   | _ -> ());
-  (r, sanitizer)
+  (r, sanitizer, memory_digest proc.Process.mem)
 
-let same_run what (bare : Process.run_result) (seen : Process.run_result) =
+let is_bare obs = not (obs.trace || obs.profile || obs.sanitizer || obs.on_step)
+
+(* Hit and miss counts agree only between calls on an icache that one
+   call has already warmed, so each check makes a warm-up call first. *)
+let same_run what (bare, _, bare_mem) (seen, _, seen_mem) =
   check_string (what ^ " outcome") (O.to_string bare.Process.outcome)
     (O.to_string seen.Process.outcome);
   check_int (what ^ " steps") bare.Process.steps seen.Process.steps;
   Alcotest.(check (array int))
-    (what ^ " register file") bare.Process.regs seen.Process.regs
+    (what ^ " register file") bare.Process.regs seen.Process.regs;
+  check_int (what ^ " icache hits") bare.Process.icache_hits seen.Process.icache_hits;
+  check_int (what ^ " icache misses") bare.Process.icache_misses
+    seen.Process.icache_misses;
+  check_string (what ^ " memory") bare_mem seen_mem
 
 (* --- daemon level: disposition and last_steps --- *)
 
@@ -174,14 +194,18 @@ let check_scenario arch base kind () =
           let d = Dnsproxy.create cfg in
           let w = wire d payload in
           let snap = Process.snapshot (Dnsproxy.process d) in
-          let bare = fst (call d snap w (List.hd observer_sets)) in
+          ignore (call d snap w (List.hd observer_sets));
+          let ((bare_r, _, _) as bare) = call d snap w (List.hd observer_sets) in
           let bare_word, bare_steps = deliver cfg payload (List.hd observer_sets) in
-          check_int (pname ^ ": daemon and call agree on steps") bare.Process.steps
+          check_int (pname ^ ": daemon and call agree on steps") bare_r.Process.steps
             bare_steps;
           List.iter
             (fun obs ->
               let what = Printf.sprintf "%s/%s" pname obs.name in
-              same_run what bare (fst (call d snap w obs));
+              let ((r, _, _) as seen) = call d snap w obs in
+              same_run what bare seen;
+              check_int (what ^ ": no summarised iterations") 0
+                r.Process.icache_summarised;
               if obs.trace || obs.profile || obs.sanitizer then begin
                 let word, steps = deliver cfg payload obs in
                 check_string (what ^ " disposition") bare_word word;
@@ -209,8 +233,9 @@ let check_halting arch base kind () =
           let d = Dnsproxy.create cfg in
           let w = wire d payload in
           let snap = Process.snapshot (Dnsproxy.process d) in
-          let full, full_oracle = call d snap w sanitizer_only in
-          let halted, halted_oracle =
+          ignore (call d snap w sanitizer_only);
+          let (full, full_oracle, _) as full_run = call d snap w sanitizer_only in
+          let (halted, halted_oracle, _) as halted_run =
             call ~halt_on_report:true d snap w sanitizer_only
           in
           let first o = Option.bind o Oracle.first_report in
@@ -220,7 +245,7 @@ let check_halting arch base kind () =
             (show (first full_oracle))
             (show (first halted_oracle));
           match first full_oracle with
-          | None -> same_run (pname ^ ": no report, no halt") full halted
+          | None -> same_run (pname ^ ": no report, no halt") full_run halted_run
           | Some rp ->
               let next = rp.Oracle.step + 1 in
               check_int (pname ^ ": stops after the reporting instruction")
@@ -234,6 +259,38 @@ let check_halting arch base kind () =
                   (O.to_string full.Process.outcome)
                   (O.to_string halted.Process.outcome)))
     (profiles base)
+
+(* --- the copy-loop summaries the bare runs take ---
+
+   A bare call of every DoS and exploit scenario runs most of its copy
+   loop iterations as bulk steps, under the scenario's base profile, a
+   diversified build of it and it with the mitigations (whose hooks
+   lower to [Terminal]); the same call with any observer attached runs
+   none. *)
+
+let check_summaries arch base kind () =
+  List.iter
+    (fun (cname, profile, diversity_seed) ->
+      let cfg = { (config arch profile) with Dnsproxy.diversity_seed } in
+      match payload (config arch profile) kind with
+      | None -> ()
+      | Some payload ->
+          let d = Dnsproxy.create cfg in
+          let w = wire d payload in
+          let snap = Process.snapshot (Dnsproxy.process d) in
+          List.iter
+            (fun obs ->
+              let r, _, _ = call d snap w obs in
+              let what = Printf.sprintf "%s/%s: summarised iterations" cname obs.name in
+              if is_bare obs then
+                Alcotest.(check bool) (what ^ " > 0") true (r.Process.icache_summarised > 0)
+              else check_int what 0 r.Process.icache_summarised)
+            observer_sets)
+    [
+      ("base", base, None);
+      ("div", base, Some 11);
+      ("shstk", Profile.with_mitigations base, None);
+    ]
 
 let scenarios =
   List.concat_map
@@ -256,6 +313,13 @@ let () =
         List.map
           (fun (name, arch, base, kind) ->
             Alcotest.test_case name `Quick (check_scenario arch base kind))
+          scenarios );
+      ( "summaries",
+        List.filter_map
+          (fun (name, arch, base, kind) ->
+            match kind with
+            | `Benign -> None
+            | _ -> Some (Alcotest.test_case name `Quick (check_summaries arch base kind)))
           scenarios );
       ( "halting oracle",
         List.map
