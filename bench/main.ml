@@ -893,7 +893,7 @@ let hook_sets isa ~taint ~text_base =
   let profile = Telemetry.Profile.create () in
   let trace = Telemetry.Trace.create ~capacity:4096 () in
   let oracle = Sanitizer.Oracle.create () in
-  let prof _ = H.observe isa (Telemetry.Profile.record profile) in
+  let prof _ = H.profile isa profile in
   let tr cpu = H.trace isa trace cpu in
   let san _ =
     Sanitizer.Oracle.begin_parse oracle;
@@ -1143,7 +1143,8 @@ let faults_rows ~smoke:_ =
 (* The costs that set the fuzzer's throughput: taking a CoW snapshot,  *)
 (* restoring it (clean, and after one parse, timed apart from the      *)
 (* parse), forking a fresh machine from it, a complete fuzz execution  *)
-(* (restore + datagram write + parse with the edge map on [on_step]),  *)
+(* (restore + datagram write + parse with the edge map on [on_step]    *)
+(* as [Fuzz.Engine] attaches it, so its copy loops summarise),         *)
 (* and the sanitizer triage of a fixed crash input, stopped at its     *)
 (* first report as the engine runs it and run to the end.              *)
 (* ------------------------------------------------------------------ *)
@@ -1157,7 +1158,7 @@ let fuzz_arch_rows ~samples arch =
   let buf = proc.Loader.Process.layout.Loader.Layout.heap_base in
   let input = List.hd (Fuzz.Engine.benign_seeds ()) in
   let cov = Fuzz.Coverage.create () in
-  let on_step = Fuzz.Coverage.touch cov in
+  let on_step = Fuzz.Coverage.observer cov in
   let parse () =
     Mem.write_bytes proc.Loader.Process.mem buf input;
     Fuzz.Coverage.begin_exec cov;
@@ -1172,7 +1173,8 @@ let fuzz_arch_rows ~samples arch =
   (match (parse ()).Loader.Process.outcome with
   | Machine.Outcome.Halted -> ()
   | o -> failwith ("fuzz bench: benign parse failed: " ^ Machine.Outcome.to_string o));
-  let steps = (parse ()).Loader.Process.steps in
+  let warm = parse () in
+  let steps = warm.Loader.Process.steps in
   (* Triage as the engine does it: restore, write the crash input, arm
      a fresh oracle, run sanitized; [halt] stops at the first report. *)
   let crash = Fuzz.Engine.string_of_hex (snd (List.hd Fuzz.Corpus.entries)) in
@@ -1228,7 +1230,9 @@ let fuzz_arch_rows ~samples arch =
            ignore (parse ())))
       ~extras:
         [
-          ("execs_per_sec", per_sec); ("steps_per_run", const (float_of_int steps));
+          ("execs_per_sec", per_sec);
+          ("steps_per_run", const (float_of_int steps));
+          ("summarised_per_run", const (float_of_int warm.Loader.Process.icache_summarised));
         ];
     row (name "fork") "ns_per_op"
       (Ols (fun () -> ignore (Loader.Process.fork proc snap)));

@@ -187,30 +187,6 @@ let encode ?(compress = true) t =
   encode_into ~compress a t;
   Wire.contents a
 
-let truncated t =
-  {
-    t with
-    header = { t.header with tc = true };
-    answers = [];
-    authorities = [];
-    additionals = [];
-  }
-
-let udp_payload_limit = 512
-
-let encode_udp ?(compress = true) t =
-  let a = Wire.arena () in
-  encode_into ~compress a t;
-  if Wire.length a <= udp_payload_limit then Wire.contents a
-  else begin
-    (* Too big for the datagram: send an honest truncation — TC set,
-       records dropped, counts reflecting what is actually present — so
-       the client retries over TCP, instead of a silently clipped or
-       count-lying message. *)
-    encode_into ~compress a (truncated t);
-    Wire.contents a
-  end
-
 (* --- decoding --- *)
 
 (* Thin shim over the zero-copy view: validate/index with {!Wire.parse},

@@ -88,12 +88,6 @@ val encode_into : ?compress:bool -> Wire.arena -> t -> unit
     hot-path variant.  Read the bytes with {!Wire.contents} /
     {!Wire.unsafe_bytes}. *)
 
-val encode_udp : ?compress:bool -> t -> string
-(** Datagram-honest encode: if the message exceeds 512 bytes (the
-    classic UDP DNS payload cap), re-encode with [tc]
-    set and all record sections dropped — counts reflecting what is
-    actually present — so the client retries over TCP. *)
-
 val decode : string -> (t, string) result
 (** Strict decode.  CNAME/NS/PTR rdata is expanded against the whole
     message (compression pointers inside rdata index the enclosing

@@ -1,11 +1,12 @@
 (* AFL-style edge coverage over the retired-instruction stream.
 
-   The map does not hook the interpreters itself: {!touch} is the
+   The map does not hook the interpreters itself: {!observer} is the
    [on_step] observer of [Loader.Process.call], i.e. a
    [Machine.Hook.observe] hook, the same per-pc stream the profiler
    taps.  Going straight onto the step hook rather than through the
    profiler's sink skips the profiler's per-pc count update, which the
-   fuzzer never reads.
+   fuzzer never reads, and carries [fold], so the engine may run a
+   copy loop's iterations as one bulk step and tell the map once.
 
    An edge is the (previous pc, pc) pair, hashed into a fixed 64 Ki
    bucket map.  Two layers of state keep the common operations O(1):
@@ -54,6 +55,17 @@ let touch t pc =
     t.this_exec <- b :: t.this_exec
   end;
   t.prev <- pc
+
+(* Two passes mark every edge of the block, the back edge included, and
+   leave [prev] at its last pc; a third touches only marked buckets and
+   leaves [prev] where it was, so [mark], [this_exec] and [prev] are
+   those of [k] passes. *)
+let fold t pcs k =
+  for _ = 1 to Int.min k 2 do
+    Array.iter (touch t) pcs
+  done
+
+let observer t = Machine.Hook.observer ~fold:(fold t) (touch t)
 
 let commit t =
   let fresh =

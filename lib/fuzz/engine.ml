@@ -10,7 +10,8 @@ module O = Machine.Outcome
    machine: boot the daemon image once, snapshot it copy-on-write, then
    per execution restore, write the mutated datagram into the guest rx
    buffer and call [parse_response] with the edge map as its [on_step]
-   observer.  Every restore after the first is to the same snapshot, so
+   observer (its fold lets the engine run libc's copy loop as bulk
+   steps).  Every restore after the first is to the same snapshot, so
    it touches only the pages the last run wrote, and their buffers are
    recycled for the next run's copy-on-write stores: an exec costs a
    fraction of a microsecond of restore and copies no fresh page into
@@ -128,7 +129,7 @@ let run config =
   let buf = proc.Process.layout.Loader.Layout.heap_base in
   let max_len = min 2048 proc.Process.layout.Loader.Layout.heap_size in
   let cov = Coverage.create () in
-  let on_step = Coverage.touch cov in
+  let on_step = Coverage.observer cov in
   let oracle = Oracle.create ~halt_on_report:true () in
   let geometry = Connman.Frame.geometry config.arch in
   let frame_buffer = Connman.Frame.buffer_addr proc in

@@ -247,7 +247,7 @@ let hooks t isa ~taint ?on_step ?sanitizer ?trace ?profile cpu =
   List.concat
     [
       opt (H.observe isa) on_step;
-      opt (fun prof -> H.observe isa (Telemetry.Profile.record prof)) profile;
+      opt (H.profile isa) profile;
       opt (fun tr -> H.trace isa tr cpu) trace;
       opt taint sanitizer;
       (if Defense.Profile.mitigated p then

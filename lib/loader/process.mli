@@ -103,14 +103,15 @@ type run_result = {
           has already run every instruction the call reaches *)
   icache_summarised : int;
       (** copy-loop iterations this call ran as bulk steps (see
-          {!Machine.Engine}); 0 with [on_step], [profile], [trace] or
-          [sanitizer] attached, or without the icache *)
+          {!Machine.Engine}); 0 without the icache, with [trace] or
+          [sanitizer] attached, with an [on_step] observer that has no
+          fold, or with a [profile] that has a sink *)
 }
 
 val call :
   ?fuel:int ->
   ?icache:bool ->
-  ?on_step:(int -> unit) ->
+  ?on_step:Machine.Hook.observer ->
   ?sanitizer:Sanitizer.Oracle.t ->
   ?trace:Telemetry.Trace.t ->
   ?profile:Telemetry.Profile.t ->
@@ -129,21 +130,24 @@ val call :
 
     The optional arguments and the process profile become the hooks of
     the ISA's [Cpu.run] (see {!Machine.Hook}), in a fixed order:
-    [on_step] (sees every pc before its instruction executes),
-    [profile] (per-pc counts), [trace] (["cpu"] events), [sanitizer]
+    [on_step] (sees every pc before its instruction executes, or with
+    its fold a summarised copy loop's pcs at once; e.g.
+    [Fuzz.Coverage.observer]), [profile] (per-pc counts,
+    {!Machine.Hook.profile}), [trace] (["cpu"] events), [sanitizer]
     (taint propagation and exploit detections), then — when the profile
     carries the embedded mitigations ({!Defense.Profile.mitigated}) —
     enforcement (shadow return stack and forward-edge CFI against
     {!t.valid_targets}).  Observers never change a run: outcome, step
     count and register file are the same with any set of them attached.
     With the icache, [on_step], [profile] and enforcement ride cached
-    blocks; [trace] or [sanitizer] makes the run go one instruction per
-    turn. *)
+    blocks, and copy loops run as bulk steps unless an observer there
+    has no fold; [trace] or [sanitizer] makes the run go one instruction
+    per turn. *)
 
 val call_named :
   ?fuel:int ->
   ?icache:bool ->
-  ?on_step:(int -> unit) ->
+  ?on_step:Machine.Hook.observer ->
   ?sanitizer:Sanitizer.Oracle.t ->
   ?trace:Telemetry.Trace.t ->
   ?profile:Telemetry.Profile.t ->

@@ -119,6 +119,10 @@ type ('cpu, 'insn) plan = {
       (* the whole list composed, for an instruction run on its own *)
   blocks : bool;  (* the list may run block-at-a-time *)
   observe : (int -> unit) option;  (* the [Observe] functions, in order *)
+  summarise : (int array -> int -> unit) option;
+      (* copy loops may run as one step, and what such a step tells the
+         observers: every [Observe] hook's fold, in order (nothing
+         without observers); [None] when one has no fold *)
   terminal : ('cpu -> int -> 'insn -> int -> Hook.verdict) option;
       (* the [Terminal] hooks' [pre], composed *)
 }
@@ -169,7 +173,7 @@ let plan (hooks : _ Hook.t list) =
   in
   let observers =
     List.filter_map
-      (fun (h : _ Hook.t) -> match h.lower with Observe f -> Some f | _ -> None)
+      (fun (h : _ Hook.t) -> match h.lower with Observe o -> Some o | _ -> None)
       hooks
   in
   let terminals =
@@ -183,8 +187,15 @@ let plan (hooks : _ Hook.t list) =
     observe =
       (match observers with
       | [] -> None
-      | [ f ] -> Some f
-      | fs -> Some (fun pc -> List.iter (fun f -> f pc) fs));
+      | [ o ] -> Some o.see
+      | os -> Some (fun pc -> List.iter (fun (o : Hook.observer) -> o.see pc) os));
+    summarise =
+      (if List.exists (fun (o : Hook.observer) -> Option.is_none o.fold) observers then None
+       else
+         match List.filter_map (fun (o : Hook.observer) -> o.fold) observers with
+         | [] -> Some (fun _ _ -> ())
+         | [ f ] -> Some f
+         | fs -> Some (fun pcs k -> List.iter (fun f -> f pcs k) fs));
     terminal =
       (match terminals with [] -> None | hs -> Some (compose hs).pre);
   }
@@ -332,12 +343,9 @@ let run_cached isa ~fuel ~traps ~kernel p mem c cpu =
           single budget pc f
         else begin
           let cell = Icache.cell c in
-          match p.observe with
-          | None -> (
-              match b.copy with
-              | Some l -> copy budget b n e.lo_gen cell l
-              | None -> block budget b n e.lo_gen cell 0)
-          | Some observe -> observed budget b n e.lo_gen cell observe 0
+          match (b.copy, p.summarise) with
+          | Some l, Some fold -> copy budget b n e.lo_gen cell l fold
+          | _ -> walk budget b n e.lo_gen cell
         end
     | (Seen | Built _) when p.blocks ->
         f.block <- build isa c e pc;
@@ -362,25 +370,31 @@ let run_cached isa ~fuel ~traps ~kernel p mem c cpu =
                 (match verdict with Commit c -> c () | _ -> ());
                 loop (budget - 1)))
   (* [k] iterations of a copy loop as one step, bounded by the count,
-     the fuel and the src and dst pages' ends; the block's own path when
-     that leaves none, the dst is on the block's page, or the first byte
-     would fault.  The head's lookup counted the first iteration's first
-     hit. *)
-  and copy budget b n gen cell l =
+     the fuel and the src and dst pages' ends, the observers told
+     through [fold] once the copy has succeeded; the block's own walk
+     when that leaves none, the dst is on the block's page, or the first
+     byte would fault.  The head's lookup counted the first iteration's
+     first hit. *)
+  and copy budget b n gen cell l fold =
     let src = l.src cpu and dst = l.dst cpu in
     let k = Int.min (l.count cpu) (budget / n) in
     let k = Int.min k (Mem.page_size - (src land (Mem.page_size - 1))) in
     let k = Int.min k (Mem.page_size - (dst land (Mem.page_size - 1))) in
     if k < 1 || dst lsr Mem.page_bits = Array.unsafe_get b.pcs 0 lsr Mem.page_bits then
-      block budget b n gen cell 0
+      walk budget b n gen cell
     else
       let last = Mem.copy_forward mem ~src ~dst k in
-      if last < 0 then block budget b n gen cell 0
+      if last < 0 then walk budget b n gen cell
       else begin
+        fold b.pcs k;
         Icache.credit_loop c ~iterations:k ~hits:((n * k) - 1);
         l.retire cpu k last;
         loop (budget - (n * k))
       end
+  and walk budget b n gen cell =
+    match p.observe with
+    | None -> block budget b n gen cell 0
+    | Some observe -> observed budget b n gen cell observe 0
   (* Members before the last, then the terminator.  [observed] is the
      same walk for runs with [Observe] hooks. *)
   and block budget b n gen cell i =

@@ -37,15 +37,20 @@
     the same generations), the CPU the registers, flags, steps and pc
     [k] iterations leave, and the icache [k] times the block's hits (the
     head's lookup counted the first) and a {!Memsim.Icache.summarised}
-    count of [k].  The block runs as usual
-    instead when [k] would be 0, the dst is on the block's own page (a
-    store there must end the block), or the first byte would fault, so a
-    fault keeps its pc, step and partial bytes.  Only runs whose hooks
-    lower to [Terminal] or nothing summarise: an [Observe] hook must see
-    every pc and a [Step] hook every instruction, and a [Terminal] hook
-    acts only on a transfer that is not {!Hook.Other}, which a copy
-    loop's conditional branch is.  There is no switch: the reference
-    loop is the path that never summarises. *)
+    count of [k].  Once the copy has succeeded, each [Observe] hook's
+    {!Hook.observer.fold} runs, in hook order, with the block's pcs and
+    [k]: the state [k] passes of the observer over them would leave (the
+    observers are independent, so that is the same as interleaving
+    them).  The block runs as usual instead — through the observers,
+    member by member, when there are any — when [k] would be 0, the dst
+    is on the block's own page (a store there must end the block), or
+    the first byte would fault, so a fault keeps its pc, step, partial
+    bytes and every observed pc.  Runs summarise when every [Observe]
+    hook has a fold and no hook lowers to [Step]: an observer without a
+    fold must see every pc and a [Step] hook every instruction, and a
+    [Terminal] hook acts only on a transfer that is not {!Hook.Other},
+    which a copy loop's conditional branch is.  There is no switch: the
+    reference loop is the path that never summarises. *)
 
 type 'cpu kernel = int -> 'cpu -> Outcome.syscall_result
 (** A system-call handler: the call's vector and the CPU. *)

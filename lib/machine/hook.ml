@@ -8,7 +8,8 @@ type ending =
   | Unfetchable of Outcome.stop_reason
   | Stopped of Outcome.stop_reason
 
-type lowering = Observe of (int -> unit) | Terminal | Step
+type observer = { see : int -> unit; fold : (int array -> int -> unit) option }
+type lowering = Observe of observer | Terminal | Step
 
 type ('cpu, 'insn) t = {
   pre : 'cpu -> int -> 'insn -> int -> verdict;
@@ -31,16 +32,24 @@ type ('cpu, 'insn) isa = {
   syscall : 'cpu -> 'insn -> (string * Tr.arg) list;
 }
 
-let observe isa f =
+let observer ?fold see = { see; fold }
+
+let observe isa o =
   {
     pre =
       (fun _ pc _ _ ->
-        f pc;
+        o.see pc;
         Go);
     stop =
-      (fun cpu -> function Unfetchable _ -> f (isa.pc cpu) | _ -> ());
-    lower = Observe f;
+      (fun cpu -> function Unfetchable _ -> o.see (isa.pc cpu) | _ -> ());
+    lower = Observe o;
   }
+
+let profile isa prof =
+  observe isa
+    (observer
+       ?fold:(Telemetry.Profile.fold prof)
+       (Telemetry.Profile.record prof))
 
 (* The "bb" check runs on retire: the commit is allocated once per run
    and reads the pc/fall-through pair the last [pre] recorded. *)

@@ -23,9 +23,13 @@
     write, or at a length cap.  Each hook says, through its
     {!t.lower} field, what it needs from a block:
 
-    - {!Observe}[ f]: only the stream of pcs.  The loop calls [f] on each
-      block member's pc before running it, as the per-instruction [pre]
-      would.
+    - {!Observe}[ o]: only the stream of pcs.  The loop calls [o.see] on
+      each block member's pc before running it, as the per-instruction
+      [pre] would.  An observer with a {!observer.fold} also lets a
+      copy-loop summary ({!Engine}) run [k] iterations as one step: the
+      loop then calls [o.fold pcs k] once with the block's pcs, after
+      the copy has succeeded, in place of [k] passes of [o.see] over
+      them.  A run summarises only when every [Observe] hook folds.
     - {!Terminal}: only instructions its classifier does not call
       {!Other}.  Only a block's last instruction can be one (the
       lowering contract: an instruction that does not end a block
@@ -55,8 +59,18 @@ type ending =
   | Stopped of Outcome.stop_reason
       (** an instruction or a veto stopped the run *)
 
+type observer = {
+  see : int -> unit;  (** one pc the run tries to execute *)
+  fold : (int array -> int -> unit) option;
+      (** [fold pcs k] leaves exactly the state [k] in-order passes of
+          [see] over [pcs] leave ([k >= 1]); [None] when that has no
+          cheaper form.  [pcs] is the engine's: read it, never change or
+          keep it. *)
+}
+(** A consumer of the pc stream. *)
+
 type lowering =
-  | Observe of (int -> unit)  (** an observer of this pc stream *)
+  | Observe of observer  (** an observer of this pc stream *)
   | Terminal  (** vetoes or commits only at control transfers *)
   | Step  (** needs every instruction *)
 
@@ -88,10 +102,17 @@ type ('cpu, 'insn) isa = {
 
 (** {1 Shared hooks} *)
 
-val observe : ('cpu, 'insn) isa -> (int -> unit) -> ('cpu, 'insn) t
-(** Calls the function with every pc the run tries to execute, including
-    one whose fetch fails — single-step observation and the profiler.
-    Lowers to [Observe]. *)
+val observer : ?fold:(int array -> int -> unit) -> (int -> unit) -> observer
+(** [observer ?fold see]; no fold by default. *)
+
+val observe : ('cpu, 'insn) isa -> observer -> ('cpu, 'insn) t
+(** Calls [see] with every pc the run tries to execute, including one
+    whose fetch fails — single-step observation, edge coverage.  Lowers
+    to [Observe]. *)
+
+val profile : ('cpu, 'insn) isa -> Telemetry.Profile.t -> ('cpu, 'insn) t
+(** The profiler: {!observe} with {!Telemetry.Profile.record} and, while
+    the profile has no sink, {!Telemetry.Profile.fold}. *)
 
 val trace : ('cpu, 'insn) isa -> Telemetry.Trace.t -> 'cpu -> ('cpu, 'insn) t
 (** ["cpu"]-category events on [isa.track]: [call] (emitted here, at

@@ -18,12 +18,27 @@ let create () = { counts = Pcs.create 1024; total = 0; sink = None }
 
 let set_sink t sink = t.sink <- sink
 
+let add t pc n =
+  match Pcs.find t.counts pc with
+  | r -> r := !r + n
+  | exception Not_found -> Pcs.add t.counts pc (ref n)
+
 let record t pc =
-  (match Pcs.find t.counts pc with
-  | r -> incr r
-  | exception Not_found -> Pcs.add t.counts pc (ref 1));
+  add t pc 1;
   t.total <- t.total + 1;
   match t.sink with None -> () | Some f -> f pc
+
+(* [k] passes over [pcs] add [k] per member, in member order (so a pc
+   first seen here enters the table where the passes would put it); a
+   sink must see every pc, so with one there is no fold. *)
+let fold t =
+  match t.sink with
+  | Some _ -> None
+  | None ->
+      Some
+        (fun pcs k ->
+          Array.iter (fun pc -> add t pc k) pcs;
+          t.total <- t.total + (Array.length pcs * k))
 
 let total t = t.total
 let distinct_pcs t = Pcs.length t.counts

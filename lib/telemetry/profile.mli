@@ -28,6 +28,13 @@ val set_sink : t -> (int -> unit) option -> unit
     by default; the cost when detached is one option check per retired
     instruction. *)
 
+val fold : t -> (int array -> int -> unit) option
+(** [fold t], while [t] has no sink: [Some f], where [f pcs k] leaves
+    the counts and {!total} that [k] passes of {!record} over [pcs]
+    leave, at the cost of one pass ([Machine.Hook.profile] hands it to
+    the engine's copy-loop summaries).  [None] with a sink attached,
+    which must see every pc. *)
+
 val total : t -> int  (** instructions recorded *)
 
 val distinct_pcs : t -> int

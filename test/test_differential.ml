@@ -650,7 +650,12 @@ let test_diversified_fork_own_cache () =
    misses that must not summarise, over spans that overlap, cross a
    page, run into a read-only or unmapped page or over cached text, with
    the fuel running out or a trap inside the loop.  Every path must also
-   draw as many page generations as the reference loop. *)
+   draw as many page generations as the reference loop.  A fourth
+   property runs those programs with pc observers on both loops: an
+   edge-coverage map and a profiler, whose folds let the icache loop
+   summarise, must gather what they gather on the reference loop, and
+   a recorder without a fold, which keeps it from summarising, must see
+   the same pc stream. *)
 
 module Hook = Machine.Hook
 module Oracle = Sanitizer.Oracle
@@ -667,6 +672,9 @@ type run_result = {
   misses : int;
   gens : int;  (* page generations drawn *)
   summarised : int;  (* copy-loop iterations run as bulk steps *)
+  gathered : string;
+      (* what a folding observer gathered: the coverage map's fresh
+         count and edges, or the profiler's per-pc counts; "" without *)
   reports : (string * int * int * int) list;
       (* the taint oracle's reports: kind, pc, step, target *)
 }
@@ -676,7 +684,9 @@ type run_result = {
    [Mitigated] the mitigations alone (a [Terminal] hook: copy loops
    still summarise); [Stepped] lowers the observer to [Step] (per
    instruction); [Tainted] is the taint hook alone, on a halting oracle
-   or not. *)
+   or not.  [Covered] and [Profiled] are an edge-coverage map and a
+   profiler, observers with a fold (copy loops still summarise);
+   [Recorded] the observer alone, which has none. *)
 type hooks =
   | Bare
   | Enforced
@@ -684,6 +694,9 @@ type hooks =
   | Stepped
   | Stepped_enforced
   | Tainted of { halting : bool }
+  | Covered
+  | Profiled
+  | Recorded
 type path = { cached : bool; hooks : hooks }
 
 let path_name p =
@@ -696,6 +709,9 @@ let path_name p =
   | Stepped -> "+[step]"
   | Stepped_enforced -> "+[step; enforce]"
   | Tainted { halting } -> if halting then "+[taint, halting]" else "+[taint]"
+  | Covered -> "+[coverage]"
+  | Profiled -> "+[profile]"
+  | Recorded -> "+[observe]"
 
 let four_paths =
   [
@@ -716,9 +732,16 @@ let enforced_paths =
 let taint_paths ~halting =
   [ { cached = false; hooks = Tainted { halting } }; { cached = true; hooks = Tainted { halting } } ]
 
-(* The hook list of a path, from the ISA's observer, mitigations and
-   taint hook ([Some] on a taint path). *)
-let path_hooks path ~observe ~enforce ~taint =
+let fold_paths =
+  { cached = false; hooks = Bare }
+  :: List.concat_map
+       (fun hooks -> [ { cached = false; hooks }; { cached = true; hooks } ])
+       [ Covered; Profiled; Recorded ]
+
+(* The hook list of a path, from the ISA's observer, mitigations, taint
+   hook ([Some] on a taint path) and folding observers (made on
+   demand). *)
+let path_hooks path ~observe ~enforce ~taint ~cover ~profile =
   match path.hooks with
   | Bare -> []
   | Enforced -> [ observe; enforce ]
@@ -726,6 +749,9 @@ let path_hooks path ~observe ~enforce ~taint =
   | Stepped -> [ { observe with Hook.lower = Hook.Step } ]
   | Stepped_enforced -> [ { observe with Hook.lower = Hook.Step }; enforce ]
   | Tainted _ -> Option.to_list taint
+  | Covered -> [ cover () ]
+  | Profiled -> [ profile () ]
+  | Recorded -> [ observe ]
 
 (* The memory every block program runs in: text (rx, or rwx for
    self-modifying programs) on two or more pages, a data page the loads
@@ -799,8 +825,25 @@ let check_paths ~name runs =
                   field (where ^ " icache misses") (fun r -> r.misses) r r')
                 (List.combine first rs))
             others);
+      List.iter
+        (fun (path, rs) ->
+          match List.assoc_opt { path with cached = false } runs with
+          | Some reference when path.cached ->
+              List.iteri
+                (fun i (r, r') ->
+                  field
+                    (Printf.sprintf "%s, run %d gathered" (path_name path) (i + 1))
+                    (fun r -> r.gathered) r r')
+                (List.combine reference rs)
+          | _ -> ())
+        runs;
       let observed =
-        List.filter (fun (p, _) -> match p.hooks with Bare | Mitigated | Tainted _ -> false | _ -> true) runs
+        List.filter
+          (fun (p, _) ->
+            match p.hooks with
+            | Bare | Mitigated | Tainted _ | Covered | Profiled -> false
+            | Enforced | Stepped | Stepped_enforced | Recorded -> true)
+          runs
       in
       (match observed with
       | [] -> ()
@@ -851,7 +894,10 @@ let knobs_to_string k =
    [regs]-th of the ISA's program registers (loaded, src, dst, count).
    [form] picks an equivalent form: bits 0-2 each step's encoding ([inc]
    or [add 1], [dec] or [sub 1]; x86), bit 3 steps dst before src, bit 4
-   steps the count first, bit 5 loads through [src + 3].  A near miss
+   steps the count first, bit 5 loads through [src + 3], bit 6 enters
+   the body through a test of its own (a branch to the body when the
+   count is not zero), so the loop's first edge is not its back edge.
+   A near miss
    must run through its block: the count stepped by 2, the store before
    the load, the load through the dst register.  With [trap_at], a
    [ctrap] label (a trap address when the case arms one) sits before
@@ -902,7 +948,7 @@ let gen_copy ~nregs =
       ]
   in
   let* regs = map (fun l -> List.filteri (fun i _ -> i < 4) l) (shuffle_l (List.init nregs Fun.id)) in
-  let* form = int_bound 63 in
+  let* form = int_bound 127 in
   let* miss = frequency [ (6, return Exact); (1, oneofl [ Step_by_2; Store_first; Load_dst ]) ] in
   let* trap_at = frequency [ (3, return None); (1, map Option.some (int_bound 5)) ] in
   return { regs; form; miss; src; dst; len; trap_at }
@@ -1032,7 +1078,7 @@ let run_paths m ~mem ~digest ~entry ~funcs ~traps ~fuel paths =
       let run ~fuel ~traps =
         Mem.restore mem snap;
         let seen = ref [] in
-        let observe = Hook.observe m.isa (fun pc -> seen := pc :: !seen) in
+        let observe = Hook.observe m.isa (Hook.observer (fun pc -> seen := pc :: !seen)) in
         (* A taint path gets a fresh oracle per run, the whole data page
            one source. *)
         let oracle =
@@ -1045,11 +1091,19 @@ let run_paths m ~mem ~digest ~entry ~funcs ~traps ~fuel paths =
               Some o
           | _ -> None
         in
+        (* A coverage path gets a fresh map per run, a profile path a
+           fresh profiler. *)
+        let cov = lazy (Fuzz.Coverage.create ()) and profile = lazy (Telemetry.Profile.create ()) in
         let hooks =
           path_hooks path ~observe ~taint:(Option.map m.taint oracle)
             ~enforce:
               (Hook.enforce m.isa ~shadow_stack:true ~forward_cfi:true
                  ~valid_target:(fun a -> List.mem a funcs) ~shadow0:[])
+            ~cover:(fun () ->
+              let cov = Lazy.force cov in
+              Fuzz.Coverage.begin_exec cov;
+              Hook.observe m.isa (Fuzz.Coverage.observer cov))
+            ~profile:(fun () -> Hook.profile m.isa (Lazy.force profile))
         in
         let hits0, misses0 = counts () in
         let summarised0 = summarised () in
@@ -1072,6 +1126,20 @@ let run_paths m ~mem ~digest ~entry ~funcs ~traps ~fuel paths =
           misses = misses1 - misses0;
           gens;
           summarised = summarised () - summarised0;
+          gathered =
+            (match path.hooks with
+            | Covered ->
+                let cov = Lazy.force cov in
+                let fresh = Fuzz.Coverage.commit cov in
+                Printf.sprintf "%d fresh, %d edges" fresh (Fuzz.Coverage.edges cov)
+            | Profiled ->
+                let profile = Lazy.force profile in
+                Printf.sprintf "%d: %s" (Telemetry.Profile.total profile)
+                  (String.concat ","
+                     (List.map
+                        (fun (pc, n) -> Printf.sprintf "%s %d" pc n)
+                        (Telemetry.Profile.report profile ~symbolize:(Printf.sprintf "0x%x"))))
+            | _ -> "");
           reports =
             (match oracle with
             | None -> []
@@ -1196,15 +1264,16 @@ module X86_blocks = struct
                    if c.trap_at = Some i then [ A.Label (fresh "ctrap"); A.I insn ] else [ A.I insn ])
                  body)
           in
-          [
-            A.I (Mov_ri (sr, c.src - disp));
-            A.I (Mov_ri (ds, c.dst));
-            A.I (Mov_ri (ct, c.len));
-            A.Label top;
-            A.I (Cmp_i (Reg ct, 0));
-            A.Jcc (E, out);
-          ]
-          @ body
+          let test, enter =
+            if bit 6 then
+              let enter = fresh "enter" in
+              ([ A.I (Cmp_i (Reg ct, 0)); A.Jcc (NE, enter); A.Jmp out ], [ A.Label enter ])
+            else ([], [])
+          in
+          [ A.I (Mov_ri (sr, c.src - disp)); A.I (Mov_ri (ds, c.dst)); A.I (Mov_ri (ct, c.len)) ]
+          @ test
+          @ [ A.Label top; A.I (Cmp_i (Reg ct, 0)); A.Jcc (E, out) ]
+          @ enter @ body
           @ [ A.Jmp top; A.Label out ]
       | Trap -> [ A.Label "trap" ]
       | Smash ->
@@ -1394,9 +1463,16 @@ module Arm_blocks = struct
                    else [ A.I (al op) ])
                  body)
           in
-          set sr (c.src - disp) @ set ds c.dst @ set ct c.len
+          let test, enter =
+            if bit 6 then
+              let enter = fresh "enter" in
+              ( [ A.I (al (Cmp (ct, Imm 0))); A.B_sym (NE, enter); A.B_sym (AL, out) ],
+                [ A.Label enter ] )
+            else ([], [])
+          in
+          set sr (c.src - disp) @ set ds c.dst @ set ct c.len @ test
           @ [ A.Label top; A.I (al (Cmp (ct, Imm 0))); A.B_sym (EQ, out) ]
-          @ body
+          @ enter @ body
           @ [ A.B_sym (AL, top); A.Label out ]
       | Trap -> [ A.Label "trap" ]
       | Smash -> [ A.I (al (Ldr (R4, R8, data_page - data_base))); A.I (al (Str (R4, SP, 4))) ]
@@ -1513,14 +1589,28 @@ let test_taint_reports () =
   check_taint_reports "x86" X86_blocks.run_paths;
   check_taint_reports "arm" Arm_blocks.run_paths
 
+(* The coverage map, the profiler and the recorder on both loops: the
+   folded state is the reference loop's, and the recorder sees the
+   whole stream. *)
+let prop_block_folds ~name ~arb ~run_paths =
+  QCheck.Test.make ~name:(name ^ " blocks: folding observers match the reference")
+    ~count:200 ~long_factor:20 arb (fun case -> check_paths ~name (run_paths case fold_paths))
+
+(* The paths whose copy loops may summarise. *)
+let summarises path =
+  path.cached
+  && match path.hooks with Bare | Mitigated | Covered | Profiled -> true | _ -> false
+
 (* The copy property is not vacuous: libc's loop in every form
-   summarises on the bare icache path, in every register choice tried,
-   and a near miss never does; every path still agrees. *)
+   summarises on the bare, mitigated and folding icache paths, in every
+   register choice tried, and a near miss never does (it has no summary
+   to fold, so the folding paths run only the exact loops); every path
+   still agrees. *)
 let check_copy_summaries name run_paths =
   let knobs = { code_at = text_base; fuel = 50_000; trap = false; rwx = false; wild = false } in
   List.iter
     (fun miss ->
-      for form = 0 to 63 do
+      for form = 0 to 127 do
         let copy =
           {
             regs = List.init 4 (fun i -> (form + i) mod 5);
@@ -1533,14 +1623,14 @@ let check_copy_summaries name run_paths =
           }
         in
         let case = ({ main = [ Copy copy ]; funcs = [ []; [] ] }, knobs) in
-        let runs = run_paths case (four_paths @ [ { cached = true; hooks = Mitigated } ]) in
+        let folding = if miss = Exact then List.tl fold_paths else [] in
+        let runs = run_paths case (four_paths @ ({ cached = true; hooks = Mitigated } :: folding)) in
         ignore (check_paths ~name runs);
         List.iter
           (fun (path, rs) ->
             let r = List.nth rs 1 in
             let what = Printf.sprintf "%s %s: %s" name (path_name path) (copy_to_string copy) in
-            let bulk = path.cached && (path.hooks = Bare || path.hooks = Mitigated) in
-            if bulk && miss = Exact then
+            if summarises path && miss = Exact then
               Alcotest.(check bool) (what ^ " summarised") true (r.summarised > 0)
             else Alcotest.(check int) (what ^ " not summarised") 0 r.summarised)
           runs
@@ -1550,6 +1640,42 @@ let check_copy_summaries name run_paths =
 let test_copy_summaries () =
   check_copy_summaries "x86" X86_blocks.run_paths;
   check_copy_summaries "arm" Arm_blocks.run_paths
+
+(* Folding observers where a summary stops short: the fuel runs out
+   mid-loop (a bulk step, then the rest of the fuel per block) and the
+   dst runs into the read-only page (bulk steps up to it, then the
+   faulting store on the block path). *)
+let check_fold_stops name run_paths =
+  List.iter
+    (fun (what, fuel, dst, outcome) ->
+      let copy =
+        { regs = [ 0; 1; 2; 3 ]; form = 0; miss = Exact; src = data_page + 0x200; dst; len = 300; trap_at = None }
+      in
+      let knobs = { code_at = text_base; fuel; trap = false; rwx = false; wild = false } in
+      let runs = run_paths ({ main = [ Copy copy ]; funcs = [ []; [] ] }, knobs) fold_paths in
+      ignore (check_paths ~name runs);
+      List.iter
+        (fun (path, rs) ->
+          let r = List.nth rs 1 in
+          let what = Printf.sprintf "%s %s, %s" name (path_name path) what in
+          outcome what r.outcome;
+          if summarises path then
+            Alcotest.(check bool) (what ^ ": summarised") true (r.summarised > 0))
+        runs)
+    [
+      ( "fuel out mid-loop",
+        1000,
+        data_page + 0x800,
+        fun what -> Alcotest.(check string) (what ^ ": outcome") (O.to_string O.Fuel_exhausted) );
+      ( "dst fault mid-copy",
+        50_000,
+        ro_page - 40,
+        fun what o -> Alcotest.(check bool) (what ^ ": faulted, " ^ o) true (o <> O.to_string O.Halted) );
+    ]
+
+let test_fold_stops () =
+  check_fold_stops "x86" X86_blocks.run_paths;
+  check_fold_stops "arm" Arm_blocks.run_paths
 
 (* An ARM pc that is not word-aligned stops the run before its fetch:
    every path stops with the same fault at that pc, and the fetch counts
@@ -1769,7 +1895,7 @@ let test_sibling_refill () =
     ignore (run b 0x1001);
     run a 0x1000
   in
-  let step = { (Hook.observe Isa_x86.Cpu.isa ignore) with Hook.lower = Hook.Step } in
+  let step = { (Hook.observe Isa_x86.Cpu.isa (Hook.observer ignore)) with Hook.lower = Hook.Step } in
   Alcotest.(check (pair int int)) "per instruction: the head hits, the rest miss" (1, 3)
     (counts [ step ]);
   Alcotest.(check (pair int int)) "block-at-a-time: the same" (1, 3) (counts [])
@@ -1787,6 +1913,10 @@ let block_props =
     prop_block_taint ~name:"x86" ~arb:(X86_blocks.arb ~smash:true)
       ~run_paths:X86_blocks.run_paths;
     prop_block_taint ~name:"arm" ~arb:(Arm_blocks.arb ~smash:true)
+      ~run_paths:Arm_blocks.run_paths;
+    prop_block_folds ~name:"x86" ~arb:(X86_blocks.arb ~smash:false)
+      ~run_paths:X86_blocks.run_paths;
+    prop_block_folds ~name:"arm" ~arb:(Arm_blocks.arb ~smash:false)
       ~run_paths:Arm_blocks.run_paths;
     prop_contract_x86;
     prop_contract_arm;
@@ -1819,6 +1949,8 @@ let () =
             Alcotest.test_case "taint reports, both loops" `Quick test_taint_reports;
             Alcotest.test_case "copy loops summarise, near misses do not" `Quick
               test_copy_summaries;
+            Alcotest.test_case "folding observers: fuel out, dst fault" `Quick
+              test_fold_stops;
             Alcotest.test_case "arm: an unaligned pc stops every path" `Quick
               test_arm_unaligned_pc;
           ] );

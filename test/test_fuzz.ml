@@ -412,7 +412,7 @@ let test_halting_triage arch () =
   List.iteri
     (fun i (input, campaign_steps) ->
       let tag = Printf.sprintf "%s input %d" (Loader.Arch.name arch) i in
-      let cov = parse ~on_step:ignore h input in
+      let cov = parse ~on_step:(Machine.Hook.observer ignore) h input in
       let full, full_first = triage h input in
       let halted, halted_first = triage ~halt_on_report:true h input in
       Alcotest.(check int) (tag ^ ": full triage steps = coverage steps")
@@ -437,29 +437,36 @@ let test_halting_triage arch () =
     inputs;
   Alcotest.(check bool) "some halting triage stopped early" true (!stopped_early > 0)
 
-(* The edge map fed from [on_step] and from the profiler's sink: the same
-   fresh-edge counts input by input, and the same map at the end. *)
+(* The edge map fed from its folding [on_step] observer, which lets the
+   copy loops run as bulk steps, and pc by pc from the profiler's sink,
+   which does not: the same fresh-edge counts input by input, and the
+   same map at the end. *)
 let test_coverage_paths arch () =
   let h = harness arch in
   let crash = Engine.string_of_hex (snd (List.hd Corpus_data.entries)) in
   let direct = Fuzz.Coverage.create () and sunk = Fuzz.Coverage.create () in
   let profile = Telemetry.Profile.create () in
   Telemetry.Profile.set_sink profile (Some (Fuzz.Coverage.touch sunk));
+  let summarised = ref 0 in
   List.iteri
     (fun i input ->
       Fuzz.Coverage.begin_exec direct;
-      let a = parse ~on_step:(Fuzz.Coverage.touch direct) h input in
+      let a = parse ~on_step:(Fuzz.Coverage.observer direct) h input in
+      summarised := !summarised + a.Loader.Process.icache_summarised;
       Fuzz.Coverage.begin_exec sunk;
       Telemetry.Profile.clear profile;
       let b = parse ~profile h input in
       let tag = Printf.sprintf "%s input %d" (Loader.Arch.name arch) i in
       Alcotest.(check int) (tag ^ ": same steps") a.Loader.Process.steps
         b.Loader.Process.steps;
+      Alcotest.(check int) (tag ^ ": a sink sees every pc") 0
+        b.Loader.Process.icache_summarised;
       Alcotest.(check int) (tag ^ ": same fresh edges")
         (Fuzz.Coverage.commit direct) (Fuzz.Coverage.commit sunk);
       Alcotest.(check int) (tag ^ ": same edge count") (Fuzz.Coverage.edges direct)
         (Fuzz.Coverage.edges sunk))
-    (Engine.benign_seeds () @ [ crash ])
+    (Engine.benign_seeds () @ [ crash ]);
+  Alcotest.(check bool) "the folding map let copy loops summarise" true (!summarised > 0)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

@@ -241,7 +241,7 @@ let test_call_with_step_observer () =
   let p = boot x86_spec in
   let pcs = ref 0 in
   let r =
-    Process.call p ~on_step:(fun _ -> incr pcs)
+    Process.call p ~on_step:(Machine.Hook.observer (fun _ -> incr pcs))
       ~entry:(Process.symbol p "main") ~args:[]
   in
   check_bool "halted" true (r.Process.outcome = Machine.Outcome.Halted);

@@ -1,19 +1,22 @@
 (* Observer invariance: watching a run never changes it.  Every observer
-   set (none, trace, profiler, sanitizer, single-step, all four) is
-   attached to every scenario (DoS and a benign parse on both ISAs, the
-   six exploit cells E1–E6) under every defense profile (none, wx,
-   wx+aslr, and the scenario's base profile with +shstk, +fcfi,
-   +shstk+fcfi, +seccomp).  Each observed run must match the bare run:
-   outcome, retired steps, the whole register file, icache hits and
-   misses and the bytes of every mapped region at the [Process.call]
-   level, disposition and [last_steps] through the daemon (which has no
-   single-step attachment point, so there "all" is the other three).  In
-   particular an attached observer must not switch the embedded
+   set (none, trace, profiler, edge coverage, sanitizer, single-step,
+   all five) is attached to every scenario (DoS and a benign parse on
+   both ISAs, the six exploit cells E1–E6) under every defense profile
+   (none, wx, wx+aslr, and the scenario's base profile with +shstk,
+   +fcfi, +shstk+fcfi, +seccomp).  Each observed run must match the
+   bare run: outcome, retired steps, the whole register file, icache
+   hits and misses and the bytes of every mapped region at the
+   [Process.call] level, disposition and [last_steps] through the
+   daemon (which has no single-step or coverage attachment point, so
+   there "all" is the other three).  In particular an attached observer must not switch the embedded
    mitigations off.  Bare runs summarise the guest's copy loops (see
-   {!Machine.Engine}) and observed runs do not, so the comparison covers
-   that fast path too; the [summaries] group checks that it is taken.
-   The one observer allowed to stop a run, an oracle created with
-   [~halt_on_report:true], gets its own group. *)
+   {!Machine.Engine}), and so do runs whose every pc observer folds (the
+   profiler and the coverage map), as many iterations as the bare run;
+   runs with any other observer do not.  So the comparison covers that
+   fast path too, and what the folding observers gather must equal what
+   they gather on the reference loop; the [summaries] group checks that
+   the fast path is taken.  The one observer allowed to stop a run, an
+   oracle created with [~halt_on_report:true], gets its own group. *)
 
 module Dnsproxy = Connman.Dnsproxy
 module Process = Loader.Process
@@ -75,28 +78,41 @@ type observers = {
   name : string;
   trace : bool;
   profile : bool;
+  coverage : bool;  (* a [Fuzz.Coverage] map, attached as the fuzzer does *)
   sanitizer : bool;
-  on_step : bool;
+  on_step : bool;  (* a pc counter with no fold *)
 }
 
 let observer_sets =
   let none =
-    { name = "none"; trace = false; profile = false; sanitizer = false; on_step = false }
+    {
+      name = "none";
+      trace = false;
+      profile = false;
+      coverage = false;
+      sanitizer = false;
+      on_step = false;
+    }
   in
   [
     none;
     { none with name = "trace"; trace = true };
     { none with name = "profile"; profile = true };
+    { none with name = "coverage"; coverage = true };
     { none with name = "sanitizer"; sanitizer = true };
     { none with name = "on_step"; on_step = true };
     {
       name = "all";
       trace = true;
       profile = true;
+      coverage = true;
       sanitizer = true;
       on_step = true;
     };
   ]
+
+(* Every pc observer attached folds: the set's runs summarise. *)
+let folds obs = not (obs.trace || obs.sanitizer || obs.on_step)
 
 (* --- Process.call level: outcome, steps, register file --- *)
 
@@ -108,12 +124,34 @@ let memory_digest mem =
        (String.concat ""
           (List.map (fun (r : M.region) -> M.peek_bytes mem r.M.base r.M.size) (M.regions mem))))
 
+(* What the folding observers gathered: the coverage map's fresh-edge
+   count and edges, the profiler's per-pc rows. *)
+let gathered coverage profile =
+  let coverage =
+    Option.map
+      (fun cov ->
+        let fresh = Fuzz.Coverage.commit cov in
+        Printf.sprintf "coverage %d fresh, %d edges" fresh (Fuzz.Coverage.edges cov))
+      coverage
+  and profile =
+    Option.map
+      (fun p ->
+        String.concat ", "
+          (List.map
+             (fun (pc, n) -> Printf.sprintf "%s %d" pc n)
+             (Telemetry.Profile.report p ~symbolize:(Printf.sprintf "0x%x"))))
+      profile
+  in
+  String.concat "; " (Option.to_list coverage @ Option.to_list profile)
+
 (* One parse on a fresh restore of the booted image, with the observers
-   attached the way the daemon attaches them (the oracle taints every
-   wire byte and guards the overflow frame).  When both pc observers
-   are attached they must see the same pcs.  The oracle is returned for
-   its reports, with the digest of the memory the call leaves. *)
-let call ?halt_on_report d snap wire obs =
+   attached the way the daemon and the fuzzer attach them (the oracle
+   taints every wire byte and guards the overflow frame; the coverage
+   map rides [on_step], with the counter when both are on).  When the
+   counter and the profiler are both attached they must see the same
+   pcs.  The oracle is returned for its reports, with the digest of the
+   memory the call leaves and what the folding observers gathered. *)
+let call ?halt_on_report ?icache d snap wire obs =
   let arch = (Dnsproxy.config d).Dnsproxy.arch in
   let proc = Dnsproxy.process d in
   Process.restore proc snap;
@@ -135,10 +173,28 @@ let call ?halt_on_report d snap wire obs =
   in
   let trace = if obs.trace then Some (Telemetry.Trace.create ()) else None in
   let profile = if obs.profile then Some (Telemetry.Profile.create ()) else None in
+  let coverage =
+    if not obs.coverage then None
+    else begin
+      let cov = Fuzz.Coverage.create () in
+      Fuzz.Coverage.begin_exec cov;
+      Some cov
+    end
+  in
   let stepped = ref 0 in
-  let on_step = if obs.on_step then Some (fun _ -> incr stepped) else None in
+  let on_step =
+    match (obs.on_step, coverage) with
+    | false, None -> None
+    | false, Some cov -> Some (Fuzz.Coverage.observer cov)
+    | true, None -> Some (Machine.Hook.observer (fun _ -> incr stepped))
+    | true, Some cov ->
+        Some
+          (Machine.Hook.observer (fun pc ->
+               incr stepped;
+               Fuzz.Coverage.touch cov pc))
+  in
   let r =
-    Process.call_named proc ~fuel:400_000 ?on_step ?sanitizer ?trace ?profile
+    Process.call_named proc ~fuel:400_000 ?icache ?on_step ?sanitizer ?trace ?profile
       ~entry:"parse_response" ~args:[ buf; len ]
   in
   (match profile with
@@ -146,13 +202,11 @@ let call ?halt_on_report d snap wire obs =
       check_int (obs.name ^ ": on_step and profiler saw the same pcs")
         !stepped (Telemetry.Profile.total p)
   | _ -> ());
-  (r, sanitizer, memory_digest proc.Process.mem)
-
-let is_bare obs = not (obs.trace || obs.profile || obs.sanitizer || obs.on_step)
+  (r, sanitizer, memory_digest proc.Process.mem, gathered coverage profile)
 
 (* Hit and miss counts agree only between calls on an icache that one
    call has already warmed, so each check makes a warm-up call first. *)
-let same_run what (bare, _, bare_mem) (seen, _, seen_mem) =
+let same_run what (bare, _, bare_mem, _) (seen, _, seen_mem, _) =
   check_string (what ^ " outcome") (O.to_string bare.Process.outcome)
     (O.to_string seen.Process.outcome);
   check_int (what ^ " steps") bare.Process.steps seen.Process.steps;
@@ -195,17 +249,23 @@ let check_scenario arch base kind () =
           let w = wire d payload in
           let snap = Process.snapshot (Dnsproxy.process d) in
           ignore (call d snap w (List.hd observer_sets));
-          let ((bare_r, _, _) as bare) = call d snap w (List.hd observer_sets) in
+          let ((bare_r, _, _, _) as bare) = call d snap w (List.hd observer_sets) in
           let bare_word, bare_steps = deliver cfg payload (List.hd observer_sets) in
           check_int (pname ^ ": daemon and call agree on steps") bare_r.Process.steps
             bare_steps;
           List.iter
             (fun obs ->
               let what = Printf.sprintf "%s/%s" pname obs.name in
-              let ((r, _, _) as seen) = call d snap w obs in
+              let ((r, _, _, gathered) as seen) = call d snap w obs in
               same_run what bare seen;
-              check_int (what ^ ": no summarised iterations") 0
+              check_int (what ^ ": summarised iterations")
+                (if folds obs then bare_r.Process.icache_summarised else 0)
                 r.Process.icache_summarised;
+              if obs.profile || obs.coverage then begin
+                let _, _, _, reference = call ~icache:false d snap w obs in
+                check_string (what ^ ": gathered as on the reference loop") reference
+                  gathered
+              end;
               if obs.trace || obs.profile || obs.sanitizer then begin
                 let word, steps = deliver cfg payload obs in
                 check_string (what ^ " disposition") bare_word word;
@@ -234,8 +294,8 @@ let check_halting arch base kind () =
           let w = wire d payload in
           let snap = Process.snapshot (Dnsproxy.process d) in
           ignore (call d snap w sanitizer_only);
-          let (full, full_oracle, _) as full_run = call d snap w sanitizer_only in
-          let (halted, halted_oracle, _) as halted_run =
+          let (full, full_oracle, _, _) as full_run = call d snap w sanitizer_only in
+          let (halted, halted_oracle, _, _) as halted_run =
             call ~halt_on_report:true d snap w sanitizer_only
           in
           let first o = Option.bind o Oracle.first_report in
@@ -265,8 +325,9 @@ let check_halting arch base kind () =
    A bare call of every DoS and exploit scenario runs most of its copy
    loop iterations as bulk steps, under the scenario's base profile, a
    diversified build of it and it with the mitigations (whose hooks
-   lower to [Terminal]); the same call with any observer attached runs
-   none. *)
+   lower to [Terminal]), and so does the same call with the profiler or
+   the coverage map attached, which fold; with any other observer it
+   runs none. *)
 
 let check_summaries arch base kind () =
   List.iter
@@ -280,9 +341,9 @@ let check_summaries arch base kind () =
           let snap = Process.snapshot (Dnsproxy.process d) in
           List.iter
             (fun obs ->
-              let r, _, _ = call d snap w obs in
+              let r, _, _, _ = call d snap w obs in
               let what = Printf.sprintf "%s/%s: summarised iterations" cname obs.name in
-              if is_bare obs then
+              if folds obs then
                 Alcotest.(check bool) (what ^ " > 0") true (r.Process.icache_summarised > 0)
               else check_int what 0 r.Process.icache_summarised)
             observer_sets)

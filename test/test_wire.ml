@@ -56,7 +56,7 @@ let test_of_string_trailing_dot () =
   Alcotest.(check (list string)) "root" [] (n "");
   Alcotest.(check (list string)) "lone dot is root" [] (n ".")
 
-(* --- count validation + encode_udp (regression) ---------------------- *)
+(* --- count validation (regression) ----------------------------------- *)
 
 (* Before the fix the u16 header fields silently wrapped: 65536 answers
    encoded as ancount 0 with 65536 RRs trailing. *)
@@ -74,29 +74,6 @@ let test_encode_rejects_wrapped_counts () =
       ignore
         (Packet.encode
            { (Packet.response ~query:q []) with Packet.additionals = huge }))
-
-let test_encode_udp_truncates_honestly () =
-  let q = Packet.query ~id:9 (n "big.example") Packet.A in
-  let answers =
-    List.init 100 (fun i ->
-        Packet.a_record (n (Printf.sprintf "host-%02d.big.example" i)) ~ttl:60
-          ~ipv4:i)
-  in
-  let full = Packet.response ~query:q answers in
-  let wire = Packet.encode_udp full in
-  check_bool "fits the datagram" true (String.length wire <= 512);
-  (match Packet.decode wire with
-  | Error e -> Alcotest.failf "truncated message must parse: %s" e
-  | Ok p ->
-      check_bool "TC set" true p.Packet.header.Packet.tc;
-      check_int "records dropped" 0 (List.length p.Packet.answers);
-      check_int "question kept" 1 (List.length p.Packet.questions);
-      check_int "counts honest" 0 (Wire.ancount (let v = Wire.create_view () in
-                                                 ignore (Wire.parse v wire); v)));
-  (* Small messages pass through untouched. *)
-  let small = Packet.response ~query:q [ List.hd answers ] in
-  check_string "small unchanged" (Packet.encode small)
-    (Packet.encode_udp small)
 
 (* --- strictly-backward pointers (regression) ------------------------- *)
 
@@ -321,8 +298,6 @@ let () =
         [
           Alcotest.test_case "wrapped counts rejected" `Quick
             test_encode_rejects_wrapped_counts;
-          Alcotest.test_case "encode_udp truncates honestly" `Quick
-            test_encode_udp_truncates_honestly;
         ] );
       ( "pointer discipline",
         [
