@@ -1144,7 +1144,8 @@ let faults_rows ~smoke:_ =
 (* restoring it (clean, and after one parse, timed apart from the      *)
 (* parse), forking a fresh machine from it, a complete fuzz execution  *)
 (* (restore + datagram write + parse with the edge map on [on_step]    *)
-(* as [Fuzz.Engine] attaches it, so its copy loops summarise),         *)
+(* as [Fuzz.Engine] attaches it, so its copy loops summarise; one call *)
+(* per benign seed in turn),                                           *)
 (* and the sanitizer triage of a fixed crash input, stopped at its     *)
 (* first report as the engine runs it and run to the end.              *)
 (* ------------------------------------------------------------------ *)
@@ -1156,10 +1157,10 @@ let fuzz_arch_rows ~samples arch =
   let snap = Loader.Process.snapshot proc in
   let entry = Loader.Process.symbol proc "parse_response" in
   let buf = proc.Loader.Process.layout.Loader.Layout.heap_base in
-  let input = List.hd (Fuzz.Engine.benign_seeds ()) in
+  let seeds = Array.of_list (Fuzz.Engine.benign_seeds ()) in
   let cov = Fuzz.Coverage.create () in
   let on_step = Fuzz.Coverage.observer cov in
-  let parse () =
+  let parse input =
     Mem.write_bytes proc.Loader.Process.mem buf input;
     Fuzz.Coverage.begin_exec cov;
     let r =
@@ -1169,12 +1170,30 @@ let fuzz_arch_rows ~samples arch =
     ignore (Fuzz.Coverage.commit cov);
     r
   in
-  (* Warm run: the parse must succeed for the numbers to mean anything. *)
-  (match (parse ()).Loader.Process.outcome with
-  | Machine.Outcome.Halted -> ()
-  | o -> failwith ("fuzz bench: benign parse failed: " ^ Machine.Outcome.to_string o));
-  let warm = parse () in
-  let steps = warm.Loader.Process.steps in
+  (* Two runs of each seed from the snapshot, as an exec runs it: every
+     parse must succeed for the numbers to mean anything, and the second,
+     warm, run gives the seed's counts. *)
+  let warm =
+    Array.map
+      (fun input ->
+        let run () =
+          Loader.Process.restore proc snap;
+          let r = parse input in
+          if r.Loader.Process.outcome <> Machine.Outcome.Halted then
+            failwith
+              ("fuzz bench: benign parse failed: "
+              ^ Machine.Outcome.to_string r.Loader.Process.outcome);
+          r
+        in
+        ignore (run ());
+        run ())
+      seeds
+  in
+  let mean_of count =
+    float_of_int (Array.fold_left (fun n r -> n + count r) 0 warm)
+    /. float_of_int (Array.length warm)
+  in
+  let next_seed = ref 0 in
   (* Triage as the engine does it: restore, write the crash input, arm
      a fresh oracle, run sanitized; [halt] stops at the first report. *)
   let crash = Fuzz.Engine.string_of_hex (snd (List.hd Fuzz.Corpus.entries)) in
@@ -1219,20 +1238,24 @@ let fuzz_arch_rows ~samples arch =
     (* Restore after one benign parse, the parse untimed: the rewind of
        the pages a fuzz execution dirtied. *)
     row (name "restore-dirty") "ns_per_op"
-      (fresh ~samples (fun () -> ignore (parse ())) (fun () ->
+      (fresh ~samples (fun () -> ignore (parse seeds.(0))) (fun () ->
            Loader.Process.restore proc snap));
-    (* Every iteration restores then parses (dirtying stack/heap/bss
-       pages), i.e. one full fuzz execution. *)
+    (* Every iteration restores then parses the next benign seed
+       (dirtying stack/heap/bss pages), i.e. one full fuzz execution;
+       the counts are the seeds' means. *)
     row (name "exec") "ns_per_run"
       (Ols
          (fun () ->
+           let input = seeds.(!next_seed) in
+           next_seed := (!next_seed + 1) mod Array.length seeds;
            Loader.Process.restore proc snap;
-           ignore (parse ())))
+           ignore (parse input)))
       ~extras:
         [
           ("execs_per_sec", per_sec);
-          ("steps_per_run", const (float_of_int steps));
-          ("summarised_per_run", const (float_of_int warm.Loader.Process.icache_summarised));
+          ("steps_per_run", const (mean_of (fun r -> r.Loader.Process.steps)));
+          ( "summarised_per_run",
+            const (mean_of (fun r -> r.Loader.Process.icache_summarised)) );
         ];
     row (name "fork") "ns_per_op"
       (Ols (fun () -> ignore (Loader.Process.fork proc snap)));

@@ -264,21 +264,8 @@ let chunks ~version ~profile =
     ("rodata", rodata ~version);
   ]
 
-(* Distinct releases lay their functions out differently (real binaries
-   shift with every compile), so gadget addresses are version-specific:
-   an exploit built against 1.34 does not transfer to 1.31 untouched. *)
-let rotate_by_version version chunks =
-  let n = List.length chunks in
-  let k = version.Version.minor mod n in
-  let rec split i acc = function
-    | rest when i = 0 -> rest @ List.rev acc
-    | x :: rest -> split (i - 1) (x :: acc) rest
-    | [] -> List.rev acc
-  in
-  split k [] chunks
-
 let spec ~version ~profile ?diversity_seed () =
-  let chunks = rotate_by_version version (chunks ~version ~profile) in
+  let chunks = Version.rotate version (chunks ~version ~profile) in
   let program =
     match diversity_seed with
     | None -> List.concat_map snd chunks
@@ -299,4 +286,4 @@ let spec ~version ~profile ?diversity_seed () =
 let variant_plan ~version ~profile ~seed =
   snd
     (Diversity.Variant.arm ~seed
-       (rotate_by_version version (chunks ~version ~profile)))
+       (Version.rotate version (chunks ~version ~profile)))

@@ -10,6 +10,17 @@ let v1_35 = make 1 35
 let all = [ v1_30; v1_31; v1_32; v1_33; v1_34; v1_35 ]
 let compare a b = Stdlib.compare (a.major, a.minor) (b.major, b.minor)
 let vulnerable t = compare t v1_35 < 0
+
+let rotate t items =
+  let n = List.length items in
+  let k = t.minor mod n in
+  let rec split i acc = function
+    | rest when i = 0 -> rest @ List.rev acc
+    | x :: rest -> split (i - 1) (x :: acc) rest
+    | [] -> List.rev acc
+  in
+  split k [] items
+
 let to_string t = Printf.sprintf "%d.%d" t.major t.minor
 
 let of_string s =

@@ -22,6 +22,13 @@ val compare : t -> t -> int
 val vulnerable : t -> bool
 (** [true] iff the release predates the 1.35 fix. *)
 
+val rotate : t -> 'a list -> 'a list
+(** [rotate v items] moves the first [v.minor mod n] of the [n] items to
+    the end.  The programs lay their functions out in this order, so
+    distinct releases lay them out differently (real binaries shift with
+    every compile) and gadget addresses are version-specific: an exploit
+    built against 1.34 does not transfer to 1.31 untouched. *)
+
 val all : t list
 (** The catalogue, oldest first. *)
 

@@ -14,10 +14,8 @@
     - ARM: [mov rd, #0] ↔ [eor rd, rd, rd];  [mov rd, rm] ↔
       [orr rd, rm, #0] (rd ≠ pc, rm ≠ pc) *)
 
-val x86 : seed:int -> Isa_x86.Asm.program -> Isa_x86.Asm.program
-val arm : seed:int -> Isa_arm.Asm.program -> Isa_arm.Asm.program
+val x86 : seed:int -> Isa_x86.Asm.program -> Isa_x86.Asm.program * int
+(** The rewritten program and the number of instructions it substituted;
+    every substitution changes its instruction. *)
 
-val count_rewrites_x86 : Isa_x86.Asm.program -> Isa_x86.Asm.program -> int
-(** Number of item positions whose instruction differs (diagnostics). *)
-
-val count_rewrites_arm : Isa_arm.Asm.program -> Isa_arm.Asm.program -> int
+val arm : seed:int -> Isa_arm.Asm.program -> Isa_arm.Asm.program * int

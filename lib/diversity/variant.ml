@@ -32,7 +32,7 @@ let x86 ~seed chunks =
            pad_bytes := !pad_bytes + String.length pad;
            Isa_x86.Asm.Bytes pad :: items)
   in
-  let rewritten = Defense.Equiv.x86 ~seed padded in
+  let rewritten, rewrites = Defense.Equiv.x86 ~seed padded in
   let order = Array.to_list (Array.map fst arr) in
   ( rewritten,
     {
@@ -40,7 +40,7 @@ let x86 ~seed chunks =
       order;
       moved = moved_count (List.map fst chunks) order;
       pad_bytes = !pad_bytes;
-      rewrites = Defense.Equiv.count_rewrites_x86 padded rewritten;
+      rewrites;
     } )
 
 let arm ~seed chunks =
@@ -59,7 +59,7 @@ let arm ~seed chunks =
            pad_bytes := !pad_bytes + String.length pad;
            Isa_arm.Asm.Align 4 :: Isa_arm.Asm.Bytes pad :: items)
   in
-  let rewritten = Defense.Equiv.arm ~seed padded in
+  let rewritten, rewrites = Defense.Equiv.arm ~seed padded in
   let order = Array.to_list (Array.map fst arr) in
   ( rewritten,
     {
@@ -67,5 +67,5 @@ let arm ~seed chunks =
       order;
       moved = moved_count (List.map fst chunks) order;
       pad_bytes = !pad_bytes;
-      rewrites = Defense.Equiv.count_rewrites_arm padded rewritten;
+      rewrites;
     } )

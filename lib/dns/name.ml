@@ -45,23 +45,20 @@ let encode labels =
   Buffer.add_char buf '\x00';
   Buffer.contents buf
 
-(* Shared walker for decode/expand: [emit] receives each label's raw bytes
-   (and, for the vulnerable variant, its length byte).  Pointer loops are
-   detected by bounding the number of pointer hops by the message size.
-
-   Strict mode additionally requires every compression pointer to point
-   strictly backward ([bound] starts at the name's own offset and drops
-   to each pointer's target after a jump), as real resolvers do —
-   forward and self-referential pointers only ever appear in attack
-   traffic.  The permissive walk is untouched: the Listing-1 exploit
-   depends on Connman-style forward/self pointers, and the exploit
-   matrix pins {!expand_like_connman} byte-for-byte. *)
-let walk msg off ~permissive ~emit =
+(* The permissive walker behind {!expand_like_connman}: [emit] receives
+   each label's length byte and raw bytes.  Pointer loops are detected by
+   bounding the number of pointer hops by the message size.  Compression
+   pointers may point anywhere in the message, forward and at themselves
+   included, and label lengths 64–191 are accepted: the Listing-1 exploit
+   depends on Connman-style forward/self pointers, and the exploit matrix
+   pins {!expand_like_connman} byte-for-byte.  The strict walk real
+   resolvers need is {!Wire.walk}. *)
+let walk msg off ~emit =
   let len = String.length msg in
   let byte i =
     if i < 0 || i >= len then Error "truncated name" else Ok (Char.code msg.[i])
   in
-  let rec go pos bound hops consumed_at_top jumped acc_len =
+  let rec go pos hops consumed_at_top jumped acc_len =
     if hops > len then Error "compression pointer loop"
     else
       match byte pos with
@@ -75,36 +72,21 @@ let walk msg off ~permissive ~emit =
           | Ok lo ->
               let target = ((b land 0x3F) lsl 8) lor lo in
               if target >= len then Error "pointer out of range"
-              else if (not permissive) && target >= bound then
-                Error "forward compression pointer"
               else
                 let consumed_at_top =
                   if jumped then consumed_at_top else pos + 2 - off
                 in
-                go target target (hops + 1) consumed_at_top true acc_len)
-      | Ok b when b > 63 && not permissive -> Error "invalid label length"
+                go target (hops + 1) consumed_at_top true acc_len)
       | Ok b ->
           if pos + 1 + b > len then Error "truncated label"
           else begin
             emit b (String.sub msg (pos + 1) b);
             let acc_len = acc_len + 1 + b in
             if acc_len > 65536 then Error "name expansion too large"
-            else
-              go (pos + 1 + b) bound hops consumed_at_top jumped acc_len
+            else go (pos + 1 + b) hops consumed_at_top jumped acc_len
           end
   in
-  go off off 0 0 false 0
-
-let decode msg off =
-  let labels = ref [] in
-  match walk msg off ~permissive:false ~emit:(fun _ l -> labels := l :: !labels) with
-  | Ok consumed -> Ok (List.rev !labels, consumed)
-  | Error e -> Error e
-
-let expand msg off =
-  match decode msg off with
-  | Ok (labels, consumed) -> Ok (to_string labels, consumed)
-  | Error e -> Error e
+  go off 0 0 false 0
 
 let expand_like_connman ?(limit = 65536) msg off =
   let buf = Buffer.create 64 in
@@ -116,7 +98,7 @@ let expand_like_connman ?(limit = 65536) msg off =
     end
     else overrun := true
   in
-  match walk msg off ~permissive:true ~emit with
+  match walk msg off ~emit with
   | Ok consumed ->
       if !overrun then Error "expansion exceeds simulation limit"
       else Ok (Buffer.contents buf, consumed)

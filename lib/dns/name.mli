@@ -4,7 +4,7 @@
     byte; a length byte with the top two bits set (>= 0xC0) is a
     compression pointer to an earlier offset in the message.
 
-    {!expand} mirrors what a *correct* decompressor does.
+    {!Wire.name_labels} is what a *correct* decompressor does.
     {!expand_like_connman} mirrors what Connman 1.34's [get_name] writes
     into its 1024-byte stack buffer — the exact length-prefixed byte
     stream, with no output bound — so the exploit builder can predict
@@ -32,18 +32,6 @@ val valid : t -> bool
 val encode : t -> string
 (** Uncompressed wire form (length-prefixed labels + terminating 0).
     Raises [Invalid_argument] if a label exceeds 63 bytes. *)
-
-val decode : string -> int -> (t * int, string) result
-(** [decode msg off] reads a (possibly compressed) name at [off] inside
-    the full message [msg].  Returns the labels and the number of bytes
-    consumed at [off] (a pointer consumes 2).  Errors on truncation,
-    pointer loops, out-of-range pointers, and — as real resolvers
-    require — compression pointers that do not point strictly backward
-    (forward and self-referential pointers are attack traffic; only the
-    permissive {!expand_like_connman} walk accepts them). *)
-
-val expand : string -> int -> (string * int, string) result
-(** Like {!decode} but returns the dotted string. *)
 
 val expand_like_connman :
   ?limit:int -> string -> int -> (string * int, string) result

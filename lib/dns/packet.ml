@@ -118,7 +118,7 @@ let cname_record rname ~ttl ~target =
   { rname; rtype = CNAME; ttl; rdata = Name.encode target }
 
 let cname_of_rdata rdata =
-  match Name.decode rdata 0 with Ok (labels, _) -> Some labels | Error _ -> None
+  match Wire.name_labels rdata 0 with Ok (labels, _) -> Some labels | Error _ -> None
 
 let ipv4_of_rdata rdata =
   if String.length rdata <> 4 then None

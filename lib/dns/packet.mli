@@ -85,8 +85,7 @@ val encode : ?compress:bool -> t -> string
 
 val encode_into : ?compress:bool -> Wire.arena -> t -> unit
 (** {!encode} into a caller-owned reusable arena (resets it first); the
-    hot-path variant.  Read the bytes with {!Wire.contents} /
-    {!Wire.unsafe_bytes}. *)
+    hot-path variant.  Read the bytes with {!Wire.contents}. *)
 
 val decode : string -> (t, string) result
 (** Strict decode.  CNAME/NS/PTR rdata is expanded against the whole

@@ -31,8 +31,8 @@ let get_u32 s off = (get_u16 s off lsl 16) lor get_u16 s (off + 2)
 
    Mirrors the legacy strict walker's validation order exactly (so error
    classes agree under differential fuzzing), with one deliberate
-   semantic change, shared with {!Name.decode} and {!Legacy}: a
-   compression pointer must point *strictly backward*.  Each pointer's
+   semantic change, shared with {!Legacy}: a compression pointer must
+   point *strictly backward*.  Each pointer's
    target must lie before the start of the walk so far (before the name
    itself for the first pointer, before the previous target after a
    jump), as real resolvers require — a chain of jumps is strictly
@@ -341,7 +341,6 @@ let reset a =
 
 let length a = a.pos
 let contents a = Bytes.sub_string a.out 0 a.pos
-let unsafe_bytes a = a.out
 
 let ensure a extra =
   let needed = a.pos + extra in

@@ -33,7 +33,7 @@ val walk :
     must point {e strictly backward} — before the name itself, and
     before the previous pointer's target once jumped — as real
     resolvers require.  Error strings match the legacy
-    {!Name.decode}/{!Packet.decode} classes. *)
+    {!Legacy.name_decode}/{!Packet.decode} classes. *)
 
 val skip_name : string -> int -> (int, string) result
 (** {!walk} without observing labels. *)
@@ -45,7 +45,9 @@ val name_equal_consumed :
     [Ok (equal, consumed)] on a well-formed name. *)
 
 val name_labels : string -> int -> (string list * int, string) result
-(** Materialize the name at [off] — equivalent to {!Name.decode}. *)
+(** Materialize the name at [off]: its labels and the bytes consumed at
+    [off], or {!walk}'s error.  The strict name decoder; agrees with
+    {!Legacy.name_decode} on every input. *)
 
 val name_to_string : string -> int -> string
 (** Dotted rendering ([ "." ] for the root) of a name already validated
@@ -122,10 +124,6 @@ val length : arena -> int
 
 val contents : arena -> string
 (** Copy of the bytes written since the last {!reset}. *)
-
-val unsafe_bytes : arena -> Bytes.t
-(** The live backing buffer — valid until the next write or {!reset};
-    only the first {!length} bytes are meaningful. *)
 
 val add_u8 : arena -> int -> unit
 val add_u16 : arena -> int -> unit

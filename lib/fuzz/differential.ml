@@ -8,7 +8,7 @@
    - decode: [Legacy.decode] and [Packet.decode] must agree — same
      packet structurally on [Ok], the exact same error string on
      [Error];
-   - name walk: [Legacy.name_decode] and [Name.decode] at the question
+   - name walk: [Legacy.name_decode] and [Wire.name_labels] at the question
      offset must agree the same way;
    - re-encode: when decode succeeds, [Legacy.encode] and
      [Packet.encode] must produce byte-identical output (or raise
@@ -63,7 +63,7 @@ let check wire =
   let l = Dns.Legacy.decode wire and z = Dns.Packet.decode wire in
   if l <> z then record "decode" (render_decode l) (render_decode z);
   if String.length wire >= 12 then begin
-    let ln = Dns.Legacy.name_decode wire 12 and zn = Dns.Name.decode wire 12 in
+    let ln = Dns.Legacy.name_decode wire 12 and zn = Dns.Wire.name_labels wire 12 in
     if ln <> zn then record "name" (render_name ln) (render_name zn)
   end;
   (match (l, z) with

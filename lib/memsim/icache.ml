@@ -28,7 +28,7 @@
    the common same-page entry: no page ever has generation 0).
 
    Slots live in 64-entry chunks allocated on first fill, under a
-   per-page directory, so a page whose text runs a few functions costs a
+   per-page record, so a page whose text runs a few functions costs a
    few small minor-heap arrays rather than one 4096-slot array.  Empty
    slots hold a [dummy] entry whose generation no page cell can hold,
    which keeps the hit path free of [option] boxes — it runs once per
@@ -40,30 +40,31 @@ let chunk_bits = 6
 let chunk_mask = (1 lsl chunk_bits) - 1
 let chunks_per_page = Memory.page_size lsr chunk_bits
 
+(* One page's slots, and how many fills replaced an entry in them (see
+   {!refills}). *)
+type 'a page = { chunks : 'a entry array array; mutable refills : int }
+
 type 'a table = {
   dummy : 'a entry;
   empty_chunk : 'a entry array;  (* all [dummy]; never written *)
-  empty_page : 'a entry array array;  (* all [empty_chunk]; never written *)
-  pages : (int, 'a entry array array) Hashtbl.t;
-  refills : (int, int ref) Hashtbl.t;
-      (* per page, how many fills replaced an entry (see {!refills}) *)
-  no_refills : int ref;  (* the count of a page without a directory; stays 0 *)
+  empty_page : 'a page;
+      (* chunks all [empty_chunk]; never written, so its [refills] stays 0 *)
+  pages : 'a page Int_table.t;
   mutable hits : int;
   mutable misses : int;
   mutable summarised : int;
 }
 
-(* [last_*] cache the directory and the viewing memory's generation cell
-   of the last page looked up.  A cached cell can go stale only when the
-   memory drops the page (unmap, restore); both retire the cell with a
-   fresh generation no entry was filled under, so a stale cell can only
+(* [last_*] cache the page record and the viewing memory's generation
+   cell of the last page looked up.  A cached cell can go stale only when
+   the memory drops the page (unmap, restore); both retire the cell with
+   a fresh generation no entry was filled under, so a stale cell can only
    miss, and the miss path re-reads the live one. *)
 type 'a t = {
   table : 'a table;
   mem : Memory.t;
   mutable last_idx : int;
-  mutable last_page : 'a entry array array;
-  mutable last_refills : int ref;
+  mutable last_page : 'a page;
   mutable last_cell : int ref;
 }
 
@@ -75,10 +76,8 @@ let table ~dummy =
   {
     dummy;
     empty_chunk;
-    empty_page = Array.make chunks_per_page empty_chunk;
-    pages = Hashtbl.create 16;
-    refills = Hashtbl.create 16;
-    no_refills = ref 0;
+    empty_page = { chunks = Array.make chunks_per_page empty_chunk; refills = 0 };
+    pages = Int_table.create 16;
     hits = 0;
     misses = 0;
     summarised = 0;
@@ -90,7 +89,6 @@ let view table mem =
     mem;
     last_idx = -1;
     last_page = table.empty_page;
-    last_refills = table.no_refills;
     last_cell = ref (-1);
   }
 
@@ -98,16 +96,14 @@ let hits table = table.hits
 let misses table = table.misses
 let summarised table = table.summarised
 
+let page_at table idx =
+  match Int_table.find table.pages idx with
+  | p -> p
+  | exception Not_found -> table.empty_page
+
 let select t idx addr =
   t.last_idx <- idx;
-  t.last_page <-
-    (match Hashtbl.find_opt t.table.pages idx with
-    | Some p -> p
-    | None -> t.table.empty_page);
-  t.last_refills <-
-    (match Hashtbl.find_opt t.table.refills idx with
-    | Some r -> r
-    | None -> t.table.no_refills);
+  t.last_page <- page_at t.table idx;
   t.last_cell <- Memory.gen_ref t.mem addr
 
 (* Miss or stale.  [decode] fetches through the memory's execute
@@ -129,33 +125,32 @@ let[@inline never] fill t addr ~decode =
   let page =
     if t.last_page != tbl.empty_page then t.last_page
     else begin
-      (* Another view may have created the directory since [select]. *)
+      (* Another view may have created the page since [select]. *)
+      let p = page_at tbl t.last_idx in
       let p =
-        match Hashtbl.find_opt tbl.pages t.last_idx with
-        | Some p -> p
-        | None ->
-            let p = Array.make chunks_per_page tbl.empty_chunk in
-            Hashtbl.add tbl.pages t.last_idx p;
-            Hashtbl.add tbl.refills t.last_idx (ref 0);
-            p
+        if p != tbl.empty_page then p
+        else begin
+          let p = { chunks = Array.make chunks_per_page tbl.empty_chunk; refills = 0 } in
+          Int_table.add tbl.pages t.last_idx p;
+          p
+        end
       in
       t.last_page <- p;
-      t.last_refills <- Hashtbl.find tbl.refills t.last_idx;
       p
     end
   in
   let ci = off lsr chunk_bits in
   let chunk =
-    let c = page.(ci) in
+    let c = page.chunks.(ci) in
     if c != tbl.empty_chunk then c
     else begin
       let c = Array.make (chunk_mask + 1) tbl.dummy in
-      page.(ci) <- c;
+      page.chunks.(ci) <- c;
       c
     end
   in
   let slot = off land chunk_mask in
-  if chunk.(slot) != tbl.dummy then incr t.last_refills;
+  if chunk.(slot) != tbl.dummy then page.refills <- page.refills + 1;
   chunk.(slot) <- e;
   e
 
@@ -166,7 +161,7 @@ let lookup t addr ~decode =
   let off = addr land (Memory.page_size - 1) in
   let e =
     Array.unsafe_get
-      (Array.unsafe_get t.last_page (off lsr chunk_bits))
+      (Array.unsafe_get t.last_page.chunks (off lsr chunk_bits))
       (off land chunk_mask)
   in
   if
@@ -187,18 +182,12 @@ let lookup t addr ~decode =
 let peek t addr =
   let addr = Word.of_int addr in
   let idx = addr lsr Memory.page_bits in
-  let page =
-    if idx = t.last_idx then t.last_page
-    else
-      match Hashtbl.find_opt t.table.pages idx with
-      | Some p -> p
-      | None -> t.table.empty_page
-  in
+  let page = if idx = t.last_idx then t.last_page else page_at t.table idx in
   let off = addr land (Memory.page_size - 1) in
-  page.(off lsr chunk_bits).(off land chunk_mask)
+  page.chunks.(off lsr chunk_bits).(off land chunk_mask)
 
 let cell t = t.last_cell
-let refills t = !(t.last_refills)
+let refills t = t.last_page.refills
 let credit t n = t.table.hits <- t.table.hits + n
 
 let credit_loop t ~iterations ~hits =

@@ -85,8 +85,10 @@ val cell : 'a t -> int ref
     it. *)
 
 val refills : 'a t -> int
-(** How many fills on the page of the last {!lookup} have replaced an
-    entry (a first fill of an empty slot does not count).  A block chained
+(** The refill count the table keeps with the page of the last {!lookup}
+    (one record per page holds its slots and this count): how many fills
+    on that page have replaced an entry (a first fill of an empty slot
+    does not count; a page with no slots yet reads 0).  A block chained
     under one count holds exactly the entries its members' slots hold
     while the count is unchanged; a different count means some member's
     slot may now hold another entry (refilled under another generation,

@@ -77,22 +77,20 @@ type frame = {
 
 type snapshot = { s_frames : frame array; s_regs : region list }
 
+(* The last page one access kind hit: the interpreters touch the same
+   text / stack / data page over and over, so a one-entry cache turns the
+   per-byte table probe into an int compare + field load. *)
+type slot = { mutable idx : int; mutable pg : page }
+
 type t = {
-  pages : (int, page) Hashtbl.t;
+  pages : page Int_table.t;
   mutable regs : region list;
-  (* Last-hit page per access kind: the interpreters touch the same text /
-     stack / data page over and over, so a single-entry cache turns the
-     per-byte Hashtbl probe into an int compare + field load.  [gq_*] backs
-     {!page_gen} (the decode-cache validation path).  Invalidated on
-     [unmap]. *)
-  mutable rd_idx : int;
-  mutable rd_pg : page;
-  mutable wr_idx : int;
-  mutable wr_pg : page;
-  mutable fx_idx : int;
-  mutable fx_pg : page;
-  mutable gq_idx : int;
-  mutable gq_pg : page;
+  (* One slot per access kind (read and peek, write and poke, fetch),
+     filled by {!cached} and reset by {!invalidate_page_caches} whenever
+     a page leaves the table ([unmap], [restore]). *)
+  rd : slot;
+  wr : slot;
+  fx : slot;
   (* [armed] is the snapshot this memory was last restored to, or
      [unarmed]; while armed, [dirty] lists every page unshared since
      (each once).  [spare] holds private buffers restore displaced, for
@@ -106,9 +104,10 @@ type t = {
   mutable trace : Telemetry.Trace.t option;
 }
 
-(* Placeholder for the one-entry page caches; its cell doubles as the
-   generation {!gen_ref} reports for an unmapped address.  It is never in
-   a page table, so nothing ever stores to it. *)
+(* What a lookup of an unmapped index returns, and what an empty slot
+   holds: its [none] permissions fail every access check, and its cell is
+   the generation {!gen_ref} reports for an unmapped address.  It is never
+   in a page table, so nothing ever stores to it. *)
 let null_page = { pperm = none; data = Bytes.empty; gen = ref (-1); frozen = false }
 
 (* Never restored to: no snapshot is physically this record. *)
@@ -140,18 +139,15 @@ let[@inline never] unshare t idx p =
   p.frozen <- false;
   if t.armed != unarmed then t.dirty <- idx :: t.dirty
 
+let empty_slot () = { idx = -1; pg = null_page }
+
 let create () =
   {
-    pages = Hashtbl.create 64;
+    pages = Int_table.create 64;
     regs = [];
-    rd_idx = -1;
-    rd_pg = null_page;
-    wr_idx = -1;
-    wr_pg = null_page;
-    fx_idx = -1;
-    fx_pg = null_page;
-    gq_idx = -1;
-    gq_pg = null_page;
+    rd = empty_slot ();
+    wr = empty_slot ();
+    fx = empty_slot ();
     armed = unarmed;
     dirty = [];
     spare = [];
@@ -186,15 +182,14 @@ let fresh_gen () =
   incr gen_counter;
   !gen_counter
 
+let reset_slot s =
+  s.idx <- -1;
+  s.pg <- null_page
+
 let invalidate_page_caches t =
-  t.rd_idx <- -1;
-  t.rd_pg <- null_page;
-  t.wr_idx <- -1;
-  t.wr_pg <- null_page;
-  t.fx_idx <- -1;
-  t.fx_pg <- null_page;
-  t.gq_idx <- -1;
-  t.gq_pg <- null_page
+  reset_slot t.rd;
+  reset_slot t.wr;
+  reset_slot t.fx
 
 let page_range ~base ~size =
   let first = page_index base and last = page_index (base + size - 1) in
@@ -219,7 +214,7 @@ let map t ~base ~size ~perm ~name =
     invalid_arg "Memory.map: region outside 32-bit address space";
   let first, last = page_range ~base ~size in
   for i = first to last do
-    if Hashtbl.mem t.pages i then
+    if Int_table.mem t.pages i then
       invalid_arg
         (Printf.sprintf "Memory.map: %s overlaps existing mapping at page %s"
            name
@@ -228,7 +223,7 @@ let map t ~base ~size ~perm ~name =
   for i = first to last do
     let data = private_buffer t in
     Bytes.fill data 0 page_size '\000';
-    Hashtbl.replace t.pages i { pperm = perm; data; gen = ref (fresh_gen ()); frozen = false }
+    Int_table.replace t.pages i { pperm = perm; data; gen = ref (fresh_gen ()); frozen = false }
   done;
   let reg = { name; base; size; perm } in
   t.regs <- reg :: t.regs;
@@ -247,13 +242,13 @@ let unmap t ~base =
   let reg = region_at_base t base "unmap" in
   let first, last = page_range ~base ~size:reg.size in
   for i = first to last do
-    (match Hashtbl.find_opt t.pages i with
+    (match Int_table.find_opt t.pages i with
     (* Retire the page's generation so any decode-cache entry filled from
        it can never validate again, even if the page object leaks through
        a stale reference. *)
     | Some p -> p.gen := fresh_gen ()
     | None -> ());
-    Hashtbl.remove t.pages i
+    Int_table.remove t.pages i
   done;
   t.regs <- List.filter (fun reg -> reg.base <> base) t.regs;
   disarm t;
@@ -264,7 +259,7 @@ let set_perm t ~base perm =
   let reg = region_at_base t base "set_perm" in
   let first, last = page_range ~base ~size:reg.size in
   for i = first to last do
-    match Hashtbl.find_opt t.pages i with
+    match Int_table.find_opt t.pages i with
     | Some p ->
         p.pperm <- perm;
         (* Permission changes must also invalidate decode caches: a cached
@@ -289,73 +284,45 @@ let find_region t name =
   | Some reg -> reg
   | None -> invalid_arg ("Memory.find_region: no region named " ^ name)
 
-let is_mapped t addr = Hashtbl.mem t.pages (page_index addr)
+(* The page at index [idx], or [null_page]. *)
+let page_at t idx =
+  match Int_table.find t.pages idx with p -> p | exception Not_found -> null_page
 
-(* Core byte access.  Each access kind keeps a one-entry cache of the last
-   page it hit; the [context] string ends up in the fault record for
+let is_mapped t addr = page_at t (page_index addr) != null_page
+
+(* The one page lookup of the byte accessors: the page at [idx] through
+   the access kind's [slot], which keeps the last mapped page it found.
+   An unmapped index gives [null_page] and leaves the slot alone. *)
+let[@inline] cached t slot idx =
+  if idx = slot.idx then slot.pg
+  else begin
+    let p = page_at t idx in
+    if p != null_page then begin
+      slot.idx <- idx;
+      slot.pg <- p
+    end;
+    p
+  end
+
+(* The page of [addr], or an [Unmapped] fault carrying [context] for
    diagnostics.  [addr] must already be masked to 32 bits. *)
+let[@inline] mapped_page t slot addr context =
+  let p = cached t slot (addr lsr page_bits) in
+  if p == null_page then fault t addr Unmapped context;
+  p
 
-let read_page t addr =
-  let idx = addr lsr page_bits in
-  if idx = t.rd_idx then t.rd_pg
-  else
-    match Hashtbl.find_opt t.pages idx with
-    | Some p ->
-        t.rd_idx <- idx;
-        t.rd_pg <- p;
-        p
-    | None -> fault t addr Unmapped "read"
-
-let write_page t addr context =
-  let idx = addr lsr page_bits in
-  if idx = t.wr_idx then t.wr_pg
-  else
-    match Hashtbl.find_opt t.pages idx with
-    | Some p ->
-        t.wr_idx <- idx;
-        t.wr_pg <- p;
-        p
-    | None -> fault t addr Unmapped context
-
-let fetch_page t addr =
-  let idx = addr lsr page_bits in
-  if idx = t.fx_idx then t.fx_pg
-  else
-    match Hashtbl.find_opt t.pages idx with
-    | Some p ->
-        t.fx_idx <- idx;
-        t.fx_pg <- p;
-        p
-    | None -> fault t addr Unmapped "fetch"
-
-let page_gen t addr =
-  let addr = Word.of_int addr in
-  let idx = addr lsr page_bits in
-  if idx = t.gq_idx then !(t.gq_pg.gen)
-  else
-    match Hashtbl.find_opt t.pages idx with
-    | Some p ->
-        t.gq_idx <- idx;
-        t.gq_pg <- p;
-        !(p.gen)
-    | None -> -1
+let read_page t addr = mapped_page t t.rd addr "read"
+let write_page t addr context = mapped_page t t.wr addr context
+let fetch_page t addr = mapped_page t t.fx addr "fetch"
+let peek_page t addr = mapped_page t t.rd addr "peek"
+let page_gen t addr = !((page_at t (page_index (Word.of_int addr))).gen)
 
 (* The page's generation cell itself, for decode caches to re-read
    without a call: [map] creates a fresh cell per page, and [unmap] and
    [restore] retire the value of a cell whose page they drop, so a stale
    cell never again holds a value an entry was filled under.  An
    unmapped address gets [null_page]'s cell, which holds -1 forever. *)
-let gen_ref t addr =
-  let addr = Word.of_int addr in
-  let idx = addr lsr page_bits in
-  if idx = t.gq_idx then t.gq_pg.gen
-  else
-    match Hashtbl.find_opt t.pages idx with
-    | Some p ->
-        t.gq_idx <- idx;
-        t.gq_pg <- p;
-        p.gen
-    | None -> null_page.gen
+let gen_ref t addr = (page_at t (page_index (Word.of_int addr))).gen
 
 let read_u8 t addr =
   let addr = Word.of_int addr in
@@ -416,17 +383,7 @@ let check_write_span t addr len context =
   let i = ref 0 in
   while !i < len do
     let a = Word.of_int (addr + !i) in
-    let idx = a lsr page_bits in
-    (if idx = t.wr_idx then begin
-       if not t.wr_pg.pperm.write then fault t a Perm_write context
-     end
-     else
-       match Hashtbl.find_opt t.pages idx with
-       | Some p ->
-           if not p.pperm.write then fault t a Perm_write context;
-           t.wr_idx <- idx;
-           t.wr_pg <- p
-       | None -> fault t a Unmapped context);
+    if not (write_page t a context).pperm.write then fault t a Perm_write context;
     i := !i + (page_size - (a land offset_mask))
   done
 
@@ -509,20 +466,19 @@ let copy_forward t ~src ~dst n =
   let soff = src land offset_mask and doff = dst land offset_mask in
   if n < 1 || soff + n > page_size || doff + n > page_size then
     invalid_arg "Memory.copy_forward: a span leaves its page";
-  match Hashtbl.find_opt t.pages (dst lsr page_bits) with
-  | Some dp when dp.pperm.write -> (
-      match Hashtbl.find_opt t.pages (src lsr page_bits) with
-      | Some sp when sp.pperm.read ->
-          if dp.frozen then unshare t (dst lsr page_bits) dp;
-          let s = sp.data and d = dp.data in
-          for i = 0 to n - 1 do
-            Bytes.unsafe_set d (doff + i) (Bytes.unsafe_get s (soff + i))
-          done;
-          gen_counter := !gen_counter + n;
-          dp.gen := !gen_counter;
-          Char.code (Bytes.unsafe_get d (doff + n - 1))
-      | _ -> -1)
-  | _ -> -1
+  (* An unmapped page is [null_page], which neither reads nor writes. *)
+  let dp = page_at t (dst lsr page_bits) and sp = page_at t (src lsr page_bits) in
+  if not (dp.pperm.write && sp.pperm.read) then -1
+  else begin
+    if dp.frozen then unshare t (dst lsr page_bits) dp;
+    let s = sp.data and d = dp.data in
+    for i = 0 to n - 1 do
+      Bytes.unsafe_set d (doff + i) (Bytes.unsafe_get s (soff + i))
+    done;
+    gen_counter := !gen_counter + n;
+    dp.gen := !gen_counter;
+    Char.code (Bytes.unsafe_get d (doff + n - 1))
+  end
 
 let read_cstring t ?(max = 4096) addr =
   let buf = Buffer.create 16 in
@@ -536,17 +492,6 @@ let read_cstring t ?(max = 4096) addr =
           loop (i + 1)
   in
   loop 0
-
-let peek_page t addr =
-  let idx = addr lsr page_bits in
-  if idx = t.rd_idx then t.rd_pg
-  else
-    match Hashtbl.find_opt t.pages idx with
-    | Some p ->
-        t.rd_idx <- idx;
-        t.rd_pg <- p;
-        p
-    | None -> fault t addr Unmapped "peek"
 
 let peek_u8 t addr =
   let addr = Word.of_int addr in
@@ -575,8 +520,7 @@ let poke_bytes t addr s =
     let i = ref 0 in
     while !i < len do
       let a = Word.of_int (addr + !i) in
-      if not (Hashtbl.mem t.pages (a lsr page_bits)) then
-        fault t a Unmapped "poke";
+      ignore (write_page t a "poke");
       i := !i + (page_size - (a land offset_mask))
     done;
     let i = ref 0 in
@@ -638,7 +582,7 @@ let poke_bytes t addr s =
 
 let snapshot t =
   let frames =
-    Hashtbl.fold
+    Int_table.fold
       (fun idx p acc ->
         p.frozen <- true;
         { f_idx = idx; f_page = p; f_data = p.data; f_perm = p.pperm; f_gen = !(p.gen) }
@@ -679,7 +623,7 @@ let frame_of snap idx =
 let restore_dirty t snap =
   List.fold_left
     (fun n idx ->
-      reset_page t (Hashtbl.find t.pages idx) (frame_of snap idx);
+      reset_page t (Int_table.find t.pages idx) (frame_of snap idx);
       n + 1)
     0 t.dirty
 
@@ -690,23 +634,23 @@ let restore_scan t snap =
      equality with the snapshot's list proves the page table's shape is
      unchanged and the scan can be skipped. *)
   (if t.regs != snap.s_regs then begin
-     let keep = Hashtbl.create (Array.length snap.s_frames) in
-     Array.iter (fun f -> Hashtbl.replace keep f.f_idx ()) snap.s_frames;
+     let keep = Int_table.create (Array.length snap.s_frames) in
+     Array.iter (fun f -> Int_table.replace keep f.f_idx ()) snap.s_frames;
      let stale =
-       Hashtbl.fold
-         (fun idx p acc -> if Hashtbl.mem keep idx then acc else (idx, p) :: acc)
+       Int_table.fold
+         (fun idx p acc -> if Int_table.mem keep idx then acc else (idx, p) :: acc)
          t.pages []
      in
      List.iter
        (fun (idx, p) ->
          p.gen := fresh_gen ();
-         Hashtbl.remove t.pages idx)
+         Int_table.remove t.pages idx)
        (List.sort compare stale)
    end);
   let dirty = ref 0 in
   Array.iter
     (fun f ->
-      match Hashtbl.find_opt t.pages f.f_idx with
+      match Int_table.find_opt t.pages f.f_idx with
       | Some p when p == f.f_page && !(p.gen) = f.f_gen ->
           (* Untouched since the snapshot: nothing to do, and crucially
              the generation is preserved so decode-cache entries filled
@@ -722,7 +666,7 @@ let restore_scan t snap =
           reset_page t p f
       | None ->
           incr dirty;
-          Hashtbl.replace t.pages f.f_idx
+          Int_table.replace t.pages f.f_idx
             {
               pperm = f.f_perm;
               data = f.f_data;
@@ -752,7 +696,7 @@ let fork snap =
   let t = create () in
   Array.iter
     (fun f ->
-      Hashtbl.replace t.pages f.f_idx
+      Int_table.replace t.pages f.f_idx
         { pperm = f.f_perm; data = f.f_data; gen = ref f.f_gen; frozen = true })
     snap.s_frames;
   t.regs <- snap.s_regs;

@@ -208,29 +208,36 @@ let prop_arm_differential =
 (* Equivalent-instruction randomization preserves semantics (§IV)       *)
 (* ------------------------------------------------------------------ *)
 
+(* How many positions of two equal-length item lists differ. *)
+let changed_items a b = List.length (List.filter Fun.id (List.map2 ( <> ) a b))
+
 let prop_equiv_x86_preserves_semantics =
   QCheck.Test.make ~name:"equiv rewrite preserves x86 semantics" ~count:300
     QCheck.(make Gen.(pair (int_bound 0xFFFF) gen_x86_program))
     (fun (seed, program) ->
       let items = List.map (fun i -> Isa_x86.Asm.I i) program in
+      let rewritten_items, rewrites = Defense.Equiv.x86 ~seed items in
       let rewritten =
         List.filter_map
           (function Isa_x86.Asm.I i -> Some i | _ -> None)
-          (Defense.Equiv.x86 ~seed items)
+          rewritten_items
       in
-      run_x86 program = run_x86 rewritten)
+      rewrites = changed_items items rewritten_items
+      && run_x86 program = run_x86 rewritten)
 
 let prop_equiv_arm_preserves_semantics =
   QCheck.Test.make ~name:"equiv rewrite preserves arm semantics" ~count:300
     QCheck.(make Gen.(pair (int_bound 0xFFFF) gen_arm_program))
     (fun (seed, program) ->
       let items = List.map (fun i -> Isa_arm.Asm.I i) program in
+      let rewritten_items, rewrites = Defense.Equiv.arm ~seed items in
       let rewritten =
         List.filter_map
           (function Isa_arm.Asm.I i -> Some i | _ -> None)
-          (Defense.Equiv.arm ~seed items)
+          rewritten_items
       in
-      run_arm program = run_arm rewritten)
+      rewrites = changed_items items rewritten_items
+      && run_arm program = run_arm rewritten)
 
 let test_equiv_actually_rewrites () =
   (* A zero-heavy program gives the pass plenty of targets. *)
@@ -240,17 +247,19 @@ let test_equiv_actually_rewrites () =
       (List.init 32 (fun _ ->
            [ Isa_x86.Asm.I (Mov_ri (EAX, 0)); Isa_x86.Asm.I (Inc_r ECX) ]))
   in
-  let rewritten = Defense.Equiv.x86 ~seed:5 program in
-  Alcotest.(check bool)
-    "some rewrites happened" true
-    (Defense.Equiv.count_rewrites_x86 program rewritten > 5);
+  let ((rewritten, rewrites) as r) = Defense.Equiv.x86 ~seed:5 program in
+  Alcotest.(check bool) "some rewrites happened" true (rewrites > 5);
+  (* The count is the number of items the rewrite changed. *)
+  Alcotest.(check int)
+    "count = changed items" rewrites
+    (changed_items program rewritten);
   (* Determinism per seed. *)
   Alcotest.(check bool)
     "deterministic" true
-    (Defense.Equiv.x86 ~seed:5 program = rewritten);
+    (Defense.Equiv.x86 ~seed:5 program = r);
   Alcotest.(check bool)
     "seed-dependent" true
-    (Defense.Equiv.x86 ~seed:6 program <> rewritten)
+    (fst (Defense.Equiv.x86 ~seed:6 program) <> rewritten)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-ISA: the same abstract computation on both machines            *)

@@ -21,7 +21,7 @@ let test_name_encode () =
 
 let test_name_decode_simple () =
   let msg = "\x03www\x07example\x03com\x00rest" in
-  match Name.decode msg 0 with
+  match Wire.name_labels msg 0 with
   | Ok (labels, used) ->
       check_string "labels" "www.example.com" (Name.to_string labels);
       check_int "consumed" 17 used
@@ -30,7 +30,7 @@ let test_name_decode_simple () =
 let test_name_decode_compressed () =
   (* "example.com" at 0; "www" + pointer-to-0 at 13. *)
   let msg = "\x07example\x03com\x00\x03www\xC0\x00" in
-  match Name.decode msg 13 with
+  match Wire.name_labels msg 13 with
   | Ok (labels, used) ->
       check_string "expanded" "www.example.com" (Name.to_string labels);
       check_int "pointer consumes 2 after label" 6 used
@@ -38,15 +38,15 @@ let test_name_decode_compressed () =
 
 let test_name_pointer_loop_rejected () =
   let msg = "\xC0\x00" in
-  match Name.decode msg 0 with
+  match Wire.name_labels msg 0 with
   | Ok _ -> Alcotest.fail "expected loop detection"
   | Error _ -> ()
 
 let test_name_truncation_rejected () =
-  (match Name.decode "\x05ab" 0 with
+  (match Wire.name_labels "\x05ab" 0 with
   | Ok _ -> Alcotest.fail "expected truncation error"
   | Error _ -> ());
-  match Name.decode "\x03www" 0 with
+  match Wire.name_labels "\x03www" 0 with
   | Ok _ -> Alcotest.fail "expected missing terminator error"
   | Error _ -> ()
 
@@ -63,7 +63,7 @@ let test_expand_like_connman_permissive () =
   (* A 100-byte label is invalid per RFC but accepted by the vulnerable
      parser. *)
   let msg = "\x64" ^ String.make 100 'A' ^ "\x00" in
-  (match Name.decode msg 0 with
+  (match Wire.name_labels msg 0 with
   | Ok _ -> Alcotest.fail "strict decoder must reject length 100"
   | Error _ -> ());
   match Name.expand_like_connman msg 0 with
@@ -79,7 +79,7 @@ let prop_name_encode_decode =
   QCheck.Test.make ~name:"name encode/decode round-trip" ~count:300
     (QCheck.make ~print:(String.concat ".") gen)
     (fun labels ->
-      match Name.decode (Name.encode labels) 0 with
+      match Wire.name_labels (Name.encode labels) 0 with
       | Ok (got, used) -> got = labels && used = String.length (Name.encode labels)
       | Error _ -> false)
 
@@ -227,7 +227,7 @@ let test_plan_strict_rfc_mode () =
   | Error e -> Alcotest.fail e
   | Ok wire ->
       (* Must also parse with the strict decoder. *)
-      (match Name.decode wire 0 with
+      (match Wire.name_labels wire 0 with
       | Ok _ -> ()
       | Error e -> Alcotest.fail ("strict decode: " ^ e));
       check_int "expansion" 200 (String.length (expand_ok wire))
@@ -321,7 +321,7 @@ let test_pointer_loop_response () =
   let off = 12 + qlen + 4 in
   (* Both the strict and the permissive expander must detect/err: the
      vulnerable machine-code path is the one that hangs. *)
-  check_bool "strict rejects" true (Result.is_error (Name.decode wire off));
+  check_bool "strict rejects" true (Result.is_error (Wire.name_labels wire off));
   check_bool "permissive detects loop" true
     (Result.is_error (Name.expand_like_connman wire off))
 

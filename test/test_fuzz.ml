@@ -19,11 +19,11 @@ let prop_packet_decode_total =
     (fun bytes ->
       match Dns.Packet.decode bytes with Ok _ | Error _ -> true)
 
-let prop_name_decode_total =
-  QCheck.Test.make ~name:"Name.decode never raises" ~count:1000
+let prop_name_labels_total =
+  QCheck.Test.make ~name:"Wire.name_labels never raises" ~count:1000
     (QCheck.make (gen_bytes 256))
     (fun bytes ->
-      match Dns.Name.decode bytes 0 with Ok _ | Error _ -> true)
+      match Dns.Wire.name_labels bytes 0 with Ok _ | Error _ -> true)
 
 let prop_vulnerable_expand_total =
   QCheck.Test.make ~name:"expand_like_connman never raises" ~count:1000
@@ -475,7 +475,7 @@ let () =
       ( "codecs",
         [
           qt prop_packet_decode_total;
-          qt prop_name_decode_total;
+          qt prop_name_labels_total;
           qt prop_vulnerable_expand_total;
           qt prop_decoders_total_on_random_words;
         ] );

@@ -82,7 +82,7 @@ let header12 = "\x00\x01\x81\x80\x00\x01\x00\x00\x00\x00\x00\x00"
 let test_strict_rejects_forward_pointer () =
   (* name at 12 is a pointer to 15, which holds "foo": forward. *)
   let wire = header12 ^ "\xc0\x0f\x00\x03foo\x00" in
-  (match Name.decode wire 12 with
+  (match Wire.name_labels wire 12 with
   | Error e -> check_string "forward rejected" "forward compression pointer" e
   | Ok _ -> Alcotest.fail "forward pointer accepted");
   (* ... but the permissive Connman walk follows it happily. *)
@@ -94,12 +94,12 @@ let test_strict_rejects_forward_pointer () =
 
 let test_strict_rejects_self_pointer () =
   let wire = header12 ^ "\xc0\x0c\x00" in
-  (match Name.decode wire 12 with
+  (match Wire.name_labels wire 12 with
   | Error e -> check_string "self rejected" "forward compression pointer" e
   | Ok _ -> Alcotest.fail "self-referential pointer accepted");
   (* Backward pointers — the legitimate kind — still decode. *)
   let wire2 = header12 ^ "\x03foo\x00" ^ "\x03bar\xc0\x0c" in
-  match Name.decode wire2 17 with
+  match Wire.name_labels wire2 17 with
   | Ok (labels, used) ->
       Alcotest.(check (list string)) "backward ok" [ "bar"; "foo" ] labels;
       check_int "consumed" 6 used
@@ -258,9 +258,26 @@ let prop_name_roundtrip =
   QCheck.Test.make ~name:"name encode/decode round-trip" ~count:500
     (QCheck.make name_gen) (fun labels ->
       let wire = header12 ^ Name.encode labels in
-      match Name.decode wire 12 with
+      match Wire.name_labels wire 12 with
       | Ok (d, used) -> d = labels && used = String.length (Name.encode labels)
       | Error _ -> false)
+
+(* Bytes biased towards short label lengths and compression pointers, so
+   a random string walks a few labels and jumps before it ends or fails. *)
+let walker_bytes_gen =
+  QCheck.Gen.(
+    string_size
+      ~gen:(frequency [ (3, map Char.chr (int_range 0 5)); (1, return '\xc0'); (2, char) ])
+      (int_range 0 48))
+
+let prop_walkers_agree =
+  QCheck.Test.make ~name:"name_labels = Legacy.name_decode at every offset"
+    ~count:1000 ~long_factor:50
+    (QCheck.make ~print:(Printf.sprintf "%S") walker_bytes_gen)
+    (fun msg ->
+      List.for_all
+        (fun off -> Wire.name_labels msg off = Legacy.name_decode msg off)
+        (List.init (String.length msg + 1) Fun.id))
 
 (* --- codec differential ---------------------------------------------- *)
 
@@ -326,6 +343,7 @@ let () =
           qt prop_roundtrip_uncompressed;
           qt prop_encoders_agree;
           qt prop_name_roundtrip;
+          qt prop_walkers_agree;
         ] );
       ( "differential",
         [
