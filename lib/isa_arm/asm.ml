@@ -1,3 +1,5 @@
+module A = Machine.Asm
+
 type item =
   | Label of string
   | I of Insn.t
@@ -11,80 +13,31 @@ type item =
 
 type program = item list
 
-type result = { base : int; code : string; symbols : (string * int) list }
+type result = A.result = { base : int; code : string; symbols : (string * int) list }
 
-let item_size pos = function
-  | Label _ -> 0
-  | I _ | Bl_sym _ | B_sym _ | Ldr_sym _ | Word _ | Word_sym _ -> 4
-  | Bytes s -> String.length s
-  | Align n ->
-      if n <= 0 || n land (n - 1) <> 0 then
-        failwith "Asm.Align: alignment must be a positive power of two";
-      (n - (pos land (n - 1))) land (n - 1)
+(* A pc-relative reference: one instruction word whose offset counts from
+   pc, which reads 8 bytes past the instruction. *)
+let rel sym insn = A.Ref { size = 4; sym; emit = (fun here t -> Encode.encode (insn (t - (here + 8)))) }
 
-let assemble ?(extern = []) ~base program =
-  if base land 3 <> 0 then failwith "Asm: base must be 4-byte aligned";
-  let symbols = Hashtbl.create 16 in
-  List.iter (fun (name, addr) -> Hashtbl.replace symbols name addr) extern;
-  let define name addr =
-    if Hashtbl.mem symbols name then failwith ("Asm: duplicate symbol " ^ name);
-    Hashtbl.replace symbols name addr
-  in
-  ignore
-    (List.fold_left
-       (fun pos item ->
-         (match item with Label name -> define name (base + pos) | _ -> ());
-         pos + item_size pos item)
-       0 program);
-  let resolve name =
-    match Hashtbl.find_opt symbols name with
-    | Some a -> a
-    | None -> failwith ("Asm: undefined symbol " ^ name)
-  in
-  let buf = Buffer.create 256 in
-  let emit_insn i = Buffer.add_string buf (Encode.encode i) in
-  let emit_word v =
-    Buffer.add_char buf (Char.chr (v land 0xFF));
-    Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-    Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-    Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF))
-  in
-  List.iter
-    (fun item ->
-      let here = base + Buffer.length buf in
-      match item with
-      | Label _ -> ()
-      | I i -> emit_insn i
-      | Bl_sym name ->
-          emit_insn { Insn.cond = Insn.AL; op = Insn.Bl (resolve name - (here + 8)) }
-      | B_sym (cond, name) ->
-          emit_insn { Insn.cond; op = Insn.B (resolve name - (here + 8)) }
-      | Ldr_sym (rd, name) ->
-          let off = resolve name - (here + 8) in
+let piece = function
+  | Label name -> A.Label name
+  | I i -> A.Bytes (Encode.encode i)
+  | Bl_sym sym -> rel sym (fun off -> { Insn.cond = Insn.AL; op = Insn.Bl off })
+  | B_sym (cond, sym) -> rel sym (fun off -> { Insn.cond; op = Insn.B off })
+  | Ldr_sym (rd, sym) ->
+      rel sym (fun off ->
           if abs off > 0xFFF then
             failwith
-              (Printf.sprintf "Asm: literal %s out of ldr range (%d bytes)" name
-                 off);
-          emit_insn { Insn.cond = Insn.AL; op = Insn.Ldr (rd, Insn.PC, off) }
-      | Bytes s -> Buffer.add_string buf s
-      | Word v -> emit_word v
-      | Word_sym name -> emit_word (resolve name)
-      | Align n ->
-          let pos = Buffer.length buf in
-          let pad = (n - (pos land (n - 1))) land (n - 1) in
-          for _ = 1 to pad do
-            Buffer.add_char buf '\x00'
-          done)
-    program;
-  let defined =
-    Hashtbl.fold
-      (fun name addr acc ->
-        if List.mem_assoc name extern then acc else (name, addr) :: acc)
-      symbols []
-  in
-  { base; code = Buffer.contents buf; symbols = List.sort compare defined }
+              (Printf.sprintf "Asm: literal %s out of ldr range (%d bytes)" sym off);
+          { Insn.cond = Insn.AL; op = Insn.Ldr (rd, Insn.PC, off) })
+  | Bytes s -> A.Bytes s
+  | Word v -> A.Bytes (A.le32 v)
+  | Word_sym sym -> A.Ref { size = 4; sym; emit = (fun _ t -> A.le32 t) }
+  | Align n -> A.Align (n, '\x00')
 
-let symbol result name = List.assoc name result.symbols
+let layout program = A.layout ~base_align:4 (List.map piece program)
+let assemble ?extern ~base program = A.link ?extern ~base (layout program)
+let symbol = A.symbol
 
 let disassemble mem ~base ~len =
   let rec go addr acc =

@@ -1,4 +1,7 @@
-(** Two-pass ARM A32 assembler with symbolic labels and literal pools.
+(** ARM A32 assembler with symbolic labels and literal pools over
+    {!Machine.Asm}, the core both ISAs share: an instruction is encoded
+    once, at layout; a branch, literal load or [Word_sym] is a 4-byte hole
+    filled at link, at a 4-byte-aligned base.
 
     Large constants (absolute addresses) are materialised the way real ARM
     compilers do it: a pc-relative [ldr] from a nearby literal pool word
@@ -15,15 +18,20 @@ type item =
   | Bytes of string
   | Word of int
   | Word_sym of string
-  | Align of int
+  | Align of int  (** pad with zero bytes to the given power-of-two multiple *)
 
 type program = item list
 
-type result = { base : int; code : string; symbols : (string * int) list }
+type result = Machine.Asm.result = { base : int; code : string; symbols : (string * int) list }
+
+val layout : program -> Machine.Asm.layout
+(** For {!Machine.Asm.link}.  Raises [Failure] on a duplicate label or a
+    bad alignment. *)
 
 val assemble : ?extern:(string * int) list -> base:int -> program -> result
-(** [base] must be 4-byte aligned.  Raises [Failure] on undefined/duplicate
-    symbols or out-of-range pc-relative loads. *)
+(** [layout] then link.  [base] must be 4-byte aligned.  Raises
+    [Failure] on undefined/duplicate symbols or out-of-range pc-relative
+    loads. *)
 
 val symbol : result -> string -> int
 

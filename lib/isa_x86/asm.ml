@@ -1,3 +1,5 @@
+module A = Machine.Asm
+
 type item =
   | Label of string
   | I of Insn.t
@@ -13,86 +15,31 @@ type item =
 
 type program = item list
 
-type result = { base : int; code : string; symbols : (string * int) list }
+type result = A.result = { base : int; code : string; symbols : (string * int) list }
 
-(* Symbol-referencing items assemble to fixed-size encodings so sizes can be
-   computed before resolution (the classic two-pass scheme). *)
-let item_size = function
-  | Label _ -> fun _pos -> 0
-  | I i -> fun _pos -> Encode.length i
-  | Call _ | Jmp _ -> fun _pos -> 5
-  | Jcc _ -> fun _pos -> 6
-  | Push_sym _ -> fun _pos -> 5
-  | Mov_ri_sym _ -> fun _pos -> 5
-  | Bytes s -> fun _pos -> String.length s
-  | Word _ | Word_sym _ -> fun _pos -> 4
-  | Align n ->
-      fun pos ->
-        if n <= 0 || n land (n - 1) <> 0 then
-          failwith "Asm.Align: alignment must be a positive power of two";
-        (n - (pos land (n - 1))) land (n - 1)
+(* A pc-relative reference counts from the end of the instruction; an
+   absolute one is a 5-byte opcode + imm32. *)
+let rel sym size insn =
+  A.Ref { size; sym; emit = (fun here t -> Encode.encode (insn (Memsim.Word.sub t (here + size)))) }
 
-let assemble ?(extern = []) ~base program =
-  (* Pass 1: lay out sizes and collect symbol addresses. *)
-  let symbols = Hashtbl.create 16 in
-  List.iter (fun (name, addr) -> Hashtbl.replace symbols name addr) extern;
-  let define name addr =
-    if Hashtbl.mem symbols name then failwith ("Asm: duplicate symbol " ^ name);
-    Hashtbl.replace symbols name addr
-  in
-  let end_pos =
-    List.fold_left
-      (fun pos item ->
-        (match item with Label name -> define name (base + pos) | _ -> ());
-        pos + item_size item pos)
-      0 program
-  in
-  ignore end_pos;
-  let resolve name =
-    match Hashtbl.find_opt symbols name with
-    | Some a -> a
-    | None -> failwith ("Asm: undefined symbol " ^ name)
-  in
-  (* Pass 2: emit. *)
-  let buf = Buffer.create 256 in
-  let emit_insn i = Buffer.add_string buf (Encode.encode i) in
-  let emit_word v =
-    Buffer.add_char buf (Char.chr (v land 0xFF));
-    Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-    Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-    Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF))
-  in
-  List.iter
-    (fun item ->
-      let pos = Buffer.length buf in
-      let here = base + pos in
-      match item with
-      | Label _ -> ()
-      | I i -> emit_insn i
-      | Call name -> emit_insn (Insn.Call_rel (Memsim.Word.sub (resolve name) (here + 5)))
-      | Jmp name -> emit_insn (Insn.Jmp_rel (Memsim.Word.sub (resolve name) (here + 5)))
-      | Jcc (c, name) ->
-          emit_insn (Insn.Jcc (c, Memsim.Word.sub (resolve name) (here + 6)))
-      | Push_sym name -> emit_insn (Insn.Push_i (resolve name))
-      | Mov_ri_sym (r, name) -> emit_insn (Insn.Mov_ri (r, resolve name))
-      | Bytes s -> Buffer.add_string buf s
-      | Word v -> emit_word v
-      | Word_sym name -> emit_word (resolve name)
-      | Align n ->
-          let pad = (n - (pos land (n - 1))) land (n - 1) in
-          for _ = 1 to pad do
-            Buffer.add_char buf '\x90'
-          done)
-    program;
-  let defined =
-    Hashtbl.fold
-      (fun name addr acc ->
-        if List.mem_assoc name extern then acc else (name, addr) :: acc)
-      symbols []
-  in
-  { base; code = Buffer.contents buf; symbols = List.sort compare defined }
+let absolute sym insn = A.Ref { size = 5; sym; emit = (fun _ t -> Encode.encode (insn t)) }
 
-let symbol result name = List.assoc name result.symbols
+let piece = function
+  | Label name -> A.Label name
+  | I i -> A.Bytes (Encode.encode i)
+  | Call sym -> rel sym 5 (fun d -> Insn.Call_rel d)
+  | Jmp sym -> rel sym 5 (fun d -> Insn.Jmp_rel d)
+  | Jcc (c, sym) -> rel sym 6 (fun d -> Insn.Jcc (c, d))
+  | Push_sym sym -> absolute sym (fun a -> Insn.Push_i a)
+  | Mov_ri_sym (r, sym) -> absolute sym (fun a -> Insn.Mov_ri (r, a))
+  | Bytes s -> A.Bytes s
+  | Word v -> A.Bytes (A.le32 v)
+  | Word_sym sym -> A.Ref { size = 4; sym; emit = (fun _ t -> A.le32 t) }
+  | Align n -> A.Align (n, '\x90')
+
+let layout program = A.layout (List.map piece program)
+let assemble ?extern ~base program = A.link ?extern ~base (layout program)
+let symbol = A.symbol
 
 let disassemble mem ~base ~len =
   let rec go addr acc =

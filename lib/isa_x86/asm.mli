@@ -1,14 +1,15 @@
-(** Two-pass x86-32 assembler with symbolic labels.
+(** x86-32 assembler with symbolic labels over {!Machine.Asm}, the core
+    both ISAs share: an instruction is encoded once, at layout; a
+    symbol-referencing item is a fixed-size rel32/imm32 hole filled at link.
 
     The Connman DNS-proxy program and the simulated libc are written as
-    [item] lists and assembled to real IA-32 bytes at a chosen base address.
-    External symbols (e.g. PLT entries synthesised by the loader) are passed
-    in via [~extern]. *)
+    [item] lists.  External symbols (e.g. PLT entries synthesised by the
+    loader) are passed in via [~extern]. *)
 
 type item =
   | Label of string  (** define a symbol at the current position *)
   | I of Insn.t  (** a concrete instruction *)
-  | Call of string  (** [call label] (rel32 resolved at assembly) *)
+  | Call of string  (** [call label] (rel32 resolved at link) *)
   | Jmp of string  (** [jmp label] *)
   | Jcc of Insn.cond * string  (** conditional jump to label *)
   | Push_sym of string  (** [push imm32] of a symbol's address *)
@@ -20,10 +21,15 @@ type item =
 
 type program = item list
 
-type result = { base : int; code : string; symbols : (string * int) list }
+type result = Machine.Asm.result = { base : int; code : string; symbols : (string * int) list }
+
+val layout : program -> Machine.Asm.layout
+(** For {!Machine.Asm.link}.  Raises [Failure] on a duplicate label or a
+    bad alignment. *)
 
 val assemble : ?extern:(string * int) list -> base:int -> program -> result
-(** Raises [Failure] on undefined or duplicate symbols. *)
+(** [layout] then link.  Raises [Failure] on undefined or duplicate
+    symbols. *)
 
 val symbol : result -> string -> int
 (** Address of a defined symbol.  Raises [Not_found]. *)

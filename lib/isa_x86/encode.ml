@@ -151,5 +151,3 @@ let encode insn =
       u8 b i
   | Hlt -> u8 b 0xF4);
   Buffer.contents b
-
-let length insn = String.length (encode insn)

@@ -8,5 +8,3 @@ val encode : Insn.t -> string
 (** Encode one instruction.  Raises [Invalid_argument] for operand
     combinations outside the subset (e.g. memory-to-memory moves). *)
 
-val length : Insn.t -> int
-(** [String.length (encode i)] without building the string. *)

@@ -120,4 +120,6 @@ let program : Asm.program =
     Asm.Bytes "/dev/null\x00";
   ]
 
-let build ~base = Asm.assemble ~base program
+(* The program never changes: laid out once, linked at each boot's base. *)
+let image = lazy (Asm.layout program)
+let build ~base = Machine.Asm.link ~base (Lazy.force image)

@@ -5,5 +5,6 @@
     randomized when on (forcing §III-C2's .bss-construction detour). *)
 
 val build : base:int -> Isa_arm.Asm.result
+(** The image, laid out once, linked at [base]. *)
 
 val exported : string list

@@ -1,6 +1,6 @@
 (** Simulated x86-32 libc image.
 
-    Assembled at an arbitrary base (the loader randomizes the base under
+    Laid out once, linked at any base (the loader randomizes the base under
     ASLR, exactly the property the §III-B1 ret2libc attack depends on when
     off and the §III-C1 ROP attack routes around when on).
 
@@ -12,6 +12,7 @@
       reference, and ["str_sh"]. *)
 
 val build : base:int -> Isa_x86.Asm.result
+(** The image, laid out once, linked at [base]. *)
 
 val exported : string list
 (** Functions a main image may import through its PLT. *)

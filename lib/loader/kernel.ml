@@ -17,7 +17,7 @@ let read_argv mem ptr =
     in
     go 0 []
 
-let dispatch ?(no_exec = false) mem ~number ~arg0 ~arg1 ~varargs_style =
+let dispatch ~no_exec mem ~number ~arg0 ~arg1 ~varargs_style =
   match number with
   | _ when no_exec && (number = Sys.execve || number = Sys.exec_varargs) ->
       (* seccomp-style policy: exec is filtered; the violating process is
@@ -45,28 +45,24 @@ let dispatch ?(no_exec = false) mem ~number ~arg0 ~arg1 ~varargs_style =
    kernel space: the process dies with the fault. *)
 let guard f = try f () with Mem.Fault fault -> O.Stop (O.Fault fault)
 
-let x86_policy ?no_exec () vector cpu =
+let x86 ~no_exec vector cpu =
   let open Isa_x86 in
   if vector <> 0x80 then O.Stop (O.Aborted (Printf.sprintf "int 0x%x" vector))
   else
     guard (fun () ->
-        dispatch ?no_exec cpu.Cpu.mem
+        dispatch ~no_exec cpu.Cpu.mem
           ~number:(Cpu.get cpu Insn.EAX)
           ~arg0:(Cpu.get cpu Insn.EBX)
           ~arg1:(Cpu.get cpu Insn.ECX)
           ~varargs_style:`Array)
 
-let x86 vector cpu = x86_policy () vector cpu
-
-let arm_policy ?no_exec () svc_imm cpu =
+let arm ~no_exec svc_imm cpu =
   let open Isa_arm in
   if svc_imm <> 0 then O.Stop (O.Aborted (Printf.sprintf "svc 0x%x" svc_imm))
   else
     guard (fun () ->
-        dispatch ?no_exec cpu.Cpu.mem
+        dispatch ~no_exec cpu.Cpu.mem
           ~number:(Cpu.get cpu Insn.R7)
           ~arg0:(Cpu.get cpu Insn.R0)
           ~arg1:(Cpu.get cpu Insn.R1)
           ~varargs_style:`Single)
-
-let arm svc_imm cpu = arm_policy () svc_imm cpu

@@ -5,14 +5,11 @@
     success criterion (Connman runs as root, so no privilege boundary is
     crossed). *)
 
-val x86 : Isa_x86.Cpu.kernel
-(** Linux i386 convention: [int 0x80], number in eax, args in ebx/ecx/edx. *)
-
-val arm : Isa_arm.Cpu.kernel
-(** ARM EABI convention: [svc 0], number in r7, args in r0–r2. *)
-
-val x86_policy : ?no_exec:bool -> unit -> Isa_x86.Cpu.kernel
-(** [no_exec] applies a seccomp-style filter: [exec]-family syscalls kill
+val x86 : no_exec:bool -> Isa_x86.Cpu.kernel
+(** Linux i386 convention: [int 0x80], number in eax, args in ebx/ecx/edx.
+    [no_exec] applies a seccomp-style filter: [exec]-family syscalls kill
     the process ([Aborted "seccomp: exec denied"]). *)
 
-val arm_policy : ?no_exec:bool -> unit -> Isa_arm.Cpu.kernel
+val arm : no_exec:bool -> Isa_arm.Cpu.kernel
+(** ARM EABI convention: [svc 0], number in r7, args in r0–r2; [no_exec]
+    as for {!x86}. *)

@@ -26,7 +26,7 @@ let text_base_of = function Arch.X86 -> 0x0804_8000 | Arch.Arm -> 0x0001_0000
 let libc_base_static = function Arch.X86 -> 0xB750_0000 | Arch.Arm -> 0x76F0_0000
 let stack_top_static = function Arch.X86 -> 0xBFFF_E000 | Arch.Arm -> 0x7EFF_E000
 
-let compute ~arch ~profile ~rng ?(text_size = 0x8000) ?(bss_size = 0x2000) () =
+let compute ~arch ~profile ~rng ~text_size ~bss_size =
   let open Defense.Profile in
   let text_base = text_base_of arch in
   let text_size = round_up text_size in

@@ -35,13 +35,13 @@ val compute :
   arch:Arch.t ->
   profile:Defense.Profile.t ->
   rng:Memsim.Rng.t ->
-  ?text_size:int ->
-  ?bss_size:int ->
-  unit ->
+  text_size:int ->
+  bss_size:int ->
   t
-(** Under ASLR, the libc base and the stack position are drawn from [rng]
-    with [profile.aslr_entropy_bits] pages of entropy; otherwise they are
-    the fixed conventional values (what {!libc_base_static} reports). *)
+(** [text_size] and [bss_size] are rounded up to whole pages.  Under
+    ASLR, the libc base and the stack position are drawn from [rng] with
+    [profile.aslr_entropy_bits] pages of entropy; otherwise they are the
+    fixed conventional values (what {!libc_base_static} reports). *)
 
 val text_base_of : Arch.t -> int
 (** Fixed (non-PIE) main-image base: 0x08048000 on x86, 0x00010000 on ARM. *)

@@ -4,55 +4,27 @@ type t = {
   symbols : (string * int) list;
 }
 
-let synthesize_x86 ~plt_base ~got_base ~imports =
-  let buf = Buffer.create 64 in
-  let stub_size = 6 in
-  let entries =
-    List.mapi
-      (fun i (name, libc_addr) ->
-        let stub = plt_base + (i * stub_size) in
-        let slot = got_base + (i * 4) in
-        Buffer.add_string buf
-          (Isa_x86.Encode.encode
-             (Isa_x86.Insn.Jmp_rm (Isa_x86.Insn.Mem { base = None; disp = slot })));
-        ((name ^ "@plt", stub), (slot, libc_addr)))
-      imports
-  in
-  {
-    code = Buffer.contents buf;
-    got = List.map snd entries;
-    symbols = List.map fst entries;
-  }
-
-let synthesize_arm ~plt_base ~got_base ~imports =
-  let open Isa_arm in
-  let buf = Buffer.create 64 in
-  let stub_size = 16 in
-  let entries =
-    List.mapi
-      (fun i (name, libc_addr) ->
-        let stub = plt_base + (i * stub_size) in
-        let slot = got_base + (i * 4) in
-        (* ldr ip, [pc, #4] targets the literal at stub+12 (pc reads
-           stub+8). *)
-        Buffer.add_string buf (Encode.encode (Insn.al (Insn.Ldr (Insn.R12, Insn.PC, 4))));
-        Buffer.add_string buf (Encode.encode (Insn.al (Insn.Ldr (Insn.R12, Insn.R12, 0))));
-        Buffer.add_string buf (Encode.encode (Insn.al (Insn.Bx Insn.R12)));
-        Buffer.add_char buf (Char.chr (slot land 0xFF));
-        Buffer.add_char buf (Char.chr ((slot lsr 8) land 0xFF));
-        Buffer.add_char buf (Char.chr ((slot lsr 16) land 0xFF));
-        Buffer.add_char buf (Char.chr ((slot lsr 24) land 0xFF));
-        ((name ^ "@plt", stub), (slot, libc_addr)))
-      imports
-  in
-  ignore stub_size;
-  {
-    code = Buffer.contents buf;
-    got = List.map snd entries;
-    symbols = List.map fst entries;
-  }
-
 let synthesize ~arch ~plt_base ~got_base ~imports =
-  match arch with
-  | Arch.X86 -> synthesize_x86 ~plt_base ~got_base ~imports
-  | Arch.Arm -> synthesize_arm ~plt_base ~got_base ~imports
+  let stubs = List.mapi (fun i (name, _) -> (name ^ "@plt", got_base + (i * 4))) imports in
+  let each stub = List.concat_map (fun (label, slot) -> stub label slot) stubs in
+  let image =
+    match arch with
+    | Arch.X86 ->
+        let open Isa_x86 in
+        Asm.assemble ~base:plt_base
+          (each (fun label slot ->
+               Asm.[ Label label; I (Insn.Jmp_rm (Insn.Mem { base = None; disp = slot })) ]))
+    | Arch.Arm ->
+        (* [ldr ip, [pc, #4]] reads the literal at stub+12 (pc reads stub+8). *)
+        let open Isa_arm in
+        let open Insn in
+        Asm.assemble ~base:plt_base
+          (each (fun label slot ->
+               Asm.[ Label label; I (al (Ldr (R12, PC, 4))); I (al (Ldr (R12, R12, 0)));
+                     I (al (Bx R12)); Word slot ]))
+  in
+  {
+    code = image.Machine.Asm.code;
+    got = List.map2 (fun (_, slot) (_, libc_addr) -> (slot, libc_addr)) stubs imports;
+    symbols = List.map (fun (label, _) -> (label, Machine.Asm.symbol image label)) stubs;
+  }

@@ -54,19 +54,11 @@ let trap_addr = 0xFFFF_0000
 
 let arch_of_code = function X86_code _ -> Arch.X86 | Arm_code _ -> Arch.Arm
 
-(* Extern names a program may reference before their values are known:
-   PLT stubs and the loader-provided specials. *)
-let extern_names spec =
-  List.map (fun f -> f ^ "@plt") spec.imports @ [ "__bss_start"; "__canary" ]
-
-let assemble_main spec ~extern ~base =
+(* Laid out once per boot: the size fixes the text region. *)
+let layout_main spec =
   match spec.code with
-  | X86_code program ->
-      let r = Isa_x86.Asm.assemble ~extern ~base program in
-      (r.Isa_x86.Asm.code, r.Isa_x86.Asm.symbols)
-  | Arm_code program ->
-      let r = Isa_arm.Asm.assemble ~extern ~base program in
-      (r.Isa_arm.Asm.code, r.Isa_arm.Asm.symbols)
+  | X86_code program -> Isa_x86.Asm.layout program
+  | Arm_code program -> Isa_arm.Asm.layout program
 
 let round_up v = (v + Mem.page_size - 1) land lnot (Mem.page_size - 1)
 
@@ -77,24 +69,17 @@ let env_strings = "SHELL=/bin/sh\x00PATH=/usr/sbin:/usr/bin:/sbin:/bin\x00HOME=/
 let boot spec ~profile ~seed =
   let arch = arch_of_code spec.code in
   let rng = Memsim.Rng.create seed in
-  (* Sizing pass: symbol-referencing pseudo-items have fixed sizes, so a
-     dummy-extern assembly yields the true text size. *)
-  let dummy_extern = List.map (fun n -> (n, 0)) (extern_names spec) in
-  let code0, _ = assemble_main spec ~extern:dummy_extern ~base:(Layout.text_base_of arch) in
-  let text_size = round_up (String.length code0) in
+  let main = layout_main spec in
   let layout =
-    Layout.compute ~arch ~profile ~rng ~text_size ~bss_size:spec.bss_size ()
+    Layout.compute ~arch ~profile ~rng ~text_size:(Machine.Asm.size main)
+      ~bss_size:spec.bss_size
   in
-  (* libc *)
-  let libc_syms, libc_code =
+  let libc =
     match arch with
-    | Arch.X86 ->
-        let r = Libc_sim.Libc_x86.build ~base:layout.Layout.libc_base in
-        (r.Isa_x86.Asm.symbols, r.Isa_x86.Asm.code)
-    | Arch.Arm ->
-        let r = Libc_sim.Libc_arm.build ~base:layout.Layout.libc_base in
-        (r.Isa_arm.Asm.symbols, r.Isa_arm.Asm.code)
+    | Arch.X86 -> Libc_sim.Libc_x86.build ~base:layout.Layout.libc_base
+    | Arch.Arm -> Libc_sim.Libc_arm.build ~base:layout.Layout.libc_base
   in
+  let libc_syms = libc.Machine.Asm.symbols in
   let import_addrs =
     List.map
       (fun f ->
@@ -113,13 +98,12 @@ let boot spec ~profile ~seed =
         ("__bss_start", layout.Layout.bss_base); ("__canary", layout.Layout.tls_base);
       ]
   in
-  let main_code, main_syms = assemble_main spec ~extern ~base:layout.Layout.text_base in
-  assert (round_up (String.length main_code) = text_size);
+  let image = Machine.Asm.link ~extern ~base:layout.Layout.text_base main in
   (* Map the address space. *)
   let mem = Mem.create () in
   let l = layout in
-  Mem.map mem ~base:l.Layout.text_base ~size:text_size ~perm:Mem.rx ~name:".text";
-  Mem.poke_bytes mem l.Layout.text_base main_code;
+  Mem.map mem ~base:l.Layout.text_base ~size:l.Layout.text_size ~perm:Mem.rx ~name:".text";
+  Mem.poke_bytes mem l.Layout.text_base image.Machine.Asm.code;
   Mem.map mem ~base:l.Layout.plt_base ~size:l.Layout.plt_size ~perm:Mem.rx
     ~name:".plt";
   Mem.poke_bytes mem l.Layout.plt_base plt.Plt.code;
@@ -141,11 +125,11 @@ let boot spec ~profile ~seed =
     ~name:"env";
   Mem.write_bytes mem l.Layout.stack_top env_strings;
   Mem.map mem ~base:l.Layout.libc_base
-    ~size:(round_up (String.length libc_code))
+    ~size:(round_up (String.length libc.Machine.Asm.code))
     ~perm:Mem.rx ~name:"libc";
-  Mem.poke_bytes mem l.Layout.libc_base libc_code;
+  Mem.poke_bytes mem l.Layout.libc_base libc.Machine.Asm.code;
   let symbols =
-    main_syms @ plt.Plt.symbols @ libc_syms
+    image.Machine.Asm.symbols @ plt.Plt.symbols @ libc_syms
     @ [
         ("__bss_start", l.Layout.bss_base);
         ("__canary", l.Layout.tls_base);
@@ -171,7 +155,7 @@ let symbol_opt t name = List.assoc_opt name t.symbols
    per-boot diversification primitive.  The text region was page-rounded
    at boot, so a variant of the same program (shuffled layout, padding,
    equivalent-instruction rewrites) usually still fits in the mapped
-   slack; when it does, reimaging costs one assembly plus one text
+   slack; when it does, reimaging costs one layout, one link and one text
    write — no libc/PLT/stack rebuild, so it composes with copy-on-write
    forks for µs-scale diversified spawning.  Extern bindings (PLT stubs,
    [__bss_start], [__canary]) are recovered from the symbol table, so
@@ -197,15 +181,16 @@ let reimage t spec' =
     spec'.imports;
   let text_base = t.layout.Layout.text_base in
   let text_size = t.layout.Layout.text_size in
-  let code, main_syms = assemble_main spec' ~extern ~base:text_base in
-  if String.length code > text_size then None
+  let main = layout_main spec' in
+  if Machine.Asm.size main > text_size then None
   else begin
+    let image = Machine.Asm.link ~extern ~base:text_base main in
     (* Zero the whole region first so no gadget bytes from the previous
        image survive in the slack past the new code. *)
     Mem.poke_bytes t.mem text_base (String.make text_size '\000');
-    Mem.poke_bytes t.mem text_base code;
+    Mem.poke_bytes t.mem text_base image.Machine.Asm.code;
     let outside (_, a) = a < text_base || a >= text_base + text_size in
-    let symbols = main_syms @ List.filter outside t.symbols in
+    let symbols = image.Machine.Asm.symbols @ List.filter outside t.symbols in
     Some
       {
         t with
@@ -296,7 +281,7 @@ let call ?(fuel = 2_000_000) ?(icache = true) ?on_step ?sanitizer ?trace
       C.push cpu t.trap;
       cpu.C.eip <- entry;
       let outcome =
-        C.run ~fuel ~traps:[ t.trap ] ~kernel:(Kernel.x86_policy ~no_exec ())
+        C.run ~fuel ~traps:[ t.trap ] ~kernel:(Kernel.x86 ~no_exec)
           ~hooks:(hooks C.isa ~taint:C.taint cpu)
           cpu
       in
@@ -314,7 +299,7 @@ let call ?(fuel = 2_000_000) ?(icache = true) ?on_step ?sanitizer ?trace
       C.set cpu Isa_arm.Insn.LR t.trap;
       C.set_pc cpu entry;
       let outcome =
-        C.run ~fuel ~traps:[ t.trap ] ~kernel:(Kernel.arm_policy ~no_exec ())
+        C.run ~fuel ~traps:[ t.trap ] ~kernel:(Kernel.arm ~no_exec)
           ~hooks:(hooks C.isa ~taint:C.taint cpu)
           cpu
       in

@@ -1,9 +1,10 @@
 (** Boot a program into a simulated process and call its functions.
 
     [boot] performs what execve + ld.so do on the paper's targets: lays
-    out the address space ({!Layout}), assembles and maps the simulated
-    libc, synthesizes PLT/GOT stubs for the program's imports, assembles
-    the main image at its fixed base, applies the protection profile
+    the main image out once ({!Machine.Asm}; its size fixes the text
+    region), lays out the address space ({!Layout}), links and maps the
+    simulated libc, synthesizes PLT/GOT stubs for the program's imports,
+    links the main image at its fixed base, applies the protection profile
     (stack executable iff W⊕X is off; libc/stack bases randomized iff
     ASLR is on; canary cookie written iff canaries are on), and exposes a
     symbol table playing the role of the attacker's offline [gdb] /
@@ -69,7 +70,7 @@ val reimage : t -> spec -> t option
     the symbol table so the variant links against the already-mapped
     world, and main-image symbols are replaced by the variant's.
     Returns [None] when the variant's text does not fit (callers fall
-    back to a full {!boot}).  Cheap — one assembly plus one text
+    back to a full {!boot}).  Cheap — one layout, one link and one text
     write — so it composes with {!fork} for µs-scale diversified
     spawning.  The variant gets an empty icache of its own: its text is
     unique, so the family's entries could never serve it.  Raises if the

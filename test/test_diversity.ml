@@ -519,6 +519,119 @@ let test_fleet_cohort () =
     [ "diversity_frac"; "diversified_devices"; "div_compromised_devices";
       "stock_compromised_devices" ]
 
+
+(* {1 Image pinning}
+
+   Every byte the assemblers and the loader produce, folded into one MD5:
+   connmand (both versions x three profiles x both ISAs, stock and at
+   diversity seeds 1-1000, each reimaged into the stock process or booted
+   when it does not fit), dnsmasq-sim and tcpsvc-sim (patched and
+   unpatched), and libc and the PLT at three bases.  A booted image
+   contributes its text, PLT and GOT bytes and its whole symbol table, in
+   order.  The expected value was computed before the assemblers shared
+   one core: an assembler or loader refactor must leave it unchanged,
+   while a change to a program's code moves it by design (recompute it
+   then, at the commit that makes the change). *)
+
+let image_digest () =
+  let acc = Buffer.create (1 lsl 16) in
+  let add parts = Buffer.add_string acc (Digest.string (String.concat "" parts)) in
+  let syms l =
+    String.concat ";" (List.map (fun (n, a) -> Printf.sprintf "%s=%x" n a) l)
+  in
+  let region p base size = Memsim.Memory.peek_bytes p.Loader.Process.mem base size in
+  let add_process p =
+    let l = p.Loader.Process.layout in
+    add
+      [
+        region p l.Loader.Layout.text_base l.Loader.Layout.text_size;
+        region p l.Loader.Layout.plt_base l.Loader.Layout.plt_size;
+        region p l.Loader.Layout.got_base l.Loader.Layout.got_size;
+        syms p.Loader.Process.symbols;
+      ]
+  in
+  let boot spec profile = Loader.Process.boot spec ~profile ~seed:1 in
+  let wx = Defense.Profile.wx in
+  let profiles =
+    [ wx; Defense.Profile.with_canary wx; Defense.Profile.with_mitigations wx ]
+  in
+  List.iter
+    (fun arch ->
+      let connman version profile ?diversity_seed () =
+        match arch with
+        | Loader.Arch.X86 ->
+            Connman.Program_x86.spec ~version ~profile ?diversity_seed ()
+        | Loader.Arch.Arm ->
+            Connman.Program_arm.spec ~version ~profile ?diversity_seed ()
+      in
+      List.iter
+        (fun version ->
+          List.iter
+            (fun profile ->
+              let stock = boot (connman version profile ()) profile in
+              add_process stock;
+              let l = stock.Loader.Process.layout in
+              for seed = 1 to 1000 do
+                let spec = connman version profile ~diversity_seed:seed () in
+                match Loader.Process.reimage stock spec with
+                | Some p ->
+                    add
+                      [
+                        region p l.Loader.Layout.text_base l.Loader.Layout.text_size;
+                        syms p.Loader.Process.symbols;
+                      ]
+                | None -> add_process (boot spec profile)
+              done)
+            profiles)
+        [ Connman.Version.v1_34; Connman.Version.v1_35 ];
+      List.iter
+        (fun patched ->
+          List.iter
+            (fun profile ->
+              let dnsmasq, tcpsvc =
+                match arch with
+                | Loader.Arch.X86 ->
+                    ( Dnsmasq.Program_x86.spec ~patched ~profile,
+                      Tcpsvc.Program_x86.spec ~patched ~profile )
+                | Loader.Arch.Arm ->
+                    ( Dnsmasq.Program_arm.spec ~patched ~profile,
+                      Tcpsvc.Program_arm.spec ~patched ~profile )
+              in
+              add_process (boot dnsmasq profile);
+              add_process (boot tcpsvc profile))
+            profiles)
+        [ false; true ];
+      List.iter
+        (fun shift ->
+          let base = Loader.Layout.libc_base_static arch - shift in
+          let code, symbols, exported =
+            match arch with
+            | Loader.Arch.X86 ->
+                let r = Libc_sim.Libc_x86.build ~base in
+                (r.Isa_x86.Asm.code, r.Isa_x86.Asm.symbols, Libc_sim.Libc_x86.exported)
+            | Loader.Arch.Arm ->
+                let r = Libc_sim.Libc_arm.build ~base in
+                (r.Isa_arm.Asm.code, r.Isa_arm.Asm.symbols, Libc_sim.Libc_arm.exported)
+          in
+          add [ code; syms symbols ];
+          let plt_base = Loader.Layout.text_base_of arch + 0x4000 + shift in
+          let plt =
+            Loader.Plt.synthesize ~arch ~plt_base ~got_base:(plt_base + 0x1000)
+              ~imports:(List.map (fun f -> (f, List.assoc f symbols)) exported)
+          in
+          add
+            [
+              plt.Loader.Plt.code;
+              syms plt.Loader.Plt.symbols;
+              syms (List.map (fun (slot, a) -> (string_of_int slot, a)) plt.Loader.Plt.got);
+            ])
+        [ 0; 0x123000; 0xFFF000 ])
+    both_isas;
+  Digest.to_hex (Digest.string (Buffer.contents acc))
+
+let test_image_digest () =
+  check_string "every image's bytes" "c766e7792d95fb316fce1d61d5fba671" (image_digest ())
+
 let () =
   Alcotest.run "diversity"
     [
@@ -526,6 +639,7 @@ let () =
         [
           Alcotest.test_case "pool seed derivation" `Quick test_pool_seeds;
           Alcotest.test_case "plan determinism" `Quick test_plan_determinism;
+          Alcotest.test_case "image digest" `Quick test_image_digest;
         ] );
       ( "differential regression",
         [
