@@ -38,13 +38,16 @@ include Forwarder.Make (struct
   let id_base = 0x1000
 
   let spec c =
-    match c.arch with
-    | Loader.Arch.X86 ->
-        Program_x86.spec ~version:c.version ~profile:c.profile
-          ?diversity_seed:c.diversity_seed ()
-    | Loader.Arch.Arm ->
-        Program_arm.spec ~version:c.version ~profile:c.profile
-          ?diversity_seed:c.diversity_seed ()
+    let version = c.version and profile = c.profile in
+    match (c.arch, c.diversity_seed) with
+    | Loader.Arch.X86, None -> (Program_x86.spec ~version ~profile (), None)
+    | Loader.Arch.Arm, None -> (Program_arm.spec ~version ~profile (), None)
+    | Loader.Arch.X86, Some seed ->
+        let spec, plan = Program_x86.variant ~version ~profile ~seed in
+        (spec, Some plan)
+    | Loader.Arch.Arm, Some seed ->
+        let spec, plan = Program_arm.variant ~version ~profile ~seed in
+        (spec, Some plan)
 
   let profile c = c.profile
   let boot_seed c = c.boot_seed

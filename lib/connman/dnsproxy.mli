@@ -65,6 +65,14 @@ val fork_diversified : t -> diversity_seed:int -> t
     not fit the mapped region; deterministic per seed either way. *)
 
 val config : t -> config
+
+val variant_plan : t -> Diversity.Variant.plan option
+(** The plan of the variant this daemon runs — the one its config's
+    [diversity_seed] selects, recorded when {!create} or
+    {!fork_diversified} built it (the same value
+    [Program_*.variant_plan] gives for that seed); [None] for a stock
+    build.  A {!fork} keeps its template's. *)
+
 val process : t -> Loader.Process.t
 (** The booted process image — what an attacker's local [gdb]/[ropper]
     session inspects on their own copy of the device. *)

@@ -24,7 +24,7 @@ module type DAEMON = sig
 
   val daemon : Service.daemon
   val id_base : int
-  val spec : config -> Loader.Process.spec
+  val spec : config -> Loader.Process.spec * Diversity.Variant.plan option
   val profile : config -> Defense.Profile.t
   val boot_seed : config -> int
 end
@@ -33,6 +33,7 @@ module Make (D : DAEMON) = struct
   type t = {
     config : D.config;
     svc : Service.t;
+    plan : Diversity.Variant.plan option;  (* of the variant it runs *)
     mutable next_id : int;
     pending : (int, Dns.Packet.question) Hashtbl.t;
     view : Dns.Wire.view;  (* reusable zero-copy parse state (host side) *)
@@ -41,10 +42,11 @@ module Make (D : DAEMON) = struct
   }
 
   (* Fresh host-side state around a booted or forked service. *)
-  let make config svc =
+  let make config ~plan svc =
     {
       config;
       svc;
+      plan;
       next_id = D.id_base + (D.boot_seed config land 0xFFF);
       pending = Hashtbl.create 8;
       view = Dns.Wire.create_view ();
@@ -52,19 +54,21 @@ module Make (D : DAEMON) = struct
       clock = 0;
     }
 
-  let create config =
-    make config
-      (Service.boot D.daemon (D.spec config) ~profile:(D.profile config)
-         ~boot_seed:(D.boot_seed config))
+  let boot config (spec, plan) =
+    make config ~plan
+      (Service.boot D.daemon spec ~profile:(D.profile config) ~boot_seed:(D.boot_seed config))
 
-  let fork t = make t.config (Service.fork t.svc)
+  let create config = boot config (D.spec config)
+  let fork t = make t.config ~plan:t.plan (Service.fork t.svc)
 
   let fork_variant t config =
-    match Service.fork_variant t.svc (D.spec config) with
-    | None -> create config
-    | Some svc -> make config svc
+    let ((spec, plan) as built) = D.spec config in
+    match Service.fork_variant t.svc spec with
+    | None -> boot config built
+    | Some svc -> make config ~plan svc
 
   let config t = t.config
+  let variant_plan t = t.plan
   let process t = Service.process t.svc
   let alive t = Service.alive t.svc
   let last_steps t = Service.last_steps t.svc

@@ -35,7 +35,10 @@ module type DAEMON = sig
   val id_base : int
   (** Transaction ids start at [id_base + (boot_seed land 0xFFF)]. *)
 
-  val spec : config -> Loader.Process.spec
+  val spec : config -> Loader.Process.spec * Diversity.Variant.plan option
+  (** The program a config boots, and its variant plan when the config
+      selects a diversified build. *)
+
   val profile : config -> Defense.Profile.t
   val boot_seed : config -> int
 end
@@ -52,6 +55,7 @@ module Make (D : DAEMON) : sig
       {!create} when its text does not fit. *)
 
   val config : t -> D.config
+  val variant_plan : t -> Diversity.Variant.plan option
   val process : t -> Loader.Process.t
   val alive : t -> bool
   val make_query : t -> Dns.Name.t -> Dns.Packet.t

@@ -18,6 +18,14 @@ val spec :
   unit ->
   Loader.Process.spec
 
+val variant :
+  version:Version.t ->
+  profile:Defense.Profile.t ->
+  seed:int ->
+  Loader.Process.spec * Diversity.Variant.plan
+(** [spec ~diversity_seed:seed] and the plan of its variant, from one
+    run of the variant pass. *)
+
 val variant_plan :
   version:Version.t ->
   profile:Defense.Profile.t ->

@@ -289,17 +289,20 @@ let chunks ~version ~profile =
     ("rodata", rodata ~version);
   ]
 
-let spec ~version ~profile ?diversity_seed () =
-  let chunks = Version.rotate version (chunks ~version ~profile) in
-  let program =
-    match diversity_seed with
-    | None -> List.concat_map snd chunks
-    | Some seed ->
-        (* Compile-time diversity (§IV): shuffle function order, insert
-           random NOP padding, and apply equivalent-instruction
-           rewrites, so every code address moves between builds. *)
-        fst (Diversity.Variant.x86 ~seed chunks)
-  in
+(* The chunks are pure data of (version, profile), and so is what the
+   variant pass prepares from them: both are built once per pair. *)
+let templates = Hashtbl.create 8
+
+let template ~version ~profile =
+  match Hashtbl.find_opt templates (version, profile) with
+  | Some t -> t
+  | None ->
+      let chunks = Version.rotate version (chunks ~version ~profile) in
+      let t = (List.concat_map snd chunks, Diversity.Variant.x86_template chunks) in
+      Hashtbl.add templates (version, profile) t;
+      t
+
+let spec_of ~version program =
   {
     Loader.Process.name = Printf.sprintf "connmand-%s" (Version.to_string version);
     code = Loader.Process.X86_code program;
@@ -308,7 +311,16 @@ let spec ~version ~profile ?diversity_seed () =
     bss_size = 0x2000;
   }
 
-let variant_plan ~version ~profile ~seed =
-  snd
-    (Diversity.Variant.x86 ~seed
-       (Version.rotate version (chunks ~version ~profile)))
+(* Compile-time diversity (§IV): shuffle function order, insert random
+   NOP padding, and apply equivalent-instruction rewrites, so every code
+   address moves between builds. *)
+let variant ~version ~profile ~seed =
+  let program, plan = Diversity.Variant.generate ~seed (snd (template ~version ~profile)) in
+  (spec_of ~version program, plan)
+
+let spec ~version ~profile ?diversity_seed () =
+  match diversity_seed with
+  | None -> spec_of ~version (fst (template ~version ~profile))
+  | Some seed -> fst (variant ~version ~profile ~seed)
+
+let variant_plan ~version ~profile ~seed = snd (variant ~version ~profile ~seed)

@@ -1176,16 +1176,12 @@ let run_div_combo ~seed ~n ~arch ~kind ~wire_for (combo, profile, diversified) =
     in
     if success then incr successes;
     if diversified then begin
-      let vseed = Diversity.Pool.seed_for ~master:seed i in
       let plan =
-        match arch with
-        | Loader.Arch.X86 ->
-            Connman.Program_x86.variant_plan ~version:Version.v1_34 ~profile
-              ~seed:vseed
-        | Loader.Arch.Arm ->
-            Connman.Program_arm.variant_plan ~version:Version.v1_34 ~profile
-              ~seed:vseed
+        match Dnsproxy.variant_plan d with
+        | Some plan -> plan
+        | None -> invalid_arg "run_div_combo: a diversified fork without a variant plan"
       in
+      let vseed = plan.Diversity.Variant.seed in
       let addrs = gadget_addrs (Dnsproxy.process d) in
       let surviving =
         List.length (List.filter (Hashtbl.mem baseline_set) addrs)

@@ -14,6 +14,23 @@
     - ARM: [mov rd, #0] ↔ [eor rd, rd, rd];  [mov rd, rm] ↔
       [orr rd, rm, #0] (rd ≠ pc, rm ≠ pc) *)
 
+type 'item site =
+  | Inert  (** draws no coin and is never rewritten *)
+  | Coin of 'item option
+      (** draws one coin; on heads the item becomes the substitute, if it
+          has one *)
+
+val x86_site : Isa_x86.Asm.item -> Isa_x86.Asm.item site
+(** Every instruction draws a coin, whether or not it has a substitute. *)
+
+val arm_site : Isa_arm.Asm.item -> Isa_arm.Asm.item site
+(** Every unconditional ([AL]) instruction draws a coin. *)
+
+val x86_rng : seed:int -> Memsim.Rng.t
+(** The coin stream of {!x86} at [seed]. *)
+
+val arm_rng : seed:int -> Memsim.Rng.t
+
 val x86 : seed:int -> Isa_x86.Asm.program -> Isa_x86.Asm.program * int
 (** The rewritten program and the number of instructions it substituted;
     every substitution changes its instruction. *)

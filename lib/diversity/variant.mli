@@ -22,10 +22,16 @@
     The same seed reproduces the same variant bit-for-bit; distinct
     seeds give variants that are behaviorally equivalent (the
     differential suite replays every exploit cell, DoS, and benign parse
-    against them) but share almost no gadget addresses.  Generation is a
-    list shuffle plus one assembly — cheap enough to pair with
-    copy-on-write forks for µs-scale diversified device spawning
-    ([Loader.Process.reimage]). *)
+    against them) but share almost no gadget addresses.
+
+    What does not depend on the seed is done once, in a {!template}:
+    every instruction is encoded there, each run of instructions Equiv
+    cannot change becomes one item of bytes, and each instruction it can
+    change carries both encodings.  A variant is then a shuffle, one
+    padding draw per chunk and one coin per substitutable instruction
+    over the template — no instruction is encoded per variant — cheap
+    enough to pair with copy-on-write forks for µs-scale diversified
+    device spawning ([Loader.Process.reimage]). *)
 
 type plan = {
   seed : int;
@@ -37,15 +43,15 @@ type plan = {
 (** What a variant's diversification did — the per-variant stats the
     survival matrix aggregates. *)
 
-val x86 :
-  seed:int ->
-  (string * Isa_x86.Asm.item list) list ->
-  Isa_x86.Asm.item list * plan
+type 'item template
+(** A chunked program prepared for {!generate}. *)
 
-val arm :
-  seed:int ->
-  (string * Isa_arm.Asm.item list) list ->
-  Isa_arm.Asm.item list * plan
-(** Both passes are bit-for-bit compatible with the historical in-spec
-    diversification pipeline, so committed experiment seeds keep their
-    meaning. *)
+val x86_template : (string * Isa_x86.Asm.item list) list -> Isa_x86.Asm.item template
+val arm_template : (string * Isa_arm.Asm.item list) list -> Isa_arm.Asm.item template
+
+val generate : seed:int -> 'item template -> 'item list * plan
+(** The variant [seed] selects and what it did.  Bit-for-bit the
+    historical in-spec pipeline — shuffle, then padding, then
+    {!Defense.Equiv.x86} / {!Defense.Equiv.arm} over the padded chunk
+    list, with the same draws — so committed experiment seeds keep their
+    meaning; its program assembles to the same bytes and symbols. *)

@@ -29,8 +29,8 @@ include Connman.Forwarder.Make (struct
 
   let spec c =
     match c.arch with
-    | Loader.Arch.X86 -> Program_x86.spec ~patched:c.patched ~profile:c.profile
-    | Loader.Arch.Arm -> Program_arm.spec ~patched:c.patched ~profile:c.profile
+    | Loader.Arch.X86 -> (Program_x86.spec ~patched:c.patched ~profile:c.profile, None)
+    | Loader.Arch.Arm -> (Program_arm.spec ~patched:c.patched ~profile:c.profile, None)
 
   let profile c = c.profile
   let boot_seed c = c.boot_seed

@@ -19,6 +19,12 @@ type result = A.result = { base : int; code : string; symbols : (string * int) l
    pc, which reads 8 bytes past the instruction. *)
 let rel sym insn = A.Ref { size = 4; sym; emit = (fun here t -> Encode.encode (insn (t - (here + 8)))) }
 
+let concrete = function
+  | I i -> Some (Encode.encode i)
+  | Bytes s -> Some s
+  | Word v -> Some (A.le32 v)
+  | _ -> None
+
 let piece = function
   | Label name -> A.Label name
   | I i -> A.Bytes (Encode.encode i)

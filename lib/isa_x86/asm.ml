@@ -24,6 +24,12 @@ let rel sym size insn =
 
 let absolute sym insn = A.Ref { size = 5; sym; emit = (fun _ t -> Encode.encode (insn t)) }
 
+let concrete = function
+  | I i -> Some (Encode.encode i)
+  | Bytes s -> Some s
+  | Word v -> Some (A.le32 v)
+  | _ -> None
+
 let piece = function
   | Label name -> A.Label name
   | I i -> A.Bytes (Encode.encode i)

@@ -23,6 +23,11 @@ type program = item list
 
 type result = Machine.Asm.result = { base : int; code : string; symbols : (string * int) list }
 
+val concrete : item -> string option
+(** The bytes of an item that depends on no symbol and no offset (an
+    instruction, raw bytes, a literal word), encoded; [None] for a
+    label, a symbol reference or an alignment. *)
+
 val layout : program -> Machine.Asm.layout
 (** For {!Machine.Asm.link}.  Raises [Failure] on a duplicate label or a
     bad alignment. *)

@@ -28,6 +28,7 @@ type t = {
   layout : Layout.t;
   profile : Defense.Profile.t;
   symbols : (string * int) list;
+  extern : (string * int) list;
   trap : int;
   valid_targets : (int, unit) Hashtbl.t Lazy.t;
   icache : icache;
@@ -143,6 +144,7 @@ let boot spec ~profile ~seed =
     layout;
     profile;
     symbols;
+    extern;
     trap = trap_addr;
     valid_targets = targets_of_symbols symbols;
     icache = new_icache arch;
@@ -157,26 +159,19 @@ let symbol_opt t name = List.assoc_opt name t.symbols
    equivalent-instruction rewrites) usually still fits in the mapped
    slack; when it does, reimaging costs one layout, one link and one text
    write — no libc/PLT/stack rebuild, so it composes with copy-on-write
-   forks for µs-scale diversified spawning.  Extern bindings (PLT stubs,
-   [__bss_start], [__canary]) are recovered from the symbol table, so
-   the variant links against the already-mapped world.  Returns [None]
+   forks for µs-scale diversified spawning.  The variant links against
+   the extern bindings boot linked the stock image against (PLT stubs,
+   [__bss_start], [__canary]): the already-mapped world.  Returns [None]
    when the variant does not fit (caller falls back to a full [boot]).
-   The [poke_bytes] writes bump the page generations, so no cache could
+   The [poke_bytes] write bumps the page generations, so no cache could
    serve the old text to the variant anyway; it gets its own cache so
    its unique text never crowds the family's. *)
 let reimage t spec' =
   if arch_of_code spec'.code <> t.arch then
     invalid_arg "Process.reimage: architecture mismatch";
-  let extern =
-    List.filter
-      (fun (n, _) ->
-        (String.length n > 4 && Filename.check_suffix n "@plt")
-        || n = "__bss_start" || n = "__canary")
-      t.symbols
-  in
   List.iter
     (fun f ->
-      if not (List.mem_assoc (f ^ "@plt") extern) then
+      if not (List.mem_assoc (f ^ "@plt") t.extern) then
         failwith ("Process.reimage: unresolved import " ^ f))
     spec'.imports;
   let text_base = t.layout.Layout.text_base in
@@ -184,10 +179,10 @@ let reimage t spec' =
   let main = layout_main spec' in
   if Machine.Asm.size main > text_size then None
   else begin
-    let image = Machine.Asm.link ~extern ~base:text_base main in
-    (* Zero the whole region first so no gadget bytes from the previous
-       image survive in the slack past the new code. *)
-    Mem.poke_bytes t.mem text_base (String.make text_size '\000');
+    (* One write of the whole region, the image then zeros, so no gadget
+       bytes from the previous image survive in the slack past the new
+       code. *)
+    let image = Machine.Asm.link ~extern:t.extern ~pad_to:text_size ~base:text_base main in
     Mem.poke_bytes t.mem text_base image.Machine.Asm.code;
     let outside (_, a) = a < text_base || a >= text_base + text_size in
     let symbols = image.Machine.Asm.symbols @ List.filter outside t.symbols in

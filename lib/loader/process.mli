@@ -34,6 +34,9 @@ type t = {
   symbols : (string * int) list;
       (** main-image symbols, ["f@plt"] stubs, libc symbols, and the
           specials ["__bss_start"], ["__canary"]. *)
+  extern : (string * int) list;
+      (** what the main image links against: the ["f@plt"] stubs,
+          ["__bss_start"] and ["__canary"], fixed at boot. *)
   trap : int;  (** top-level return address; reaching it means Halted *)
   valid_targets : (int, unit) Hashtbl.t Lazy.t;
       (** forward-edge CFI policy set — every symbol address (function
@@ -65,13 +68,12 @@ val reimage : t -> spec -> t option
 (** Replace the main image in place with a re-assembled variant of the
     program — the per-boot diversification primitive.  The text region
     was page-rounded at boot, so a shuffled/padded/rewritten variant of
-    the same program usually still fits in the mapped slack; extern
-    bindings (PLT stubs, [__bss_start], [__canary]) are recovered from
-    the symbol table so the variant links against the already-mapped
-    world, and main-image symbols are replaced by the variant's.
-    Returns [None] when the variant's text does not fit (callers fall
-    back to a full {!boot}).  Cheap — one layout, one link and one text
-    write — so it composes with {!fork} for µs-scale diversified
+    the same program usually still fits in the mapped slack; the
+    variant links against the process's {!t.extern} bindings, the
+    already-mapped world, and main-image symbols are replaced by the
+    variant's.  Returns [None] when the variant's text does not fit
+    (callers fall back to a full {!boot}).  Cheap — one layout, one link
+    and one write of the text region (the image, then zeros) — so it composes with {!fork} for µs-scale diversified
     spawning.  The variant gets an empty icache of its own: its text is
     unique, so the family's entries could never serve it.  Raises if the
     spec's architecture differs or an import has no PLT stub. *)

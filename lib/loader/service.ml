@@ -50,7 +50,9 @@ let boot daemon spec ~profile ~boot_seed =
 (* Fleet-scale spawning: a copy-on-write clone of the current machine
    state instead of a full boot.  The clone shares the template's
    boot-time randomness — a fork cohort models devices flashed from one
-   firmware image, not independent boots. *)
+   firmware image, not independent boots.  A template nothing has
+   written since its last fork hands back that fork's snapshot, so the
+   snapshot is paid once per template. *)
 let forked t = Process.fork t.proc (Process.snapshot t.proc)
 let fork t = make t.daemon ~boot_seed:t.boot_seed ~alive:t.alive (forked t)
 

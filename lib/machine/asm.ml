@@ -17,24 +17,45 @@ type layout = {
   base_align : int;
 }
 
+let gap off n = (n - (off land (n - 1))) land (n - 1)
+
+(* Two passes: the first sizes the image, so the second writes every
+   piece straight into its final buffer. *)
 let layout ?(base_align = 1) pieces =
+  let size =
+    List.fold_left
+      (fun off -> function
+        | Label _ -> off
+        | Bytes s -> off + String.length s
+        | Ref { size; _ } -> off + size
+        | Align (n, _) ->
+            if n <= 0 || n land (n - 1) <> 0 then
+              failwith "Asm.Align: alignment must be a positive power of two";
+            off + gap off n)
+      0 pieces
+  in
   let labels = Labels.create 64 in
-  let buf = Buffer.create 1024 in
+  let image = Bytes.make size '\000' in
   let refs = ref [] in
-  List.iter
-    (function
-      | Label name ->
-          if Labels.mem labels name then failwith ("Asm: duplicate symbol " ^ name);
-          Labels.add labels name (Buffer.length buf)
-      | Bytes s -> Buffer.add_string buf s
-      | Ref { size; sym; emit } ->
-          refs := (Buffer.length buf, size, sym, emit) :: !refs;
-          Buffer.add_string buf (String.make size '\000')
-      | Align (n, fill) ->
-          if n <= 0 || n land (n - 1) <> 0 then
-            failwith "Asm.Align: alignment must be a positive power of two";
-          Buffer.add_string buf (String.make ((n - (Buffer.length buf land (n - 1))) land (n - 1)) fill))
-    pieces;
+  let (_ : int) =
+    List.fold_left
+      (fun off -> function
+        | Label name ->
+            if Labels.mem labels name then failwith ("Asm: duplicate symbol " ^ name);
+            Labels.add labels name off;
+            off
+        | Bytes s ->
+            Bytes.blit_string s 0 image off (String.length s);
+            off + String.length s
+        | Ref { size; sym; emit } ->
+            refs := (off, size, sym, emit) :: !refs;
+            off + size
+        | Align (n, fill) ->
+            let g = gap off n in
+            Bytes.fill image off g fill;
+            off + g)
+      0 pieces
+  in
   let fixups =
     List.rev_map
       (fun (off, size, sym, emit) -> { off; size; sym; local = Labels.find_opt labels sym; emit })
@@ -42,19 +63,27 @@ let layout ?(base_align = 1) pieces =
   in
   let sorted = Labels.fold (fun name off acc -> (name, off) :: acc) labels [] in
   let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) sorted in
-  { image = Buffer.contents buf; fixups; labels; sorted; base_align }
+  { image = Bytes.unsafe_to_string image; fixups; labels; sorted; base_align }
 
 let size l = String.length l.image
 
 type result = { base : int; code : string; symbols : (string * int) list }
 
-let link ?(extern = []) ~base l =
+let link ?(extern = []) ?pad_to ~base l =
   if base mod l.base_align <> 0 then
     failwith (Printf.sprintf "Asm: base must be %d-byte aligned" l.base_align);
   List.iter
     (fun (name, _) -> if Labels.mem l.labels name then failwith ("Asm: duplicate symbol " ^ name))
     extern;
-  let code = Bytes.of_string l.image in
+  let code =
+    match pad_to with
+    | None -> Bytes.of_string l.image
+    | Some n ->
+        if n < size l then invalid_arg "Asm.link: pad_to is shorter than the image";
+        let code = Bytes.make n '\000' in
+        Bytes.blit_string l.image 0 code 0 (size l);
+        code
+  in
   List.iter
     (fun f ->
       let target =

@@ -37,8 +37,10 @@ val size : layout -> int
 type result = { base : int; code : string; symbols : (string * int) list }
 (** [symbols]: every label's address, sorted by name. *)
 
-val link : ?extern:(string * int) list -> base:int -> layout -> result
-(** A reference that names no label resolves against [extern].  Raises
+val link : ?extern:(string * int) list -> ?pad_to:int -> base:int -> layout -> result
+(** A reference that names no label resolves against [extern].  With
+    [pad_to], the code is the image followed by zeros up to that many
+    bytes ([Invalid_argument] if the image is longer).  Raises
     [Failure] on a misaligned base, an extern that is also a label (a
     duplicate symbol), a symbol defined nowhere, or an emitter's own
     failure (an out-of-range ARM literal load). *)

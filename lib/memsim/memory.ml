@@ -98,6 +98,11 @@ type t = {
   mutable armed : snapshot;
   mutable dirty : int list;
   mutable spare : Bytes.t list;
+  (* [standing] is the last snapshot {!snapshot} built, or [unarmed]
+     once anything has changed the memory since: {!unshare} (the first
+     store to a page after a snapshot), {!disarm} ([map], [unmap],
+     [set_perm]) and {!restore} drop it. *)
+  mutable standing : snapshot;
   (* Telemetry sink, [None] in normal operation.  Faults and mapping
      changes are cold paths, so the option check never touches the
      per-byte accessors' hit paths. *)
@@ -115,7 +120,8 @@ let unarmed = { s_frames = [||]; s_regs = [] }
 
 let disarm t =
   t.armed <- unarmed;
-  t.dirty <- []
+  t.dirty <- [];
+  t.standing <- unarmed
 
 (* A page-sized buffer only this memory holds: a spare if there is one,
    else a fresh allocation.  Its contents are garbage.  Every private
@@ -137,6 +143,7 @@ let[@inline never] unshare t idx p =
   Bytes.blit p.data 0 b 0 page_size;
   p.data <- b;
   p.frozen <- false;
+  t.standing <- unarmed;
   if t.armed != unarmed then t.dirty <- idx :: t.dirty
 
 let empty_slot () = { idx = -1; pg = null_page }
@@ -151,6 +158,7 @@ let create () =
     armed = unarmed;
     dirty = [];
     spare = [];
+    standing = unarmed;
     trace = None;
   }
 
@@ -543,7 +551,10 @@ let poke_bytes t addr s =
    permissions, and the generation the page carried when the snapshot was
    taken.  Taking a snapshot freezes every live page; the store paths
    unshare on the first subsequent write, so snapshot cost is O(pages)
-   with zero byte copying.
+   with zero byte copying.  The memory keeps the last snapshot it built
+   as [standing] until something changes it, and a snapshot of an
+   unchanged memory is that one again, in O(1): a template forked over
+   and over builds its frames once.
 
    Restore takes one of two paths.  The dirty path runs when the memory
    was last restored to this same snapshot (physical identity) and
@@ -580,7 +591,7 @@ let poke_bytes t addr s =
    - {!Shadow} snapshots are deep copies with their own restore; nothing
      here touches them. *)
 
-let snapshot t =
+let build_snapshot t =
   let frames =
     Int_table.fold
       (fun idx p acc ->
@@ -591,13 +602,22 @@ let snapshot t =
   in
   let arr = Array.of_list frames in
   Array.sort (fun a b -> compare a.f_idx b.f_idx) arr;
+  { s_frames = arr; s_regs = t.regs }
+
+(* The standing snapshot, when there is one, is what [build_snapshot]
+   would build now: every page is still the record it froze, frozen on
+   the same buffer, with the same permissions and generation, and the
+   region list is the same list. *)
+let snapshot t =
+  let snap = if t.standing != unarmed then t.standing else build_snapshot t in
   disarm t;
+  t.standing <- snap;
   (match t.trace with
   | None -> ()
   | Some tr ->
       Telemetry.Trace.emit tr ~cat:"mem" ~track:"memory" "snapshot"
-        ~args:[ ("pages", Telemetry.Trace.I (Array.length arr)) ]);
-  { s_frames = arr; s_regs = t.regs }
+        ~args:[ ("pages", Telemetry.Trace.I (Array.length snap.s_frames)) ]);
+  snap
 
 let snapshot_pages s = Array.length s.s_frames
 
@@ -681,6 +701,7 @@ let restore t snap =
   let dirty = if t.armed == snap then restore_dirty t snap else restore_scan t snap in
   t.armed <- snap;
   t.dirty <- [];
+  t.standing <- unarmed;
   invalidate_page_caches t;
   match t.trace with
   | None -> ()

@@ -167,7 +167,9 @@ val poke_bytes : t -> int -> string -> unit
     copying: every live page is frozen and its buffer shared with the
     snapshot.  The store paths transparently unshare (copy) a frozen
     page on the first subsequent write, so the mutator pays one
-    page-copy per dirtied page and untouched pages cost nothing.
+    page-copy per dirtied page and untouched pages cost nothing.  A
+    snapshot of a memory that has not changed since its last one costs
+    O(1): it is that snapshot again (see {!snapshot}).
 
     Generation interaction (the {!Icache} contract): there is one
     generation counter for every address space, and a generation names
@@ -189,7 +191,16 @@ type snapshot
 
 val snapshot : t -> snapshot
 (** Capture current memory state.  Freezes all live pages (subsequent
-    writes to this memory copy-on-write). *)
+    writes to this memory copy-on-write).
+
+    The memory keeps the last snapshot it took, and while nothing has
+    changed it since, [snapshot] returns that same value (physically
+    equal) in O(1): a template forked again and again builds its frames
+    once.  What drops the standing snapshot, so the next call builds a
+    fresh one: the first store, poke or {!copy_forward} into a page
+    after it (they unshare the page), {!map}, {!unmap}, {!set_perm} and
+    {!restore}.  A {!fork} starts without one.  Either way the call
+    emits its trace event and disarms the dirty path of {!restore}. *)
 
 val restore : t -> snapshot -> unit
 (** Rewind memory to the snapshot: page contents, permissions, and the

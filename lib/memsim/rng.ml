@@ -31,6 +31,13 @@ let bits t n =
   if n = 0 then 0 else next64 t land ((1 lsl n) - 1)
 
 let bool t = next64 t land 1 = 1
+
+(* A draw adds [golden] to the state and mixes a copy, so [n] draws add
+   [n * golden] (mod 2^64) and leave nothing else behind. *)
+let skip t n =
+  if n < 0 then invalid_arg "Rng.skip: negative count";
+  t.state <- Int64.add t.state (Int64.mul (Int64.of_int n) golden)
+
 let float t = Float.of_int (next64 t land ((1 lsl 53) - 1)) /. Float.of_int (1 lsl 53)
 
 let shuffle t a =

@@ -24,6 +24,11 @@ val bits : t -> int -> int
 
 val bool : t -> bool
 
+val skip : t -> int -> unit
+(** [skip t n] leaves [t] where [n] draws would leave it, in O(1)
+    ({!next64}, {!int}, {!bits}, {!bool} and {!float} each draw once).  Raises [Invalid_argument] on a
+    negative [n]. *)
+
 val float : t -> float
 (** Uniform in [0, 1). *)
 

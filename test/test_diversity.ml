@@ -632,6 +632,157 @@ let image_digest () =
 let test_image_digest () =
   check_string "every image's bytes" "c766e7792d95fb316fce1d61d5fba671" (image_digest ())
 
+(* Every plan the variant pass reports, folded into one MD5: connmand on
+   both ISAs, both versions, three profiles, diversity seeds 1-1000.  The
+   expected value was computed before the pass ran over prepared
+   templates; a change to how the pass draws must leave it unchanged. *)
+let test_plan_digest () =
+  let acc = Buffer.create 4096 in
+  let wx = Defense.Profile.wx in
+  List.iter
+    (fun version ->
+      List.iter
+        (fun profile ->
+          for seed = 1 to 1000 do
+            List.iter
+              (fun (p : Diversity.Variant.plan) ->
+                Buffer.add_string acc
+                  (Printf.sprintf "%d:%s:%d:%d:%d\n" p.seed (String.concat "," p.order)
+                     p.moved p.pad_bytes p.rewrites))
+              [
+                Connman.Program_x86.variant_plan ~version ~profile ~seed;
+                Connman.Program_arm.variant_plan ~version ~profile ~seed;
+              ]
+          done)
+        [ wx; Defense.Profile.with_canary wx; Defense.Profile.with_mitigations wx ])
+    [ Connman.Version.v1_34; Connman.Version.v1_35 ];
+  check_string "every plan" "7fe68f1dc28739114ee7b72e48cfcb38"
+    (Digest.to_hex (Digest.string (Buffer.contents acc)))
+
+(* The variant pass over a prepared template against the pipeline it
+   replaces, written out over the items: shuffle the chunks, put one
+   padding draw before each, run [Defense.Equiv] over the padded list,
+   assemble.  Random chunks mix instructions Equiv rewrites, ones it
+   only draws a coin for, ones it skips (ARM's conditional ones), raw
+   bytes, words, alignments, labels and references between chunks; the
+   two programs must assemble to the same bytes and symbols and report
+   the same plan. *)
+let variant_matches_items ~gen_item ~template ~reference ~assemble ~name =
+  let open QCheck.Gen in
+  let gen_chunks =
+    let* n = int_range 1 8 in
+    let names = List.init n (Printf.sprintf "f%d") in
+    let+ bodies = list_repeat n (list_size (int_bound 12) (gen_item (oneofl names))) in
+    List.map2 (fun name body -> (name, List.concat body)) names bodies
+  in
+  QCheck.Test.make ~name ~count:300 ~long_factor:10
+    (QCheck.make QCheck.Gen.(pair gen_chunks nat))
+    (fun (chunks, seed) ->
+      let program, plan = Diversity.Variant.generate ~seed (template chunks) in
+      let program', (order, pad_bytes, rewrites) = reference ~seed chunks in
+      let r = assemble program and r' = assemble program' in
+      r.Machine.Asm.code = r'.Machine.Asm.code
+      && r.Machine.Asm.symbols = r'.Machine.Asm.symbols
+      && plan.Diversity.Variant.order = order
+      && plan.Diversity.Variant.pad_bytes = pad_bytes
+      && plan.Diversity.Variant.rewrites = rewrites)
+
+(* Both reference pipelines draw as the pass did before templates. *)
+let shuffled ~seed chunks =
+  let rng = Memsim.Rng.create (seed lxor 0x5EED) in
+  let arr = Array.of_list chunks in
+  Memsim.Rng.shuffle rng arr;
+  (rng, Array.to_list arr)
+
+let prop_variant_x86 =
+  let open Isa_x86 in
+  let insns =
+    Insn.
+      [
+        Xor (Reg EAX, Reg EAX); Mov_ri (ECX, 0); Add_i (Reg EDX, 1); Inc_r EBX;
+        Sub_i (Reg ESI, 1); Dec_r EDI; Nop; Ret; Push_r EBP; Mov_ri (EAX, 0x1234);
+      ]
+  in
+  let gen_item sym =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun i -> [ Asm.I i ]) (oneofl insns));
+          (1, map (fun s -> [ Asm.Call s ]) sym);
+          (1, map (fun s -> [ Asm.Jmp s ]) sym);
+          (1, map (fun s -> [ Asm.Bytes s ]) (string_size ~gen:char (int_bound 5)));
+          (1, map (fun v -> [ Asm.Word v ]) (int_bound 0xFFFF));
+          (1, map (fun n -> [ Asm.Align n ]) (oneofl [ 2; 4; 8 ]));
+        ])
+  in
+  let reference ~seed chunks =
+    let rng, order = shuffled ~seed chunks in
+    let pad_bytes = ref 0 in
+    let padded =
+      List.concat_map
+        (fun (name, items) ->
+          let n = Memsim.Rng.int rng 64 in
+          pad_bytes := !pad_bytes + n;
+          Asm.Bytes (String.make n '\x90') :: Asm.Label name :: items)
+        order
+    in
+    let rewritten, rewrites = Defense.Equiv.x86 ~seed padded in
+    (rewritten, (List.map fst order, !pad_bytes, rewrites))
+  in
+  let template chunks =
+    Diversity.Variant.x86_template
+      (List.map (fun (name, items) -> (name, Asm.Label name :: items)) chunks)
+  in
+  variant_matches_items ~gen_item ~template ~reference
+    ~assemble:(Asm.assemble ~base:0x0804_8000)
+    ~name:"x86: variant = shuffle, pad, Equiv over the items"
+
+let prop_variant_arm =
+  let open Isa_arm in
+  let insns =
+    Insn.
+      [
+        al (Mov (R0, Imm 0)); al (Eor (R1, R1, Reg R1)); al (Mov (R2, Reg R3));
+        al (Orr (R4, R5, Imm 0)); nop; al (Add (R0, R1, Reg R2)); al (Bx LR);
+        { cond = NE; op = Mov (R0, Imm 0) }; { cond = EQ; op = Mov (R2, Reg R3) };
+      ]
+  in
+  let gen_item sym =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun i -> [ Asm.I i ]) (oneofl insns));
+          (1, map (fun s -> [ Asm.Bl_sym s ]) sym);
+          (1, map2 (fun c s -> [ Asm.B_sym (c, s) ]) (oneofl Insn.[ AL; NE ]) sym);
+          (1, map (fun s -> [ Asm.Bytes s; Asm.Align 4 ]) (string_size ~gen:char (int_bound 5)));
+          (1, map (fun v -> [ Asm.Word v ]) (int_bound 0xFFFF));
+          (1, map (fun n -> [ Asm.Align n ]) (oneofl [ 4; 8 ]));
+        ])
+  in
+  let nop = Encode.encode Insn.nop in
+  let reference ~seed chunks =
+    let rng, order = shuffled ~seed chunks in
+    let pad_bytes = ref 0 in
+    let padded =
+      List.concat_map
+        (fun (name, items) ->
+          let n = Memsim.Rng.int rng 16 in
+          pad_bytes := !pad_bytes + (4 * n);
+          Asm.Align 4 :: Asm.Bytes (String.concat "" (List.init n (fun _ -> nop)))
+          :: Asm.Label name :: items)
+        order
+    in
+    let rewritten, rewrites = Defense.Equiv.arm ~seed padded in
+    (rewritten, (List.map fst order, !pad_bytes, rewrites))
+  in
+  let template chunks =
+    Diversity.Variant.arm_template
+      (List.map (fun (name, items) -> (name, Asm.Label name :: items)) chunks)
+  in
+  variant_matches_items ~gen_item ~template ~reference
+    ~assemble:(Asm.assemble ~base:0x0001_0000)
+    ~name:"arm: variant = shuffle, pad, Equiv over the items"
+
 let () =
   Alcotest.run "diversity"
     [
@@ -640,6 +791,9 @@ let () =
           Alcotest.test_case "pool seed derivation" `Quick test_pool_seeds;
           Alcotest.test_case "plan determinism" `Quick test_plan_determinism;
           Alcotest.test_case "image digest" `Quick test_image_digest;
+          Alcotest.test_case "plan digest" `Quick test_plan_digest;
+          QCheck_alcotest.to_alcotest prop_variant_x86;
+          QCheck_alcotest.to_alcotest prop_variant_arm;
         ] );
       ( "differential regression",
         [

@@ -194,6 +194,17 @@ let prop_rng_bound =
       let v = Memsim.Rng.int g bound in
       v >= 0 && v < bound)
 
+let prop_rng_skip =
+  QCheck.Test.make ~name:"rng skip n = n draws" ~count:300
+    QCheck.(pair int (int_range 0 300))
+    (fun (seed, n) ->
+      let a = Memsim.Rng.create seed and b = Memsim.Rng.create seed in
+      for _ = 1 to n do
+        ignore (Memsim.Rng.bool a)
+      done;
+      Memsim.Rng.skip b n;
+      List.for_all (fun _ -> Memsim.Rng.next64 a = Memsim.Rng.next64 b) [ 1; 2; 3 ])
+
 let test_rng_shuffle_permutes () =
   let g = Memsim.Rng.create 42 in
   let a = Array.init 100 Fun.id in
@@ -749,6 +760,7 @@ type op =
   | Set_perm of int * int * int
   | Store of int * int * string
   | Poke of int * int * string
+  | Copy of int * int * int * int  (* member, src, dst, length: one copy_forward *)
   | Snapshot of int
   | Restore of int * int  (* member, one of its own snapshots *)
   | Restore_last of int  (* the snapshot it last restored: the dirty path *)
@@ -765,6 +777,7 @@ let pp_op =
   | Set_perm (i, r, p) -> Printf.sprintf "set_perm m%d r%d %s" i r (perm p)
   | Store (i, a, s) -> Printf.sprintf "store m%d 0x%x %S" i a s
   | Poke (i, a, s) -> Printf.sprintf "poke m%d 0x%x %S" i a s
+  | Copy (i, src, dst, n) -> Printf.sprintf "copy_forward m%d 0x%x -> 0x%x, %d" i src dst n
   | Snapshot i -> Printf.sprintf "snapshot m%d" i
   | Restore (i, k) -> Printf.sprintf "restore m%d s%d" i k
   | Restore_last i -> Printf.sprintf "restore m%d last" i
@@ -798,6 +811,17 @@ let gen_op =
       (2, map3 (fun i r p -> Set_perm (i, r, p)) member region perm);
       (6, map3 (fun i a s -> Store (i, a, s)) member gen_addr bytes);
       (2, map3 (fun i a s -> Poke (i, a, s)) member gen_addr bytes);
+      (* one span per page: [step] clips the length to fit *)
+      ( 2,
+        map3
+          (fun i (src, dst) n -> Copy (i, src, dst, n))
+          member
+          (oneof
+             [
+               pair gen_addr gen_addr;
+               map2 (fun a d -> (a, a + d)) gen_addr (int_range (-4) 4);
+             ])
+          (int_range 1 12) );
       (2, map (fun i -> Snapshot i) member);
       (2, map2 (fun i k -> Restore (i, k)) member (int_bound 3));
       (3, map (fun i -> Restore_last i) member);
@@ -815,6 +839,8 @@ type member = {
   mutable retired : string Memsim.Icache.t list;  (* views of replaced tables *)
   mutable snaps : (Mem.snapshot * model) list;
   mutable last : (Mem.snapshot * model) option;  (* last restored *)
+  mutable standing : Mem.snapshot option;
+      (* the last snapshot taken, while nothing has changed the memory *)
 }
 
 let probe_addrs = [ 0x0FFF; 0x1000; 0x1FF9; 0x1FFE; 0x2000; 0x2FFC; 0x3000; 0x3FFF ]
@@ -942,6 +968,7 @@ let run_model ops =
             retired = [];
             snaps;
             last = None;
+            standing = None;
           };
         |]
   in
@@ -953,10 +980,30 @@ let run_model ops =
   let update_region mb reg f =
     mb.model <- List.fold_left (fun m idx -> f idx m) mb.model (region_pages reg)
   in
+  !family.(0).standing <- Some s0;
+  (* Every page's generation, -1 where none is mapped. *)
+  let gens mem = List.init 5 (fun idx -> Mem.page_gen mem (idx lsl Mem.page_bits)) in
   let restore mb ((snap, model) as s) =
     Mem.restore mb.mem snap;
     mb.model <- model;
-    mb.last <- Some s
+    mb.last <- Some s;
+    mb.standing <- None
+  in
+  (* The snapshot of an unchanged memory is its standing one, physically;
+     after any change it is a new one.  Reused or built, it pins what the
+     memory holds now: a fork of it starts with the memory's generations
+     (bytes and permissions are [check_contents]'s, after every op). *)
+  let snapshot mb =
+    let snap = Mem.snapshot mb.mem in
+    (match mb.standing with
+    | Some s when s != snap -> raise (Divergence "an unchanged memory built a new snapshot")
+    | None when List.exists (fun (s, _) -> s == snap) mb.snaps ->
+        raise (Divergence "a changed memory handed back an old snapshot")
+    | _ -> ());
+    if gens (Mem.fork snap) <> gens mb.mem then
+      raise (Divergence "a fork of the snapshot has other generations than the memory");
+    mb.standing <- Some snap;
+    mb.snaps <- (snap, mb.model) :: mb.snaps
   in
   let nth_snap mb k = List.nth mb.snaps (k mod List.length mb.snaps) in
   let step = function
@@ -965,34 +1012,64 @@ let run_model ops =
         if not (mapped mb reg) then begin
           Mem.map mb.mem ~base ~size ~perm:model_perms.(p)
             ~name:(Printf.sprintf "r%x" base);
-          update_region mb reg (fun idx -> IM.add idx (zero_page model_perms.(p)))
+          update_region mb reg (fun idx -> IM.add idx (zero_page model_perms.(p)));
+          mb.standing <- None
         end
     | Unmap (i, r) ->
         let mb = pick i and reg = model_regions.(r) in
         if mapped mb reg then begin
           Mem.unmap mb.mem ~base:(fst reg);
-          update_region mb reg IM.remove
+          update_region mb reg IM.remove;
+          mb.standing <- None
         end
     | Set_perm (i, r, p) ->
         let mb = pick i and reg = model_regions.(r) in
         if mapped mb reg then begin
           Mem.set_perm mb.mem ~base:(fst reg) model_perms.(p);
           update_region mb reg (fun idx m ->
-              IM.add idx { (IM.find idx m) with mperm = model_perms.(p) } m)
+              IM.add idx { (IM.find idx m) with mperm = model_perms.(p) } m);
+          mb.standing <- None
         end
     | Store (i, a, s) ->
         let mb = pick i in
         let expected = model_span_fault mb.model a (String.length s) ~check_perm:true in
-        if commits "store" expected (fun () -> Mem.write_bytes mb.mem a s) then
-          mb.model <- model_write mb.model a s
+        if commits "store" expected (fun () -> Mem.write_bytes mb.mem a s) then begin
+          mb.model <- model_write mb.model a s;
+          mb.standing <- None
+        end
     | Poke (i, a, s) ->
         let mb = pick i in
         let expected = model_span_fault mb.model a (String.length s) ~check_perm:false in
-        if commits "poke" expected (fun () -> Mem.poke_bytes mb.mem a s) then
-          mb.model <- model_write mb.model a s
-    | Snapshot i ->
+        if commits "poke" expected (fun () -> Mem.poke_bytes mb.mem a s) then begin
+          mb.model <- model_write mb.model a s;
+          mb.standing <- None
+        end
+    | Copy (i, src, dst, n) ->
         let mb = pick i in
-        mb.snaps <- (Mem.snapshot mb.mem, mb.model) :: mb.snaps
+        let src = Word.of_int src and dst = Word.of_int dst in
+        let room a = Mem.page_size - (a land (Mem.page_size - 1)) in
+        let n = min n (min (room src) (room dst)) in
+        let page a = IM.find_opt (a lsr Mem.page_bits) mb.model in
+        let byte m a = (IM.find (a lsr Mem.page_bits) m).mbytes.[a land (Mem.page_size - 1)] in
+        let expected =
+          match (page src, page dst) with
+          | Some sp, Some dp when sp.mperm.Mem.read && dp.mperm.Mem.write ->
+              (* forward, one byte at a time: an overlap replicates *)
+              let m = ref mb.model in
+              for k = 0 to n - 1 do
+                m := model_write !m (dst + k) (String.make 1 (byte !m (src + k)))
+              done;
+              Some (!m, Char.code (byte !m (dst + n - 1)))
+          | _ -> None
+        in
+        let last = Mem.copy_forward mb.mem ~src ~dst n in
+        (match expected with
+        | None -> if last <> -1 then raise (Divergence "copy_forward copied where the model faults")
+        | Some (m, b) ->
+            if last <> b then raise (Divergence "copy_forward returned another last byte");
+            mb.model <- m;
+            mb.standing <- None)
+    | Snapshot i -> snapshot (pick i)
     | Restore (i, k) ->
         let mb = pick i in
         restore mb (nth_snap mb k)
@@ -1001,8 +1078,14 @@ let run_model ops =
         restore mb (Option.value mb.last ~default:(List.hd mb.snaps))
     | Snapshot_restore (i, k) ->
         let mb = pick i in
-        mb.snaps <- (Mem.snapshot mb.mem, mb.model) :: mb.snaps;
-        restore mb (nth_snap mb k)
+        snapshot mb;
+        let before = gens mb.mem in
+        let ((snap, _) as s) = nth_snap mb k in
+        restore mb s;
+        (* Restoring the snapshot just taken, reused or built, finds
+           every page as its frame pinned it. *)
+        if snap == fst (List.hd mb.snaps) && gens mb.mem <> before then
+          raise (Divergence "restoring the snapshot just taken moved a generation")
     | Fork (i, k, restore_it) ->
         let mb = pick i in
         if Array.length !family < 6 then begin
@@ -1019,6 +1102,7 @@ let run_model ops =
           let s = String.init size (fun _ -> Char.chr (Random.State.int rng 256)) in
           Mem.poke_bytes mb.mem base s;
           mb.model <- model_fill mb.model reg s;
+          mb.standing <- None;
           mb.retired <- mb.view :: mb.retired;
           mb.table <- Memsim.Icache.table ~dummy:"";
           mb.view <- Memsim.Icache.view mb.table mb.mem
@@ -1371,6 +1455,7 @@ let () =
         [
           qt prop_rng_deterministic;
           qt prop_rng_bound;
+          qt prop_rng_skip;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
         ] );
     ]
