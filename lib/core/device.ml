@@ -74,25 +74,20 @@ let lookup t hostname =
 
 (* Resolver clients retransmit on timeout; an attempt is "answered" when
    any new disposition arrived since it was sent. *)
-let lookup_with_policy t hostname policy =
+let lookup_with_retry t hostname ~retries ~timeout_us =
+  if retries < 0 then invalid_arg "Device.lookup_with_retry: negative retries";
+  let attempts = retries + 1 in
   let seen = ref 0 in
-  Supervisor.Retry.run (W.sim t.world) policy
+  Supervisor.Retry.run (W.sim t.world) ~attempts ~timeout_us
     ~attempt:(fun i ->
       if i > 0 then
-        log t "lookup %s timed out; retrying (%d left)" hostname
-          (policy.Supervisor.Retry.attempts - i);
+        log t "lookup %s timed out; retrying (%d left)" hostname (attempts - i);
       seen := List.length t.dispositions;
       lookup t hostname)
     ~still_needed:(fun () ->
       List.length t.dispositions = !seen
       && Dnsproxy.alive t.daemon
       && W.host_dns t.host <> None)
-    ()
-
-let lookup_with_retry t hostname ~retries ~timeout_us =
-  if retries < 0 then invalid_arg "Device.lookup_with_retry: negative retries";
-  lookup_with_policy t hostname
-    (Supervisor.Retry.fixed ~attempts:(retries + 1) ~timeout_us)
 
 let supervise ?policy t =
   let sup =
@@ -102,9 +97,10 @@ let supervise ?policy t =
         match e.Supervisor.kind with
         | Supervisor.Restarted -> t.state <- `Online
         | _ -> ())
+      ~kind:"connmand"
+      ~alive:(fun () -> Dnsproxy.alive t.daemon)
+      ~restart:(fun () -> Dnsproxy.restart t.daemon)
       (W.sim t.world)
-      (module Supervisor.Connman_daemon)
-      t.daemon
   in
   t.supervisor <- Some sup;
   sup

@@ -4,7 +4,9 @@
     device joins Wi-Fi networks, configures itself over DHCP, and issues
     the connectivity-check lookup real Connman performs
     ("ipv4.connman.net") — each response flowing into the vulnerable
-    parse path. *)
+    parse path.  {!supervise} puts the daemon under a {!Supervisor},
+    which every response the device handles notifies, and
+    {!lookup_with_retry} retransmits on {!Supervisor.Retry}. *)
 
 type t
 
@@ -39,12 +41,9 @@ val lookup : t -> string -> unit
 val lookup_with_retry : t -> string -> retries:int -> timeout_us:int -> unit
 (** Like {!lookup}, retransmitting up to [retries] times whenever no
     response has arrived within [timeout_us] (resolver-client behaviour
-    on lossy networks).  Shorthand for {!lookup_with_policy} with
-    [Supervisor.Retry.fixed ~attempts:(retries + 1) ~timeout_us]. *)
-
-val lookup_with_policy : t -> string -> Supervisor.Retry.policy -> unit
-(** Like {!lookup}, retransmitting under an arbitrary
-    {!Supervisor.Retry.policy} (e.g. exponential client backoff). *)
+    on lossy networks), on {!Supervisor.Retry.run}.  A retransmission
+    stops once a response arrives, the daemon dies or the device loses
+    its DNS server. *)
 
 val supervise : ?policy:Supervisor.policy -> t -> Supervisor.t
 (** Put the device's connmand under a {!Supervisor}: every crash

@@ -1,30 +1,6 @@
 module Sim = Netsim.Sim
 module Rng = Memsim.Rng
 
-module type DAEMON = sig
-  type t
-
-  val kind : string
-  val alive : t -> bool
-  val restart : t -> unit
-end
-
-module Connman_daemon = struct
-  type t = Connman.Dnsproxy.t
-
-  let kind = "connmand"
-  let alive = Connman.Dnsproxy.alive
-  let restart = Connman.Dnsproxy.restart
-end
-
-module Dnsmasq_daemon = struct
-  type t = Dnsmasq.Daemon.t
-
-  let kind = "dnsmasq"
-  let alive = Dnsmasq.Daemon.alive
-  let restart = Dnsmasq.Daemon.restart
-end
-
 type backoff = {
   initial_us : int;
   multiplier : float;
@@ -58,13 +34,10 @@ let pp_event ppf e =
   | Gave_up -> Format.fprintf ppf "[%8dus] crash loop: giving up" e.at
   | Revived -> Format.fprintf ppf "[%8dus] revived: crash-loop state cleared" e.at
 
-(* Existential pack: the supervisor doesn't care which daemon type it
-   owns once [alive]/[restart] are captured. *)
-type instance = { kind : string; alive : unit -> bool; restart : unit -> unit }
-
 type t = {
   sim : Sim.t;
-  inst : instance;
+  alive : unit -> bool;
+  restart : unit -> unit;
   policy : policy;
   sup_name : string;
   on_event : event -> unit;
@@ -78,20 +51,14 @@ type t = {
   mutable monitor : Telemetry.Monitor.t option;
 }
 
-let supervise ?(policy = default_policy) ?name ?(on_event = ignore) sim
-    (type a) (module D : DAEMON with type t = a) (daemon : a) =
-  let inst =
-    {
-      kind = D.kind;
-      alive = (fun () -> D.alive daemon);
-      restart = (fun () -> D.restart daemon);
-    }
-  in
+let supervise ?(policy = default_policy) ?name ?(on_event = ignore) ~kind ~alive
+    ~restart sim =
   {
     sim;
-    inst;
+    alive;
+    restart;
     policy;
-    sup_name = (match name with Some n -> n | None -> D.kind);
+    sup_name = Option.value name ~default:kind;
     on_event;
     st = `Watching;
     restarts = 0;
@@ -161,7 +128,7 @@ let grow_backoff t =
 
 let do_restart t _sim =
   if t.st = `Waiting_restart then begin
-    t.inst.restart ();
+    t.restart ();
     t.restarts <- t.restarts + 1;
     t.st <- `Watching;
     record t Restarted
@@ -173,7 +140,7 @@ let notify t =
   | `Watching ->
       let now = Sim.now t.sim in
       let fresh = List.filter (fun at -> now - at <= t.policy.window_us) t.crash_times in
-      if t.inst.alive () then begin
+      if t.alive () then begin
         (* A quiet window earns a backoff reset, like systemd clearing
            its start counter after StartLimitInterval. *)
         if fresh = [] then t.next_delay_us <- t.policy.backoff.initial_us;
@@ -208,8 +175,8 @@ let revive t =
   t.next_delay_us <- t.policy.backoff.initial_us;
   t.crash_times <- [];
   record t Revived;
-  if not (t.inst.alive ()) then begin
-    t.inst.restart ();
+  if not (t.alive ()) then begin
+    t.restart ();
     t.restarts <- t.restarts + 1;
     record t Restarted
   end
@@ -226,56 +193,17 @@ let register_metrics t reg =
     ~help:"1 if the supervisor entered the crash-loop give-up state"
     "supervisor_gave_up" (fun () -> if gave_up t then 1.0 else 0.0)
 
-let watch t ~every_us ~rounds =
-  if every_us <= 0 then invalid_arg "Supervisor.watch: every_us must be positive";
-  let rec arm remaining =
-    if remaining > 0 then
-      Sim.schedule t.sim ~delay:every_us (fun _ ->
-          notify t;
-          arm (remaining - 1))
-  in
-  arm rounds
-
 module Retry = struct
-  type policy = {
-    attempts : int;
-    timeout_us : int;
-    multiplier : float;
-    max_timeout_us : int;
-  }
-
-  let fixed ~attempts ~timeout_us =
-    { attempts; timeout_us; multiplier = 1.0; max_timeout_us = timeout_us }
-
-  let exponential ?(multiplier = 2.0) ?max_timeout_us ~attempts ~timeout_us () =
-    let max_timeout_us =
-      match max_timeout_us with Some m -> m | None -> timeout_us * 16
-    in
-    { attempts; timeout_us; multiplier; max_timeout_us }
-
-  let run sim policy ~attempt ~still_needed ?on_exhausted () =
-    if policy.attempts <= 0 then
+  let run sim ~attempts ~timeout_us ~attempt ~still_needed =
+    if attempts <= 0 then
       invalid_arg "Supervisor.Retry.run: attempts must be positive";
-    if policy.timeout_us <= 0 then
+    if timeout_us <= 0 then
       invalid_arg "Supervisor.Retry.run: timeout_us must be positive";
-    let timeout_for i =
-      (* timeout before attempt [i+1], grown from the base *)
-      let t =
-        float_of_int policy.timeout_us *. (policy.multiplier ** float_of_int i)
-      in
-      min policy.max_timeout_us (max policy.timeout_us (int_of_float t))
-    in
     let rec step i =
       attempt i;
-      if i + 1 < policy.attempts then
-        Sim.schedule sim ~delay:(timeout_for i) (fun _ ->
+      if i + 1 < attempts then
+        Sim.schedule sim ~delay:timeout_us (fun _ ->
             if still_needed () then step (i + 1))
-      else
-        match on_exhausted with
-        | None -> ()
-        | Some f ->
-            Sim.schedule sim ~delay:(timeout_for i) (fun _ ->
-                if still_needed () then f ())
     in
     step 0
 end

@@ -10,30 +10,14 @@
     giving up), and a timestamped event log.
 
     Crash detection is event-driven so the simulation's event loop can
-    drain: call {!notify} whenever the daemon may have died (devices do
-    this automatically on every crash disposition), or run a bounded
-    polling {!watch}.  All randomness (backoff jitter) comes from the
-    simulator's seeded rng — identical seeds give identical restart
-    schedules.
+    drain: call {!notify} whenever the daemon may have died (devices and
+    fleet members do this on every response their daemon handles).  All
+    randomness (backoff jitter) comes from the simulator's seeded rng —
+    identical seeds give identical restart schedules.
 
-    {!Retry} is the shared timeout/retry/backoff policy used by
-    {!Device.lookup_with_retry} (resolver-client retransmission); the
-    supervisor and the retransmitter deliberately share one vocabulary
-    of bounded, backed-off attempts. *)
-
-(** What the supervisor needs from a daemon. *)
-module type DAEMON = sig
-  type t
-
-  val kind : string
-  (** e.g. ["connmand"] — used in event formatting. *)
-
-  val alive : t -> bool
-  val restart : t -> unit
-end
-
-module Connman_daemon : DAEMON with type t = Connman.Dnsproxy.t
-module Dnsmasq_daemon : DAEMON with type t = Dnsmasq.Daemon.t
+    {!Retry} is the bounded retransmission that
+    {!Device.lookup_with_retry} (resolver-client retransmission) runs
+    on. *)
 
 type backoff = {
   initial_us : int;  (** first restart delay (systemd [RestartSec]) *)
@@ -75,12 +59,15 @@ val supervise :
   ?policy:policy ->
   ?name:string ->
   ?on_event:(event -> unit) ->
+  kind:string ->
+  alive:(unit -> bool) ->
+  restart:(unit -> unit) ->
   Netsim.Sim.t ->
-  (module DAEMON with type t = 'a) ->
-  'a ->
   t
-(** Attach a supervisor to a daemon instance.  Nothing is scheduled
-    until a crash is noticed via {!notify} or {!watch}. *)
+(** Attach a supervisor to a daemon: [alive] says whether it runs,
+    [restart] boots it again, and [kind] (e.g. ["connmand"]) names the
+    supervisor unless [name] is given.  Nothing is scheduled until a
+    crash is noticed via {!notify}. *)
 
 val notify : t -> unit
 (** Check the daemon now.  If it is dead and the supervisor is watching,
@@ -89,10 +76,6 @@ val notify : t -> unit
     alive and the last crash has aged out of the window, the backoff
     resets to its initial delay.  No-op while a restart is already
     pending or after giving up. *)
-
-val watch : t -> every_us:int -> rounds:int -> unit
-(** Bounded polling watchdog: {!notify} every [every_us] for [rounds]
-    rounds (bounded so {!Netsim.World.run} can drain the event loop). *)
 
 val revive : t -> unit
 (** Reset the supervisor: the give-up verdict, the crash-counting
@@ -129,39 +112,17 @@ val register_metrics : t -> Telemetry.Metrics.t -> unit
 (** Register [supervisor_*] probes (restarts, crashes, gave-up state),
     labelled with this supervisor's name. *)
 
-(** Bounded, backed-off retransmission — the policy type
-    {!Device.lookup_with_retry} runs on. *)
+(** Bounded retransmission at a fixed timeout. *)
 module Retry : sig
-  type policy = {
-    attempts : int;  (** total attempts, including the first *)
-    timeout_us : int;  (** delay before the first retransmission *)
-    multiplier : float;  (** timeout growth per retransmission *)
-    max_timeout_us : int;
-  }
-
-  val fixed : attempts:int -> timeout_us:int -> policy
-  (** Constant timeout (the seed [lookup_with_retry] behaviour). *)
-
-  val exponential :
-    ?multiplier:float ->
-    ?max_timeout_us:int ->
-    attempts:int ->
-    timeout_us:int ->
-    unit ->
-    policy
-  (** Default ×2.0 growth, ceiling 16× the initial timeout. *)
-
   val run :
     Netsim.Sim.t ->
-    policy ->
+    attempts:int ->
+    timeout_us:int ->
     attempt:(int -> unit) ->
     still_needed:(unit -> bool) ->
-    ?on_exhausted:(unit -> unit) ->
-    unit ->
     unit
-  (** [attempt 0] fires immediately; each later attempt [i] fires after
-      the (backed-off) timeout only if [still_needed ()] still holds.
-      When [on_exhausted] is given, it runs one timeout after the final
-      attempt if the need never went away.  Raises [Invalid_argument]
-      on a non-positive attempt count. *)
+  (** [attempt 0] fires immediately; each later attempt [i < attempts]
+      fires [timeout_us] after the previous one, only if
+      [still_needed ()] still holds.  Raises [Invalid_argument] on a
+      non-positive [attempts] or [timeout_us]. *)
 end

@@ -234,14 +234,6 @@ let respawn m =
       Dnsproxy.fork_diversified m.mtemplate
         ~diversity_seed:(Diversity.Pool.seed_for ~master m.mboots)
 
-module Member_daemon = struct
-  type t = member
-
-  let kind = "connmand"
-  let alive m = Dnsproxy.alive m.mdaemon
-  let restart m = m.mdaemon <- respawn m
-end
-
 type lan_ctx = {
   l_lan : W.lan;
   l_resolver : W.host;
@@ -487,8 +479,10 @@ let run ?metrics ?monitor cfg =
       in
       let name = Printf.sprintf "dev-%04d" m.idx in
       let sup =
-        Supervisor.supervise ~policy:cfg.sup_policy ~name ~on_event sim
-          (module Member_daemon) m
+        Supervisor.supervise ~policy:cfg.sup_policy ~name ~on_event ~kind:"connmand"
+          ~alive:(fun () -> Dnsproxy.alive m.mdaemon)
+          ~restart:(fun () -> m.mdaemon <- respawn m)
+          sim
       in
       Supervisor.set_monitor sup monitor;
       m.msup <- Some sup;

@@ -66,21 +66,6 @@ let clear t =
   Int_table.reset t.pages;
   forget t
 
-(* Snapshots deep-copy the sparse page set.  Shadow pages are few (only
-   pages that ever carried taint) and restore is exact: pages created
-   after the snapshot are dropped, not just zeroed. *)
-type snapshot = (int * int array) list  (* sorted by page index *)
-
-let snapshot t =
-  let pages =
-    Int_table.fold (fun idx page acc -> (idx, Array.copy page) :: acc) t.pages []
-  in
-  List.sort (fun (a, _) (b, _) -> compare a b) pages
-
-let restore t snap =
-  clear t;
-  List.iter (fun (idx, page) -> Int_table.replace t.pages idx (Array.copy page)) snap
-
 let tainted t =
   Int_table.fold
     (fun _ page acc ->

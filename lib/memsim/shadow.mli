@@ -52,13 +52,3 @@ val clear : t -> unit
 
 val tainted : t -> int
 (** Number of bytes currently carrying a non-zero label. *)
-
-type snapshot
-(** Deep copy of the label state, independent of later mutation. *)
-
-val snapshot : t -> snapshot
-
-val restore : t -> snapshot -> unit
-(** Rewind to exactly the snapshot's labels: pages tainted since the
-    snapshot are dropped, not merely zeroed.  The snapshot remains valid
-    and may be restored again. *)

@@ -10,9 +10,7 @@ let now_s ctx = Sim.now (World.sim ctx.World.world) / 1_000_000
 
 let resolver ?(cnames = []) ?cache _world host ~zone =
   (* Per-resolver reusable codec state: queries are validated through the
-     zero-copy view and responses are encoded into the arena, so the
-     per-packet cost of a busy resolver is the response payload string
-     and nothing else. *)
+     zero-copy view and responses are encoded into the arena. *)
   let view = Dns.Wire.create_view () in
   let arena = Dns.Wire.arena ~capacity:256 () in
   World.on_udp host ~port:53 (fun ctx dgram ->
@@ -22,36 +20,10 @@ let resolver ?(cnames = []) ?cache _world host ~zone =
       | Ok () -> (
           match Dns.Wire.qdcount view with
           | 1 ->
-              let q =
-                match Dns.Wire.name_labels payload (Dns.Wire.question_name view 0) with
-                | Error _ -> assert false (* parse validated the name *)
-                | Ok (qname, _) ->
-                    {
-                      Dns.Packet.qname;
-                      qtype =
-                        Dns.Packet.qtype_of_code
-                          (Dns.Wire.question_qtype view 0);
-                    }
-              in
-              let query =
-                {
-                  Dns.Packet.header =
-                    {
-                      Dns.Packet.id = Dns.Wire.id view;
-                      qr = Dns.Wire.qr view;
-                      opcode = Dns.Wire.opcode view;
-                      aa = Dns.Wire.aa view;
-                      tc = Dns.Wire.tc view;
-                      rd = Dns.Wire.rd view;
-                      ra = Dns.Wire.ra view;
-                      rcode = Dns.Packet.rcode_of_code (Dns.Wire.rcode view);
-                    };
-                  questions = [ q ];
-                  answers = [];
-                  authorities = [];
-                  additionals = [];
-                }
-              in
+              (* [Packet.response] echoes only the header and question,
+                 so a query's other sections never reach the reply. *)
+              let query = Dns.Packet.of_view view payload in
+              let q = List.hd query.Dns.Packet.questions in
               (* Chase CNAMEs within the local zone (bounded), answering
                  with the chain plus the terminal A record, as a real
                  recursive resolver does. *)

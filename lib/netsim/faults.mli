@@ -9,8 +9,8 @@
     impairment traces — the property the chaos campaign and the
     seed-determinism test suite rely on.
 
-    {!World} attaches policies per host-pair, per LAN, or world-wide,
-    and consults {!apply} once per (datagram, receiver) pair. *)
+    {!World} attaches policies per sender's LAN or world-wide, and
+    consults {!apply} once per (datagram, receiver) pair. *)
 
 type latency =
   | Const of int  (** fixed propagation delay, µs *)

@@ -26,7 +26,6 @@ type t = {
   mutable hosts : host list;
   mutable next_id : int;  (* host/lan id source (policy and visited keys) *)
   mutable default_policy : Faults.policy;
-  link_policies : (int * int, Faults.policy) Hashtbl.t;  (* host-id pair *)
   lan_policies : (int, Faults.policy) Hashtbl.t;  (* sender's LAN id *)
   mutable severed : (int * int) list;  (* partitioned LAN-id pairs *)
   mutable trace : Telemetry.Trace.t option;
@@ -72,7 +71,6 @@ let create ?(seed = 7) () =
     hosts = [];
     next_id = 0;
     default_policy = Faults.default;
-    link_policies = Hashtbl.create 8;
     lan_policies = Hashtbl.create 8;
     severed = [];
     trace = None;
@@ -112,29 +110,19 @@ let dgram_args dgram =
 let set_default_policy t p = t.default_policy <- Faults.validate p
 let default_policy t = t.default_policy
 
-let link_key a b = if a.hid <= b.hid then (a.hid, b.hid) else (b.hid, a.hid)
-
-let set_link_policy t a b p =
-  Hashtbl.replace t.link_policies (link_key a b) (Faults.validate p)
-
-let clear_link_policy t a b = Hashtbl.remove t.link_policies (link_key a b)
-
 let set_lan_policy t lan p =
   Hashtbl.replace t.lan_policies lan.lid (Faults.validate p)
 
 let clear_lan_policy t lan = Hashtbl.remove t.lan_policies lan.lid
 
-(* Most specific wins: host pair, then the sender's LAN, then the world. *)
-let policy_for t ~src ~dst =
-  match Hashtbl.find_opt t.link_policies (link_key src dst) with
-  | Some p -> p
-  | None -> (
-      match src.hlan with
-      | None -> t.default_policy
-      | Some lan -> (
-          match Hashtbl.find_opt t.lan_policies lan.lid with
-          | Some p -> p
-          | None -> t.default_policy))
+(* The sender's LAN policy, else the world default. *)
+let policy_for t src =
+  match src.hlan with
+  | None -> t.default_policy
+  | Some lan -> (
+      match Hashtbl.find_opt t.lan_policies lan.lid with
+      | Some p -> p
+      | None -> t.default_policy)
 
 (* --- topology ----------------------------------------------------------- *)
 
@@ -245,10 +233,10 @@ let deliver t dgram target =
         (("host", Telemetry.Trace.S target.hname) :: dgram_args dgram);
       handler { world = t; self = target } dgram
 
-(* Push one datagram across the [src -> target] link, applying that
-   link's impairment policy, and schedule every surviving copy. *)
+(* Push one datagram across the [src -> target] link, applying the
+   sender's impairment policy, and schedule every surviving copy. *)
 let transmit t dgram ~src target =
-  let policy = policy_for t ~src ~dst:target in
+  let policy = policy_for t src in
   let plan =
     Faults.apply (Sim.rng t.wsim) policy ~now:(Sim.now t.wsim)
       ~payload:dgram.payload

@@ -9,8 +9,8 @@
 
     Every datagram crosses a {!Faults.policy}: a deterministic
     impairment model (drop, duplicate, corrupt, reorder, latency
-    jitter, link flaps) resolved per link — host pair first, then the
-    sender's LAN, then the world default.  LAN pairs can additionally be
+    jitter, link flaps) resolved per sender in two levels: the sender's
+    LAN policy, else the world default.  LAN pairs can additionally be
     {!partition}ed, which severs routing between them.
 
     Every LAN's traffic fires on one {!Sim} heap and draws from its one
@@ -73,15 +73,9 @@ val set_default_policy : t -> Faults.policy -> unit
 
 val default_policy : t -> Faults.policy
 
-val set_link_policy : t -> host -> host -> Faults.policy -> unit
-(** Attach a policy to the (symmetric) host pair; overrides LAN and
-    world policies for traffic between the two. *)
-
-val clear_link_policy : t -> host -> host -> unit
-
 val set_lan_policy : t -> lan -> Faults.policy -> unit
-(** Policy for traffic {e originating} from hosts attached to that LAN
-    (when no host-pair policy matches). *)
+(** Policy for traffic {e originating} from hosts attached to that LAN;
+    it replaces the world default for them. *)
 
 val clear_lan_policy : t -> lan -> unit
 
@@ -122,7 +116,7 @@ val send :
 (** Queue a datagram.  Unicast resolves within the sender's LAN and then
     its uplink chain (never crossing a partitioned edge);
     {!Ip.broadcast} reaches every other host of the sender's LAN.  Each
-    (datagram, receiver) pair crosses its link's impairment policy;
+    (datagram, receiver) pair crosses the sender's impairment policy;
     unroutable datagrams and drops are counted per reason in {!stats}. *)
 
 val run : ?until:int -> t -> int

@@ -94,7 +94,6 @@ type expr =
   | Series of selector
   | Rate of selector * int
   | Delta of selector * int
-  | Quantile of float * selector
   | Add of expr * expr
   | Sub of expr * expr
   | Mul of expr * expr
@@ -166,7 +165,6 @@ type t = {
   stores : (string, sstore) Hashtbl.t;  (* key = name ^ rendered labels *)
   mutable order : (string * (string * string) list * string) list;
       (* (name, labels, key), insertion order — never iterate [stores] *)
-  mutable cur_hists : (string * (string * string) list * (float * int) list * int) list;
   mutable records : rrule list;  (* reverse declaration order *)
   mutable alerts : arule list;  (* reverse declaration order *)
   mutable trans : transition list;  (* reverse chronological *)
@@ -197,7 +195,6 @@ let create ?(interval_us = 1_000_000) ?(points = 512) reg =
     lookback = 2 * interval_us;
     stores = Hashtbl.create 64;
     order = [];
-    cur_hists = [];
     records = [];
     alerts = [];
     trans = [];
@@ -319,17 +316,6 @@ let rec eval t ~now e =
         List.fold_left
           (fun acc ss -> acc +. delta_of ss ~now ~window_us:w)
           0.0 (matching_stores t sel)
-    | Quantile (q, sel) -> (
-        let hit =
-          List.find_opt
-            (fun (name, labels, _, _) ->
-              name = sel.sel_name && labels_match sel.sel_labels labels)
-            t.cur_hists
-        in
-        match hit with
-        | None -> 0.0
-        | Some (_, _, cumulative, count) ->
-            Metrics.sample_quantile (Metrics.Hist { cumulative; sum = 0.0; count }) q)
     | Add (a, b) -> eval t ~now a +. eval t ~now b
     | Sub (a, b) -> eval t ~now a -. eval t ~now b
     | Mul (a, b) -> eval t ~now a *. eval t ~now b
@@ -424,16 +410,9 @@ let scrape t ~now =
   else begin
     t.nscrapes <- t.nscrapes + 1;
     t.last_ts <- now;
-    t.cur_hists <- [];
     List.iter
-      (fun (name, labels, typ, sample) ->
-        match sample with
-        | Metrics.Value v -> store_append t name labels typ ~ts:now v
-        | Metrics.Hist { cumulative; count; _ } ->
-            t.cur_hists <- (name, labels, cumulative, count) :: t.cur_hists;
-            store_append t name labels typ ~ts:now (float_of_int count))
+      (fun (name, labels, typ, Metrics.Value v) -> store_append t name labels typ ~ts:now v)
       (Metrics.samples t.reg);
-    t.cur_hists <- List.rev t.cur_hists;
     List.iter
       (fun rr ->
         let v = eval t ~now rr.rr_expr in
@@ -521,17 +500,7 @@ let trace_entries t ~lo ~hi =
                 e_actor = e.track;
                 e_detail =
                   String.concat " "
-                    (List.map
-                       (fun (k, v) ->
-                         let s =
-                           match v with
-                           | Trace.I n -> string_of_int n
-                           | Trace.S s -> s
-                           | Trace.B b -> string_of_bool b
-                           | Trace.F f -> Printf.sprintf "%.4f" f
-                         in
-                         k ^ "=" ^ s)
-                       e.args);
+                    (List.map (fun (k, v) -> k ^ "=" ^ Trace.arg_string v) e.args);
               }
               :: !acc)
         (Trace.events tr);
@@ -999,14 +968,8 @@ let parse_line line =
         let sel, w = windowed_selector () in
         expect_sym ')';
         Delta (sel, w)
-    | TId "quantile" ->
-        expect_sym '(';
-        let q = number "quantile (0..1)" in
-        expect_sym ',';
-        let name = ident "series name" in
-        let sel = selector_of name in
-        expect_sym ')';
-        Quantile (q, sel)
+    | TId name when peek () = Some (TSym '(') ->
+        raise (Parse_error (Printf.sprintf "unknown function '%s'" name))
     | TId name -> Series (selector_of name)
     | _ -> raise (Parse_error "expected expression")
   in

@@ -9,7 +9,8 @@
     asserts it).
 
     Each scrape:
-    + samples every registry series into a fixed-capacity ring with
+    + samples every registry series (each a {!Metrics.probe}, one
+      float per scrape) into a fixed-capacity ring with
       last/sum/min/max downsampling (when the ring fills, adjacent
       points merge pairwise and the time-stride doubles — capacity is
       bounded, resolution degrades gracefully);
@@ -56,15 +57,11 @@ type selector = {
 type expr =
   | Const of float
   | Series of selector
-      (** sum of current values over matching series (histograms
-          contribute their observation count); 0 if none match *)
+      (** sum of current values over matching series; 0 if none match *)
   | Rate of selector * int
       (** per-second increase over a trailing window (µs), from the
           store; clamps to the oldest retained point *)
   | Delta of selector * int  (** raw increase over a trailing window *)
-  | Quantile of float * selector
-      (** {!Metrics.quantile} over the first matching histogram scraped
-          this round *)
   | Add of expr * expr
   | Sub of expr * expr
   | Mul of expr * expr
@@ -97,11 +94,12 @@ val add_rules : t -> string -> (int, string) result
 record fleet_compromised_fraction = fleet_compromised_devices / fleet_devices
 record compromise_rate = rate(fleet_compromises_total[10s])
 alert compromise_wave if compromise_rate > 0.5 for 5s clear 0.05
-alert slow_parse if quantile(0.99, parse_instructions) > 20000 for 2s
     v}
     Durations take [s]/[ms]/[us] suffixes; selectors may carry label
-    matchers [name{k="v"}].  Returns the number of rules added, or
-    [Error "line N: ..."] (no rules are added on error). *)
+    matchers [name{k="v"}].  The functions are [rate] and [delta]; any
+    other [name(] is an error that names it.  Returns the number of
+    rules added, or [Error "line N: ..."] (no rules are added on
+    error). *)
 
 (** {1 Scraping} *)
 

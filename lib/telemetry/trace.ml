@@ -1,4 +1,4 @@
-type arg = I of int | S of string | B of bool | F of float
+type arg = I of int | S of string | B of bool
 
 type event = {
   ts : int;
@@ -75,7 +75,6 @@ let arg_json = function
   | I n -> Json.Int n
   | S s -> Json.Str s
   | B b -> Json.Bool b
-  | F f -> Json.fixed 4 f
 
 (* Chrome trace-event format: one process (pid 1), one named thread per
    track, metadata events first.  Tracks get tids in first-appearance
@@ -151,15 +150,12 @@ let to_chrome_json t =
            Obj [ ("emitted", Int t.total); ("dropped", Int (dropped t)) ] );
        ])
 
-let pp_arg ppf (k, v) =
-  let s =
-    match v with
-    | I n -> string_of_int n
-    | S s -> s
-    | B b -> string_of_bool b
-    | F f -> Printf.sprintf "%.4f" f
-  in
-  Format.fprintf ppf "%s=%s" k s
+let arg_string = function
+  | I n -> string_of_int n
+  | S s -> s
+  | B b -> string_of_bool b
+
+let pp_arg ppf (k, v) = Format.fprintf ppf "%s=%s" k (arg_string v)
 
 let pp_event ppf e =
   Format.fprintf ppf "[%10d us] %-10s %-18s" e.ts e.track e.name;

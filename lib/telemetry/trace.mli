@@ -20,8 +20,11 @@
     costs at most one branch on a cold path, and the CPU run loops are
     untouched (see the overhead contract in DESIGN.md). *)
 
-type arg = I of int | S of string | B of bool | F of float
-(** Event argument values.  Floats serialize as %.4f for determinism. *)
+type arg = I of int | S of string | B of bool
+(** Event argument values. *)
+
+val arg_string : arg -> string
+(** The value as {!pp} prints it, without the key. *)
 
 type event = {
   ts : int;  (** timestamp, µs on the shared timeline *)

@@ -75,13 +75,7 @@ let test_health_window_and_immediate_causes () =
 
 (* --- supervision hierarchy --- *)
 
-module Fake_daemon = struct
-  type t = { mutable up : bool }
-
-  let kind = "fake"
-  let alive t = t.up
-  let restart t = t.up <- true
-end
+type fake_daemon = { mutable up : bool }
 
 let test_hierarchy_escalation () =
   let sim = Sim.create ~seed:1 () in
@@ -89,9 +83,14 @@ let test_hierarchy_escalation () =
   let cell = Hier.add_cell hier ~name:"lan-0" in
   let members =
     List.init 4 (fun i ->
-        let d = { Fake_daemon.up = true } in
+        let d = { up = true } in
         let name = Printf.sprintf "m%d" i in
-        let sup = Sup.supervise ~name sim (module Fake_daemon) d in
+        let sup =
+          Sup.supervise ~name ~kind:"fake"
+            ~alive:(fun () -> d.up)
+            ~restart:(fun () -> d.up <- true)
+            sim
+        in
         let h = H.create ~config:hcfg () in
         Hier.attach cell ~name ~sup ~health:h;
         h)

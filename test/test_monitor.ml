@@ -1,5 +1,5 @@
-(* Flight-recorder tests: quantile estimation at exact bucket edges, the
-   alert pending/firing/hysteresis state machine, store downsampling,
+(* Flight-recorder tests: the alert pending/firing/hysteresis state
+   machine, store downsampling,
    the rules grammar, the JSON parser and printer, the trace
    dropped-events marker, and incident timelines on the smoke campaign.
    The monitor-v1 document's replay contract is test_replay.ml's. *)
@@ -15,59 +15,16 @@ let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 let check_float = Alcotest.(check (float 1e-9))
 
-(* --- Metrics.quantile ---------------------------------------------------- *)
+(* Series a test can move: probes over refs. *)
+let gauge reg name =
+  let r = ref 0.0 in
+  M.probe reg ~kind:`Gauge name (fun () -> !r);
+  r
 
-let test_quantile_edges () =
-  let reg = M.create () in
-  let h = M.histogram reg ~buckets:[ 10.0; 20.0; 30.0 ] "q_hist" in
-  check_bool "empty histogram is nan" true (Float.is_nan (M.quantile h 0.5));
-  for _ = 1 to 5 do
-    M.observe h 5.0
-  done;
-  for _ = 1 to 5 do
-    M.observe h 15.0
-  done;
-  (* rank 0.5 * 10 = 5 lands exactly on the first bucket's cumulative
-     edge: interpolation reaches exactly that bucket's upper bound. *)
-  check_float "median at a bucket edge" 10.0 (M.quantile h 0.5);
-  check_float "q=1.0 is the last occupied bound" 20.0 (M.quantile h 1.0);
-  (* rank 2.5 interpolates halfway up the first bucket, from 0. *)
-  check_float "lowest bucket interpolates from 0" 5.0 (M.quantile h 0.25);
-  check_float "q=0 collapses to the bucket floor" 0.0 (M.quantile h 0.0);
-  check_float "q clamps above 1" 20.0 (M.quantile h 1.5);
-  check_float "q clamps below 0" 0.0 (M.quantile h (-0.5))
-
-let test_quantile_overflow_and_gaps () =
-  let reg = M.create () in
-  let h = M.histogram reg ~buckets:[ 10.0; 20.0; 30.0 ] "q_over" in
-  M.observe h 100.0;
-  (* observations beyond the last finite bound clamp to it *)
-  check_float "overflow clamps to the largest finite bound" 30.0
-    (M.quantile h 0.99);
-  (* empty bucket prefix: the interpolation edge must advance past it *)
-  let g = M.histogram reg ~buckets:[ 10.0; 20.0; 30.0 ] "q_gap" in
-  for _ = 1 to 4 do
-    M.observe g 15.0
-  done;
-  check_float "median inside the first occupied bucket" 15.0
-    (M.quantile g 0.5)
-
-let test_sample_quantile () =
-  let reg = M.create () in
-  let h = M.histogram reg ~buckets:[ 10.0; 20.0 ] "sq" in
-  let _g = M.gauge reg "sg" in
-  for _ = 1 to 4 do
-    M.observe h 15.0
-  done;
-  List.iter
-    (fun (name, _labels, _typ, sample) ->
-      match name with
-      | "sq" -> check_float "Hist sample quantile" 15.0 (M.sample_quantile sample 0.5)
-      | "sg" ->
-          check_bool "Value sample quantile is nan" true
-            (Float.is_nan (M.sample_quantile sample 0.5))
-      | _ -> ())
-    (M.samples reg)
+let counter reg name =
+  let r = ref 0.0 in
+  M.probe reg ~kind:`Counter name (fun () -> !r);
+  r
 
 (* --- alert state machine ------------------------------------------------- *)
 
@@ -75,14 +32,14 @@ let load_series = Mon.Series { Mon.sel_name = "load"; sel_labels = [] }
 
 let test_alert_for_duration_hysteresis () =
   let reg = M.create () in
-  let g = M.gauge reg "load" in
+  let g = gauge reg "load" in
   let mon = Mon.create ~interval_us:1_000_000 reg in
   Mon.alert mon ~name:"hot" ~for_us:2_000_000 ~clear:2.0 ~cmp:Mon.Gt
     ~threshold:5.0 load_series;
   let t = ref 0 in
   let step v =
     t := !t + 1_000_000;
-    M.set g v;
+    g := v;
     Mon.scrape mon ~now:!t
   in
   let state () = List.assoc "hot" (Mon.alert_states mon) in
@@ -122,14 +79,14 @@ let test_alert_for_duration_hysteresis () =
 
 let test_alert_pending_cancel () =
   let reg = M.create () in
-  let g = M.gauge reg "load" in
+  let g = gauge reg "load" in
   let mon = Mon.create ~interval_us:1_000_000 reg in
   Mon.alert mon ~name:"hot" ~for_us:3_000_000 ~cmp:Mon.Gt ~threshold:5.0
     load_series;
   let t = ref 0 in
   let step v =
     t := !t + 1_000_000;
-    M.set g v;
+    g := v;
     Mon.scrape mon ~now:!t
   in
   step 6.0;
@@ -149,10 +106,10 @@ let test_alert_pending_cancel () =
 
 let test_store_downsampling () =
   let reg = M.create () in
-  let g = M.gauge reg "x" in
+  let g = gauge reg "x" in
   let mon = Mon.create ~interval_us:1 ~points:8 reg in
   for i = 1 to 100 do
-    M.set g (float_of_int i);
+    g := float_of_int i;
     Mon.scrape mon ~now:i
   done;
   let pts = Mon.points mon "x" in
@@ -174,10 +131,10 @@ let test_store_downsampling () =
 
 let test_window_queries () =
   let reg = M.create () in
-  let c = M.counter reg "ops_total" in
+  let c = counter reg "ops_total" in
   let mon = Mon.create ~interval_us:1_000_000 reg in
   for i = 1 to 10 do
-    M.inc ~by:2.0 c;
+    c := !c +. 2.0;
     Mon.scrape mon ~now:(i * 1_000_000)
   done;
   check_float "delta over trailing 5s" 10.0
@@ -209,11 +166,20 @@ let test_rules_errors_are_atomic () =
       check_bool "error names the line" true
         (String.length e >= 7 && String.sub e 0 7 = "line 2:"));
   check_int "no rules added on error" 0 (List.length (Mon.alert_states mon));
+  (* the only functions are rate and delta: a quantile line rejects the
+     whole file, and the error names the token *)
+  let quantile = "alert ok_rule if x > 1\nalert slow if quantile(0.99, steps) > 5\n" in
+  (match Mon.add_rules mon quantile with
+  | Ok _ -> Alcotest.fail "expected quantile(...) to be rejected"
+  | Error e ->
+      check_string "error names line and token" "line 2: unknown function 'quantile'" e);
+  check_int "no rules added on a quantile error" 0
+    (List.length (Mon.alert_states mon));
   (* duration suffixes and label selectors parse *)
   let ok =
     "# comment\n\
      record r1 = rate(net_total{lan=\"0\"}[1500ms]) * 2\n\
-     alert a1 if quantile(0.99, parse_steps) >= 100 for 250ms clear 50\n"
+     alert a1 if delta(parse_steps[1s]) >= 100 for 250ms clear 50\n"
   in
   match Mon.add_rules mon ok with
   | Ok n -> check_int "two rules" 2 n
@@ -420,13 +386,6 @@ let test_incident_causal_order () =
 let () =
   Alcotest.run "monitor"
     [
-      ( "quantile",
-        [
-          Alcotest.test_case "bucket edges" `Quick test_quantile_edges;
-          Alcotest.test_case "overflow and gaps" `Quick
-            test_quantile_overflow_and_gaps;
-          Alcotest.test_case "sample quantile" `Quick test_sample_quantile;
-        ] );
       ( "alerts",
         [
           Alcotest.test_case "for-duration + hysteresis" `Quick
