@@ -115,6 +115,13 @@ type t = {
    in a page table, so nothing ever stores to it. *)
 let null_page = { pperm = none; data = Bytes.empty; gen = ref (-1); frozen = false }
 
+(* The buffer every freshly mapped page starts frozen on: a mapping
+   allocates no bytes, and a page gets a private copy on its first store
+   like any other frozen page.  Frozen buffers are never written, so it
+   stays all zeros.  A boot leaves most of its stack, heap and .bss
+   unwritten and holds buffers only for the pages it writes. *)
+let zero_page = Bytes.make page_size '\000'
+
 (* Never restored to: no snapshot is physically this record. *)
 let unarmed = { s_frames = [||]; s_regs = [] }
 
@@ -135,8 +142,8 @@ let private_buffer t =
   | [] -> Bytes.create page_size
 
 (* Cold path of the copy-on-write protocol: give page [idx] a private
-   copy of its buffer before the first mutation after a snapshot or
-   restore, and note it for the next restore.  Kept out-of-line so the
+   copy of its buffer before the first mutation after a map, snapshot
+   or restore, and note it for the next restore.  Kept out-of-line so the
    store hot paths pay only the [frozen] test. *)
 let[@inline never] unshare t idx p =
   let b = private_buffer t in
@@ -229,9 +236,7 @@ let map t ~base ~size ~perm ~name =
            (Word.to_hex (i lsl page_bits)))
   done;
   for i = first to last do
-    let data = private_buffer t in
-    Bytes.fill data 0 page_size '\000';
-    Int_table.replace t.pages i { pperm = perm; data; gen = ref (fresh_gen ()); frozen = false }
+    Int_table.replace t.pages i { pperm = perm; data = zero_page; gen = ref (fresh_gen ()); frozen = true }
   done;
   let reg = { name; base; size; perm } in
   t.regs <- reg :: t.regs;
@@ -569,8 +574,8 @@ let poke_bytes t addr s =
    way, the restore arms the memory for the snapshot it restored.
 
    Restore also keeps the private buffers it displaces on [spare], and
-   {!unshare} and {!map} take their buffer from there before allocating,
-   so a fuzzing loop stops copying fresh pages into the major heap.
+   {!unshare} takes its buffer from there before allocating, so a
+   fuzzing loop stops copying fresh pages into the major heap.
 
    The invariants every path keeps:
    - A dirtied page comes back under a {e fresh} generation and an

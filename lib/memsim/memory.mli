@@ -81,7 +81,8 @@ val map : t -> base:int -> size:int -> perm:perm -> name:string -> unit
 (** Map a zero-filled region.  [base] and [size] are rounded outward to page
     boundaries for permission purposes, but the region record keeps the
     exact values.  Overlapping an existing mapping raises
-    [Invalid_argument]. *)
+    [Invalid_argument].  The new pages share one all-zero buffer
+    copy-on-write, so a page costs a buffer only once it is written. *)
 
 val unmap : t -> base:int -> unit
 (** Remove the region whose [base] matches exactly.  Raises
