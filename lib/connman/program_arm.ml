@@ -264,38 +264,44 @@ let chunks ~version ~profile =
     ("rodata", rodata ~version);
   ]
 
+let code text = { Loader.Process.arch = Loader.Arch.Arm; text }
+
 (* The chunks are pure data of (version, profile), and so is what the
-   variant pass prepares from them: both are built once per pair. *)
-let templates = Hashtbl.create 8
+   variant pass prepares from them and the stock spec (the template's
+   unshuffled program): both are built once per pair. *)
+let prepared = Hashtbl.create 8
 
-let template ~version ~profile =
-  match Hashtbl.find_opt templates (version, profile) with
-  | Some t -> t
+let prepare ~version ~profile =
+  match Hashtbl.find_opt prepared (version, profile) with
+  | Some p -> p
   | None ->
-      let chunks = Version.rotate version (chunks ~version ~profile) in
-      let t = (List.concat_map snd chunks, Diversity.Variant.arm_template chunks) in
-      Hashtbl.add templates (version, profile) t;
-      t
+      let t = Diversity.Variant.arm_template (Version.rotate version (chunks ~version ~profile)) in
+      let stock =
+        {
+          Loader.Process.name = Printf.sprintf "connmand-%s" (Version.to_string version);
+          code = code (Diversity.Variant.stock t);
+          imports =
+            [ "memcpy"; "execlp"; "exit"; "abort"; "__stack_chk_fail"; "__strcpy_chk" ];
+          bss_size = 0x2000;
+        }
+      in
+      Hashtbl.add prepared (version, profile) (t, stock);
+      (t, stock)
 
-let spec_of ~version program =
-  {
-    Loader.Process.name = Printf.sprintf "connmand-%s" (Version.to_string version);
-    code = Loader.Process.Arm_code program;
-    imports =
-      [ "memcpy"; "execlp"; "exit"; "abort"; "__stack_chk_fail"; "__strcpy_chk" ];
-    bss_size = 0x2000;
-  }
+let template ~version ~profile = fst (prepare ~version ~profile)
 
 (* Compile-time diversity (§IV): shuffle function order, insert random
    NOP padding, and apply equivalent-instruction rewrites, so every code
    address moves between builds. *)
 let variant ~version ~profile ~seed =
-  let program, plan = Diversity.Variant.generate ~seed (snd (template ~version ~profile)) in
-  (spec_of ~version program, plan)
+  let t, stock = prepare ~version ~profile in
+  let text, plan = Diversity.Variant.text ~seed t in
+  ({ stock with code = code text }, plan)
 
 let spec ~version ~profile ?diversity_seed () =
   match diversity_seed with
-  | None -> spec_of ~version (fst (template ~version ~profile))
+  | None -> snd (prepare ~version ~profile)
   | Some seed -> fst (variant ~version ~profile ~seed)
 
-let variant_plan ~version ~profile ~seed = snd (variant ~version ~profile ~seed)
+let variant_plan ~version ~profile ~seed =
+  Diversity.Variant.plan ~seed (template ~version ~profile)

@@ -29,6 +29,15 @@ val variant :
 (** [spec ~diversity_seed:seed] and the plan of its variant, from one
     run of the variant pass. *)
 
+val template :
+  version:Version.t ->
+  profile:Defense.Profile.t ->
+  Isa_x86.Asm.item Diversity.Variant.template
+(** The program cut into its chunks and prepared for the variant pass,
+    once per (version, profile): {!spec}'s stock build is its
+    {!Diversity.Variant.stock} program, a variant its
+    {!Diversity.Variant.text}. *)
+
 val variant_plan :
   version:Version.t ->
   profile:Defense.Profile.t ->

@@ -26,12 +26,19 @@
 
     What does not depend on the seed is done once, in a {!template}:
     every instruction is encoded there, each run of instructions Equiv
-    cannot change becomes one item of bytes, and each instruction it can
-    change carries both encodings.  A variant is then a shuffle, one
-    padding draw per chunk and one coin per substitutable instruction
-    over the template — no instruction is encoded per variant — cheap
-    enough to pair with copy-on-write forks for µs-scale diversified
-    device spawning ([Loader.Process.reimage]). *)
+    cannot change becomes one item of bytes, each instruction it can
+    change carries both encodings, and every such item (and every
+    padding run) is a piece of one assembler pool ({!Machine.Asm.pool}:
+    label ids, their sorted names and the reference sites, prepared
+    once).  A variant is then a shuffle, one padding draw per chunk and
+    one coin per substitutable instruction over the template — no
+    instruction is encoded per variant — and its program is the
+    sequence of pool pieces those draws pick ({!text}), which the loader
+    lays out in one pass straight into the text page: cheap enough to
+    pair with copy-on-write forks for µs-scale diversified device
+    spawning ([Loader.Process.reimage]).  {!generate}, the same draws
+    as an item list, is the reference path the tests hold {!text}
+    to. *)
 
 type plan = {
   seed : int;
@@ -48,6 +55,20 @@ type 'item template
 
 val x86_template : (string * Isa_x86.Asm.item list) list -> Isa_x86.Asm.item template
 val arm_template : (string * Isa_arm.Asm.item list) list -> Isa_arm.Asm.item template
+
+val text : seed:int -> 'item template -> Machine.Asm.text * plan
+(** The variant [seed] selects, as a program over the template's pool,
+    and what it did: the same draws as {!generate}, whose item list
+    assembles to the same bytes and symbols. *)
+
+val stock : 'item template -> Machine.Asm.text
+(** The program the template was prepared from, unshuffled, unpadded and
+    unrewritten, over the same pool: the stock build, which assembles
+    to the same bytes and symbols as the chunks' items in order. *)
+
+val plan : seed:int -> 'item template -> plan
+(** [snd (generate ~seed t)], from the same draws, building no
+    program. *)
 
 val generate : seed:int -> 'item template -> 'item list * plan
 (** The variant [seed] selects and what it did.  Bit-for-bit the

@@ -205,7 +205,7 @@ let spec ~patched ~profile =
   in
   {
     Loader.Process.name = (if patched then "dnsmasq-2.78" else "dnsmasq-2.77");
-    code = Loader.Process.Arm_code program;
+    code = Loader.Process.arm_code program;
     imports = [ "memcpy"; "execlp"; "exit"; "abort"; "__stack_chk_fail" ];
     bss_size = 0x2000;
   }

@@ -227,7 +227,7 @@ let spec ~patched ~profile =
   in
   {
     Loader.Process.name = (if patched then "dnsmasq-2.78" else "dnsmasq-2.77");
-    code = Loader.Process.X86_code program;
+    code = Loader.Process.x86_code program;
     imports = [ "memcpy"; "execlp"; "exit"; "abort"; "__stack_chk_fail" ];
     bss_size = 0x2000;
   }

@@ -17,7 +17,8 @@ type result = A.result = { base : int; code : string; symbols : (string * int) l
 
 (* A pc-relative reference: one instruction word whose offset counts from
    pc, which reads 8 bytes past the instruction. *)
-let rel sym insn = A.Ref { size = 4; sym; emit = (fun here t -> Encode.encode (insn (t - (here + 8)))) }
+let rel sym insn =
+  A.Ref { prefix = ""; sym; field = (fun here t -> Encode.encode_word (insn (t - (here + 8)))) }
 
 let concrete = function
   | I i -> Some (Encode.encode i)
@@ -38,10 +39,12 @@ let piece = function
           { Insn.cond = Insn.AL; op = Insn.Ldr (rd, Insn.PC, off) })
   | Bytes s -> A.Bytes s
   | Word v -> A.Bytes (A.le32 v)
-  | Word_sym sym -> A.Ref { size = 4; sym; emit = (fun _ t -> A.le32 t) }
+  | Word_sym sym -> A.Ref { prefix = ""; sym; field = (fun _ t -> t) }
   | Align n -> A.Align (n, '\x00')
 
-let layout program = A.layout ~base_align:4 (List.map piece program)
+let pool items = A.pool ~base_align:4 (Array.map piece items)
+let text program = A.whole (pool (Array.of_list program))
+let layout program = A.layout (text program)
 let assemble ?extern ~base program = A.link ?extern ~base (layout program)
 let symbol = A.symbol
 

@@ -17,12 +17,19 @@ type program = item list
 
 type result = A.result = { base : int; code : string; symbols : (string * int) list }
 
-(* A pc-relative reference counts from the end of the instruction; an
-   absolute one is a 5-byte opcode + imm32. *)
-let rel sym size insn =
-  A.Ref { size; sym; emit = (fun here t -> Encode.encode (insn (Memsim.Word.sub t (here + size)))) }
+(* Every symbol reference is an opcode and then its imm32/rel32 field,
+   so its prefix is its encoding with the field cut off.  A pc-relative
+   field counts from the end of the instruction. *)
+let opcode insn =
+  let e = Encode.encode insn in
+  String.sub e 0 (String.length e - 4)
 
-let absolute sym insn = A.Ref { size = 5; sym; emit = (fun _ t -> Encode.encode (insn t)) }
+let rel sym insn =
+  let prefix = opcode (insn 0) in
+  let size = String.length prefix + 4 in
+  A.Ref { prefix; sym; field = (fun here t -> t - (here + size)) }
+
+let absolute sym insn = A.Ref { prefix = opcode (insn 0); sym; field = (fun _ t -> t) }
 
 let concrete = function
   | I i -> Some (Encode.encode i)
@@ -33,17 +40,19 @@ let concrete = function
 let piece = function
   | Label name -> A.Label name
   | I i -> A.Bytes (Encode.encode i)
-  | Call sym -> rel sym 5 (fun d -> Insn.Call_rel d)
-  | Jmp sym -> rel sym 5 (fun d -> Insn.Jmp_rel d)
-  | Jcc (c, sym) -> rel sym 6 (fun d -> Insn.Jcc (c, d))
+  | Call sym -> rel sym (fun d -> Insn.Call_rel d)
+  | Jmp sym -> rel sym (fun d -> Insn.Jmp_rel d)
+  | Jcc (c, sym) -> rel sym (fun d -> Insn.Jcc (c, d))
   | Push_sym sym -> absolute sym (fun a -> Insn.Push_i a)
   | Mov_ri_sym (r, sym) -> absolute sym (fun a -> Insn.Mov_ri (r, a))
   | Bytes s -> A.Bytes s
   | Word v -> A.Bytes (A.le32 v)
-  | Word_sym sym -> A.Ref { size = 4; sym; emit = (fun _ t -> A.le32 t) }
+  | Word_sym sym -> A.Ref { prefix = ""; sym; field = (fun _ t -> t) }
   | Align n -> A.Align (n, '\x90')
 
-let layout program = A.layout (List.map piece program)
+let pool items = A.pool (Array.map piece items)
+let text program = A.whole (pool (Array.of_list program))
+let layout program = A.layout (text program)
 let assemble ?extern ~base program = A.link ?extern ~base (layout program)
 let symbol = A.symbol
 

@@ -28,6 +28,14 @@ val concrete : item -> string option
     instruction, raw bytes, a literal word), encoded; [None] for a
     label, a symbol reference or an alignment. *)
 
+val pool : item array -> Machine.Asm.pool
+(** The items prepared for {!Machine.Asm.text}: the pool of a program, or
+    of every item a diversified variant may use. *)
+
+val text : program -> Machine.Asm.text
+(** The program in order over a pool of its own.  Raises [Failure] on a
+    bad alignment. *)
+
 val layout : program -> Machine.Asm.layout
 (** For {!Machine.Asm.link}.  Raises [Failure] on a duplicate label or a
     bad alignment. *)

@@ -2,9 +2,10 @@ module Mem = Memsim.Memory
 module Word = Memsim.Word
 module O = Machine.Outcome
 
-type code =
-  | X86_code of Isa_x86.Asm.program
-  | Arm_code of Isa_arm.Asm.program
+type code = { arch : Arch.t; text : Machine.Asm.text }
+
+let x86_code program = { arch = Arch.X86; text = Isa_x86.Asm.text program }
+let arm_code program = { arch = Arch.Arm; text = Isa_arm.Asm.text program }
 
 type spec = {
   name : string;
@@ -15,8 +16,9 @@ type spec = {
 
 (* The decoded-instruction cache of a fork family: [boot] creates it,
    [fork] shares it (page generations tell every member which entries
-   hold its own bytes), [reimage] replaces it (the variant's text is
-   unique to it), and every [call] runs through it. *)
+   hold its own bytes), [reimage] derives one that owns the rewritten
+   text pages and shares every other page with the family, and every
+   [call] runs through it. *)
 type icache =
   | X86_icache of Isa_x86.Cpu.compiled Memsim.Icache.table
   | Arm_icache of Isa_arm.Cpu.compiled Memsim.Icache.table
@@ -28,9 +30,10 @@ type t = {
   layout : Layout.t;
   profile : Defense.Profile.t;
   symbols : (string * int) list;
+  world : (string * int) list;
   extern : (string * int) list;
   trap : int;
-  valid_targets : (int, unit) Hashtbl.t Lazy.t;
+  valid_targets : unit Memsim.Int_table.t Lazy.t * unit Memsim.Int_table.t Lazy.t;
   icache : icache;
 }
 
@@ -40,26 +43,38 @@ let new_icache = function
 
 (* The forward-edge CFI policy set: every symbol address — function
    entries in the main image and libc, PLT stubs, the loader specials.
-   Coarse-grained label CFI, as an embedded toolchain would emit it;
-   lazy so processes that never run mitigated pay nothing, shared
-   across forks (symbols are immutable after boot). *)
+   Coarse-grained label CFI, as an embedded toolchain would emit it.
+   Two tables, the main image's and the rest's, so a reimaged variant
+   builds only its image's and shares the rest with its template; lazy
+   so processes that never run mitigated pay nothing, shared across
+   forks (symbols are immutable after boot). *)
 let targets_of_symbols symbols =
   lazy
-    (let h = Hashtbl.create (2 * List.length symbols) in
-     List.iter (fun (_, a) -> Hashtbl.replace h a ()) symbols;
+    (let h = Memsim.Int_table.create (2 * List.length symbols) in
+     List.iter (fun (_, a) -> Memsim.Int_table.replace h a ()) symbols;
      h)
 
-let valid_target t addr = Hashtbl.mem (Lazy.force t.valid_targets) addr
+let valid_target t addr =
+  let image, world = t.valid_targets in
+  Memsim.Int_table.mem (Lazy.force image) addr || Memsim.Int_table.mem (Lazy.force world) addr
 
 let trap_addr = 0xFFFF_0000
 
-let arch_of_code = function X86_code _ -> Arch.X86 | Arm_code _ -> Arch.Arm
-
-(* Laid out once per boot: the size fixes the text region. *)
-let layout_main spec =
-  match spec.code with
-  | X86_code program -> Isa_x86.Asm.layout program
-  | Arm_code program -> Isa_arm.Asm.layout program
+(* The main image, laid out for [base] straight into the text region's
+   pages: [size] bytes, the image then zeros, so no bytes of an earlier
+   image survive in the slack.  Returns its symbols, or [None], with
+   memory unchanged, when it is longer than [size]. *)
+let write_main mem ~extern ~base ~size text =
+  let symbols = ref [] in
+  let fits buf pos =
+    match Machine.Asm.write ~extern ~base text buf pos ~room:size with
+    | None -> false
+    | Some (len, image) ->
+        Bytes.fill buf (pos + len) (size - len) '\000';
+        symbols := image;
+        true
+  in
+  if Mem.rewrite mem ~base ~size fits then Some !symbols else None
 
 let round_up v = (v + Mem.page_size - 1) land lnot (Mem.page_size - 1)
 
@@ -67,13 +82,12 @@ let round_up v = (v + Mem.page_size - 1) land lnot (Mem.page_size - 1)
    overflow a realistic amount of writable slack before the guard. *)
 let env_strings = "SHELL=/bin/sh\x00PATH=/usr/sbin:/usr/bin:/sbin:/bin\x00HOME=/root\x00USER=root\x00"
 
-let boot spec ~profile ~seed =
-  let arch = arch_of_code spec.code in
+let build spec ~profile ~seed =
+  let arch = spec.code.arch in
   let rng = Memsim.Rng.create seed in
-  let main = layout_main spec in
+  let main_size = Machine.Asm.text_size spec.code.text in
   let layout =
-    Layout.compute ~arch ~profile ~rng ~text_size:(Machine.Asm.size main)
-      ~bss_size:spec.bss_size
+    Layout.compute ~arch ~profile ~rng ~text_size:main_size ~bss_size:spec.bss_size
   in
   let libc =
     match arch with
@@ -99,12 +113,13 @@ let boot spec ~profile ~seed =
         ("__bss_start", layout.Layout.bss_base); ("__canary", layout.Layout.tls_base);
       ]
   in
-  let image = Machine.Asm.link ~extern ~base:layout.Layout.text_base main in
   (* Map the address space. *)
   let mem = Mem.create () in
   let l = layout in
   Mem.map mem ~base:l.Layout.text_base ~size:l.Layout.text_size ~perm:Mem.rx ~name:".text";
-  Mem.poke_bytes mem l.Layout.text_base image.Machine.Asm.code;
+  let main_symbols =
+    Option.get (write_main mem ~extern ~base:l.Layout.text_base ~size:l.Layout.text_size spec.code.text)
+  in
   Mem.map mem ~base:l.Layout.plt_base ~size:l.Layout.plt_size ~perm:Mem.rx
     ~name:".plt";
   Mem.poke_bytes mem l.Layout.plt_base plt.Plt.code;
@@ -129,14 +144,15 @@ let boot spec ~profile ~seed =
     ~size:(round_up (String.length libc.Machine.Asm.code))
     ~perm:Mem.rx ~name:"libc";
   Mem.poke_bytes mem l.Layout.libc_base libc.Machine.Asm.code;
-  let symbols =
-    image.Machine.Asm.symbols @ plt.Plt.symbols @ libc_syms
+  let world =
+    plt.Plt.symbols @ libc_syms
     @ [
         ("__bss_start", l.Layout.bss_base);
         ("__canary", l.Layout.tls_base);
         ("__trap", trap_addr);
       ]
   in
+  let symbols = main_symbols @ world in
   {
     spec;
     arch;
@@ -144,11 +160,35 @@ let boot spec ~profile ~seed =
     layout;
     profile;
     symbols;
+    world;
     extern;
     trap = trap_addr;
-    valid_targets = targets_of_symbols symbols;
+    valid_targets = (targets_of_symbols main_symbols, targets_of_symbols world);
     icache = new_icache arch;
   }
+
+(* A boot is a pure function of its spec, profile and seed, and callers
+   often boot the same device twice in a row (a cell's undiversified and
+   diversified templates, an analysis copy and its victim).  The last
+   boot is kept with a snapshot of its memory as booted, and a boot
+   identical to it forks that snapshot: the same bytes, permissions,
+   regions, symbols and CFI sets, the page buffers shared copy-on-write
+   rather than built and held twice, and an icache of its own, as cold as
+   a fresh boot's.  The program must be the same value (a template's
+   stock build is); the rest is compared by value. *)
+let last_boot = ref None
+
+let boot spec ~profile ~seed =
+  match !last_boot with
+  | Some (t, snap, seed')
+    when t.spec.code.text == spec.code.text && t.arch = spec.code.arch && seed' = seed
+         && t.profile = profile && t.spec.name = spec.name && t.spec.imports = spec.imports
+         && t.spec.bss_size = spec.bss_size ->
+      { t with spec; mem = Mem.fork snap; icache = new_icache t.arch }
+  | _ ->
+      let t = build spec ~profile ~seed in
+      last_boot := Some (t, Mem.snapshot t.mem, seed);
+      t
 
 let symbol t name = List.assoc name t.symbols
 let symbol_opt t name = List.assoc_opt name t.symbols
@@ -157,44 +197,44 @@ let symbol_opt t name = List.assoc_opt name t.symbols
    per-boot diversification primitive.  The text region was page-rounded
    at boot, so a variant of the same program (shuffled layout, padding,
    equivalent-instruction rewrites) usually still fits in the mapped
-   slack; when it does, reimaging costs one layout, one link and one text
-   write — no libc/PLT/stack rebuild, so it composes with copy-on-write
-   forks for µs-scale diversified spawning.  The variant links against
-   the extern bindings boot linked the stock image against (PLT stubs,
-   [__bss_start], [__canary]): the already-mapped world.  Returns [None]
-   when the variant does not fit (caller falls back to a full [boot]).
-   The [poke_bytes] write bumps the page generations, so no cache could
-   serve the old text to the variant anyway; it gets its own cache so
-   its unique text never crowds the family's. *)
+   slack; when it does, reimaging is one layout pass straight into the
+   text pages — no libc/PLT/stack rebuild, so it composes with
+   copy-on-write forks for µs-scale diversified spawning.  The variant
+   links against the extern bindings boot linked the stock image against
+   (PLT stubs, [__bss_start], [__canary]): the already-mapped world.
+   Returns [None] when the variant does not fit (caller falls back to a
+   full [boot]).  The write gives the text pages fresh generations, so
+   no cache could serve the old text to the variant; its icache owns
+   those pages (and any page the variant writes before running it), so
+   its unique text never crowds the family's, and finds every page it
+   still shares with its template — libc, the PLT — in the family's
+   entries, which hold exactly the bytes the variant runs there. *)
 let reimage t spec' =
-  if arch_of_code spec'.code <> t.arch then
-    invalid_arg "Process.reimage: architecture mismatch";
-  List.iter
-    (fun f ->
-      if not (List.mem_assoc (f ^ "@plt") t.extern) then
-        failwith ("Process.reimage: unresolved import " ^ f))
-    spec'.imports;
+  if spec'.code.arch <> t.arch then invalid_arg "Process.reimage: architecture mismatch";
+  (* Every import the process booted with has its stub. *)
+  if spec'.imports != t.spec.imports then
+    List.iter
+      (fun f ->
+        if not (List.mem_assoc (f ^ "@plt") t.extern) then
+          failwith ("Process.reimage: unresolved import " ^ f))
+      spec'.imports;
   let text_base = t.layout.Layout.text_base in
   let text_size = t.layout.Layout.text_size in
-  let main = layout_main spec' in
-  if Machine.Asm.size main > text_size then None
-  else begin
-    (* One write of the whole region, the image then zeros, so no gadget
-       bytes from the previous image survive in the slack past the new
-       code. *)
-    let image = Machine.Asm.link ~extern:t.extern ~pad_to:text_size ~base:text_base main in
-    Mem.poke_bytes t.mem text_base image.Machine.Asm.code;
-    let outside (_, a) = a < text_base || a >= text_base + text_size in
-    let symbols = image.Machine.Asm.symbols @ List.filter outside t.symbols in
-    Some
-      {
-        t with
-        spec = spec';
-        symbols;
-        valid_targets = targets_of_symbols symbols;
-        icache = new_icache t.arch;
-      }
-  end
+  match write_main t.mem ~extern:t.extern ~base:text_base ~size:text_size spec'.code.text with
+  | None -> None
+  | Some image ->
+      let derive table = Memsim.Icache.derive table ~lo:text_base ~hi:(text_base + text_size) in
+      Some
+        {
+          t with
+          spec = spec';
+          symbols = image @ t.world;
+          valid_targets = (targets_of_symbols image, snd t.valid_targets);
+          icache =
+            (match t.icache with
+            | X86_icache c -> X86_icache (derive c)
+            | Arm_icache c -> Arm_icache (derive c));
+        }
 
 (* Everything in [t] except [mem] and the icache is immutable after boot
    (layout, symbols, profile), so process snapshots delegate entirely to

@@ -1,18 +1,23 @@
 (** Boot a program into a simulated process and call its functions.
 
-    [boot] performs what execve + ld.so do on the paper's targets: lays
-    the main image out once ({!Machine.Asm}; its size fixes the text
-    region), lays out the address space ({!Layout}), links and maps the
-    simulated libc, synthesizes PLT/GOT stubs for the program's imports,
-    links the main image at its fixed base, applies the protection profile
+    [boot] performs what execve + ld.so do on the paper's targets: sizes
+    the main image ({!Machine.Asm}; its size fixes the text region),
+    lays out the address space ({!Layout}), links and maps the simulated
+    libc, synthesizes PLT/GOT stubs for the program's imports, lays the
+    main image out at its fixed base straight into the text pages,
+    applies the protection profile
     (stack executable iff W⊕X is off; libc/stack bases randomized iff
     ASLR is on; canary cookie written iff canaries are on), and exposes a
     symbol table playing the role of the attacker's offline [gdb] /
     [ropper] analysis of their local copy of the binary. *)
 
-type code =
-  | X86_code of Isa_x86.Asm.program
-  | Arm_code of Isa_arm.Asm.program
+type code = { arch : Arch.t; text : Machine.Asm.text }
+(** A program ready for the assembler core: a stock program, or a
+    diversified variant laid out from its template
+    ({!Diversity.Variant.text}). *)
+
+val x86_code : Isa_x86.Asm.program -> code
+val arm_code : Isa_arm.Asm.program -> code
 
 type spec = {
   name : string;
@@ -34,27 +39,39 @@ type t = {
   symbols : (string * int) list;
       (** main-image symbols, ["f@plt"] stubs, libc symbols, and the
           specials ["__bss_start"], ["__canary"]. *)
+  world : (string * int) list;
+      (** the symbols outside the main image — PLT stubs, libc, the
+          specials — fixed at boot: [symbols] is the main image's
+          followed by these. *)
   extern : (string * int) list;
       (** what the main image links against: the ["f@plt"] stubs,
           ["__bss_start"] and ["__canary"], fixed at boot. *)
   trap : int;  (** top-level return address; reaching it means Halted *)
-  valid_targets : (int, unit) Hashtbl.t Lazy.t;
+  valid_targets : unit Memsim.Int_table.t Lazy.t * unit Memsim.Int_table.t Lazy.t;
       (** forward-edge CFI policy set — every symbol address (function
           entries, PLT stubs, loader specials): coarse-grained label
-          CFI as an embedded toolchain would emit it.  Lazy so
-          unmitigated processes pay nothing; shared across forks. *)
+          CFI as an embedded toolchain would emit it.  The main image's
+          addresses, then everything else's, which a {!reimage}d variant
+          shares with its template.  Lazy so unmitigated processes pay
+          nothing; shared across forks. *)
   icache : icache;
       (** compiled instructions, owned by the fork family: {!boot}
           creates the cache, {!fork} shares it, {!reimage} gives the
-          variant a fresh one, and every {!call} runs through it, so
-          decoded text survives {!restore} and is compiled once for all
-          forks of a template (page generations keep each member's own
-          writes out of the others' hits). *)
+          variant one that owns its text pages and shares every other
+          page with the family ({!Memsim.Icache.derive}), and every
+          {!call} runs through it, so decoded text survives {!restore}
+          and is compiled once for all forks of a template (page
+          generations keep each member's own writes out of the others'
+          hits). *)
 }
 
 val boot : spec -> profile:Defense.Profile.t -> seed:int -> t
 (** [seed] drives all per-boot randomness (ASLR draws, canary cookie);
-    the same seed reproduces the same address space bit-for-bit. *)
+    the same seed reproduces the same address space bit-for-bit.  A boot
+    identical to the previous one (the same [code.text] value, and equal name,
+    imports, bss size, profile and seed) is a {!fork} of that boot's
+    memory as it booted, with a fresh icache: the same process, its page
+    buffers shared copy-on-write with the previous boot's. *)
 
 val symbol : t -> string -> int
 (** Raises [Not_found]. *)
@@ -71,12 +88,16 @@ val reimage : t -> spec -> t option
     the same program usually still fits in the mapped slack; the
     variant links against the process's {!t.extern} bindings, the
     already-mapped world, and main-image symbols are replaced by the
-    variant's.  Returns [None] when the variant's text does not fit
-    (callers fall back to a full {!boot}).  Cheap — one layout, one link
-    and one write of the text region (the image, then zeros) — so it composes with {!fork} for µs-scale diversified
-    spawning.  The variant gets an empty icache of its own: its text is
-    unique, so the family's entries could never serve it.  Raises if the
-    spec's architecture differs or an import has no PLT stub. *)
+    variant's.  Returns [None], with the process unchanged, when the
+    variant's text does not fit (callers fall back to a full {!boot}).
+    Cheap — one sizing pass and one layout pass straight into the text
+    pages (the image, then zeros), with no copy of the old text — so it
+    composes with {!fork} for µs-scale diversified spawning.  The
+    variant's icache owns the text pages, whose entries could serve no
+    other member, and resolves every other page (libc, the PLT, the
+    stack) in the family's entries, so a variant starts warm outside
+    its own text.  Raises if the spec's architecture differs or an
+    import has no PLT stub. *)
 
 val snapshot : t -> Memsim.Memory.snapshot
 (** Copy-on-write snapshot of the process memory (see

@@ -23,6 +23,14 @@
    stack and then run, the paper's §III-A), [mprotect], unmap/remap and
    restore all store fresh generations and force a re-decode.
 
+   A member that rewrites a range of its own ([Process.reimage]'s
+   diversified text) takes a {!derive}d table: its text pages are its
+   own, and so is every page whose generation it drew itself (a stack
+   page it wrote and then ran), so its unique entries never crowd or
+   churn the family's; every page it still shares with its template
+   (libc, the PLT) resolves in the family's records, where the template
+   already filled what the variant runs there.
+
    An x86 instruction may straddle a page boundary, so an entry records
    the generation of the page holding its last byte too ([hi_gen], 0 for
    the common same-page entry: no page ever has generation 0).
@@ -44,12 +52,26 @@ let chunks_per_page = Memory.page_size lsr chunk_bits
    {!refills}). *)
 type 'a page = { chunks : 'a entry array array; mutable refills : int }
 
+(* A family table holds every page's record in [pages], which is also
+   [shared].  A table {!derive}d from one holds, in [pages], the records
+   of the pages it owns, and finds every other page's record in its
+   family's [shared] pages: the records, and the entries filled into
+   them, are the family's.  It owns the page indices [own_lo..own_hi]
+   (its rewritten text) and each page whose generation the viewing
+   memory drew itself when the record was made ({!Memory.page_own}):
+   entries decoded under such a generation could serve no other
+   member, so they stay out of the family's records.  Both share the
+   parent's [dummy] and empty chunk and page, which the fill path
+   compares by identity. *)
 type 'a table = {
   dummy : 'a entry;
   empty_chunk : 'a entry array;  (* all [dummy]; never written *)
   empty_page : 'a page;
       (* chunks all [empty_chunk]; never written, so its [refills] stays 0 *)
   pages : 'a page Int_table.t;
+  shared : 'a page Int_table.t;
+  own_lo : int;
+  own_hi : int;
   mutable hits : int;
   mutable misses : int;
   mutable summarised : int;
@@ -65,6 +87,7 @@ type 'a t = {
   mem : Memory.t;
   mutable last_idx : int;
   mutable last_page : 'a page;
+  mutable last_own : bool;  (* [last_page] is in [table.pages] *)
   mutable last_cell : int ref;
 }
 
@@ -73,11 +96,27 @@ let table ~dummy =
      (see {!Memory.gen_ref}), so the dummy's 0 never validates. *)
   let dummy = { v = dummy; len = 1; lo_gen = 0; hi_gen = 0 } in
   let empty_chunk = Array.make (chunk_mask + 1) dummy in
+  let pages = Int_table.create 16 in
   {
     dummy;
     empty_chunk;
     empty_page = { chunks = Array.make chunks_per_page empty_chunk; refills = 0 };
+    pages;
+    shared = pages;
+    own_lo = 0;
+    own_hi = -1;
+    hits = 0;
+    misses = 0;
+    summarised = 0;
+  }
+
+let derive parent ~lo ~hi =
+  let lo = lo lsr Memory.page_bits and hi = (hi - 1) lsr Memory.page_bits in
+  {
+    parent with
     pages = Int_table.create 16;
+    own_lo = lo;
+    own_hi = hi;
     hits = 0;
     misses = 0;
     summarised = 0;
@@ -89,6 +128,7 @@ let view table mem =
     mem;
     last_idx = -1;
     last_page = table.empty_page;
+    last_own = false;
     last_cell = ref (-1);
   }
 
@@ -96,15 +136,29 @@ let hits table = table.hits
 let misses table = table.misses
 let summarised table = table.summarised
 
+(* The record of page [idx] in [pages], or the empty page. *)
+let record_in table pages idx =
+  match Int_table.find pages idx with p -> p | exception Not_found -> table.empty_page
+
+(* The record of page [idx]: this table's own, else its family's. *)
 let page_at table idx =
-  match Int_table.find table.pages idx with
-  | p -> p
-  | exception Not_found -> table.empty_page
+  let p = record_in table table.pages idx in
+  if p != table.empty_page || table.shared == table.pages then p
+  else record_in table table.shared idx
 
 let select t idx addr =
+  let tbl = t.table in
+  let own = record_in tbl tbl.pages idx in
   t.last_idx <- idx;
-  t.last_page <- page_at t.table idx;
+  t.last_own <- own != tbl.empty_page;
+  t.last_page <-
+    (if t.last_own || tbl.shared == tbl.pages then own else record_in tbl tbl.shared idx);
   t.last_cell <- Memory.gen_ref t.mem addr
+
+(* Whether a derived table keeps page [idx]'s entries itself. *)
+let owns tbl mem idx addr =
+  tbl.shared != tbl.pages
+  && ((idx >= tbl.own_lo && idx <= tbl.own_hi) || Memory.page_own mem addr)
 
 (* Miss or stale.  [decode] fetches through the memory's execute
    permission check, so nothing is ever cached from a page that was not
@@ -123,19 +177,24 @@ let[@inline never] fill t addr ~decode =
   in
   let e = { v; len; lo_gen = !cell; hi_gen } in
   let page =
-    if t.last_page != tbl.empty_page then t.last_page
+    if t.last_page != tbl.empty_page && (t.last_own || not (owns tbl t.mem t.last_idx addr)) then
+      t.last_page
     else begin
-      (* Another view may have created the page since [select]. *)
-      let p = page_at tbl t.last_idx in
+      (* No record yet, or the family's for a page this table owns.
+         Another view may have made the record since [select]. *)
+      let own = owns tbl t.mem t.last_idx addr in
+      let pages = if own then tbl.pages else tbl.shared in
+      let p = record_in tbl pages t.last_idx in
       let p =
         if p != tbl.empty_page then p
         else begin
           let p = { chunks = Array.make chunks_per_page tbl.empty_chunk; refills = 0 } in
-          Int_table.add tbl.pages t.last_idx p;
+          Int_table.add pages t.last_idx p;
           p
         end
       in
       t.last_page <- p;
+      t.last_own <- own || tbl.shared == tbl.pages;
       p
     end
   in

@@ -7,7 +7,10 @@
     - a {!table} of decoded entries, keyed by address, that outlives
       any one run and is shared by every memory of a fork family (a
       booted process, its restores, and every {!Memory.fork} of its
-      snapshots);
+      snapshots).  A member that rewrites a range of its own (a
+      diversified variant's text) gets a {!derive}d table: it owns the
+      pages of that range and the pages it wrote itself, and finds
+      every other page in the family's entries;
     - a per-memory {!t} view that validates an entry against the
       viewing memory's own page generation.
 
@@ -37,6 +40,17 @@ val table : dummy:'a -> 'a table
     pre-fills the slot chunks (with a generation no page can have) so
     the hit path needs no [option] box.  It is never returned by
     {!lookup}. *)
+
+val derive : 'a table -> lo:int -> hi:int -> 'a table
+(** A table for a member that rewrote the addresses [\[lo, hi)]: the
+    pages that range touches, and each page whose generation the viewing
+    memory drew itself ({!Memory.page_own}) when the table first fills
+    it, are its own and start empty; every other page — lookups, fills
+    and blocks — is the parent's family's, validated by page generation
+    exactly as a fork's entries are (so a variant finds the template's
+    libc and PLT entries already filled, and adds to them only what the
+    family can use).  Its hit, miss and summarised counters are its own
+    and start at 0. *)
 
 type 'a t
 (** A view of a table through one memory. *)

@@ -107,6 +107,9 @@ type t = {
      changes are cold paths, so the option check never touches the
      per-byte accessors' hit paths. *)
   mutable trace : Telemetry.Trace.t option;
+  (* The generation counter when the memory was created or forked:
+     every generation above it was drawn here. *)
+  born : int;
 }
 
 (* What a lookup of an unmapped index returns, and what an empty slot
@@ -153,6 +156,16 @@ let[@inline never] unshare t idx p =
   t.standing <- unarmed;
   if t.armed != unarmed then t.dirty <- idx :: t.dirty
 
+(* The one generation counter behind every address space.  A plain
+   global is sound because memories are only ever touched from a single
+   domain; using memories from several domains would need an [Atomic.t]
+   here (or per-domain disjoint ranges). *)
+let gen_counter = ref 0
+
+let fresh_gen () =
+  incr gen_counter;
+  !gen_counter
+
 let empty_slot () = { idx = -1; pg = null_page }
 
 let create () =
@@ -167,6 +180,7 @@ let create () =
     spare = [];
     standing = unarmed;
     trace = None;
+    born = !gen_counter;
   }
 
 let set_trace t tr = t.trace <- tr
@@ -186,16 +200,6 @@ let fault t addr kind context =
             ("context", Telemetry.Trace.S context);
           ]);
   raise (Fault { addr; kind; context })
-
-(* The one generation counter behind every address space.  A plain
-   global is sound because memories are only ever touched from a single
-   domain; using memories from several domains would need an [Atomic.t]
-   here (or per-domain disjoint ranges). *)
-let gen_counter = ref 0
-
-let fresh_gen () =
-  incr gen_counter;
-  !gen_counter
 
 let reset_slot s =
   s.idx <- -1;
@@ -302,6 +306,10 @@ let page_at t idx =
   match Int_table.find t.pages idx with p -> p | exception Not_found -> null_page
 
 let is_mapped t addr = page_at t (page_index addr) != null_page
+
+let page_own t addr =
+  let p = page_at t (page_index (Word.of_int addr)) in
+  p != null_page && !(p.gen) > t.born
 
 (* The one page lookup of the byte accessors: the page at [idx] through
    the access kind's [slot], which keeps the last mapped page it found.
@@ -527,15 +535,18 @@ let peek_bytes t addr len =
 (* Like {!write_bytes}, pokes are not torn: all pages are checked mapped
    before any byte lands (permissions are deliberately ignored — this is
    the loader populating read-only segments). *)
+let check_mapped t addr len =
+  let i = ref 0 in
+  while !i < len do
+    let a = Word.of_int (addr + !i) in
+    ignore (write_page t a "poke");
+    i := !i + (page_size - (a land offset_mask))
+  done
+
 let poke_bytes t addr s =
   let len = String.length s in
   if len > 0 then begin
-    let i = ref 0 in
-    while !i < len do
-      let a = Word.of_int (addr + !i) in
-      ignore (write_page t a "poke");
-      i := !i + (page_size - (a land offset_mask))
-    done;
+    check_mapped t addr len;
     let i = ref 0 in
     while !i < len do
       let a = Word.of_int (addr + !i) in
@@ -547,6 +558,52 @@ let poke_bytes t addr s =
       Bytes.blit_string s !i p.data off chunk;
       i := !i + chunk
     done
+  end
+
+(* A range inside one page is written straight into the buffer the page
+   takes next — a spare or a fresh one, never the old buffer, whose
+   bytes are needed only outside the range — so a whole-page rewrite of
+   a frozen page costs no copy, and an [f] that declines or raises
+   leaves the page as it was.  A longer range goes through a string and
+   {!poke_bytes}. *)
+let rewrite t ~base ~size f =
+  if size <= 0 then true
+  else begin
+    check_mapped t base size;
+    let base = Word.of_int base in
+    let off = base land offset_mask in
+    if off + size > page_size then begin
+      let b = Bytes.create size in
+      f b 0
+      && begin
+           poke_bytes t base (Bytes.unsafe_to_string b);
+           true
+         end
+    end
+    else begin
+      let idx = base lsr page_bits in
+      let p = page_at t idx in
+      let b = private_buffer t in
+      match f b off with
+      | false ->
+          t.spare <- b :: t.spare;
+          false
+      | exception e ->
+          t.spare <- b :: t.spare;
+          raise e
+      | true ->
+          Bytes.blit p.data 0 b 0 off;
+          Bytes.blit p.data (off + size) b (off + size) (page_size - off - size);
+          if p.frozen then begin
+            p.frozen <- false;
+            t.standing <- unarmed;
+            if t.armed != unarmed then t.dirty <- idx :: t.dirty
+          end
+          else t.spare <- p.data :: t.spare;
+          p.data <- b;
+          p.gen := fresh_gen ();
+          true
+    end
   end
 
 (* {1 Copy-on-write snapshots}
@@ -720,9 +777,10 @@ let restore t snap =
 
 let fork snap =
   let t = create () in
+  (* A snapshot has one frame per page index. *)
   Array.iter
     (fun f ->
-      Int_table.replace t.pages f.f_idx
+      Int_table.add t.pages f.f_idx
         { pperm = f.f_perm; data = f.f_data; gen = ref f.f_gen; frozen = true })
     snap.s_frames;
   t.regs <- snap.s_regs;

@@ -105,6 +105,13 @@ val find_region : t -> string -> region
 
 val is_mapped : t -> int -> bool
 
+val page_own : t -> int -> bool
+(** Whether the generation of the page containing the address was drawn
+    by this memory — by a store, a permission change, a map or a restore
+    since it was created or forked — rather than inherited from the
+    snapshot it was forked from; only this memory and memories forked
+    from its snapshots can carry it.  [false] for an unmapped address. *)
+
 (** {1 Typed access}
 
     All multi-byte accessors are little-endian, as on both x86 and the
@@ -160,6 +167,19 @@ val poke_bytes : t -> int -> string -> unit
     segments.  Atomic with respect to unmapped pages (all pages checked
     before any byte lands) and bumps the write generation of every
     touched page, like {!write_bytes}. *)
+
+val rewrite : t -> base:int -> size:int -> (Bytes.t -> int -> bool) -> bool
+(** [rewrite t ~base ~size f] gives the [size] bytes at [base] new
+    contents, as {!poke_bytes} of them would (permissions ignored, a
+    fresh generation on every page touched), without the contents ever
+    being a string: [f buf pos] writes all of [buf]'s bytes
+    [\[pos, pos + size)] and returns [true] to commit them, or [false]
+    to leave memory unchanged (the result of [rewrite]).  When the range
+    lies in one page, [buf] is the private buffer the page takes next, so
+    the bytes land in place with no copy (the loader lays a text page out
+    straight into it).  Raises [Fault] ([Unmapped], at the lowest
+    unmapped address) before calling [f] if a page of the range is
+    unmapped; if [f] raises, memory is unchanged. *)
 
 (** {1 Copy-on-write snapshots}
 

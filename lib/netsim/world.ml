@@ -181,39 +181,48 @@ let edge_severed t a b = List.mem (sever_key a b) t.severed
 (* Unicast resolution: breadth-first over the uplink graph treated as
    undirected (replies must route back down to edge LANs, as NAT/conntrack
    state provides in the real network).  The sender's own LAN is tried
-   first; severed (partitioned) edges are not crossed.  A queue plus a
-   visited table keeps each datagram O(lans + edges) — the seed's
-   [rest @ neighbours l] / [List.memq l visited] pair was O(n²). *)
+   first, with an int compare per member and no allocation: in a fleet
+   every lookup and reply stays on it.  Only a route that crosses an
+   uplink builds BFS state; severed (partitioned) edges are not crossed.
+   A queue plus a visited table keeps such a datagram O(lans + edges). *)
+let member_with_ip l dst =
+  List.find_opt (fun h -> match h.hip with Some ip -> ip = dst | None -> false) l.members
+
 let resolve_unicast t lan dst =
-  let neighbours l =
-    (match l.uplink with Some up -> [ up ] | None -> [])
-    @ List.filter
-        (fun other ->
-          match other.uplink with Some up -> up == l | None -> false)
-        t.lans
-  in
-  let visited = Hashtbl.create 16 in
-  let frontier = Queue.create () in
-  Hashtbl.replace visited lan.lid ();
-  Queue.push lan frontier;
-  let rec bfs () =
-    if Queue.is_empty frontier then None
-    else
-      let l = Queue.pop frontier in
-      match List.find_opt (fun h -> h.hip = Some dst) l.members with
-      | Some h -> Some h
-      | None ->
-          List.iter
-            (fun n ->
-              if (not (Hashtbl.mem visited n.lid)) && not (edge_severed t l n)
-              then begin
-                Hashtbl.replace visited n.lid ();
-                Queue.push n frontier
-              end)
-            (neighbours l);
-          bfs ()
-  in
-  bfs ()
+  match member_with_ip lan dst with
+  | Some _ as h -> h
+  | None ->
+      let neighbours l =
+        (match l.uplink with Some up -> [ up ] | None -> [])
+        @ List.filter
+            (fun other ->
+              match other.uplink with Some up -> up == l | None -> false)
+            t.lans
+      in
+      let visited = Hashtbl.create 16 in
+      let frontier = Queue.create () in
+      let expand l =
+        List.iter
+          (fun n ->
+            if (not (Hashtbl.mem visited n.lid)) && not (edge_severed t l n) then begin
+              Hashtbl.replace visited n.lid ();
+              Queue.push n frontier
+            end)
+          (neighbours l)
+      in
+      Hashtbl.replace visited lan.lid ();
+      expand lan;
+      let rec bfs () =
+        if Queue.is_empty frontier then None
+        else
+          let l = Queue.pop frontier in
+          match member_with_ip l dst with
+          | Some _ as h -> h
+          | None ->
+              expand l;
+              bfs ()
+      in
+      bfs ()
 
 (* --- delivery ----------------------------------------------------------- *)
 

@@ -130,7 +130,7 @@ let spec ~patched ~profile =
   in
   {
     Loader.Process.name = (if patched then "tcpsvc-1.1" else "tcpsvc-1.0");
-    code = Loader.Process.Arm_code program;
+    code = Loader.Process.arm_code program;
     imports = [ "memcpy"; "execlp"; "exit"; "abort"; "__stack_chk_fail" ];
     bss_size = 0x2000;
   }

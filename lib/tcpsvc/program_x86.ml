@@ -139,7 +139,7 @@ let spec ~patched ~profile =
   in
   {
     Loader.Process.name = (if patched then "tcpsvc-1.1" else "tcpsvc-1.0");
-    code = Loader.Process.X86_code program;
+    code = Loader.Process.x86_code program;
     imports = [ "memcpy"; "execlp"; "exit"; "abort"; "__stack_chk_fail" ];
     bss_size = 0x2000;
   }

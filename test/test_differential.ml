@@ -501,6 +501,12 @@ let benign_wire config =
     (Dns.Packet.response ~query
        [ Dns.Packet.a_record lookup_name ~ttl:60 ~ipv4:0x5DB8D822 ])
 
+(* The oversized-name response that crashes a vulnerable parse. *)
+let dos_payload_wire config =
+  let d = Connman.Dnsproxy.create config in
+  let query = Connman.Dnsproxy.make_query d lookup_name in
+  Dns.Craft.hostile_response ~query ~raw_name:(Dns.Craft.dos_name ~size:8192) ()
+
 (* Run a benign parse, then rewind to the boot state; returns the boot
    snapshot. *)
 let warm config proc =
@@ -629,6 +635,130 @@ let test_diversified_fork_own_cache () =
         (tag ^ ": the template's entries survive the variant") 0
         (parse_wire ~icache:true tproc wire).Loader.Process.icache_misses)
     [ (Loader.Arch.X86, "x86"); (Loader.Arch.Arm, "arm") ]
+
+(* A variant starts warm: its icache owns its own text pages and finds
+   every other page (libc, the PLT, the stack) in the template's family
+   entries.  Random interleavings on a warmed template: plain forks
+   parsing the benign response or the DoS, variants spawned and parsing
+   either, variants storing bytes into their stack or their libc code
+   and parsing again, and variants restored to their spawn state and
+   parsing again.  Every parse runs cached, then again uncached from the
+   same state, and the two must agree on outcome, steps and registers.
+   Afterwards a plain fork's benign parse misses nothing: the template's
+   text and libc entries survived every variant, including the ones
+   that rewrote their own libc.  And a fresh variant's first parse
+   misses exactly once per distinct instruction of its own text it
+   runs, so nothing outside its text. *)
+
+type warm_op =
+  | Plain of bool  (* fork the template; parse the DoS (true) or the benign response *)
+  | Spawn of int * bool  (* a variant of this seed, then the same parse *)
+  | Store of int * bool * int * string  (* variant, libc (or stack), offset, bytes; benign parse *)
+  | Again of int  (* restore a variant to its spawn state; benign parse *)
+
+let pp_warm_op = function
+  | Plain dos -> Printf.sprintf "plain %s" (if dos then "dos" else "benign")
+  | Spawn (seed, dos) -> Printf.sprintf "variant #%d %s" seed (if dos then "dos" else "benign")
+  | Store (k, libc, off, b) ->
+      Printf.sprintf "v%d stores %S at %s+0x%x" k b (if libc then "libc" else "stack") off
+  | Again k -> Printf.sprintf "v%d restored" k
+
+let gen_warm_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (2, map (fun dos -> Plain dos) bool);
+      (3, map2 (fun seed dos -> Spawn (seed, dos)) (int_range 1 10_000) bool);
+      ( 3,
+        map3
+          (fun (k, libc) off b -> Store (k, libc, off, b))
+          (pair (int_bound 7) bool) (int_bound 0xFFF)
+          (string_size ~gen:char (int_range 1 8)) );
+      (2, map (fun k -> Again k) (int_bound 7));
+    ]
+
+let warm_variants_case arch ops =
+  let config = config_for ~arch ~profile:Defense.Profile.wx_aslr ~boot_seed:23 in
+  let benign = benign_wire config and dos = dos_payload_wire config in
+  let template = Connman.Dnsproxy.create config in
+  let tproc = Connman.Dnsproxy.process template in
+  let tsnap = warm config tproc in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let same what (a : Loader.Process.run_result) (b : Loader.Process.run_result) =
+    if
+      a.Loader.Process.outcome <> b.Loader.Process.outcome
+      || a.Loader.Process.steps <> b.Loader.Process.steps
+      || a.Loader.Process.regs <> b.Loader.Process.regs
+    then
+      fail "%s: cached %s after %d steps, uncached %s after %d steps" what
+        (Format.asprintf "%a" O.pp a.Loader.Process.outcome)
+        a.Loader.Process.steps
+        (Format.asprintf "%a" O.pp b.Loader.Process.outcome)
+        b.Loader.Process.steps
+  in
+  let parse what p wire =
+    let snap = Loader.Process.snapshot p in
+    let cached = parse_wire ~icache:true p wire in
+    Loader.Process.restore p snap;
+    same what cached (parse_wire ~icache:false p wire)
+  in
+  let variants = ref [||] in
+  let variant k = !variants.(k mod Array.length !variants) in
+  let spawn seed =
+    let p =
+      Connman.Dnsproxy.process (Connman.Dnsproxy.fork_diversified template ~diversity_seed:seed)
+    in
+    variants := Array.append !variants [| (p, Loader.Process.snapshot p) |];
+    p
+  in
+  List.iteri
+    (fun i op ->
+      let what = Printf.sprintf "op %d (%s)" i (pp_warm_op op) in
+      let wire d = if d then dos else benign in
+      match op with
+      | Plain d -> parse what (Loader.Process.fork tproc tsnap) (wire d)
+      | Spawn (seed, d) -> parse what (spawn seed) (wire d)
+      | Store (k, libc, off, b) when !variants <> [||] ->
+          let p, _ = variant k in
+          let l = p.Loader.Process.layout in
+          let region = Mem.find_region p.Loader.Process.mem "libc" in
+          let addr =
+            if libc then region.Mem.base + (off mod (region.Mem.size - String.length b))
+            else l.Loader.Layout.stack_top - 0x1000 + off
+          in
+          Mem.poke_bytes p.Loader.Process.mem addr b;
+          parse what p benign
+      | Again k when !variants <> [||] ->
+          let p, snap = variant k in
+          Loader.Process.restore p snap;
+          parse what p benign
+      | Store _ | Again _ -> ())
+    ops;
+  let misses = (parse_wire ~icache:true (Loader.Process.fork tproc tsnap) benign).Loader.Process.icache_misses in
+  if misses <> 0 then fail "a plain fork misses %d times after the variants" misses;
+  let p = spawn 10_001 in
+  let l = p.Loader.Process.layout in
+  let in_text pc = pc >= l.Loader.Layout.text_base && pc < l.Loader.Layout.text_base + l.Loader.Layout.text_size in
+  let text_pcs = Hashtbl.create 256 in
+  let buf = l.Loader.Layout.heap_base in
+  Mem.write_bytes p.Loader.Process.mem buf benign;
+  let r =
+    Loader.Process.call p ~fuel:400_000
+      ~on_step:(Machine.Hook.observer (fun pc -> if in_text pc then Hashtbl.replace text_pcs pc ()))
+      ~entry:(Loader.Process.symbol p "parse_response")
+      ~args:[ buf; String.length benign ]
+  in
+  if r.Loader.Process.icache_misses <> Hashtbl.length text_pcs then
+    fail "a fresh variant misses %d times running %d instructions of its own text"
+      r.Loader.Process.icache_misses (Hashtbl.length text_pcs);
+  true
+
+let prop_warm_variants (arch, tag) =
+  QCheck.Test.make ~name:(tag ^ ": warm variants = uncached") ~count:60 ~long_factor:10
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_warm_op ops))
+       QCheck.Gen.(list_size (int_range 1 10) gen_warm_op))
+    (warm_variants_case arch)
 
 (* ------------------------------------------------------------------ *)
 (* Block execution: four paths, one answer                              *)
@@ -1971,5 +2101,7 @@ let () =
             test_warm_calls_compile_nothing;
           Alcotest.test_case "diversified forks compile their own" `Quick
             test_diversified_fork_own_cache;
+          QCheck_alcotest.to_alcotest (prop_warm_variants (Loader.Arch.X86, "x86"));
+          QCheck_alcotest.to_alcotest (prop_warm_variants (Loader.Arch.Arm, "arm"));
         ] );
     ]

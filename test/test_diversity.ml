@@ -659,6 +659,88 @@ let test_plan_digest () =
   check_string "every plan" "7fe68f1dc28739114ee7b72e48cfcb38"
     (Digest.to_hex (Digest.string (Buffer.contents acc)))
 
+(* The fast forms of the variant pass against the item list: over seeds
+   1-1000 of every connmand template (both ISAs and versions, three
+   profiles), the plan [Variant.plan] draws is the one [generate]
+   reports. *)
+let connman_templates =
+  let wx = Defense.Profile.wx in
+  List.concat_map
+    (fun version ->
+      List.map
+        (fun profile ->
+          ( Connman.Program_x86.template ~version ~profile,
+            Connman.Program_arm.template ~version ~profile ))
+        [ wx; Defense.Profile.with_canary wx; Defense.Profile.with_mitigations wx ])
+    [ Connman.Version.v1_34; Connman.Version.v1_35 ]
+
+let test_plan_without_program () =
+  List.iter
+    (fun (tx, ta) ->
+      for seed = 1 to 1000 do
+        if Diversity.Variant.plan ~seed tx <> snd (Diversity.Variant.generate ~seed tx) then
+          Alcotest.failf "x86 seed %d: the plan differs" seed;
+        if Diversity.Variant.plan ~seed ta <> snd (Diversity.Variant.generate ~seed ta) then
+          Alcotest.failf "arm seed %d: the plan differs" seed
+      done)
+    connman_templates
+
+(* The variant image a reimage lays out from the template, straight into
+   the text page, against the reference path: the variant's item list
+   from [generate], laid out by the ISA's assembler and linked at the
+   text base against the process's externs.  Random templates (both ISAs
+   and versions, three profiles) and seeds; the text region must hold
+   the linked bytes then zeros, and the symbols must be the linked ones
+   followed by the process's others. *)
+let prop_template_image =
+  let stock = Hashtbl.create 16 in
+  QCheck.Test.make ~name:"reimage from the template = generate, layout, link" ~count:200
+    ~long_factor:10
+    QCheck.(pair (make Gen.(int_bound 5)) (make Gen.(int_range 1 1_000_000)))
+    (fun (k, seed) ->
+      let wx = Defense.Profile.wx in
+      let profile = List.nth [ wx; Defense.Profile.with_canary wx; Defense.Profile.with_mitigations wx ] (k mod 3) in
+      let version = if k < 3 then Connman.Version.v1_34 else Connman.Version.v1_35 in
+      List.for_all
+        (fun arch ->
+          let p =
+            match Hashtbl.find_opt stock (k, arch) with
+            | Some p -> p
+            | None ->
+                let spec =
+                  match arch with
+                  | Loader.Arch.X86 -> Connman.Program_x86.spec ~version ~profile ()
+                  | Loader.Arch.Arm -> Connman.Program_arm.spec ~version ~profile ()
+                in
+                let p = Loader.Process.boot spec ~profile ~seed:3 in
+                Hashtbl.add stock (k, arch) p;
+                p
+          in
+          let l = p.Loader.Process.layout in
+          let base = l.Loader.Layout.text_base and size = l.Loader.Layout.text_size in
+          let spec, layout =
+            match arch with
+            | Loader.Arch.X86 ->
+                let t = Connman.Program_x86.template ~version ~profile in
+                ( Connman.Program_x86.spec ~version ~profile ~diversity_seed:seed (),
+                  Isa_x86.Asm.layout (fst (Diversity.Variant.generate ~seed t)) )
+            | Loader.Arch.Arm ->
+                let t = Connman.Program_arm.template ~version ~profile in
+                ( Connman.Program_arm.spec ~version ~profile ~diversity_seed:seed (),
+                  Isa_arm.Asm.layout (fst (Diversity.Variant.generate ~seed t)) )
+          in
+          let r = Machine.Asm.link ~extern:p.Loader.Process.extern ~base layout in
+          let n = String.length r.Machine.Asm.code in
+          let outside (_, a) = a < base || a >= base + size in
+          match Loader.Process.reimage p spec with
+          | None -> n > size
+          | Some v ->
+              Memsim.Memory.peek_bytes v.Loader.Process.mem base size
+              = r.Machine.Asm.code ^ String.make (size - n) '\000'
+              && v.Loader.Process.symbols
+                 = r.Machine.Asm.symbols @ List.filter outside p.Loader.Process.symbols)
+        [ Loader.Arch.X86; Loader.Arch.Arm ])
+
 (* The variant pass over a prepared template against the pipeline it
    replaces, written out over the items: shuffle the chunks, put one
    padding draw before each, run [Defense.Equiv] over the padded list,
@@ -666,8 +748,11 @@ let test_plan_digest () =
    only draws a coin for, ones it skips (ARM's conditional ones), raw
    bytes, words, alignments, labels and references between chunks; the
    two programs must assemble to the same bytes and symbols and report
-   the same plan. *)
-let variant_matches_items ~gen_item ~template ~reference ~assemble ~name =
+   the same plan.  The variant as a program over the template's pool
+   ({!Diversity.Variant.text}), laid out in one pass into a buffer, must
+   give those bytes and symbols too, and decline a buffer one byte
+   short; {!Diversity.Variant.plan} must report the same plan. *)
+let variant_matches_items ~gen_item ~template ~reference ~base ~assemble ~name =
   let open QCheck.Gen in
   let gen_chunks =
     let* n = int_range 1 8 in
@@ -678,14 +763,30 @@ let variant_matches_items ~gen_item ~template ~reference ~assemble ~name =
   QCheck.Test.make ~name ~count:300 ~long_factor:10
     (QCheck.make QCheck.Gen.(pair gen_chunks nat))
     (fun (chunks, seed) ->
-      let program, plan = Diversity.Variant.generate ~seed (template chunks) in
+      let t = template chunks in
+      let program, plan = Diversity.Variant.generate ~seed t in
       let program', (order, pad_bytes, rewrites) = reference ~seed chunks in
       let r = assemble program and r' = assemble program' in
+      let text, plan' = Diversity.Variant.text ~seed t in
+      let size = String.length r.Machine.Asm.code in
+      let buf = Bytes.make (size + 1) '\xAA' in
+      let written =
+        match Machine.Asm.write ~base text buf 1 ~room:size with
+        | Some (n, symbols) ->
+            n = size
+            && Bytes.sub_string buf 1 size = r.Machine.Asm.code
+            && symbols = r.Machine.Asm.symbols
+        | None -> false
+      in
       r.Machine.Asm.code = r'.Machine.Asm.code
       && r.Machine.Asm.symbols = r'.Machine.Asm.symbols
       && plan.Diversity.Variant.order = order
       && plan.Diversity.Variant.pad_bytes = pad_bytes
-      && plan.Diversity.Variant.rewrites = rewrites)
+      && plan.Diversity.Variant.rewrites = rewrites
+      && written
+      && (size = 0 || Machine.Asm.write ~base text buf 0 ~room:(size - 1) = None)
+      && plan' = plan
+      && Diversity.Variant.plan ~seed t = plan)
 
 (* Both reference pipelines draw as the pass did before templates. *)
 let shuffled ~seed chunks =
@@ -734,7 +835,7 @@ let prop_variant_x86 =
       (List.map (fun (name, items) -> (name, Asm.Label name :: items)) chunks)
   in
   variant_matches_items ~gen_item ~template ~reference
-    ~assemble:(Asm.assemble ~base:0x0804_8000)
+    ~base:0x0804_8000 ~assemble:(Asm.assemble ~base:0x0804_8000)
     ~name:"x86: variant = shuffle, pad, Equiv over the items"
 
 let prop_variant_arm =
@@ -780,7 +881,7 @@ let prop_variant_arm =
       (List.map (fun (name, items) -> (name, Asm.Label name :: items)) chunks)
   in
   variant_matches_items ~gen_item ~template ~reference
-    ~assemble:(Asm.assemble ~base:0x0001_0000)
+    ~base:0x0001_0000 ~assemble:(Asm.assemble ~base:0x0001_0000)
     ~name:"arm: variant = shuffle, pad, Equiv over the items"
 
 let () =
@@ -794,6 +895,8 @@ let () =
           Alcotest.test_case "plan digest" `Quick test_plan_digest;
           QCheck_alcotest.to_alcotest prop_variant_x86;
           QCheck_alcotest.to_alcotest prop_variant_arm;
+          Alcotest.test_case "plan without a program" `Quick test_plan_without_program;
+          QCheck_alcotest.to_alcotest prop_template_image;
         ] );
       ( "differential regression",
         [

@@ -18,7 +18,7 @@ let x86_spec =
     imports = [ "memcpy"; "execlp"; "exit" ];
     bss_size = 0x1000;
     code =
-      Process.X86_code
+      Process.x86_code
         [
           Asm.Label "main";
           Asm.I (Push_i 4);
@@ -50,7 +50,7 @@ let arm_spec =
     imports = [ "memcpy"; "execlp"; "exit" ];
     bss_size = 0x1000;
     code =
-      Process.Arm_code
+      Process.arm_code
         [
           Asm.Label "main";
           i (Push [ R4; LR ]);

@@ -1142,18 +1142,30 @@ let run_model ops =
           if restore_it then restore !family.(Array.length !family - 1) s
         end
     | Reimage (i, r, seed) ->
-        (* [Process.reimage] at memory level: fresh bytes over the whole
-           region, then a table of the member's own. *)
+        (* [Process.reimage] at memory level: [Mem.rewrite] lays fresh
+           bytes over the whole region (one or two pages), or declines
+           and leaves the memory as it was; after a rewrite the member
+           takes a table derived from its own, which owns the region and
+           the pages the member draws generations for, and finds every
+           other page in the family's entries. *)
         let mb = pick i and ((base, size) as reg) = model_regions.(r) in
         if mapped mb reg then begin
           let rng = Random.State.make [| seed |] in
           let s = String.init size (fun _ -> Char.chr (Random.State.int rng 256)) in
-          Mem.poke_bytes mb.mem base s;
-          mb.model <- model_fill mb.model reg s;
-          mb.standing <- None;
-          mb.retired <- mb.view :: mb.retired;
-          mb.table <- Memsim.Icache.table ~dummy:"";
-          mb.view <- Memsim.Icache.view mb.table mb.mem
+          let commit = seed land 3 <> 0 in
+          let wrote =
+            Mem.rewrite mb.mem ~base ~size (fun buf pos ->
+                Bytes.blit_string s 0 buf pos size;
+                commit)
+          in
+          if wrote <> commit then raise (Divergence "rewrite reports another outcome than its writer");
+          if commit then begin
+            mb.model <- model_fill mb.model reg s;
+            mb.standing <- None;
+            mb.retired <- mb.view :: mb.retired;
+            mb.table <- Memsim.Icache.derive mb.table ~lo:base ~hi:(base + size);
+            mb.view <- Memsim.Icache.view mb.table mb.mem
+          end
         end
     | Lookup (i, a, fresh) ->
         let mb = pick i in
@@ -1177,6 +1189,94 @@ let run_model ops =
         QCheck.Test.fail_reportf "after op %d (%s): %s" n (pp_op op) why)
     ops;
   true
+
+(* [Int_table] against [Hashtbl.Make] over the same hash: random
+   sequences of every operation on keys that collide in the low bits,
+   spread over the whole int range and repeat, through several resizes
+   and resets.  After every operation the two must agree on the result,
+   the length and the fold (bindings and their order). *)
+module Ref_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash x = (x * 0x9E3779B1) lsr 16
+end)
+
+type table_op =
+  | T_add of int * int
+  | T_replace of int * int
+  | T_remove of int
+  | T_find of int
+  | T_find_opt of int
+  | T_mem of int
+  | T_reset
+
+let pp_table_op = function
+  | T_add (k, v) -> Printf.sprintf "add %d %d" k v
+  | T_replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | T_remove k -> Printf.sprintf "remove %d" k
+  | T_find k -> Printf.sprintf "find %d" k
+  | T_find_opt k -> Printf.sprintf "find_opt %d" k
+  | T_mem k -> Printf.sprintf "mem %d" k
+  | T_reset -> "reset"
+
+let gen_table_op =
+  let open QCheck.Gen in
+  let key =
+    oneof [ int_bound 40; map (fun k -> k lsl 16) (int_bound 40); int; map (fun k -> -k) (int_bound 1000) ]
+  in
+  frequency
+    [
+      (4, map2 (fun k v -> T_add (k, v)) key small_nat);
+      (8, map2 (fun k v -> T_replace (k, v)) key small_nat);
+      (3, map (fun k -> T_remove k) key);
+      (2, map (fun k -> T_find k) key);
+      (2, map (fun k -> T_find_opt k) key);
+      (2, map (fun k -> T_mem k) key);
+      (1, return T_reset);
+    ]
+
+let prop_int_table_model =
+  QCheck.Test.make ~name:"Int_table = Hashtbl.Make, fold order included" ~count:300
+    ~long_factor:10
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_table_op ops))
+       QCheck.Gen.(list_size (int_range 1 300) gen_table_op))
+    (fun ops ->
+      let t = Memsim.Int_table.create 16 and r = Ref_table.create 16 in
+      let found f x = match f x with v -> Some v | exception Not_found -> None in
+      List.iteri
+        (fun n op ->
+          let agree =
+            match op with
+            | T_add (k, v) ->
+                Memsim.Int_table.add t k v;
+                Ref_table.add r k v;
+                true
+            | T_replace (k, v) ->
+                Memsim.Int_table.replace t k v;
+                Ref_table.replace r k v;
+                true
+            | T_remove k ->
+                Memsim.Int_table.remove t k;
+                Ref_table.remove r k;
+                true
+            | T_find k -> found (Memsim.Int_table.find t) k = found (Ref_table.find r) k
+            | T_find_opt k -> Memsim.Int_table.find_opt t k = Ref_table.find_opt r k
+            | T_mem k -> Memsim.Int_table.mem t k = Ref_table.mem r k
+            | T_reset ->
+                Memsim.Int_table.reset t;
+                Ref_table.reset r;
+                true
+          in
+          let bindings fold tbl = fold (fun k v acc -> (k, v) :: acc) tbl [] in
+          if not agree then QCheck.Test.fail_reportf "op %d (%s): results differ" n (pp_table_op op);
+          if Memsim.Int_table.length t <> Ref_table.length r then
+            QCheck.Test.fail_reportf "op %d (%s): lengths differ" n (pp_table_op op);
+          if bindings Memsim.Int_table.fold t <> bindings Ref_table.fold r then
+            QCheck.Test.fail_reportf "op %d (%s): folds differ" n (pp_table_op op))
+        ops;
+      true)
 
 let prop_icache_model =
   QCheck.Test.make ~name:"icache and generations agree with a flat model"
@@ -1465,6 +1565,7 @@ let () =
           Alcotest.test_case "page_gen protocol" `Quick test_page_generations;
           Alcotest.test_case "gen_ref cells" `Quick test_gen_ref_cells;
         ] );
+      ("int table", [ qt prop_int_table_model ]);
       ( "icache",
         [
           Alcotest.test_case "hit and miss" `Quick test_icache_hit_and_miss;
