@@ -85,6 +85,12 @@ let rec find_in key = function
 
 let find h key = find_in key (Array.unsafe_get h.data (index h key))
 
+let rec find_or_in key default = function
+  | Empty -> default
+  | Cons c -> if c.key = key then c.data else find_or_in key default c.next
+
+let find_or h key ~default = find_or_in key default (Array.unsafe_get h.data (index h key))
+
 let rec find_opt_in key = function
   | Empty -> None
   | Cons c -> if c.key = key then Some c.data else find_opt_in key c.next

@@ -21,6 +21,9 @@ val remove : 'a t -> int -> unit
 val find : 'a t -> int -> 'a
 (** Raises [Not_found]. *)
 
+val find_or : 'a t -> int -> default:'a -> 'a
+(** The binding of the key, or [default]: {!find} without the raise. *)
+
 val find_opt : 'a t -> int -> 'a option
 val mem : 'a t -> int -> bool
 val replace : 'a t -> int -> 'a -> unit
