@@ -303,7 +303,7 @@ let find_region t name =
 
 (* The page at index [idx], or [null_page]. *)
 let page_at t idx =
-  match Int_table.find t.pages idx with p -> p | exception Not_found -> null_page
+  Int_table.find_or t.pages idx ~default:null_page
 
 let is_mapped t addr = page_at t (page_index addr) != null_page
 

@@ -32,7 +32,7 @@ let offset_in_page addr = addr land (Memory.page_size - 1)
 let page t idx =
   if idx = t.last_idx then t.last_page
   else begin
-    let p = match Int_table.find t.pages idx with p -> p | exception Not_found -> absent in
+    let p = Int_table.find_or t.pages idx ~default:absent in
     t.last_idx <- idx;
     t.last_page <- p;
     p
