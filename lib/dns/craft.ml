@@ -1,7 +1,6 @@
 type byte_spec = Fixed of char | Any
 
-let spec_of_string s = Array.init (String.length s) (fun i -> Fixed s.[i])
-let spec_fixed = spec_of_string
+let spec_fixed s = Array.init (String.length s) (fun i -> Fixed s.[i])
 let spec_any n = Array.make n Any
 let spec_concat specs = Array.concat specs
 

@@ -23,9 +23,6 @@ val plan_labels :
     Fails if some stretch of fixed bytes longer than [label_max] leaves
     nowhere to put a boundary. *)
 
-val spec_of_string : string -> byte_spec array
-(** Every byte fixed. *)
-
 val realize : byte_spec array -> string
 (** Resolve a spec to concrete bytes with the default filler in don't-care
     positions — for carriers that deliver payload bytes verbatim (§V's
@@ -35,6 +32,7 @@ val realize : byte_spec array -> string
 val spec_concat : byte_spec array list -> byte_spec array
 val spec_any : int -> byte_spec array
 val spec_fixed : string -> byte_spec array
+(** Every byte fixed. *)
 
 val dos_name : size:int -> string
 (** A benign-looking giant name (wire form, terminator included) whose
@@ -50,13 +48,3 @@ val hostile_response :
     transaction id, question echoed, QR=1, one Type-A answer) but carries
     [raw_name] verbatim as the answer's owner name. *)
 
-val hostile_response_into :
-  Wire.arena ->
-  query:Packet.t ->
-  ?ttl:int ->
-  ?rdata:string ->
-  raw_name:string ->
-  unit ->
-  unit
-(** {!hostile_response} into a caller-owned reusable arena (resets it
-    first) — for attack loops that forge many responses. *)

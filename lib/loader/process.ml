@@ -14,11 +14,12 @@ type spec = {
   bss_size : int;
 }
 
-(* The decoded-instruction cache of a fork family: [boot] creates it,
-   [fork] shares it (page generations tell every member which entries
-   hold its own bytes), [reimage] derives one that owns the rewritten
-   text pages and shares every other page with the family, and every
-   [call] runs through it. *)
+(* This member's table of its fork family's decoded-instruction cache:
+   [boot] creates a root's, [fork] derives the child's from its
+   parent's, and every [call] runs through it.  An entry lives in the
+   table of the member whose memory drew its page's generation, so a
+   page a member wrote (a variant's text, shellcode on its stack) fills
+   its own table and a page it still shares resolves in its parent's. *)
 type icache =
   | X86_icache of Isa_x86.Cpu.compiled Memsim.Icache.table
   | Arm_icache of Isa_arm.Cpu.compiled Memsim.Icache.table
@@ -204,11 +205,9 @@ let symbol_opt t name = List.assoc_opt name t.symbols
    (PLT stubs, [__bss_start], [__canary]): the already-mapped world.
    Returns [None] when the variant does not fit (caller falls back to a
    full [boot]).  The write gives the text pages fresh generations, so
-   no cache could serve the old text to the variant; its icache owns
-   those pages (and any page the variant writes before running it), so
-   its unique text never crowds the family's, and finds every page it
-   still shares with its template — libc, the PLT — in the family's
-   entries, which hold exactly the bytes the variant runs there. *)
+   no cache could serve the old text to the variant, and they are the
+   process's own: on a [fork], the variant's unique text fills the
+   fork's icache table and never the family's. *)
 let reimage t spec' =
   if spec'.code.arch <> t.arch then invalid_arg "Process.reimage: architecture mismatch";
   (* Every import the process booted with has its stub. *)
@@ -223,26 +222,29 @@ let reimage t spec' =
   match write_main t.mem ~extern:t.extern ~base:text_base ~size:text_size spec'.code.text with
   | None -> None
   | Some image ->
-      let derive table = Memsim.Icache.derive table ~lo:text_base ~hi:(text_base + text_size) in
       Some
         {
           t with
           spec = spec';
           symbols = image @ t.world;
           valid_targets = (targets_of_symbols image, snd t.valid_targets);
-          icache =
-            (match t.icache with
-            | X86_icache c -> X86_icache (derive c)
-            | Arm_icache c -> Arm_icache (derive c));
         }
 
 (* Everything in [t] except [mem] and the icache is immutable after boot
    (layout, symbols, profile), so process snapshots delegate entirely to
-   the memory's copy-on-write layer and a fork is just a record copy
-   around a forked memory — sharing the icache. *)
+   the memory's copy-on-write layer and a fork is a record copy around a
+   forked memory and an icache table derived from its parent's. *)
 let snapshot t = Mem.snapshot t.mem
 let restore t snap = Mem.restore t.mem snap
-let fork t snap = { t with mem = Mem.fork snap }
+
+let fork t snap =
+  let mem = Mem.fork snap in
+  let icache =
+    match t.icache with
+    | X86_icache c -> X86_icache (Memsim.Icache.derive c)
+    | Arm_icache c -> Arm_icache (Memsim.Icache.derive c)
+  in
+  { t with mem; icache }
 
 type run_result = {
   outcome : O.stop_reason;
@@ -279,7 +281,7 @@ let hooks t isa ~taint ?on_step ?sanitizer ?trace ?profile cpu =
        else []);
     ]
 
-(* The family cache's counters are cumulative; a call reports its own
+(* A table's counters are cumulative; a call reports its own
    hits, misses and summarised iterations as their difference around the
    run. *)
 let icache_stats = function

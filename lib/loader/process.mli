@@ -26,9 +26,11 @@ type spec = {
   bss_size : int;
 }
 
-type icache
-(** The decoded-instruction cache of a fork family (one per ISA's
-    instruction type). *)
+type icache = private
+  | X86_icache of Isa_x86.Cpu.compiled Memsim.Icache.table
+  | Arm_icache of Isa_arm.Cpu.compiled Memsim.Icache.table
+(** This process's table of its fork family's decoded-instruction cache
+    (one per ISA's instruction type). *)
 
 type t = {
   spec : spec;
@@ -55,14 +57,17 @@ type t = {
           shares with its template.  Lazy so unmitigated processes pay
           nothing; shared across forks. *)
   icache : icache;
-      (** compiled instructions, owned by the fork family: {!boot}
-          creates the cache, {!fork} shares it, {!reimage} gives the
-          variant one that owns its text pages and shares every other
-          page with the family ({!Memsim.Icache.derive}), and every
-          {!call} runs through it, so decoded text survives {!restore}
-          and is compiled once for all forks of a template (page
-          generations keep each member's own writes out of the others'
-          hits). *)
+      (** compiled instructions, in one table per member of the fork
+          family: {!boot} creates a root's, {!fork} derives the child's
+          from its parent's ({!Memsim.Icache.derive}), and every {!call}
+          runs through it.  An entry lives in the table of the member
+          whose memory drew its page's generation: a page the process
+          wrote since its birth (a {!reimage}d variant's text, shellcode
+          on its stack) fills its own table, and a page it still shares
+          with its parent resolves in the parent's, up to the root.  So
+          decoded text survives {!restore} and is compiled once for all
+          forks of a template, and no member's own writes crowd the
+          others' entries. *)
 }
 
 val boot : spec -> profile:Defense.Profile.t -> seed:int -> t
@@ -92,11 +97,12 @@ val reimage : t -> spec -> t option
     variant's text does not fit (callers fall back to a full {!boot}).
     Cheap — one sizing pass and one layout pass straight into the text
     pages (the image, then zeros), with no copy of the old text — so it
-    composes with {!fork} for µs-scale diversified spawning.  The
-    variant's icache owns the text pages, whose entries could serve no
-    other member, and resolves every other page (libc, the PLT, the
-    stack) in the family's entries, so a variant starts warm outside
-    its own text.  Raises if the spec's architecture differs or an
+    composes with {!fork} for µs-scale diversified spawning.  It leaves
+    the icache alone: the rewrite draws the text pages fresh
+    generations, so on a {!fork} the variant's text fills the fork's
+    own table, and every page it still shares with its template (libc,
+    the PLT) resolves in the template's entries, so a variant starts
+    warm outside its own text.  Raises if the spec's architecture differs or an
     import has no PLT stub. *)
 
 val snapshot : t -> Memsim.Memory.snapshot
@@ -111,8 +117,11 @@ val restore : t -> Memsim.Memory.snapshot -> unit
 
 val fork : t -> Memsim.Memory.snapshot -> t
 (** An independent process sharing this one's immutable boot state
-    (layout, symbols, profile) and its icache, with memory forked
-    copy-on-write from the snapshot.  The snapshot must come from this
+    (layout, symbols, profile), with memory forked copy-on-write from
+    the snapshot and an icache table derived from this one's (see
+    {!t.icache}): it finds every page it shares with the snapshot in
+    this process's entries or its ancestors', and fills the pages it
+    writes into its own.  The snapshot must come from this
     process (or a fork of it). *)
 
 type run_result = {

@@ -94,7 +94,7 @@ let enforce isa ~shadow_stack ~forward_cfi ~valid_target ~shadow0 =
     if shadow_stack then Commit (fun () -> mirror := ret :: !mirror) else Go
   in
   let forward at target ok =
-    if forward_cfi && not (valid_target target) then violation at 0 target
+    if forward_cfi && not (valid_target target) then violation at Outcome.Valid_target target
     else ok
   in
   let pre cpu pc insn size =
@@ -107,7 +107,7 @@ let enforce isa ~shadow_stack ~forward_cfi ~valid_target ~shadow0 =
     | Return target -> (
         match !mirror with
         | expected :: _ when expected = target -> pop
-        | expected :: _ -> violation pc expected target
-        | [] -> violation pc 0 target)
+        | expected :: _ -> violation pc (Outcome.Return_to expected) target
+        | [] -> violation pc Outcome.Empty_shadow_stack target)
   in
   { pre; stop = (fun _ _ -> ()); lower = Terminal }

@@ -6,6 +6,18 @@
     outcome, {!Exec} of a shell is remote code execution, and
     {!Cfi_violation} is a defense win. *)
 
+(** What a CFI check wanted where it vetoed a transfer. *)
+type cfi_expected =
+  | Return_to of int
+      (** a return to the address on top of the shadow stack: the one
+          the matching call pushed *)
+  | Empty_shadow_stack
+      (** no return at all: the shadow stack holds no call to return
+          from *)
+  | Valid_target
+      (** an indirect call or jump to an address in the forward-edge
+          policy set *)
+
 type stop_reason =
   | Halted
       (** Control reached a designated trap address — the benign "function
@@ -17,8 +29,10 @@ type stop_reason =
   | Fault of Memsim.Memory.fault  (** SIGSEGV analogue. *)
   | Decode_error of { addr : int; byte : int }
       (** SIGILL analogue: fetch of an undecodable instruction. *)
-  | Cfi_violation of { at : int; expected : int; got : int }
-      (** The shadow-stack CFI monitor vetoed a return (§IV mitigation). *)
+  | Cfi_violation of { at : int; expected : cfi_expected; got : int }
+      (** The CFI monitor vetoed the transfer at [at] to [got] (§IV
+          mitigation): a return the shadow stack does not expect, or a
+          forward edge outside the policy set. *)
   | Aborted of string
       (** Guest code invoked [abort] — e.g. [__stack_chk_fail] after stack
           canary corruption. *)

@@ -1,5 +1,6 @@
 (* Decoded-instruction cache keyed by address, validated against
-   {!Memory}'s page generations, and shared by a whole fork family.
+   {!Memory}'s page generations, and shared by a fork family: one table
+   per member, each holding the entries of the pages it owns.
 
    Decoding is the interpreter's hot path: the x86 decoder pulls bytes one
    at a time through closures and allocates an instruction record per
@@ -23,13 +24,16 @@
    stack and then run, the paper's §III-A), [mprotect], unmap/remap and
    restore all store fresh generations and force a re-decode.
 
-   A member that rewrites a range of its own ([Process.reimage]'s
-   diversified text) takes a {!derive}d table: its text pages are its
-   own, and so is every page whose generation it drew itself (a stack
-   page it wrote and then ran), so its unique entries never crowd or
-   churn the family's; every page it still shares with its template
-   (libc, the PLT) resolves in the family's records, where the template
-   already filled what the variant runs there.
+   Every member of the family but its root (a boot) takes a {!derive}d
+   table at its birth, and one rule places every entry: it lives in the
+   table of the member whose memory drew its page's generation.  A page
+   the member wrote, restored or remapped since its birth (a diversified
+   variant's rewritten text, shellcode it wrote to its stack, a dirtied
+   data page) carries a generation newer than its birth, so its entries
+   are the member's own and never crowd or churn anyone else's; a page
+   it still shares with its parent carries an older one and resolves in
+   the parent's records, and so on up to the root, where the template
+   already filled what the member runs there.
 
    An x86 instruction may straddle a page boundary, so an entry records
    the generation of the page holding its last byte too ([hi_gen], 0 for
@@ -52,26 +56,24 @@ let chunks_per_page = Memory.page_size lsr chunk_bits
    {!refills}). *)
 type 'a page = { chunks : 'a entry array array; mutable refills : int }
 
-(* A family table holds every page's record in [pages], which is also
-   [shared].  A table {!derive}d from one holds, in [pages], the records
-   of the pages it owns, and finds every other page's record in its
-   family's [shared] pages: the records, and the entries filled into
-   them, are the family's.  It owns the page indices [own_lo..own_hi]
-   (its rewritten text) and each page whose generation the viewing
-   memory drew itself when the record was made ({!Memory.page_own}):
-   entries decoded under such a generation could serve no other
-   member, so they stay out of the family's records.  Both share the
-   parent's [dummy] and empty chunk and page, which the fill path
+(* A member's table holds, in [pages], the records of the pages whose
+   current generation it owns: those above [born], the generation counter
+   when it was derived.  An older generation belongs to the youngest
+   ancestor born before it; the root is born at [min_int], so it owns
+   every generation no descendant does.  A table's [pages] is the
+   family's [none] until it fills its first page, so a fork that never
+   owns one costs this record alone.  Every member shares the root's
+   [dummy], empty chunk, empty page and [none], which the fill path
    compares by identity. *)
 type 'a table = {
   dummy : 'a entry;
   empty_chunk : 'a entry array;  (* all [dummy]; never written *)
   empty_page : 'a page;
       (* chunks all [empty_chunk]; never written, so its [refills] stays 0 *)
-  pages : 'a page Int_table.t;
-  shared : 'a page Int_table.t;
-  own_lo : int;
-  own_hi : int;
+  none : 'a page Int_table.t;  (* empty; never written *)
+  parent : 'a table;  (* the root's is itself *)
+  born : int;
+  mutable pages : 'a page Int_table.t;
   mutable hits : int;
   mutable misses : int;
   mutable summarised : int;
@@ -81,13 +83,15 @@ type 'a table = {
    cell of the last page looked up.  A cached cell can go stale only when
    the memory drops the page (unmap, restore); both retire the cell with
    a fresh generation no entry was filled under, so a stale cell can only
-   miss, and the miss path re-reads the live one. *)
+   miss, and the miss path re-reads the live one.  The record is the one
+   the page's generation selected when it was cached; a store that moves
+   the generation to another member's misses there, and the miss path
+   moves the record with it. *)
 type 'a t = {
   table : 'a table;
   mem : Memory.t;
   mutable last_idx : int;
   mutable last_page : 'a page;
-  mutable last_own : bool;  (* [last_page] is in [table.pages] *)
   mutable last_cell : int ref;
 }
 
@@ -96,68 +100,53 @@ let table ~dummy =
      (see {!Memory.gen_ref}), so the dummy's 0 never validates. *)
   let dummy = { v = dummy; len = 1; lo_gen = 0; hi_gen = 0 } in
   let empty_chunk = Array.make (chunk_mask + 1) dummy in
-  let pages = Int_table.create 16 in
-  {
-    dummy;
-    empty_chunk;
-    empty_page = { chunks = Array.make chunks_per_page empty_chunk; refills = 0 };
-    pages;
-    shared = pages;
-    own_lo = 0;
-    own_hi = -1;
-    hits = 0;
-    misses = 0;
-    summarised = 0;
-  }
+  let empty_page = { chunks = Array.make chunks_per_page empty_chunk; refills = 0 } in
+  let none = Int_table.create 16 in
+  let rec root =
+    {
+      dummy;
+      empty_chunk;
+      empty_page;
+      none;
+      parent = root;
+      born = min_int;
+      pages = none;
+      hits = 0;
+      misses = 0;
+      summarised = 0;
+    }
+  in
+  root
 
-let derive parent ~lo ~hi =
-  let lo = lo lsr Memory.page_bits and hi = (hi - 1) lsr Memory.page_bits in
+let derive parent =
   {
     parent with
-    pages = Int_table.create 16;
-    own_lo = lo;
-    own_hi = hi;
+    parent;
+    born = Memory.generation ();
+    pages = parent.none;
     hits = 0;
     misses = 0;
     summarised = 0;
   }
 
 let view table mem =
-  {
-    table;
-    mem;
-    last_idx = -1;
-    last_page = table.empty_page;
-    last_own = false;
-    last_cell = ref (-1);
-  }
+  { table; mem; last_idx = -1; last_page = table.empty_page; last_cell = ref (-1) }
 
 let hits table = table.hits
 let misses table = table.misses
 let summarised table = table.summarised
 
-(* The record of page [idx] in [pages], or the empty page. *)
-let record_in table pages idx = Int_table.find_or pages idx ~default:table.empty_page
+(* The member that owns generation [gen]. *)
+let rec owner tbl gen = if gen > tbl.born then tbl else owner tbl.parent gen
 
-(* The record of page [idx]: this table's own, else its family's. *)
-let page_at table idx =
-  let p = record_in table table.pages idx in
-  if p != table.empty_page || table.shared == table.pages then p
-  else record_in table table.shared idx
+(* The record of page [idx] at generation [gen], or the empty page. *)
+let record tbl idx gen = Int_table.find_or (owner tbl gen).pages idx ~default:tbl.empty_page
 
 let select t idx addr =
-  let tbl = t.table in
-  let own = record_in tbl tbl.pages idx in
+  let cell = Memory.gen_ref t.mem addr in
   t.last_idx <- idx;
-  t.last_own <- own != tbl.empty_page;
-  t.last_page <-
-    (if t.last_own || tbl.shared == tbl.pages then own else record_in tbl tbl.shared idx);
-  t.last_cell <- Memory.gen_ref t.mem addr
-
-(* Whether a derived table keeps page [idx]'s entries itself. *)
-let owns tbl mem idx addr =
-  tbl.shared != tbl.pages
-  && ((idx >= tbl.own_lo && idx <= tbl.own_hi) || Memory.page_own mem addr)
+  t.last_cell <- cell;
+  t.last_page <- record t.table idx !cell
 
 (* Miss or stale.  [decode] fetches through the memory's execute
    permission check, so nothing is ever cached from a page that was not
@@ -176,27 +165,17 @@ let[@inline never] fill t addr ~decode =
   in
   let e = { v; len; lo_gen = !cell; hi_gen } in
   let page =
-    if t.last_page != tbl.empty_page && (t.last_own || not (owns tbl t.mem t.last_idx addr)) then
-      t.last_page
+    let p = record tbl t.last_idx e.lo_gen in
+    if p != tbl.empty_page then p
     else begin
-      (* No record yet, or the family's for a page this table owns.
-         Another view may have made the record since [select]. *)
-      let own = owns tbl t.mem t.last_idx addr in
-      let pages = if own then tbl.pages else tbl.shared in
-      let p = record_in tbl pages t.last_idx in
-      let p =
-        if p != tbl.empty_page then p
-        else begin
-          let p = { chunks = Array.make chunks_per_page tbl.empty_chunk; refills = 0 } in
-          Int_table.add pages t.last_idx p;
-          p
-        end
-      in
-      t.last_page <- p;
-      t.last_own <- own || tbl.shared == tbl.pages;
+      let o = owner tbl e.lo_gen in
+      let p = { chunks = Array.make chunks_per_page tbl.empty_chunk; refills = 0 } in
+      if o.pages == tbl.none then o.pages <- Int_table.create 16;
+      Int_table.add o.pages t.last_idx p;
       p
     end
   in
+  t.last_page <- page;
   let ci = off lsr chunk_bits in
   let chunk =
     let c = page.chunks.(ci) in
@@ -240,7 +219,9 @@ let lookup t addr ~decode =
 let peek t addr =
   let addr = Word.of_int addr in
   let idx = addr lsr Memory.page_bits in
-  let page = if idx = t.last_idx then t.last_page else page_at t.table idx in
+  let page =
+    if idx = t.last_idx then t.last_page else record t.table idx (Memory.page_gen t.mem addr)
+  in
   let off = addr land (Memory.page_size - 1) in
   page.chunks.(off lsr chunk_bits).(off land chunk_mask)
 

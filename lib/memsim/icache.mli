@@ -4,13 +4,14 @@
     Shared by both interpreters (the cached value type ['a] is the ISA's
     instruction type).  The cache is split in two:
 
-    - a {!table} of decoded entries, keyed by address, that outlives
-      any one run and is shared by every memory of a fork family (a
-      booted process, its restores, and every {!Memory.fork} of its
-      snapshots).  A member that rewrites a range of its own (a
-      diversified variant's text) gets a {!derive}d table: it owns the
-      pages of that range and the pages it wrote itself, and finds
-      every other page in the family's entries;
+    - a {!table} per member of a fork family: the root's (a booted
+      process) from {!table}, every other member's {!derive}d at its
+      birth from the table of the member it was forked from.  One rule
+      places every entry: {e it lives in the table of the member whose
+      memory drew its page's generation}.  A page a member wrote since
+      its birth (a diversified variant's text, shellcode on its stack)
+      is its own; a page it still shares with its parent resolves in
+      the parent's table, and so on up to the root;
     - a per-memory {!t} view that validates an entry against the
       viewing memory's own page generation.
 
@@ -33,24 +34,23 @@ type 'a entry = private {
     whose page(s) still carry these generations. *)
 
 type 'a table
-(** Decoded entries of one fork family, with its hit/miss counters. *)
+(** The decoded entries one member of a fork family owns, with its
+    hit/miss counters. *)
 
 val table : dummy:'a -> 'a table
-(** An empty table.  [dummy] is any value of the instruction type; it
-    pre-fills the slot chunks (with a generation no page can have) so
-    the hit path needs no [option] box.  It is never returned by
-    {!lookup}. *)
+(** An empty root table: it owns every page's entries.  [dummy] is any
+    value of the instruction type; it pre-fills the slot chunks (with a
+    generation no page can have) so the hit path needs no [option] box.
+    It is never returned by {!lookup}. *)
 
-val derive : 'a table -> lo:int -> hi:int -> 'a table
-(** A table for a member that rewrote the addresses [\[lo, hi)]: the
-    pages that range touches, and each page whose generation the viewing
-    memory drew itself ({!Memory.page_own}) when the table first fills
-    it, are its own and start empty; every other page — lookups, fills
-    and blocks — is the parent's family's, validated by page generation
-    exactly as a fork's entries are (so a variant finds the template's
-    libc and PLT entries already filled, and adds to them only what the
-    family can use).  Its hit, miss and summarised counters are its own
-    and start at 0. *)
+val derive : 'a table -> 'a table
+(** The table of a member born now from the member owning [parent] (a
+    {!Memory.fork} of its memory, or any memory created now): it owns
+    every page whose generation is newer than now, which only the
+    member's own stores, permission changes, maps and restores can
+    draw, and finds every older page in [parent]'s entries, by the same
+    rule up to the root.  Costs one small record until it owns a page.
+    Its hit, miss and summarised counters are its own and start at 0. *)
 
 type 'a t
 (** A view of a table through one memory. *)

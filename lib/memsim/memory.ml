@@ -107,9 +107,6 @@ type t = {
      changes are cold paths, so the option check never touches the
      per-byte accessors' hit paths. *)
   mutable trace : Telemetry.Trace.t option;
-  (* The generation counter when the memory was created or forked:
-     every generation above it was drawn here. *)
-  born : int;
 }
 
 (* What a lookup of an unmapped index returns, and what an empty slot
@@ -166,6 +163,8 @@ let fresh_gen () =
   incr gen_counter;
   !gen_counter
 
+let generation () = !gen_counter
+
 let empty_slot () = { idx = -1; pg = null_page }
 
 let create () =
@@ -180,7 +179,6 @@ let create () =
     spare = [];
     standing = unarmed;
     trace = None;
-    born = !gen_counter;
   }
 
 let set_trace t tr = t.trace <- tr
@@ -306,10 +304,6 @@ let page_at t idx =
   Int_table.find_or t.pages idx ~default:null_page
 
 let is_mapped t addr = page_at t (page_index addr) != null_page
-
-let page_own t addr =
-  let p = page_at t (page_index (Word.of_int addr)) in
-  p != null_page && !(p.gen) > t.born
 
 (* The one page lookup of the byte accessors: the page at [idx] through
    the access kind's [slot], which keeps the last mapped page it found.

@@ -67,6 +67,10 @@ val page_gen : t -> int -> int
     in a memory iff that memory's page(s) still carry the generations it
     was filled under.  Live pages always carry a value [>= 1]. *)
 
+val generation : unit -> int
+(** The last generation drawn, by any memory: every generation a memory
+    draws from now on is greater. *)
+
 val gen_ref : t -> int -> int ref
 (** The generation cell of the page containing the address (the cell
     {!page_gen} reads), for decode caches to re-read with a direct load
@@ -104,13 +108,6 @@ val find_region : t -> string -> region
     region carries that name. *)
 
 val is_mapped : t -> int -> bool
-
-val page_own : t -> int -> bool
-(** Whether the generation of the page containing the address was drawn
-    by this memory — by a store, a permission change, a map or a restore
-    since it was created or forked — rather than inherited from the
-    snapshot it was forked from; only this memory and memories forked
-    from its snapshots can carry it.  [false] for an unmapped address. *)
 
 (** {1 Typed access}
 

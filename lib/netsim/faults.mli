@@ -64,8 +64,6 @@ type plan = {
   reordered : bool;
 }
 
-val link_up : policy -> now:int -> bool
-
 val apply : Memsim.Rng.t -> policy -> now:int -> payload:string -> plan
 (** Decide one datagram's fate.  Draw order is fixed: flap check (no
     draw), drop, latency, corruption (position, then xor byte),

@@ -104,7 +104,6 @@ val set_host_dns : host -> Ip.t option -> unit
 val attach : host -> lan -> unit
 (** Joining a LAN implicitly leaves the previous one. *)
 
-val detach : host -> unit
 val lan_of : host -> lan option
 val hosts_of : lan -> host list
 

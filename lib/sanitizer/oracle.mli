@@ -86,9 +86,6 @@ val new_source : t -> origin:string -> length:int -> int
     {!begin_parse}, so reports from successive datagrams stay
     distinguishable. *)
 
-val origin_of : t -> int -> string
-(** Origin string of a source id; ["?"] if unknown. *)
-
 val begin_parse : t -> unit
 (** Reset the per-run state — shadow map, register taint, return-slot
     map, redzones — while keeping sources, reports, and counters.  The
@@ -109,7 +106,6 @@ val reg_label : t -> int -> Shadow.label
 (** Taint of register index [i] (x86 uses 0..7, ARM 0..15). *)
 
 val set_reg_label : t -> int -> Shadow.label -> unit
-val tainted_bytes : t -> int
 
 (** {1 Frame protection} *)
 

@@ -213,7 +213,6 @@ let registry t = t.reg
 let interval_us t = t.ival
 let set_trace t tr = t.trace <- tr
 let scrapes t = t.nscrapes
-let last_scrape_us t = t.last_ts
 
 let render_labels = function
   | [] -> ""

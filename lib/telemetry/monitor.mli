@@ -108,7 +108,6 @@ val scrape : t -> now:int -> unit
     beyond the last scrape are ignored (idempotent at a barrier). *)
 
 val scrapes : t -> int
-val last_scrape_us : t -> int  (** -1 before the first scrape *)
 
 (** {1 Store queries} *)
 

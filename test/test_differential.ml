@@ -479,9 +479,10 @@ let test_cached_uncached_benign () =
 (* can run from gives the reference result                              *)
 (* ------------------------------------------------------------------ *)
 
-(* A process's icache outlives its calls and is shared by its forks, so
-   a parse can start cold (fresh boot), warm (the same process after a
-   parse and a restore) or from a fork of a warmed template.  Each
+(* A process's icache outlives its calls and a fork finds its
+   template's entries, so a parse can start cold (fresh boot), warm (the
+   same process after a parse and a restore) or from a fork of a warmed
+   template.  Each
    starting point restores the boot state exactly, so all three must
    equal the uncached reference from a cold boot. *)
 
@@ -636,6 +637,90 @@ let test_diversified_fork_own_cache () =
         (parse_wire ~icache:true tproc wire).Loader.Process.icache_misses)
     [ (Loader.Arch.X86, "x86"); (Loader.Arch.Arm, "arm") ]
 
+(* The generation of the entry [owner]'s own icache table holds at
+   [addr], peeked through a fresh view over [mem]: 0 when it holds none. *)
+let entry_gen (owner : Loader.Process.t) mem addr =
+  match owner.Loader.Process.icache with
+  | Loader.Process.X86_icache c ->
+      (Memsim.Icache.peek (Memsim.Icache.view c mem) addr).Memsim.Icache.lo_gen
+  | Loader.Process.Arm_icache c ->
+      (Memsim.Icache.peek (Memsim.Icache.view c mem) addr).Memsim.Icache.lo_gen
+
+let in_text p pc =
+  let l = p.Loader.Process.layout in
+  pc >= l.Loader.Layout.text_base && pc < l.Loader.Layout.text_base + l.Loader.Layout.text_size
+
+(* A parse of [wire] by [p] that also returns the pcs it ran for which
+   [keep] holds. *)
+let parse_seeing p wire keep =
+  let pcs = Hashtbl.create 64 in
+  let buf = p.Loader.Process.layout.Loader.Layout.heap_base in
+  Mem.write_bytes p.Loader.Process.mem buf wire;
+  let r =
+    Loader.Process.call p ~fuel:400_000
+      ~on_step:(Machine.Hook.observer (fun pc -> if keep pc then Hashtbl.replace pcs pc ()))
+      ~entry:(Loader.Process.symbol p "parse_response")
+      ~args:[ buf; String.length wire ]
+  in
+  (r, List.of_seq (Hashtbl.to_seq_keys pcs))
+
+(* A plain fork that runs the shellcode it wrote to its stack (E1, E2)
+   decodes it into its own table: the template's holds no entry under a
+   generation the fork drew, and the fork's holds the ones it ran. *)
+let test_fork_stack_code_own () =
+  List.iter
+    (fun (name, config, wire) ->
+      if List.mem (String.sub name 0 2) [ "E1"; "E2" ] then begin
+        let template = victim config in
+        let snap = Loader.Process.snapshot template in
+        let born = Mem.generation () in
+        let fork = Loader.Process.fork template snap in
+        let l = fork.Loader.Process.layout in
+        let on_stack pc = pc >= l.Loader.Layout.stack_base && pc < l.Loader.Layout.stack_top in
+        let r, pcs = parse_seeing fork wire on_stack in
+        Alcotest.(check bool) (name ^ ": the fork ran stack code") true (pcs <> []);
+        check_same_run (name ^ ": fork = uncached") r
+          (parse_wire ~icache:false (Loader.Process.fork template snap) wire);
+        List.iter
+          (fun pc ->
+            if entry_gen template fork.Loader.Process.mem pc > born then
+              Alcotest.failf "%s: the template's table holds the fork's entry at 0x%x" name pc)
+          pcs;
+        Alcotest.(check bool)
+          (name ^ ": the fork's table holds its stack code") true
+          (List.exists (fun pc -> entry_gen fork fork.Loader.Process.mem pc > born) pcs)
+      end)
+    (starting_point_cases ())
+
+(* A fork of a variant finds the variant's text in the variant's table
+   (a warm variant's fork compiles nothing) and never fills it into the
+   template's. *)
+let test_fork_of_variant () =
+  List.iter
+    (fun (arch, tag) ->
+      let config = config_for ~arch ~profile:Defense.Profile.wx_aslr ~boot_seed:23 in
+      let wire = benign_wire config in
+      let template = Connman.Dnsproxy.create config in
+      let tproc = Connman.Dnsproxy.process template in
+      ignore (warm config tproc);
+      let variant =
+        Connman.Dnsproxy.process (Connman.Dnsproxy.fork_diversified template ~diversity_seed:5)
+      in
+      let vsnap = Loader.Process.snapshot variant in
+      ignore (parse_wire ~icache:true variant wire);
+      Loader.Process.restore variant vsnap;
+      let child = Loader.Process.fork variant vsnap in
+      let r, pcs = parse_seeing child wire (in_text child) in
+      Alcotest.(check int) (tag ^ ": a warm variant's fork misses") 0 r.Loader.Process.icache_misses;
+      check_same_run (tag ^ ": variant's fork = uncached") r
+        (parse_wire ~icache:false (Loader.Process.fork variant vsnap) wire);
+      List.iter
+        (fun pc ->
+          if entry_gen tproc child.Loader.Process.mem pc = Mem.page_gen child.Loader.Process.mem pc
+          then Alcotest.failf "%s: the template's table holds the variant's text at 0x%x" tag pc)
+        pcs)
+    [ (Loader.Arch.X86, "x86"); (Loader.Arch.Arm, "arm") ]
+
 (* A variant starts warm: its icache owns its own text pages and finds
    every other page (libc, the PLT, the stack) in the template's family
    entries.  Random interleavings on a warmed template: plain forks
@@ -737,20 +822,10 @@ let warm_variants_case arch ops =
   let misses = (parse_wire ~icache:true (Loader.Process.fork tproc tsnap) benign).Loader.Process.icache_misses in
   if misses <> 0 then fail "a plain fork misses %d times after the variants" misses;
   let p = spawn 10_001 in
-  let l = p.Loader.Process.layout in
-  let in_text pc = pc >= l.Loader.Layout.text_base && pc < l.Loader.Layout.text_base + l.Loader.Layout.text_size in
-  let text_pcs = Hashtbl.create 256 in
-  let buf = l.Loader.Layout.heap_base in
-  Mem.write_bytes p.Loader.Process.mem buf benign;
-  let r =
-    Loader.Process.call p ~fuel:400_000
-      ~on_step:(Machine.Hook.observer (fun pc -> if in_text pc then Hashtbl.replace text_pcs pc ()))
-      ~entry:(Loader.Process.symbol p "parse_response")
-      ~args:[ buf; String.length benign ]
-  in
-  if r.Loader.Process.icache_misses <> Hashtbl.length text_pcs then
+  let r, text_pcs = parse_seeing p benign (in_text p) in
+  if r.Loader.Process.icache_misses <> List.length text_pcs then
     fail "a fresh variant misses %d times running %d instructions of its own text"
-      r.Loader.Process.icache_misses (Hashtbl.length text_pcs);
+      r.Loader.Process.icache_misses (List.length text_pcs);
   true
 
 let prop_warm_variants (arch, tag) =
@@ -904,12 +979,24 @@ let path_name p =
   | Profiled -> "+[profile]"
   | Recorded -> "+[observe]"
 
+(* The four paths of [prop_blocks], in two groups that each answer to
+   the reference loop with the same hooks: the icache loop bare and with
+   a [Step] observer, then with an observer and the mitigations.  A
+   program built without a smash may still trip the shadow stack: a
+   [store first] copy over rwx text can smear main's closing [svc], so
+   main runs on into a function nothing called, whose return the
+   mitigations veto against an empty shadow stack where the bare loop
+   faults.  Where the two references agree, every path answers to the
+   bare one, icache hits and misses included. *)
 let four_paths =
   [
-    { cached = false; hooks = Bare };
-    { cached = true; hooks = Bare };
-    { cached = true; hooks = Enforced };
-    { cached = true; hooks = Stepped };
+    [
+      { cached = false; hooks = Bare };
+      { cached = true; hooks = Bare };
+      { cached = false; hooks = Stepped };
+      { cached = true; hooks = Stepped };
+    ];
+    [ { cached = false; hooks = Enforced }; { cached = true; hooks = Enforced } ];
   ]
 
 let enforced_paths =
@@ -1728,9 +1815,46 @@ module Arm_blocks = struct
           (gen_program ~op:(op ~wild:k.wild) ~copy:(gen_copy ~nregs:(List.length own)) ~smash))
 end
 
+let check_four_paths ~name ~run_paths case =
+  let groups = List.map (run_paths case) four_paths in
+  let all = List.concat groups in
+  let outcomes hooks = List.map (fun r -> r.outcome) (List.assoc { cached = false; hooks } all) in
+  List.for_all (check_paths ~name) groups
+  && (outcomes Bare <> outcomes Enforced || check_paths ~name all)
+
 let prop_blocks ~name ~arb ~run_paths =
   QCheck.Test.make ~name:(name ^ " blocks: four paths, one answer") ~count:300
-    ~long_factor:20 arb (fun case -> check_paths ~name (run_paths case four_paths))
+    ~long_factor:20 arb (check_four_paths ~name ~run_paths)
+
+(* Seeds under which [prop_blocks] once failed on ARM, with the draw it
+   failed on (the property's [n]th case at that seed): each a [store
+   first] copy over main's closing [svc], so the mitigations veto a
+   return that the bare reference loop faults on.  Each case is drawn
+   again and run alone. *)
+let arm_block_regressions =
+  [ (408485024, 5324); (590827557, 4676); (960719279, 681); (686202044, 1558) ]
+
+let test_arm_block_regressions () =
+  List.iter
+    (fun (seed, n) ->
+      let gen = QCheck.gen (Arm_blocks.arb ~smash:false) in
+      let rand = Random.State.make [| seed |] in
+      for _ = 2 to n do
+        ignore (gen rand)
+      done;
+      let case = gen rand in
+      let name = Printf.sprintf "arm seed %d, case %d" seed n in
+      ignore (check_four_paths ~name ~run_paths:Arm_blocks.run_paths case);
+      let outcome hooks =
+        match Arm_blocks.run_paths case [ { cached = false; hooks } ] with
+        | [ (_, r :: _) ] -> r.outcome
+        | _ -> assert false
+      in
+      Alcotest.(check bool)
+        (name ^ ": the mitigations stop the run elsewhere")
+        true
+        (outcome Bare <> outcome Enforced))
+    arm_block_regressions
 
 (* With smashed returns, the mitigated paths stop where the reference
    loop with the same hooks does: the veto lands on a block's
@@ -1815,7 +1939,14 @@ let check_copy_summaries name run_paths =
         in
         let case = ({ main = [ Copy copy ]; funcs = [ []; [] ] }, knobs) in
         let folding = if miss = Exact then List.tl fold_paths else [] in
-        let runs = run_paths case (four_paths @ ({ cached = true; hooks = Mitigated } :: folding)) in
+        let runs =
+          run_paths case
+            ({ cached = false; hooks = Bare }
+            :: List.map
+                 (fun hooks -> { cached = true; hooks })
+                 [ Bare; Enforced; Stepped; Mitigated ]
+            @ folding)
+        in
         ignore (check_paths ~name runs);
         List.iter
           (fun (path, rs) ->
@@ -2136,6 +2267,8 @@ let () =
       ( "blocks: every path agrees",
         List.map qt block_props
         @ [
+            Alcotest.test_case "arm: four paths, once failing seeds" `Quick
+              test_arm_block_regressions;
             Alcotest.test_case "a sibling's refill" `Quick test_sibling_refill;
             Alcotest.test_case "taint reports, both loops" `Quick test_taint_reports;
             Alcotest.test_case "copy loops summarise, near misses do not" `Quick
@@ -2153,6 +2286,10 @@ let () =
             test_warm_calls_compile_nothing;
           Alcotest.test_case "diversified forks compile their own" `Quick
             test_diversified_fork_own_cache;
+          Alcotest.test_case "a fork's stack code fills its own table" `Quick
+            test_fork_stack_code_own;
+          Alcotest.test_case "a variant's fork finds the variant's text" `Quick
+            test_fork_of_variant;
           QCheck_alcotest.to_alcotest (prop_warm_variants (Loader.Arch.X86, "x86"));
           QCheck_alcotest.to_alcotest (prop_warm_variants (Loader.Arch.Arm, "arm"));
         ] );

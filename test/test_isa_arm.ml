@@ -565,7 +565,7 @@ let test_cfi_blocks_smashed_pop_pc () =
   in
   let _, cpu, r = setup program in
   match run_shadow_stack cpu with
-  | O.Cfi_violation { at; expected; got } ->
+  | O.Cfi_violation { at; expected = O.Return_to expected; got } ->
       check_int "at the pop" (Asm.symbol r "pop") at;
       check_int "expected the bl's return" (Asm.symbol r "after") expected;
       check_int "got the smashed target" (Asm.symbol r "win") got;

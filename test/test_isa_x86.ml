@@ -692,13 +692,48 @@ let test_cfi_blocks_smashed_return () =
   in
   let _, cpu, r = setup program in
   match run_shadow_stack cpu with
-  | O.Cfi_violation { at; expected; got } ->
+  | O.Cfi_violation { at; expected = O.Return_to expected; got } ->
       check_int "at the ret" (Asm.symbol r "ret") at;
       check_int "expected the call's return" (Asm.symbol r "after") expected;
       check_int "got the smashed target" (Asm.symbol r "win") got;
       check_int "call, mov, mov retired; the ret did not" 3 cpu.Cpu.steps;
       check_int "eip left on the ret" (Asm.symbol r "ret") cpu.Cpu.eip
   | other -> Alcotest.failf "expected CFI violation, got %s" (O.to_string other)
+
+(* The other two vetoes say what they are: a return with nothing on
+   the shadow stack, and an indirect jump outside the policy set. *)
+let test_cfi_reports_what_it_expected () =
+  let open Insn in
+  let run ~forward program =
+    let _, cpu, r = setup program in
+    let hook =
+      Machine.Hook.enforce Cpu.isa ~shadow_stack:true ~forward_cfi:forward
+        ~valid_target:(fun _ -> false) ~shadow0:[]
+    in
+    (r, Cpu.run ~traps:[] ~kernel:no_kernel ~hooks:[ hook ] cpu)
+  in
+  (match run ~forward:false [ Asm.I Ret ] with
+  | r, (O.Cfi_violation { at; expected = O.Empty_shadow_stack; got } as o) ->
+      check_int "at the ret" r.Asm.base at;
+      Alcotest.(check string)
+        "empty shadow stack"
+        (Format.asprintf "CFI violation at %a: return to %a but shadow stack empty"
+           Memsim.Word.pp at Memsim.Word.pp got)
+        (O.to_string o)
+  | _, other -> Alcotest.failf "expected an empty-shadow-stack veto, got %s" (O.to_string other));
+  match
+    run ~forward:true
+      [ Asm.Mov_ri_sym (EAX, "win"); Asm.Label "jmp"; Asm.I (Jmp_rm (Reg EAX)); Asm.Label "win"; Asm.I Hlt ]
+  with
+  | r, (O.Cfi_violation { at; expected = O.Valid_target; got } as o) ->
+      check_int "at the jump" (Asm.symbol r "jmp") at;
+      check_int "to its target" (Asm.symbol r "win") got;
+      Alcotest.(check string)
+        "forward edge"
+        (Format.asprintf "CFI violation at %a: indirect branch to %a, not a valid target"
+           Memsim.Word.pp at Memsim.Word.pp got)
+        (O.to_string o)
+  | _, other -> Alcotest.failf "expected a forward-edge veto, got %s" (O.to_string other)
 
 let test_cfi_allows_benign_calls () =
   let open Insn in
@@ -1004,6 +1039,8 @@ let () =
             test_cfi_blocks_smashed_return;
           Alcotest.test_case "CFI allows benign calls" `Quick
             test_cfi_allows_benign_calls;
+          Alcotest.test_case "CFI says what it expected" `Quick
+            test_cfi_reports_what_it_expected;
         ] );
       ( "flag regressions",
         [

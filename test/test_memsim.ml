@@ -708,10 +708,63 @@ let test_icache_fork_shared () =
      served it. *)
   check_string "writer again" "\x01\x02\xff\x04" (lookup f1 0x1000)
 
+(* A fork of a member that rewrote a text page (a variant's fork) finds
+   the rewritten text in that member's table and the rest in the
+   root's: its lookups decode nothing and return what the uncached
+   decode returns, and the root's table never holds the rewritten
+   text.  A page the fork then writes is its own: refilling it leaves
+   the member's entry hot. *)
+let test_icache_fork_of_reimaged () =
+  let m = fresh () in
+  Mem.map m ~base:0x1000 ~size:0x2000 ~perm:Mem.rwx ~name:"text";
+  Mem.poke_bytes m 0x1000 "\x01\x02\x03\x04";
+  Mem.poke_bytes m 0x2000 "\x05\x06\x07\x08";
+  let root = Memsim.Icache.table ~dummy:"" in
+  let calls = ref 0 in
+  let decode mem addr =
+    incr calls;
+    (Mem.read_bytes mem addr 4, 4)
+  in
+  let lookup table mem addr =
+    (Memsim.Icache.lookup (Memsim.Icache.view table mem) addr ~decode).Memsim.Icache.v
+  in
+  let entry_gen table mem addr =
+    (Memsim.Icache.peek (Memsim.Icache.view table mem) addr).Memsim.Icache.lo_gen
+  in
+  ignore (lookup root m 0x1000);
+  ignore (lookup root m 0x2000);
+  let variant = Mem.fork (Mem.snapshot m) in
+  let vtable = Memsim.Icache.derive root in
+  let text = String.make Mem.page_size '\x0a' in
+  check_bool "reimaged" true
+    (Mem.rewrite variant ~base:0x1000 ~size:Mem.page_size (fun buf pos ->
+         Bytes.blit_string text 0 buf pos Mem.page_size;
+         true));
+  check_string "the variant decodes its text" "\x0a\x0a\x0a\x0a" (lookup vtable variant 0x1000);
+  check_string "and finds the root's page" "\x05\x06\x07\x08" (lookup vtable variant 0x2000);
+  check_int "decoding only its text" 3 !calls;
+  let child = Mem.fork (Mem.snapshot variant) in
+  let ctable = Memsim.Icache.derive vtable in
+  List.iter
+    (fun addr ->
+      check_string
+        (Printf.sprintf "the variant's fork at 0x%x = uncached" addr)
+        (Mem.read_bytes child addr 4) (lookup ctable child addr))
+    [ 0x1000; 0x2000 ];
+  check_int "the variant's fork decodes nothing" 3 !calls;
+  check_bool "the root never holds the variant's text" true
+    (entry_gen root child 0x1000 <> Mem.page_gen child 0x1000);
+  check_int "the variant's table does" (Mem.page_gen child 0x1000) (entry_gen vtable child 0x1000);
+  Mem.write_u8 child 0x1001 0xFF;
+  check_string "the fork's own write" "\x0a\xff\x0a\x0a" (lookup ctable child 0x1000);
+  check_int "decoded" 4 !calls;
+  check_string "the variant's entry stays hot" "\x0a\x0a\x0a\x0a" (lookup vtable variant 0x1000);
+  check_int "without decoding" 4 !calls
+
 (* --- Model-based test of the generation and icache protocol ---
 
    A family of memories (a root and forks of any member's snapshots),
-   one icache table seen through a view per member, and a naive model:
+   an icache table per member seen through a view, and a naive model:
    per member a map from page index to (permissions, bytes).  Random
    operations run on both; after every one, every member's view is
    probed, and each lookup must return exactly what the uncached decode
@@ -882,9 +935,8 @@ let gen_op =
 type member = {
   mem : Mem.t;
   mutable model : model;
-  mutable table : string Memsim.Icache.table;
+  table : string Memsim.Icache.table;
   mutable view : string Memsim.Icache.t;
-  mutable retired : string Memsim.Icache.t list;  (* views of replaced tables *)
   mutable snaps : (Mem.snapshot * model) list;
   mutable last : (Mem.snapshot * model) option;  (* last restored *)
   mutable standing : Mem.snapshot option;
@@ -899,8 +951,7 @@ let show_decode = function
   | Ok (v, len) -> Printf.sprintf "%S/%d" v len
   | Error f -> Mem.fault_to_string f
 
-(* The lookup at [addr] through the member's view and through every
-   view of a table a reimage replaced: each must return what the
+(* The lookup at [addr] through the member's view must return what the
    uncached decode returns, which must match the model. *)
 let check_lookup mb addr =
   let expected = model_decode mb.model addr in
@@ -920,19 +971,16 @@ let check_lookup mb addr =
       (Divergence
          (Printf.sprintf "uncached decode at 0x%x disagrees with the model: %s"
             addr (show_decode uncached)));
-  List.iter
-    (fun view ->
-      let cached =
-        match Memsim.Icache.lookup view addr ~decode:fetch_decode with
-        | e -> Ok (e.Memsim.Icache.v, e.Memsim.Icache.len)
-        | exception Mem.Fault f -> Error f
-      in
-      if cached <> uncached then
-        raise
-          (Divergence
-             (Printf.sprintf "lookup at 0x%x: cached %s, uncached %s" addr
-                (show_decode cached) (show_decode uncached))))
-    (mb.view :: mb.retired)
+  let cached =
+    match Memsim.Icache.lookup mb.view addr ~decode:fetch_decode with
+    | e -> Ok (e.Memsim.Icache.v, e.Memsim.Icache.len)
+    | exception Mem.Fault f -> Error f
+  in
+  if cached <> uncached then
+    raise
+      (Divergence
+         (Printf.sprintf "lookup at 0x%x: cached %s, uncached %s" addr
+            (show_decode cached) (show_decode uncached)))
 
 (* The fault kind a one-byte access raises at [a], if any. *)
 let access_fault f a =
@@ -1001,8 +1049,10 @@ let run_model ops =
     ];
   let s0 = Mem.snapshot root in
   let family = ref [||] in
-  (* A fork shares its source's table and may restore the snapshot it
-     came from. *)
+  (* A fork takes a table derived from its source's, as [Process.fork]
+     does, and may restore the snapshot it came from.  The first fork
+     instead shares the root's table: views of one table may be made
+     over any memories. *)
   let add mem table snaps =
     let model = snd (List.hd snaps) in
     family :=
@@ -1013,7 +1063,6 @@ let run_model ops =
             model;
             table;
             view = Memsim.Icache.view table mem;
-            retired = [];
             snaps;
             last = None;
             standing = None;
@@ -1022,7 +1071,7 @@ let run_model ops =
   in
   add root table [ (s0, !model) ];
   add (Mem.fork s0) table [ (s0, !model) ];
-  add (Mem.fork s0) table [ (s0, !model) ];
+  add (Mem.fork s0) (Memsim.Icache.derive table) [ (s0, !model) ];
   let pick i = !family.(i mod Array.length !family) in
   let mapped mb (base, _) = IM.mem (base lsr Mem.page_bits) mb.model in
   let update_region mb reg f =
@@ -1138,16 +1187,14 @@ let run_model ops =
         let mb = pick i in
         if Array.length !family < 6 then begin
           let ((snap, _) as s) = nth_snap mb k in
-          add (Mem.fork snap) mb.table [ s ];
+          add (Mem.fork snap) (Memsim.Icache.derive mb.table) [ s ];
           if restore_it then restore !family.(Array.length !family - 1) s
         end
     | Reimage (i, r, seed) ->
         (* [Process.reimage] at memory level: [Mem.rewrite] lays fresh
            bytes over the whole region (one or two pages), or declines
-           and leaves the memory as it was; after a rewrite the member
-           takes a table derived from its own, which owns the region and
-           the pages the member draws generations for, and finds every
-           other page in the family's entries. *)
+           and leaves the memory as it was.  The member keeps its table,
+           which owns the fresh generations it drew. *)
         let mb = pick i and ((base, size) as reg) = model_regions.(r) in
         if mapped mb reg then begin
           let rng = Random.State.make [| seed |] in
@@ -1161,10 +1208,7 @@ let run_model ops =
           if wrote <> commit then raise (Divergence "rewrite reports another outcome than its writer");
           if commit then begin
             mb.model <- model_fill mb.model reg s;
-            mb.standing <- None;
-            mb.retired <- mb.view :: mb.retired;
-            mb.table <- Memsim.Icache.derive mb.table ~lo:base ~hi:(base + size);
-            mb.view <- Memsim.Icache.view mb.table mb.mem
+            mb.standing <- None
           end
         end
     | Lookup (i, a, fresh) ->
@@ -1285,6 +1329,27 @@ let prop_icache_model =
        ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
        QCheck.Gen.(list_size (int_range 10 80) gen_op))
     run_model
+
+(* The model's members start as the root (m0), a fork sharing its table
+   (m1) and a derived fork (m2); each [Fork] appends one. *)
+let test_model_fork_of_reimaged () =
+  ignore
+    (run_model
+       [
+         Lookup (0, 0x1000, false);
+         Reimage (2, 0, 1);
+         Lookup (2, 0x1000, false);
+         Lookup (2, 0x1FFE, false);
+         Snapshot 2;
+         Fork (2, 0, false);
+         Lookup (3, 0x1000, true);
+         Store (3, 0x1001, "\x02");
+         Lookup (3, 0x1000, false);
+         Fork (3, 0, true);
+         Reimage (4, 1, 2);
+         Lookup (4, 0x3000, false);
+         Lookup (2, 0x1000, true);
+       ])
 
 let prop_snapshot_roundtrip =
   QCheck.Test.make ~name:"restore rewinds arbitrary write sequences" ~count:100
@@ -1576,6 +1641,10 @@ let () =
             test_icache_straddling_entry;
           Alcotest.test_case "one table across forks" `Quick
             test_icache_fork_shared;
+          Alcotest.test_case "a fork of a reimaged member" `Quick
+            test_icache_fork_of_reimaged;
+          Alcotest.test_case "model: a fork of a reimaged member" `Quick
+            test_model_fork_of_reimaged;
           qt prop_icache_model;
         ] );
       ( "snapshots",
