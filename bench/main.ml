@@ -152,6 +152,18 @@ let alloc_per_op ?(n = 10_000) f =
   for _ = 1 to n do f () done;
   (Gc.allocated_bytes () -. before) /. float_of_int n
 
+(* Minor-heap words per run of [run] over [n] fresh [setup ()]s, the
+   setups unmeasured. *)
+let minor_words_fresh ?(n = 32) setup run =
+  let words = ref 0. in
+  for _ = 1 to n do
+    let r = setup () in
+    let w0 = Gc.minor_words () in
+    run r;
+    words := !words +. (Gc.minor_words () -. w0)
+  done;
+  !words /. float_of_int n
+
 (* One run of a closure that returns its event count: the count and the
    run's wall time in ns. *)
 let events_and_ns now run =
@@ -983,7 +995,10 @@ let dos_parse_rows () =
    text is its own, so it compiles from empty), against the [uncached]
    reference.  Each comes as its setup (untimed) and the timed part:
    the datagram write plus the call.  A starting point slower than
-   [uncached] is an end-to-end loss that no straight-line row shows. *)
+   [uncached] is an end-to-end loss that no straight-line row shows.
+   [minor_words_per_run] is what a run allocates on the minor heap: a
+   cold start's decodes, compiles and block builds, a warm one's
+   datagram and call. *)
 let parse_start_rows ~samples arch =
   let aname = Loader.Arch.name arch in
   let profile = Profile.wx in
@@ -1024,13 +1039,14 @@ let parse_start_rows ~samples arch =
   let name start = Printf.sprintf "cpu/parse-%s/%s" aname start in
   List.map
     (fun (start, icache, setup) ->
-      row (name start) "ns_per_run"
-        (fresh ~samples setup (fun p -> ignore (parse ~icache p)))
+      let run p = ignore (parse ~icache p) in
+      row (name start) "ns_per_run" (fresh ~samples setup run)
         ~extras:
           [
             ("steps_per_run", const (float_of_int steps));
             ("speedup_vs_uncached", vs (name "uncached"));
             ("samples", const (float_of_int samples));
+            ("minor_words_per_run", fun _ -> minor_words_fresh setup run);
           ])
     [
       ("cold", true, boot);
@@ -1040,10 +1056,43 @@ let parse_start_rows ~samples arch =
       ("uncached", false, restored);
     ]
 
+(* Decoding in place: every distinct pc a benign parse retires, in the
+   order it first retires them, decoded (fetch-checked) in the booted
+   process's memory; the row is the time per instruction. *)
+let decode_row arch =
+  let profile = Profile.wx in
+  let proc = Loader.Process.boot (connman_spec arch profile) ~profile ~seed:1 in
+  let input = List.hd (Fuzz.Engine.benign_seeds ()) in
+  let buf = proc.Loader.Process.layout.Loader.Layout.heap_base in
+  let seen = Hashtbl.create 512 and pcs = ref [] in
+  let record pc =
+    if not (Hashtbl.mem seen pc) then begin
+      Hashtbl.add seen pc ();
+      pcs := pc :: !pcs
+    end
+  in
+  let snap = Loader.Process.snapshot proc in
+  Mem.write_bytes proc.Loader.Process.mem buf input;
+  ignore
+    (Loader.Process.call proc ~icache:false ~on_step:(Machine.Hook.observer record) ~fuel:400_000
+       ~entry:(Loader.Process.symbol proc "parse_response")
+       ~args:[ buf; String.length input ]);
+  Loader.Process.restore proc snap;
+  let pcs = Array.of_list (List.rev !pcs) and mem = proc.Loader.Process.mem in
+  let decode =
+    match arch with
+    | Loader.Arch.X86 -> fun pc -> ignore (Sys.opaque_identity (Isa_x86.Decode.decode mem pc))
+    | Loader.Arch.Arm -> fun pc -> ignore (Sys.opaque_identity (Isa_arm.Decode.decode mem pc))
+  in
+  row (on arch "cpu/decode") "ns_per_insn"
+    (Ols_per_step (Array.length pcs, fun () -> Array.iter decode pcs))
+    ~extras:[ ("insns", const (float_of_int (Array.length pcs))) ]
+
 let cpu_rows ~smoke =
   let iters = iters ~smoke in
   cpu_workload_rows ~iters @ hook_rows ~iters @ dos_parse_rows ()
   @ List.concat_map (parse_start_rows ~samples:(samples ~smoke)) Loader.Arch.all
+  @ List.map decode_row Loader.Arch.all
 
 (* ------------------------------------------------------------------ *)
 (* faults: fault-injection paths, BENCH_faults.json                    *)

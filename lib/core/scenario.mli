@@ -31,7 +31,6 @@ val pineapple_attack :
     defaults to the generator's §III decision table for the device's
     protections. *)
 
-val home_ssid : string
 val pp_result : Format.formatter -> result -> unit
 
 (** {1 Botnet recruitment}

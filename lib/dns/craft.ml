@@ -67,67 +67,66 @@ let plan_labels ?(label_max = 191) spec =
     end
   end
 
+(* [size / 64 + 1] labels of 63 'A's (none for a negative size), then
+   the root: one buffer, handed out as the string. *)
 let dos_name ~size =
-  let buf = Buffer.create (size + 64) in
-  while Buffer.length buf <= size do
-    Buffer.add_char buf '\x3F';
-    Buffer.add_string buf (String.make 63 'A')
+  let labels = if size < 0 then 0 else (size / 64) + 1 in
+  let b = Bytes.make ((64 * labels) + 1) 'A' in
+  for l = 0 to labels - 1 do
+    Bytes.set b (64 * l) '\x3F'
   done;
-  Buffer.add_char buf '\x00';
-  Buffer.contents buf
+  Bytes.set b (64 * labels) '\x00';
+  Bytes.unsafe_to_string b
 
-(* The name is a single compression pointer whose target is its own offset
-   within the answer record.  [hostile_response] places the answer name at
-   a fixed offset: header (12) + question; the caller of this function is
-   [hostile_response] itself via lazy offset patching, so instead we emit a
-   pointer to offset 12 (the question name) prefixed by a label that points
-   back — simplest robust loop: pointer at message offset X targeting X. *)
+(* The name [hostile_response] replaces with a compression pointer to
+   itself, i.e. to its own offset in the answer record.  Recognised by
+   physical equality, so no caller's name can stand for it. *)
 let pointer_loop_placeholder = "\xC0\xFF"
 
 let pointer_loop_name () = pointer_loop_placeholder
 
-let hostile_response_into a ~query ?(ttl = 300) ?(rdata = "\x7F\x00\x00\x01")
-    ~raw_name () =
+let set_u16 b pos v =
+  Bytes.set b pos (Char.unsafe_chr ((v lsr 8) land 0xFF));
+  Bytes.set b (pos + 1) (Char.unsafe_chr (v land 0xFF))
+
+(* The wire is written straight into one buffer sized from the question
+   name, the answer name and the rdata, and handed out as the string. *)
+let hostile_response ~query ?(ttl = 300) ?(rdata = "\x7F\x00\x00\x01") ~raw_name () =
   let q =
     match query.Packet.questions with
     | q :: _ -> q
     | [] -> invalid_arg "Craft.hostile_response: query has no question"
   in
-  Wire.reset a;
-  Wire.add_u16 a query.Packet.header.Packet.id;
+  let qname_size = Name.encoded_size q.Packet.qname in
+  (* Header (12), question name, qtype and class (4). *)
+  let name_off = 12 + qname_size + 4 in
+  let self_loop = raw_name == pointer_loop_placeholder in
+  let name_size = if self_loop then 2 else String.length raw_name in
+  let rdata_off = name_off + name_size + 10 in
+  let b = Bytes.create (rdata_off + String.length rdata) in
+  let h = query.Packet.header in
+  set_u16 b 0 h.Packet.id;
   (* QR=1, opcode echoed, RD echoed, RA=1, rcode 0. *)
-  let flags =
-    (1 lsl 15)
-    lor ((query.Packet.header.Packet.opcode land 0xF) lsl 11)
-    lor ((if query.Packet.header.Packet.rd then 1 else 0) lsl 8)
-    lor (1 lsl 7)
-  in
-  Wire.add_u16 a flags;
-  Wire.add_u16 a 1 (* qdcount *);
-  Wire.add_u16 a 1 (* ancount *);
-  Wire.add_u16 a 0;
-  Wire.add_u16 a 0;
-  Wire.add_string a (Name.encode q.Packet.qname);
-  Wire.add_u16 a (Packet.qtype_code q.Packet.qtype);
-  Wire.add_u16 a 1;
+  set_u16 b 2
+    ((1 lsl 15)
+    lor ((h.Packet.opcode land 0xF) lsl 11)
+    lor ((if h.Packet.rd then 1 else 0) lsl 8)
+    lor (1 lsl 7));
+  set_u16 b 4 1 (* qdcount *);
+  set_u16 b 6 1 (* ancount *);
+  set_u16 b 8 0;
+  set_u16 b 10 0;
+  Name.write_encoded b 12 q.Packet.qname;
+  set_u16 b (12 + qname_size) (Packet.qtype_code q.Packet.qtype);
+  set_u16 b (14 + qname_size) 1;
   (* Answer record: attacker-controlled owner name. *)
-  let name_off = Wire.length a in
-  let raw_name =
-    if raw_name == pointer_loop_placeholder then
-      (* Self-referential pointer: 0xC0 | high bits of own offset. *)
-      String.init 2 (fun i ->
-          if i = 0 then Char.chr (0xC0 lor ((name_off lsr 8) land 0x3F))
-          else Char.chr (name_off land 0xFF))
-    else raw_name
-  in
-  Wire.add_string a raw_name;
-  Wire.add_u16 a (Packet.qtype_code Packet.A);
-  Wire.add_u16 a 1;
-  Wire.add_u32 a ttl;
-  Wire.add_u16 a (String.length rdata);
-  Wire.add_string a rdata
-
-let hostile_response ~query ?ttl ?rdata ~raw_name () =
-  let a = Wire.arena ~capacity:256 () in
-  hostile_response_into a ~query ?ttl ?rdata ~raw_name ();
-  Wire.contents a
+  if self_loop then set_u16 b name_off (0xC000 lor (name_off land 0x3FFF))
+  else Bytes.blit_string raw_name 0 b name_off name_size;
+  let rr = name_off + name_size in
+  set_u16 b rr (Packet.qtype_code Packet.A);
+  set_u16 b (rr + 2) 1;
+  set_u16 b (rr + 4) ((ttl lsr 16) land 0xFFFF);
+  set_u16 b (rr + 6) (ttl land 0xFFFF);
+  set_u16 b (rr + 8) (String.length rdata);
+  Bytes.blit_string rdata 0 b rdata_off (String.length rdata);
+  Bytes.unsafe_to_string b

@@ -32,18 +32,27 @@ let valid labels =
   List.for_all (fun l -> String.length l >= 1 && String.length l <= 63) labels
   && List.fold_left (fun acc l -> acc + 1 + String.length l) 1 labels <= 255
 
-let encode labels =
-  let buf = Buffer.create 32 in
-  List.iter
-    (fun label ->
+let encoded_size labels =
+  List.fold_left
+    (fun size label ->
       let n = String.length label in
       if n = 0 || n > 63 then
         invalid_arg ("Dns.Name.encode: bad label length " ^ string_of_int n);
-      Buffer.add_char buf (Char.chr n);
-      Buffer.add_string buf label)
-    labels;
-  Buffer.add_char buf '\x00';
-  Buffer.contents buf
+      size + 1 + n)
+    1 labels
+
+let rec write_encoded b pos = function
+  | [] -> Bytes.set b pos '\x00'
+  | label :: rest ->
+      let n = String.length label in
+      Bytes.set b pos (Char.chr n);
+      Bytes.blit_string label 0 b (pos + 1) n;
+      write_encoded b (pos + 1 + n) rest
+
+let encode labels =
+  let b = Bytes.create (encoded_size labels) in
+  write_encoded b 0 labels;
+  Bytes.unsafe_to_string b
 
 (* The permissive walker behind {!expand_like_connman}: [emit] receives
    each label's length byte and raw bytes.  Pointer loops are detected by

@@ -33,6 +33,13 @@ val encode : t -> string
 (** Uncompressed wire form (length-prefixed labels + terminating 0).
     Raises [Invalid_argument] if a label exceeds 63 bytes. *)
 
+val encoded_size : t -> int
+(** [String.length (encode labels)], raising as {!encode} does. *)
+
+val write_encoded : Bytes.t -> int -> t -> unit
+(** [write_encoded b pos labels] writes [encode labels] into [b] at
+    [pos], for labels {!encoded_size} accepted. *)
+
 val expand_like_connman :
   ?limit:int -> string -> int -> (string * int, string) result
 (** The vulnerable expansion: returns the raw length-prefixed byte stream

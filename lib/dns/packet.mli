@@ -9,7 +9,6 @@ type qtype = A | AAAA | CNAME | NS | PTR | MX | TXT | Unknown of int
 
 val qtype_code : qtype -> int
 val qtype_of_code : int -> qtype
-val qtype_name : qtype -> string
 
 type rcode =
   | NoError

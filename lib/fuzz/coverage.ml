@@ -13,7 +13,8 @@
 
    - [mark]/[stamp]: which buckets the {e current} execution has hit,
      without clearing a 64 Ki array per exec (generation-stamping, the
-     same trick the memory pages use);
+     same trick the memory pages use).  A stamp is one byte, 1 to 255,
+     and the marks are cleared once every 255 execs, when it wraps;
    - [map]: which buckets {e any} execution has ever hit — the corpus'
      accumulated coverage.  {!commit} promotes the current exec's buckets
      into it and reports how many were globally new, which is the
@@ -23,7 +24,7 @@ let buckets = 1 lsl 16
 
 type t = {
   map : Bytes.t;  (* ever-hit, one byte per bucket *)
-  mark : int array;  (* stamp of the last exec that hit the bucket *)
+  mark : Bytes.t;  (* stamp of the last exec that hit the bucket *)
   mutable stamp : int;
   mutable prev : int;
   mutable this_exec : int list;  (* buckets first hit this exec *)
@@ -33,7 +34,7 @@ type t = {
 let create () =
   {
     map = Bytes.make buckets '\000';
-    mark = Array.make buckets 0;
+    mark = Bytes.make buckets '\000';
     stamp = 0;
     prev = 0;
     this_exec = [];
@@ -41,7 +42,11 @@ let create () =
   }
 
 let begin_exec t =
-  t.stamp <- t.stamp + 1;
+  if t.stamp = 255 then begin
+    Bytes.fill t.mark 0 buckets '\000';
+    t.stamp <- 1
+  end
+  else t.stamp <- t.stamp + 1;
   t.prev <- 0;
   t.this_exec <- []
 
@@ -50,8 +55,8 @@ let begin_exec t =
    their low bits), the mask keeps the result in range. *)
 let touch t pc =
   let b = ((t.prev * 0x9E3779B1) lxor pc) land (buckets - 1) in
-  if t.mark.(b) <> t.stamp then begin
-    t.mark.(b) <- t.stamp;
+  if Bytes.unsafe_get t.mark b <> Char.unsafe_chr t.stamp then begin
+    Bytes.unsafe_set t.mark b (Char.unsafe_chr t.stamp);
     t.this_exec <- b :: t.this_exec
   end;
   t.prev <- pc

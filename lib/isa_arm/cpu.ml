@@ -218,15 +218,42 @@ let exec t ~kernel start cond op =
           stop
         end
 
+(* The block transfers' memory halves, for their thunks: [idx] holds the
+   list's register numbers in list order.  [push] stores each register at
+   [base + 4i], pc as [pc8] (its address + 8), and a fault stops it after
+   the stores before it, as [exec]'s do. *)
+let store_regs t idx base pc8 =
+  for i = 0 to Array.length idx - 1 do
+    let r = Array.unsafe_get idx i in
+    Mem.write_u32 t.mem (Word.add base (4 * i)) (if r = 15 then pc8 else Array.unsafe_get t.regs r)
+  done
+
+(* [pop] reads every word into [vals] before it writes any register. *)
+let load_regs t vals sp0 =
+  for i = 0 to Array.length vals - 1 do
+    Array.unsafe_set vals i (Mem.read_u32 t.mem (Word.add sp0 (4 * i)))
+  done
+
+(* Then writes them in list order, pc aside: the pc value, or -1. *)
+let commit_pop t idx vals =
+  let target = ref (-1) in
+  for i = 0 to Array.length idx - 1 do
+    let r = Array.unsafe_get idx i in
+    if r = 15 then target := Array.unsafe_get vals i
+    else Array.unsafe_set t.regs r (Array.unsafe_get vals i)
+  done;
+  !target
+
 (* Specialize one decoded instruction into an execution thunk for its
    (fixed) address: pc+8 reads, the successor pc and pc-relative branch
    targets become captured constants, register operands become
    pre-resolved array indices, and forms that cannot fault or write pc
    skip the fault handler and the [branched] protocol.  Anything outside
-   the hot set (pc-writing data-processing, block transfers, register
-   branches, shifted-register addressing) falls back to the generic
-   [exec] — behavior is bit-identical either way, which the differential
-   tests assert instruction-by-instruction over every exploit scenario.
+   the hot set (pc-writing data-processing and loads, register-offset
+   addressing, [blx], conditional [bl] and [svc]) falls back to the
+   generic [exec] — behavior is bit-identical either way, which the
+   differential tests assert instruction-by-instruction over every
+   exploit scenario.
    The hottest forms (mov, add/sub/cmp with an immediate, immediate-offset
    loads and stores, none touching pc) get flat thunks that read their
    registers directly rather than through operand closures.  Compilation
@@ -470,6 +497,44 @@ let compile start { cond; op } =
               None
           | Outcome.Stop reason -> Some reason
         with Mem.Fault f -> Some (Outcome.Fault f))
+  | Push regs ->
+      let idx = Array.of_list (List.map reg_index regs) in
+      let size = 4 * Array.length idx and pc8 = Word.add start 8 in
+      guard (fun t _ ->
+          t.steps <- t.steps + 1;
+          let base = Word.sub (Array.unsafe_get t.regs 13) size in
+          match store_regs t idx base pc8 with
+          | () ->
+              Array.unsafe_set t.regs 13 base;
+              set_pc t next;
+              None
+          | exception Mem.Fault f -> Some (Outcome.Fault f))
+  | Pop regs ->
+      let idx = Array.of_list (List.map reg_index regs) in
+      let vals = Array.make (Array.length idx) 0 in
+      let size = 4 * Array.length idx and writes_pc = List.mem PC regs in
+      guard (fun t _ ->
+          t.steps <- t.steps + 1;
+          let sp0 = Array.unsafe_get t.regs 13 in
+          match load_regs t vals sp0 with
+          | () ->
+              Array.unsafe_set t.regs 13 (Word.add sp0 size);
+              let target = commit_pop t idx vals in
+              set_pc t (if writes_pc then target land lnot 1 else next);
+              None
+          | exception Mem.Fault f -> Some (Outcome.Fault f))
+  | Bx PC ->
+      let target = Word.add start 8 land lnot 1 in
+      guard (fun t _ ->
+          t.steps <- t.steps + 1;
+          set_pc t target;
+          None)
+  | Bx r ->
+      let i = reg_index r in
+      guard (fun t _ ->
+          t.steps <- t.steps + 1;
+          set_pc t (Array.unsafe_get t.regs i land lnot 1);
+          None)
   | _ -> fun t kernel -> exec t ~kernel start cond op
 
 (* Instructions that end a block: every branch but an unconditional [b],

@@ -16,4 +16,5 @@ val decode : Memsim.Memory.t -> int -> Insn.t
     on NX pages). *)
 
 val decode_peek : Memsim.Memory.t -> int -> Insn.t
-(** Permission-blind decode for offline analysis. *)
+(** Decode for offline analysis: {!decode} under read permission instead
+    of execute. *)

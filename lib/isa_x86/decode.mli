@@ -15,7 +15,11 @@ val decode_with : (int -> int) -> int -> Insn.t * int
 
 val decode : Memsim.Memory.t -> int -> Insn.t * int
 (** Fetch-decode from memory, honouring execute permission (raises
-    [Memsim.Memory.Fault] on NX pages — the W⊕X mechanism). *)
+    [Memsim.Memory.Fault] on NX pages — the W⊕X mechanism).  Raises what
+    [decode_with (Memsim.Memory.fetch_u8 mem)] raises, but reads an
+    instruction that lies in its page out of the page's buffer under one
+    check, allocating only the instruction. *)
 
 val decode_peek : Memsim.Memory.t -> int -> Insn.t * int
-(** Permission-blind decode for offline analysis (gadget scanning). *)
+(** Decode for offline analysis (gadget scanning): {!decode} under read
+    permission instead of execute ([Memsim.Memory.read_u8]'s check). *)

@@ -359,6 +359,21 @@ let fetch_u8 t addr =
   if not p.pperm.execute then fault t addr Perm_exec "fetch";
   Char.code (Bytes.unsafe_get p.data (addr land offset_mask))
 
+(* The page buffer behind [fetch_u8] ([exec]) or [read_u8]: the same
+   lookup and the same check, so the same fault. *)
+let page_bytes t ~exec addr =
+  let addr = Word.of_int addr in
+  if exec then begin
+    let p = fetch_page t addr in
+    if not p.pperm.execute then fault t addr Perm_exec "fetch";
+    p.data
+  end
+  else begin
+    let p = read_page t addr in
+    if not p.pperm.read then fault t addr Perm_read "read";
+    p.data
+  end
+
 (* Multi-byte reads bind bytes in ascending order: the lowest offending
    address must be the one reported in a fault.  The aligned-within-a-page
    common case reads straight out of the page buffer. *)

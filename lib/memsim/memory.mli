@@ -133,6 +133,15 @@ val fetch_u8 : t -> int -> int
 
 val fetch_u32 : t -> int -> int
 
+val page_bytes : t -> exec:bool -> int -> Bytes.t
+(** [page_bytes t ~exec addr] is the buffer of the page holding [addr]
+    (byte [addr land (page_size - 1)] of it is the byte at [addr]),
+    after the check {!fetch_u8} ([exec]) or {!read_u8} makes there: it
+    raises the fault they would raise at [addr].  For decoders, which
+    read a whole instruction under one check.  The buffer may be shared
+    copy-on-write and a later store may replace it: read it at once and
+    never write to it. *)
+
 val read_bytes : t -> int -> int -> string
 (** [read_bytes m addr len] — raises {!Fault} on the first offending byte. *)
 

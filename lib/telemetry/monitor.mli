@@ -161,13 +161,9 @@ type entry = {
 
 val journal_entries : t -> entry list  (** retained, in export order *)
 
-val journal_dropped : t -> int
-
 (** {1 Alerts and incidents} *)
 
 type alert_state = Inactive | Pending | Firing
-
-val state_name : alert_state -> string
 
 type transition = {
   tr_ts : int;

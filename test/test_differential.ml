@@ -1476,6 +1476,15 @@ module X86_blocks = struct
         ((if wild then 2 else 0), map (fun i -> Add_i (Reg ESI, i)) (int_range 0x100 0x800));
       ]
 
+  (* A function [f]'s slot in the data page: its address, which a PLT
+     stub jumps through. *)
+  let plt_slot f = data_page + 4 + (4 * f)
+
+  (* Without a draw of their own, the lowering varies its forms with its
+     label counter: the pushes of a [Pushed] (registers, [push imm32]
+     and [push m], [push imm8] and absolute [push m]) and the route of an
+     indirect call (through a register, a PLT stub's [jmp *m], or a
+     [jmp reg] stub); f1 keeps a frame it leaves with [leave]. *)
   let lower p =
     let n = ref 0 in
     let fresh s =
@@ -1484,7 +1493,15 @@ module X86_blocks = struct
     in
     let rec piece = function
       | Op o -> [ A.I o ]
-      | Pushed body -> [ A.I (Push_r EAX); A.I (Push_r ECX) ] @ pieces body @ [ A.I (Pop_r ECX); A.I (Pop_r EAX) ]
+      | Pushed body ->
+          incr n;
+          let pushes =
+            match !n mod 3 with
+            | 0 -> [ Push_r EAX; Push_r ECX ]
+            | 1 -> [ Push_i (0x01010101 * !n); Push_m { base = Some EBX; disp = (4 * !n) land 0x3FC } ]
+            | _ -> [ Push_i8 (((37 * !n) land 0xFF) - 128); Push_m { base = None; disp = data_base + ((8 * !n) land 0x3FC) } ]
+          in
+          List.map (fun i -> A.I i) pushes @ pieces body @ [ A.I (Pop_r ECX); A.I (Pop_r EAX) ]
       | If (c, body) ->
           let skip = fresh "skip" in
           (A.Jcc (List.nth conds c, skip) :: pieces body) @ [ A.Label skip ]
@@ -1499,7 +1516,12 @@ module X86_blocks = struct
           @ pieces body
           @ [ A.Jmp top; A.Label exit; A.I (Pop_r EBP) ]
       | Call f -> [ A.Call (Printf.sprintf "f%d" f) ]
-      | Call_indirect f -> [ A.Mov_ri_sym (EDX, Printf.sprintf "f%d" f); A.I (Call_rm (Reg EDX)) ]
+      | Call_indirect f -> (
+          incr n;
+          match !n mod 3 with
+          | 0 -> [ A.Mov_ri_sym (EDX, Printf.sprintf "f%d" f); A.I (Call_rm (Reg EDX)) ]
+          | 1 -> [ A.Call (Printf.sprintf "plt_f%d" f) ]
+          | _ -> [ A.Mov_ri_sym (EDX, Printf.sprintf "f%d" f); A.Call "jmp_edx" ])
       | Selfmod changes ->
           (* The store goes to the pad when the jcc is taken and to the
              data page otherwise, so the store's block is built on the
@@ -1565,8 +1587,18 @@ module X86_blocks = struct
     @ [ A.I Hlt; A.Label "smashed"; A.I (Mov_ri (EAX, 0x5A5A)); A.I Hlt ]
     @ List.concat
         (List.mapi
-           (fun i f -> (A.Label (Printf.sprintf "f%d" i) :: pieces f) @ [ A.I Ret ])
+           (fun i f ->
+             let name = A.Label (Printf.sprintf "f%d" i) in
+             if i = 1 then
+               (name :: A.I (Push_r EBP) :: A.I (Mov (Reg EBP, Reg ESP)) :: pieces f)
+               @ [ A.I Leave; A.I Ret ]
+             else (name :: pieces f) @ [ A.I Ret ])
            p.funcs)
+    @ List.concat_map
+        (fun f ->
+          [ A.Label (Printf.sprintf "plt_f%d" f); A.I (Jmp_rm (Mem { base = None; disp = plt_slot f })) ])
+        [ 0; 1 ]
+    @ [ A.Label "jmp_edx"; A.I (Jmp_rm (Reg EDX)) ]
 
   let machine =
     let kernel _ _ = O.Stop (O.Aborted "unexpected syscall") in
@@ -1589,10 +1621,24 @@ module X86_blocks = struct
     let asm = A.assemble ~base:k.code_at (lower p) in
     let mem, digest = block_memory ~rwx:k.rwx ~code_at:k.code_at asm.A.code in
     Mem.write_u32 mem data_page (A.symbol asm "smashed");
+    List.iter (fun f -> Mem.write_u32 mem (plt_slot f) (A.symbol asm (Printf.sprintf "f%d" f))) [ 0; 1 ];
     run_paths machine ~mem ~digest ~entry:k.code_at
       ~funcs:[ A.symbol asm "f0"; A.symbol asm "f1" ]
       ~traps:(trap_addresses ~trap:k.trap asm.A.symbols)
       ~fuel:k.fuel paths
+
+  (* The instructions a case's reference run tries, as its program
+     assembled them. *)
+  let executed ((p, k) as case) =
+    let code = (A.assemble ~base:k.code_at (lower p)).A.code in
+    let at pc =
+      match Isa_x86.Decode.decode_with (fun a -> Char.code code.[a - k.code_at]) pc with
+      | insn, _ -> Some insn
+      | exception _ -> None
+    in
+    List.concat_map
+      (fun (_, runs) -> List.concat_map (fun r -> List.filter_map at r.seen) runs)
+      (run_paths case [ { cached = false; hooks = Recorded } ])
 
   let arb ~smash =
     QCheck.make
@@ -1673,7 +1719,13 @@ module Arm_blocks = struct
     in
     let rec piece = function
       | Op o -> [ A.I o ]
-      | Pushed body -> (A.I (al (Push [ R0; R1 ])) :: pieces body) @ [ A.I (al (Pop [ R0; R1 ])) ]
+      | Pushed body ->
+          (* Every other one pushes pc too (without a draw of its own, and
+             in as many instructions, so a seed draws and lays out the
+             programs it did before), and pops it into r2. *)
+          incr n;
+          if !n land 1 = 0 then (A.I (al (Push [ R0; R1 ])) :: pieces body) @ [ A.I (al (Pop [ R0; R1 ])) ]
+          else (A.I (al (Push [ R0; R1; PC ])) :: pieces body) @ [ A.I (al (Pop [ R0; R1; R2 ])) ]
       | If (c, body) ->
           let skip = fresh "skip" in
           (A.B_sym (List.nth conds c, skip) :: pieces body) @ [ A.Label skip ]
@@ -1805,6 +1857,20 @@ module Arm_blocks = struct
       ~traps:(trap_addresses ~trap:k.trap asm.A.symbols)
       ~fuel:k.fuel paths
 
+  let executed ((p, k) as case) =
+    let code = (A.assemble ~base:k.code_at (lower p)).A.code in
+    let at pc =
+      let off = pc - k.code_at in
+      if pc land 3 <> 0 || off < 0 || off + 4 > String.length code then None
+      else
+        match Isa_arm.Decode.decode_word ~addr:pc (Int32.to_int (String.get_int32_le code off) land Word.mask) with
+        | insn -> Some insn
+        | exception _ -> None
+    in
+    List.concat_map
+      (fun (_, runs) -> List.concat_map (fun r -> List.filter_map at r.seen) runs)
+      (run_paths case [ { cached = false; hooks = Recorded } ])
+
   let arb ~smash =
     QCheck.make
       ~print:(program_to_string Isa_arm.Insn.to_string)
@@ -1855,6 +1921,44 @@ let test_arm_block_regressions () =
         true
         (outcome Bare <> outcome Enforced))
     arm_block_regressions
+
+(* The block properties run the forms [compile] gives thunks of their
+   own and [exec] once ran: x86 PLT jumps, pushes of memory and
+   immediates and [leave], ARM block transfers with and without pc and
+   [bx].  Over 200 cases drawn as [prop_blocks] draws them, each form
+   runs in some case. *)
+let check_forms_run name arb executed forms =
+  let gen = QCheck.gen arb and rand = Random.State.make [| 20261021 |] in
+  let cases = List.init 200 (fun _ -> executed (gen rand)) in
+  List.iter
+    (fun (form, is) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: some case runs %s" name form)
+        true
+        (List.exists (List.exists is) cases))
+    forms
+
+let test_forms_run () =
+  let open Isa_x86.Insn in
+  check_forms_run "x86" (X86_blocks.arb ~smash:false) X86_blocks.executed
+    [
+      ("push imm32", function Push_i _ -> true | _ -> false);
+      ("push imm8", function Push_i8 _ -> true | _ -> false);
+      ("push [reg + disp]", function Push_m { base = Some _; _ } -> true | _ -> false);
+      ("push [abs]", function Push_m { base = None; _ } -> true | _ -> false);
+      ("jmp *[abs]", function Jmp_rm (Mem { base = None; _ }) -> true | _ -> false);
+      ("jmp reg", function Jmp_rm (Reg _) -> true | _ -> false);
+      ("leave", function Leave -> true | _ -> false);
+    ];
+  let open Isa_arm.Insn in
+  check_forms_run "arm" (Arm_blocks.arb ~smash:false) Arm_blocks.executed
+    [
+      ("push", function { op = Push l; _ } -> not (List.mem PC l) | _ -> false);
+      ("push with pc", function { op = Push l; _ } -> List.mem PC l | _ -> false);
+      ("pop", function { op = Pop l; _ } -> not (List.mem PC l) | _ -> false);
+      ("pop with pc", function { op = Pop l; _ } -> List.mem PC l | _ -> false);
+      ("bx", function { op = Bx _; _ } -> true | _ -> false);
+    ]
 
 (* With smashed returns, the mitigated paths stop where the reference
    loop with the same hooks does: the veto lands on a block's
@@ -2269,6 +2373,7 @@ let () =
         @ [
             Alcotest.test_case "arm: four paths, once failing seeds" `Quick
               test_arm_block_regressions;
+            Alcotest.test_case "every compiled fallback form runs" `Quick test_forms_run;
             Alcotest.test_case "a sibling's refill" `Quick test_sibling_refill;
             Alcotest.test_case "taint reports, both loops" `Quick test_taint_reports;
             Alcotest.test_case "copy loops summarise, near misses do not" `Quick

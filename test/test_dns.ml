@@ -325,6 +325,104 @@ let test_pointer_loop_response () =
   check_bool "permissive detects loop" true
     (Result.is_error (Name.expand_like_connman wire off))
 
+(* --- crafting against the pre-change construction (kept in
+   [Reference]) --- *)
+
+(* Any id, opcode and RD bit; question names with labels of 0-70 bytes,
+   so some must raise as [Name.encode] does; any qtype; no question now
+   and then; answer names of 0-9000 bytes and the pointer loop; any ttl
+   and rdata. *)
+let gen_craft =
+  let open QCheck.Gen in
+  let label =
+    string_size ~gen:printable
+      (frequency [ (20, int_range 1 63); (1, return 0); (1, int_range 64 70) ])
+  in
+  let qtype =
+    frequency
+      [
+        (4, oneofl Packet.[ A; AAAA; CNAME; NS; PTR; MX; TXT ]);
+        (1, map (fun n -> Packet.Unknown n) (int_bound 0x1FFFF));
+      ]
+  in
+  let question = map2 (fun qname qtype -> { Packet.qname; qtype }) (list_size (int_bound 5) label) qtype in
+  let query =
+    map4
+      (fun id opcode rd questions ->
+        let q = Packet.query ~id ~rd [] Packet.A in
+        { q with Packet.header = { q.Packet.header with Packet.opcode }; questions })
+      (int_range (-5) 0x1FFFF) (int_bound 31) bool
+      (frequency [ (12, map (fun q -> [ q ]) question); (1, return []); (1, list_size (return 2) question) ])
+  in
+  let raw_name =
+    frequency
+      [
+        (6, string_size (int_bound 600));
+        (2, string_size (int_bound 9000));
+        (1, return (Craft.pointer_loop_name ()));
+      ]
+  in
+  quad query raw_name (opt (int_range (-5) 0x1_FFFF_FFFF)) (opt (string_size (int_bound 300)))
+
+let print_craft (query, raw_name, ttl, rdata) =
+  Printf.sprintf "id %d, questions [%s], raw name %d bytes%s, ttl %s, rdata %s"
+    query.Packet.header.Packet.id
+    (String.concat "; "
+       (List.map
+          (fun q -> String.concat "." (List.map (fun l -> string_of_int (String.length l)) q.Packet.qname))
+          query.Packet.questions))
+    (String.length raw_name)
+    (if raw_name == Craft.pointer_loop_name () then " (pointer loop)" else "")
+    (Option.fold ~none:"default" ~some:string_of_int ttl)
+    (Option.fold ~none:"default" ~some:(fun r -> string_of_int (String.length r) ^ " bytes") rdata)
+
+let crafted f = match f () with w -> Ok w | exception Invalid_argument m -> Error m
+
+let prop_hostile_response_as_before =
+  QCheck.Test.make ~name:"hostile_response = the pre-change construction" ~count:500
+    ~long_factor:20 (QCheck.make ~print:print_craft gen_craft)
+    (fun (query, raw_name, ttl, rdata) ->
+      crafted (fun () -> Craft.hostile_response ~query ?ttl ?rdata ~raw_name ())
+      = crafted (fun () -> Reference.Craft.hostile_response ~query ?ttl ?rdata ~raw_name ()))
+
+let dos_sizes = [ -1_000_000; -65; -64; -1; 0; 1; 62; 63; 64; 65; 127; 128; 8191; 8192; 8193 ]
+
+let test_dos_name_as_before () =
+  List.iter
+    (fun size ->
+      check_string (Printf.sprintf "size %d" size) (Reference.Craft.dos_name ~size)
+        (Craft.dos_name ~size))
+    dos_sizes
+
+let prop_dos_name_as_before =
+  QCheck.Test.make ~name:"dos_name = the pre-change construction" ~count:300 ~long_factor:20
+    QCheck.(int_range (-300) 20_000)
+    (fun size -> Craft.dos_name ~size = Reference.Craft.dos_name ~size)
+
+(* Words [f] allocates straight on the major heap (promotions aside). *)
+let direct_major_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let _, promoted1, major1 = Gc.counters () in
+  major1 -. major0 -. (promoted1 -. promoted0)
+
+(* A DoS wire is its name and the wire, 8.3 KB each; an exploit cell's
+   answer name (a few hundred bytes, 1 KB here) is small enough that its
+   wire goes on the minor heap. *)
+let test_craft_allocation () =
+  let query = q () in
+  let kib words = words *. float_of_int (Sys.word_size / 8) /. 1024. in
+  let dos =
+    direct_major_words (fun () ->
+        Craft.hostile_response ~query ~raw_name:(Craft.dos_name ~size:8192) ())
+  in
+  check_bool (Printf.sprintf "a DoS craft allocates %.1f KiB on the major heap, at most 25" (kib dos))
+    true
+    (kib dos <= 25.);
+  let raw_name = String.make 1024 '\x41' in
+  let cell = direct_major_words (fun () -> Craft.hostile_response ~query ~raw_name ()) in
+  Alcotest.(check (float 0.)) "an exploit cell's craft allocates nothing on the major heap" 0. cell
+
 (* --- codec regressions ---
 
    Three bugs found while building the fuzzer, each with a test that
@@ -512,5 +610,9 @@ let () =
             test_hostile_response_name_at_answer;
           Alcotest.test_case "DoS name expands big" `Quick test_dos_name_expands_big;
           Alcotest.test_case "pointer-loop response" `Quick test_pointer_loop_response;
+          Alcotest.test_case "dos_name sizes as before" `Quick test_dos_name_as_before;
+          Alcotest.test_case "crafting allocation" `Quick test_craft_allocation;
+          qt prop_hostile_response_as_before;
+          qt prop_dos_name_as_before;
         ] );
     ]

@@ -199,6 +199,52 @@ let prop_encode_decode_roundtrip =
       let w = Encode.encode_word insn in
       Insn.to_string (Decode.decode_word ~addr:0 w) = Insn.to_string insn)
 
+(* The decoder against the pre-change decoder, kept in [Reference]: at
+   every offset of a page of instruction words and random words, aligned
+   or not, with the next page unmapped or under any permission, [decode]
+   and [decode_peek] give the same instruction, or raise the same
+   [Decode.Error] or [Mem.Fault]. *)
+let decoded decode mem addr =
+  match decode mem addr with
+  | d -> Reference.Pages.Decoded d
+  | exception Decode.Error { addr; word } -> Undecodable (addr, word)
+  | exception Mem.Fault f -> Faulted f
+
+let decoded_by_reference decode mem addr =
+  match decode mem addr with
+  | d -> Reference.Pages.Decoded d
+  | exception Reference.Arm_decode.Error { addr; word } -> Undecodable (addr, word)
+  | exception Mem.Fault f -> Faulted f
+
+let random_page rand =
+  String.concat ""
+    (List.init (Mem.page_size / 4) (fun _ ->
+         let w =
+           if Random.State.int rand 3 = 0 then Random.State.bits rand lor (Random.State.bits rand lsl 30)
+           else Encode.encode_word (QCheck.Gen.generate1 ~rand gen_insn)
+         in
+         String.init 4 (fun i -> Char.chr ((w lsr (8 * i)) land 0xFF))))
+
+let prop_page_decoder =
+  QCheck.Test.make ~name:"decoder = reference decoder at every offset" ~count:100
+    ~long_factor:20 Reference.Pages.arb (fun (seed, base, (_, first), next) ->
+      let rand = Random.State.make [| seed |] in
+      let page = random_page rand in
+      let mem =
+        Reference.Pages.memory ~base ~first ~next:(Option.map snd next) page (random_page rand)
+      in
+      let paths =
+        [
+          ("fetch", decoded Decode.decode, decoded_by_reference Reference.Arm_decode.decode);
+          ( "peek",
+            decoded Decode.decode_peek,
+            decoded_by_reference Reference.Arm_decode.decode_peek );
+        ]
+      in
+      match Reference.Pages.mismatch ~show_insn:Insn.to_string paths mem ~base with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
+
 let prop_imm_encoding_sound =
   QCheck.Test.make ~name:"modified-immediate encoding is sound" ~count:1000
     QCheck.(int_bound 0x3FFF_FFFF)
@@ -664,6 +710,7 @@ let () =
           Alcotest.test_case "round-trip corpus" `Quick test_roundtrip_corpus;
           qt prop_encode_decode_roundtrip;
           qt prop_imm_encoding_sound;
+          qt prop_page_decoder;
         ] );
       ( "interpreter",
         [

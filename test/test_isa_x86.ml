@@ -256,6 +256,52 @@ let prop_decoded_length_positive =
       | _, len -> len >= 1 && len <= 16
       | exception Decode.Error _ -> true)
 
+(* The page decoder against the pre-change decoder, kept in
+   [Reference]: at every offset of a page of instructions and stray
+   bytes, with the next page unmapped or under any permission, [decode]
+   and [decode_peek] give the same instruction and size, or raise the
+   same [Decode.Error] or [Mem.Fault]. *)
+let decoded decode mem addr =
+  match decode mem addr with
+  | d -> Reference.Pages.Decoded d
+  | exception Decode.Error { addr; byte } -> Undecodable (addr, byte)
+  | exception Mem.Fault f -> Faulted f
+
+let decoded_by_reference decode mem addr =
+  match decode mem addr with
+  | d -> Reference.Pages.Decoded d
+  | exception Reference.X86_decode.Error { addr; byte } -> Undecodable (addr, byte)
+  | exception Mem.Fault f -> Faulted f
+
+let random_page rand =
+  let b = Buffer.create (Mem.page_size + 16) in
+  while Buffer.length b < Mem.page_size do
+    if Random.State.int rand 3 = 0 then Buffer.add_char b (Char.chr (Random.State.int rand 256));
+    Buffer.add_string b (Encode.encode (QCheck.Gen.generate1 ~rand gen_insn))
+  done;
+  Buffer.sub b 0 Mem.page_size
+
+let prop_page_decoder =
+  QCheck.Test.make ~name:"page decoder = reference decoder at every offset" ~count:100
+    ~long_factor:20 Reference.Pages.arb (fun (seed, base, (_, first), next) ->
+      let rand = Random.State.make [| seed |] in
+      let page = random_page rand in
+      let mem =
+        Reference.Pages.memory ~base ~first ~next:(Option.map snd next) page (random_page rand)
+      in
+      let paths =
+        [
+          ("fetch", decoded Decode.decode, decoded_by_reference Reference.X86_decode.decode);
+          ( "peek",
+            decoded Decode.decode_peek,
+            decoded_by_reference Reference.X86_decode.decode_peek );
+        ]
+      in
+      let show_insn (insn, size) = Printf.sprintf "%s (%d bytes)" (Insn.to_string insn) size in
+      match Reference.Pages.mismatch ~show_insn paths mem ~base with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
+
 let test_ret_imm_and_indirect_calls () =
   let open Insn in
   (* callee: stdcall-style ret 8 cleaning its own args; caller reaches it
@@ -996,6 +1042,7 @@ let () =
           Alcotest.test_case "round-trip corpus" `Quick test_roundtrip_corpus;
           qt prop_encode_decode_roundtrip;
           qt prop_decoded_length_positive;
+          qt prop_page_decoder;
         ] );
       ( "assembler",
         [
